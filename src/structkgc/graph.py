@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+import numpy as np
+
 SPLITS = ("train", "valid", "test")
 
 
@@ -131,6 +133,12 @@ class KnowledgeGraph:
                 p: frozenset(s) for p, s in by_pair.items()
             }
             self._triple_sets[split] = frozenset(triples)
+        # train e(r) as sorted read-only id arrays, for the samplers
+        self._train_tail_arrays: dict[int, np.ndarray] = {}
+        for r, tails in self._tails_by_relation["train"].items():
+            arr = np.sort(np.fromiter(tails, dtype=np.int64, count=len(tails)))
+            arr.flags.writeable = False
+            self._train_tail_arrays[r] = arr
 
     def _validate_triple(self, t: Triple, split: str):
         if not (0 <= t.head < len(self.entities)) or not (
@@ -163,17 +171,15 @@ class KnowledgeGraph:
 
     def tails_by_relation(self, relation: int, splits: Iterable[str] = ("train",)) -> frozenset[int]:
         """e(r): every tail linked to ``relation`` in the selected splits."""
-        acc: frozenset[int] = frozenset()
-        for split in splits:
-            acc = acc | self._tails_by_relation[split].get(relation, frozenset())
-        return acc
+        return _union(self._tails_by_relation, relation, splits)
 
     def tails_by_pair(self, head: int, relation: int, splits: Iterable[str] = ("train",)) -> frozenset[int]:
         """e(h, r): tails linked to this exact (head, relation) pair."""
-        acc: frozenset[int] = frozenset()
-        for split in splits:
-            acc = acc | self._tails_by_pair[split].get((head, relation), frozenset())
-        return acc
+        return _union(self._tails_by_pair, (head, relation), splits)
+
+    def train_tail_array(self, relation: int) -> np.ndarray:
+        """Train e(r) as a sorted, read-only int64 array of entity ids."""
+        return self._train_tail_arrays.get(relation, _NO_IDS)
 
     def known_true(self, splits: Iterable[str]) -> frozenset[Triple]:
         acc: frozenset[Triple] = frozenset()
@@ -184,6 +190,22 @@ class KnowledgeGraph:
     def is_known_true(self, head: int, relation: int, tail: int, splits: Iterable[str]) -> bool:
         t = Triple(head, relation, tail)
         return any(t in self._triple_sets[s] for s in splits)
+
+
+_NO_IDS = np.zeros(0, dtype=np.int64)
+_NO_IDS.flags.writeable = False
+
+
+def _union(index: Mapping[str, Mapping], key, splits: Iterable[str]) -> frozenset[int]:
+    """Union of ``index[split][key]`` over ``splits``; a single split's
+    stored (immutable) set is returned as is, without a copy."""
+    splits = tuple(splits)
+    if len(splits) == 1:
+        return index[splits[0]].get(key, frozenset())
+    acc: frozenset[int] = frozenset()
+    for split in splits:
+        acc = acc | index[split].get(key, frozenset())
+    return acc
 
 
 def build_graph(

@@ -20,19 +20,30 @@ UNIT_NORM_TOL = 1e-4
 
 
 class MomentumQueue:
-    """Fixed-capacity FIFO of unit-norm feature vectors."""
+    """Fixed-capacity FIFO of unit-norm feature vectors, kept in a ring.
+
+    Row number ``c`` ever pushed lives in slot ``c % capacity`` of a
+    preallocated buffer and is written twice, at that slot and at
+    ``slot + capacity``.  With that mirror the queue, oldest first, is
+    always the contiguous view ``buffer[start:start + len]``: scoring it
+    needs no copy, and a row's position in the view is its recency.
+    """
 
     def __init__(self, capacity: int, dim: int):
         if capacity < 1:
             raise ValueError("queue capacity must be positive")
         self.capacity = capacity
         self.dim = dim
-        self._features: list[np.ndarray] = []
-        self._insert_ids: list[int] = []
-        self._counter = 0
+        self._buffer = np.zeros((2 * capacity, dim))
+        self._size = 0
+        self._next = 0  # slot of the next row pushed
 
     def __len__(self) -> int:
-        return len(self._features)
+        return self._size
+
+    def _window(self) -> np.ndarray:
+        start = (self._next - self._size) % self.capacity
+        return self._buffer[start:start + self._size]
 
     def push(self, features: np.ndarray):
         """Append unit-norm rows, evicting the oldest beyond capacity."""
@@ -42,42 +53,46 @@ class MomentumQueue:
                 f"feature dim {features.shape[1]} does not match queue dim {self.dim}"
             )
         norms = np.linalg.norm(features, axis=1)
-        bad = np.abs(norms - 1.0) > UNIT_NORM_TOL
+        bad = ~(np.abs(norms - 1.0) <= UNIT_NORM_TOL)  # NaN rows fail too
         if np.any(bad):
             raise ValueError(
                 f"queue features must be unit norm, got norm {norms[bad][0]:.6f}"
             )
-        for row in features:
-            self._features.append(row.copy())
-            self._insert_ids.append(self._counter)
-            self._counter += 1
-        if len(self._features) > self.capacity:
-            drop = len(self._features) - self.capacity
-            del self._features[:drop]
-            del self._insert_ids[:drop]
+        # rows beyond the newest ``capacity`` would be evicted at once
+        n = len(features)
+        kept = features[max(0, n - self.capacity):]
+        slots = (self._next + n - len(kept) + np.arange(len(kept))) % self.capacity
+        self._buffer[slots] = kept
+        self._buffer[slots + self.capacity] = kept
+        self._next = (self._next + n) % self.capacity
+        self._size = min(self.capacity, self._size + n)
 
     def features(self) -> np.ndarray:
         """Queue contents in insertion order, oldest first, as (n, dim)."""
-        if not self._features:
-            return np.zeros((0, self.dim))
-        return np.stack(self._features)
+        return self._window().copy()
 
     def hardest(self, query: np.ndarray, tau: float, k: int) -> np.ndarray:
         """The k members with the largest logits query.p / tau, hardest first.
 
         Logit ties break toward the more recently inserted member.  A
-        queue smaller than k returns all members, sorted.
+        queue smaller than k returns all members, sorted.  Only the
+        members whose logit reaches the k-th largest are sorted, so ties
+        straddling place k still resolve toward the newer member.
         """
         if tau <= 0:
             raise ValueError("temperature must be positive")
-        if not self._features:
-            return np.zeros((0, self.dim))
-        mat = self.features()
+        mat = self._window()
+        n = len(mat)
         logits = mat @ np.asarray(query, dtype=np.float64).ravel() / tau
-        ids = np.asarray(self._insert_ids)
-        # primary: logits descending; secondary: insertion id descending
-        order = np.lexsort((-ids, -logits))
-        return mat[order[: min(k, len(order))]]
+        members = np.arange(n)
+        if 0 < k < n:
+            kth = np.partition(logits, n - k)[n - k]
+            above = np.flatnonzero(logits >= kth)
+            if len(above) >= k:  # fewer only with NaN logits: sort them all
+                members = above
+        # primary: logits descending; secondary: recency descending
+        order = members[np.lexsort((-members, -logits[members]))]
+        return mat[order[: min(k, n)]]
 
 
 def hardest_k(queue: MomentumQueue, h_hr: np.ndarray, tau: float, k: int) -> np.ndarray:
@@ -92,19 +107,23 @@ def mix_hard_negatives(hardest: np.ndarray, count: int,
     per negative from Uniform(0, 1) and i != j.  With fewer than two
     members there is nothing to mix: the raw members are returned and the
     fallback flag is set for telemetry.
+
+    Draw order, per call: one ``rng.choice(n * (n - 1), size=count)``
+    over the ordered pairs, pair p decoding to i = p // (n - 1) and
+    j = p % (n - 1), skipping i; then one ``rng.uniform`` with
+    ``count``-long bounds for every lam.
     """
     hardest = np.atleast_2d(np.asarray(hardest, dtype=np.float64))
     n = hardest.shape[0]
     if n < 2:
         return hardest.copy(), True
-    out = np.empty((count, hardest.shape[1]))
-    for m in range(count):
-        i, j = rng.choice(n, size=2, replace=False)
-        lam = rng.uniform(0.0, 1.0)
-        mixed = lam * hardest[i] + (1.0 - lam) * hardest[j]
-        norm = np.linalg.norm(mixed)
-        out[m] = mixed / (norm if norm > 1e-12 else 1e-12)
-    return out, False
+    pairs = rng.choice(n * (n - 1), size=count, replace=True)
+    i, j = np.divmod(pairs, n - 1)
+    j += j >= i
+    lam = np.reshape(rng.uniform(np.zeros(count), np.ones(count)), (-1, 1))
+    mixed = lam * hardest[i] + (1.0 - lam) * hardest[j]
+    norms = np.linalg.norm(mixed, axis=1, keepdims=True)
+    return mixed / np.maximum(norms, 1e-12), False
 
 
 def sample_intra_relation(graph: KnowledgeGraph, head: int, relation: int,
@@ -113,16 +132,21 @@ def sample_intra_relation(graph: KnowledgeGraph, head: int, relation: int,
 
     When the difference is empty, falls back to uniform entities outside
     e(h, r).  Sampled tails are never train-true for (head, relation).
+    The pool is sorted by entity id and drawn from with one
+    ``rng.choice(len(pool), size, replace=False)``.
     """
-    true_tails = graph.tails_by_pair(head, relation, ("train",))
-    pool = sorted(graph.tails_by_relation(relation, ("train",)) - true_tails)
-    if not pool:
-        pool = sorted(set(range(graph.num_entities)) - true_tails)
-    if not pool:
+    true_tails = _as_array(graph.tails_by_pair(head, relation, ("train",)))
+    pool = graph.train_tail_array(relation)
+    pool = pool[~np.isin(pool, true_tails)]
+    if not len(pool):
+        outside = np.ones(graph.num_entities, dtype=bool)
+        outside[true_tails] = False
+        pool = np.flatnonzero(outside)
+    if not len(pool):
         return []
     take = min(count, len(pool))
     picks = rng.choice(len(pool), size=take, replace=False)
-    return [pool[i] for i in picks]
+    return pool[picks].tolist()
 
 
 def in_batch_mask(queries: list[tuple[int, int]], batch_tails: list[int],
@@ -135,13 +159,15 @@ def in_batch_mask(queries: list[tuple[int, int]], batch_tails: list[int],
     n = len(queries)
     if len(batch_tails) != n:
         raise ValueError("queries and tails must align")
-    mask = np.zeros((n, n), dtype=bool)
+    tails = np.asarray(batch_tails, dtype=np.int64)
+    mask = tails[:, None] == tails[None, :]
     for q, (h, r) in enumerate(queries):
-        true_tails = graph.tails_by_pair(h, r, ("train",))
-        positive = batch_tails[q]
-        for j, t in enumerate(batch_tails):
-            mask[q, j] = (t == positive) or (t in true_tails)
+        mask[q] |= np.isin(tails, _as_array(graph.tails_by_pair(h, r, ("train",))))
     return mask
+
+
+def _as_array(ids: frozenset[int]) -> np.ndarray:
+    return np.fromiter(ids, dtype=np.int64, count=len(ids))
 
 
 class MomentumEncoder:

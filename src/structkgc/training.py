@@ -151,9 +151,10 @@ class Trainer:
         return self._tail_tokens[tail]
 
     def _irns_pool_empty(self, head: int, relation: int) -> bool:
-        return not (
-            self.graph.tails_by_relation(relation, ("train",))
-            - self.graph.tails_by_pair(head, relation, ("train",))
+        # within one split e(h, r) is a subset of e(r), so e(r) - e(h, r)
+        # is empty exactly when the two sets have the same size
+        return len(self.graph.tails_by_relation(relation, ("train",))) == len(
+            self.graph.tails_by_pair(head, relation, ("train",))
         )
 
     # ------------------------------------------------------------------
@@ -256,6 +257,7 @@ class Trainer:
 
     # ------------------------------------------------------------------
     def train_epoch(self, epoch: int) -> EpochMetrics:
+        self.telemetry = dict.fromkeys(self.telemetry, 0)
         order = self.rng.permutation(len(self.train_triples))
         losses = []
         bs = self.cfg.batch_size

@@ -108,6 +108,48 @@ class TestBuildGraph:
         assert g.is_known_true(0, 0, 0, ["train"])
 
 
+class TestLookups:
+    def test_single_split_returns_the_stored_set(self):
+        g = five_entity_graph()
+        assert g.tails_by_relation(R) is g.tails_by_relation(R, ["train"])
+        assert g.tails_by_pair(A, R) is g.tails_by_pair(A, R, iter(["train"]))
+        assert g.tails_by_pair(Z, R) == frozenset()
+
+    def test_split_unions_accept_any_iterable(self):
+        ents, rels = make_records(5, 1)
+        g = build_graph(ents, rels, {"train": [Triple(A, R, X)],
+                                     "valid": [Triple(A, R, Y)],
+                                     "test": [Triple(B, R, Z)]})
+        splits = (s for s in ("train", "valid"))
+        assert g.tails_by_pair(A, R, splits) == {X, Y}
+        assert g.tails_by_relation(R, ["train", "valid", "test"]) == {X, Y, Z}
+        assert g.tails_by_relation(R, ()) == frozenset()
+        with pytest.raises(KeyError):
+            g.tails_by_relation(R, ["dev"])
+
+    def test_train_tail_array_is_sorted_train_e_r(self):
+        rng = np.random.default_rng(2)
+        ents, rels = make_records(30, 4)
+        triples = [Triple(int(rng.integers(30)), int(rng.integers(3)), int(rng.integers(30)))
+                   for _ in range(80)]
+        g = build_graph(ents, rels, {"train": triples, "test": [Triple(0, 3, 1)]})
+        for r in range(4):
+            arr = g.train_tail_array(r)
+            assert arr.dtype == np.int64 and not arr.flags.writeable
+            assert arr.tolist() == sorted(g.tails_by_relation(r, ("train",)))
+        assert g.train_tail_array(3).size == 0  # relation 3 is test-only
+
+    def test_pair_tails_within_relation_tails(self):
+        # the trainer's O(1) fallback count relies on e(h, r) <= e(r)
+        rng = np.random.default_rng(3)
+        ents, rels = make_records(12, 3)
+        triples = [Triple(int(rng.integers(12)), int(rng.integers(3)), int(rng.integers(12)))
+                   for _ in range(60)]
+        g = build_graph(ents, rels, {"train": triples})
+        for h, r, _ in triples:
+            assert g.tails_by_pair(h, r) <= g.tails_by_relation(r)
+
+
 class TestInverseTriples:
     def test_single_triple(self):
         out = add_inverse_triples([Triple(A, 0, X)], 1)

@@ -53,6 +53,12 @@ class TestMomentumQueue:
         with pytest.raises(ValueError, match="unit norm"):
             q.push(np.array([1.0, 1.0]))
 
+    def test_nan_row_rejected(self):
+        q = MomentumQueue(4, 2)
+        with pytest.raises(ValueError, match="unit norm"):
+            q.push(np.array([[1.0, 0.0], [np.nan, 0.0]]))
+        assert len(q) == 0
+
     def test_slightly_off_unit_accepted(self):
         q = MomentumQueue(4, 2)
         q.push(unit([3, 4]) * (1 + 5e-5))
@@ -317,3 +323,164 @@ class TestMomentumEncoder:
 def _gather(table, idx):
     from structkgc import autodiff as ad
     return ad.gather_rows(table, [idx])
+
+
+# ---------------------------------------------------------------------------
+# Equivalence with the implementations the array code replaced
+# ---------------------------------------------------------------------------
+
+def full_sort_hardest(queue, query, tau, k):
+    """Reference selection: a full lexsort of every member, oldest first."""
+    mat = queue.features()
+    logits = mat @ np.asarray(query, dtype=np.float64).ravel() / tau
+    recency = np.arange(len(mat))
+    order = np.lexsort((-recency, -logits))
+    return mat[order[: min(k, len(order))]]
+
+
+def assert_hardest_matches_full_sort(queue, query, tau, ks):
+    for k in ks:
+        out = queue.hardest(query, tau, k)
+        want = full_sort_hardest(queue, query, tau, k)
+        assert out.shape == want.shape
+        assert np.array_equal(out, want), f"k={k}"
+
+
+class TestHardestMatchesFullSort:
+    def test_ties_straddle_place_k(self):
+        # one-hot rows score exactly: a and b tie at the top, c and d below;
+        # five tied members straddle every k from 1 to 4
+        a, b, c, d = np.eye(4)
+        q = MomentumQueue(12, 4)
+        q.push(np.stack([a, c, b, d, a, b, c, a]))
+        query = np.array([0.5, 0.5, 0.25, 0.0])
+        assert_hardest_matches_full_sort(q, query, 0.05, range(0, 10))
+        np.testing.assert_array_equal(q.hardest(query, 0.05, 3), np.stack([a, b, a]))
+
+    def test_ties_straddle_place_k_after_wrap(self):
+        a, b, c = np.eye(3)
+        q = MomentumQueue(5, 3)
+        q.push(np.stack([c, a, b, c, b, a, c, a]))  # wraps; a and b tie
+        assert_hardest_matches_full_sort(q, np.array([0.5, 0.5, 0.0]), 0.1, range(0, 7))
+
+    def test_partly_filled_ring(self):
+        rng = np.random.default_rng(20)
+        q = MomentumQueue(50, 8)
+        q.push(random_units(rng, 23, 8))
+        assert len(q) == 23
+        assert_hardest_matches_full_sort(
+            q, unit(rng.normal(size=8)), 0.07, (1, 2, 7, 22, 23, 24, 50))
+
+    def test_unaligned_pushes_wrap_around(self):
+        rng = np.random.default_rng(21)
+        q = MomentumQueue(37, 8)
+        pushed = []
+        for _ in range(60):
+            rows = random_units(rng, int(rng.integers(1, 21)), 8)
+            if pushed and rng.random() < 0.3:  # an earlier row again: equal logits
+                rows[0] = pushed[int(rng.integers(len(pushed)))]
+            pushed.extend(rows)
+            q.push(rows)
+            np.testing.assert_array_equal(q.features(), np.stack(pushed[-37:]))
+            assert_hardest_matches_full_sort(
+                q, unit(rng.normal(size=8)), 0.05, (1, 5, 36, 37, 40))
+
+    def test_push_larger_than_capacity(self):
+        rng = np.random.default_rng(22)
+        q = MomentumQueue(10, 6)
+        q.push(random_units(rng, 3, 6))
+        big = random_units(rng, 27, 6)
+        q.push(big)
+        assert len(q) == 10
+        np.testing.assert_array_equal(q.features(), big[-10:])
+        assert_hardest_matches_full_sort(q, unit(rng.normal(size=6)), 0.05, (1, 4, 10))
+        more = random_units(rng, 4, 6)
+        q.push(more)
+        np.testing.assert_array_equal(q.features(), np.concatenate([big[-6:], more]))
+        assert_hardest_matches_full_sort(q, unit(rng.normal(size=6)), 0.05, (1, 4, 10))
+
+    def test_nan_query_sorts_like_full_sort(self):
+        rng = np.random.default_rng(28)
+        q = MomentumQueue(9, 4)
+        q.push(random_units(rng, 9, 4))
+        assert_hardest_matches_full_sort(q, np.array([np.nan, 1.0, 0.0, 0.0]), 0.05, (1, 3, 9))
+
+    def test_features_is_a_copy(self):
+        q = MomentumQueue(3, 2)
+        q.push(unit([1, 0]))
+        q.features()[0] = 0.0
+        np.testing.assert_array_equal(q.features(), [[1.0, 0.0]])
+
+
+class TestMixDrawOrder:
+    def test_never_pairs_a_member_with_itself(self):
+        # one-hot parents: a row mixed from i != j has exactly two non-zeros
+        rng = np.random.default_rng(23)
+        out, fallback = mix_hard_negatives(np.eye(5), 5000, rng)
+        assert not fallback
+        support = out != 0.0
+        assert np.all(support.sum(axis=1) == 2)
+        pairs = {tuple(np.flatnonzero(row)) for row in support}
+        assert len(pairs) == 10  # every unordered pair is drawn
+
+    def test_pair_codes_decode_to_ordered_pairs(self):
+        # FixedLam draws pair codes 0..5; lam = 0.75 makes p_i the larger part
+        out, _ = mix_hard_negatives(np.eye(3), 6, FixedLam(0.75))
+        first = out.argmax(axis=1)
+        second = np.where(out > 0.0, out, np.inf).argmin(axis=1)
+        assert list(zip(first, second)) == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
+
+    def test_repeats_exactly_for_a_fixed_seed(self):
+        parents = random_units(np.random.default_rng(24), 16, 8)
+        rng_a, rng_b = np.random.default_rng(25), np.random.default_rng(25)
+        out_a, _ = mix_hard_negatives(parents, 64, rng_a)
+        out_b, _ = mix_hard_negatives(parents, 64, rng_b)
+        np.testing.assert_array_equal(out_a, out_b)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def sorted_set_intra_relation(graph, head, relation, count, rng):
+    """Reference: the sampler as it was before the graph's sorted arrays."""
+    true_tails = graph.tails_by_pair(head, relation, ("train",))
+    pool = sorted(graph.tails_by_relation(relation, ("train",)) - true_tails)
+    if not pool:
+        pool = sorted(set(range(graph.num_entities)) - true_tails)
+    if not pool:
+        return []
+    take = min(count, len(pool))
+    picks = rng.choice(len(pool), size=take, replace=False)
+    return [pool[i] for i in picks]
+
+
+def assert_intra_matches_reference(g, queries, seed):
+    rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for h, r, count in queries:
+        got = sample_intra_relation(g, h, r, count, rng_new)
+        assert got == sorted_set_intra_relation(g, h, r, count, rng_ref), (h, r, count)
+        assert all(type(t) is int for t in got)
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+class TestIntraRelationMatchesSortedSets:
+    def test_random_graphs(self):
+        rng = np.random.default_rng(26)
+        for trial in range(30):
+            n_e, n_r = int(rng.integers(2, 25)), int(rng.integers(1, 4))
+            ents = [EntityRecord(f"e{i}", "", i) for i in range(n_e)]
+            rels = [RelationRecord(f"r{i}", "", i) for i in range(n_r)]
+            train = [Triple(int(rng.integers(n_e)), int(rng.integers(n_r)),
+                            int(rng.integers(n_e))) for _ in range(int(rng.integers(1, 50)))]
+            g = build_graph(ents, rels, {"train": train})
+            queries = [(int(rng.integers(n_e)), int(rng.integers(n_r)), int(rng.integers(0, 6)))
+                       for _ in range(25)]
+            assert_intra_matches_reference(g, queries, seed=trial)
+
+    def test_fallback_and_empty_pool(self):
+        ents = [EntityRecord(f"e{i}", "", i) for i in range(6)]
+        rels = [RelationRecord("r", "", 0), RelationRecord("s", "", 1), RelationRecord("u", "", 2)]
+        train = [Triple(0, 0, 1), Triple(0, 0, 2)]                 # r: e(r) == e(0, r)
+        train += [Triple(1, 1, t) for t in range(6)]               # s: every entity is true
+        g = build_graph(ents, rels, {"train": train})
+        assert sample_intra_relation(g, 1, 1, 3, np.random.default_rng(0)) == []
+        queries = [(0, 0, 3), (0, 0, 10), (1, 1, 2), (3, 2, 2), (0, 0, 0), (4, 0, 1)]
+        assert_intra_matches_reference(g, queries * 5, seed=27)

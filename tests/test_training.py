@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from structkgc.data import build_tokenizer
+from structkgc.graph import KnowledgeGraph, Triple
 from structkgc.losses import LossConfig
 from structkgc.model import Model, ModelConfig
 from structkgc.optim import AdamW, linear_decay
@@ -127,6 +128,52 @@ class TestTrainerSmoke:
         parts = m.as_log_line().split("\t")
         assert len(parts) == 6
         assert parts[0] == "1"
+
+
+def hub_relation_setup():
+    """The tiny text toy with relation 1 replaced by a hub: one head
+    linked to four tails.  Its queries and their inverses leave
+    e(r) - e(h, r) empty; relation 0's queries do not."""
+    toy, tokenizer, model = tiny_text_setup()
+    g = toy.graph
+    base = g.num_base_relations
+    keep = [t for t in g.triples("train") if t.relation % base == 0]
+    hub = [Triple(0, 1, t) for t in range(1, 5)]
+    hub += [Triple(t.tail, t.relation + base, t.head) for t in hub]
+    graph = KnowledgeGraph(g.entities, g.relations, {"train": keep + hub},
+                           num_base_relations=base)
+    return graph, tokenizer, model
+
+
+class TestSamplerTelemetry:
+    def test_pool_empty_matches_set_difference(self):
+        graph, tokenizer, model = hub_relation_setup()
+        trainer = Trainer(graph, model, tokenizer, LossConfig(), small_train_cfg())
+        seen = set()
+        for h in range(graph.num_entities):
+            for r in range(graph.num_relations):
+                diff = (graph.tails_by_relation(r, ("train",))
+                        - graph.tails_by_pair(h, r, ("train",)))
+                assert trainer._irns_pool_empty(h, r) == (not diff)
+                seen.add(not diff)
+        assert seen == {True, False}
+
+    def test_fallback_rate_is_per_epoch(self):
+        graph, tokenizer, model = hub_relation_setup()
+        trainer = Trainer(graph, model, tokenizer, LossConfig(),
+                          small_train_cfg(use_mh=False))
+        triples = trainer.train_triples
+        empty = [trainer._irns_pool_empty(t.head, t.relation) for t in triples]
+        assert 0 < sum(empty) < len(empty)
+        first = trainer.train_epoch(1)
+        assert first.irns_fallback_rate == pytest.approx(sum(empty) / len(empty))
+        # epoch 2 trains only queries with a non-empty pool
+        trainer.train_triples = [t for t, e in zip(triples, empty) if not e]
+        second = trainer.train_epoch(2)
+        cumulative = sum(empty) / (len(triples) + len(trainer.train_triples))
+        assert cumulative > 0.0
+        assert second.irns_fallback_rate == 0.0
+        assert trainer.telemetry["irns_queries"] == len(trainer.train_triples)
 
 
 class TestDeterminism:
