@@ -11,10 +11,18 @@ MRR drops; with high overlap the penalty only hits distractors.
 
 import numpy as np
 
-from structkgc.evaluation import RerankConfig, TableScorer, evaluate, miou
+from structkgc.evaluation import RerankConfig, evaluate, miou
 from structkgc.graph import EntityRecord, RelationRecord, Triple, build_graph
 
 rng = np.random.default_rng(3)
+
+
+class TableScorer:
+    def __init__(self, table):
+        self.table = table
+
+    def scores(self, h, r):
+        return self.table[(h, r)]
 
 
 def build_world(overlap):

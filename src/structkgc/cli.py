@@ -53,7 +53,7 @@ def _load_run_config(args) -> RunConfig:
     return RunConfig(**overrides)
 
 
-def _load_scorer(args, cfg_beta=None):
+def _load_scorer(args):
     _require_file(args.dataset, "dataset directory")
     dataset = load_dataset(args.dataset)
     _require_file(args.checkpoint, "checkpoint")
@@ -77,8 +77,7 @@ def _load_scorer(args, cfg_beta=None):
     mode = getattr(args, "score_mode", None) or (
         "text" if model.config.use_text else "struct"
     )
-    beta = cfg_beta if cfg_beta is not None else getattr(args, "beta", 0.5)
-    scorer = ModelScorer(model, dataset.graph, tokenizer, mode=mode, beta=beta)
+    scorer = ModelScorer(model, dataset.graph, tokenizer, mode=mode, beta=args.beta)
     return dataset, model, scorer
 
 

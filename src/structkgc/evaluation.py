@@ -15,10 +15,16 @@ import numpy as np
 
 from .graph import KnowledgeGraph, Triple
 from .model import Model
+from .structural import unit_rows
 from .text import Tokenizer, tokenize_entity, tokenize_hr
 
 SCORE_MODES = ("text", "struct", "combined")
 DEFAULT_FILTER_SPLITS = ("train", "valid", "test")
+
+
+def _ids(ids) -> np.ndarray:
+    """Candidate ids as an index array, from an array or any iterable of ints."""
+    return ids if isinstance(ids, np.ndarray) else np.fromiter(ids, dtype=np.intp)
 
 
 def filtered_rank(scores: np.ndarray, gold: int, filter_ids) -> int:
@@ -28,17 +34,24 @@ def filtered_rank(scores: np.ndarray, gold: int, filter_ids) -> int:
     against the gold entity (pessimistic tie-breaking).
     """
     scores = np.asarray(scores, dtype=np.float64)
-    filter_ids = set(filter_ids)
-    if gold in filter_ids:
+    filtered = _ids(filter_ids)
+    if np.any(filtered == gold):
         raise ValueError(f"gold entity {gold} is in the filter set")
-    gold_score = scores[gold]
-    rank = 1
-    for i, s in enumerate(scores):
-        if i == gold or i in filter_ids:
-            continue
-        if s >= gold_score:
-            rank += 1
-    return rank
+    keep = np.ones(len(scores), dtype=bool)
+    keep[filtered] = keep[gold] = False
+    return 1 + int(np.count_nonzero(keep & (scores >= scores[gold])))
+
+
+def top_candidates(scores: np.ndarray, filtered, k: int) -> np.ndarray:
+    """Ids of the ``k`` best candidates outside ``filtered``, by (-score, id);
+    only those at or above the k-th score get sorted, all of them if any is NaN.
+    """
+    ids = np.delete(np.arange(len(scores)), _ids(filtered))
+    neg = -scores[ids]
+    if 0 < k < len(ids) and not np.isnan(neg).any():
+        at_or_above = neg <= np.partition(neg, k - 1)[k - 1]
+        ids, neg = ids[at_or_above], neg[at_or_above]
+    return ids[np.lexsort((ids, neg))[:k]]
 
 
 def aggregate(ranks) -> dict[str, float]:
@@ -61,10 +74,8 @@ def rerank(scores: np.ndarray, neighbor_ids, alpha: float) -> np.ndarray:
     out = np.array(scores, dtype=np.float64, copy=True)
     if alpha == 0.0:
         return out
-    neighbor_ids = set(neighbor_ids)
     penalty = np.full(out.shape, alpha)
-    if neighbor_ids:
-        penalty[sorted(neighbor_ids)] = 0.0
+    penalty[_ids(neighbor_ids)] = 0.0
     return out - penalty
 
 
@@ -103,8 +114,9 @@ def miou(graph: KnowledgeGraph, test_triples=None) -> tuple[float, dict[int, flo
 class ModelScorer:
     """Scores every entity as tail candidate for (head, relation) queries.
 
-    Tail text encodings are precomputed once per snapshot; query encodings
-    are cached by (head, relation).
+    The tail side is a snapshot taken at construction, which later parameter
+    updates do not reach: the tail text encodings and the unit-normalised
+    structural entity table.  Query encodings are cached by (head, relation).
     """
 
     def __init__(self, model: Model, graph: KnowledgeGraph,
@@ -131,6 +143,8 @@ class ModelScorer:
                 tokens = tokenize_entity(tokenizer, ent, model.config.max_len)
                 rows.append(model.encode_tails([tokens], [ent.id]).value[0])
             self._tail_matrix = np.stack(rows)
+        self._unit_tails = (None if mode == "text"
+                            else unit_rows(model.struct.entity_embeddings.value))
 
     def _text_scores(self, head: int, relation: int) -> np.ndarray:
         key = (head, relation)
@@ -147,25 +161,10 @@ class ModelScorer:
     def scores(self, head: int, relation: int) -> np.ndarray:
         if self.mode == "text":
             return self._text_scores(head, relation)
+        struct = self.model.struct_scores_all_tails(head, relation, self._unit_tails)
         if self.mode == "struct":
-            return self.model.struct_scores_all_tails(head, relation)
-        return self._text_scores(head, relation) + self.beta * (
-            self.model.struct_scores_all_tails(head, relation)
-        )
-
-
-class TableScorer:
-    """Scores straight out of a fixed (num_queries implicit) lookup.
-
-    Useful for oracle evaluations: maps (head, relation) to a precomputed
-    score vector.
-    """
-
-    def __init__(self, table: dict[tuple[int, int], np.ndarray]):
-        self.table = table
-
-    def scores(self, head: int, relation: int) -> np.ndarray:
-        return self.table[(head, relation)]
+            return struct
+        return self._text_scores(head, relation) + self.beta * struct
 
 
 # ---------------------------------------------------------------------------
@@ -254,22 +253,23 @@ def evaluate(
     queries of the same split.
     """
     rerank_config = rerank_config or RerankConfig()
+    neighbors: dict[int, np.ndarray] = {}
     results: list[QueryResult] = []
     for h, r, t in graph.triples(split):
         raw = np.asarray(scorer.scores(h, r), dtype=np.float64)
         if rerank_config.alpha > 0:
-            neighbors = graph.tails_by_relation(r, rerank_config.splits)
-            adjusted = rerank(raw, neighbors, rerank_config.alpha)
+            if r not in neighbors:
+                neighbors[r] = _ids(graph.tails_by_relation(r, rerank_config.splits))
+            adjusted = rerank(raw, neighbors[r], rerank_config.alpha)
         else:
             adjusted = raw
-        filter_ids = set(graph.tails_by_pair(h, r, filter_splits))
-        filter_ids.discard(t)
-        rank = filtered_rank(adjusted, t, filter_ids)
+        filtered = _ids(graph.tails_by_pair(h, r, filter_splits))
+        filtered = filtered[filtered != t]
+        rank = filtered_rank(adjusted, t, filtered)
         direction = "head" if graph.is_inverse_relation(r) else "tail"
         result = QueryResult(h, r, t, rank, direction)
         if collect_details:
-            order = np.lexsort((np.arange(len(adjusted)), -adjusted))
-            kept = [i for i in order if i not in filter_ids][:top_k]
-            result.top = [(int(i), float(adjusted[i])) for i in kept]
+            top = top_candidates(adjusted, filtered, top_k)
+            result.top = [(i, float(adjusted[i])) for i in top.tolist()]
         results.append(result)
     return build_report(results), results

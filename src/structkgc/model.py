@@ -153,7 +153,8 @@ class Model:
             self.struct, self.config.ase_kind, heads, relations, tails
         )
 
-    def struct_scores_all_tails(self, head: int, relation: int) -> np.ndarray:
+    def struct_scores_all_tails(self, head: int, relation: int,
+                                unit_tails: np.ndarray | None = None) -> np.ndarray:
         return struct_scores_all_tails(
-            self.struct, self.config.ase_kind, head, relation
+            self.struct, self.config.ase_kind, head, relation, unit_tails
         )

@@ -2,9 +2,23 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .autodiff import Node
+
+
+class NonFiniteGradientError(FloatingPointError):
+    """The gradient norm is not finite.
+
+    ``param`` names the first parameter whose gradient holds NaN or
+    infinity, or whose squares overflow the running norm.
+    """
+
+    def __init__(self, param: str):
+        super().__init__(f"non-finite gradient in parameter {param!r}")
+        self.param = param
 
 
 def linear_decay(base_lr: float, total_steps: int, step: int) -> float:
@@ -51,6 +65,9 @@ class AdamW:
             g = p.grad if p.grad is not None else np.zeros_like(p.value)
             grads[name] = g
             sq_norm += float((g * g).sum())
+            if not math.isfinite(sq_norm):
+                # raised before any value or moment changes
+                raise NonFiniteGradientError(name)
         norm = np.sqrt(sq_norm)
         scale = 1.0
         if self.clip_norm > 0 and norm > self.clip_norm:

@@ -5,9 +5,10 @@ and rotation (complex pairwise product with phase-normalized relation
 pairs).  Scores are safe-normalized cosines, so all structural scores
 live in [-1, 1].
 
-Two parallel code paths exist on purpose: plain-numpy functions for
-evaluation-time bulk scoring, and Node-graph builders for the training
-loss.  Tests pin the two paths to each other.
+Scores are computed two ways: plain-numpy functions score every tail
+for one query at evaluation time, and Node-graph builders score a batch
+for the training loss.  Both normalise with the same eps clamp, and
+tests pin them to each other.
 """
 
 from __future__ import annotations
@@ -97,14 +98,16 @@ def ase_apply(kind: AseKind, e_h: np.ndarray, e_r: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown combiner kind: {kind}")
 
 
+def unit_rows(x: np.ndarray, eps: float = COSINE_EPS) -> np.ndarray:
+    """Rows scaled to unit length; a row shorter than eps is divided by eps."""
+    norm = np.linalg.norm(x, axis=1, keepdims=True)
+    return x / np.where(norm > eps, norm, eps)
+
+
 def safe_cosine(a: np.ndarray, b: np.ndarray, eps: float = COSINE_EPS) -> np.ndarray:
     """Row-wise cosine with the same near-zero clamp the graph path uses."""
-    a = np.atleast_2d(a)
-    b = np.atleast_2d(b)
-    na = np.linalg.norm(a, axis=1, keepdims=True)
-    nb = np.linalg.norm(b, axis=1, keepdims=True)
-    an = a / np.where(na > eps, na, eps)
-    bn = b / np.where(nb > eps, nb, eps)
+    an = unit_rows(np.atleast_2d(a), eps)
+    bn = unit_rows(np.atleast_2d(b), eps)
     return (an * bn).sum(axis=1)
 
 
@@ -118,19 +121,22 @@ def struct_score(table: StructuralTable, kind: AseKind, head: int, relation: int
 
 
 def struct_scores_all_tails(table: StructuralTable, kind: AseKind, head: int,
-                            relation: int) -> np.ndarray:
-    """Scores of every entity as candidate tail for one (head, relation)."""
+                            relation: int,
+                            unit_tails: np.ndarray | None = None) -> np.ndarray:
+    """Scores of every entity as candidate tail for one (head, relation).
+
+    ``unit_tails`` is ``unit_rows`` of the entity table, for callers that
+    score many queries against one snapshot of it; it is computed here
+    when not given.
+    """
     e = table.entity_embeddings.value
     r = table.relation_embeddings.value
     combined = ase_apply(kind, e[head], r[relation])[0]
     norm = np.linalg.norm(combined)
     combined = combined / (norm if norm > COSINE_EPS else COSINE_EPS)
-    tails = e / np.where(
-        np.linalg.norm(e, axis=1, keepdims=True) > COSINE_EPS,
-        np.linalg.norm(e, axis=1, keepdims=True),
-        COSINE_EPS,
-    )
-    return tails @ combined
+    if unit_tails is None:
+        unit_tails = unit_rows(e)
+    return unit_tails @ combined
 
 
 # ---------------------------------------------------------------------------

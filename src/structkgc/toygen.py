@@ -160,18 +160,23 @@ def make_text_toy(
     """A small corpus with unique entity names and word-bank descriptions.
 
     Every entity appears in at least one training triple so its tokens
-    reach the vocabulary (names repeat via the inverse triples).
+    reach the vocabulary (names repeat via the inverse triples).  The
+    first four relations keep fixed names; further ones are numbered.
     """
+    if num_triples > num_entities * num_entities * num_relations:
+        raise ValueError(
+            f"{num_triples} distinct triples do not fit {num_entities} entities "
+            f"and {num_relations} relations"
+        )
     rng = np.random.default_rng(seed)
     entities = []
     for i in range(num_entities):
         words = rng.choice(_WORD_BANK, size=3, replace=False)
         entities.append(EntityRecord(f"item{i}", " ".join(words), i))
+    names = ["linked to", "part of", "variant of", "derived from"]
+    names += [f"relation {j}" for j in range(len(names), num_relations)]
     base_rels = [
-        RelationRecord(name, "", j)
-        for j, name in enumerate(
-            ["linked to", "part of", "variant of", "derived from"][:num_relations]
-        )
+        RelationRecord(name, "", j) for j, name in enumerate(names[:num_relations])
     ]
 
     seen = set()

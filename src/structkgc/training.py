@@ -31,7 +31,7 @@ from .negatives import (
     mix_hard_negatives,
     sample_intra_relation,
 )
-from .optim import AdamW
+from .optim import AdamW, NonFiniteGradientError
 from .text import Tokenizer, tokenize_entity, tokenize_hr
 
 
@@ -78,7 +78,6 @@ class EpochMetrics:
     lr: float
     queue_fill: float
     irns_fallback_rate: float
-    mh_fallbacks: int = 0
 
     def as_log_line(self) -> str:
         return "\t".join(
@@ -129,7 +128,7 @@ class Trainer:
 
         self._hr_tokens: dict[tuple[int, int], list[int]] = {}
         self._tail_tokens: dict[int, list[int]] = {}
-        self.telemetry = {"irns_queries": 0, "irns_fallbacks": 0, "mh_fallbacks": 0}
+        self.telemetry = {"irns_queries": 0, "irns_fallbacks": 0}
 
     # ------------------------------------------------------------------
     def _hr_token_seq(self, head: int, relation: int) -> list[int]:
@@ -187,9 +186,7 @@ class Trainer:
                     hardest = self.queue.hardest(
                         h_hr.value[q], tau_now, cfg.hardest_k
                     )
-                    mixed, fallback = mix_hard_negatives(hardest, cfg.mh_count, self.rng)
-                    if fallback:
-                        self.telemetry["mh_fallbacks"] += 1
+                    mixed, _ = mix_hard_negatives(hardest, cfg.mh_count, self.rng)
                     mh_features.append(mixed)
 
             ir_features = None
@@ -246,7 +243,11 @@ class Trainer:
             raise TrainingError(f"non-finite loss on batch triples {ids}")
 
         ad.backward(loss)
-        self.optimizer.step()
+        try:
+            self.optimizer.step()
+        except NonFiniteGradientError as exc:
+            ids = [(t.head, t.relation, t.tail) for t in batch]
+            raise TrainingError(f"{exc} on batch triples {ids}") from exc
         clamp_log_tau(model.log_tau, self.loss_cfg.tau_min, self.loss_cfg.tau_max)
 
         if cfg.use_mh and self.momentum_encoder is not None:
@@ -272,7 +273,6 @@ class Trainer:
             lr=self.optimizer.current_lr(),
             queue_fill=(len(self.queue) / self.queue.capacity) if self.queue else 0.0,
             irns_fallback_rate=self.telemetry["irns_fallbacks"] / queries,
-            mh_fallbacks=self.telemetry["mh_fallbacks"],
         )
 
     def train(self) -> list[EpochMetrics]:

@@ -16,7 +16,6 @@ from structkgc.data import build_tokenizer
 from structkgc.evaluation import (
     RerankConfig,
     ModelScorer,
-    TableScorer,
     aggregate,
     evaluate,
     filtered_rank,
@@ -42,6 +41,7 @@ from structkgc.toygen import make_planted_graph, make_text_toy, write_toy_datase
 from structkgc.training import TrainConfig, Trainer
 
 from gradcheck import assert_gradients_match
+from scorers import TableScorer
 from test_autodiff import _primitive_cases
 from test_evaluation import oracle_rank
 

@@ -3,10 +3,13 @@ import os
 import numpy as np
 import pytest
 
+from structkgc import cli
 from structkgc.cli import main
 from structkgc.data import load_dataset
-from structkgc.evaluation import miou
+from structkgc.evaluation import ModelScorer, miou
 from structkgc.toygen import make_text_toy, write_toy_dataset
+
+from test_evaluation import reference_evaluate
 
 TOY_CONFIG = """
 struct_dim = 8
@@ -174,3 +177,42 @@ class TestBuildVocab:
         ids = [int(line.split("\t")[1]) for line in lines]
         assert ids == list(range(len(ids)))
         assert lines[0].split("\t")[0] == "[PAD]"
+
+
+class ReferenceScorer(ModelScorer):
+    """Scores structure through the model on every query, with no cached table."""
+
+    def scores(self, head, relation):
+        if self.mode == "text":
+            return self._text_scores(head, relation)
+        struct = self.model.struct_scores_all_tails(head, relation)
+        if self.mode == "struct":
+            return struct
+        return self._text_scores(head, relation) + self.beta * struct
+
+
+class TestMatchesReferencePath:
+    def _outputs(self, workspace, directory, mode, eval_extra):
+        detail, preds = directory / "detail.tsv", directory / "preds.tsv"
+        common = [
+            "--dataset", str(workspace["data"]), "--checkpoint", str(workspace["ckpt"]),
+            "--split", "test", "--score-mode", mode,
+        ]
+        assert main(["eval", *common, *eval_extra, "--detail", str(detail)]) == 0
+        assert main(["export-predictions", *common, "--out", str(preds)]) == 0
+        return detail.read_bytes(), preds.read_bytes()
+
+    @pytest.mark.parametrize("mode,eval_extra", [
+        ("text", []),
+        ("struct", ["--alpha", "0.1"]),
+        ("combined", ["--alpha", "0.2", "--rerank-splits", "train,valid"]),
+    ])
+    def test_detail_and_export_byte_identical(self, workspace, tmp_path, monkeypatch,
+                                              capsys, mode, eval_extra):
+        (tmp_path / "new").mkdir()
+        (tmp_path / "ref").mkdir()
+        got = self._outputs(workspace, tmp_path / "new", mode, eval_extra)
+        monkeypatch.setattr(cli, "evaluate", reference_evaluate)
+        monkeypatch.setattr(cli, "ModelScorer", ReferenceScorer)
+        want = self._outputs(workspace, tmp_path / "ref", mode, eval_extra)
+        assert got == want

@@ -1,18 +1,26 @@
 import numpy as np
 import pytest
 
+from structkgc.data import build_tokenizer
 from structkgc.evaluation import (
+    DEFAULT_FILTER_SPLITS,
+    ModelScorer,
     QueryResult,
     RerankConfig,
-    TableScorer,
     aggregate,
     build_report,
     evaluate,
     filtered_rank,
     miou,
     rerank,
+    top_candidates,
 )
 from structkgc.graph import EntityRecord, RelationRecord, Triple, build_graph
+from structkgc.model import Model, ModelConfig
+from structkgc.structural import AseKind, unit_rows
+from structkgc.toygen import make_text_toy
+
+from scorers import TableScorer
 
 
 def oracle_rank(scores, gold, filter_ids):
@@ -22,6 +30,66 @@ def oracle_rank(scores, gold, filter_ids):
     ]
     entries.sort(key=lambda item: (-item[1], item[0] == gold))
     return [i for i, _ in entries].index(gold) + 1
+
+
+# ---------------------------------------------------------------------------
+# reference loops: the per-candidate code the array versions replaced
+# ---------------------------------------------------------------------------
+
+def reference_filtered_rank(scores, gold, filter_ids):
+    scores = np.asarray(scores, dtype=np.float64)
+    filter_ids = set(filter_ids)
+    if gold in filter_ids:
+        raise ValueError(f"gold entity {gold} is in the filter set")
+    gold_score = scores[gold]
+    rank = 1
+    for i, s in enumerate(scores):
+        if i == gold or i in filter_ids:
+            continue
+        if s >= gold_score:
+            rank += 1
+    return rank
+
+
+def reference_rerank(scores, neighbor_ids, alpha):
+    if alpha < 0:
+        raise ValueError(f"re-ranking penalty must be non-negative, got {alpha}")
+    out = np.array(scores, dtype=np.float64, copy=True)
+    if alpha == 0.0:
+        return out
+    neighbor_ids = set(neighbor_ids)
+    penalty = np.full(out.shape, alpha)
+    if neighbor_ids:
+        penalty[sorted(neighbor_ids)] = 0.0
+    return out - penalty
+
+
+def reference_top(scores, filter_ids, k):
+    order = np.lexsort((np.arange(len(scores)), -scores))
+    return [int(i) for i in order if i not in filter_ids][:k]
+
+
+def reference_evaluate(scorer, graph, split, filter_splits=DEFAULT_FILTER_SPLITS,
+                       rerank_config=None, collect_details=False, top_k=10):
+    rerank_config = rerank_config or RerankConfig()
+    results = []
+    for h, r, t in graph.triples(split):
+        raw = np.asarray(scorer.scores(h, r), dtype=np.float64)
+        if rerank_config.alpha > 0:
+            neighbors = graph.tails_by_relation(r, rerank_config.splits)
+            adjusted = reference_rerank(raw, neighbors, rerank_config.alpha)
+        else:
+            adjusted = raw
+        filter_ids = set(graph.tails_by_pair(h, r, filter_splits))
+        filter_ids.discard(t)
+        rank = reference_filtered_rank(adjusted, t, filter_ids)
+        direction = "head" if graph.is_inverse_relation(r) else "tail"
+        result = QueryResult(h, r, t, rank, direction)
+        if collect_details:
+            kept = reference_top(adjusted, filter_ids, top_k)
+            result.top = [(i, float(adjusted[i])) for i in kept]
+        results.append(result)
+    return build_report(results), results
 
 
 class TestFilteredRank:
@@ -261,3 +329,156 @@ class TestEvaluate:
         assert report.by_direction["head"]["mrr"] == 0.5
         assert report.mrr == pytest.approx(0.75)
         assert 0 in report.by_relation and 1 in report.by_relation
+
+
+# ---------------------------------------------------------------------------
+# array ranking pinned to the reference loops
+# ---------------------------------------------------------------------------
+
+def quantized(rng, n, levels=6):
+    """Scores on a coarse grid, so ties are common."""
+    return rng.integers(0, levels, size=n).astype(float) / (levels - 1)
+
+
+def assert_same_ranking(scores, gold, filter_ids, k=10):
+    """Rank and top-k agree with the loops for a set, a list and an array."""
+    expected_rank = reference_filtered_rank(scores, gold, filter_ids)
+    expected_top = reference_top(scores, filter_ids, k)
+    as_array = np.array(sorted(filter_ids), dtype=np.intp)
+    for ids in (set(filter_ids), sorted(filter_ids), as_array):
+        assert filtered_rank(scores, gold, ids) == expected_rank
+        assert top_candidates(scores, ids, k).tolist() == expected_top
+
+
+class TestArrayRankingMatchesLoops:
+    def test_random_tables_with_planted_ties(self):
+        rng = np.random.default_rng(20)
+        for _ in range(500):
+            n = int(rng.integers(1, 60))
+            scores = quantized(rng, n, levels=int(rng.integers(2, 8)))
+            gold = int(rng.integers(0, n))
+            others = [i for i in range(n) if i != gold]
+            rng.shuffle(others)
+            filter_ids = set(others[: int(rng.integers(0, len(others) + 1))])
+            assert_same_ranking(scores, gold, filter_ids, k=int(rng.integers(0, 15)))
+
+    def test_ties_straddling_the_kth_slot(self):
+        rng = np.random.default_rng(21)
+        for k in (1, 3, 10):
+            for _ in range(50):
+                n = 40
+                scores = rng.permutation(n).astype(float)
+                # the scores ranked k-1 to k+3 become one tie across place k
+                scores[(scores >= n - k - 3) & (scores <= n - k + 1)] = n - k
+                filter_ids = set(rng.choice(n, size=5, replace=False).tolist())
+                gold = next(i for i in range(n) if i not in filter_ids)
+                assert_same_ranking(scores, gold, filter_ids, k)
+
+    def test_gold_tied_with_filtered_and_unfiltered(self):
+        scores = np.array([0.5, 0.9, 0.5, 0.5, 0.1, 0.5])
+        # gold 2 ties with 0 and 5 (kept) and with 3 (filtered); 1 is above
+        assert filtered_rank(scores, 2, {3}) == reference_filtered_rank(scores, 2, {3}) == 4
+        assert_same_ranking(scores, 2, {3}, k=4)
+        assert_same_ranking(scores, 2, {1, 3}, k=2)
+
+    def test_empty_filter_and_filter_of_all_but_gold(self):
+        rng = np.random.default_rng(22)
+        scores = quantized(rng, 30)
+        assert_same_ranking(scores, 7, set())
+        everything_else = set(range(30)) - {7}
+        assert filtered_rank(scores, 7, everything_else) == 1
+        assert top_candidates(scores, np.array(sorted(everything_else)), 10).tolist() == [7]
+        assert_same_ranking(scores, 7, everything_else)
+
+    def test_fewer_candidates_than_k(self):
+        rng = np.random.default_rng(23)
+        for n in range(1, 10):
+            scores = quantized(rng, n)
+            assert_same_ranking(scores, n - 1, set(range(n // 2)) - {n - 1}, k=10)
+
+    def test_nan_scores(self):
+        rng = np.random.default_rng(24)
+        for _ in range(100):
+            n = int(rng.integers(2, 30))
+            scores = quantized(rng, n)
+            scores[rng.random(n) < 0.3] = np.nan
+            gold = int(rng.integers(0, n))
+            filter_ids = set(rng.choice(n, size=n // 3, replace=False).tolist()) - {gold}
+            assert_same_ranking(scores, gold, filter_ids, k=int(rng.integers(1, 12)))
+
+    def test_gold_in_filter_rejected_for_every_container(self):
+        for ids in ({1}, [1], np.array([0, 1])):
+            with pytest.raises(ValueError, match="filter"):
+                filtered_rank(np.ones(3), 1, ids)
+
+    def test_rerank_bit_identical(self):
+        rng = np.random.default_rng(25)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            scores = rng.uniform(-1, 1, size=n)
+            members = set(rng.choice(n, size=int(rng.integers(0, n + 1)),
+                                     replace=False).tolist())
+            alpha = float(rng.choice([0.0, 0.05, 0.3]))
+            expected = reference_rerank(scores, members, alpha)
+            for ids in (members, np.array(sorted(members), dtype=np.intp)):
+                np.testing.assert_array_equal(rerank(scores, ids, alpha), expected)
+
+    @pytest.mark.parametrize("splits", [("train",), ("train", "valid")])
+    def test_evaluate_matches_reference_with_rerank(self, splits):
+        rng = np.random.default_rng(26)
+        n = 25
+
+        def rand_triples(k):
+            return [Triple(int(rng.integers(0, n)), int(rng.integers(0, 3)),
+                           int(rng.integers(0, n))) for _ in range(k)]
+
+        ents = [EntityRecord(f"e{i}", "", i) for i in range(n)]
+        rels = [RelationRecord(f"r{i}", "", i) for i in range(3)]
+        g = build_graph(ents, rels, {"train": rand_triples(60),
+                                     "valid": rand_triples(15),
+                                     "test": rand_triples(30)})
+        table = {(h, r): quantized(rng, n) for h, r, _ in g.triples("test")}
+        for alpha in (0.0, 0.2, 1.0):
+            for top_k in (3, 10, 40):
+                kwargs = dict(rerank_config=RerankConfig(alpha=alpha, splits=splits),
+                              collect_details=True, top_k=top_k)
+                want = reference_evaluate(TableScorer(table), g, "test", **kwargs)
+                got = evaluate(TableScorer(table), g, "test", **kwargs)
+                assert got == want
+
+
+def text_struct_model(kind, seed=0):
+    toy = make_text_toy(num_entities=14, num_relations=3, num_triples=24, seed=seed)
+    tokenizer = build_tokenizer(toy.graph, min_freq=2)
+    cfg = ModelConfig(
+        num_entities=toy.graph.num_entities,
+        num_base_relations=toy.graph.num_base_relations,
+        struct_dim=8, layers=1, hidden_dim=16, heads=2, max_len=16,
+        vocab_size=len(tokenizer), ase_kind=kind,
+    )
+    return toy.graph, tokenizer, Model(cfg, seed=seed)
+
+
+@pytest.mark.parametrize("kind", list(AseKind))
+class TestModelScorerMatchesModel:
+    def test_struct_and_combined_scores(self, kind):
+        g, tokenizer, model = text_struct_model(kind)
+        struct = ModelScorer(model, g, tokenizer, mode="struct")
+        text = ModelScorer(model, g, tokenizer, mode="text")
+        combined = ModelScorer(model, g, tokenizer, mode="combined", beta=0.3)
+        for h, r, _ in g.triples("test"):
+            want = model.struct_scores_all_tails(h, r)
+            np.testing.assert_array_equal(struct.scores(h, r), want)
+            np.testing.assert_array_equal(
+                combined.scores(h, r), text.scores(h, r) + 0.3 * want
+            )
+
+    def test_tail_table_is_a_construction_snapshot(self, kind):
+        g, tokenizer, model = text_struct_model(kind)
+        scorer = ModelScorer(model, g, tokenizer, mode="struct")
+        snapshot = unit_rows(model.struct.entity_embeddings.value)
+        model.struct.entity_embeddings.value = model.struct.entity_embeddings.value * 2.0 + 0.1
+        assert not np.array_equal(scorer.scores(0, 0), model.struct_scores_all_tails(0, 0))
+        np.testing.assert_array_equal(
+            scorer.scores(0, 0), model.struct_scores_all_tails(0, 0, snapshot)
+        )

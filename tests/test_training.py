@@ -5,7 +5,7 @@ from structkgc.data import build_tokenizer
 from structkgc.graph import KnowledgeGraph, Triple
 from structkgc.losses import LossConfig
 from structkgc.model import Model, ModelConfig
-from structkgc.optim import AdamW, linear_decay
+from structkgc.optim import AdamW, NonFiniteGradientError, linear_decay
 from structkgc.structural import AseKind
 from structkgc.toygen import make_planted_graph, make_text_toy
 from structkgc.training import TrainConfig, Trainer, TrainingError
@@ -174,6 +174,52 @@ class TestSamplerTelemetry:
         assert cumulative > 0.0
         assert second.irns_fallback_rate == 0.0
         assert trainer.telemetry["irns_queries"] == len(trainer.train_triples)
+
+
+class TestFiniteGradientGuard:
+    def _optimizer(self):
+        params = {"a": Node(np.ones((2, 3))), "b": Node(np.ones((1, 3))),
+                  "c": Node(np.ones((3, 3)))}
+        opt = AdamW(params, lr=0.1, total_steps=10)
+        for p in params.values():  # one clean step, so the moments are non-zero
+            p.grad = np.full_like(p.value, 0.5)
+        opt.step()
+        return params, opt
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_names_first_bad_parameter_and_changes_nothing(self, bad):
+        params, opt = self._optimizer()
+        values = {k: p.value.copy() for k, p in params.items()}
+        moments = {k: (opt._m[k].copy(), opt._v[k].copy()) for k in params}
+        for p in params.values():
+            p.grad = np.full_like(p.value, 0.25)
+        params["b"].grad[0, 1] = bad
+        params["c"].grad[2, 2] = bad
+        with pytest.raises(NonFiniteGradientError, match="'b'") as info:
+            opt.step()
+        assert info.value.param == "b"
+        assert opt.step_count == 1
+        for k, p in params.items():
+            np.testing.assert_array_equal(p.value, values[k])
+            np.testing.assert_array_equal(opt._m[k], moments[k][0])
+            np.testing.assert_array_equal(opt._v[k], moments[k][1])
+
+    def test_trainer_raises_training_error_naming_the_parameter(self, monkeypatch):
+        toy, tokenizer, model = tiny_text_setup()
+        trainer = Trainer(toy.graph, model, tokenizer, LossConfig(), small_train_cfg())
+        backward = ad.backward
+
+        def backward_then_plant_nan(loss):
+            backward(loss)
+            model.struct.relation_embeddings.grad[0, 0] = np.nan
+
+        monkeypatch.setattr(ad, "backward", backward_then_plant_nan)
+        before = {k: p.value.copy() for k, p in model.parameters().items()}
+        with pytest.raises(TrainingError, match="'struct.relations'"):
+            trainer.train_epoch(1)
+        for k, p in model.parameters().items():
+            np.testing.assert_array_equal(p.value, before[k])
+            assert not trainer.optimizer._m[k].any() and not trainer.optimizer._v[k].any()
 
 
 class TestDeterminism:
