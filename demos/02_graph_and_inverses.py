@@ -9,10 +9,10 @@ split-scoped known-true filtering.
 
 from structkgc.graph import (
     EntityRecord,
+    KnowledgeGraph,
     RelationRecord,
     Triple,
     add_inverse_triples,
-    build_graph,
     inverse_relation_records,
 )
 
@@ -28,7 +28,7 @@ train = [Triple(0, 0, 1), Triple(0, 0, 2), Triple(2, 0, 3)]
 doubled = add_inverse_triples(train, num_base_relations=1)
 print("with inverses:", doubled)
 
-graph = build_graph(
+graph = KnowledgeGraph(
     entities,
     base + inverse_relation_records(base),
     {"train": doubled, "test": add_inverse_triples([Triple(0, 0, 3)], 1)},

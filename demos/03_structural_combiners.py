@@ -14,22 +14,26 @@ from structkgc.structural import (
     AseKind,
     PrefixProjector,
     StructuralTable,
-    ase_apply,
-    struct_score,
+    ase_apply_node,
     struct_scores_all_tails,
 )
 
+
+def combine(kind, h, r):
+    return ase_apply_node(kind, ad.Node(h), ad.Node(r)).value
+
+
 rng = np.random.default_rng(0)
 
-print("additive [1,2] + [3,-1]      =", ase_apply(AseKind.ADDITIVE, [1, 2], [3, -1]))
-print("hadamard [2,3] * [1,0]       =", ase_apply(AseKind.HADAMARD, [2, 3], [1, 0]))
+print("additive [1,2] + [3,-1]      =", combine(AseKind.ADDITIVE, [1, 2], [3, -1]))
+print("hadamard [2,3] * [1,0]       =", combine(AseKind.HADAMARD, [2, 3], [1, 0]))
 print("rotation (1,0) by phase (0,1) =",
-      ase_apply(AseKind.ROTATION, [1.0, 0.0], [0.0, 1.0]), "(a quarter turn)")
+      combine(AseKind.ROTATION, [1.0, 0.0], [0.0, 1.0]), "(a quarter turn)")
 
 # rotation is an isometry even for unnormalized phase parameters
 h = rng.normal(size=(1, 8))
 r = rng.normal(size=(1, 8)) * 3.7
-out = ase_apply(AseKind.ROTATION, h, r)
+out = combine(AseKind.ROTATION, h, r)
 print(f"rotation norms: in {np.linalg.norm(h):.6f} out {np.linalg.norm(out):.6f}")
 
 # plant E_t = E_h + E_r: the true tail is the argmax over all entities
@@ -37,8 +41,8 @@ table = StructuralTable(30, 2, 16, AseKind.ADDITIVE, rng)
 ents = table.entity_embeddings.value
 rels = table.relation_embeddings.value
 ents[17] = ents[4] + rels[1]
-print("\nplanted score (4, r1, 17):", f"{struct_score(table, AseKind.ADDITIVE, 4, 1, 17):.6f}")
 scores = struct_scores_all_tails(table, AseKind.ADDITIVE, 4, 1)
+print("\nplanted score (4, r1, 17):", f"{scores[17]:.6f}")
 print("argmax over all 30 tails  :", int(np.argmax(scores)))
 
 # a combined vector projects to one (key, value) pair per encoder layer

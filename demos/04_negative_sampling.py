@@ -9,10 +9,9 @@ masking.
 
 import numpy as np
 
-from structkgc.graph import EntityRecord, RelationRecord, Triple, build_graph
+from structkgc.graph import EntityRecord, KnowledgeGraph, RelationRecord, Triple
 from structkgc.negatives import (
     MomentumQueue,
-    hardest_k,
     in_batch_mask,
     mix_hard_negatives,
     sample_intra_relation,
@@ -28,7 +27,7 @@ queue.push(feats)
 print(f"pushed 12 into capacity 8 -> size {len(queue)} (oldest evicted)")
 
 probe = feats[-1]
-top = hardest_k(queue, probe, tau=0.05, k=3)
+top = queue.hardest(probe, tau=0.05, k=3)
 print("hardest-3 logits:", np.round(top @ probe / 0.05, 2), "(descending)")
 
 mixed, fallback = mix_hard_negatives(top, count=5, rng=rng)
@@ -38,7 +37,7 @@ print("mixed negatives unit norms:", np.round(np.linalg.norm(mixed, axis=1), 12)
 ents = [EntityRecord(f"e{i}", "", i) for i in range(5)]
 rels = [RelationRecord("r", "", 0)]
 train = [Triple(0, 0, 2), Triple(0, 0, 3), Triple(1, 0, 4)]
-graph = build_graph(ents, rels, {"train": train})
+graph = KnowledgeGraph(ents, rels, {"train": train})
 print("\ne(r) =", sorted(graph.tails_by_relation(0)),
       " e(e0, r) =", sorted(graph.tails_by_pair(0, 0)))
 print("intra-relation negatives for (e0, r):",

@@ -29,7 +29,7 @@ for name, flags in configs:
     run = RunConfig(
         struct_dim=8, layers=1, hidden_dim=16, heads=2, max_len=16,
         epochs=8, batch_size=16, lr=2e-3, queue_capacity=32, hardest_k=8,
-        mh_count=8, ir_count=1, seed=0, score_mode="text", **flags,
+        mh_count=8, ir_count=1, seed=0, **flags,
     )
     model = Model(
         run.model_config(graph.num_entities, graph.num_base_relations,

@@ -12,7 +12,7 @@ MRR drops; with high overlap the penalty only hits distractors.
 import numpy as np
 
 from structkgc.evaluation import RerankConfig, evaluate, miou
-from structkgc.graph import EntityRecord, RelationRecord, Triple, build_graph
+from structkgc.graph import EntityRecord, KnowledgeGraph, RelationRecord, Triple
 
 rng = np.random.default_rng(3)
 
@@ -33,7 +33,7 @@ def build_world(overlap):
     test_tails = train_tails if overlap == "high" else list(range(20, 30))
     train = [Triple(h, 0, t) for h, t in zip(range(10), train_tails)]
     test = [Triple(30 + i, 0, t) for i, t in enumerate(test_tails)]
-    graph = build_graph(ents, rels, {"train": train, "test": test})
+    graph = KnowledgeGraph(ents, rels, {"train": train, "test": test})
     scores = {}
     for h, r, t in graph.triples("test"):
         row = rng.uniform(0.0, 1.0, size=n)

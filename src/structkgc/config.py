@@ -1,8 +1,9 @@
 """Run configuration: a flat key=value file validated before any compute.
 
 Unknown keys, type errors and every constraint owned by a downstream
-module (encoder dims, temperature range, sampler sizes, score-mode
-consistency) are rejected at parse time.
+module (encoder dims, temperature range, sampler sizes, component
+switches) are rejected at parse time.  Evaluation settings (score mode,
+re-ranking, filter splits) are command-line options, not config keys.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ PAPER_FULL_SCALE = {
 }
 
 LR_GRID = (5e-4, 5e-5, 1e-5)
-
-_VALID_SPLITS = ("train", "valid", "test")
 
 
 class ConfigError(ValueError):
@@ -71,11 +70,6 @@ class RunConfig:
     clip_norm: float = 1.0
     epochs: int = 10
     batch_size: int = 32
-    # evaluation
-    score_mode: str = "text"
-    rerank_alpha: float = 0.0
-    rerank_splits: tuple = ("train",)
-    filter_splits: tuple = ("train", "valid", "test")
     seed: int = 0
 
     def __post_init__(self):
@@ -90,23 +84,8 @@ class RunConfig:
                 f"ase_kind must be one of "
                 f"{[k.value for k in AseKind]}, got {self.ase_kind!r}"
             ) from None
-        if self.score_mode not in ("text", "struct", "combined"):
-            raise ConfigError(f"unknown score_mode {self.score_mode!r}")
-        if self.score_mode in ("text", "combined") and not self.use_text:
-            raise ConfigError(f"score_mode {self.score_mode!r} needs use_text=true")
-        if self.score_mode in ("struct", "combined") and not self.use_ase:
-            raise ConfigError(f"score_mode {self.score_mode!r} needs use_ase=true")
         if self.use_mh and not self.use_text:
             raise ConfigError("use_mh needs the text path (use_text=true)")
-        if self.rerank_alpha < 0:
-            raise ConfigError(
-                f"rerank_alpha must be non-negative, got {self.rerank_alpha}"
-            )
-        for name in ("rerank_splits", "filter_splits"):
-            splits = getattr(self, name)
-            bad = [s for s in splits if s not in _VALID_SPLITS]
-            if bad:
-                raise ConfigError(f"{name} contains unknown splits {bad}")
         if self.min_token_freq < 1:
             raise ConfigError(
                 f"min_token_freq must be at least 1, got {self.min_token_freq}"
@@ -178,8 +157,6 @@ def _coerce(field_type, raw: str, key: str):
             return float(raw)
         except ValueError:
             raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-    if field_type is tuple:
-        return tuple(s.strip() for s in raw.split(",") if s.strip())
     return raw
 
 
@@ -187,7 +164,7 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
     """Read a key=value file; ``overrides`` win over file values."""
     values: dict = {}
     field_types = {f.name: f.type for f in fields(RunConfig)}
-    type_map = {"int": int, "float": float, "bool": bool, "str": str, "tuple": tuple}
+    type_map = {"int": int, "float": float, "bool": bool, "str": str}
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             stripped = line.strip()

@@ -25,7 +25,6 @@ from .graph import (
     RelationRecord,
     Triple,
     add_inverse_triples,
-    build_graph,
     inverse_relation_records,
 )
 from .text import Tokenizer
@@ -132,7 +131,7 @@ def load_dataset(directory) -> Dataset:
         splits[split] = add_inverse_triples(triples, len(base_rels))
 
     relations = base_rels + inverse_relation_records(base_rels)
-    graph = build_graph(entities, relations, splits, num_base_relations=len(base_rels))
+    graph = KnowledgeGraph(entities, relations, splits, num_base_relations=len(base_rels))
     return Dataset(graph, entity_raw, relation_raw, directory)
 
 

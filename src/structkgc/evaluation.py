@@ -15,7 +15,7 @@ import numpy as np
 
 from .graph import KnowledgeGraph, Triple
 from .model import Model
-from .structural import unit_rows
+from .structural import unit_entity_table
 from .text import Tokenizer, tokenize_entity, tokenize_hr
 
 SCORE_MODES = ("text", "struct", "combined")
@@ -144,7 +144,7 @@ class ModelScorer:
                 rows.append(model.encode_tails([tokens], [ent.id]).value[0])
             self._tail_matrix = np.stack(rows)
         self._unit_tails = (None if mode == "text"
-                            else unit_rows(model.struct.entity_embeddings.value))
+                            else unit_entity_table(model.struct))
 
     def _text_scores(self, head: int, relation: int) -> np.ndarray:
         key = (head, relation)

@@ -181,12 +181,6 @@ class KnowledgeGraph:
         """Train e(r) as a sorted, read-only int64 array of entity ids."""
         return self._train_tail_arrays.get(relation, _NO_IDS)
 
-    def known_true(self, splits: Iterable[str]) -> frozenset[Triple]:
-        acc: frozenset[Triple] = frozenset()
-        for split in splits:
-            acc = acc | self._triple_sets[split]
-        return acc
-
     def is_known_true(self, head: int, relation: int, tail: int, splits: Iterable[str]) -> bool:
         t = Triple(head, relation, tail)
         return any(t in self._triple_sets[s] for s in splits)
@@ -207,14 +201,3 @@ def _union(index: Mapping[str, Mapping], key, splits: Iterable[str]) -> frozense
         acc = acc | index[split].get(key, frozenset())
     return acc
 
-
-def build_graph(
-    entity_records: Sequence[EntityRecord],
-    relation_records: Sequence[RelationRecord],
-    split_triples: Mapping[str, Sequence[Triple]],
-    num_base_relations: int | None = None,
-) -> KnowledgeGraph:
-    """Construct an immutable graph, validating every referenced id."""
-    return KnowledgeGraph(
-        entity_records, relation_records, split_triples, num_base_relations
-    )

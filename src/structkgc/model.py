@@ -58,6 +58,17 @@ class ModelConfig:
             )
 
 
+def encode_entities(encoder: TextEncoder, projector: PrefixProjector | None,
+                    entity_table: Node, token_seqs, ids) -> Node:
+    """Encode entity text, each row prefixed by its projected structural
+    embedding when ``projector`` is given; (B, d)."""
+    prefix_seqs = None
+    if projector is not None:
+        prefix_seqs = [projector.project(ad.gather_rows(entity_table, [i]))
+                       for i in ids]
+    return encoder.encode_batch(token_seqs, prefix_seqs)
+
+
 class Model:
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
@@ -121,12 +132,6 @@ class Model:
         combined = ase_apply_node(self.config.ase_kind, e_h, e_r)
         return self.hr_projector.project(combined)
 
-    def tail_prefixes(self, tail: int):
-        if self.tail_projector is None:
-            return None
-        e_t = ad.gather_rows(self.struct.entity_embeddings, [tail])
-        return self.tail_projector.project(e_t)
-
     # ------------------------------------------------------------------
     # batch encoding
     # ------------------------------------------------------------------
@@ -139,10 +144,8 @@ class Model:
         return self.hr_encoder.encode_batch(token_seqs, prefix_seqs)
 
     def encode_tails(self, token_seqs, tail_ids) -> Node:
-        prefix_seqs = None
-        if self.tail_projector is not None:
-            prefix_seqs = [self.tail_prefixes(t) for t in tail_ids]
-        return self.tail_encoder.encode_batch(token_seqs, prefix_seqs)
+        return encode_entities(self.tail_encoder, self.tail_projector,
+                               self.struct.entity_embeddings, token_seqs, tail_ids)
 
     # ------------------------------------------------------------------
     # structural scoring

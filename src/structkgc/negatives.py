@@ -10,9 +10,13 @@ momentum encoder are single-writer (the training loop).
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
+from .autodiff import Node
 from .graph import KnowledgeGraph
+from .model import encode_entities
 from .structural import PrefixProjector
 from .text import TextEncoder
 
@@ -95,10 +99,6 @@ class MomentumQueue:
         return mat[order[: min(k, n)]]
 
 
-def hardest_k(queue: MomentumQueue, h_hr: np.ndarray, tau: float, k: int) -> np.ndarray:
-    return queue.hardest(h_hr, tau, k)
-
-
 def mix_hard_negatives(hardest: np.ndarray, count: int,
                        rng: np.random.Generator) -> tuple[np.ndarray, bool]:
     """Blend random pairs from the hardest set into unit-norm negatives.
@@ -174,61 +174,42 @@ class MomentumEncoder:
     """EMA shadow of the tail-side encoders producing stable queue features.
 
     Shadows the tail text encoder, the tail prefix projector and the
-    structural entity table.  After every optimizer step
+    structural entity table, as deep copies encoded through the model's
+    own tail path.  After every optimizer step
     ``theta_key <- m * theta_key + (1 - m) * theta_online``.
     """
 
     def __init__(self, tail_encoder: TextEncoder, tail_projector: PrefixProjector | None,
-                 entity_table, momentum: float = 0.999):
+                 entity_table: Node, momentum: float = 0.999):
         if not 0.0 <= momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
         self.momentum = momentum
-        self._online_encoder = tail_encoder
-        self._online_projector = tail_projector
-        self._online_entities = entity_table
-
-        self.encoder = TextEncoder(
-            tail_encoder.config, np.random.default_rng(0), name="momentum"
-        )
-        self.encoder.copy_values_from(tail_encoder)
-        self.projector = None
-        if tail_projector is not None:
-            self.projector = PrefixProjector(
-                tail_projector.struct_dim, tail_projector.layers,
-                tail_projector.hidden_dim, np.random.default_rng(0),
-                name="momentum_prefix",
-            )
-            self.projector.weight.value = tail_projector.weight.value.copy()
-        self.entity_table = None
-        if entity_table is not None:
-            from .autodiff import Node
-            self.entity_table = Node(entity_table.value.copy())
-
-    def _pairs(self):
-        online = self._online_encoder.parameters()
-        shadow = self.encoder.parameters()
-        for key, node in shadow.items():
-            online_key = key.replace("momentum", self._online_encoder.name, 1)
-            yield node, online[online_key]
-        if self.projector is not None:
-            yield self.projector.weight, self._online_projector.weight
-        if self.entity_table is not None:
-            yield self.entity_table, self._online_entities
+        online = (tail_encoder, tail_projector, entity_table)
+        self.encoder, self.projector, self.entity_table = copy.deepcopy(online)
+        self._pairs = list(zip(_leaves(self.encoder, self.projector, self.entity_table),
+                               _leaves(*online)))
 
     def ema_update(self):
         m = self.momentum
-        for shadow, online in self._pairs():
+        for shadow, online in self._pairs:
             shadow.value = m * shadow.value + (1.0 - m) * online.value
 
-    def encode_tails(self, token_seqs, tail_ids=None) -> np.ndarray:
-        """Momentum features for a batch of tails, as a plain (B, d) array."""
-        from . import autodiff as ad
+    def encode_tails(self, token_seqs, tail_ids) -> np.ndarray:
+        """Momentum features for a batch of tails, as a plain (B, d) array.
 
-        rows = []
-        for b, tokens in enumerate(token_seqs):
-            prefixes = None
-            if self.projector is not None and self.entity_table is not None and tail_ids is not None:
-                e_t = ad.gather_rows(self.entity_table, [tail_ids[b]])
-                prefixes = self.projector.project(e_t)
-            rows.append(self.encoder.encode(tokens, prefixes).value[0])
-        return np.stack(rows)
+        Tails are encoded one at a time, so only one tail's tape is alive.
+        """
+        return np.stack([
+            encode_entities(self.encoder, self.projector, self.entity_table,
+                            [tokens], [tail]).value[0]
+            for tokens, tail in zip(token_seqs, tail_ids)
+        ])
+
+
+def _leaves(encoder: TextEncoder, projector: PrefixProjector | None,
+            entity_table: Node) -> list[Node]:
+    """Parameter nodes in a fixed order: encoder, projector, entity table."""
+    leaves = list(encoder.parameters().values())
+    if projector is not None:
+        leaves.extend(projector.parameters().values())
+    return leaves + [entity_table]

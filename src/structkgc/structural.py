@@ -5,10 +5,10 @@ and rotation (complex pairwise product with phase-normalized relation
 pairs).  Scores are safe-normalized cosines, so all structural scores
 live in [-1, 1].
 
-Scores are computed two ways: plain-numpy functions score every tail
-for one query at evaluation time, and Node-graph builders score a batch
-for the training loss.  Both normalise with the same eps clamp, and
-tests pin them to each other.
+Scores are built once, as Node graphs: the training loss takes the
+(B, B) batch matrix, and evaluation reads ``.value`` of the same query
+builder and of the same row normalisation to score every tail of one
+query.
 """
 
 from __future__ import annotations
@@ -65,82 +65,7 @@ class StructuralTable:
 
 
 # ---------------------------------------------------------------------------
-# plain numpy path (evaluation)
-# ---------------------------------------------------------------------------
-
-def _normalize_pairs_np(r: np.ndarray, eps: float = COSINE_EPS) -> np.ndarray:
-    pairs = r.reshape(-1, 2)
-    mod = np.linalg.norm(pairs, axis=1, keepdims=True)
-    out = pairs / np.where(mod > eps, mod, eps)
-    return out.reshape(r.shape)
-
-
-def ase_apply(kind: AseKind, e_h: np.ndarray, e_r: np.ndarray) -> np.ndarray:
-    """Combine head and relation embeddings; operates row-wise on 2-D input."""
-    e_h = np.atleast_2d(np.asarray(e_h, dtype=np.float64))
-    e_r = np.atleast_2d(np.asarray(e_r, dtype=np.float64))
-    if e_h.shape != e_r.shape:
-        raise ValueError(f"combiner shape mismatch: {e_h.shape} vs {e_r.shape}")
-    if kind is AseKind.ADDITIVE:
-        return e_h + e_r
-    if kind is AseKind.HADAMARD:
-        return e_h * e_r
-    if kind is AseKind.ROTATION:
-        if e_h.shape[1] % 2 != 0:
-            raise ValueError("rotation combiner needs an even embedding dim")
-        r_hat = _normalize_pairs_np(e_r)
-        h_re, h_im = e_h[:, 0::2], e_h[:, 1::2]
-        r_re, r_im = r_hat[:, 0::2], r_hat[:, 1::2]
-        out = np.empty_like(e_h)
-        out[:, 0::2] = h_re * r_re - h_im * r_im
-        out[:, 1::2] = h_re * r_im + h_im * r_re
-        return out
-    raise ValueError(f"unknown combiner kind: {kind}")
-
-
-def unit_rows(x: np.ndarray, eps: float = COSINE_EPS) -> np.ndarray:
-    """Rows scaled to unit length; a row shorter than eps is divided by eps."""
-    norm = np.linalg.norm(x, axis=1, keepdims=True)
-    return x / np.where(norm > eps, norm, eps)
-
-
-def safe_cosine(a: np.ndarray, b: np.ndarray, eps: float = COSINE_EPS) -> np.ndarray:
-    """Row-wise cosine with the same near-zero clamp the graph path uses."""
-    an = unit_rows(np.atleast_2d(a), eps)
-    bn = unit_rows(np.atleast_2d(b), eps)
-    return (an * bn).sum(axis=1)
-
-
-def struct_score(table: StructuralTable, kind: AseKind, head: int, relation: int,
-                 tail: int) -> float:
-    """Cosine between the combined (head, relation) vector and the tail."""
-    e = table.entity_embeddings.value
-    r = table.relation_embeddings.value
-    combined = ase_apply(kind, e[head], r[relation])
-    return float(safe_cosine(combined, e[tail])[0])
-
-
-def struct_scores_all_tails(table: StructuralTable, kind: AseKind, head: int,
-                            relation: int,
-                            unit_tails: np.ndarray | None = None) -> np.ndarray:
-    """Scores of every entity as candidate tail for one (head, relation).
-
-    ``unit_tails`` is ``unit_rows`` of the entity table, for callers that
-    score many queries against one snapshot of it; it is computed here
-    when not given.
-    """
-    e = table.entity_embeddings.value
-    r = table.relation_embeddings.value
-    combined = ase_apply(kind, e[head], r[relation])[0]
-    norm = np.linalg.norm(combined)
-    combined = combined / (norm if norm > COSINE_EPS else COSINE_EPS)
-    if unit_tails is None:
-        unit_tails = unit_rows(e)
-    return unit_tails @ combined
-
-
-# ---------------------------------------------------------------------------
-# graph path (training)
+# combine, normalise and score
 # ---------------------------------------------------------------------------
 
 def ase_apply_node(kind: AseKind, e_h: Node, e_r: Node) -> Node:
@@ -153,6 +78,19 @@ def ase_apply_node(kind: AseKind, e_h: Node, e_r: Node) -> Node:
     raise ValueError(f"unknown combiner kind: {kind}")
 
 
+def struct_queries_node(table: StructuralTable, kind: AseKind, heads,
+                        relations) -> Node:
+    """(B, dim) unit rows of combine(E_h, E_r), one per query."""
+    e_h = ad.gather_rows(table.entity_embeddings, heads)
+    e_r = ad.gather_rows(table.relation_embeddings, relations)
+    return ad.l2_normalize_rows(ase_apply_node(kind, e_h, e_r), COSINE_EPS)
+
+
+def unit_entity_table(table: StructuralTable) -> np.ndarray:
+    """Every entity row scaled to unit length, as candidate tails."""
+    return ad.l2_normalize_rows(table.entity_embeddings, COSINE_EPS).value
+
+
 def struct_score_matrix_node(table: StructuralTable, kind: AseKind,
                              heads, relations, tails) -> Node:
     """(B, B) matrix of struct scores: row = query, column = batch tail.
@@ -160,12 +98,25 @@ def struct_score_matrix_node(table: StructuralTable, kind: AseKind,
     Row q, column j holds cos(combine(E_h[q], E_r[q]), E_t[j]); the
     diagonal is the positive score of each query.
     """
-    e_h = ad.gather_rows(table.entity_embeddings, heads)
-    e_r = ad.gather_rows(table.relation_embeddings, relations)
+    queries = struct_queries_node(table, kind, heads, relations)
     e_t = ad.gather_rows(table.entity_embeddings, tails)
-    combined = ad.l2_normalize_rows(ase_apply_node(kind, e_h, e_r), COSINE_EPS)
     tails_n = ad.l2_normalize_rows(e_t, COSINE_EPS)
-    return ad.matmul(combined, ad.transpose(tails_n))
+    return ad.matmul(queries, ad.transpose(tails_n))
+
+
+def struct_scores_all_tails(table: StructuralTable, kind: AseKind, head: int,
+                            relation: int,
+                            unit_tails: np.ndarray | None = None) -> np.ndarray:
+    """Scores of every entity as candidate tail for one (head, relation).
+
+    ``unit_tails`` is ``unit_entity_table(table)``, for callers
+    that score many queries against one snapshot of the entity table; it
+    is computed here when not given.
+    """
+    query = struct_queries_node(table, kind, [head], [relation]).value[0]
+    if unit_tails is None:
+        unit_tails = unit_entity_table(table)
+    return unit_tails @ query
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +159,3 @@ class PrefixProjector:
             value = ad.gather_rows(rows, [2 * layer + 1])
             out.append((key, value))
         return out
-
-
-def project_prefix(projector: PrefixProjector, vec: Node) -> list[tuple[Node, Node]]:
-    return projector.project(vec)

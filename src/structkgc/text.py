@@ -200,12 +200,6 @@ class TextEncoder:
     def parameters(self) -> dict[str, Node]:
         return dict(self._params)
 
-    def copy_values_from(self, other: "TextEncoder"):
-        """Overwrite parameter values with another encoder's (same config)."""
-        mine, theirs = self._params, other._params
-        for key, node in mine.items():
-            node.value = theirs[key.replace(self.name, other.name, 1)].value.copy()
-
     def encode(self, tokens, prefixes=None) -> Node:
         """Encode one token sequence to a unit-norm (1, d) embedding.
 
@@ -278,10 +272,3 @@ class TextEncoder:
             prefixes = None if prefix_seqs is None else prefix_seqs[b]
             rows.append(self.encode(tokens, prefixes))
         return ad.concat_rows(rows)
-
-
-def score(h_hr: np.ndarray, h_t: np.ndarray) -> float:
-    """Dot product of two pooled embeddings; equals cosine by unit norm."""
-    a = np.asarray(h_hr, dtype=np.float64).ravel()
-    b = np.asarray(h_t, dtype=np.float64).ravel()
-    return float(a @ b)

@@ -21,7 +21,6 @@ from .graph import (
     RelationRecord,
     Triple,
     add_inverse_triples,
-    build_graph,
     inverse_relation_records,
 )
 
@@ -129,7 +128,7 @@ def make_planted_graph(
     entities = [EntityRecord(f"node {i}", "", i) for i in range(num_entities)]
     base_rels = [RelationRecord(f"step {j}", "", j) for j in range(num_relations)]
     relations = base_rels + inverse_relation_records(base_rels)
-    graph = build_graph(
+    graph = KnowledgeGraph(
         entities,
         relations,
         {
@@ -201,7 +200,7 @@ def make_text_toy(
     train = [triples[i] for i in sorted(order[n_test:])]
 
     relations = base_rels + inverse_relation_records(base_rels)
-    graph = build_graph(
+    graph = KnowledgeGraph(
         entities,
         relations,
         {

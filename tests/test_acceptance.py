@@ -22,12 +22,11 @@ from structkgc.evaluation import (
     miou,
     rerank,
 )
-from structkgc.graph import EntityRecord, RelationRecord, Triple, build_graph
+from structkgc.graph import EntityRecord, KnowledgeGraph, RelationRecord, Triple
 from structkgc.losses import LossConfig
 from structkgc.model import Model, ModelConfig
 from structkgc.negatives import (
     MomentumQueue,
-    hardest_k,
     mix_hard_negatives,
     sample_intra_relation,
 )
@@ -167,7 +166,7 @@ def test_criterion_2_ranking_oracles():
                        int(rng.integers(0, n_e)))
                 for _ in range(k)
             ]
-        g = build_graph(ents, rels, {
+        g = KnowledgeGraph(ents, rels, {
             "train": rand(int(rng.integers(1, 12))),
             "test": rand(int(rng.integers(1, 8))),
         })
@@ -312,7 +311,7 @@ def test_criterion_5_ablation_table():
         run_cfg = RunConfig(
             struct_dim=8, layers=1, hidden_dim=16, heads=2, max_len=16,
             epochs=1, batch_size=8, lr=1e-3, queue_capacity=16, hardest_k=4,
-            mh_count=4, ir_count=1, seed=0, score_mode="text", **flags,
+            mh_count=4, ir_count=1, seed=0, **flags,
         )
         model = Model(
             run_cfg.model_config(g.num_entities, g.num_base_relations,
@@ -368,11 +367,11 @@ def test_criterion_6_negative_sampler_invariants():
     feats = queue.features()
     logits = feats @ probe
     oracle_top = feats[np.argsort(-logits, kind="stable")[:8]]
-    baseline = hardest_k(queue, probe, 0.05, 8)
+    baseline = queue.hardest(probe, 0.05, 8)
     if not np.allclose(baseline, oracle_top):
         report(6, "sampler-invariants", False, "hardest-k != sort oracle")
     for tau in (0.01, 0.07, 1.0):
-        other = hardest_k(queue, probe, tau, 8)
+        other = queue.hardest(probe, tau, 8)
         if {tuple(np.round(r, 12)) for r in other} != {
             tuple(np.round(r, 12)) for r in baseline
         }:
@@ -401,7 +400,7 @@ def _rerank_world(overlap: str, rng):
     test_tails = train_tails if overlap == "high" else list(range(20, 30))
     train = [Triple(h, 0, t) for h, t in zip(range(10), train_tails)]
     test = [Triple(30 + i, 0, t) for i, t in enumerate(test_tails)]
-    g = build_graph(ents, rels, {"train": train, "test": test})
+    g = KnowledgeGraph(ents, rels, {"train": train, "test": test})
     # imperfect base scores: gold at 0.75, distractors uniform
     table = {}
     for h, r, t in g.triples("test"):

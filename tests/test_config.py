@@ -34,14 +34,8 @@ class TestRunConfig:
             {"tau_init": 0.005},            # below the clamp floor
             {"margin": -0.1},
             {"beta": -0.5},
-            {"score_mode": "both"},
-            {"score_mode": "text", "use_text": False, "use_mh": False},
-            {"score_mode": "struct", "use_ase": False},
             {"use_mh": True, "use_text": False},
             {"use_text": False, "use_ase": False, "use_mh": False},
-            {"rerank_alpha": -0.2},
-            {"rerank_splits": ("train", "dev")},
-            {"filter_splits": ("all",)},
             {"min_token_freq": 0},
             {"epochs": 0},
             {"batch_size": 0},
@@ -57,8 +51,7 @@ class TestRunConfig:
             RunConfig(**kwargs)
 
     def test_struct_only_config_valid(self):
-        cfg = RunConfig(use_text=False, use_mh=False, use_ir=False,
-                        score_mode="struct")
+        cfg = RunConfig(use_text=False, use_mh=False, use_ir=False)
         assert not cfg.use_text
 
 
@@ -71,7 +64,6 @@ class TestParseConfig:
             "struct_dim = 16\n"
             "use_mh = false\n"
             "beta = 0.25\n"
-            "rerank_splits = train, valid\n"
             "\n"
         )
         cfg = parse_config(path, overrides={"seed": 9})
@@ -79,7 +71,6 @@ class TestParseConfig:
         assert cfg.struct_dim == 16
         assert cfg.use_mh is False
         assert cfg.beta == 0.25
-        assert cfg.rerank_splits == ("train", "valid")
         assert cfg.seed == 9
 
     def test_unknown_key(self, tmp_path):

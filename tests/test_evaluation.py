@@ -15,9 +15,9 @@ from structkgc.evaluation import (
     rerank,
     top_candidates,
 )
-from structkgc.graph import EntityRecord, RelationRecord, Triple, build_graph
+from structkgc.graph import EntityRecord, KnowledgeGraph, RelationRecord, Triple
 from structkgc.model import Model, ModelConfig
-from structkgc.structural import AseKind, unit_rows
+from structkgc.structural import AseKind, unit_entity_table
 from structkgc.toygen import make_text_toy
 
 from scorers import TableScorer
@@ -208,7 +208,7 @@ class TestRerank:
 def graph_with_splits(n_entities, n_relations, train, test):
     ents = [EntityRecord(f"e{i}", "", i) for i in range(n_entities)]
     rels = [RelationRecord(f"r{i}", "", i) for i in range(n_relations)]
-    return build_graph(ents, rels, {"train": train, "test": test})
+    return KnowledgeGraph(ents, rels, {"train": train, "test": test})
 
 
 class TestMiou:
@@ -434,7 +434,7 @@ class TestArrayRankingMatchesLoops:
 
         ents = [EntityRecord(f"e{i}", "", i) for i in range(n)]
         rels = [RelationRecord(f"r{i}", "", i) for i in range(3)]
-        g = build_graph(ents, rels, {"train": rand_triples(60),
+        g = KnowledgeGraph(ents, rels, {"train": rand_triples(60),
                                      "valid": rand_triples(15),
                                      "test": rand_triples(30)})
         table = {(h, r): quantized(rng, n) for h, r, _ in g.triples("test")}
@@ -476,7 +476,7 @@ class TestModelScorerMatchesModel:
     def test_tail_table_is_a_construction_snapshot(self, kind):
         g, tokenizer, model = text_struct_model(kind)
         scorer = ModelScorer(model, g, tokenizer, mode="struct")
-        snapshot = unit_rows(model.struct.entity_embeddings.value)
+        snapshot = unit_entity_table(model.struct)
         model.struct.entity_embeddings.value = model.struct.entity_embeddings.value * 2.0 + 0.1
         assert not np.array_equal(scorer.scores(0, 0), model.struct_scores_all_tails(0, 0))
         np.testing.assert_array_equal(

@@ -8,7 +8,6 @@ from structkgc.graph import (
     RelationRecord,
     Triple,
     add_inverse_triples,
-    build_graph,
     inverse_relation_id,
 )
 
@@ -27,7 +26,7 @@ R = 0
 def five_entity_graph():
     ents, rels = make_records(5, 1)
     train = [Triple(A, R, X), Triple(A, R, Y), Triple(B, R, Z)]
-    return build_graph(ents, rels, {"train": train})
+    return KnowledgeGraph(ents, rels, {"train": train})
 
 
 class TestBuildGraph:
@@ -39,24 +38,24 @@ class TestBuildGraph:
 
     def test_empty_triples(self):
         ents, rels = make_records(3, 1)
-        g = build_graph(ents, rels, {"train": []})
+        g = KnowledgeGraph(ents, rels, {"train": []})
         assert g.tails_by_relation(R) == frozenset()
         assert g.triples("train") == ()
 
     def test_dangling_entity_names_triple(self):
         ents, rels = make_records(5, 1)
         with pytest.raises(GraphError, match=r"\(0, 0, 99\)"):
-            build_graph(ents, rels, {"train": [Triple(0, 0, 99)]})
+            KnowledgeGraph(ents, rels, {"train": [Triple(0, 0, 99)]})
 
     def test_dangling_relation(self):
         ents, rels = make_records(2, 1)
         with pytest.raises(GraphError, match="relation"):
-            build_graph(ents, rels, {"train": [Triple(0, 3, 1)]})
+            KnowledgeGraph(ents, rels, {"train": [Triple(0, 3, 1)]})
 
     def test_non_contiguous_ids_rejected(self):
         ents = [EntityRecord("a", "", 0), EntityRecord("b", "", 2)]
         with pytest.raises(GraphError, match="contiguous"):
-            build_graph(ents, [RelationRecord("r", "", 0)], {})
+            KnowledgeGraph(ents, [RelationRecord("r", "", 0)], {})
 
     def test_union_invariant_random_graphs(self):
         rng = np.random.default_rng(0)
@@ -71,7 +70,7 @@ class TestBuildGraph:
                 )
                 for _ in range(int(rng.integers(0, 30)))
             ]
-            g = build_graph(ents, rels, {"train": triples})
+            g = KnowledgeGraph(ents, rels, {"train": triples})
             for r in range(n_r):
                 union = frozenset()
                 for h in range(n_e):
@@ -90,7 +89,7 @@ class TestBuildGraph:
             )
             for _ in range(40)
         ]
-        g = build_graph(ents, rels, {"train": triples})
+        g = KnowledgeGraph(ents, rels, {"train": triples})
         for h in range(n_e):
             for r in range(n_r):
                 brute = {t.tail for t in triples if t.head == h and t.relation == r}
@@ -103,7 +102,7 @@ class TestBuildGraph:
 
     def test_self_loop_indexed_normally(self):
         ents, rels = make_records(2, 1)
-        g = build_graph(ents, rels, {"train": [Triple(0, 0, 0)]})
+        g = KnowledgeGraph(ents, rels, {"train": [Triple(0, 0, 0)]})
         assert g.tails_by_pair(0, 0) == {0}
         assert g.is_known_true(0, 0, 0, ["train"])
 
@@ -117,7 +116,7 @@ class TestLookups:
 
     def test_split_unions_accept_any_iterable(self):
         ents, rels = make_records(5, 1)
-        g = build_graph(ents, rels, {"train": [Triple(A, R, X)],
+        g = KnowledgeGraph(ents, rels, {"train": [Triple(A, R, X)],
                                      "valid": [Triple(A, R, Y)],
                                      "test": [Triple(B, R, Z)]})
         splits = (s for s in ("train", "valid"))
@@ -132,7 +131,7 @@ class TestLookups:
         ents, rels = make_records(30, 4)
         triples = [Triple(int(rng.integers(30)), int(rng.integers(3)), int(rng.integers(30)))
                    for _ in range(80)]
-        g = build_graph(ents, rels, {"train": triples, "test": [Triple(0, 3, 1)]})
+        g = KnowledgeGraph(ents, rels, {"train": triples, "test": [Triple(0, 3, 1)]})
         for r in range(4):
             arr = g.train_tail_array(r)
             assert arr.dtype == np.int64 and not arr.flags.writeable
@@ -145,7 +144,7 @@ class TestLookups:
         ents, rels = make_records(12, 3)
         triples = [Triple(int(rng.integers(12)), int(rng.integers(3)), int(rng.integers(12)))
                    for _ in range(60)]
-        g = build_graph(ents, rels, {"train": triples})
+        g = KnowledgeGraph(ents, rels, {"train": triples})
         for h, r, _ in triples:
             assert g.tails_by_pair(h, r) <= g.tails_by_relation(r)
 
@@ -193,14 +192,6 @@ class TestKnownTrue:
 
     def test_split_scoping(self):
         ents, rels = make_records(5, 1)
-        g = build_graph(ents, rels, {"test": [Triple(A, R, X)]})
+        g = KnowledgeGraph(ents, rels, {"test": [Triple(A, R, X)]})
         assert not g.is_known_true(A, R, X, ["train", "valid"])
         assert g.is_known_true(A, R, X, ["test"])
-
-    def test_known_true_is_exactly_the_splits(self):
-        ents, rels = make_records(5, 1)
-        train = [Triple(A, R, X)]
-        valid = [Triple(B, R, Y)]
-        g = build_graph(ents, rels, {"train": train, "valid": valid})
-        assert g.known_true(["train"]) == frozenset(train)
-        assert g.known_true(["train", "valid"]) == frozenset(train + valid)

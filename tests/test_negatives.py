@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from structkgc.graph import EntityRecord, RelationRecord, Triple, build_graph
+from structkgc.graph import EntityRecord, KnowledgeGraph, RelationRecord, Triple
 from structkgc.negatives import (
     MomentumEncoder,
     MomentumQueue,
-    hardest_k,
     in_batch_mask,
     mix_hard_negatives,
     sample_intra_relation,
 )
+from structkgc.model import Model, ModelConfig
 from structkgc.structural import PrefixProjector
 from structkgc.text import TextEncoder, TextEncoderConfig
 
@@ -71,7 +71,7 @@ class TestHardestK:
         e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         q.push(e1)
         q.push(e2)
-        out = hardest_k(q, np.array([1.0, 0.0]), tau=0.05, k=1)
+        out = q.hardest(np.array([1.0, 0.0]), tau=0.05, k=1)
         np.testing.assert_array_equal(out, e1.reshape(1, 2))
 
     def test_k_equals_size_returns_full_sorted(self):
@@ -80,7 +80,7 @@ class TestHardestK:
         feats = random_units(rng, 8, 3)
         q.push(feats)
         h = unit(rng.normal(size=3))
-        out = hardest_k(q, h, tau=0.1, k=8)
+        out = q.hardest(h, tau=0.1, k=8)
         logits = out @ h
         assert np.all(np.diff(logits) <= 1e-12)
         assert out.shape == (8, 3)
@@ -91,7 +91,7 @@ class TestHardestK:
         feats = random_units(rng, 50, 6)
         q.push(feats)
         h = unit(rng.normal(size=6))
-        out = hardest_k(q, h, tau=0.07, k=8)
+        out = q.hardest(h, tau=0.07, k=8)
         order = np.argsort(-(feats @ h), kind="stable")
         np.testing.assert_allclose(out, feats[order[:8]])
 
@@ -102,7 +102,7 @@ class TestHardestK:
         h = unit(rng.normal(size=4))
         sets = []
         for tau in (0.01, 0.05, 1.0):
-            out = hardest_k(q, h, tau=tau, k=5)
+            out = q.hardest(h, tau=tau, k=5)
             sets.append({tuple(np.round(row, 12)) for row in out})
         assert sets[0] == sets[1] == sets[2]
 
@@ -110,7 +110,7 @@ class TestHardestK:
         rng = np.random.default_rng(4)
         q = MomentumQueue(16, 3)
         q.push(random_units(rng, 3, 3))
-        out = hardest_k(q, unit(rng.normal(size=3)), tau=0.05, k=10)
+        out = q.hardest(unit(rng.normal(size=3)), tau=0.05, k=10)
         assert out.shape == (3, 3)
 
     def test_ties_prefer_newer(self):
@@ -119,7 +119,7 @@ class TestHardestK:
         q.push(v)
         q.push(np.array([1.0, 0.0]))
         q.push(v)  # same logit as the first member, but newer
-        out = hardest_k(q, v, tau=0.05, k=3)
+        out = q.hardest(v, tau=0.05, k=3)
         # both copies of v sort first; the orthogonal-ish one last
         np.testing.assert_allclose(out[0], v)
         np.testing.assert_allclose(out[1], v)
@@ -189,7 +189,7 @@ def irns_graph():
     ents = [EntityRecord(f"e{i}", "", i) for i in range(5)]
     rels = [RelationRecord("r", "", 0), RelationRecord("s", "", 1)]
     train = [Triple(A, R, X), Triple(A, R, Y), Triple(B, R, Z)]
-    return build_graph(ents, rels, {"train": train})
+    return KnowledgeGraph(ents, rels, {"train": train})
 
 
 class TestIntraRelationSampling:
@@ -209,7 +209,7 @@ class TestIntraRelationSampling:
     def test_fallback_when_difference_empty(self):
         ents = [EntityRecord(f"e{i}", "", i) for i in range(4)]
         rels = [RelationRecord("r", "", 0)]
-        g = build_graph(ents, rels, {"train": [Triple(0, 0, 1)]})
+        g = KnowledgeGraph(ents, rels, {"train": [Triple(0, 0, 1)]})
         rng = np.random.default_rng(10)
         for _ in range(20):
             out = sample_intra_relation(g, 0, 0, 2, rng)
@@ -225,7 +225,7 @@ class TestIntraRelationSampling:
             Triple(int(rng.integers(0, 12)), int(rng.integers(0, 3)), int(rng.integers(0, 12)))
             for _ in range(40)
         ]
-        g = build_graph(ents, rels, {"train": train})
+        g = KnowledgeGraph(ents, rels, {"train": train})
         for h, r, _ in g.triples("train"):
             for t in sample_intra_relation(g, h, r, 3, rng):
                 assert not g.is_known_true(h, r, t, ["train"])
@@ -245,7 +245,7 @@ class TestInBatchMask:
                 EntityRecord("coat", "", 2)]
         rels = [RelationRecord("style name", "", 0)]
         train = [Triple(0, 0, 0), Triple(1, 0, 0), Triple(1, 0, 2)]
-        g = build_graph(ents, rels, {"train": train})
+        g = KnowledgeGraph(ents, rels, {"train": train})
         mask = in_batch_mask([(0, 0), (1, 0)], [0, 2], g)
         assert mask[1, 0]  # (shirt, style, dress) is train-true
         assert not mask[0, 1]
@@ -258,7 +258,7 @@ class TestInBatchMask:
             Triple(int(rng.integers(0, 8)), int(rng.integers(0, 2)), int(rng.integers(0, 8)))
             for _ in range(25)
         ]
-        g = build_graph(ents, rels, {"train": train})
+        g = KnowledgeGraph(ents, rels, {"train": train})
         batch = [g.triples("train")[i] for i in rng.integers(0, len(g.triples("train")), 6)]
         queries = [(t.head, t.relation) for t in batch]
         tails = [t.tail for t in batch]
@@ -309,8 +309,7 @@ class TestMomentumEncoder:
         mom.ema_update()
         m = 0.999
         for key, node in mom.encoder.parameters().items():
-            online_key = key.replace("momentum", "tail", 1)
-            expected = m * before[key] + (1 - m) * tail.parameters()[online_key].value
+            expected = m * before[key] + (1 - m) * tail.parameters()[key].value
             assert np.abs(node.value - expected).max() == 0.0
         assert np.abs(
             mom.projector.weight.value - (m * proj_before + (1 - m) * proj.weight.value)
@@ -318,6 +317,22 @@ class TestMomentumEncoder:
         assert np.abs(
             mom.entity_table.value - (m * table_before + (1 - m) * table.value)
         ).max() == 0.0
+
+    @pytest.mark.parametrize("use_ase", [True, False])
+    @pytest.mark.parametrize("share", [False, True])
+    def test_fresh_shadow_matches_model_tail_path(self, use_ase, share):
+        model = Model(ModelConfig(
+            num_entities=6, num_base_relations=2, struct_dim=4, layers=2,
+            hidden_dim=8, heads=2, max_len=8, vocab_size=12, use_ase=use_ase,
+            share_text_encoders=share,
+        ), seed=3)
+        mom = MomentumEncoder(model.tail_encoder, model.tail_projector,
+                              model.struct.entity_embeddings)
+        tokens = [[2, 5, 3], [2, 7, 9, 3], [2, 5, 3]]
+        tails = [4, 0, 1]
+        np.testing.assert_array_equal(
+            mom.encode_tails(tokens, tails), model.encode_tails(tokens, tails).value
+        )
 
 
 def _gather(table, idx):
@@ -470,7 +485,7 @@ class TestIntraRelationMatchesSortedSets:
             rels = [RelationRecord(f"r{i}", "", i) for i in range(n_r)]
             train = [Triple(int(rng.integers(n_e)), int(rng.integers(n_r)),
                             int(rng.integers(n_e))) for _ in range(int(rng.integers(1, 50)))]
-            g = build_graph(ents, rels, {"train": train})
+            g = KnowledgeGraph(ents, rels, {"train": train})
             queries = [(int(rng.integers(n_e)), int(rng.integers(n_r)), int(rng.integers(0, 6)))
                        for _ in range(25)]
             assert_intra_matches_reference(g, queries, seed=trial)
@@ -480,7 +495,7 @@ class TestIntraRelationMatchesSortedSets:
         rels = [RelationRecord("r", "", 0), RelationRecord("s", "", 1), RelationRecord("u", "", 2)]
         train = [Triple(0, 0, 1), Triple(0, 0, 2)]                 # r: e(r) == e(0, r)
         train += [Triple(1, 1, t) for t in range(6)]               # s: every entity is true
-        g = build_graph(ents, rels, {"train": train})
+        g = KnowledgeGraph(ents, rels, {"train": train})
         assert sample_intra_relation(g, 1, 1, 3, np.random.default_rng(0)) == []
         queries = [(0, 0, 3), (0, 0, 10), (1, 1, 2), (3, 2, 2), (0, 0, 0), (4, 0, 1)]
         assert_intra_matches_reference(g, queries * 5, seed=27)

@@ -6,34 +6,36 @@ from structkgc.structural import (
     AseKind,
     PrefixProjector,
     StructuralTable,
-    ase_apply,
     ase_apply_node,
     init_embedding,
-    safe_cosine,
-    struct_score,
     struct_score_matrix_node,
     struct_scores_all_tails,
+    unit_entity_table,
 )
+
+
+def combine(kind, h, r):
+    return ase_apply_node(kind, ad.Node(h), ad.Node(r)).value
 
 
 class TestAseApply:
     def test_additive(self):
-        out = ase_apply(AseKind.ADDITIVE, [1.0, 2.0], [3.0, -1.0])
+        out = combine(AseKind.ADDITIVE, [1.0, 2.0], [3.0, -1.0])
         np.testing.assert_array_equal(out, [[4.0, 1.0]])
 
     def test_hadamard(self):
-        out = ase_apply(AseKind.HADAMARD, [2.0, 3.0], [1.0, 0.0])
+        out = combine(AseKind.HADAMARD, [2.0, 3.0], [1.0, 0.0])
         np.testing.assert_array_equal(out, [[2.0, 0.0]])
 
     def test_rotation_quarter_turn(self):
-        out = ase_apply(AseKind.ROTATION, [1.0, 0.0], [0.0, 1.0])
+        out = combine(AseKind.ROTATION, [1.0, 0.0], [0.0, 1.0])
         np.testing.assert_allclose(out, [[0.0, 1.0]], atol=1e-12)
 
     def test_rotation_preserves_norm(self):
         rng = np.random.default_rng(0)
         h = rng.normal(size=(10, 8))
         r = rng.normal(size=(10, 8))
-        out = ase_apply(AseKind.ROTATION, h, r)
+        out = combine(AseKind.ROTATION, h, r)
         np.testing.assert_allclose(
             np.linalg.norm(out, axis=1), np.linalg.norm(h, axis=1), atol=1e-9
         )
@@ -43,12 +45,23 @@ class TestAseApply:
             StructuralTable(3, 1, 5, AseKind.ROTATION, np.random.default_rng(0))
 
     def test_graph_path_matches_numpy(self):
+        """Evaluation's all-tail scores equal the training's score matrix."""
         rng = np.random.default_rng(1)
-        h = rng.normal(size=(4, 6))
-        r = rng.normal(size=(4, 6))
         for kind in AseKind:
-            node = ase_apply_node(kind, ad.Node(h), ad.Node(r))
-            np.testing.assert_allclose(node.value, ase_apply(kind, h, r), atol=1e-12)
+            table = StructuralTable(11, 3, 6, kind, rng)
+            table.entity_embeddings.value[4] = 0.0  # a row below the eps clamp
+            unit_tails = unit_entity_table(table)
+            for h, r in [(0, 0), (3, 5), (4, 2), (10, 1)]:
+                scores = struct_scores_all_tails(table, kind, h, r)
+                mat = struct_score_matrix_node(table, kind, [h], [r], list(range(11)))
+                np.testing.assert_allclose(scores, mat.value[0], rtol=0, atol=1e-12)
+                np.testing.assert_array_equal(
+                    struct_scores_all_tails(table, kind, h, r, unit_tails), scores
+                )
+
+
+def struct_score(table, kind, head, relation, tail):
+    return struct_scores_all_tails(table, kind, head, relation)[tail]
 
 
 class TestStructScore:
@@ -105,10 +118,11 @@ class TestStructScore:
         rng = np.random.default_rng(4)
         table = StructuralTable(9, 2, 6, AseKind.HADAMARD, rng)
         scores = struct_scores_all_tails(table, AseKind.HADAMARD, 3, 1)
+        e = table.entity_embeddings.value
+        query = e[3] * table.relation_embeddings.value[1]
         for t in range(9):
-            assert scores[t] == pytest.approx(
-                struct_score(table, AseKind.HADAMARD, 3, 1, t), abs=1e-12
-            )
+            cos = query @ e[t] / (np.linalg.norm(query) * np.linalg.norm(e[t]))
+            assert scores[t] == pytest.approx(cos, abs=1e-12)
 
     def test_score_matrix_node_matches_numpy(self):
         rng = np.random.default_rng(5)
@@ -172,5 +186,6 @@ def test_init_embedding_bounds():
 
 
 def test_safe_cosine_handles_zero_vectors():
-    out = safe_cosine(np.zeros((1, 4)), np.ones((1, 4)))
-    assert out[0] == pytest.approx(0.0)
+    table = StructuralTable(2, 1, 4, AseKind.ADDITIVE, np.random.default_rng(7))
+    table.entity_embeddings.value = np.array([[1.0] * 4, [0.0] * 4])
+    assert struct_score(table, AseKind.ADDITIVE, 0, 0, 1) == 0.0
