@@ -5,7 +5,8 @@ vectors (1, n).  A :class:`Node` records a value, an accumulated gradient
 and a vector-Jacobian callback; :func:`backward` walks the tape in reverse
 topological order.  Tapes are built per forward pass and dropped with the
 nodes; parameters are long-lived leaves whose ``grad`` the optimizer
-consumes and resets.
+consumes and resets.  Inside :func:`no_grad` nodes record no parents and
+no callbacks, so values that are only read leave no tape behind.
 
 Elementwise ops support the limited broadcasting the encoders need:
 (m, n) against (m, 1), (1, n) or (1, 1).
@@ -13,6 +14,8 @@ Elementwise ops support the limited broadcasting the encoders need:
 
 from __future__ import annotations
 
+import contextlib
+import threading
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,6 +28,31 @@ DEFAULT_NORM_EPS = 1e-12
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+
+class _Mode(threading.local):
+    recording = True
+
+
+_mode = _Mode()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build nodes without parents or vector-Jacobian callbacks.
+
+    Values are computed exactly as when recording, but nothing built
+    inside the block can be differentiated, and each intermediate is
+    freed once the next op has consumed it.  Blocks nest; the previous
+    mode comes back on exit, also when the block raises.  The mode is
+    per thread.
+    """
+    previous = _mode.recording
+    _mode.recording = False
+    try:
+        yield
+    finally:
+        _mode.recording = previous
 
 
 def as_matrix(x) -> np.ndarray:
@@ -53,8 +81,12 @@ class Node:
         if CHECK_FINITE and not np.all(np.isfinite(self.value)):
             raise FloatingPointError("non-finite value entered the graph")
         self.grad = None
-        self._parents = tuple(_parents)
-        self._vjp = _vjp
+        if _mode.recording:
+            self._parents = tuple(_parents)
+            self._vjp = _vjp
+        else:
+            self._parents = ()
+            self._vjp = None
 
     @property
     def shape(self):
@@ -324,21 +356,101 @@ def l2_normalize_rows(a: Node, eps: float = DEFAULT_NORM_EPS) -> Node:
     return Node(y, (a,), vjp)
 
 
+def attention(q: Node, k: Node, v: Node, lengths, heads: int,
+              prefix: tuple[Node, Node] | None = None) -> Node:
+    """Multi-head scaled dot-product self-attention over padded sequences.
+
+    ``q``, ``k`` and ``v`` are (B*L, d) rows of B sequences padded to a
+    common length L; sequence b owns rows b*L .. b*L + L - 1, and its
+    keys at or past ``lengths[b]`` are masked out.  ``prefix`` is an
+    optional (key, value) pair of (B, d) nodes whose row b is prepended
+    to sequence b's keys and values.  A prefix row whose value is
+    exactly zero is masked for its sequence, so it takes no attention
+    and gets no gradient.  Head h works on columns h*d/heads ..
+    (h+1)*d/heads - 1 with scale 1/sqrt(d/heads); the output is (B*L, d)
+    with the heads side by side, like the inputs.
+    """
+    lengths = np.asarray(lengths, dtype=np.intp)
+    rows, d = q.value.shape
+    b_count = len(lengths)
+    if b_count == 0 or rows % b_count != 0:
+        raise ValueError(f"{rows} rows do not split into {b_count} sequences")
+    seq_len = rows // b_count
+    if k.value.shape != (rows, d) or v.value.shape != (rows, d):
+        raise ValueError(
+            f"attention shape mismatch: {q.value.shape}, {k.value.shape}, "
+            f"{v.value.shape}"
+        )
+    if lengths.min() < 1 or lengths.max() > seq_len:
+        raise ValueError(f"sequence lengths must lie in [1, {seq_len}]")
+    if d % heads != 0:
+        raise ValueError(f"width {d} not divisible by {heads} heads")
+    d_k = d // heads
+    scale = 1.0 / np.sqrt(d_k)
+
+    def split(x):  # (B*L, d) -> (B, H, L, d_k)
+        return x.reshape(b_count, seq_len, heads, d_k).transpose(0, 2, 1, 3)
+
+    def merge(x):  # (B, H, L, d_k) -> (B*L, d)
+        return x.transpose(0, 2, 1, 3).reshape(rows, d)
+
+    if prefix is None:  # a masked zero row: same arithmetic as a zero prefix
+        k_pre = v_pre = np.zeros((b_count, d))
+    else:
+        k_pre, v_pre = prefix[0].value, prefix[1].value
+        if k_pre.shape != (b_count, d) or v_pre.shape != (b_count, d):
+            raise ValueError(
+                f"prefix shapes {k_pre.shape}, {v_pre.shape} do not match "
+                f"({b_count}, {d})"
+            )
+    # key/value slot 0 is the prefix, slots 1..L the sequence positions
+    keys = np.concatenate([k_pre.reshape(b_count, heads, 1, d_k), split(k.value)], axis=2)
+    values = np.concatenate([v_pre.reshape(b_count, heads, 1, d_k), split(v.value)], axis=2)
+    queries = split(q.value)
+    keep = np.empty((b_count, 1, 1, seq_len + 1), dtype=bool)
+    keep[:, 0, 0, 0] = np.any(v_pre != 0.0, axis=1)  # exact zero means off
+    keep[:, 0, 0, 1:] = np.arange(seq_len) < lengths[:, None]
+    logits = np.where(keep, (queries @ keys.transpose(0, 1, 3, 2)) * scale, -np.inf)
+    e = np.exp(logits - logits.max(axis=3, keepdims=True))
+    probs = e / e.sum(axis=3, keepdims=True)
+    out = merge(probs @ values)
+
+    def vjp(g):
+        g = split(g)
+        d_values = probs.transpose(0, 1, 3, 2) @ g
+        d_probs = g @ values.transpose(0, 1, 3, 2)
+        d_logits = (d_probs - (d_probs * probs).sum(axis=3, keepdims=True)) * probs * scale
+        d_queries = d_logits @ keys
+        d_keys = d_logits.transpose(0, 1, 3, 2) @ queries
+        grads = (merge(d_queries), merge(d_keys[:, :, 1:]), merge(d_values[:, :, 1:]))
+        if prefix is None:
+            return grads
+        return grads + (d_keys[:, :, 0].reshape(b_count, d),
+                        d_values[:, :, 0].reshape(b_count, d))
+
+    parents = (q, k, v) if prefix is None else (q, k, v, prefix[0], prefix[1])
+    return Node(out, parents, vjp)
+
+
 # ---------------------------------------------------------------------------
 # compositions used by the encoders
 # ---------------------------------------------------------------------------
 
 def masked_mean_rows(a: Node, mask) -> Node:
-    """Mean over the rows selected by a boolean/0-1 mask, as a (1, n) row."""
-    m = np.asarray(mask, dtype=np.float64).reshape(1, -1)
-    if m.shape[1] != a.value.shape[0]:
+    """Means over the rows selected by each row of a boolean/0-1 mask.
+
+    A 1-D mask over the rows of ``a`` gives one (1, n) mean; a (k, rows)
+    mask gives k means as a (k, n) node.
+    """
+    m = np.atleast_2d(np.asarray(mask, dtype=np.float64))
+    if m.ndim != 2 or m.shape[1] != a.value.shape[0]:
         raise ValueError(
-            f"mask length {m.shape[1]} does not match {a.value.shape[0]} rows"
+            f"mask shape {m.shape} does not match {a.value.shape[0]} rows"
         )
-    total = m.sum()
-    if total <= 0:
+    totals = m.sum(axis=1, keepdims=True)
+    if np.any(totals <= 0):
         raise ValueError("masked_mean_rows needs at least one selected row")
-    return matmul(Node(m / total), a)
+    return matmul(Node(m / totals), a)
 
 
 def dot_rows(a: Node, b: Node) -> Node:

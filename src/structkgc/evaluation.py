@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from .graph import KnowledgeGraph, Triple
 from .model import Model
 from .structural import unit_entity_table
@@ -20,6 +21,12 @@ from .text import Tokenizer, tokenize_entity, tokenize_hr
 
 SCORE_MODES = ("text", "struct", "combined")
 DEFAULT_FILTER_SPLITS = ("train", "valid", "test")
+# Entities per tail-encoder call when the scorer builds its tail matrix.
+# One padded pass per chunk amortises the per-op overhead; the chunk
+# bounds the (chunk, heads, L, L + 1) attention arrays, ~8.5 MB each at
+# 4 heads and max_len 64, so the build's peak memory does not grow with
+# the entity count.
+TAIL_CHUNK = 64
 
 
 def _ids(ids) -> np.ndarray:
@@ -138,11 +145,15 @@ class ModelScorer:
         self._tail_matrix: np.ndarray | None = None
         self._query_cache: dict[tuple[int, int], np.ndarray] = {}
         if mode in ("text", "combined"):
-            rows = []
-            for ent in graph.entities:
-                tokens = tokenize_entity(tokenizer, ent, model.config.max_len)
-                rows.append(model.encode_tails([tokens], [ent.id]).value[0])
-            self._tail_matrix = np.stack(rows)
+            ents = graph.entities
+            chunks = []
+            with ad.no_grad():
+                for start in range(0, len(ents), TAIL_CHUNK):
+                    part = ents[start:start + TAIL_CHUNK]
+                    tokens = [tokenize_entity(tokenizer, e, model.config.max_len)
+                              for e in part]
+                    chunks.append(model.encode_tails(tokens, [e.id for e in part]).value)
+            self._tail_matrix = np.concatenate(chunks)
         self._unit_tails = (None if mode == "text"
                             else unit_entity_table(model.struct))
 
@@ -153,9 +164,10 @@ class ModelScorer:
                 self.tokenizer, self.graph.entities[head],
                 self.graph.relations[relation], self.model.config.max_len,
             )
-            self._query_cache[key] = self.model.encode_queries(
-                [tokens], [key]
-            ).value[0]
+            with ad.no_grad():
+                self._query_cache[key] = self.model.encode_queries(
+                    [tokens], [key]
+                ).value[0]
         return self._tail_matrix @ self._query_cache[key]
 
     def scores(self, head: int, relation: int) -> np.ndarray:

@@ -59,14 +59,14 @@ class ModelConfig:
 
 
 def encode_entities(encoder: TextEncoder, projector: PrefixProjector | None,
-                    entity_table: Node, token_seqs, ids) -> Node:
+                    entity_table: Node | None, token_seqs, ids) -> Node:
     """Encode entity text, each row prefixed by its projected structural
-    embedding when ``projector`` is given; (B, d)."""
-    prefix_seqs = None
+    embedding when ``projector`` is given (the table is then required);
+    (B, d)."""
+    prefixes = None
     if projector is not None:
-        prefix_seqs = [projector.project(ad.gather_rows(entity_table, [i]))
-                       for i in ids]
-    return encoder.encode_batch(token_seqs, prefix_seqs)
+        prefixes = projector.project(ad.gather_rows(entity_table, ids))
+    return encoder.encode(token_seqs, prefixes)
 
 
 class Model:
@@ -124,11 +124,13 @@ class Model:
     # prefix plumbing
     # ------------------------------------------------------------------
 
-    def hr_prefixes(self, head: int, relation: int):
+    def hr_prefixes(self, heads, relations):
+        """Per-layer (key, value) prefixes of (B, hidden_dim), row q from
+        combine(E_h[q], E_r[q]); None without a query projector."""
         if self.hr_projector is None:
             return None
-        e_h = ad.gather_rows(self.struct.entity_embeddings, [head])
-        e_r = ad.gather_rows(self.struct.relation_embeddings, [relation])
+        e_h = ad.gather_rows(self.struct.entity_embeddings, heads)
+        e_r = ad.gather_rows(self.struct.relation_embeddings, relations)
         combined = ase_apply_node(self.config.ase_kind, e_h, e_r)
         return self.hr_projector.project(combined)
 
@@ -138,10 +140,8 @@ class Model:
 
     def encode_queries(self, token_seqs, pairs) -> Node:
         """Encode (head, relation) text with structural prefixes; (B, d)."""
-        prefix_seqs = None
-        if self.hr_projector is not None:
-            prefix_seqs = [self.hr_prefixes(h, r) for h, r in pairs]
-        return self.hr_encoder.encode_batch(token_seqs, prefix_seqs)
+        heads, relations = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
+        return self.hr_encoder.encode(token_seqs, self.hr_prefixes(heads, relations))
 
     def encode_tails(self, token_seqs, tail_ids) -> Node:
         return encode_entities(self.tail_encoder, self.tail_projector,

@@ -14,6 +14,7 @@ import copy
 
 import numpy as np
 
+from . import autodiff as ad
 from .autodiff import Node
 from .graph import KnowledgeGraph
 from .model import encode_entities
@@ -173,10 +174,11 @@ def _as_array(ids: frozenset[int]) -> np.ndarray:
 class MomentumEncoder:
     """EMA shadow of the tail-side encoders producing stable queue features.
 
-    Shadows the tail text encoder, the tail prefix projector and the
-    structural entity table, as deep copies encoded through the model's
-    own tail path.  After every optimizer step
-    ``theta_key <- m * theta_key + (1 - m) * theta_online``.
+    Shadows the tail text encoder and, when there is one, the tail prefix
+    projector together with the structural entity table it reads, as
+    deep copies encoded through the model's own tail path.  Without a
+    projector nothing reads the table, so it is not shadowed.  After
+    every optimizer step ``theta_key <- m * theta_key + (1 - m) * theta_online``.
     """
 
     def __init__(self, tail_encoder: TextEncoder, tail_projector: PrefixProjector | None,
@@ -184,6 +186,8 @@ class MomentumEncoder:
         if not 0.0 <= momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
         self.momentum = momentum
+        if tail_projector is None:
+            entity_table = None
         online = (tail_encoder, tail_projector, entity_table)
         self.encoder, self.projector, self.entity_table = copy.deepcopy(online)
         self._pairs = list(zip(_leaves(self.encoder, self.projector, self.entity_table),
@@ -195,21 +199,18 @@ class MomentumEncoder:
             shadow.value = m * shadow.value + (1.0 - m) * online.value
 
     def encode_tails(self, token_seqs, tail_ids) -> np.ndarray:
-        """Momentum features for a batch of tails, as a plain (B, d) array.
-
-        Tails are encoded one at a time, so only one tail's tape is alive.
-        """
-        return np.stack([
-            encode_entities(self.encoder, self.projector, self.entity_table,
-                            [tokens], [tail]).value[0]
-            for tokens, tail in zip(token_seqs, tail_ids)
-        ])
+        """Momentum features for a batch of tails, as a plain (B, d) array."""
+        with ad.no_grad():
+            return encode_entities(self.encoder, self.projector, self.entity_table,
+                                   token_seqs, tail_ids).value
 
 
 def _leaves(encoder: TextEncoder, projector: PrefixProjector | None,
-            entity_table: Node) -> list[Node]:
-    """Parameter nodes in a fixed order: encoder, projector, entity table."""
+            entity_table: Node | None) -> list[Node]:
+    """Parameter nodes in a fixed order: encoder, then projector and entity
+    table when there is a projector."""
     leaves = list(encoder.parameters().values())
     if projector is not None:
         leaves.extend(projector.parameters().values())
-    return leaves + [entity_table]
+        leaves.append(entity_table)
+    return leaves

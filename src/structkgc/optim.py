@@ -36,6 +36,11 @@ class AdamW:
 
     Row-vector parameters (biases, layer-norm gains, the log-temperature)
     are excluded from weight decay; matrices and embedding tables decay.
+
+    Every step is dense, embedding tables included.  Decoupled weight
+    decay and both moment decays move every row on every step, also rows
+    a batch did not touch, so a step over touched rows only would change
+    the update, not just its cost.
     """
 
     def __init__(self, params: dict[str, Node], lr: float, total_steps: int,

@@ -126,9 +126,8 @@ def struct_scores_all_tails(table: StructuralTable, kind: AseKind, head: int,
 class PrefixProjector:
     """Linear map from a structural vector to per-layer (key, value) prefixes.
 
-    The projection output reshapes to ``layers`` rows of keys interleaved
-    with values (layer-major, key before value), each of width
-    ``hidden_dim``.
+    Each projected row splits into ``layers`` keys interleaved with
+    values (layer-major, key before value), each of width ``hidden_dim``.
     """
 
     def __init__(self, struct_dim: int, layers: int, hidden_dim: int,
@@ -144,18 +143,18 @@ class PrefixProjector:
     def parameters(self) -> dict[str, Node]:
         return {f"{self.name}.weight": self.weight}
 
-    def project(self, vec: Node) -> list[tuple[Node, Node]]:
-        """Project a (1, struct_dim) vector to [(key, value)] per layer."""
-        if vec.value.shape != (1, self.struct_dim):
+    def project(self, vecs: Node) -> list[tuple[Node, Node]]:
+        """Project (B, struct_dim) vectors to [(key, value)] per layer, each
+        (B, hidden_dim) with row b from vector b."""
+        if vecs.value.shape[1] != self.struct_dim:
             raise ValueError(
-                f"prefix input shape {vec.value.shape} does not match "
+                f"prefix input shape {vecs.value.shape} does not match "
                 f"struct dim {self.struct_dim}"
             )
-        flat = ad.matmul(vec, self.weight)  # (1, 2*l*d)
-        rows = ad.reshape(flat, 2 * self.layers, self.hidden_dim)
-        out = []
-        for layer in range(self.layers):
-            key = ad.gather_rows(rows, [2 * layer])
-            value = ad.gather_rows(rows, [2 * layer + 1])
-            out.append((key, value))
-        return out
+        flat = ad.matmul(vecs, self.weight)  # (B, 2*l*d)
+        d = self.hidden_dim
+        return [
+            (ad.gather_cols(flat, np.arange(2 * layer * d, (2 * layer + 1) * d)),
+             ad.gather_cols(flat, np.arange((2 * layer + 1) * d, (2 * layer + 2) * d)))
+            for layer in range(self.layers)
+        ]

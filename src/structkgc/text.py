@@ -7,12 +7,22 @@ to that layer's keys and values before self-attention.  Sequence
 positions never include the prefix, so pooling is automatically over
 token positions only.
 
-When a layer's prefix value vector is exactly zero the prefix position
-is masked out entirely instead of being attended with a zero value.
-This makes "no structural prefix" an exact special case of the same code
-path (a zero key would otherwise still soak up uniform attention mass).
-Gradients do not flow to a masked prefix; the mask only ever triggers
-for exactly-zero values, which in practice means the feature is off.
+A batch is encoded in one padded pass: the B sequences are padded with
+[PAD] to the longest one and stacked into (B*L, d) rows, every matmul
+and layer norm runs once over those rows, and attention
+(:func:`autodiff.attention`) keeps each sequence to its own keys, with
+keys past a sequence's length masked out.  Pooling averages each
+sequence's own positions, leaving out padding and any [PAD] id inside
+the sequence; such an id is still attended as a key.
+
+Prefixes are per sequence.  When a sequence's prefix value vector at a
+layer is exactly zero, its prefix position is masked out at that layer
+instead of being attended with a zero value.  This makes "no structural
+prefix" an exact special case of the same code path (a zero key would
+otherwise still soak up uniform attention mass), row by row, so one
+batch can mix sequences with and without a prefix.  Gradients do not
+flow to a masked prefix; the mask only ever triggers for exactly-zero
+values, which in practice means the feature is off.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ from .autodiff import Node
 
 PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
 _SPECIALS = (PAD, UNK, CLS, SEP)
+_PAD_ID = _SPECIALS.index(PAD)
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
 
@@ -200,57 +211,43 @@ class TextEncoder:
     def parameters(self) -> dict[str, Node]:
         return dict(self._params)
 
-    def encode(self, tokens, prefixes=None) -> Node:
-        """Encode one token sequence to a unit-norm (1, d) embedding.
+    def encode(self, token_seqs, prefixes=None) -> Node:
+        """Encode B token sequences to unit-norm (B, d) embeddings.
 
         ``prefixes`` is an optional per-layer list of (key, value) Nodes of
-        shape (1, d) from a prefix projector.
+        shape (B, d) from a prefix projector, row b for sequence b.
         """
         cfg = self.config
-        tokens = list(tokens)
-        if len(tokens) > cfg.max_len:
+        seqs = [list(tokens) for tokens in token_seqs]
+        if not seqs:
+            raise ValueError("cannot encode an empty batch")
+        lengths = np.array([len(tokens) for tokens in seqs])
+        if lengths.max() > cfg.max_len:
             raise ValueError(
-                f"sequence length {len(tokens)} exceeds max_len {cfg.max_len}"
+                f"sequence length {lengths.max()} exceeds max_len {cfg.max_len}"
             )
-        if not tokens:
+        if lengths.min() == 0:
             raise ValueError("cannot encode an empty token sequence")
         if prefixes is not None and len(prefixes) != cfg.layers:
             raise ValueError(
                 f"got {len(prefixes)} prefix layers for a {cfg.layers}-layer encoder"
             )
 
-        d = cfg.hidden_dim
-        d_k = d // cfg.heads
-        scale = 1.0 / np.sqrt(d_k)
+        batch, seq_len = len(seqs), int(lengths.max())
+        ids = np.full((batch, seq_len), _PAD_ID, dtype=np.intp)
+        for b, tokens in enumerate(seqs):
+            ids[b, :len(tokens)] = tokens
         x = ad.add(
-            ad.gather_rows(self.tok_emb, tokens),
-            ad.gather_rows(self.pos_emb, range(len(tokens))),
+            ad.gather_rows(self.tok_emb, ids.ravel()),
+            ad.gather_rows(self.pos_emb, np.tile(np.arange(seq_len), batch)),
         )
         for i, layer in enumerate(self.layers):
-            prefix = None
-            if prefixes is not None:
-                k_pre, v_pre = prefixes[i]
-                # exact-zero value vector means "prefix off" at this layer
-                if np.any(v_pre.value != 0.0):
-                    prefix = (k_pre, v_pre)
             q = ad.add(ad.matmul(x, layer["wq"]), layer["bq"])
             k = ad.add(ad.matmul(x, layer["wk"]), layer["bk"])
             v = ad.add(ad.matmul(x, layer["wv"]), layer["bv"])
-            head_outs = []
-            for h in range(cfg.heads):
-                cols = range(h * d_k, (h + 1) * d_k)
-                qh = ad.gather_cols(q, cols)
-                kh = ad.gather_cols(k, cols)
-                vh = ad.gather_cols(v, cols)
-                if prefix is not None:
-                    kh = ad.concat_rows([ad.gather_cols(prefix[0], cols), kh])
-                    vh = ad.concat_rows([ad.gather_cols(prefix[1], cols), vh])
-                logits = ad.smul(ad.matmul(qh, ad.transpose(kh)), scale)
-                head_outs.append(ad.transpose(ad.matmul(ad.softmax_rows(logits), vh)))
-            attn = ad.add(
-                ad.matmul(ad.transpose(ad.concat_rows(head_outs)), layer["wo"]),
-                layer["bo"],
-            )
+            context = ad.attention(q, k, v, lengths, cfg.heads,
+                                   None if prefixes is None else prefixes[i])
+            attn = ad.add(ad.matmul(context, layer["wo"]), layer["bo"])
             x = ad.layer_norm_rows(ad.add(x, attn), layer["ln1_g"], layer["ln1_b"])
             ffn = ad.add(
                 ad.matmul(
@@ -261,14 +258,9 @@ class TextEncoder:
             )
             x = ad.layer_norm_rows(ad.add(x, ffn), layer["ln2_g"], layer["ln2_b"])
 
-        mask = [1.0 if t != 0 else 0.0 for t in tokens]  # exclude [PAD]
-        pooled = ad.masked_mean_rows(x, mask)
+        # row b averages its own positions, leaving out padding and [PAD] ids
+        pooled_positions = (np.arange(seq_len) < lengths[:, None]) & (ids != _PAD_ID)
+        pool = np.zeros((batch, batch, seq_len))
+        pool[np.arange(batch), np.arange(batch)] = pooled_positions
+        pooled = ad.masked_mean_rows(x, pool.reshape(batch, batch * seq_len))
         return ad.l2_normalize_rows(pooled)
-
-    def encode_batch(self, token_seqs, prefix_seqs=None) -> Node:
-        """Encode a batch of sequences into a (B, d) node, one row each."""
-        rows = []
-        for b, tokens in enumerate(token_seqs):
-            prefixes = None if prefix_seqs is None else prefix_seqs[b]
-            rows.append(self.encode(tokens, prefixes))
-        return ad.concat_rows(rows)

@@ -105,7 +105,7 @@ def test_criterion_1_gradient_integrity():
         enc.layers[1]["w1"] = w11
         enc.tok_emb = tok
         proj.weight = wp
-        pooled = enc.encode(tokens, proj.project(vec))
+        pooled = enc.encode([tokens], proj.project(vec))
         return ad.matmul(pooled, Node(target))
 
     try:

@@ -188,6 +188,13 @@ class TestShapedOps:
         with pytest.raises(ValueError, match="at least one"):
             ad.masked_mean_rows(ad.Node(np.ones((2, 2))), [0, 0])
 
+    def test_masked_mean_one_mean_per_mask_row(self):
+        x = ad.Node(np.array([[1.0, 2.0], [3.0, 4.0], [10.0, 10.0]]))
+        out = ad.masked_mean_rows(x, [[1, 1, 0], [0, 0, 1], [1, 0, 1]])
+        np.testing.assert_allclose(out.value, [[2.0, 3.0], [10.0, 10.0], [5.5, 6.0]])
+        with pytest.raises(ValueError, match="at least one"):
+            ad.masked_mean_rows(x, [[1, 0, 0], [0, 0, 0]])
+
     def test_layer_norm_standardizes(self):
         rng = np.random.default_rng(8)
         x = ad.Node(rng.normal(size=(5, 16)) * 3 + 1)
@@ -200,6 +207,40 @@ class TestShapedOps:
 
 def _rand_shape(rng, max_dim=6):
     return (int(rng.integers(1, max_dim)), int(rng.integers(1, max_dim)))
+
+
+def _row_masks(rng, rows, cols):
+    """0/1 masks of shape (rows, cols) with at least one 1 per row."""
+    mask = rng.integers(0, 2, size=(rows, cols))
+    mask[np.arange(rows), rng.integers(0, cols, size=rows)] = 1
+    return mask
+
+
+def _attention_case(rng, lengths, heads, d, prefix_on=None):
+    """FD scenario for ``attention`` over sequences of ``lengths``.
+
+    ``prefix_on`` is None for no prefix, else True/False for every
+    sequence or one flag per sequence; the prefix key is a leaf, the
+    prefix value a constant whose rows are zero where the prefix is off
+    (the mask is a step in the value, which finite differences would
+    straddle).
+    """
+    lengths = np.asarray(lengths)
+    rows = len(lengths) * int(lengths.max())
+    arrays = [rng.normal(size=(rows, d)) for _ in range(3)]
+    w = rng.normal(size=(rows, d))
+    v_pre = None
+    if prefix_on is not None:
+        arrays.append(rng.normal(size=(len(lengths), d)))
+        v_pre = rng.normal(size=(len(lengths), d))
+        v_pre[~np.broadcast_to(np.asarray(prefix_on, dtype=bool), len(lengths))] = 0.0
+
+    def build(ls):
+        prefix = None if v_pre is None else (ls[3], ad.Node(v_pre))
+        out = ad.attention(ls[0], ls[1], ls[2], lengths, heads, prefix)
+        return ad.sum_all(ad.mul(out, ad.Node(w)))
+
+    return build, arrays
 
 
 def _primitive_cases(rng):
@@ -283,9 +324,19 @@ def _primitive_cases(rng):
             ),
             [x],
         ),
+        "masked_mean_rows_per_row": (
+            lambda ls, mask=_row_masks(rng, 3, m), w=rng.normal(size=(3, n)): ad.sum_all(
+                ad.mul(ad.masked_mean_rows(ls[0], mask), ad.Node(w))
+            ),
+            [x],
+        ),
         "layer_norm_rows": (
             lambda ls: ad.sum_all(ad.layer_norm_rows(ls[0], ls[1], ls[2])),
             [x, rng.normal(size=(1, n)), rng.normal(size=(1, n))],
+        ),
+        "attention": _attention_case(
+            rng, rng.integers(1, 4, size=int(rng.integers(1, 4))), 2, 4,
+            prefix_on=True,
         ),
     }
     if n % 2 == 0:
@@ -308,3 +359,78 @@ def test_every_primitive_matches_finite_differences(seed):
             assert_gradients_match(build, arrays)
         except AssertionError as e:  # pragma: no cover - diagnostic path
             raise AssertionError(f"primitive {name} failed FD check: {e}") from e
+
+
+class TestAttention:
+    @pytest.mark.parametrize("heads", [1, 3])
+    @pytest.mark.parametrize("prefix_on", [None, True, False, [True, False, True]])
+    def test_matches_finite_differences(self, heads, prefix_on):
+        rng = np.random.default_rng(40 + heads)
+        # ragged: one full-length, one length-1 and one middle sequence
+        build, arrays = _attention_case(rng, [4, 1, 2], heads, 2 * heads,
+                                        prefix_on=prefix_on)
+        assert_gradients_match(build, arrays)
+
+    def _inputs(self, rng, lengths, d):
+        rows = len(lengths) * max(lengths)
+        return [ad.Node(rng.normal(size=(rows, d))) for _ in range(3)]
+
+    def test_masked_keys_and_prefix_rows_take_no_gradient(self):
+        rng = np.random.default_rng(44)
+        lengths = [3, 1]
+        q, k, v = self._inputs(rng, lengths, 4)
+        k_pre = ad.Node(rng.normal(size=(2, 4)))
+        v_pre = ad.Node(np.vstack([np.zeros(4), rng.normal(size=4)]))
+        out = ad.attention(q, k, v, lengths, 2, (k_pre, v_pre))
+        ad.backward(ad.sum_all(ad.mul(out, ad.Node(rng.normal(size=(6, 4))))))
+        # sequence 1 has one key; its padded key/value rows are rows 4 and 5
+        assert not np.any(k.grad[4:]) and not np.any(v.grad[4:])
+        assert not np.any(k_pre.grad[0]) and not np.any(v_pre.grad[0])
+        assert np.any(k_pre.grad[1]) and np.any(v_pre.grad[1])
+
+    def test_rejects_bad_shapes(self):
+        rng = np.random.default_rng(47)
+        q, k, v = self._inputs(rng, [2, 2], 4)
+        with pytest.raises(ValueError, match="lengths"):
+            ad.attention(q, k, v, [2, 3], 2)
+        with pytest.raises(ValueError, match="split"):
+            ad.attention(q, k, v, [1, 1, 1], 2)
+        with pytest.raises(ValueError, match="prefix"):
+            ad.attention(q, k, v, [2, 2], 2, (ad.Node(np.ones((1, 4))),) * 2)
+
+
+class TestNoGrad:
+    def test_nodes_built_inside_record_no_parents(self):
+        a, b = ad.Node([[1.0, 2.0]]), ad.Node([[3.0, 4.0]])
+        with ad.no_grad():
+            out = ad.exp(ad.mul(a, b))
+        assert out._parents == () and out._vjp is None
+        assert ad.mul(a, b)._parents == (a, b)
+
+    def test_values_equal_the_recording_path(self):
+        rng = np.random.default_rng(48)
+        lengths = [3, 1, 2]
+        q, k, v = (ad.Node(rng.normal(size=(9, 4))) for _ in range(3))
+        prefix = (ad.Node(rng.normal(size=(3, 4))), ad.Node(rng.normal(size=(3, 4))))
+
+        def build():
+            att = ad.attention(q, k, v, lengths, 2, prefix)
+            return ad.l2_normalize_rows(ad.layer_norm_rows(
+                att, ad.Node(np.ones((1, 4))), ad.Node(np.zeros((1, 4)))))
+
+        recorded = build()
+        with ad.no_grad():
+            plain = build()
+        np.testing.assert_array_equal(plain.value, recorded.value)
+
+    def test_mode_returns_after_nesting_and_exceptions(self):
+        a = ad.Node([[1.0]])
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            assert ad.add(a, a)._parents == ()
+        assert ad.add(a, a)._parents == (a, a)
+        with pytest.raises(RuntimeError):
+            with ad.no_grad():
+                raise RuntimeError("inside")
+        assert ad.add(a, a)._parents == (a, a)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from structkgc import evaluation
 from structkgc.data import build_tokenizer
 from structkgc.evaluation import (
     DEFAULT_FILTER_SPLITS,
@@ -18,6 +19,7 @@ from structkgc.evaluation import (
 from structkgc.graph import EntityRecord, KnowledgeGraph, RelationRecord, Triple
 from structkgc.model import Model, ModelConfig
 from structkgc.structural import AseKind, unit_entity_table
+from structkgc.text import tokenize_entity
 from structkgc.toygen import make_text_toy
 
 from scorers import TableScorer
@@ -472,6 +474,18 @@ class TestModelScorerMatchesModel:
             np.testing.assert_array_equal(
                 combined.scores(h, r), text.scores(h, r) + 0.3 * want
             )
+
+    def test_text_tail_matrix_matches_per_entity_build(self, kind, monkeypatch):
+        g, tokenizer, model = text_struct_model(kind)
+        # 14 entities in chunks of 4: three full chunks and a remainder
+        monkeypatch.setattr(evaluation, "TAIL_CHUNK", 4)
+        scorer = ModelScorer(model, g, tokenizer, mode="text")
+        per_entity = np.concatenate([
+            model.encode_tails([tokenize_entity(tokenizer, e, model.config.max_len)],
+                               [e.id]).value
+            for e in g.entities
+        ])
+        np.testing.assert_allclose(scorer._tail_matrix, per_entity, rtol=0, atol=1e-12)
 
     def test_tail_table_is_a_construction_snapshot(self, kind):
         g, tokenizer, model = text_struct_model(kind)

@@ -289,7 +289,7 @@ class TestMomentumEncoder:
         np.testing.assert_allclose(
             mom.encode_tails(tokens, [0, 1]),
             np.stack([
-                tail.encode(t, proj.project(_gather(table, i))).value[0]
+                tail.encode([t], proj.project(_gather(table, i))).value[0]
                 for t, i in zip(tokens, [0, 1])
             ]),
         )
@@ -332,6 +332,23 @@ class TestMomentumEncoder:
         tails = [4, 0, 1]
         np.testing.assert_array_equal(
             mom.encode_tails(tokens, tails), model.encode_tails(tokens, tails).value
+        )
+
+    def test_no_projector_shadows_no_entity_table(self):
+        model = Model(ModelConfig(
+            num_entities=6, num_base_relations=2, struct_dim=4, layers=2,
+            hidden_dim=8, heads=2, max_len=8, vocab_size=12, use_ase=False,
+        ), seed=5)
+        mom = MomentumEncoder(model.tail_encoder, model.tail_projector,
+                              model.struct.entity_embeddings)
+        assert mom.entity_table is None
+        table = model.struct.entity_embeddings
+        assert all(online is not table for _, online in mom._pairs)
+        assert len(mom._pairs) == len(model.tail_encoder.parameters())
+        tokens = [[2, 5, 3], [2, 7, 9, 3]]
+        mom.ema_update()
+        np.testing.assert_array_equal(
+            mom.encode_tails(tokens, [1, 4]), model.encode_tails(tokens, [1, 4]).value
         )
 
 

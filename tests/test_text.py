@@ -16,6 +16,7 @@ from structkgc.text import (
 )
 
 from gradcheck import assert_gradients_match
+from text_reference import reference_encode
 
 
 def build_tokenizer(extra_texts=(), min_freq=1):
@@ -102,16 +103,16 @@ class TestEncoder:
         enc = small_encoder(layers=1)
         tokens = [2, 5, 7, 3]
         zero = [(ad.Node(np.zeros((1, 8))), ad.Node(np.zeros((1, 8))))]
-        out_prefix = enc.encode(tokens, zero)
-        out_plain = enc.encode(tokens)
+        out_prefix = enc.encode([tokens], zero)
+        out_plain = enc.encode([tokens])
         np.testing.assert_array_equal(out_prefix.value, out_plain.value)
 
     def test_prefix_sensitivity(self):
         rng = np.random.default_rng(1)
         enc = small_encoder(layers=2)
         tokens = [2, 5, 7, 3]
-        a = enc.encode(tokens, random_prefixes(rng, 2, 8)).value
-        b = enc.encode(tokens, random_prefixes(rng, 2, 8)).value
+        a = enc.encode([tokens], random_prefixes(rng, 2, 8)).value
+        b = enc.encode([tokens], random_prefixes(rng, 2, 8)).value
         assert np.abs(a - b).max() > 1e-6
 
     def test_output_unit_norm(self):
@@ -119,18 +120,8 @@ class TestEncoder:
         enc = small_encoder(layers=2)
         for _ in range(10):
             tokens = list(rng.integers(2, 16, size=rng.integers(1, 12)))
-            out = enc.encode(tokens, random_prefixes(rng, 2, 8))
+            out = enc.encode([tokens], random_prefixes(rng, 2, 8))
             assert abs(np.linalg.norm(out.value) - 1.0) <= 1e-9
-
-    def test_batch_matches_individual(self):
-        rng = np.random.default_rng(3)
-        enc = small_encoder(layers=2)
-        seqs = [list(rng.integers(2, 16, size=rng.integers(2, 10))) for _ in range(5)]
-        prefixes = [random_prefixes(rng, 2, 8) for _ in seqs]
-        batched = enc.encode_batch(seqs, prefixes).value
-        for i, (seq, pre) in enumerate(zip(seqs, prefixes)):
-            single = enc.encode(seq, pre).value
-            assert np.abs(batched[i] - single.ravel()).max() <= 1e-10
 
     def test_shared_weights_give_identical_outputs(self):
         enc_a = small_encoder(seed=4, name="hr")
@@ -141,20 +132,20 @@ class TestEncoder:
         rng = np.random.default_rng(6)
         prefixes = random_prefixes(rng, 1, 8)
         np.testing.assert_array_equal(
-            enc_a.encode(tokens, prefixes).value,
-            enc_b.encode(tokens, prefixes).value,
+            enc_a.encode([tokens], prefixes).value,
+            enc_b.encode([tokens], prefixes).value,
         )
 
     def test_too_long_sequence_rejected(self):
         enc = small_encoder(max_len=4)
         with pytest.raises(ValueError, match="max_len"):
-            enc.encode([2, 5, 5, 5, 3])
+            enc.encode([[2, 5, 5, 5, 3]])
 
     def test_entity_with_empty_description_encodes(self):
         tk = build_tokenizer()
         enc = small_encoder(vocab=len(tk))
         ent = EntityRecord("dog", "", 0)
-        out = enc.encode(tokenize_entity(tk, ent, 12))
+        out = enc.encode([tokenize_entity(tk, ent, 12)])
         assert out.value.shape == (1, 8)
 
     def test_end_to_end_gradient(self):
@@ -179,10 +170,72 @@ class TestEncoder:
             enc._params["enc.tok_emb"] = tok_emb
             proj.weight = wproj
             prefixes = proj.project(vec)
-            pooled = enc.encode(tokens, prefixes)
+            pooled = enc.encode([tokens], prefixes)
             return ad.matmul(pooled, ad.Node(target))
 
         assert_gradients_match(build, [v for _, v in checked], rtol=1e-3)
+
+
+class TestFusedMatchesReference:
+    """The one padded pass against the per-sequence, per-head encoder."""
+
+    # ragged lengths up to max_len, a length-1 sequence, and a [PAD] id (0)
+    # inside the second sequence
+    SEQS = [[2, 5, 7, 3], [2, 9, 0, 11, 4, 6, 3], [2], [2, 13, 4, 4, 8, 9, 10, 12, 5, 3],
+            [3, 15, 2]]
+
+    def _prefixes(self, rng, mode, layers=2, d=8):
+        if mode == "off":
+            return None
+        pairs = [(rng.normal(size=(5, d)), rng.normal(size=(5, d))) for _ in range(layers)]
+        if mode == "mixed":
+            # sequence 1 has no prefix at all, sequence 3 only at layer 1
+            for _, value in pairs:
+                value[1] = 0.0
+            pairs[1][1][3] = 0.0
+        return [(ad.Node(k), ad.Node(v)) for k, v in pairs]
+
+    @pytest.mark.parametrize("mode", ["off", "on", "mixed"])
+    def test_embeddings_and_gradients_match(self, mode):
+        rng = np.random.default_rng(12)
+        enc = small_encoder(seed=13, layers=2, heads=2)
+        prefixes = self._prefixes(rng, mode)
+        weights = ad.Node(rng.normal(size=(len(self.SEQS), 8)))
+        leaves = list(enc.parameters().values())
+        if prefixes is not None:
+            leaves += [node for pair in prefixes for node in pair]
+
+        fused = enc.encode(self.SEQS, prefixes)
+        ad.backward(ad.sum_all(ad.mul(fused, weights)))
+        fused_grads = [leaf.grad for leaf in leaves]
+        ad.zero_grads(leaves)
+
+        rows = []
+        for b, tokens in enumerate(self.SEQS):
+            row_prefixes = None if prefixes is None else [
+                (ad.gather_rows(k, [b]), ad.gather_rows(v, [b])) for k, v in prefixes
+            ]
+            rows.append(reference_encode(enc, tokens, row_prefixes))
+        reference = ad.concat_rows(rows)
+        ad.backward(ad.sum_all(ad.mul(reference, weights)))
+
+        np.testing.assert_allclose(fused.value, reference.value, rtol=0, atol=1e-12)
+        for leaf, grad in zip(leaves, fused_grads):
+            expected = np.zeros_like(leaf.value) if leaf.grad is None else leaf.grad
+            np.testing.assert_allclose(grad, expected, rtol=0, atol=1e-12)
+
+    def test_tape_size_does_not_grow_with_batch(self):
+        # a per-sequence loop inside encode would multiply the node count
+        rng = np.random.default_rng(14)
+        enc = small_encoder(seed=15, layers=2, heads=2)
+        proj = PrefixProjector(4, 2, 8, np.random.default_rng(16))
+
+        def tape_nodes(batch):
+            seqs = [list(rng.integers(2, 16, size=rng.integers(1, 12))) for _ in range(batch)]
+            vecs = ad.Node(rng.normal(size=(batch, 4)))
+            return len(ad._toposort(enc.encode(seqs, proj.project(vecs))))
+
+        assert tape_nodes(16) == tape_nodes(1)
 
 
 def score(h_hr, h_t) -> float:
@@ -205,8 +258,8 @@ class TestScore:
     def test_dot_equals_full_cosine_for_encoder_outputs(self):
         rng = np.random.default_rng(10)
         enc = small_encoder(layers=2)
-        a = enc.encode(list(rng.integers(2, 16, size=6))).value.ravel()
-        b = enc.encode(list(rng.integers(2, 16, size=4))).value.ravel()
+        a = enc.encode([list(rng.integers(2, 16, size=6))]).value.ravel()
+        b = enc.encode([list(rng.integers(2, 16, size=4))]).value.ravel()
         full = float(a @ b) / (np.linalg.norm(a) * np.linalg.norm(b))
         assert abs(score(a, b) - full) <= 1e-12
 
