@@ -38,8 +38,8 @@ ents = [EntityRecord(f"e{i}", "", i) for i in range(5)]
 rels = [RelationRecord("r", "", 0)]
 train = [Triple(0, 0, 2), Triple(0, 0, 3), Triple(1, 0, 4)]
 graph = KnowledgeGraph(ents, rels, {"train": train})
-print("\ne(r) =", sorted(graph.tails_by_relation(0)),
-      " e(e0, r) =", sorted(graph.tails_by_pair(0, 0)))
+print("\ne(r) =", graph.tails_by_relation(0).tolist(),
+      " e(e0, r) =", graph.tails_by_pair(0, 0).tolist())
 print("intra-relation negatives for (e0, r):",
       sample_intra_relation(graph, 0, 0, 3, rng), "(only e4 qualifies)")
 

@@ -92,9 +92,6 @@ class Node:
     def shape(self):
         return self.value.shape
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Node(shape={self.value.shape})"
 
@@ -451,11 +448,6 @@ def masked_mean_rows(a: Node, mask) -> Node:
     if np.any(totals <= 0):
         raise ValueError("masked_mean_rows needs at least one selected row")
     return matmul(Node(m / totals), a)
-
-
-def dot_rows(a: Node, b: Node) -> Node:
-    """Row-wise dot products of two (m, n) nodes, as an (m, 1) column."""
-    return sum_axis(mul(a, b), axis=1)
 
 
 def layer_norm_rows(a: Node, gain: Node, bias: Node, eps: float = 1e-5) -> Node:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .graph import KnowledgeGraph, Triple
+from .graph import KnowledgeGraph
 from .model import Model
 from .structural import unit_entity_table
 from .text import Tokenizer, tokenize_entity, tokenize_hr
@@ -90,27 +90,29 @@ def miou(graph: KnowledgeGraph, test_triples=None) -> tuple[float, dict[int, flo
     """Mean intersection-over-union of per-relation tail sets.
 
     The per-relation sets e(r, train) and e(r, test) come from the
-    graph's splits; the mean runs over the given triples (defaulting to
-    the whole test split), so relations count with multiplicity.  A
-    relation absent from train contributes 0.
+    graph's splits; the mean runs over the given triples (an ``(n, 3)``
+    array or any sequence of triples, defaulting to the whole test
+    split), so relations count with multiplicity.  A relation absent
+    from train contributes 0.
     """
     if test_triples is None:
         test_triples = graph.triples("test")
-    test_triples = [Triple(*t) for t in test_triples]
+    relations = np.asarray(test_triples, dtype=np.int64).reshape(-1, 3)[:, 1].tolist()
     per_relation: dict[int, float] = {}
-    for _, r, _ in test_triples:
+    for r in relations:
         if r in per_relation:
             continue
         train_tails = graph.tails_by_relation(r, ("train",))
-        test_tails = graph.tails_by_relation(r, ("test",))
-        if not train_tails:
+        if not len(train_tails):
             per_relation[r] = 0.0
             continue
-        union = train_tails | test_tails
-        per_relation[r] = len(train_tails & test_tails) / len(union) if union else 0.0
-    if not test_triples:
+        test_tails = graph.tails_by_relation(r, ("test",))
+        overlap = np.intersect1d(train_tails, test_tails, assume_unique=True)
+        union = np.union1d(train_tails, test_tails)
+        per_relation[r] = len(overlap) / len(union)
+    if not relations:
         return 0.0, per_relation
-    mean = float(np.mean([per_relation[t.relation] for t in test_triples]))
+    mean = float(np.mean([per_relation[r] for r in relations]))
     return mean, per_relation
 
 
@@ -265,17 +267,15 @@ def evaluate(
     queries of the same split.
     """
     rerank_config = rerank_config or RerankConfig()
-    neighbors: dict[int, np.ndarray] = {}
     results: list[QueryResult] = []
-    for h, r, t in graph.triples(split):
+    for h, r, t in graph.triples(split).tolist():
         raw = np.asarray(scorer.scores(h, r), dtype=np.float64)
         if rerank_config.alpha > 0:
-            if r not in neighbors:
-                neighbors[r] = _ids(graph.tails_by_relation(r, rerank_config.splits))
-            adjusted = rerank(raw, neighbors[r], rerank_config.alpha)
+            adjusted = rerank(raw, graph.tails_by_relation(r, rerank_config.splits),
+                              rerank_config.alpha)
         else:
             adjusted = raw
-        filtered = _ids(graph.tails_by_pair(h, r, filter_splits))
+        filtered = graph.tails_by_pair(h, r, filter_splits)
         filtered = filtered[filtered != t]
         rank = filtered_rank(adjusted, t, filtered)
         direction = "head" if graph.is_inverse_relation(r) else "tail"

@@ -1,10 +1,28 @@
-"""Immutable knowledge-graph data model with adjacency indexes.
+"""Immutable knowledge-graph data model on int64 arrays.
 
 Entities and relations carry dense 0-based integer ids.  When inverse
 relations are in play they occupy the upper half of the relation id
-space: ``id(r_inverse) = id(r) + num_base_relations``.  All indexes are
-built eagerly at construction; graphs never mutate afterwards, so they
-are safe for unrestricted shared reads.
+space: ``id(r_inverse) = id(r) + num_base_relations``.
+
+Each split is stored as a read-only ``(n, 3)`` int64 array of
+``(head, relation, tail)`` rows, in input order with duplicates kept.
+The tail lookups read a CSR index over a tuple of splits, with R
+relations and E entities:
+
+- the distinct ``(h, r, t)`` rows of those splits in lexicographic
+  order, sorted once as the int64 keys ``(h * R + r) * E + t`` (the
+  constructor refuses graphs whose keys would overflow);
+- their distinct pair keys ``h * R + r``, sorted, with offsets into that
+  sorted tail column, so e(h, r) is one slice;
+- per-relation offsets into the sorted distinct ``(r, t)`` rows, so
+  e(r) is one slice.
+
+An index is built on the first lookup over a split selection and cached
+per normalised split tuple (the names in ``SPLITS`` order, so
+``("valid", "train")`` and ``("train", "valid")`` share one).  Lookups
+return read-only views into it, never copies.  Graphs never mutate
+after construction; two threads racing on the first lookup of a
+selection build equal indexes, so shared reads stay safe.
 """
 
 from __future__ import annotations
@@ -41,22 +59,21 @@ class RelationRecord:
     id: int
 
 
-def add_inverse_triples(triples: Sequence[Triple], num_base_relations: int) -> list[Triple]:
+def add_inverse_triples(triples, num_base_relations: int) -> np.ndarray:
     """Append the inverse triple (t, r + R, h) for every (h, r, t).
 
-    Originals come first, inverses follow in matching order.  Input
-    relations must be base relations (id < num_base_relations).
+    Takes an ``(n, 3)`` array or any sequence of triples and returns a
+    ``(2n, 3)`` int64 array: originals first, inverses after in matching
+    order.  Input relations must be base relations (id < num_base_relations).
     """
-    out = [Triple(*t) for t in triples]
-    inverses = []
-    for t in out:
-        if t.relation >= num_base_relations:
-            raise GraphError(
-                f"triple {tuple(t)} already uses an inverse relation id "
-                f"(base relation count is {num_base_relations})"
-            )
-        inverses.append(Triple(t.tail, t.relation + num_base_relations, t.head))
-    return out + inverses
+    rows = _rows(triples)
+    inverse = rows[:, 1] >= num_base_relations
+    if inverse.any():
+        raise GraphError(
+            f"triple {tuple(rows[inverse.argmax()].tolist())} already uses an "
+            f"inverse relation id (base relation count is {num_base_relations})"
+        )
+    return np.concatenate([rows, rows[:, ::-1] + np.array([0, num_base_relations, 0])])
 
 
 def inverse_relation_id(relation: int, num_base_relations: int) -> int:
@@ -76,19 +93,19 @@ def inverse_relation_records(base: Sequence[RelationRecord]) -> list[RelationRec
 
 
 class KnowledgeGraph:
-    """Entities, relations and per-split triples with eager indexes.
+    """Entities, relations and per-split triple arrays with lazy CSR indexes.
 
     Exposes the tail-neighbor sets the samplers and re-ranker need:
     ``tails_by_relation(r)`` is e(r) (also written N_r) and
-    ``tails_by_pair(h, r)`` is e(h, r), both per split with unions over
-    a split selection.
+    ``tails_by_pair(h, r)`` is e(h, r), both over a split selection, as
+    sorted, distinct, read-only int64 id arrays.
     """
 
     def __init__(
         self,
         entities: Sequence[EntityRecord],
         relations: Sequence[RelationRecord],
-        split_triples: Mapping[str, Sequence[Triple]],
+        split_triples: Mapping[str, Sequence[Triple] | np.ndarray],
         num_base_relations: int | None = None,
     ):
         self.entities = tuple(sorted(entities, key=lambda e: e.id))
@@ -105,54 +122,59 @@ class KnowledgeGraph:
                 f"count of {num_base_relations} (with or without inverses)"
             )
         self.num_base_relations = num_base_relations
+        if self.num_entities ** 2 * self.num_relations >= 2 ** 63:
+            raise GraphError(
+                f"{self.num_entities} entities and {self.num_relations} relations "
+                f"overflow the int64 (head, relation, tail) index keys"
+            )
 
-        self._splits: dict[str, tuple[Triple, ...]] = {}
+        self._splits: dict[str, np.ndarray] = {}
         for split in SPLITS:
-            triples = tuple(Triple(*t) for t in split_triples.get(split, ()))
-            for t in triples:
-                self._validate_triple(t, split)
-            self._splits[split] = triples
+            rows = _rows(split_triples.get(split, ()))
+            self._validate(rows, split)
+            rows.flags.writeable = False
+            self._splits[split] = rows
         unknown = set(split_triples) - set(SPLITS)
         if unknown:
             raise GraphError(f"unknown splits: {sorted(unknown)}")
+        self._indexes: dict[tuple[str, ...], _Index] = {}
 
-        # eager adjacency indexes, one per split
-        self._tails_by_relation: dict[str, dict[int, frozenset[int]]] = {}
-        self._tails_by_pair: dict[str, dict[tuple[int, int], frozenset[int]]] = {}
-        self._triple_sets: dict[str, frozenset[Triple]] = {}
-        for split, triples in self._splits.items():
-            by_rel: dict[int, set[int]] = {}
-            by_pair: dict[tuple[int, int], set[int]] = {}
-            for h, r, t in triples:
-                by_rel.setdefault(r, set()).add(t)
-                by_pair.setdefault((h, r), set()).add(t)
-            self._tails_by_relation[split] = {
-                r: frozenset(s) for r, s in by_rel.items()
-            }
-            self._tails_by_pair[split] = {
-                p: frozenset(s) for p, s in by_pair.items()
-            }
-            self._triple_sets[split] = frozenset(triples)
-        # train e(r) as sorted read-only id arrays, for the samplers
-        self._train_tail_arrays: dict[int, np.ndarray] = {}
-        for r, tails in self._tails_by_relation["train"].items():
-            arr = np.sort(np.fromiter(tails, dtype=np.int64, count=len(tails)))
-            arr.flags.writeable = False
-            self._train_tail_arrays[r] = arr
+    def _validate(self, rows: np.ndarray, split: str):
+        """Raise for the first row that names an unknown entity or relation."""
+        ends = rows[:, [0, 2]]
+        bad_entity = ((ends < 0) | (ends >= self.num_entities)).any(axis=1)
+        bad_relation = (rows[:, 1] < 0) | (rows[:, 1] >= self.num_relations)
+        bad = bad_entity | bad_relation
+        if not bad.any():
+            return
+        i = int(bad.argmax())
+        if bad_entity[i]:
+            raise GraphError(
+                f"{split} triple {tuple(rows[i].tolist())} references an unknown "
+                f"entity id (have {self.num_entities} entities)"
+            )
+        raise GraphError(
+            f"{split} triple {tuple(rows[i].tolist())} references an unknown "
+            f"relation id (have {self.num_relations} relations)"
+        )
 
-    def _validate_triple(self, t: Triple, split: str):
-        if not (0 <= t.head < len(self.entities)) or not (
-            0 <= t.tail < len(self.entities)
-        ):
-            raise GraphError(
-                f"{split} triple {tuple(t)} references an unknown entity id "
-                f"(have {len(self.entities)} entities)"
-            )
-        if not 0 <= t.relation < len(self.relations):
-            raise GraphError(
-                f"{split} triple {tuple(t)} references an unknown relation id "
-                f"(have {len(self.relations)} relations)"
-            )
+    def _index(self, splits: Iterable[str]) -> _Index:
+        """The CSR index over ``splits``, built on first use and cached."""
+        splits = tuple(splits)
+        index = self._indexes.get(splits)
+        if index is None:
+            for split in splits:
+                if split not in self._splits:
+                    raise KeyError(split)
+            key = tuple(s for s in SPLITS if s in splits)
+            index = self._indexes.get(key)
+            if index is None:
+                index = _build_index(
+                    np.concatenate([self._splits[s] for s in key] or [_NO_ROWS]),
+                    self.num_entities, self.num_relations,
+                )
+            self._indexes[key] = self._indexes[splits] = index
+        return index
 
     # ------------------------------------------------------------------
     @property
@@ -163,41 +185,83 @@ class KnowledgeGraph:
     def num_relations(self) -> int:
         return len(self.relations)
 
-    def triples(self, split: str) -> tuple[Triple, ...]:
+    def triples(self, split: str) -> np.ndarray:
+        """The split's read-only (n, 3) int64 rows, in input order."""
         return self._splits[split]
 
     def is_inverse_relation(self, relation: int) -> bool:
         return relation >= self.num_base_relations
 
-    def tails_by_relation(self, relation: int, splits: Iterable[str] = ("train",)) -> frozenset[int]:
+    def tails_by_relation(self, relation: int, splits: Iterable[str] = ("train",)) -> np.ndarray:
         """e(r): every tail linked to ``relation`` in the selected splits."""
-        return _union(self._tails_by_relation, relation, splits)
+        index = self._index(splits)
+        if not 0 <= relation < self.num_relations:
+            return _NO_IDS
+        starts = index.relation_starts
+        return index.relation_tails[starts[relation]:starts[relation + 1]]
 
-    def tails_by_pair(self, head: int, relation: int, splits: Iterable[str] = ("train",)) -> frozenset[int]:
+    def tails_by_pair(self, head: int, relation: int, splits: Iterable[str] = ("train",)) -> np.ndarray:
         """e(h, r): tails linked to this exact (head, relation) pair."""
-        return _union(self._tails_by_pair, (head, relation), splits)
+        index = self._index(splits)
+        if not 0 <= relation < self.num_relations:
+            return _NO_IDS
+        key = head * self.num_relations + relation
+        i = int(index.pair_keys.searchsorted(key))
+        if i == len(index.pair_keys) or index.pair_keys[i] != key:
+            return _NO_IDS
+        return index.pair_tails[index.pair_starts[i]:index.pair_starts[i + 1]]
 
-    def train_tail_array(self, relation: int) -> np.ndarray:
-        """Train e(r) as a sorted, read-only int64 array of entity ids."""
-        return self._train_tail_arrays.get(relation, _NO_IDS)
 
-    def is_known_true(self, head: int, relation: int, tail: int, splits: Iterable[str]) -> bool:
-        t = Triple(head, relation, tail)
-        return any(t in self._triple_sets[s] for s in splits)
+class _Index(NamedTuple):
+    """CSR tail index over one split selection; every array is read-only."""
+    pair_keys: np.ndarray        # sorted distinct h * num_relations + r
+    pair_starts: np.ndarray      # pair i's tails: pair_tails[pair_starts[i]:pair_starts[i + 1]]
+    pair_tails: np.ndarray       # tail column of the sorted distinct (h, r, t) rows
+    relation_starts: np.ndarray  # relation r's tails: relation_tails[starts[r]:starts[r + 1]]
+    relation_tails: np.ndarray   # tail column of the sorted distinct (r, t) rows
+
+
+def _build_index(rows: np.ndarray, num_entities: int, num_relations: int) -> _Index:
+    # one int64 key per row orders the rows lexicographically by (h, r, t)
+    keys = _distinct(np.sort((rows[:, 0] * num_relations + rows[:, 1]) * num_entities
+                             + rows[:, 2]))
+    pairs, tails = np.divmod(keys, num_entities)
+    first = np.flatnonzero(_run_starts(pairs))
+    relations, relation_tails = np.divmod(
+        _distinct(np.sort(rows[:, 1] * num_entities + rows[:, 2])), num_entities)
+    index = _Index(
+        pairs[first],
+        np.append(first, len(pairs)),
+        tails,
+        np.searchsorted(relations, np.arange(num_relations + 1)),
+        relation_tails,
+    )
+    for arr in index:
+        arr.flags.writeable = False
+    return index
+
+
+def _run_starts(sorted_ids: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from the one before."""
+    starts = np.ones(len(sorted_ids), dtype=bool)
+    starts[1:] = sorted_ids[1:] != sorted_ids[:-1]
+    return starts
+
+
+def _distinct(sorted_ids: np.ndarray) -> np.ndarray:
+    return sorted_ids[_run_starts(sorted_ids)]
+
+
+def _rows(triples) -> np.ndarray:
+    """A fresh (n, 3) int64 array from an array or any sequence of triples."""
+    rows = np.array(triples, dtype=np.int64)
+    if rows.size == 0:
+        return rows.reshape(0, 3)
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise GraphError(f"triples must be (head, relation, tail) rows, got shape {rows.shape}")
+    return rows
 
 
 _NO_IDS = np.zeros(0, dtype=np.int64)
 _NO_IDS.flags.writeable = False
-
-
-def _union(index: Mapping[str, Mapping], key, splits: Iterable[str]) -> frozenset[int]:
-    """Union of ``index[split][key]`` over ``splits``; a single split's
-    stored (immutable) set is returned as is, without a copy."""
-    splits = tuple(splits)
-    if len(splits) == 1:
-        return index[splits[0]].get(key, frozenset())
-    acc: frozenset[int] = frozenset()
-    for split in splits:
-        acc = acc | index[split].get(key, frozenset())
-    return acc
-
+_NO_ROWS = np.zeros((0, 3), dtype=np.int64)

@@ -136,8 +136,8 @@ def sample_intra_relation(graph: KnowledgeGraph, head: int, relation: int,
     The pool is sorted by entity id and drawn from with one
     ``rng.choice(len(pool), size, replace=False)``.
     """
-    true_tails = _as_array(graph.tails_by_pair(head, relation, ("train",)))
-    pool = graph.train_tail_array(relation)
+    true_tails = graph.tails_by_pair(head, relation, ("train",))
+    pool = graph.tails_by_relation(relation, ("train",))
     pool = pool[~np.isin(pool, true_tails)]
     if not len(pool):
         outside = np.ones(graph.num_entities, dtype=bool)
@@ -163,12 +163,8 @@ def in_batch_mask(queries: list[tuple[int, int]], batch_tails: list[int],
     tails = np.asarray(batch_tails, dtype=np.int64)
     mask = tails[:, None] == tails[None, :]
     for q, (h, r) in enumerate(queries):
-        mask[q] |= np.isin(tails, _as_array(graph.tails_by_pair(h, r, ("train",))))
+        mask[q] |= np.isin(tails, graph.tails_by_pair(h, r, ("train",)))
     return mask
-
-
-def _as_array(ids: frozenset[int]) -> np.ndarray:
-    return np.fromiter(ids, dtype=np.int64, count=len(ids))
 
 
 class MomentumEncoder:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .graph import KnowledgeGraph, Triple
+from .graph import KnowledgeGraph
 from .losses import (
     LossConfig,
     clamp_log_tau,
@@ -107,8 +107,8 @@ class Trainer:
         self.cfg = cfg
         self.rng = np.random.default_rng(cfg.seed)
 
-        self.train_triples = list(graph.triples("train"))
-        if not self.train_triples:
+        self.train_triples = graph.triples("train")
+        if not len(self.train_triples):
             raise ValueError("no training triples")
         steps_per_epoch = math.ceil(len(self.train_triples) / cfg.batch_size)
         self.optimizer = AdamW(
@@ -157,25 +157,20 @@ class Trainer:
         )
 
     # ------------------------------------------------------------------
-    def _in_batch_mask(self, batch: list[Triple]) -> np.ndarray:
-        queries = [(t.head, t.relation) for t in batch]
-        tails = [t.tail for t in batch]
-        return in_batch_mask(queries, tails, self.graph)
-
-    def _step(self, batch: list[Triple]) -> float:
+    def _step(self, batch: np.ndarray) -> float:
+        """One optimizer step on a (B, 3) array of train triples."""
         model, cfg = self.model, self.cfg
-        heads = [t.head for t in batch]
-        rels = [t.relation for t in batch]
-        tails = [t.tail for t in batch]
-        mask = self._in_batch_mask(batch)
+        heads, rels, tails = batch.T.tolist()
+        queries = list(zip(heads, rels))
+        mask = in_batch_mask(queries, tails, self.graph)
 
         loss_cl = None
         h_hr = None
         tail_tokens = None
         if model.config.use_text:
-            hr_tokens = [self._hr_token_seq(h, r) for h, r in zip(heads, rels)]
+            hr_tokens = [self._hr_token_seq(h, r) for h, r in queries]
             tail_tokens = [self._tail_token_seq(t) for t in tails]
-            h_hr = model.encode_queries(hr_tokens, list(zip(heads, rels)))
+            h_hr = model.encode_queries(hr_tokens, queries)
             h_t = model.encode_tails(tail_tokens, tails)
 
             mh_features = None
@@ -195,7 +190,7 @@ class Trainer:
                 unique_tails: list[int] = []
                 index_of: dict[int, int] = {}
                 per_query: list[list[int]] = []
-                for h, r in zip(heads, rels):
+                for h, r in queries:
                     self.telemetry["irns_queries"] += 1
                     if self._irns_pool_empty(h, r):
                         self.telemetry["irns_fallbacks"] += 1
@@ -239,14 +234,14 @@ class Trainer:
 
         loss_value = float(loss.value[0, 0])
         if not np.isfinite(loss_value):
-            ids = [(t.head, t.relation, t.tail) for t in batch]
+            ids = [tuple(t) for t in batch.tolist()]
             raise TrainingError(f"non-finite loss on batch triples {ids}")
 
         ad.backward(loss)
         try:
             self.optimizer.step()
         except NonFiniteGradientError as exc:
-            ids = [(t.head, t.relation, t.tail) for t in batch]
+            ids = [tuple(t) for t in batch.tolist()]
             raise TrainingError(f"{exc} on batch triples {ids}") from exc
         clamp_log_tau(model.log_tau, self.loss_cfg.tau_min, self.loss_cfg.tau_max)
 
@@ -263,7 +258,7 @@ class Trainer:
         losses = []
         bs = self.cfg.batch_size
         for start in range(0, len(order), bs):
-            batch = [self.train_triples[i] for i in order[start:start + bs]]
+            batch = self.train_triples[order[start:start + bs]]
             losses.append(self._step(batch))
         queries = max(1, self.telemetry["irns_queries"])
         return EpochMetrics(

@@ -172,9 +172,9 @@ def test_criterion_2_ranking_oracles():
         })
         value, _ = miou(g, g.triples("test"))
         expected = []
-        for _, r, _ in g.triples("test"):
-            tr = {t.tail for t in g.triples("train") if t.relation == r}
-            te = {t.tail for t in g.triples("test") if t.relation == r}
+        for _, r, _ in g.triples("test").tolist():
+            tr = {t for _, q, t in g.triples("train").tolist() if q == r}
+            te = {t for _, q, t in g.triples("test").tolist() if q == r}
             expected.append(len(tr & te) / len(tr | te) if tr else 0.0)
         if abs(value - float(np.mean(expected))) > 1e-12:
             report(2, "ranking-oracles", False, "miou mismatch")
@@ -344,9 +344,9 @@ def test_criterion_6_negative_sampler_invariants():
     # IRNS soundness over a full toy epoch
     toy = make_text_toy(num_entities=25, num_relations=3, num_triples=40, seed=6)
     g = toy.graph
-    for h, r, _ in g.triples("train"):
+    for h, r, _ in g.triples("train").tolist():
         for t in sample_intra_relation(g, h, r, 3, rng):
-            if g.is_known_true(h, r, t, ["train"]):
+            if t in g.tails_by_pair(h, r, ["train"]):
                 report(6, "sampler-invariants", False,
                        f"IRNS returned train-true ({h},{r},{t})")
 

@@ -27,8 +27,8 @@ class TestLoadDataset:
         assert len(g.triples("valid")) == 2
         a, x = ds.entity_index["/a"], ds.entity_index["/x"]
         r = ds.relation_index["/r/linked"]
-        assert g.is_known_true(a, r, x, ["train"])
-        assert g.is_known_true(x, r + 1, a, ["train"])  # inverse direction
+        assert x in g.tails_by_pair(a, r, ["train"])
+        assert a in g.tails_by_pair(x, r + 1, ["train"])  # inverse direction
 
     def test_inverse_relation_naming(self):
         ds = load_dataset(FIXTURE)
@@ -74,9 +74,60 @@ class TestLoadDataset:
         write_dataset(ds.graph, ds.entity_raw_ids, ds.relation_raw_ids, out_dir)
         ds2 = load_dataset(out_dir)
         for split in ("train", "valid", "test"):
-            assert sorted(ds.graph.triples(split)) == sorted(ds2.graph.triples(split))
+            assert sorted(ds.graph.triples(split).tolist()) == sorted(
+                ds2.graph.triples(split).tolist())
         assert ds.entity_raw_ids == ds2.entity_raw_ids
         assert ds.relation_raw_ids == ds2.relation_raw_ids
+
+
+class TestIngestionErrors:
+    """Each ingestion failure names its exact ``path:line: message``;
+    blank lines count in the numbering."""
+
+    def _error(self, directory, name):
+        with pytest.raises(DataError) as info:
+            load_dataset(directory)
+        path = str(directory / name)
+        assert info.value.path == path
+        return str(info.value).replace(path, "PATH")
+
+    @pytest.mark.parametrize("line,message", [
+        ("ghost\tr1\te2", "undeclared entity id 'ghost'"),
+        ("e1\tghost\te2", "undeclared relation id 'ghost'"),
+        ("e1\tr1\tghost", "undeclared entity id 'ghost'"),
+        ("ghost\tghost\tghost", "undeclared entity id 'ghost'"),
+    ], ids=["head", "relation", "tail", "head_first"])
+    def test_undeclared_id_after_blank_lines(self, tmp_path, line, message):
+        _write_minimal(tmp_path, train=f"e1\tr1\te2\n\n  \ne2\tr1\te1\n\n{line}\ne1\tr1\tnobody\n")
+        assert self._error(tmp_path, "train.txt") == f"PATH:6: {message}"
+
+    def test_undeclared_id_in_valid(self, tmp_path):
+        _write_minimal(tmp_path)
+        (tmp_path / "valid.txt").write_text("\ne2\tr9\te1\n", encoding="utf-8")
+        assert self._error(tmp_path, "valid.txt") == "PATH:2: undeclared relation id 'r9'"
+
+    def test_column_count_outranks_an_earlier_undeclared_id(self, tmp_path):
+        _write_minimal(tmp_path, train="e1\tr1\tghost\n\ne1\tr1\n")
+        assert self._error(tmp_path, "train.txt") == (
+            "PATH:3: expected 3..3 tab-separated columns, got 2")
+
+    def test_duplicate_relation_id(self, tmp_path):
+        _write_minimal(tmp_path, relations="r1\tone\n\nr2\ttwo\nr1\tagain\n")
+        assert self._error(tmp_path, "relations.txt") == "PATH:4: duplicate relation id 'r1'"
+
+    def test_bad_column_count_in_entities(self, tmp_path):
+        _write_minimal(tmp_path, entities="e1\tone\t\n\ne2\ttwo\tdesc\textra\n")
+        assert self._error(tmp_path, "entities.txt") == (
+            "PATH:3: expected 1..3 tab-separated columns, got 4")
+
+    def test_last_line_without_newline(self, tmp_path):
+        _write_minimal(tmp_path, train="e1\tr1\te2\n\ne2\tr1\tghost")
+        assert self._error(tmp_path, "train.txt") == "PATH:3: undeclared entity id 'ghost'"
+
+    def test_blank_and_whitespace_lines_and_no_final_newline_load(self, tmp_path):
+        _write_minimal(tmp_path, train="e1\tr1\te2\n \t \n\ne2\tr1\te1")
+        rows = load_dataset(tmp_path).graph.triples("train").tolist()
+        assert rows == [[0, 0, 1], [1, 0, 0], [1, 1, 0], [0, 1, 1]]
 
 
 class TestCorpus:

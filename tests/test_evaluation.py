@@ -22,6 +22,7 @@ from structkgc.structural import AseKind, unit_entity_table
 from structkgc.text import tokenize_entity
 from structkgc.toygen import make_text_toy
 
+from graph_reference import ReferenceGraph
 from scorers import TableScorer
 
 
@@ -92,6 +93,26 @@ def reference_evaluate(scorer, graph, split, filter_splits=DEFAULT_FILTER_SPLITS
             result.top = [(i, float(adjusted[i])) for i in kept]
         results.append(result)
     return build_report(results), results
+
+
+def reference_miou(graph, test_triples):
+    """The set formula ``miou`` used before e(r) became a sorted array."""
+    test_triples = [Triple(*t) for t in test_triples]
+    per_relation = {}
+    for _, r, _ in test_triples:
+        if r in per_relation:
+            continue
+        train_tails = graph.tails_by_relation(r, ("train",))
+        test_tails = graph.tails_by_relation(r, ("test",))
+        if not train_tails:
+            per_relation[r] = 0.0
+            continue
+        union = train_tails | test_tails
+        per_relation[r] = len(train_tails & test_tails) / len(union) if union else 0.0
+    if not test_triples:
+        return 0.0, per_relation
+    mean = float(np.mean([per_relation[t.relation] for t in test_triples]))
+    return mean, per_relation
 
 
 class TestFilteredRank:
@@ -265,11 +286,26 @@ class TestMiou:
             value, _ = miou(g, test_triples)
             # independent set-library recomputation
             expected = []
-            for _, r, _ in test_triples:
-                tr = {t.tail for t in g.triples("train") if t.relation == r}
-                te = {t.tail for t in test_triples if t.relation == r}
+            for _, r, _ in test_triples.tolist():
+                tr = {t for _, q, t in g.triples("train").tolist() if q == r}
+                te = {t for _, q, t in test_triples.tolist() if q == r}
                 expected.append(len(tr & te) / len(tr | te) if tr else 0.0)
             assert value == pytest.approx(float(np.mean(expected)), abs=1e-12)
+
+
+    def test_matches_old_set_formula_exactly(self):
+        rng = np.random.default_rng(15)
+        for _ in range(100):
+            n_e, n_r = int(rng.integers(2, 12)), int(rng.integers(1, 5))
+            ents = [EntityRecord(f"e{i}", "", i) for i in range(n_e)]
+            rels = [RelationRecord(f"r{i}", "", i) for i in range(n_r)]
+            splits = {s: rng.integers(0, [n_e, n_r, n_e], size=(int(rng.integers(0, 20)), 3))
+                      for s in ("train", "test")}
+            g = KnowledgeGraph(ents, rels, splits)
+            ref = ReferenceGraph(ents, rels, {s: a.tolist() for s, a in splits.items()})
+            assert miou(g) == reference_miou(ref, ref.triples("test"))
+            some = splits["test"][: len(splits["test"]) // 2]
+            assert miou(g, some) == reference_miou(ref, some.tolist())
 
 
 class TestEvaluate:
@@ -290,12 +326,12 @@ class TestEvaluate:
         table = self._oracle_table(g, rng)
         report, results = evaluate(TableScorer(table), g, "test",
                                    filter_splits=("train", "test"))
-        for res, (h, r, t) in zip(results, g.triples("test")):
+        for res, (h, r, t) in zip(results, g.triples("test").tolist()):
             scores = table[(h, r)]
             known = {
-                trip.tail
-                for trip in list(g.triples("train")) + list(g.triples("test"))
-                if trip.head == h and trip.relation == r and trip.tail != t
+                tail
+                for head, rel, tail in g.triples("train").tolist() + g.triples("test").tolist()
+                if head == h and rel == r and tail != t
             }
             assert res.rank == oracle_rank(scores, t, known)
         assert report.hits1 <= report.hits3 <= report.hits10

@@ -1,7 +1,10 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from structkgc.graph import (
+    SPLITS,
     EntityRecord,
     GraphError,
     KnowledgeGraph,
@@ -10,6 +13,8 @@ from structkgc.graph import (
     add_inverse_triples,
     inverse_relation_id,
 )
+
+from graph_reference import ReferenceGraph
 
 
 def make_records(n_entities, n_relations):
@@ -32,15 +37,15 @@ def five_entity_graph():
 class TestBuildGraph:
     def test_adjacency_indexes(self):
         g = five_entity_graph()
-        assert g.tails_by_relation(R) == {X, Y, Z}
-        assert g.tails_by_pair(A, R) == {X, Y}
-        assert g.tails_by_pair(B, R) == {Z}
+        assert g.tails_by_relation(R).tolist() == [X, Y, Z]
+        assert g.tails_by_pair(A, R).tolist() == [X, Y]
+        assert g.tails_by_pair(B, R).tolist() == [Z]
 
     def test_empty_triples(self):
         ents, rels = make_records(3, 1)
         g = KnowledgeGraph(ents, rels, {"train": []})
-        assert g.tails_by_relation(R) == frozenset()
-        assert g.triples("train") == ()
+        assert len(g.tails_by_relation(R)) == 0
+        assert len(g.triples("train")) == 0
 
     def test_dangling_entity_names_triple(self):
         ents, rels = make_records(5, 1)
@@ -72,10 +77,10 @@ class TestBuildGraph:
             ]
             g = KnowledgeGraph(ents, rels, {"train": triples})
             for r in range(n_r):
-                union = frozenset()
+                union = set()
                 for h in range(n_e):
-                    union = union | g.tails_by_pair(h, r)
-                assert g.tails_by_relation(r) == union
+                    union |= set(g.tails_by_pair(h, r).tolist())
+                assert g.tails_by_relation(r).tolist() == sorted(union)
 
     def test_index_matches_brute_force_scan(self):
         rng = np.random.default_rng(1)
@@ -93,26 +98,28 @@ class TestBuildGraph:
         for h in range(n_e):
             for r in range(n_r):
                 brute = {t.tail for t in triples if t.head == h and t.relation == r}
-                assert g.tails_by_pair(h, r) == brute
+                assert g.tails_by_pair(h, r).tolist() == sorted(brute)
 
     def test_training_triples_in_pair_index(self):
         g = five_entity_graph()
-        for t in g.triples("train"):
-            assert t.tail in g.tails_by_pair(t.head, t.relation)
+        for h, r, t in g.triples("train").tolist():
+            assert t in g.tails_by_pair(h, r)
 
     def test_self_loop_indexed_normally(self):
         ents, rels = make_records(2, 1)
         g = KnowledgeGraph(ents, rels, {"train": [Triple(0, 0, 0)]})
-        assert g.tails_by_pair(0, 0) == {0}
-        assert g.is_known_true(0, 0, 0, ["train"])
+        assert g.tails_by_pair(0, 0).tolist() == [0]
+        assert 0 in g.tails_by_pair(0, 0, ["train"])
 
 
 class TestLookups:
     def test_single_split_returns_the_stored_set(self):
         g = five_entity_graph()
-        assert g.tails_by_relation(R) is g.tails_by_relation(R, ["train"])
-        assert g.tails_by_pair(A, R) is g.tails_by_pair(A, R, iter(["train"]))
-        assert g.tails_by_pair(Z, R) == frozenset()
+        by_rel, by_pair = g.tails_by_relation(R), g.tails_by_pair(A, R, iter(["train"]))
+        assert np.shares_memory(by_rel, g.tails_by_relation(R, ["train"]))
+        assert np.shares_memory(by_pair, g.tails_by_pair(A, R))
+        assert not by_rel.flags.writeable and not by_pair.flags.writeable
+        assert len(g.tails_by_pair(Z, R)) == 0
 
     def test_split_unions_accept_any_iterable(self):
         ents, rels = make_records(5, 1)
@@ -120,23 +127,32 @@ class TestLookups:
                                      "valid": [Triple(A, R, Y)],
                                      "test": [Triple(B, R, Z)]})
         splits = (s for s in ("train", "valid"))
-        assert g.tails_by_pair(A, R, splits) == {X, Y}
-        assert g.tails_by_relation(R, ["train", "valid", "test"]) == {X, Y, Z}
-        assert g.tails_by_relation(R, ()) == frozenset()
+        assert g.tails_by_pair(A, R, splits).tolist() == [X, Y]
+        assert g.tails_by_relation(R, ["train", "valid", "test"]).tolist() == [X, Y, Z]
+        assert len(g.tails_by_relation(R, ())) == 0
         with pytest.raises(KeyError):
             g.tails_by_relation(R, ["dev"])
 
-    def test_train_tail_array_is_sorted_train_e_r(self):
+    def test_train_e_r_is_a_sorted_read_only_array(self):
         rng = np.random.default_rng(2)
         ents, rels = make_records(30, 4)
         triples = [Triple(int(rng.integers(30)), int(rng.integers(3)), int(rng.integers(30)))
                    for _ in range(80)]
         g = KnowledgeGraph(ents, rels, {"train": triples, "test": [Triple(0, 3, 1)]})
         for r in range(4):
-            arr = g.train_tail_array(r)
+            arr = g.tails_by_relation(r)
             assert arr.dtype == np.int64 and not arr.flags.writeable
-            assert arr.tolist() == sorted(g.tails_by_relation(r, ("train",)))
-        assert g.train_tail_array(3).size == 0  # relation 3 is test-only
+            assert arr.tolist() == sorted({t.tail for t in triples if t.relation == r})
+        assert g.tails_by_relation(3).size == 0  # relation 3 is test-only
+
+    def test_split_orders_share_one_index(self):
+        ents, rels = make_records(5, 1)
+        g = KnowledgeGraph(ents, rels, {"train": [Triple(A, R, X)], "valid": [Triple(A, R, Y)]})
+        first = g.tails_by_pair(A, R, ("valid", "train"))
+        assert first.tolist() == [X, Y]
+        assert np.shares_memory(first, g.tails_by_pair(A, R, ["train", "valid", "train"]))
+        assert np.shares_memory(g.tails_by_relation(R, ("train", "valid")),
+                                g.tails_by_relation(R, ("valid", "train")))
 
     def test_pair_tails_within_relation_tails(self):
         # the trainer's O(1) fallback count relies on e(h, r) <= e(r)
@@ -146,22 +162,22 @@ class TestLookups:
                    for _ in range(60)]
         g = KnowledgeGraph(ents, rels, {"train": triples})
         for h, r, _ in triples:
-            assert g.tails_by_pair(h, r) <= g.tails_by_relation(r)
+            assert set(g.tails_by_pair(h, r).tolist()) <= set(g.tails_by_relation(r).tolist())
 
 
 class TestInverseTriples:
     def test_single_triple(self):
         out = add_inverse_triples([Triple(A, 0, X)], 1)
-        assert out == [Triple(A, 0, X), Triple(X, 1, A)]
+        assert out.tolist() == [[A, 0, X], [X, 1, A]]
 
     def test_empty(self):
-        assert add_inverse_triples([], 3) == []
+        assert add_inverse_triples([], 3).shape == (0, 3)
 
     def test_two_triples_base_two(self):
         out = add_inverse_triples([Triple(A, 0, X), Triple(B, 0, Y)], 2)
         assert len(out) == 4
-        assert out[:2] == [Triple(A, 0, X), Triple(B, 0, Y)]
-        assert out[2:] == [Triple(X, 2, A), Triple(Y, 2, B)]
+        assert out[:2].tolist() == [[A, 0, X], [B, 0, Y]]
+        assert out[2:].tolist() == [[X, 2, A], [Y, 2, B]]
 
     def test_already_inverse_rejected(self):
         with pytest.raises(GraphError, match="inverse"):
@@ -174,24 +190,69 @@ class TestInverseTriples:
             Triple(int(rng.integers(0, 9)), int(rng.integers(0, base)), int(rng.integers(0, 9)))
             for _ in range(25)
         ]
-        doubled = add_inverse_triples(triples, base)
+        doubled = add_inverse_triples(triples, base).tolist()
         for orig, inv in zip(doubled[: len(triples)], doubled[len(triples):]):
-            back = Triple(inv.tail, inverse_relation_id(inv.relation, base), inv.head)
+            back = [inv[2], inverse_relation_id(inv[1], base), inv[0]]
             assert back == orig
-            assert inverse_relation_id(inverse_relation_id(orig.relation, base), base) == orig.relation
+            assert inverse_relation_id(inverse_relation_id(orig[1], base), base) == orig[1]
 
 
 class TestKnownTrue:
     def test_membership_in_train(self):
         g = five_entity_graph()
-        assert g.is_known_true(A, R, X, ["train"])
+        assert X in g.tails_by_pair(A, R, ["train"])
 
     def test_absent_everywhere(self):
         g = five_entity_graph()
-        assert not g.is_known_true(A, R, Z, ["train", "valid", "test"])
+        assert Z not in g.tails_by_pair(A, R, ["train", "valid", "test"])
 
     def test_split_scoping(self):
         ents, rels = make_records(5, 1)
         g = KnowledgeGraph(ents, rels, {"test": [Triple(A, R, X)]})
-        assert not g.is_known_true(A, R, X, ["train", "valid"])
-        assert g.is_known_true(A, R, X, ["test"])
+        assert X not in g.tails_by_pair(A, R, ["train", "valid"])
+        assert X in g.tails_by_pair(A, R, ["test"])
+
+
+# every selection of splits, the empty one included, plus a reordered and a
+# repeated one that must normalise to a selection above
+SELECTIONS = [c for k in range(len(SPLITS) + 1) for c in combinations(SPLITS, k)]
+SELECTIONS += [("test", "train"), ("valid", "train", "valid")]
+
+
+def random_graph_pair(rng):
+    """The same random triples (duplicates included) in both graphs."""
+    n_e, n_r = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+    ents, rels = make_records(n_e, n_r)
+    splits = {
+        split: [Triple(int(rng.integers(n_e)), int(rng.integers(n_r)), int(rng.integers(n_e)))
+                for _ in range(int(rng.integers(0, 25)))]
+        for split in SPLITS
+    }
+    return KnowledgeGraph(ents, rels, splits), ReferenceGraph(ents, rels, splits)
+
+
+class TestMatchesReferenceGraph:
+    def test_lookups_equal_reference_sets(self):
+        rng = np.random.default_rng(40)
+        for _ in range(30):
+            g, ref = random_graph_pair(rng)
+            for splits in SELECTIONS:
+                # one id past the end on each axis looks up nothing in both
+                for r in range(g.num_relations + 1):
+                    got = g.tails_by_relation(r, splits)
+                    assert got.dtype == np.int64 and not got.flags.writeable
+                    assert got.tolist() == sorted(ref.tails_by_relation(r, splits))
+                    for h in range(g.num_entities + 1):
+                        got = g.tails_by_pair(h, r, splits)
+                        assert got.dtype == np.int64 and not got.flags.writeable
+                        assert got.tolist() == sorted(ref.tails_by_pair(h, r, splits))
+
+    def test_triples_equal_reference_row_for_row(self):
+        rng = np.random.default_rng(41)
+        for _ in range(30):
+            g, ref = random_graph_pair(rng)
+            for split in SPLITS:
+                rows = g.triples(split)
+                assert rows.dtype == np.int64 and not rows.flags.writeable
+                assert rows.shape == (len(ref.triples(split)), 3)
+                assert [tuple(t) for t in rows.tolist()] == list(ref.triples(split))

@@ -13,6 +13,8 @@ from structkgc.model import Model, ModelConfig
 from structkgc.structural import PrefixProjector
 from structkgc.text import TextEncoder, TextEncoderConfig
 
+from graph_reference import ReferenceGraph
+
 
 def unit(vec):
     v = np.asarray(vec, dtype=np.float64)
@@ -215,7 +217,7 @@ class TestIntraRelationSampling:
             out = sample_intra_relation(g, 0, 0, 2, rng)
             assert out
             assert 1 not in out  # the only true tail
-            assert not any(g.is_known_true(0, 0, t, ["train"]) for t in out)
+            assert not any(t in g.tails_by_pair(0, 0, ["train"]) for t in out)
 
     def test_soundness_over_many_draws(self):
         rng = np.random.default_rng(11)
@@ -226,9 +228,9 @@ class TestIntraRelationSampling:
             for _ in range(40)
         ]
         g = KnowledgeGraph(ents, rels, {"train": train})
-        for h, r, _ in g.triples("train"):
+        for h, r, _ in g.triples("train").tolist():
             for t in sample_intra_relation(g, h, r, 3, rng):
-                assert not g.is_known_true(h, r, t, ["train"])
+                assert t not in g.tails_by_pair(h, r, ["train"])
 
 
 class TestInBatchMask:
@@ -259,15 +261,14 @@ class TestInBatchMask:
             for _ in range(25)
         ]
         g = KnowledgeGraph(ents, rels, {"train": train})
-        batch = [g.triples("train")[i] for i in rng.integers(0, len(g.triples("train")), 6)]
-        queries = [(t.head, t.relation) for t in batch]
-        tails = [t.tail for t in batch]
+        batch = g.triples("train")[rng.integers(0, len(g.triples("train")), 6)].tolist()
+        queries = [(h, r) for h, r, _ in batch]
+        tails = [t for _, _, t in batch]
         mask = in_batch_mask(queries, tails, g)
+        known = set(train)
         for q in range(6):
             for j in range(6):
-                brute = tails[j] == tails[q] or g.is_known_true(
-                    queries[q][0], queries[q][1], tails[j], ["train"]
-                )
+                brute = tails[j] == tails[q] or (*queries[q], tails[j]) in known
                 assert mask[q, j] == brute
 
 
@@ -472,7 +473,8 @@ class TestMixDrawOrder:
 
 
 def sorted_set_intra_relation(graph, head, relation, count, rng):
-    """Reference: the sampler as it was before the graph's sorted arrays."""
+    """Reference: the sampler as it was before the graph's sorted arrays,
+    on the frozenset-backed ``ReferenceGraph``."""
     true_tails = graph.tails_by_pair(head, relation, ("train",))
     pool = sorted(graph.tails_by_relation(relation, ("train",)) - true_tails)
     if not pool:
@@ -485,10 +487,11 @@ def sorted_set_intra_relation(graph, head, relation, count, rng):
 
 
 def assert_intra_matches_reference(g, queries, seed):
+    ref = ReferenceGraph(g.entities, g.relations, {"train": g.triples("train").tolist()})
     rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
     for h, r, count in queries:
         got = sample_intra_relation(g, h, r, count, rng_new)
-        assert got == sorted_set_intra_relation(g, h, r, count, rng_ref), (h, r, count)
+        assert got == sorted_set_intra_relation(ref, h, r, count, rng_ref), (h, r, count)
         assert all(type(t) is int for t in got)
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 

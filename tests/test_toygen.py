@@ -15,7 +15,7 @@ class TestTextToy:
         assert names[:4] == FIXED_NAMES
         assert len(set(names)) == 7
         assert toy.graph.num_base_relations == 7
-        assert {t.relation for t in toy.graph.triples("train")} <= set(range(14))
+        assert set(toy.graph.triples("train")[:, 1].tolist()) <= set(range(14))
 
     @pytest.mark.parametrize("kwargs,digest", [
         (dict(num_entities=50, num_relations=4, num_triples=70, seed=5), "2276a3240e98b425"),
@@ -26,7 +26,8 @@ class TestTextToy:
         toy = make_text_toy(**kwargs)
         names = [rel.name for rel in toy.graph.relations[:kwargs["num_relations"]]]
         assert names == FIXED_NAMES[:kwargs["num_relations"]]
-        triples = [tuple(t) for split in ("train", "test") for t in toy.graph.triples(split)]
+        triples = [tuple(t) for split in ("train", "test")
+                   for t in toy.graph.triples(split).tolist()]
         assert hashlib.sha256(repr(triples).encode()).hexdigest()[:16] == digest
 
     def test_unreachable_triple_count_raises_before_sampling(self, monkeypatch):
@@ -39,6 +40,6 @@ class TestTextToy:
 
     def test_exactly_reachable_triple_count_completes(self):
         toy = make_text_toy(num_entities=2, num_relations=1, num_triples=4)
-        base = [t for split in ("train", "test") for t in toy.graph.triples(split)
-                if t.relation == 0]
+        base = [t for split in ("train", "test") for t in toy.graph.triples(split).tolist()
+                if t[1] == 0]
         assert sorted(tuple(t) for t in base) == [(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1)]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from structkgc.data import build_tokenizer
-from structkgc.graph import KnowledgeGraph, Triple
+from structkgc.graph import SPLITS, KnowledgeGraph, Triple
 from structkgc.losses import LossConfig
 from structkgc.model import Model, ModelConfig
 from structkgc.optim import AdamW, NonFiniteGradientError, linear_decay
@@ -11,6 +11,8 @@ from structkgc.toygen import make_planted_graph, make_text_toy
 from structkgc.training import TrainConfig, Trainer, TrainingError
 from structkgc.autodiff import Node
 import structkgc.autodiff as ad
+
+from graph_reference import ReferenceAsArrays, ReferenceGraph
 
 
 def tiny_text_setup(seed=0, num_entities=12, num_triples=20, **model_kw):
@@ -21,8 +23,7 @@ def tiny_text_setup(seed=0, num_entities=12, num_triples=20, **model_kw):
         num_entities=toy.graph.num_entities,
         num_base_relations=toy.graph.num_base_relations,
         struct_dim=8, layers=1, hidden_dim=16, heads=2, max_len=16,
-        vocab_size=len(tokenizer), ase_kind=AseKind.ADDITIVE,
-        **model_kw,
+        vocab_size=len(tokenizer), **{"ase_kind": AseKind.ADDITIVE, **model_kw},
     )
     model = Model(cfg, seed=seed)
     return toy, tokenizer, model
@@ -130,14 +131,14 @@ class TestTrainerSmoke:
         assert parts[0] == "1"
 
 
-def hub_relation_setup():
+def hub_relation_setup(**model_kw):
     """The tiny text toy with relation 1 replaced by a hub: one head
     linked to four tails.  Its queries and their inverses leave
     e(r) - e(h, r) empty; relation 0's queries do not."""
-    toy, tokenizer, model = tiny_text_setup()
+    toy, tokenizer, model = tiny_text_setup(**model_kw)
     g = toy.graph
     base = g.num_base_relations
-    keep = [t for t in g.triples("train") if t.relation % base == 0]
+    keep = [t for t in g.triples("train").tolist() if t[1] % base == 0]
     hub = [Triple(0, 1, t) for t in range(1, 5)]
     hub += [Triple(t.tail, t.relation + base, t.head) for t in hub]
     graph = KnowledgeGraph(g.entities, g.relations, {"train": keep + hub},
@@ -152,8 +153,8 @@ class TestSamplerTelemetry:
         seen = set()
         for h in range(graph.num_entities):
             for r in range(graph.num_relations):
-                diff = (graph.tails_by_relation(r, ("train",))
-                        - graph.tails_by_pair(h, r, ("train",)))
+                diff = (set(graph.tails_by_relation(r, ("train",)).tolist())
+                        - set(graph.tails_by_pair(h, r, ("train",)).tolist()))
                 assert trainer._irns_pool_empty(h, r) == (not diff)
                 seen.add(not diff)
         assert seen == {True, False}
@@ -163,17 +164,38 @@ class TestSamplerTelemetry:
         trainer = Trainer(graph, model, tokenizer, LossConfig(),
                           small_train_cfg(use_mh=False))
         triples = trainer.train_triples
-        empty = [trainer._irns_pool_empty(t.head, t.relation) for t in triples]
+        empty = [trainer._irns_pool_empty(h, r) for h, r, _ in triples.tolist()]
         assert 0 < sum(empty) < len(empty)
         first = trainer.train_epoch(1)
         assert first.irns_fallback_rate == pytest.approx(sum(empty) / len(empty))
         # epoch 2 trains only queries with a non-empty pool
-        trainer.train_triples = [t for t, e in zip(triples, empty) if not e]
+        trainer.train_triples = triples[~np.array(empty)]
         second = trainer.train_epoch(2)
         cumulative = sum(empty) / (len(triples) + len(trainer.train_triples))
         assert cumulative > 0.0
         assert second.irns_fallback_rate == 0.0
         assert trainer.telemetry["irns_queries"] == len(trainer.train_triples)
+
+
+class TestTrainingMatchesReferenceGraph:
+    @pytest.mark.parametrize("share", [False, True], ids=["separate", "shared"])
+    @pytest.mark.parametrize("use_ase", [True, False], ids=["ase", "no_ase"])
+    @pytest.mark.parametrize("kind", list(AseKind), ids=lambda k: k.value)
+    def test_same_checksum_with_either_graph(self, kind, use_ase, share):
+        checksums = []
+        for use_reference in (False, True):
+            graph, tokenizer, model = hub_relation_setup(
+                ase_kind=kind, use_ase=use_ase, share_text_encoders=share)
+            if use_reference:
+                graph = ReferenceAsArrays(ReferenceGraph(
+                    graph.entities, graph.relations,
+                    {split: graph.triples(split).tolist() for split in SPLITS},
+                    num_base_relations=graph.num_base_relations))
+            trainer = Trainer(graph, model, tokenizer, LossConfig(), small_train_cfg())
+            metrics = trainer.train()
+            checksums.append(trainer.parameter_checksum())
+        assert 0 < metrics[0].irns_fallback_rate < 1
+        assert checksums[0] == checksums[1]
 
 
 class TestFiniteGradientGuard:
