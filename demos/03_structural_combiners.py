@@ -41,7 +41,7 @@ table = StructuralTable(30, 2, 16, AseKind.ADDITIVE, rng)
 ents = table.entity_embeddings.value
 rels = table.relation_embeddings.value
 ents[17] = ents[4] + rels[1]
-scores = struct_scores_all_tails(table, AseKind.ADDITIVE, 4, 1)
+scores = struct_scores_all_tails(table, 4, 1)
 print("\nplanted score (4, r1, 17):", f"{scores[17]:.6f}")
 print("argmax over all 30 tails  :", int(np.argmax(scores)))
 

@@ -35,7 +35,7 @@ class PlantedScorer:
         self.table.relation_embeddings.value = planted.relation_vecs
 
     def scores(self, h, r):
-        return struct_scores_all_tails(self.table, AseKind.ADDITIVE, h, r)
+        return struct_scores_all_tails(self.table, h, r)
 
 
 oracle, _ = evaluate(PlantedScorer(), graph, "test")

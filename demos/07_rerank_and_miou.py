@@ -44,7 +44,7 @@ def build_world(overlap):
 
 for overlap in ("low", "high"):
     graph, scorer = build_world(overlap)
-    value, _ = miou(graph, graph.triples("test"))
+    value, _ = miou(graph)
     base, _ = evaluate(scorer, graph, "test")
     print(f"\n{overlap}-overlap world: MIOU {value:.2f}, baseline MRR {base.mrr:.3f}")
     for alpha in (0.05, 0.2, 0.5):

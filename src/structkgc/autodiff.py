@@ -16,13 +16,10 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import erf
-
-# Debug switch: when True every produced value is checked for NaN/Inf.
-CHECK_FINITE = False
 
 DEFAULT_NORM_EPS = 1e-12
 
@@ -78,8 +75,6 @@ class Node:
 
     def __init__(self, value, _parents=(), _vjp=None):
         self.value = as_matrix(value)
-        if CHECK_FINITE and not np.all(np.isfinite(self.value)):
-            raise FloatingPointError("non-finite value entered the graph")
         self.grad = None
         if _mode.recording:
             self._parents = tuple(_parents)
@@ -94,37 +89,6 @@ class Node:
 
     def __repr__(self):
         return f"Node(shape={self.value.shape})"
-
-    # arithmetic sugar; scalars are promoted to constant nodes
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    def __radd__(self, other):
-        return add(_coerce(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return smul(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return smul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _coerce(x) -> Node:
-    return x if isinstance(x, Node) else Node(x)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -203,10 +167,6 @@ def power(a: Node, p: float) -> Node:
     p = float(p)
     y = a.value ** p
     return Node(y, (a,), lambda g: (g * p * a.value ** (p - 1.0),))
-
-
-def sqrt(a: Node) -> Node:
-    return power(a, 0.5)
 
 
 def gelu(a: Node) -> Node:
@@ -548,8 +508,3 @@ def backward(root: Node) -> None:
                 pending[key] = pending[key] + pg
             else:
                 pending[key] = pg
-
-
-def zero_grads(nodes: Iterable[Node]) -> None:
-    for n in nodes:
-        n.grad = None

@@ -15,8 +15,8 @@ import sys
 from .checkpoint import CheckpointError, load_model, save_checkpoint
 from .config import LR_GRID, ConfigError, RunConfig, parse_config
 from .data import DataError, build_tokenizer, load_dataset
-from .evaluation import ModelScorer, RerankConfig, evaluate, miou
-from .graph import GraphError
+from .evaluation import SCORE_MODES, ModelScorer, RerankConfig, evaluate, miou
+from .graph import SPLITS, GraphError
 from .model import Model
 from .text import Tokenizer
 from .training import Trainer, TrainingError
@@ -74,9 +74,7 @@ def _load_scorer(args):
                 f"vocabulary size {len(tokenizer)} does not match the "
                 f"checkpoint's {model.config.vocab_size}"
             )
-    mode = getattr(args, "score_mode", None) or (
-        "text" if model.config.use_text else "struct"
-    )
+    mode = args.score_mode or ("text" if model.config.use_text else "struct")
     scorer = ModelScorer(model, dataset.graph, tokenizer, mode=mode, beta=args.beta)
     return dataset, model, scorer
 
@@ -127,7 +125,7 @@ def cmd_train(args) -> int:
 
 def _parse_splits(raw: str) -> tuple[str, ...]:
     splits = tuple(s.strip() for s in raw.split(",") if s.strip())
-    bad = [s for s in splits if s not in ("train", "valid", "test")]
+    bad = [s for s in splits if s not in SPLITS]
     if bad:
         raise UsageError(f"unknown splits {bad}")
     return splits
@@ -186,7 +184,7 @@ def cmd_rerank_sweep(args) -> int:
 def cmd_miou(args) -> int:
     _require_file(args.dataset, "dataset directory")
     dataset = load_dataset(args.dataset)
-    value, per_relation = miou(dataset.graph, dataset.graph.triples(args.split))
+    value, per_relation = miou(dataset.graph, args.split)
     print(f"MIOU\t{value:.6f}")
     for rel_id in sorted(per_relation):
         rec = dataset.graph.relations[rel_id]
@@ -223,10 +221,12 @@ def _add_eval_like(p, default_split):
     p.add_argument("--dataset", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--vocab", default=None)
-    p.add_argument("--split", default=default_split,
-                   choices=["train", "valid", "test"])
-    p.add_argument("--filter-splits", default="train,valid,test",
+    p.add_argument("--split", default=default_split, choices=SPLITS)
+    p.add_argument("--filter-splits", default=",".join(SPLITS),
                    dest="filter_splits")
+    p.add_argument("--score-mode", choices=SCORE_MODES, default=None,
+                   dest="score_mode")
+    p.add_argument("--beta", type=float, default=0.5)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,9 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="filtered-ranking evaluation of a checkpoint")
     _add_eval_like(p, "test")
-    p.add_argument("--score-mode", choices=["text", "struct", "combined"],
-                   default=None, dest="score_mode")
-    p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--rerank-splits", default="train", dest="rerank_splits")
     p.add_argument("--detail", default=None,
@@ -267,23 +264,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rerank-sweep",
                        help="grid over re-ranking penalties and knowledge regimes")
     _add_eval_like(p, "valid")
-    p.add_argument("--score-mode", choices=["text", "struct", "combined"],
-                   default=None, dest="score_mode")
-    p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--alphas", default="0,0.02,0.05,0.1,0.2,0.5")
     p.add_argument("--regimes", default="none,train,train-valid,train-valid-test")
     p.set_defaults(func=cmd_rerank_sweep)
 
-    p = sub.add_parser("miou", help="train/test tail-set overlap diagnostics")
+    p = sub.add_parser("miou", help="overlap of train tail sets with a split's, per relation")
     p.add_argument("--dataset", required=True)
     p.add_argument("--split", default="test", choices=["valid", "test"])
     p.set_defaults(func=cmd_miou)
 
     p = sub.add_parser("export-predictions", help="write top-10 predictions per query")
     _add_eval_like(p, "test")
-    p.add_argument("--score-mode", choices=["text", "struct", "combined"],
-                   default=None, dest="score_mode")
-    p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export_predictions)
 

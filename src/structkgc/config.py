@@ -15,18 +15,6 @@ from .model import ModelConfig
 from .structural import AseKind
 from .training import TrainConfig
 
-# Documented full-scale defaults (desk-scale runs use the smaller values
-# in RunConfig): queue 15360, 192 hardest negatives, 3 intra-relation
-# negatives per instance, batch 768, temperature 0.05, margin 0.02.
-PAPER_FULL_SCALE = {
-    "queue_capacity": 15360,
-    "hardest_k": 192,
-    "ir_count": 3,
-    "batch_size": 768,
-    "tau_init": 0.05,
-    "margin": 0.02,
-}
-
 LR_GRID = (5e-4, 5e-5, 1e-5)
 
 

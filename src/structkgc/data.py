@@ -58,14 +58,6 @@ class Dataset:
     relation_raw_ids: list[str]  # base relations only
     directory: str
 
-    @property
-    def entity_index(self) -> dict[str, int]:
-        return {raw: i for i, raw in enumerate(self.entity_raw_ids)}
-
-    @property
-    def relation_index(self) -> dict[str, int]:
-        return {raw: i for i, raw in enumerate(self.relation_raw_ids)}
-
 
 def _read_rows(path, min_cols, max_cols):
     rows = []

@@ -86,18 +86,15 @@ def rerank(scores: np.ndarray, neighbor_ids, alpha: float) -> np.ndarray:
     return out - penalty
 
 
-def miou(graph: KnowledgeGraph, test_triples=None) -> tuple[float, dict[int, float]]:
+def miou(graph: KnowledgeGraph, split: str = "test") -> tuple[float, dict[int, float]]:
     """Mean intersection-over-union of per-relation tail sets.
 
-    The per-relation sets e(r, train) and e(r, test) come from the
-    graph's splits; the mean runs over the given triples (an ``(n, 3)``
-    array or any sequence of triples, defaulting to the whole test
-    split), so relations count with multiplicity.  A relation absent
-    from train contributes 0.
+    Each relation r of the split's triples scores |e(r, train) & e(r, split)|
+    over |e(r, train) | e(r, split)|, both from the graph's splits; the
+    mean runs over the split's triples, so relations count with
+    multiplicity.  A relation absent from train contributes 0.
     """
-    if test_triples is None:
-        test_triples = graph.triples("test")
-    relations = np.asarray(test_triples, dtype=np.int64).reshape(-1, 3)[:, 1].tolist()
+    relations = graph.triples(split)[:, 1].tolist()
     per_relation: dict[int, float] = {}
     for r in relations:
         if r in per_relation:
@@ -106,9 +103,9 @@ def miou(graph: KnowledgeGraph, test_triples=None) -> tuple[float, dict[int, flo
         if not len(train_tails):
             per_relation[r] = 0.0
             continue
-        test_tails = graph.tails_by_relation(r, ("test",))
-        overlap = np.intersect1d(train_tails, test_tails, assume_unique=True)
-        union = np.union1d(train_tails, test_tails)
+        split_tails = graph.tails_by_relation(r, (split,))
+        overlap = np.intersect1d(train_tails, split_tails, assume_unique=True)
+        union = np.union1d(train_tails, split_tails)
         per_relation[r] = len(overlap) / len(union)
     if not relations:
         return 0.0, per_relation

@@ -76,13 +76,6 @@ def add_inverse_triples(triples, num_base_relations: int) -> np.ndarray:
     return np.concatenate([rows, rows[:, ::-1] + np.array([0, num_base_relations, 0])])
 
 
-def inverse_relation_id(relation: int, num_base_relations: int) -> int:
-    """Map a relation id to its inverse (an involution)."""
-    if relation < num_base_relations:
-        return relation + num_base_relations
-    return relation - num_base_relations
-
-
 def inverse_relation_records(base: Sequence[RelationRecord]) -> list[RelationRecord]:
     """Records for the inverse relations, rendered as 'inverse of: <name>'."""
     n = len(base)

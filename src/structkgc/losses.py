@@ -8,8 +8,9 @@ The textual loss for one query is
 
 with D the union of unmasked in-batch tails and intra-relation tails;
 the margin applies to the positive logit only.  The structural loss has
-the same shape over structural scores with in-batch negatives only.
-Batches reduce by the mean over queries.
+the same shape over structural scores with in-batch negatives only, so
+both are one InfoNCE body over different score matrices.  Batches
+reduce by the mean over queries.
 
 Temperature is carried as a learnable log-temperature node, which makes
 tau > 0 by construction; the clamp to the configured range happens after
@@ -70,6 +71,27 @@ def _keep_matrix(mask: np.ndarray) -> Node:
     return Node(keep)
 
 
+def _info_nce(scores: Node, ib_mask: np.ndarray, inv_tau: Node, margin: float,
+              extra_sums=()) -> Node:
+    """Mean over queries of -log(e^pos / (e^pos + negatives)).
+
+    ``scores`` is (B, B) with the positives on the diagonal; pos is
+    (diagonal - margin) * inv_tau, and the negatives are the unmasked
+    off-diagonal e^(score * inv_tau) plus each (B, 1) node of
+    ``extra_sums``, added in order.
+    """
+    n = scores.value.shape[0]
+    pos = ad.sum_axis(ad.mul(scores, Node(np.eye(n))), axis=1)  # (n, 1)
+    pos_logit = ad.mul(ad.add_const(pos, -margin), inv_tau)
+    ib_sum = ad.sum_axis(
+        ad.mul(ad.exp(ad.mul(scores, inv_tau)), _keep_matrix(ib_mask)), axis=1
+    )
+    denom = ad.add(ad.exp(pos_logit), ib_sum)
+    for extra in extra_sums:
+        denom = ad.add(denom, extra)
+    return ad.mean_all(ad.sub(ad.log(denom), pos_logit))
+
+
 def contrastive_loss(h_hr: Node, h_t: Node, ib_mask: np.ndarray,
                      log_tau: Node, margin: float,
                      mh_features=None, ir_features=None) -> Node:
@@ -85,13 +107,7 @@ def contrastive_loss(h_hr: Node, h_t: Node, ib_mask: np.ndarray,
         raise ValueError("batch sizes of features and mask must agree")
     inv_tau = ad.exp(ad.smul(log_tau, -1.0))
     cos_ib = ad.matmul(h_hr, ad.transpose(h_t))
-    pos = ad.sum_axis(ad.mul(cos_ib, Node(np.eye(n))), axis=1)  # (n, 1)
-    pos_logit = ad.mul(ad.add_const(pos, -margin), inv_tau)
-    pos_exp = ad.exp(pos_logit)
-    ib_sum = ad.sum_axis(
-        ad.mul(ad.exp(ad.mul(cos_ib, inv_tau)), _keep_matrix(ib_mask)), axis=1
-    )
-    denom = ad.add(pos_exp, ib_sum)
+    extra_sums = []
     for extras in (mh_features, ir_features):
         if extras is None:
             continue
@@ -104,9 +120,8 @@ def contrastive_loss(h_hr: Node, h_t: Node, ib_mask: np.ndarray,
             feats_node = feats if isinstance(feats, Node) else Node(feats)
             logits = ad.matmul(ad.gather_rows(h_hr, [q]), ad.transpose(feats_node))
             rows.append(ad.sum_axis(ad.exp(ad.mul(logits, inv_tau)), axis=1))
-        denom = ad.add(denom, ad.concat_rows(rows))
-    per_query = ad.sub(ad.log(denom), pos_logit)
-    return ad.mean_all(per_query)
+        extra_sums.append(ad.concat_rows(rows))
+    return _info_nce(cos_ib, ib_mask, inv_tau, margin, extra_sums)
 
 
 def structural_loss(score_matrix: Node, ib_mask: np.ndarray,
@@ -119,16 +134,7 @@ def structural_loss(score_matrix: Node, ib_mask: np.ndarray,
     n = score_matrix.value.shape[0]
     if score_matrix.value.shape != (n, n) or ib_mask.shape != (n, n):
         raise ValueError("structural loss expects square scores and mask")
-    inv_tau = ad.exp(ad.smul(log_tau, -1.0))
-    pos = ad.sum_axis(ad.mul(score_matrix, Node(np.eye(n))), axis=1)
-    pos_logit = ad.mul(ad.add_const(pos, -margin), inv_tau)
-    neg_sum = ad.sum_axis(
-        ad.mul(ad.exp(ad.mul(score_matrix, inv_tau)), _keep_matrix(ib_mask)),
-        axis=1,
-    )
-    denom = ad.add(ad.exp(pos_logit), neg_sum)
-    per_query = ad.sub(ad.log(denom), pos_logit)
-    return ad.mean_all(per_query)
+    return _info_nce(score_matrix, ib_mask, ad.exp(ad.smul(log_tau, -1.0)), margin)
 
 
 def total_loss(loss_cl: Node, loss_dis: Node, beta: float) -> Node:

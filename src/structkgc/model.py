@@ -20,7 +20,6 @@ from .structural import (
     AseKind,
     PrefixProjector,
     StructuralTable,
-    ase_apply_node,
     struct_score_matrix_node,
     struct_scores_all_tails,
 )
@@ -129,10 +128,7 @@ class Model:
         combine(E_h[q], E_r[q]); None without a query projector."""
         if self.hr_projector is None:
             return None
-        e_h = ad.gather_rows(self.struct.entity_embeddings, heads)
-        e_r = ad.gather_rows(self.struct.relation_embeddings, relations)
-        combined = ase_apply_node(self.config.ase_kind, e_h, e_r)
-        return self.hr_projector.project(combined)
+        return self.hr_projector.project(self.struct.combine(heads, relations))
 
     # ------------------------------------------------------------------
     # batch encoding
@@ -152,12 +148,8 @@ class Model:
     # ------------------------------------------------------------------
 
     def struct_score_matrix(self, heads, relations, tails) -> Node:
-        return struct_score_matrix_node(
-            self.struct, self.config.ase_kind, heads, relations, tails
-        )
+        return struct_score_matrix_node(self.struct, heads, relations, tails)
 
     def struct_scores_all_tails(self, head: int, relation: int,
                                 unit_tails: np.ndarray | None = None) -> np.ndarray:
-        return struct_scores_all_tails(
-            self.struct, self.config.ase_kind, head, relation, unit_tails
-        )
+        return struct_scores_all_tails(self.struct, head, relation, unit_tails)

@@ -36,7 +36,8 @@ def init_embedding(rng: np.random.Generator, rows: int, dim: int) -> np.ndarray:
 
 
 class StructuralTable:
-    """Entity and relation embedding tables held as graph leaves.
+    """Entity and relation embedding tables held as graph leaves, and the
+    combiner that joins a head row with a relation row.
 
     Relation rows cover base relations and their inverses
     (``2 * num_base_relations`` rows).
@@ -63,6 +64,12 @@ class StructuralTable:
             "struct.relations": self.relation_embeddings,
         }
 
+    def combine(self, heads, relations) -> Node:
+        """(B, dim) rows of combine(E_h, E_r) under this table's combiner."""
+        e_h = ad.gather_rows(self.entity_embeddings, heads)
+        e_r = ad.gather_rows(self.relation_embeddings, relations)
+        return ase_apply_node(self.kind, e_h, e_r)
+
 
 # ---------------------------------------------------------------------------
 # combine, normalise and score
@@ -78,12 +85,9 @@ def ase_apply_node(kind: AseKind, e_h: Node, e_r: Node) -> Node:
     raise ValueError(f"unknown combiner kind: {kind}")
 
 
-def struct_queries_node(table: StructuralTable, kind: AseKind, heads,
-                        relations) -> Node:
+def struct_queries_node(table: StructuralTable, heads, relations) -> Node:
     """(B, dim) unit rows of combine(E_h, E_r), one per query."""
-    e_h = ad.gather_rows(table.entity_embeddings, heads)
-    e_r = ad.gather_rows(table.relation_embeddings, relations)
-    return ad.l2_normalize_rows(ase_apply_node(kind, e_h, e_r), COSINE_EPS)
+    return ad.l2_normalize_rows(table.combine(heads, relations), COSINE_EPS)
 
 
 def unit_entity_table(table: StructuralTable) -> np.ndarray:
@@ -91,21 +95,20 @@ def unit_entity_table(table: StructuralTable) -> np.ndarray:
     return ad.l2_normalize_rows(table.entity_embeddings, COSINE_EPS).value
 
 
-def struct_score_matrix_node(table: StructuralTable, kind: AseKind,
-                             heads, relations, tails) -> Node:
+def struct_score_matrix_node(table: StructuralTable, heads, relations,
+                             tails) -> Node:
     """(B, B) matrix of struct scores: row = query, column = batch tail.
 
     Row q, column j holds cos(combine(E_h[q], E_r[q]), E_t[j]); the
     diagonal is the positive score of each query.
     """
-    queries = struct_queries_node(table, kind, heads, relations)
+    queries = struct_queries_node(table, heads, relations)
     e_t = ad.gather_rows(table.entity_embeddings, tails)
     tails_n = ad.l2_normalize_rows(e_t, COSINE_EPS)
     return ad.matmul(queries, ad.transpose(tails_n))
 
 
-def struct_scores_all_tails(table: StructuralTable, kind: AseKind, head: int,
-                            relation: int,
+def struct_scores_all_tails(table: StructuralTable, head: int, relation: int,
                             unit_tails: np.ndarray | None = None) -> np.ndarray:
     """Scores of every entity as candidate tail for one (head, relation).
 
@@ -113,7 +116,7 @@ def struct_scores_all_tails(table: StructuralTable, kind: AseKind, head: int,
     that score many queries against one snapshot of the entity table; it
     is computed here when not given.
     """
-    query = struct_queries_node(table, kind, [head], [relation]).value[0]
+    query = struct_queries_node(table, [head], [relation]).value[0]
     if unit_tails is None:
         unit_tails = unit_entity_table(table)
     return unit_tails @ query

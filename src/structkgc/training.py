@@ -45,8 +45,6 @@ class TrainConfig:
     batch_size: int = 32
     lr: float = 5e-4
     weight_decay: float = 0.01
-    adam_betas: tuple = (0.9, 0.999)
-    adam_eps: float = 1e-8
     clip_norm: float = 1.0
     seed: int = 0
     use_mh: bool = True
@@ -113,7 +111,6 @@ class Trainer:
         steps_per_epoch = math.ceil(len(self.train_triples) / cfg.batch_size)
         self.optimizer = AdamW(
             model.parameters(), cfg.lr, total_steps=cfg.epochs * steps_per_epoch,
-            betas=cfg.adam_betas, eps=cfg.adam_eps,
             weight_decay=cfg.weight_decay, clip_norm=cfg.clip_norm,
         )
 
@@ -165,7 +162,6 @@ class Trainer:
         mask = in_batch_mask(queries, tails, self.graph)
 
         loss_cl = None
-        h_hr = None
         tail_tokens = None
         if model.config.use_text:
             hr_tokens = [self._hr_token_seq(h, r) for h, r in queries]
@@ -174,7 +170,7 @@ class Trainer:
             h_t = model.encode_tails(tail_tokens, tails)
 
             mh_features = None
-            if cfg.use_mh and self.queue is not None and len(self.queue) >= 2:
+            if cfg.use_mh and len(self.queue) >= 2:
                 mh_features = []
                 tau_now = model.tau
                 for q in range(len(batch)):
@@ -186,32 +182,25 @@ class Trainer:
 
             ir_features = None
             if cfg.use_ir and cfg.ir_count > 0:
-                ir_features = []
-                unique_tails: list[int] = []
-                index_of: dict[int, int] = {}
-                per_query: list[list[int]] = []
+                sampled = []
                 for h, r in queries:
                     self.telemetry["irns_queries"] += 1
                     if self._irns_pool_empty(h, r):
                         self.telemetry["irns_fallbacks"] += 1
-                    sampled = sample_intra_relation(self.graph, h, r, cfg.ir_count, self.rng)
-                    rows = []
-                    for t in sampled:
-                        if t not in index_of:
-                            index_of[t] = len(unique_tails)
-                            unique_tails.append(t)
-                        rows.append(index_of[t])
-                    per_query.append(rows)
-                if unique_tails:
-                    ir_batch = model.encode_tails(
-                        [self._tail_token_seq(t) for t in unique_tails], unique_tails
+                    sampled.append(
+                        sample_intra_relation(self.graph, h, r, cfg.ir_count, self.rng)
                     )
-                    for rows in per_query:
-                        ir_features.append(
-                            ad.gather_rows(ir_batch, rows) if rows else None
-                        )
-                else:
-                    ir_features = None
+                # each distinct tail is encoded once, in order of first draw
+                drawn = dict.fromkeys(t for ts in sampled for t in ts)
+                row_of = {t: i for i, t in enumerate(drawn)}
+                if row_of:
+                    ir_batch = model.encode_tails(
+                        [self._tail_token_seq(t) for t in row_of], list(row_of)
+                    )
+                    ir_features = [
+                        ad.gather_rows(ir_batch, [row_of[t] for t in ts]) if ts else None
+                        for ts in sampled
+                    ]
 
             loss_cl = contrastive_loss(
                 h_hr, h_t, mask, model.log_tau, self.loss_cfg.margin,
@@ -245,7 +234,7 @@ class Trainer:
             raise TrainingError(f"{exc} on batch triples {ids}") from exc
         clamp_log_tau(model.log_tau, self.loss_cfg.tau_min, self.loss_cfg.tau_max)
 
-        if cfg.use_mh and self.momentum_encoder is not None:
+        if cfg.use_mh:
             self.momentum_encoder.ema_update()
             feats = self.momentum_encoder.encode_tails(tail_tokens, tails)
             self.queue.push(feats)
@@ -266,7 +255,7 @@ class Trainer:
             mean_loss=float(np.mean(losses)),
             tau=self.model.tau,
             lr=self.optimizer.current_lr(),
-            queue_fill=(len(self.queue) / self.queue.capacity) if self.queue else 0.0,
+            queue_fill=(len(self.queue) / self.queue.capacity) if self.cfg.use_mh else 0.0,
             irns_fallback_rate=self.telemetry["irns_fallbacks"] / queries,
         )
 

@@ -128,8 +128,23 @@ class TestMiou:
         assert code == 0
         printed = float(out.splitlines()[0].split("\t")[1])
         ds = load_dataset(workspace["data"])
-        expected, _ = miou(ds.graph, ds.graph.triples("test"))
+        expected, _ = miou(ds.graph)
         assert printed == pytest.approx(expected, abs=1e-6)
+
+    def test_split_option_picks_the_compared_split(self, tmp_path, capsys):
+        # train and valid share e(r) = {1, 3} and e(r^-1) = {0, 2}; test does not
+        files = {
+            "entities.txt": "".join(f"e{i}\tentity {i}\t\n" for i in range(6)),
+            "relations.txt": "r\trel\n",
+            "train.txt": "e0\tr\te1\ne2\tr\te3\n",
+            "valid.txt": "e0\tr\te3\ne2\tr\te1\n",
+            "test.txt": "e4\tr\te5\n",
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        for split, want in (("valid", "1.000000"), ("test", "0.000000")):
+            assert main(["miou", "--dataset", str(tmp_path), "--split", split]) == 0
+            assert capsys.readouterr().out.splitlines()[0] == f"MIOU\t{want}"
 
 
 class TestSweepAndExport:

@@ -1,12 +1,23 @@
+from dataclasses import fields
+
 import pytest
 
-from structkgc.config import (
-    LR_GRID,
-    PAPER_FULL_SCALE,
-    ConfigError,
-    RunConfig,
-    parse_config,
+from structkgc.config import LR_GRID, ConfigError, RunConfig, parse_config
+from structkgc.structural import AseKind
+
+# every RunConfig field at a valid value other than its default, except
+# that the text and structural paths cannot both be off: each variant
+# below turns one of them off
+NON_DEFAULT = dict(
+    dataset="data/x", min_token_freq=3, struct_dim=32, layers=3,
+    hidden_dim=48, heads=6, max_len=20, ase_kind="rotation",
+    share_text_encoders=True, use_mh=False, use_ir=False, tau_init=0.1,
+    tau_min=0.02, tau_max=0.5, margin=0.05, beta=0.25, queue_capacity=64,
+    hardest_k=8, mh_count=16, ir_count=2, momentum=0.99, lr=1e-3,
+    weight_decay=0.05, clip_norm=2.0, epochs=4, batch_size=16, seed=7,
 )
+NON_DEFAULT_VARIANTS = [{"use_text": False}, {"use_ase": False}]
+DATA_DERIVED = {"num_entities", "num_base_relations", "vocab_size"}
 
 
 class TestRunConfig:
@@ -16,12 +27,36 @@ class TestRunConfig:
         assert cfg.margin == 0.02
         assert cfg.ir_count == 3
 
-    def test_full_scale_constants_documented(self):
-        assert PAPER_FULL_SCALE["queue_capacity"] == 15360
-        assert PAPER_FULL_SCALE["hardest_k"] == 192
-        assert PAPER_FULL_SCALE["ir_count"] == 3
-        assert PAPER_FULL_SCALE["batch_size"] == 768
+    def test_lr_grid_documented(self):
         assert LR_GRID == (5e-4, 5e-5, 1e-5)
+
+    def test_every_key_reaches_a_component_config(self):
+        """No RunConfig key is inert and no component field is unreachable."""
+        defaults = RunConfig()
+        changed = set()
+        for variant in NON_DEFAULT_VARIANTS:
+            cfg = RunConfig(**{**NON_DEFAULT, **variant})
+            parts = [cfg.model_config(num_entities=5, num_base_relations=2,
+                                      vocab_size=16 if cfg.use_text else 0),
+                     cfg.loss_config(), cfg.train_config()]
+            for f in fields(RunConfig):
+                value = getattr(cfg, f.name)
+                if value != getattr(defaults, f.name):
+                    changed.add(f.name)
+                if f.name in ("dataset", "min_token_freq"):
+                    continue
+                if f.name == "ase_kind":
+                    value = AseKind(value)
+                reached = [getattr(p, f.name) for p in parts if hasattr(p, f.name)]
+                assert reached, f"RunConfig.{f.name} reaches no component config"
+                assert all(v == value for v in reached), f.name
+            run_keys = {f.name for f in fields(RunConfig)}
+            for part in parts:
+                for f in fields(part):
+                    assert f.name in run_keys | DATA_DERIVED, (
+                        f"{type(part).__name__}.{f.name} cannot be set from a run config"
+                    )
+        assert changed == {f.name for f in fields(RunConfig)}
 
     # fail-fast table: one invalid fixture per downstream constraint
     @pytest.mark.parametrize(

@@ -25,8 +25,8 @@ class TestLoadDataset:
         # 3 train lines + 3 inverses
         assert len(g.triples("train")) == 6
         assert len(g.triples("valid")) == 2
-        a, x = ds.entity_index["/a"], ds.entity_index["/x"]
-        r = ds.relation_index["/r/linked"]
+        a, x = ds.entity_raw_ids.index("/a"), ds.entity_raw_ids.index("/x")
+        r = ds.relation_raw_ids.index("/r/linked")
         assert x in g.tails_by_pair(a, r, ["train"])
         assert a in g.tails_by_pair(x, r + 1, ["train"])  # inverse direction
 

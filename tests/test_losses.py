@@ -157,6 +157,21 @@ class TestStructuralLoss:
         assert loss.value[0, 0] == pytest.approx(np.mean(per_query), abs=1e-10)
 
 
+class TestSharedBody:
+    def test_contrastive_without_extras_is_structural_on_the_cosines(self):
+        rng = np.random.default_rng(8)
+        h, t = unit_rows(rng, 5, 6), unit_rows(rng, 5, 6)
+        mask = np.eye(5, dtype=bool)
+        mask[2, 0] = mask[4, 1] = True
+        text_tau, struct_tau = make_log_tau(0.07), make_log_tau(0.07)
+        text = contrastive_loss(Node(h), Node(t), mask, text_tau, 0.02)
+        struct = structural_loss(Node(h @ t.T), mask, struct_tau, 0.02)
+        np.testing.assert_array_equal(text.value, struct.value)
+        ad.backward(text)
+        ad.backward(struct)
+        np.testing.assert_array_equal(text_tau.grad, struct_tau.grad)
+
+
 class TestTotalLoss:
     def test_beta_zero_is_text_loss(self):
         out = total_loss(Node([[0.5]]), Node([[0.25]]), 0.0)

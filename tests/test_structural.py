@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from structkgc import autodiff as ad
+from structkgc.model import Model, ModelConfig
 from structkgc.structural import (
     AseKind,
     PrefixProjector,
@@ -52,16 +53,16 @@ class TestAseApply:
             table.entity_embeddings.value[4] = 0.0  # a row below the eps clamp
             unit_tails = unit_entity_table(table)
             for h, r in [(0, 0), (3, 5), (4, 2), (10, 1)]:
-                scores = struct_scores_all_tails(table, kind, h, r)
-                mat = struct_score_matrix_node(table, kind, [h], [r], list(range(11)))
+                scores = struct_scores_all_tails(table, h, r)
+                mat = struct_score_matrix_node(table, [h], [r], list(range(11)))
                 np.testing.assert_allclose(scores, mat.value[0], rtol=0, atol=1e-12)
                 np.testing.assert_array_equal(
-                    struct_scores_all_tails(table, kind, h, r, unit_tails), scores
+                    struct_scores_all_tails(table, h, r, unit_tails), scores
                 )
 
 
-def struct_score(table, kind, head, relation, tail):
-    return struct_scores_all_tails(table, kind, head, relation)[tail]
+def struct_score(table, head, relation, tail):
+    return struct_scores_all_tails(table, head, relation)[tail]
 
 
 class TestStructScore:
@@ -76,16 +77,16 @@ class TestStructScore:
 
     def test_exact_match_scores_one(self):
         table = self._table([[1.0, 0.0], [1.0, 1.0]], [[0.0, 1.0]])
-        assert struct_score(table, AseKind.ADDITIVE, 0, 0, 1) == pytest.approx(1.0)
+        assert struct_score(table, 0, 0, 1) == pytest.approx(1.0)
 
     def test_orthogonal_scores_zero(self):
         table = self._table([[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0]])
-        assert struct_score(table, AseKind.ADDITIVE, 0, 0, 1) == pytest.approx(0.0)
+        assert struct_score(table, 0, 0, 1) == pytest.approx(0.0)
 
     def test_hand_case(self):
         table = self._table([[1.0, 0.0], [1.0, 1.0]], [[0.0, 1.0]])
         # combine([1,0],[0,1]) = [1,1]; cos([1,1],[1,1]) = 1
-        assert struct_score(table, AseKind.ADDITIVE, 0, 0, 1) == pytest.approx(1.0)
+        assert struct_score(table, 0, 0, 1) == pytest.approx(1.0)
 
     def test_bounded_in_unit_interval(self):
         rng = np.random.default_rng(2)
@@ -95,7 +96,7 @@ class TestStructScore:
             table.relation_embeddings.value = rng.normal(size=(6, 8)) * 10
             for _ in range(50):
                 s = struct_score(
-                    table, kind,
+                    table,
                     int(rng.integers(0, 12)), int(rng.integers(0, 6)),
                     int(rng.integers(0, 12)),
                 )
@@ -110,14 +111,14 @@ class TestStructScore:
         table = StructuralTable(20, 2, dim, AseKind.ADDITIVE, rng)
         table.entity_embeddings.value = ents
         table.relation_embeddings.value = np.vstack([rels, -rels])
-        assert struct_score(table, AseKind.ADDITIVE, 2, 0, 5) == pytest.approx(1.0)
-        scores = struct_scores_all_tails(table, AseKind.ADDITIVE, 2, 0)
+        assert struct_score(table, 2, 0, 5) == pytest.approx(1.0)
+        scores = struct_scores_all_tails(table, 2, 0)
         assert int(np.argmax(scores)) == 5
 
     def test_all_tails_matches_single_scores(self):
         rng = np.random.default_rng(4)
         table = StructuralTable(9, 2, 6, AseKind.HADAMARD, rng)
-        scores = struct_scores_all_tails(table, AseKind.HADAMARD, 3, 1)
+        scores = struct_scores_all_tails(table, 3, 1)
         e = table.entity_embeddings.value
         query = e[3] * table.relation_embeddings.value[1]
         for t in range(9):
@@ -130,11 +131,11 @@ class TestStructScore:
         heads = [0, 3, 7]
         rels = [1, 0, 2]
         tails = [2, 5, 9]
-        mat = struct_score_matrix_node(table, AseKind.ADDITIVE, heads, rels, tails)
+        mat = struct_score_matrix_node(table, heads, rels, tails)
         for q in range(3):
             for j in range(3):
                 assert mat.value[q, j] == pytest.approx(
-                    struct_score(table, AseKind.ADDITIVE, heads[q], rels[q], tails[j]),
+                    struct_score(table, heads[q], rels[q], tails[j]),
                     abs=1e-12,
                 )
 
@@ -177,6 +178,22 @@ class TestPrefixProjector:
             proj.project(ad.Node([[1.0, 2.0]]))
 
 
+@pytest.mark.parametrize("kind", list(AseKind))
+def test_hr_prefixes_project_the_tables_combine(kind):
+    model = Model(ModelConfig(num_entities=7, num_base_relations=2, struct_dim=6,
+                              layers=2, hidden_dim=8, heads=2, max_len=8,
+                              vocab_size=12, ase_kind=kind), seed=3)
+    heads, relations = [0, 4, 6], [1, 3, 0]
+    e_h = ad.gather_rows(model.struct.entity_embeddings, heads)
+    e_r = ad.gather_rows(model.struct.relation_embeddings, relations)
+    want = model.hr_projector.project(ase_apply_node(kind, e_h, e_r))
+    got = model.hr_prefixes(heads, relations)
+    assert len(got) == len(want) == 2
+    for (k, v), (k_want, v_want) in zip(got, want):
+        np.testing.assert_array_equal(k.value, k_want.value)
+        np.testing.assert_array_equal(v.value, v_want.value)
+
+
 def test_init_embedding_bounds():
     rng = np.random.default_rng(6)
     emb = init_embedding(rng, 100, 64)
@@ -188,4 +205,4 @@ def test_init_embedding_bounds():
 def test_safe_cosine_handles_zero_vectors():
     table = StructuralTable(2, 1, 4, AseKind.ADDITIVE, np.random.default_rng(7))
     table.entity_embeddings.value = np.array([[1.0] * 4, [0.0] * 4])
-    assert struct_score(table, AseKind.ADDITIVE, 0, 0, 1) == 0.0
+    assert struct_score(table, 0, 0, 1) == 0.0

@@ -208,7 +208,8 @@ class TestFusedMatchesReference:
         fused = enc.encode(self.SEQS, prefixes)
         ad.backward(ad.sum_all(ad.mul(fused, weights)))
         fused_grads = [leaf.grad for leaf in leaves]
-        ad.zero_grads(leaves)
+        for leaf in leaves:
+            leaf.grad = None
 
         rows = []
         for b, tokens in enumerate(self.SEQS):
