@@ -56,6 +56,11 @@ def _load_run_config(args) -> RunConfig:
 def _load_scorer(args):
     _require_file(args.dataset, "dataset directory")
     dataset = load_dataset(args.dataset)
+    if not len(dataset.graph.triples(args.split)):
+        raise UsageError(
+            f"split {args.split!r} has no triples to rank; pass --split "
+            f"with a split that has some"
+        )
     _require_file(args.checkpoint, "checkpoint")
     model = load_model(
         args.checkpoint,

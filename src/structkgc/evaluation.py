@@ -9,6 +9,7 @@ per-direction and per-relation breakdowns.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,12 +22,12 @@ from .text import Tokenizer, tokenize_entity, tokenize_hr
 
 SCORE_MODES = ("text", "struct", "combined")
 DEFAULT_FILTER_SPLITS = ("train", "valid", "test")
-# Entities per tail-encoder call when the scorer builds its tail matrix.
-# One padded pass per chunk amortises the per-op overhead; the chunk
-# bounds the (chunk, heads, L, L + 1) attention arrays, ~8.5 MB each at
-# 4 heads and max_len 64, so the build's peak memory does not grow with
-# the entity count.
-TAIL_CHUNK = 64
+# Sequences per text-encoder call when the scorer encodes its tail matrix
+# and its queries.  One padded pass per chunk amortises the per-op
+# overhead; the chunk bounds the (chunk, heads, L, L + 1) attention
+# arrays, ~4.3 MB each at 4 heads and max_len 64, so peak memory grows
+# with neither the entity count nor the query count.
+ENCODE_CHUNK = 32
 
 
 def _ids(ids) -> np.ndarray:
@@ -120,9 +121,17 @@ def miou(graph: KnowledgeGraph, split: str = "test") -> tuple[float, dict[int, f
 class ModelScorer:
     """Scores every entity as tail candidate for (head, relation) queries.
 
-    The tail side is a snapshot taken at construction, which later parameter
-    updates do not reach: the tail text encodings and the unit-normalised
-    structural entity table.  Query encodings are cached by (head, relation).
+    The scorer is a snapshot of the whole model at construction, which
+    later parameter updates do not reach.  The tail side is encoded then:
+    the tail text matrix and the unit-normalised structural entity table.
+    The query side reads a private copy of the weights it needs (the
+    structural tables, the query encoder and its prefix projector), taken
+    after the tail build so the copy does not add to that build's peak.
+
+    ``prepare(pairs)`` encodes the text queries of many (head, relation)
+    pairs in padded batches of at most ``ENCODE_CHUNK``; ``scores`` sends
+    a query not prepared yet through the same call.  Query encodings are
+    cached by (head, relation); structural scores are computed per query.
     """
 
     def __init__(self, model: Model, graph: KnowledgeGraph,
@@ -136,46 +145,57 @@ class ModelScorer:
             raise ValueError(f"{mode!r} scoring needs structural embeddings")
         if mode in ("text", "combined") and tokenizer is None:
             raise ValueError("text scoring needs a tokenizer")
-        self.model = model
         self.graph = graph
         self.tokenizer = tokenizer
         self.mode = mode
         self.beta = beta
         self._tail_matrix: np.ndarray | None = None
-        self._query_cache: dict[tuple[int, int], np.ndarray] = {}
+        self._queries: dict[tuple[int, int], np.ndarray] = {}
         if mode in ("text", "combined"):
             ents = graph.entities
             chunks = []
             with ad.no_grad():
-                for start in range(0, len(ents), TAIL_CHUNK):
-                    part = ents[start:start + TAIL_CHUNK]
+                for start in range(0, len(ents), ENCODE_CHUNK):
+                    part = ents[start:start + ENCODE_CHUNK]
                     tokens = [tokenize_entity(tokenizer, e, model.config.max_len)
                               for e in part]
                     chunks.append(model.encode_tails(tokens, [e.id for e in part]).value)
             self._tail_matrix = np.concatenate(chunks)
         self._unit_tails = (None if mode == "text"
                             else unit_entity_table(model.struct))
+        # the copy's tail side still points at the live model; nothing
+        # reads it after the build above
+        self.model = copy.copy(model)
+        for name in ("struct", "hr_encoder", "hr_projector"):
+            setattr(self.model, name, copy.deepcopy(getattr(model, name)))
 
-    def _text_scores(self, head: int, relation: int) -> np.ndarray:
-        key = (head, relation)
-        if key not in self._query_cache:
-            tokens = tokenize_hr(
-                self.tokenizer, self.graph.entities[head],
-                self.graph.relations[relation], self.model.config.max_len,
-            )
-            with ad.no_grad():
-                self._query_cache[key] = self.model.encode_queries(
-                    [tokens], [key]
-                ).value[0]
-        return self._tail_matrix @ self._query_cache[key]
+    def prepare(self, pairs) -> None:
+        """Encode the text queries of the distinct ``pairs`` not cached yet."""
+        if self.mode == "struct":
+            return
+        todo = list(dict.fromkeys(
+            key for key in map(tuple, pairs) if key not in self._queries
+        ))
+        entities, relations = self.graph.entities, self.graph.relations
+        max_len = self.model.config.max_len
+        with ad.no_grad():
+            for start in range(0, len(todo), ENCODE_CHUNK):
+                part = todo[start:start + ENCODE_CHUNK]
+                tokens = [tokenize_hr(self.tokenizer, entities[h], relations[r], max_len)
+                          for h, r in part]
+                rows = self.model.encode_queries(tokens, part).value
+                self._queries.update(zip(part, rows))
 
     def scores(self, head: int, relation: int) -> np.ndarray:
-        if self.mode == "text":
-            return self._text_scores(head, relation)
-        struct = self.model.struct_scores_all_tails(head, relation, self._unit_tails)
+        struct = (None if self.mode == "text" else
+                  self.model.struct_scores_all_tails(head, relation, self._unit_tails))
         if self.mode == "struct":
             return struct
-        return self._text_scores(head, relation) + self.beta * struct
+        key = (head, relation)
+        if key not in self._queries:
+            self.prepare([key])
+        text = self._tail_matrix @ self._queries[key]
+        return text if struct is None else text + self.beta * struct
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +281,15 @@ def evaluate(
 
     Splits loaded through the dataset layer already contain inverse
     triples, so head prediction is covered by the inverse-relation
-    queries of the same split.
+    queries of the same split.  A scorer with a ``prepare`` method gets
+    the split's (head, relation) pairs once, before the first query.
     """
     rerank_config = rerank_config or RerankConfig()
+    triples = graph.triples(split).tolist()
+    if hasattr(scorer, "prepare"):
+        scorer.prepare([(h, r) for h, r, _ in triples])
     results: list[QueryResult] = []
-    for h, r, t in graph.triples(split).tolist():
+    for h, r, t in triples:
         raw = np.asarray(scorer.scores(h, r), dtype=np.float64)
         if rerank_config.alpha > 0:
             adjusted = rerank(raw, graph.tails_by_relation(r, rerank_config.splits),

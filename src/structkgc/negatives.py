@@ -163,7 +163,10 @@ def in_batch_mask(queries: list[tuple[int, int]], batch_tails: list[int],
     tails = np.asarray(batch_tails, dtype=np.int64)
     mask = tails[:, None] == tails[None, :]
     for q, (h, r) in enumerate(queries):
-        mask[q] |= np.isin(tails, graph.tails_by_pair(h, r, ("train",)))
+        known = graph.tails_by_pair(h, r, ("train",))  # sorted and distinct
+        if len(known):
+            at = known.searchsorted(tails).clip(max=len(known) - 1)
+            mask[q] |= known[at] == tails
     return mask
 
 

@@ -141,9 +141,9 @@ class ReferenceAsArrays:
     """A ``ReferenceGraph`` behind the array interface the trainer reads.
 
     Converts the way the callers of the old graph did: triples as an
-    ``(n, 3)`` array in split order, e(h, r) in frozenset iteration order
-    (``negatives._as_array``) and train e(r) through the sorted
-    ``train_tail_array``.
+    ``(n, 3)`` array in split order and train e(r) through the sorted
+    ``train_tail_array``.  e(h, r) is sorted, as ``KnowledgeGraph``
+    promises and ``in_batch_mask``'s binary search needs.
     """
 
     def __init__(self, reference: ReferenceGraph):
@@ -158,7 +158,7 @@ class ReferenceAsArrays:
 
     def tails_by_pair(self, head, relation, splits=("train",)) -> np.ndarray:
         tails = self._reference.tails_by_pair(head, relation, splits)
-        return np.fromiter(tails, dtype=np.int64, count=len(tails))
+        return np.sort(np.fromiter(tails, dtype=np.int64, count=len(tails)))
 
     def tails_by_relation(self, relation, splits=("train",)) -> np.ndarray:
         splits = tuple(splits)

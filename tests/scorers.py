@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from structkgc import autodiff as ad
+from structkgc.text import tokenize_hr
+
 
 class TableScorer:
     """Scores straight out of a fixed lookup.
@@ -17,3 +20,12 @@ class TableScorer:
 
     def scores(self, head: int, relation: int) -> np.ndarray:
         return self.table[(head, relation)]
+
+
+def encode_one_query(model, graph, tokenizer, head: int, relation: int) -> np.ndarray:
+    """One (head, relation) query encoded by itself through ``model``: the
+    one-query path that batched query encoding replaced."""
+    tokens = tokenize_hr(tokenizer, graph.entities[head], graph.relations[relation],
+                         model.config.max_len)
+    with ad.no_grad():
+        return model.encode_queries([tokens], [(head, relation)]).value[0]

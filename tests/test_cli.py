@@ -9,6 +9,7 @@ from structkgc.data import load_dataset
 from structkgc.evaluation import ModelScorer, miou
 from structkgc.toygen import make_text_toy, write_toy_dataset
 
+from scorers import encode_one_query
 from test_evaluation import reference_evaluate
 
 TOY_CONFIG = """
@@ -180,6 +181,28 @@ class TestSweepAndExport:
         assert inverse_seen  # head-direction queries exported too
 
 
+class TestEmptySplit:
+    # the toy writes no valid triples, and valid is rerank-sweep's default split
+    @pytest.mark.parametrize("command,extra", [
+        ("eval", ["--split", "valid"]),
+        ("rerank-sweep", []),
+        ("export-predictions", ["--split", "valid"]),
+    ])
+    def test_is_a_usage_error_naming_the_split(self, workspace, tmp_path, capsys,
+                                               command, extra):
+        out = tmp_path / "preds.tsv"
+        argv = [command, "--dataset", str(workspace["data"]),
+                "--checkpoint", str(workspace["ckpt"]), *extra]
+        if command == "export-predictions":
+            argv += ["--out", str(out)]
+        assert load_dataset(workspace["data"]).graph.triples("valid").size == 0
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error\tusage\t")
+        assert "'valid'" in err and "--split" in err
+        assert not out.exists()
+
+
 class TestBuildVocab:
     def test_writes_sorted_vocab(self, workspace, tmp_path, capsys):
         out = tmp_path / "vocab.tsv"
@@ -195,15 +218,21 @@ class TestBuildVocab:
 
 
 class ReferenceScorer(ModelScorer):
-    """Scores structure through the model on every query, with no cached table."""
+    """Scores every query alone through the live model: each text query is
+    encoded by itself, and structure is scored with no cached table."""
+
+    def __init__(self, model, graph, tokenizer, mode="text", beta=0.5):
+        super().__init__(model, graph, tokenizer, mode=mode, beta=beta)
+        self.live = model
 
     def scores(self, head, relation):
-        if self.mode == "text":
-            return self._text_scores(head, relation)
-        struct = self.model.struct_scores_all_tails(head, relation)
+        struct = (None if self.mode == "text"
+                  else self.live.struct_scores_all_tails(head, relation))
         if self.mode == "struct":
             return struct
-        return self._text_scores(head, relation) + self.beta * struct
+        text = self._tail_matrix @ encode_one_query(self.live, self.graph, self.tokenizer,
+                                                    head, relation)
+        return text if struct is None else text + self.beta * struct
 
 
 class TestMatchesReferencePath:

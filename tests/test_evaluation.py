@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from structkgc import evaluation
 from structkgc.data import build_tokenizer
 from structkgc.evaluation import (
     DEFAULT_FILTER_SPLITS,
+    SCORE_MODES,
     ModelScorer,
     QueryResult,
     RerankConfig,
@@ -18,12 +21,12 @@ from structkgc.evaluation import (
 )
 from structkgc.graph import EntityRecord, KnowledgeGraph, RelationRecord, Triple
 from structkgc.model import Model, ModelConfig
-from structkgc.structural import AseKind, unit_entity_table
+from structkgc.structural import AseKind
 from structkgc.text import tokenize_entity
 from structkgc.toygen import make_text_toy
 
 from graph_reference import ReferenceGraph
-from scorers import TableScorer
+from scorers import TableScorer, encode_one_query
 
 
 def oracle_rank(scores, gold, filter_ids):
@@ -524,7 +527,7 @@ class TestModelScorerMatchesModel:
     def test_text_tail_matrix_matches_per_entity_build(self, kind, monkeypatch):
         g, tokenizer, model = text_struct_model(kind)
         # 14 entities in chunks of 4: three full chunks and a remainder
-        monkeypatch.setattr(evaluation, "TAIL_CHUNK", 4)
+        monkeypatch.setattr(evaluation, "ENCODE_CHUNK", 4)
         scorer = ModelScorer(model, g, tokenizer, mode="text")
         per_entity = np.concatenate([
             model.encode_tails([tokenize_entity(tokenizer, e, model.config.max_len)],
@@ -534,11 +537,41 @@ class TestModelScorerMatchesModel:
         np.testing.assert_allclose(scorer._tail_matrix, per_entity, rtol=0, atol=1e-12)
 
     def test_tail_table_is_a_construction_snapshot(self, kind):
+        # both sides are fixed at construction: every parameter moves after
+        # it, and the scores stay those of the pre-mutation model
         g, tokenizer, model = text_struct_model(kind)
-        scorer = ModelScorer(model, g, tokenizer, mode="struct")
-        snapshot = unit_entity_table(model.struct)
-        model.struct.entity_embeddings.value = model.struct.entity_embeddings.value * 2.0 + 0.1
-        assert not np.array_equal(scorer.scores(0, 0), model.struct_scores_all_tails(0, 0))
-        np.testing.assert_array_equal(
-            scorer.scores(0, 0), model.struct_scores_all_tails(0, 0, snapshot)
-        )
+        before = copy.deepcopy(model)
+        scorers = {mode: ModelScorer(model, g, tokenizer, mode=mode, beta=0.3)
+                   for mode in SCORE_MODES}
+        rng = np.random.default_rng(5)
+        for node in model.parameters().values():
+            node.value += rng.normal(0.0, 0.1, size=node.value.shape)
+        tails = np.concatenate([
+            before.encode_tails([tokenize_entity(tokenizer, e, before.config.max_len)],
+                                [e.id]).value
+            for e in g.entities
+        ])
+        for h, r in [(0, 0), *g.triples("test")[:, :2].tolist()]:
+            struct = before.struct_scores_all_tails(h, r)
+            text = tails @ encode_one_query(before, g, tokenizer, h, r)
+            assert not np.array_equal(struct, model.struct_scores_all_tails(h, r))
+            assert not np.allclose(text, tails @ encode_one_query(model, g, tokenizer, h, r))
+            np.testing.assert_array_equal(scorers["struct"].scores(h, r), struct)
+            np.testing.assert_allclose(scorers["text"].scores(h, r), text,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(scorers["combined"].scores(h, r),
+                                       text + 0.3 * struct, rtol=0, atol=1e-12)
+
+    def test_prepared_queries_match_one_query_encodes(self, kind, monkeypatch):
+        g, tokenizer, model = text_struct_model(kind)
+        pairs = list(dict.fromkeys(map(tuple, g.triples("train")[:, :2].tolist())))[:10]
+        # 10 distinct pairs in chunks of 4: two full chunks and a remainder
+        assert len(pairs) == 10
+        monkeypatch.setattr(evaluation, "ENCODE_CHUNK", 4)
+        scorer = ModelScorer(model, g, tokenizer, mode="text")
+        scorer.prepare([*pairs, pairs[3]])
+        assert list(scorer._queries) == pairs
+        for h, r in pairs:
+            np.testing.assert_allclose(scorer._queries[(h, r)],
+                                       encode_one_query(model, g, tokenizer, h, r),
+                                       rtol=0, atol=1e-12)

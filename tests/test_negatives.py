@@ -252,6 +252,16 @@ class TestInBatchMask:
         assert mask[1, 0]  # (shirt, style, dress) is train-true
         assert not mask[0, 1]
 
+    def test_pair_with_no_train_tails_masks_only_equal_tails(self):
+        ents = [EntityRecord(f"e{i}", "", i) for i in range(4)]
+        rels = [RelationRecord("r0", "", 0)]
+        g = KnowledgeGraph(ents, rels, {"train": [Triple(0, 0, 1), Triple(0, 0, 3)]})
+        assert len(g.tails_by_pair(2, 0, ("train",))) == 0
+        mask = in_batch_mask([(2, 0), (0, 0), (2, 0)], [1, 3, 1], g)
+        np.testing.assert_array_equal(mask, [[True, False, True],
+                                             [True, True, True],
+                                             [True, False, True]])
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(12)
         ents = [EntityRecord(f"e{i}", "", i) for i in range(8)]
