@@ -163,18 +163,20 @@ def log(a: Node) -> Node:
     return Node(np.log(a.value), (a,), lambda g: (g / a.value,))
 
 
-def power(a: Node, p: float) -> Node:
-    p = float(p)
-    y = a.value ** p
-    return Node(y, (a,), lambda g: (g * p * a.value ** (p - 1.0),))
-
-
 def gelu(a: Node) -> Node:
-    """Exact Gaussian-error-function GELU (smooth, finite-difference safe)."""
+    """Exact Gaussian-error-function GELU (smooth, finite-difference safe).
+
+    The Gaussian pdf is only needed by the derivative, so only the
+    vector-Jacobian callback computes it.
+    """
     x = a.value
     cdf = 0.5 * (1.0 + erf(x / _SQRT2))
-    pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    return Node(x * cdf, (a,), lambda g: (g * (cdf + x * pdf),))
+
+    def vjp(g):
+        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+        return (g * (cdf + x * pdf),)
+
+    return Node(x * cdf, (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +192,22 @@ def matmul(a: Node, b: Node) -> Node:
         a.value @ b.value,
         (a, b),
         lambda g: (g @ b.value.T, a.value.T @ g),
+    )
+
+
+def linear(x: Node, w: Node, b: Node) -> Node:
+    """The affine map ``x @ w + b`` as one node; ``b`` is a (1, n) row.
+
+    Values and gradients are those of ``add(matmul(x, w), b)``.
+    """
+    if x.value.shape[1] != w.value.shape[0] or b.value.shape != (1, w.value.shape[1]):
+        raise ValueError(
+            f"linear shape mismatch: {x.value.shape} x {w.value.shape} + {b.value.shape}"
+        )
+    return Node(
+        x.value @ w.value + b.value,
+        (x, w, b),
+        lambda g: (g @ w.value.T, x.value.T @ g, g.sum(axis=0, keepdims=True)),
     )
 
 
@@ -389,36 +407,78 @@ def attention(q: Node, k: Node, v: Node, lengths, heads: int,
     return Node(out, parents, vjp)
 
 
-# ---------------------------------------------------------------------------
-# compositions used by the encoders
-# ---------------------------------------------------------------------------
-
-def masked_mean_rows(a: Node, mask) -> Node:
-    """Means over the rows selected by each row of a boolean/0-1 mask.
-
-    A 1-D mask over the rows of ``a`` gives one (1, n) mean; a (k, rows)
-    mask gives k means as a (k, n) node.
-    """
-    m = np.atleast_2d(np.asarray(mask, dtype=np.float64))
-    if m.ndim != 2 or m.shape[1] != a.value.shape[0]:
-        raise ValueError(
-            f"mask shape {m.shape} does not match {a.value.shape[0]} rows"
-        )
-    totals = m.sum(axis=1, keepdims=True)
-    if np.any(totals <= 0):
-        raise ValueError("masked_mean_rows needs at least one selected row")
-    return matmul(Node(m / totals), a)
-
-
 def layer_norm_rows(a: Node, gain: Node, bias: Node, eps: float = 1e-5) -> Node:
-    """Per-row standardization followed by a learned affine map."""
-    n = a.value.shape[1]
-    mu = smul(sum_axis(a, axis=1), 1.0 / n)
-    xc = sub(a, mu)
-    var = smul(sum_axis(mul(xc, xc), axis=1), 1.0 / n)
-    inv_std = power(add_const(var, eps), -0.5)
-    return add(mul(mul(xc, inv_std), gain), bias)
+    """Per-row standardization followed by a learned (1, n) affine map.
 
+    The variance is the biased one, over each row's n entries.
+    """
+    x = a.value
+    n = x.shape[1]
+    if gain.value.shape != (1, n) or bias.value.shape != (1, n):
+        raise ValueError(
+            f"layer norm of width {n} got gain {gain.value.shape} and bias "
+            f"{bias.value.shape}"
+        )
+    xc = x - x.sum(axis=1, keepdims=True) * (1.0 / n)
+    inv_std = ((xc * xc).sum(axis=1, keepdims=True) * (1.0 / n) + eps) ** -0.5
+    x_hat = xc * inv_std
+
+    def vjp(g):
+        d_hat = g * gain.value
+        d_x = inv_std * (d_hat - d_hat.mean(axis=1, keepdims=True)
+                         - x_hat * (d_hat * x_hat).mean(axis=1, keepdims=True))
+        return (d_x, (g * x_hat).sum(axis=0, keepdims=True),
+                g.sum(axis=0, keepdims=True))
+
+    return Node(x_hat * gain.value + bias.value, (a, gain, bias), vjp)
+
+
+def mean_pool(x: Node, weights) -> Node:
+    """Weighted mean of each sequence's rows; (B, d).
+
+    ``x`` holds B sequences of L rows each as (B*L, d), sequence b owning
+    rows b*L .. b*L + L - 1.  ``weights`` is (B, L) and non-negative, 0/1
+    for a plain mean over the selected rows; row b of the output is
+    sum_l weights[b, l] * x[b*L + l] / sum_l weights[b, l].
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    rows, d = x.value.shape
+    if w.ndim != 2 or w.size != rows:
+        raise ValueError(f"weights of shape {w.shape} do not split {rows} rows")
+    b_count, seq_len = w.shape
+    totals = w.sum(axis=1, keepdims=True)
+    if np.any(totals <= 0):
+        raise ValueError("mean_pool needs a positive weight in every sequence")
+    share = w / totals
+    out = (share[:, None, :] @ x.value.reshape(b_count, seq_len, d))[:, 0]
+    return Node(out, (x,),
+                lambda g: ((share[:, :, None] * g[:, None, :]).reshape(rows, d),))
+
+
+def row_dots(h: Node, f: Node, m: int) -> Node:
+    """Dot products of each row of ``h`` with its own ``m`` rows of ``f``.
+
+    ``h`` is (B, d) and ``f`` is (B*m, d), rows b*m .. b*m + m - 1 being
+    row b's; the (B, m) output holds h[b] . f[b*m + j] at (b, j).
+    """
+    b_count, d = h.value.shape
+    if m < 1 or f.value.shape != (b_count * m, d):
+        raise ValueError(
+            f"row_dots needs ({b_count} * {m}, {d}) rows, got {f.value.shape}"
+        )
+    hv = h.value
+    fv = f.value.reshape(b_count, m, d)
+
+    def vjp(g):
+        return ((g[:, None, :] @ fv)[:, 0],
+                (g[:, :, None] * hv[:, None, :]).reshape(b_count * m, d))
+
+    return Node((fv @ hv[:, :, None])[:, :, 0], (h, f), vjp)
+
+
+# ---------------------------------------------------------------------------
+# compositions used by the structural path
+# ---------------------------------------------------------------------------
 
 def l2_normalize_pairs(a: Node, eps: float = DEFAULT_NORM_EPS) -> Node:
     """Normalize each (even, odd) column pair of every row to unit modulus."""

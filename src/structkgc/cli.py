@@ -9,6 +9,7 @@ exit non-zero (2 for usage or missing inputs, 1 for runtime errors).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -128,6 +129,22 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _finite_float(raw: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {raw!r}")
+    return value
+
+
+def _finite_floats(raw: str) -> list[float]:
+    """argparse type: a comma-separated list of finite floats."""
+    return [_finite_float(part) for part in raw.split(",") if part.strip()]
+
+
 def _parse_splits(raw: str) -> tuple[str, ...]:
     splits = tuple(s.strip() for s in raw.split(",") if s.strip())
     bad = [s for s in splits if s not in SPLITS]
@@ -162,7 +179,7 @@ def cmd_eval(args) -> int:
 
 def cmd_rerank_sweep(args) -> int:
     dataset, model, scorer = _load_scorer(args)
-    alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
+    alphas = args.alphas
     regimes = [r.strip() for r in args.regimes.split(",") if r.strip()]
     bad = [r for r in regimes if r not in REGIMES]
     if bad:
@@ -231,7 +248,7 @@ def _add_eval_like(p, default_split):
                    dest="filter_splits")
     p.add_argument("--score-mode", choices=SCORE_MODES, default=None,
                    dest="score_mode")
-    p.add_argument("--beta", type=float, default=0.5)
+    p.add_argument("--beta", type=_finite_float, default=0.5)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -260,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="filtered-ranking evaluation of a checkpoint")
     _add_eval_like(p, "test")
-    p.add_argument("--alpha", type=float, default=0.0)
+    p.add_argument("--alpha", type=_finite_float, default=0.0)
     p.add_argument("--rerank-splits", default="train", dest="rerank_splits")
     p.add_argument("--detail", default=None,
                    help="write per-query ranks and top-10 candidates here")
@@ -269,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rerank-sweep",
                        help="grid over re-ranking penalties and knowledge regimes")
     _add_eval_like(p, "valid")
-    p.add_argument("--alphas", default="0,0.02,0.05,0.1,0.2,0.5")
+    p.add_argument("--alphas", type=_finite_floats, default="0,0.02,0.05,0.1,0.2,0.5")
     p.add_argument("--regimes", default="none,train,train-valid,train-valid-test")
     p.set_defaults(func=cmd_rerank_sweep)
 

@@ -10,6 +10,7 @@ per-direction and per-relation breakdowns.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,6 +140,8 @@ class ModelScorer:
                  beta: float = 0.5):
         if mode not in SCORE_MODES:
             raise ValueError(f"score mode must be one of {SCORE_MODES}, got {mode!r}")
+        if not math.isfinite(beta):
+            raise ValueError(f"structural weight beta must be a finite number, got {beta}")
         if mode in ("text", "combined") and not model.config.use_text:
             raise ValueError(f"{mode!r} scoring needs a model with the text path")
         if mode in ("struct", "combined") and not model.config.use_ase:
@@ -208,8 +211,11 @@ class RerankConfig:
     splits: tuple[str, ...] = ("train",)
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError(f"re-ranking penalty must be non-negative, got {self.alpha}")
+        if not math.isfinite(self.alpha) or self.alpha < 0:
+            raise ValueError(
+                f"re-ranking penalty alpha must be a finite non-negative number, "
+                f"got {self.alpha}"
+            )
 
 
 @dataclass

@@ -12,6 +12,12 @@ the same shape over structural scores with in-batch negatives only, so
 both are one InfoNCE body over different score matrices.  Batches
 reduce by the mean over queries.
 
+The momentum-hard (MH) and intra-relation (IR) sums are batched, each a
+handful of tape nodes whatever the batch size: one
+:func:`autodiff.row_dots` of every query against its own m stacked MH
+rows, and, for IR, one gather of B*k rows of the encoded IR batch, one
+``row_dots`` and a 0/1 mask for queries with fewer than k tails.
+
 Temperature is carried as a learnable log-temperature node, which makes
 tau > 0 by construction; the clamp to the configured range happens after
 each optimizer step.
@@ -19,6 +25,7 @@ each optimizer step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +43,10 @@ class LossConfig:
     beta: float = 0.5
 
     def __post_init__(self):
+        for name in ("tau_init", "tau_min", "tau_max", "margin", "beta"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value}")
         if self.tau_init <= 0:
             raise ValueError(f"temperature must be positive, got {self.tau_init}")
         if not (0 < self.tau_min <= self.tau_init <= self.tau_max):
@@ -92,15 +103,29 @@ def _info_nce(scores: Node, ib_mask: np.ndarray, inv_tau: Node, margin: float,
     return ad.mean_all(ad.sub(ad.log(denom), pos_logit))
 
 
+def _negative_sums(h_hr: Node, feats: Node, count: int, inv_tau: Node,
+                   keep=None) -> Node:
+    """(B, 1) sums of e^(h_q . f * inv_tau) over query q's ``count`` rows
+    of ``feats``; entries where the (B, count) ``keep`` is 0 add 0."""
+    terms = ad.exp(ad.mul(ad.row_dots(h_hr, feats, count), inv_tau))
+    if keep is not None:
+        terms = ad.mul(terms, Node(keep))
+    return ad.sum_axis(terms, axis=1)
+
+
 def contrastive_loss(h_hr: Node, h_t: Node, ib_mask: np.ndarray,
                      log_tau: Node, margin: float,
                      mh_features=None, ir_features=None) -> Node:
     """Textual contrastive loss, mean over the batch.
 
-    ``mh_features`` is an optional per-query list of constant (m, d)
-    arrays of mixed hard negatives; ``ir_features`` an optional per-query
-    list of (n, d) Nodes of intra-relation tail encodings (or None for a
-    query with no extras).
+    ``mh_features`` is an optional constant (B, m, d) array, row q
+    holding query q's m mixed hard negatives.  ``ir_features`` is an
+    optional ``(rows, index, keep)`` triple: a (n, d) Node of
+    intra-relation tail encodings, a (B, k) integer array naming the
+    rows each query contrasts with, and a (B, k) 0/1 array that is 0
+    where a query has fewer than k tails.  An entry with ``keep`` 0 adds
+    exactly zero to the loss and to every gradient, whatever row it
+    names.
     """
     n = h_hr.value.shape[0]
     if h_t.value.shape[0] != n or ib_mask.shape != (n, n):
@@ -108,19 +133,23 @@ def contrastive_loss(h_hr: Node, h_t: Node, ib_mask: np.ndarray,
     inv_tau = ad.exp(ad.smul(log_tau, -1.0))
     cos_ib = ad.matmul(h_hr, ad.transpose(h_t))
     extra_sums = []
-    for extras in (mh_features, ir_features):
-        if extras is None:
-            continue
-        rows = []
-        for q in range(n):
-            feats = extras[q]
-            if feats is None or (hasattr(feats, "shape") and feats.shape[0] == 0):
-                rows.append(Node([[0.0]]))
-                continue
-            feats_node = feats if isinstance(feats, Node) else Node(feats)
-            logits = ad.matmul(ad.gather_rows(h_hr, [q]), ad.transpose(feats_node))
-            rows.append(ad.sum_axis(ad.exp(ad.mul(logits, inv_tau)), axis=1))
-        extra_sums.append(ad.concat_rows(rows))
+    if mh_features is not None:
+        mh = np.asarray(mh_features, dtype=np.float64)
+        if mh.ndim != 3 or mh.shape[0] != n:
+            raise ValueError(f"expected ({n}, m, d) hard negatives, got {mh.shape}")
+        extra_sums.append(_negative_sums(
+            h_hr, Node(mh.reshape(-1, mh.shape[2])), mh.shape[1], inv_tau))
+    if ir_features is not None:
+        rows, index, keep = ir_features
+        index = np.asarray(index, dtype=np.intp)
+        keep = np.asarray(keep, dtype=np.float64)
+        if index.ndim != 2 or index.shape[0] != n or keep.shape != index.shape:
+            raise ValueError(
+                f"expected ({n}, k) intra-relation index and keep arrays, got "
+                f"{index.shape} and {keep.shape}"
+            )
+        extra_sums.append(_negative_sums(
+            h_hr, ad.gather_rows(rows, index.ravel()), index.shape[1], inv_tau, keep))
     return _info_nce(cos_ib, ib_mask, inv_tau, margin, extra_sums)
 
 

@@ -63,7 +63,12 @@ class AdamW:
     def current_lr(self) -> float:
         return linear_decay(self.lr, self.total_steps, self.step_count)
 
-    def step(self):
+    def step(self) -> float:
+        """Apply one update from the parameters' ``grad`` and reset them.
+
+        Returns the global gradient norm before clipping, sqrt of the sum
+        of every squared gradient entry (a missing gradient counts as 0).
+        """
         grads = {}
         sq_norm = 0.0
         for name, p in self.params.items():
@@ -92,3 +97,4 @@ class AdamW:
                 update = update + self.weight_decay * p.value
             p.value = p.value - lr_t * update
             p.grad = None
+        return float(norm)

@@ -8,12 +8,15 @@ positions never include the prefix, so pooling is automatically over
 token positions only.
 
 A batch is encoded in one padded pass: the B sequences are padded with
-[PAD] to the longest one and stacked into (B*L, d) rows, every matmul
-and layer norm runs once over those rows, and attention
-(:func:`autodiff.attention`) keeps each sequence to its own keys, with
-keys past a sequence's length masked out.  Pooling averages each
-sequence's own positions, leaving out padding and any [PAD] id inside
-the sequence; such an id is still attended as a key.
+[PAD] to the longest one and stacked into (B*L, d) rows, every linear
+map (:func:`autodiff.linear`, one tape node each) and layer norm runs
+once over those rows, and attention (:func:`autodiff.attention`) keeps
+each sequence to its own keys, with keys past a sequence's length masked
+out.  Pooling (:func:`autodiff.mean_pool`) averages each sequence's own
+L rows with a (B, L) 0/1 weight that leaves out padding and any [PAD]
+id inside the sequence; such an id is still attended as a key.  No
+(B, B*L) pooling matrix is built, so pooling costs O(B*L*d) at any
+batch size.
 
 Prefixes are per sequence.  When a sequence's prefix value vector at a
 layer is exactly zero, its prefix position is masked out at that layer
@@ -242,25 +245,17 @@ class TextEncoder:
             ad.gather_rows(self.pos_emb, np.tile(np.arange(seq_len), batch)),
         )
         for i, layer in enumerate(self.layers):
-            q = ad.add(ad.matmul(x, layer["wq"]), layer["bq"])
-            k = ad.add(ad.matmul(x, layer["wk"]), layer["bk"])
-            v = ad.add(ad.matmul(x, layer["wv"]), layer["bv"])
+            q = ad.linear(x, layer["wq"], layer["bq"])
+            k = ad.linear(x, layer["wk"], layer["bk"])
+            v = ad.linear(x, layer["wv"], layer["bv"])
             context = ad.attention(q, k, v, lengths, cfg.heads,
                                    None if prefixes is None else prefixes[i])
-            attn = ad.add(ad.matmul(context, layer["wo"]), layer["bo"])
+            attn = ad.linear(context, layer["wo"], layer["bo"])
             x = ad.layer_norm_rows(ad.add(x, attn), layer["ln1_g"], layer["ln1_b"])
-            ffn = ad.add(
-                ad.matmul(
-                    ad.gelu(ad.add(ad.matmul(x, layer["w1"]), layer["b1"])),
-                    layer["w2"],
-                ),
-                layer["b2"],
-            )
+            ffn = ad.linear(ad.gelu(ad.linear(x, layer["w1"], layer["b1"])),
+                            layer["w2"], layer["b2"])
             x = ad.layer_norm_rows(ad.add(x, ffn), layer["ln2_g"], layer["ln2_b"])
 
         # row b averages its own positions, leaving out padding and [PAD] ids
-        pooled_positions = (np.arange(seq_len) < lengths[:, None]) & (ids != _PAD_ID)
-        pool = np.zeros((batch, batch, seq_len))
-        pool[np.arange(batch), np.arange(batch)] = pooled_positions
-        pooled = ad.masked_mean_rows(x, pool.reshape(batch, batch * seq_len))
+        pooled = ad.mean_pool(x, (np.arange(seq_len) < lengths[:, None]) & (ids != _PAD_ID))
         return ad.l2_normalize_rows(pooled)

@@ -56,6 +56,10 @@ class TrainConfig:
     momentum: float = 0.999
 
     def __post_init__(self):
+        for name in ("lr", "weight_decay", "clip_norm", "momentum"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch size must be positive")
         if self.lr <= 0:
@@ -171,14 +175,14 @@ class Trainer:
 
             mh_features = None
             if cfg.use_mh and len(self.queue) >= 2:
-                mh_features = []
                 tau_now = model.tau
-                for q in range(len(batch)):
-                    hardest = self.queue.hardest(
-                        h_hr.value[q], tau_now, cfg.hardest_k
-                    )
-                    mixed, _ = mix_hard_negatives(hardest, cfg.mh_count, self.rng)
-                    mh_features.append(mixed)
+                mh_features = np.stack([
+                    mix_hard_negatives(
+                        self.queue.hardest(h_hr.value[q], tau_now, cfg.hardest_k),
+                        cfg.mh_count, self.rng,
+                    )[0]
+                    for q in range(len(batch))
+                ])
 
             ir_features = None
             if cfg.use_ir and cfg.ir_count > 0:
@@ -197,10 +201,13 @@ class Trainer:
                     ir_batch = model.encode_tails(
                         [self._tail_token_seq(t) for t in row_of], list(row_of)
                     )
-                    ir_features = [
-                        ad.gather_rows(ir_batch, [row_of[t] for t in ts]) if ts else None
-                        for ts in sampled
-                    ]
+                    # query q's tails fill the first slots of index row q
+                    index = np.zeros((len(batch), cfg.ir_count), dtype=np.intp)
+                    keep = np.zeros(index.shape)
+                    for q, ts in enumerate(sampled):
+                        index[q, :len(ts)] = [row_of[t] for t in ts]
+                        keep[q, :len(ts)] = 1.0
+                    ir_features = (ir_batch, index, keep)
 
             loss_cl = contrastive_loss(
                 h_hr, h_t, mask, model.log_tau, self.loss_cfg.margin,

@@ -3,6 +3,7 @@ import pytest
 
 from structkgc import autodiff as ad
 
+import text_reference
 from gradcheck import assert_gradients_match, random_weighting
 
 N_SEEDS = 20
@@ -179,21 +180,17 @@ class TestShapedOps:
         expected[3] = 1.0
         np.testing.assert_array_equal(table.grad, expected)
 
-    def test_masked_mean_rows(self):
-        x = ad.Node(np.array([[1.0, 2.0], [3.0, 4.0], [10.0, 10.0]]))
-        out = ad.masked_mean_rows(x, [1, 1, 0])
-        np.testing.assert_allclose(out.value, [[2.0, 3.0]])
+    def test_mean_pool(self):
+        x = ad.Node(np.array([[1.0, 2.0], [3.0, 4.0], [10.0, 10.0], [5.0, 7.0]]))
+        out = ad.mean_pool(x, [[1, 1], [0, 1]])
+        np.testing.assert_allclose(out.value, [[2.0, 3.0], [5.0, 7.0]])
 
-    def test_masked_mean_requires_selection(self):
-        with pytest.raises(ValueError, match="at least one"):
-            ad.masked_mean_rows(ad.Node(np.ones((2, 2))), [0, 0])
-
-    def test_masked_mean_one_mean_per_mask_row(self):
-        x = ad.Node(np.array([[1.0, 2.0], [3.0, 4.0], [10.0, 10.0]]))
-        out = ad.masked_mean_rows(x, [[1, 1, 0], [0, 0, 1], [1, 0, 1]])
-        np.testing.assert_allclose(out.value, [[2.0, 3.0], [10.0, 10.0], [5.5, 6.0]])
-        with pytest.raises(ValueError, match="at least one"):
-            ad.masked_mean_rows(x, [[1, 0, 0], [0, 0, 0]])
+    def test_mean_pool_requires_selection(self):
+        x = ad.Node(np.ones((4, 2)))
+        with pytest.raises(ValueError, match="positive weight"):
+            ad.mean_pool(x, [[1, 1], [0, 0]])
+        with pytest.raises(ValueError, match="do not split"):
+            ad.mean_pool(x, [[1, 1, 1]])
 
     def test_layer_norm_standardizes(self):
         rng = np.random.default_rng(8)
@@ -268,11 +265,16 @@ def _primitive_cases(rng):
         "smul": (lambda ls: ad.sum_all(ad.smul(ls[0], -1.7)), [x]),
         "exp": (lambda ls: ad.sum_all(ad.exp(ls[0])), [x]),
         "log": (lambda ls: ad.sum_all(ad.log(ls[0])), [np.abs(x) + 0.5]),
-        "power": (lambda ls: ad.sum_all(ad.power(ls[0], 1.5)), [np.abs(x) + 0.5]),
         "gelu": (lambda ls: ad.sum_all(ad.gelu(ls[0])), [x]),
         "matmul": (
             lambda ls: ad.sum_all(ad.matmul(ls[0], ls[1])),
             [rng.normal(size=(m, k)), rng.normal(size=(k, n))],
+        ),
+        "linear": (
+            lambda ls, w=rng.normal(size=(m, n)): ad.sum_all(
+                ad.mul(ad.linear(ls[0], ls[1], ls[2]), ad.Node(w))
+            ),
+            [rng.normal(size=(m, k)), rng.normal(size=(k, n)), rng.normal(size=(1, n))],
         ),
         "transpose": (
             lambda ls: ad.sum_all(ad.mul(ad.transpose(ls[0]), ad.Node(y.T))),
@@ -318,20 +320,20 @@ def _primitive_cases(rng):
             lambda ls: ad.sum_all(ad.mul(ad.l2_normalize_rows(ls[0]), ad.Node(y))),
             [x + np.sign(x) * 0.2],
         ),
-        "masked_mean_rows": (
-            lambda ls: ad.sum_all(
-                ad.mul(ad.masked_mean_rows(ls[0], np.ones(m)), ad.Node(y[:1]))
+        "mean_pool": (
+            lambda ls, w=_row_masks(rng, m, n), y=rng.normal(size=(m, k)): ad.sum_all(
+                ad.mul(ad.mean_pool(ls[0], w), ad.Node(y))
             ),
-            [x],
+            [rng.normal(size=(m * n, k))],
         ),
-        "masked_mean_rows_per_row": (
-            lambda ls, mask=_row_masks(rng, 3, m), w=rng.normal(size=(3, n)): ad.sum_all(
-                ad.mul(ad.masked_mean_rows(ls[0], mask), ad.Node(w))
-            ),
-            [x],
+        "row_dots": (
+            lambda ls: ad.sum_all(ad.mul(ad.row_dots(ls[0], ls[1], n), ad.Node(y))),
+            [rng.normal(size=(m, k)), rng.normal(size=(m * n, k))],
         ),
         "layer_norm_rows": (
-            lambda ls: ad.sum_all(ad.layer_norm_rows(ls[0], ls[1], ls[2])),
+            lambda ls: ad.sum_all(
+                ad.mul(ad.layer_norm_rows(ls[0], ls[1], ls[2]), ad.Node(y))
+            ),
             [x, rng.normal(size=(1, n)), rng.normal(size=(1, n))],
         ),
         "attention": _attention_case(
@@ -399,6 +401,69 @@ class TestAttention:
             ad.attention(q, k, v, [2, 2], 2, (ad.Node(np.ones((1, 4))),) * 2)
 
 
+class TestFusedMatchesComposite:
+    """The fused encoder primitives against the compositions they replaced."""
+
+    def test_linear_is_matmul_then_add_bit_for_bit(self):
+        rng = np.random.default_rng(50)
+        arrays = [rng.normal(size=(37, 16)), rng.normal(size=(16, 64)),
+                  rng.normal(size=(1, 64))]
+        w = ad.Node(rng.normal(size=(37, 64)))
+        results = []
+        for fused in (True, False):
+            x, wt, b = (ad.Node(a) for a in arrays)
+            out = ad.linear(x, wt, b) if fused else ad.add(ad.matmul(x, wt), b)
+            ad.backward(ad.sum_all(ad.mul(out, w)))
+            results.append([out.value, x.grad, wt.grad, b.grad])
+        for got, expected in zip(*results):
+            np.testing.assert_array_equal(got, expected)
+
+    def test_linear_rejects_mismatched_bias(self):
+        with pytest.raises(ValueError, match="linear shape mismatch"):
+            ad.linear(ad.Node(np.ones((2, 3))), ad.Node(np.ones((3, 4))),
+                      ad.Node(np.ones((1, 3))))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_layer_norm_forward_bit_identical_gradients_close(self, seed):
+        rng = np.random.default_rng(60 + seed)
+        rows, width = int(rng.integers(1, 40)), int(rng.integers(1, 70))
+        arrays = [rng.normal(size=(rows, width)) * rng.uniform(0.1, 10.0) + rng.normal(),
+                  rng.normal(size=(1, width)), rng.normal(size=(1, width))]
+        w = ad.Node(rng.normal(size=(rows, width)))
+        results = []
+        for layer_norm in (ad.layer_norm_rows, text_reference.layer_norm_rows):
+            leaves = [ad.Node(a) for a in arrays]
+            out = layer_norm(*leaves)
+            ad.backward(ad.sum_all(ad.mul(out, w)))
+            results.append((out.value, [leaf.grad for leaf in leaves]))
+        (fused, fused_grads), (composite, composite_grads) = results
+        np.testing.assert_array_equal(fused, composite)
+        for got, expected in zip(fused_grads, composite_grads):
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_mean_pool_matches_dense_mask_pooling(self, seed):
+        rng = np.random.default_rng(70 + seed)
+        batch, seq_len, d = (int(rng.integers(1, 9)), int(rng.integers(1, 12)),
+                             int(rng.integers(1, 20)))
+        weights = _row_masks(rng, batch, seq_len)
+        x_value = rng.normal(size=(batch * seq_len, d))
+        w = ad.Node(rng.normal(size=(batch, d)))
+        results = []
+        for pool in (ad.mean_pool, text_reference.dense_mean_pool):
+            x = ad.Node(x_value)
+            out = pool(x, weights)
+            ad.backward(ad.sum_all(ad.mul(out, w)))
+            results.append((out.value, x.grad))
+        (fused, fused_grad), (dense, dense_grad) = results
+        np.testing.assert_allclose(fused, dense, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fused_grad, dense_grad, rtol=0, atol=1e-12)
+
+    def test_row_dots_rejects_mismatched_rows(self):
+        with pytest.raises(ValueError, match="row_dots"):
+            ad.row_dots(ad.Node(np.ones((2, 3))), ad.Node(np.ones((5, 3))), 2)
+
+
 class TestNoGrad:
     def test_nodes_built_inside_record_no_parents(self):
         a, b = ad.Node([[1.0, 2.0]]), ad.Node([[3.0, 4.0]])
@@ -413,10 +478,16 @@ class TestNoGrad:
         q, k, v = (ad.Node(rng.normal(size=(9, 4))) for _ in range(3))
         prefix = (ad.Node(rng.normal(size=(3, 4))), ad.Node(rng.normal(size=(3, 4))))
 
+        w, b = ad.Node(rng.normal(size=(4, 4))), ad.Node(rng.normal(size=(1, 4)))
+        weights = [[1, 1, 1], [1, 0, 0], [1, 1, 0]]
+        feats = ad.Node(rng.normal(size=(6, 4)))
+
         def build():
             att = ad.attention(q, k, v, lengths, 2, prefix)
-            return ad.l2_normalize_rows(ad.layer_norm_rows(
-                att, ad.Node(np.ones((1, 4))), ad.Node(np.zeros((1, 4)))))
+            hidden = ad.layer_norm_rows(ad.gelu(ad.linear(att, w, b)),
+                                        ad.Node(np.ones((1, 4))), ad.Node(np.zeros((1, 4))))
+            pooled = ad.l2_normalize_rows(ad.mean_pool(hidden, weights))
+            return ad.row_dots(pooled, feats, 2)
 
         recorded = build()
         with ad.no_grad():

@@ -203,6 +203,36 @@ class TestEmptySplit:
         assert not out.exists()
 
 
+class TestNonFiniteOptions:
+    @pytest.mark.parametrize("command,option,value", [
+        ("eval", "--beta", "nan"),
+        ("eval", "--alpha", "nan"),
+        ("eval", "--alpha", "inf"),
+        ("rerank-sweep", "--alphas", "0,nan"),
+        ("rerank-sweep", "--beta", "-inf"),
+        ("export-predictions", "--beta", "inf"),
+    ])
+    def test_is_a_usage_error_naming_the_option(self, workspace, tmp_path, capsys,
+                                                command, option, value):
+        out = tmp_path / "preds.tsv"
+        argv = [command, "--dataset", str(workspace["data"]),
+                "--checkpoint", str(workspace["ckpt"]), "--split", "test",
+                f"{option}={value}"]
+        if command == "export-predictions":
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: expected a finite number" in err
+        assert not out.exists()
+
+    def test_config_key_is_an_input_error_naming_the_key(self, workspace, tmp_path,
+                                                         capsys):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(workspace["config"].read_text() + "lr = nan\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m")]) == 2
+        assert capsys.readouterr().err.startswith("error\tinput\tlr must be a finite")
+
+
 class TestBuildVocab:
     def test_writes_sorted_vocab(self, workspace, tmp_path, capsys):
         out = tmp_path / "vocab.tsv"

@@ -85,6 +85,13 @@ class TestRunConfig:
         with pytest.raises((ConfigError, ValueError)):
             RunConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("key", ["lr", "weight_decay", "clip_norm", "momentum",
+                                     "margin", "beta", "tau_init", "tau_min", "tau_max"])
+    def test_non_finite_float_rejected_naming_the_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must be a finite number"):
+            RunConfig(**{key: value})
+
     def test_struct_only_config_valid(self):
         cfg = RunConfig(use_text=False, use_mh=False, use_ir=False)
         assert not cfg.use_text
@@ -130,6 +137,13 @@ class TestParseConfig:
         path = tmp_path / "run.cfg"
         path.write_text("use_ir = maybe\n")
         with pytest.raises(ConfigError, match="boolean"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_value_in_file_fails_at_parse(self, tmp_path, raw):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"clip_norm = {raw}\n")
+        with pytest.raises(ConfigError, match="clip_norm"):
             parse_config(path)
 
     def test_invalid_downstream_constraint_fails_at_parse(self, tmp_path):

@@ -230,6 +230,11 @@ class TestRerank:
         with pytest.raises(ValueError, match="non-negative"):
             rerank(np.zeros(3), set(), -0.1)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -0.1])
+    def test_config_rejects_non_finite_or_negative_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be a finite non-negative"):
+            RerankConfig(alpha=alpha)
+
 
 def graph_with_splits(n_entities, n_relations, train, test):
     ents = [EntityRecord(f"e{i}", "", i) for i in range(n_entities)]
@@ -523,6 +528,12 @@ class TestModelScorerMatchesModel:
             np.testing.assert_array_equal(
                 combined.scores(h, r), text.scores(h, r) + 0.3 * want
             )
+
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
+    def test_non_finite_beta_rejected(self, kind, beta):
+        g, tokenizer, model = text_struct_model(kind)
+        with pytest.raises(ValueError, match="beta must be a finite number"):
+            ModelScorer(model, g, tokenizer, mode="combined", beta=beta)
 
     def test_text_tail_matrix_matches_per_entity_build(self, kind, monkeypatch):
         g, tokenizer, model = text_struct_model(kind)

@@ -14,6 +14,9 @@ from structkgc.losses import (
     total_loss,
 )
 
+from gradcheck import assert_gradients_match
+from loss_reference import ir_index_and_keep, reference_contrastive_loss
+
 
 def oracle_infonce(pos_cos, mh_cos, d_cos, tau, margin):
     """Plain-float recomputation of the per-query loss."""
@@ -78,9 +81,10 @@ class TestContrastiveLoss:
         mask[0, 2] = True  # pretend a false negative
         mh = [unit_rows(rng, 3, d) for _ in range(n)]
         ir_arrays = [unit_rows(rng, 2, d) for _ in range(n)]
+        index, keep = ir_index_and_keep([[2 * q, 2 * q + 1] for q in range(n)], 2)
         loss = contrastive_loss(
             Node(h), Node(t), mask, make_log_tau(0.07), 0.02,
-            mh_features=mh, ir_features=[Node(a) for a in ir_arrays],
+            mh_features=mh, ir_features=(Node(np.vstack(ir_arrays)), index, keep),
         )
         per_query = []
         for q in range(n):
@@ -123,6 +127,99 @@ class TestContrastiveLoss:
         ad.backward(loss)
         assert log_tau.grad is not None
         assert abs(log_tau.grad[0, 0]) > 0
+
+
+class TestBatchedMatchesPerQueryLoop:
+    """One ``row_dots`` per negative source against the per-query loop."""
+
+    N, D, M, K = 6, 8, 4, 3
+    # ragged IR: full, partial, none, one, a row shared with query 0, none
+    SAMPLED = [[0, 1, 2], [3, 4], [], [5], [1, 6, 0], []]
+
+    def _inputs(self, seed):
+        rng = np.random.default_rng(seed)
+        h, t = unit_rows(rng, self.N, self.D), unit_rows(rng, self.N, self.D)
+        mask = np.eye(self.N, dtype=bool)
+        mask[0, 3] = mask[4, 1] = True
+        mh = np.stack([unit_rows(rng, self.M, self.D) for _ in range(self.N)])
+        ir_rows = unit_rows(rng, 7, self.D)
+        return h, t, mask, mh, ir_rows
+
+    def _losses(self, seed, use_mh, use_ir, sampled=None, index=None):
+        sampled = self.SAMPLED if sampled is None else sampled
+        h, t, mask, mh, ir_rows = self._inputs(seed)
+        out = []
+        for batched in (True, False):
+            leaves = [Node(h), Node(t), make_log_tau(0.07), Node(ir_rows)]
+            h_n, t_n, log_tau, rows = leaves
+            if batched:
+                idx, keep = ir_index_and_keep(sampled, self.K)
+                if index is not None:
+                    idx = index
+                loss = contrastive_loss(
+                    h_n, t_n, mask, log_tau, 0.02,
+                    mh_features=mh if use_mh else None,
+                    ir_features=(rows, idx, keep) if use_ir else None,
+                )
+            else:
+                loss = reference_contrastive_loss(
+                    h_n, t_n, mask, log_tau, 0.02,
+                    mh_features=list(mh) if use_mh else None,
+                    ir_features=[ad.gather_rows(rows, ts) if ts else None
+                                 for ts in sampled] if use_ir else None,
+                )
+            ad.backward(loss)
+            out.append((loss.value, [leaf.grad for leaf in leaves]))
+        return out
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("use_mh,use_ir", [(True, True), (True, False), (False, True)])
+    def test_loss_and_gradients_agree(self, seed, use_mh, use_ir):
+        (value, grads), (ref_value, ref_grads) = self._losses(seed, use_mh, use_ir)
+        np.testing.assert_allclose(value, ref_value, rtol=0, atol=1e-12)
+        for grad, ref in zip(grads, ref_grads):
+            if ref is None:  # the IR rows when IR is off
+                assert grad is None
+                continue
+            np.testing.assert_allclose(grad, ref, rtol=0, atol=1e-12)
+
+    def test_every_query_without_ir_tails(self):
+        (value, grads), (ref_value, ref_grads) = self._losses(
+            9, True, True, sampled=[[]] * self.N)
+        np.testing.assert_allclose(value, ref_value, rtol=0, atol=1e-12)
+        assert not grads[3].any()
+        for grad, ref in zip(grads[:3], ref_grads[:3]):
+            np.testing.assert_allclose(grad, ref, rtol=0, atol=1e-12)
+
+    def test_masked_entries_add_exactly_zero(self):
+        # pointing the masked slots at other rows changes no bit
+        (value, grads), _ = self._losses(5, True, True)
+        index, keep = ir_index_and_keep(self.SAMPLED, self.K)
+        index[keep == 0] = 6
+        (moved, moved_grads), _ = self._losses(5, True, True, index=index)
+        np.testing.assert_array_equal(moved, value)
+        for grad, moved_grad in zip(grads, moved_grads):
+            np.testing.assert_array_equal(moved_grad, grad)
+
+    def test_matches_finite_differences(self):
+        h, t, mask, mh, ir_rows = self._inputs(6)
+        index, keep = ir_index_and_keep(self.SAMPLED, self.K)
+        assert_gradients_match(
+            lambda ls: contrastive_loss(
+                ls[0], ls[1], mask, ls[2], 0.02, mh_features=mh,
+                ir_features=(ls[3], index, keep)),
+            [h, t, np.log([[0.07]]), ir_rows],
+        )
+
+    def test_rejects_mismatched_shapes(self):
+        h, t, mask, mh, ir_rows = self._inputs(7)
+        index, keep = ir_index_and_keep(self.SAMPLED, self.K)
+        with pytest.raises(ValueError, match="hard negatives"):
+            contrastive_loss(Node(h), Node(t), mask, make_log_tau(0.07), 0.02,
+                             mh_features=mh[:-1])
+        with pytest.raises(ValueError, match="intra-relation"):
+            contrastive_loss(Node(h), Node(t), mask, make_log_tau(0.07), 0.02,
+                             ir_features=(Node(ir_rows), index, keep[:, :-1]))
 
 
 class TestStructuralLoss:
@@ -219,6 +316,12 @@ class TestLossConfig:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             LossConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("key", ["tau_init", "tau_min", "tau_max", "margin", "beta"])
+    def test_non_finite_rejected_naming_the_field(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be a finite number"):
+            LossConfig(**{key: value})
 
     def test_clamp(self):
         node = make_log_tau(0.5)

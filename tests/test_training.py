@@ -66,6 +66,20 @@ class TestOptimizer:
         assert np.all(matrix.value < 1.0)
         assert np.all(bias.value == 1.0)
 
+    def test_step_returns_the_pre_clip_global_norm(self):
+        rng = np.random.default_rng(3)
+        params = {"a": Node(np.zeros((3, 2))), "b": Node(np.zeros((1, 2))),
+                  "c": Node(np.zeros((2, 2)))}
+        opt = AdamW(params, lr=0.1, total_steps=10, clip_norm=0.5)
+        params["a"].grad = rng.normal(size=(3, 2)) * 4.0
+        params["b"].grad = rng.normal(size=(1, 2))
+        # "c" has no gradient and counts as zero
+        expected = np.sqrt(sum(float((p.grad ** 2).sum())
+                               for p in params.values() if p.grad is not None))
+        assert expected > 0.5  # the step clips, the returned norm is from before
+        assert opt.step() == pytest.approx(expected, rel=1e-12)
+        assert opt.step() == 0.0
+
     def test_clipping_bounds_update_norm(self):
         p = Node(np.zeros((4, 4)))
         opt = AdamW({"p": p}, lr=1.0, total_steps=10, weight_decay=0.0,
@@ -264,6 +278,28 @@ class TestDeterminism:
         assert sum_a != sum_b
 
 
+class TestTapeSize:
+    def test_one_step_builds_a_fixed_tape(self, monkeypatch):
+        # every node of the encoders, both losses and the MH/IR sums; a
+        # per-query loop or a split-up primitive would change the count
+        toy, tokenizer, model = tiny_text_setup(seed=1)
+        trainer = Trainer(toy.graph, model, tokenizer, LossConfig(),
+                          small_train_cfg(ir_count=2))
+        sizes = []
+        toposort = ad._toposort
+
+        def counting(root):
+            order = toposort(root)
+            sizes.append(len(order))
+            return order
+
+        monkeypatch.setattr(ad, "_toposort", counting)
+        batch = trainer.train_triples[:4]
+        trainer._step(batch)  # fills the queue: no MH term yet
+        trainer._step(batch)
+        assert sizes == [162, 168]
+
+
 class TestTemperature:
     def test_log_tau_receives_gradient_after_one_step(self):
         toy, tokenizer, model = tiny_text_setup()
@@ -298,3 +334,9 @@ class TestTrainConfigValidation:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("key", ["lr", "weight_decay", "clip_norm", "momentum"])
+    def test_non_finite_rejected_naming_the_field(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be a finite number"):
+            TrainConfig(**{key: value})

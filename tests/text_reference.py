@@ -1,14 +1,62 @@
-"""The per-sequence, per-head text encoder that the fused pass replaced.
+"""The per-sequence, per-head text encoder that the fused pass replaced,
+and the composite layer norm and dense-mask pooling it was built from.
 
-It encodes one sequence at a time, slicing every head out with
+The encoder encodes one sequence at a time, slicing every head out with
 ``gather_cols`` and joining the heads with ``concat_rows``, and drops a
-layer's prefix when its value vector is exactly zero.  Tests pin the
-fused ``TextEncoder.encode`` to it, values and gradients.
+layer's prefix when its value vector is exactly zero.  Its projections
+are a ``matmul`` node followed by a bias ``add``, its layer norm is the
+ten-node composition below and its pooling multiplies by a 0/1 mask
+matrix.  Tests pin the fused ``TextEncoder.encode``, ``ad.linear``,
+``ad.layer_norm_rows`` and ``ad.mean_pool`` to them, values and
+gradients.
 """
 
 import numpy as np
 
 from structkgc import autodiff as ad
+
+
+def power(a, p):
+    """Elementwise a ** p as a tape node."""
+    p = float(p)
+    return ad.Node(a.value ** p, (a,), lambda g: (g * p * a.value ** (p - 1.0),))
+
+
+def layer_norm_rows(a, gain, bias, eps=1e-5):
+    """Per-row standardization followed by a learned affine map, composed
+    from elementwise and reduction nodes."""
+    n = a.value.shape[1]
+    mu = ad.smul(ad.sum_axis(a, axis=1), 1.0 / n)
+    xc = ad.sub(a, mu)
+    var = ad.smul(ad.sum_axis(ad.mul(xc, xc), axis=1), 1.0 / n)
+    inv_std = power(ad.add_const(var, eps), -0.5)
+    return ad.add(ad.mul(ad.mul(xc, inv_std), gain), bias)
+
+
+def masked_mean_rows(a, mask):
+    """Means over the rows selected by each row of a 0/1 mask.
+
+    A 1-D mask over the rows of ``a`` gives one (1, n) mean; a (k, rows)
+    mask gives k means as a (k, n) node.
+    """
+    m = np.atleast_2d(np.asarray(mask, dtype=np.float64))
+    if m.ndim != 2 or m.shape[1] != a.value.shape[0]:
+        raise ValueError(
+            f"mask shape {m.shape} does not match {a.value.shape[0]} rows"
+        )
+    totals = m.sum(axis=1, keepdims=True)
+    if np.any(totals <= 0):
+        raise ValueError("masked_mean_rows needs at least one selected row")
+    return ad.matmul(ad.Node(m / totals), a)
+
+
+def dense_mean_pool(x, weights):
+    """``ad.mean_pool`` through a dense (B, B*L) block-diagonal mask."""
+    w = np.asarray(weights, dtype=np.float64)
+    b_count, seq_len = w.shape
+    pool = np.zeros((b_count, b_count, seq_len))
+    pool[np.arange(b_count), np.arange(b_count)] = w
+    return masked_mean_rows(x, pool.reshape(b_count, b_count * seq_len))
 
 
 def reference_encode(enc, tokens, prefixes=None):
@@ -49,7 +97,7 @@ def reference_encode(enc, tokens, prefixes=None):
             ad.matmul(ad.transpose(ad.concat_rows(head_outs)), layer["wo"]),
             layer["bo"],
         )
-        x = ad.layer_norm_rows(ad.add(x, attn), layer["ln1_g"], layer["ln1_b"])
+        x = layer_norm_rows(ad.add(x, attn), layer["ln1_g"], layer["ln1_b"])
         ffn = ad.add(
             ad.matmul(
                 ad.gelu(ad.add(ad.matmul(x, layer["w1"]), layer["b1"])),
@@ -57,6 +105,6 @@ def reference_encode(enc, tokens, prefixes=None):
             ),
             layer["b2"],
         )
-        x = ad.layer_norm_rows(ad.add(x, ffn), layer["ln2_g"], layer["ln2_b"])
+        x = layer_norm_rows(ad.add(x, ffn), layer["ln2_g"], layer["ln2_b"])
     mask = [1.0 if t != 0 else 0.0 for t in tokens]  # exclude [PAD]
-    return ad.l2_normalize_rows(ad.masked_mean_rows(x, mask))
+    return ad.l2_normalize_rows(masked_mean_rows(x, mask))
