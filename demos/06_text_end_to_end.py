@@ -8,6 +8,8 @@ loss, then evaluated with filtered ranking.  Also shows the ablation
 switches that turn individual components off.
 """
 
+import numpy as np
+
 from structkgc.config import RunConfig
 from structkgc.data import build_tokenizer
 from structkgc.evaluation import ModelScorer, evaluate
@@ -39,7 +41,8 @@ for name, flags in configs:
     trainer = Trainer(graph, model, tokenizer, run.loss_config(),
                       run.train_config())
     metrics = trainer.train()
-    scorer = ModelScorer(model, graph, tokenizer, mode="text")
+    pairs = np.concatenate([graph.triples(split)[:, :2] for split in ("train", "test")])
+    scorer = ModelScorer(model, graph, tokenizer, pairs, mode="text")
     train_rep, _ = evaluate(scorer, graph, "train", filter_splits=("train",))
     test_rep, _ = evaluate(scorer, graph, "test")
     print(f"\n[{name}] final loss {metrics[-1].mean_loss:.3f} "

@@ -476,49 +476,47 @@ def row_dots(h: Node, f: Node, m: int) -> Node:
     return Node((fv @ hv[:, :, None])[:, :, 0], (h, f), vjp)
 
 
-# ---------------------------------------------------------------------------
-# compositions used by the structural path
-# ---------------------------------------------------------------------------
-
-def l2_normalize_pairs(a: Node, eps: float = DEFAULT_NORM_EPS) -> Node:
-    """Normalize each (even, odd) column pair of every row to unit modulus."""
-    m, n = a.value.shape
-    if n % 2 != 0:
-        raise ValueError(f"pair normalization needs an even width, got {n}")
-    flat = reshape(a, m * n // 2, 2)
-    return reshape(l2_normalize_rows(flat, eps), m, n)
-
-
-def paired_complex_mul(a: Node, b: Node) -> Node:
-    """Complex product of (even=real, odd=imag) column pairs, elementwise."""
-    m, n = a.value.shape
-    if b.value.shape != (m, n):
-        raise ValueError(
-            f"paired product shape mismatch: {a.value.shape} vs {b.value.shape}"
-        )
-    if n % 2 != 0:
-        raise ValueError(f"paired product needs an even width, got {n}")
-    evens = np.arange(0, n, 2)
-    odds = np.arange(1, n, 2)
-    a_re, a_im = gather_cols(a, evens), gather_cols(a, odds)
-    b_re, b_im = gather_cols(b, evens), gather_cols(b, odds)
-    out_re = sub(mul(a_re, b_re), mul(a_im, b_im))
-    out_im = add(mul(a_re, b_im), mul(a_im, b_re))
-    stacked = concat_rows([transpose(out_re), transpose(out_im)])
-    # columns of `stacked`^T are [re..., im...]; restore interleaved order
-    perm = np.empty(n, dtype=np.intp)
-    perm[evens] = np.arange(n // 2)
-    perm[odds] = np.arange(n // 2) + n // 2
-    return gather_cols(transpose(stacked), perm)
-
-
 def paired_rotation(h: Node, phases: Node, eps: float = DEFAULT_NORM_EPS) -> Node:
     """Rotate each complex pair of ``h`` by the phase pairs of ``phases``.
 
-    The phase pairs are renormalized to unit modulus first, so the rotation
-    is an isometry regardless of the stored parameter scale.
+    Columns 2k and 2k + 1 of a row are the real and imaginary parts of
+    its k-th pair.  Each phase pair is scaled to unit modulus first (a
+    pair with modulus below ``eps`` is scaled by 1/eps instead), so the
+    rotation is an isometry whatever the stored parameter scale.  The
+    output is C-ordered.
     """
-    return paired_complex_mul(h, l2_normalize_pairs(phases, eps))
+    m, n = h.value.shape
+    if phases.value.shape != (m, n):
+        raise ValueError(
+            f"paired rotation shape mismatch: {h.value.shape} vs {phases.value.shape}"
+        )
+    if n % 2 != 0:
+        raise ValueError(f"paired rotation needs an even width, got {n}")
+    a = h.value.reshape(m, n // 2, 2)
+    x = phases.value.reshape(m, n // 2, 2)
+    norm = np.sqrt((x * x).sum(axis=2, keepdims=True))
+    big = norm > eps
+    denom = np.where(big, norm, eps)
+    u = x / denom
+    a_re, a_im, u_re, u_im = a[..., 0], a[..., 1], u[..., 0], u[..., 1]
+    out = np.empty((m, n // 2, 2))
+    out[..., 0] = a_re * u_re - a_im * u_im
+    out[..., 1] = a_re * u_im + a_im * u_re
+
+    def vjp(g):
+        g = g.reshape(m, n // 2, 2)
+        g_re, g_im = g[..., 0], g[..., 1]
+        d_a = np.empty_like(out)
+        d_a[..., 0] = g_re * u_re + g_im * u_im
+        d_a[..., 1] = g_im * u_re - g_re * u_im
+        d_u = np.empty_like(out)
+        d_u[..., 0] = g_re * a_re + g_im * a_im
+        d_u[..., 1] = g_im * a_re - g_re * a_im
+        inv = 1.0 / denom
+        radial = (x * d_u).sum(axis=2, keepdims=True) * inv ** 3
+        return d_a.reshape(m, n), (d_u * inv - x * radial * big).reshape(m, n)
+
+    return Node(out.reshape(m, n), (h, phases), vjp)
 
 
 # ---------------------------------------------------------------------------

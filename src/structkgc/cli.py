@@ -14,7 +14,7 @@ import os
 import sys
 
 from .checkpoint import CheckpointError, load_model, save_checkpoint
-from .config import LR_GRID, ConfigError, RunConfig, parse_config
+from .config import ConfigError, RunConfig, parse_config
 from .data import DataError, build_tokenizer, load_dataset
 from .evaluation import SCORE_MODES, ModelScorer, RerankConfig, evaluate, miou
 from .graph import SPLITS, GraphError
@@ -46,8 +46,6 @@ def _load_run_config(args) -> RunConfig:
         overrides["seed"] = args.seed
     if getattr(args, "dataset", None):
         overrides["dataset"] = args.dataset
-    if getattr(args, "lr_preset", None):
-        overrides["lr"] = float(args.lr_preset)
     if args.config:
         _require_file(args.config, "config file")
         return parse_config(args.config, overrides)
@@ -57,7 +55,8 @@ def _load_run_config(args) -> RunConfig:
 def _load_scorer(args):
     _require_file(args.dataset, "dataset directory")
     dataset = load_dataset(args.dataset)
-    if not len(dataset.graph.triples(args.split)):
+    pairs = dataset.graph.triples(args.split)[:, :2]
+    if not len(pairs):
         raise UsageError(
             f"split {args.split!r} has no triples to rank; pass --split "
             f"with a split that has some"
@@ -81,7 +80,8 @@ def _load_scorer(args):
                 f"checkpoint's {model.config.vocab_size}"
             )
     mode = args.score_mode or ("text" if model.config.use_text else "struct")
-    scorer = ModelScorer(model, dataset.graph, tokenizer, mode=mode, beta=args.beta)
+    scorer = ModelScorer(model, dataset.graph, tokenizer, pairs, mode=mode,
+                         beta=args.beta)
     return dataset, model, scorer
 
 
@@ -140,9 +140,17 @@ def _finite_float(raw: str) -> float:
     return value
 
 
-def _finite_floats(raw: str) -> list[float]:
-    """argparse type: a comma-separated list of finite floats."""
-    return [_finite_float(part) for part in raw.split(",") if part.strip()]
+def _penalty(raw: str) -> float:
+    """argparse type: a finite float that is not negative."""
+    value = _finite_float(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {raw!r}")
+    return value
+
+
+def _penalties(raw: str) -> list[float]:
+    """argparse type: a comma-separated list of finite non-negative floats."""
+    return [_penalty(part) for part in raw.split(",") if part.strip()]
 
 
 def _parse_splits(raw: str) -> tuple[str, ...]:
@@ -270,14 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default="model.ckpt")
     p.add_argument("--metrics", default=None)
-    p.add_argument("--lr-preset", choices=[f"{lr:g}" for lr in LR_GRID],
-                   default=None, dest="lr_preset",
-                   help="pick a learning rate from the standard grid")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="filtered-ranking evaluation of a checkpoint")
     _add_eval_like(p, "test")
-    p.add_argument("--alpha", type=_finite_float, default=0.0)
+    p.add_argument("--alpha", type=_penalty, default=0.0)
     p.add_argument("--rerank-splits", default="train", dest="rerank_splits")
     p.add_argument("--detail", default=None,
                    help="write per-query ranks and top-10 candidates here")
@@ -286,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rerank-sweep",
                        help="grid over re-ranking penalties and knowledge regimes")
     _add_eval_like(p, "valid")
-    p.add_argument("--alphas", type=_finite_floats, default="0,0.02,0.05,0.1,0.2,0.5")
+    p.add_argument("--alphas", type=_penalties, default="0,0.02,0.05,0.1,0.2,0.5")
     p.add_argument("--regimes", default="none,train,train-valid,train-valid-test")
     p.set_defaults(func=cmd_rerank_sweep)
 

@@ -15,9 +15,6 @@ from .model import ModelConfig
 from .structural import AseKind
 from .training import TrainConfig
 
-LR_GRID = (5e-4, 5e-5, 1e-5)
-
-
 class ConfigError(ValueError):
     pass
 
@@ -90,6 +87,11 @@ class RunConfig:
                                   vocab_size=0)
         except ValueError as e:
             raise ConfigError(str(e)) from None
+        if not self.tau_min <= self.tau_init <= self.tau_max:
+            raise ConfigError(
+                f"tau_init {self.tau_init} outside clamp range "
+                f"[{self.tau_min}, {self.tau_max}]"
+            )
 
     # ------------------------------------------------------------------
     def model_config(self, num_entities: int, num_base_relations: int,
@@ -112,8 +114,8 @@ class RunConfig:
 
     def loss_config(self) -> LossConfig:
         return LossConfig(
-            tau_init=self.tau_init, tau_min=self.tau_min, tau_max=self.tau_max,
-            margin=self.margin, beta=self.beta,
+            tau_min=self.tau_min, tau_max=self.tau_max, margin=self.margin,
+            beta=self.beta,
         )
 
     def train_config(self) -> TrainConfig:

@@ -9,7 +9,6 @@ per-direction and per-relation breakdowns.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -18,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .graph import KnowledgeGraph
 from .model import Model
-from .structural import unit_entity_table
+from .structural import struct_queries_node, unit_entity_table
 from .text import Tokenizer, tokenize_entity, tokenize_hr
 
 SCORE_MODES = ("text", "struct", "combined")
@@ -120,23 +119,21 @@ def miou(graph: KnowledgeGraph, split: str = "test") -> tuple[float, dict[int, f
 # ---------------------------------------------------------------------------
 
 class ModelScorer:
-    """Scores every entity as tail candidate for (head, relation) queries.
+    """Scores every entity as tail candidate for the (head, relation)
+    pairs it is built for.
 
-    The scorer is a snapshot of the whole model at construction, which
-    later parameter updates do not reach.  The tail side is encoded then:
-    the tail text matrix and the unit-normalised structural entity table.
-    The query side reads a private copy of the weights it needs (the
-    structural tables, the query encoder and its prefix projector), taken
-    after the tail build so the copy does not add to that build's peak.
-
-    ``prepare(pairs)`` encodes the text queries of many (head, relation)
-    pairs in padded batches of at most ``ENCODE_CHUNK``; ``scores`` sends
-    a query not prepared yet through the same call.  Query encodings are
-    cached by (head, relation); structural scores are computed per query.
+    Everything is computed at construction, from the model as it is then:
+    the tail text matrix and the unit-normalised entity table on the tail
+    side, and on the query side the text queries of the distinct
+    ``pairs`` in first-seen order and their unit structural queries in one
+    batched build.  Text goes through the encoders in padded batches of
+    at most ``ENCODE_CHUNK`` sequences.  The scorer keeps these arrays and
+    no reference to the model, so later parameter updates do not reach it;
+    ``scores`` is one or two matrix-vector products.
     """
 
     def __init__(self, model: Model, graph: KnowledgeGraph,
-                 tokenizer: Tokenizer | None, mode: str = "text",
+                 tokenizer: Tokenizer | None, pairs, mode: str = "text",
                  beta: float = 0.5):
         if mode not in SCORE_MODES:
             raise ValueError(f"score mode must be one of {SCORE_MODES}, got {mode!r}")
@@ -148,57 +145,50 @@ class ModelScorer:
             raise ValueError(f"{mode!r} scoring needs structural embeddings")
         if mode in ("text", "combined") and tokenizer is None:
             raise ValueError("text scoring needs a tokenizer")
-        self.graph = graph
-        self.tokenizer = tokenizer
+        pairs = list(dict.fromkeys(
+            map(tuple, np.asarray(pairs, dtype=np.intp).reshape(-1, 2).tolist())
+        ))
+        if not pairs:
+            raise ValueError("a scorer needs at least one (head, relation) pair")
         self.mode = mode
         self.beta = beta
-        self._tail_matrix: np.ndarray | None = None
-        self._queries: dict[tuple[int, int], np.ndarray] = {}
-        if mode in ("text", "combined"):
-            ents = graph.entities
-            chunks = []
-            with ad.no_grad():
-                for start in range(0, len(ents), ENCODE_CHUNK):
-                    part = ents[start:start + ENCODE_CHUNK]
-                    tokens = [tokenize_entity(tokenizer, e, model.config.max_len)
-                              for e in part]
-                    chunks.append(model.encode_tails(tokens, [e.id for e in part]).value)
-            self._tail_matrix = np.concatenate(chunks)
-        self._unit_tails = (None if mode == "text"
-                            else unit_entity_table(model.struct))
-        # the copy's tail side still points at the live model; nothing
-        # reads it after the build above
-        self.model = copy.copy(model)
-        for name in ("struct", "hr_encoder", "hr_projector"):
-            setattr(self.model, name, copy.deepcopy(getattr(model, name)))
-
-    def prepare(self, pairs) -> None:
-        """Encode the text queries of the distinct ``pairs`` not cached yet."""
-        if self.mode == "struct":
-            return
-        todo = list(dict.fromkeys(
-            key for key in map(tuple, pairs) if key not in self._queries
-        ))
-        entities, relations = self.graph.entities, self.graph.relations
-        max_len = self.model.config.max_len
+        self._rows = {pair: row for row, pair in enumerate(pairs)}
+        self._tail_matrix = self._text_queries = None
+        self._unit_tails = self._struct_queries = None
         with ad.no_grad():
-            for start in range(0, len(todo), ENCODE_CHUNK):
-                part = todo[start:start + ENCODE_CHUNK]
-                tokens = [tokenize_hr(self.tokenizer, entities[h], relations[r], max_len)
-                          for h, r in part]
-                rows = self.model.encode_queries(tokens, part).value
-                self._queries.update(zip(part, rows))
+            if mode != "struct":
+                ents, rels, max_len = graph.entities, graph.relations, model.config.max_len
+                self._tail_matrix = _encode_in_chunks(
+                    model.encode_tails, ents, [e.id for e in ents],
+                    lambda e: tokenize_entity(tokenizer, e, max_len))
+                self._text_queries = _encode_in_chunks(
+                    model.encode_queries, pairs, pairs,
+                    lambda p: tokenize_hr(tokenizer, ents[p[0]], rels[p[1]], max_len))
+            if mode != "text":
+                self._unit_tails = unit_entity_table(model.struct)
+                heads, relations = np.array(pairs, dtype=np.intp).T
+                self._struct_queries = struct_queries_node(model.struct, heads,
+                                                           relations).value
 
     def scores(self, head: int, relation: int) -> np.ndarray:
-        struct = (None if self.mode == "text" else
-                  self.model.struct_scores_all_tails(head, relation, self._unit_tails))
+        row = self._rows.get((head, relation))
+        if row is None:
+            raise KeyError(f"the scorer was not built for pair {(head, relation)}")
+        struct = (None if self.mode == "text"
+                  else self._unit_tails @ self._struct_queries[row])
         if self.mode == "struct":
             return struct
-        key = (head, relation)
-        if key not in self._queries:
-            self.prepare([key])
-        text = self._tail_matrix @ self._queries[key]
+        text = self._tail_matrix @ self._text_queries[row]
         return text if struct is None else text + self.beta * struct
+
+
+def _encode_in_chunks(encode, items, keys, tokenize) -> np.ndarray:
+    """Rows of ``encode(tokens, keys)`` over ``ENCODE_CHUNK``-sized slices."""
+    return np.concatenate([
+        encode([tokenize(item) for item in items[start:start + ENCODE_CHUNK]],
+               keys[start:start + ENCODE_CHUNK]).value
+        for start in range(0, len(items), ENCODE_CHUNK)
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +277,10 @@ def evaluate(
 
     Splits loaded through the dataset layer already contain inverse
     triples, so head prediction is covered by the inverse-relation
-    queries of the same split.  A scorer with a ``prepare`` method gets
-    the split's (head, relation) pairs once, before the first query.
+    queries of the same split.
     """
     rerank_config = rerank_config or RerankConfig()
     triples = graph.triples(split).tolist()
-    if hasattr(scorer, "prepare"):
-        scorer.prepare([(h, r) for h, r, _ in triples])
     results: list[QueryResult] = []
     for h, r, t in triples:
         raw = np.asarray(scorer.scores(h, r), dtype=np.float64)

@@ -36,23 +36,23 @@ from .autodiff import Node
 
 @dataclass
 class LossConfig:
-    tau_init: float = 0.05
+    """Loss settings.  The initial temperature is ``ModelConfig.tau_init``;
+    ``tau_min`` and ``tau_max`` bound it after every optimizer step."""
+
     tau_min: float = 0.01
     tau_max: float = 1.0
     margin: float = 0.02
     beta: float = 0.5
 
     def __post_init__(self):
-        for name in ("tau_init", "tau_min", "tau_max", "margin", "beta"):
+        for name in ("tau_min", "tau_max", "margin", "beta"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite number, got {value}")
-        if self.tau_init <= 0:
-            raise ValueError(f"temperature must be positive, got {self.tau_init}")
-        if not (0 < self.tau_min <= self.tau_init <= self.tau_max):
+        if not 0 < self.tau_min <= self.tau_max:
             raise ValueError(
-                f"temperature {self.tau_init} outside clamp range "
-                f"[{self.tau_min}, {self.tau_max}]"
+                f"temperature clamp range [{self.tau_min}, {self.tau_max}] must be "
+                f"positive and non-empty"
             )
         if self.margin < 0:
             raise ValueError(f"margin must be non-negative, got {self.margin}")

@@ -9,6 +9,7 @@ relies on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,10 @@ class ModelConfig:
     tau_init: float = 0.05
 
     def __post_init__(self):
+        if not math.isfinite(self.tau_init):
+            raise ValueError(f"tau_init must be a finite number, got {self.tau_init}")
+        if self.tau_init <= 0:
+            raise ValueError(f"tau_init must be positive, got {self.tau_init}")
         if not self.use_text and not self.use_ase:
             raise ValueError("at least one of the text and structural paths must be on")
         if self.use_text and self.vocab_size <= 4:
@@ -150,6 +155,5 @@ class Model:
     def struct_score_matrix(self, heads, relations, tails) -> Node:
         return struct_score_matrix_node(self.struct, heads, relations, tails)
 
-    def struct_scores_all_tails(self, head: int, relation: int,
-                                unit_tails: np.ndarray | None = None) -> np.ndarray:
-        return struct_scores_all_tails(self.struct, head, relation, unit_tails)
+    def struct_scores_all_tails(self, head: int, relation: int) -> np.ndarray:
+        return struct_scores_all_tails(self.struct, head, relation)

@@ -8,6 +8,9 @@ import numpy as np
 
 from .autodiff import Node
 
+BETA1, BETA2 = 0.9, 0.999   # moment decay rates
+EPS = 1e-8                  # added to the second-moment root
+
 
 class NonFiniteGradientError(FloatingPointError):
     """The gradient norm is not finite.
@@ -44,20 +47,17 @@ class AdamW:
     """
 
     def __init__(self, params: dict[str, Node], lr: float, total_steps: int,
-                 betas=(0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.01, clip_norm: float = 1.0):
         self.params = dict(params)
         self.lr = lr
         self.total_steps = total_steps
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.clip_norm = clip_norm
         self.step_count = 0
         self._m = {k: np.zeros_like(p.value) for k, p in self.params.items()}
         self._v = {k: np.zeros_like(p.value) for k, p in self.params.items()}
 
-    def _decays(self, name: str, node: Node) -> bool:
+    def _decays(self, node: Node) -> bool:
         return node.value.shape[0] > 1
 
     def current_lr(self) -> float:
@@ -88,12 +88,12 @@ class AdamW:
         t = self.step_count
         for name, p in self.params.items():
             g = grads[name] * scale
-            m = self._m[name] = self.beta1 * self._m[name] + (1 - self.beta1) * g
-            v = self._v[name] = self.beta2 * self._v[name] + (1 - self.beta2) * g * g
-            m_hat = m / (1 - self.beta1 ** t)
-            v_hat = v / (1 - self.beta2 ** t)
-            update = m_hat / (np.sqrt(v_hat) + self.eps)
-            if self.weight_decay and self._decays(name, p):
+            m = self._m[name] = BETA1 * self._m[name] + (1 - BETA1) * g
+            v = self._v[name] = BETA2 * self._v[name] + (1 - BETA2) * g * g
+            m_hat = m / (1 - BETA1 ** t)
+            v_hat = v / (1 - BETA2 ** t)
+            update = m_hat / (np.sqrt(v_hat) + EPS)
+            if self.weight_decay and self._decays(p):
                 update = update + self.weight_decay * p.value
             p.value = p.value - lr_t * update
             p.grad = None

@@ -7,8 +7,8 @@ live in [-1, 1].
 
 Scores are built once, as Node graphs: the training loss takes the
 (B, B) batch matrix, and evaluation reads ``.value`` of the same query
-builder and of the same row normalisation to score every tail of one
-query.
+builder, batched over the pairs it scores, and of the same row
+normalisation to score every tail.
 """
 
 from __future__ import annotations
@@ -108,18 +108,10 @@ def struct_score_matrix_node(table: StructuralTable, heads, relations,
     return ad.matmul(queries, ad.transpose(tails_n))
 
 
-def struct_scores_all_tails(table: StructuralTable, head: int, relation: int,
-                            unit_tails: np.ndarray | None = None) -> np.ndarray:
-    """Scores of every entity as candidate tail for one (head, relation).
-
-    ``unit_tails`` is ``unit_entity_table(table)``, for callers
-    that score many queries against one snapshot of the entity table; it
-    is computed here when not given.
-    """
+def struct_scores_all_tails(table: StructuralTable, head: int, relation: int) -> np.ndarray:
+    """Scores of every entity as candidate tail for one (head, relation)."""
     query = struct_queries_node(table, [head], [relation]).value[0]
-    if unit_tails is None:
-        unit_tails = unit_entity_table(table)
-    return unit_tails @ query
+    return unit_entity_table(table) @ query
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,13 @@ class Trainer:
             raise ValueError("the text path needs a tokenizer")
         if cfg.use_mh and not model.config.use_text:
             raise ValueError("momentum hard negatives need the text path")
+        # in log space, like the clamp: exp(log(tau)) need not give tau back
+        log_tau = model.log_tau.value[0, 0]
+        if not np.log(loss_cfg.tau_min) <= log_tau <= np.log(loss_cfg.tau_max):
+            raise ValueError(
+                f"model temperature {model.tau:g} outside clamp range "
+                f"[{loss_cfg.tau_min}, {loss_cfg.tau_max}]"
+            )
         self.graph = graph
         self.model = model
         self.tokenizer = tokenizer

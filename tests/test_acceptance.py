@@ -275,13 +275,15 @@ def test_criterion_4_memorization_witness():
     for epoch in range(1, trainer.cfg.epochs + 1):
         trainer.train_epoch(epoch)
         if epoch >= 20 and epoch % 5 == 0:
-            scorer = ModelScorer(model, g, tokenizer, mode="text")
+            scorer = ModelScorer(model, g, tokenizer, g.triples("train")[:, :2],
+                                 mode="text")
             rep, _ = evaluate(scorer, g, "train", filter_splits=("train",))
             hits1 = rep.hits1
             if hits1 >= 0.92:
                 break
     if hits1 < 0.92:
-        scorer = ModelScorer(model, g, tokenizer, mode="text")
+        scorer = ModelScorer(model, g, tokenizer, g.triples("train")[:, :2],
+                             mode="text")
         rep, _ = evaluate(scorer, g, "train", filter_splits=("train",))
         hits1 = rep.hits1
     elapsed = time.time() - start
@@ -321,7 +323,8 @@ def test_criterion_5_ablation_table():
         trainer = Trainer(g, model, tokenizer, run_cfg.loss_config(),
                           run_cfg.train_config())
         trainer.train()
-        scorer = ModelScorer(model, g, tokenizer, mode="text")
+        scorer = ModelScorer(model, g, tokenizer, g.triples("test")[:, :2],
+                             mode="text")
         rep, _ = evaluate(scorer, g, "test")
         table.append((name, rep.mrr, rep.hits1, rep.hits3, rep.hits10))
     ok = len(table) == 4 and all(

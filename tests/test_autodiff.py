@@ -3,6 +3,7 @@ import pytest
 
 from structkgc import autodiff as ad
 
+import rotation_reference
 import text_reference
 from gradcheck import assert_gradients_match, random_weighting
 
@@ -159,6 +160,38 @@ class TestPairedRotation:
         assert_gradients_match(
             lambda ls: _weighted_sum(ad.paired_rotation(ls[0], ls[1]), w), [h, r]
         )
+
+    def test_one_tape_node_with_a_c_ordered_output(self):
+        h, r = ad.Node(np.ones((3, 4))), ad.Node(np.ones((3, 4)))
+        out = ad.paired_rotation(h, r)
+        assert out._parents == (h, r)
+        assert out.value.flags.c_contiguous
+
+    def test_matches_the_composite_bit_for_bit(self):
+        """Values and both gradients equal the composite's exactly (an
+        exact zero may differ in sign), phase pairs below eps included."""
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            m, n = int(rng.integers(1, 7)), 2 * int(rng.integers(1, 9))
+            h = rng.normal(size=(m, n))
+            r = rng.normal(size=(m, n))
+            tiny = rng.random((m, n // 2)) < 0.2
+            r.reshape(m, n // 2, 2)[tiny] *= 1e-14
+            w = ad.Node(rng.normal(size=(m, n)))
+            results = []
+            for rotate in (ad.paired_rotation, rotation_reference.paired_rotation):
+                hn, rn = ad.Node(h), ad.Node(r)
+                out = rotate(hn, rn, 1e-12)
+                ad.backward(ad.sum_all(ad.mul(out, w)))
+                results.append([out.value, hn.grad, rn.grad])
+            for got, expected in zip(*results):
+                np.testing.assert_array_equal(got, expected)
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            ad.paired_rotation(ad.Node(np.ones((2, 4))), ad.Node(np.ones((1, 4))))
+        with pytest.raises(ValueError, match="even"):
+            ad.paired_rotation(ad.Node(np.ones((2, 3))), ad.Node(np.ones((2, 3))))
 
 
 class TestShapedOps:
@@ -345,10 +378,6 @@ def _primitive_cases(rng):
         cases["paired_rotation"] = (
             lambda ls: ad.sum_all(ad.mul(ad.paired_rotation(ls[0], ls[1]), ad.Node(y))),
             [x, rng.normal(size=(m, n)) + np.sign(rng.normal(size=(m, n))) * 0.3],
-        )
-        cases["l2_normalize_pairs"] = (
-            lambda ls: ad.sum_all(ad.mul(ad.l2_normalize_pairs(ls[0]), ad.Node(y))),
-            [x + np.sign(x) * 0.3],
         )
     return cases
 

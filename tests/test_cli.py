@@ -225,6 +225,21 @@ class TestNonFiniteOptions:
         assert f"argument {option}: expected a finite number" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,option,value", [
+        ("eval", "--alpha", "-0.1"),
+        ("rerank-sweep", "--alphas", "0,-0.1"),
+        ("rerank-sweep", "--alphas", "-0.5"),
+    ])
+    def test_negative_penalty_is_a_usage_error_naming_the_option(
+            self, workspace, capsys, command, option, value):
+        argv = [command, "--dataset", str(workspace["data"]),
+                "--checkpoint", str(workspace["ckpt"]), "--split", "test",
+                option, value]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"argument {option}: expected a non-negative number" in captured.err
+        assert captured.out == ""
+
     def test_config_key_is_an_input_error_naming_the_key(self, workspace, tmp_path,
                                                          capsys):
         cfg = tmp_path / "nan.cfg"
@@ -249,11 +264,12 @@ class TestBuildVocab:
 
 class ReferenceScorer(ModelScorer):
     """Scores every query alone through the live model: each text query is
-    encoded by itself, and structure is scored with no cached table."""
+    encoded by itself, and structure is scored with no cached table.  Only
+    the tail text matrix is the scorer's."""
 
-    def __init__(self, model, graph, tokenizer, mode="text", beta=0.5):
-        super().__init__(model, graph, tokenizer, mode=mode, beta=beta)
-        self.live = model
+    def __init__(self, model, graph, tokenizer, pairs, mode="text", beta=0.5):
+        super().__init__(model, graph, tokenizer, pairs, mode=mode, beta=beta)
+        self.live, self.graph, self.tokenizer = model, graph, tokenizer
 
     def scores(self, head, relation):
         struct = (None if self.mode == "text"

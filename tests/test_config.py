@@ -2,8 +2,11 @@ from dataclasses import fields
 
 import pytest
 
-from structkgc.config import LR_GRID, ConfigError, RunConfig, parse_config
+from structkgc.config import ConfigError, RunConfig, parse_config
+from structkgc.losses import LossConfig
+from structkgc.model import ModelConfig
 from structkgc.structural import AseKind
+from structkgc.training import TrainConfig
 
 # every RunConfig field at a valid value other than its default, except
 # that the text and structural paths cannot both be off: each variant
@@ -27,8 +30,15 @@ class TestRunConfig:
         assert cfg.margin == 0.02
         assert cfg.ir_count == 3
 
-    def test_lr_grid_documented(self):
-        assert LR_GRID == (5e-4, 5e-5, 1e-5)
+    def test_defaults_equal_the_component_defaults(self):
+        """The README lists each default once for the run config and once
+        per component; the two lists must agree."""
+        cfg = RunConfig()
+        assert cfg.train_config() == TrainConfig()
+        assert cfg.loss_config() == LossConfig()
+        assert cfg.model_config(num_entities=5, num_base_relations=2,
+                                vocab_size=16) == ModelConfig(
+            num_entities=5, num_base_relations=2, vocab_size=16)
 
     def test_every_key_reaches_a_component_config(self):
         """No RunConfig key is inert and no component field is unreachable."""

@@ -1,4 +1,6 @@
 import copy
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -515,14 +517,19 @@ def text_struct_model(kind, seed=0):
     return toy.graph, tokenizer, Model(cfg, seed=seed)
 
 
+def split_pairs(graph, *splits):
+    return np.concatenate([graph.triples(split)[:, :2] for split in splits])
+
+
 @pytest.mark.parametrize("kind", list(AseKind))
 class TestModelScorerMatchesModel:
     def test_struct_and_combined_scores(self, kind):
         g, tokenizer, model = text_struct_model(kind)
-        struct = ModelScorer(model, g, tokenizer, mode="struct")
-        text = ModelScorer(model, g, tokenizer, mode="text")
-        combined = ModelScorer(model, g, tokenizer, mode="combined", beta=0.3)
-        for h, r, _ in g.triples("test"):
+        pairs = split_pairs(g, "train", "test")
+        struct = ModelScorer(model, g, tokenizer, pairs, mode="struct")
+        text = ModelScorer(model, g, tokenizer, pairs, mode="text")
+        combined = ModelScorer(model, g, tokenizer, pairs, mode="combined", beta=0.3)
+        for h, r in pairs.tolist():
             want = model.struct_scores_all_tails(h, r)
             np.testing.assert_array_equal(struct.scores(h, r), want)
             np.testing.assert_array_equal(
@@ -533,13 +540,13 @@ class TestModelScorerMatchesModel:
     def test_non_finite_beta_rejected(self, kind, beta):
         g, tokenizer, model = text_struct_model(kind)
         with pytest.raises(ValueError, match="beta must be a finite number"):
-            ModelScorer(model, g, tokenizer, mode="combined", beta=beta)
+            ModelScorer(model, g, tokenizer, [(0, 0)], mode="combined", beta=beta)
 
     def test_text_tail_matrix_matches_per_entity_build(self, kind, monkeypatch):
         g, tokenizer, model = text_struct_model(kind)
         # 14 entities in chunks of 4: three full chunks and a remainder
         monkeypatch.setattr(evaluation, "ENCODE_CHUNK", 4)
-        scorer = ModelScorer(model, g, tokenizer, mode="text")
+        scorer = ModelScorer(model, g, tokenizer, [(0, 0)], mode="text")
         per_entity = np.concatenate([
             model.encode_tails([tokenize_entity(tokenizer, e, model.config.max_len)],
                                [e.id]).value
@@ -552,7 +559,8 @@ class TestModelScorerMatchesModel:
         # it, and the scores stay those of the pre-mutation model
         g, tokenizer, model = text_struct_model(kind)
         before = copy.deepcopy(model)
-        scorers = {mode: ModelScorer(model, g, tokenizer, mode=mode, beta=0.3)
+        pairs = [(0, 0), *g.triples("test")[:, :2].tolist()]
+        scorers = {mode: ModelScorer(model, g, tokenizer, pairs, mode=mode, beta=0.3)
                    for mode in SCORE_MODES}
         rng = np.random.default_rng(5)
         for node in model.parameters().values():
@@ -562,7 +570,7 @@ class TestModelScorerMatchesModel:
                                 [e.id]).value
             for e in g.entities
         ])
-        for h, r in [(0, 0), *g.triples("test")[:, :2].tolist()]:
+        for h, r in pairs:
             struct = before.struct_scores_all_tails(h, r)
             text = tails @ encode_one_query(before, g, tokenizer, h, r)
             assert not np.array_equal(struct, model.struct_scores_all_tails(h, r))
@@ -573,16 +581,41 @@ class TestModelScorerMatchesModel:
             np.testing.assert_allclose(scorers["combined"].scores(h, r),
                                        text + 0.3 * struct, rtol=0, atol=1e-12)
 
-    def test_prepared_queries_match_one_query_encodes(self, kind, monkeypatch):
+    def test_queries_match_one_query_encodes(self, kind, monkeypatch):
         g, tokenizer, model = text_struct_model(kind)
         pairs = list(dict.fromkeys(map(tuple, g.triples("train")[:, :2].tolist())))[:10]
         # 10 distinct pairs in chunks of 4: two full chunks and a remainder
         assert len(pairs) == 10
         monkeypatch.setattr(evaluation, "ENCODE_CHUNK", 4)
-        scorer = ModelScorer(model, g, tokenizer, mode="text")
-        scorer.prepare([*pairs, pairs[3]])
-        assert list(scorer._queries) == pairs
-        for h, r in pairs:
-            np.testing.assert_allclose(scorer._queries[(h, r)],
+        scorer = ModelScorer(model, g, tokenizer, [*pairs, pairs[3]], mode="text")
+        assert list(scorer._rows) == pairs
+        for row, (h, r) in enumerate(pairs):
+            np.testing.assert_allclose(scorer._text_queries[row],
                                        encode_one_query(model, g, tokenizer, h, r),
                                        rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", SCORE_MODES)
+    def test_pair_not_built_for_is_a_key_error(self, kind, mode):
+        g, tokenizer, model = text_struct_model(kind)
+        scorer = ModelScorer(model, g, tokenizer, [(1, 0), (2, 1)], mode=mode)
+        assert scorer.scores(2, 1).shape == (g.num_entities,)
+        with pytest.raises(KeyError, match=r"\(2, 0\)"):
+            scorer.scores(2, 0)
+
+    def test_no_pairs_rejected(self, kind):
+        g, tokenizer, model = text_struct_model(kind)
+        with pytest.raises(ValueError, match="at least one"):
+            ModelScorer(model, g, tokenizer, np.empty((0, 2), dtype=np.int64))
+
+    @pytest.mark.parametrize("mode", SCORE_MODES)
+    def test_keeps_no_reference_to_the_model(self, kind, mode):
+        g, tokenizer, model = text_struct_model(kind)
+        scorer = ModelScorer(model, g, tokenizer, split_pairs(g, "test"), mode=mode)
+        parts = [model, model.struct, model.hr_encoder, model.tail_encoder,
+                 model.hr_projector, model.tail_projector]
+        refs = [weakref.ref(part) for part in parts]
+        del model, parts
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * len(refs)
+        h, r = g.triples("test")[0, :2].tolist()
+        assert np.isfinite(scorer.scores(h, r)).all()

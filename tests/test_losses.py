@@ -301,14 +301,14 @@ class TestTotalLoss:
 class TestLossConfig:
     def test_defaults_valid(self):
         cfg = LossConfig()
-        assert cfg.tau_init == 0.05 and cfg.margin == 0.02
+        assert cfg.tau_min == 0.01 and cfg.tau_max == 1.0 and cfg.margin == 0.02
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"tau_init": -0.1},
-            {"tau_init": 0.005},
-            {"tau_init": 2.0},
+            {"tau_min": 0.0},
+            {"tau_min": -0.1},
+            {"tau_min": 0.5, "tau_max": 0.1},
             {"margin": -0.5},
             {"beta": -1.0},
         ],
@@ -318,7 +318,7 @@ class TestLossConfig:
             LossConfig(**kwargs)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    @pytest.mark.parametrize("key", ["tau_init", "tau_min", "tau_max", "margin", "beta"])
+    @pytest.mark.parametrize("key", ["tau_min", "tau_max", "margin", "beta"])
     def test_non_finite_rejected_naming_the_field(self, key, value):
         with pytest.raises(ValueError, match=f"^{key} must be a finite number"):
             LossConfig(**{key: value})

@@ -9,6 +9,7 @@ from structkgc.structural import (
     StructuralTable,
     ase_apply_node,
     init_embedding,
+    struct_queries_node,
     struct_score_matrix_node,
     struct_scores_all_tails,
     unit_entity_table,
@@ -51,14 +52,23 @@ class TestAseApply:
         for kind in AseKind:
             table = StructuralTable(11, 3, 6, kind, rng)
             table.entity_embeddings.value[4] = 0.0  # a row below the eps clamp
-            unit_tails = unit_entity_table(table)
             for h, r in [(0, 0), (3, 5), (4, 2), (10, 1)]:
                 scores = struct_scores_all_tails(table, h, r)
                 mat = struct_score_matrix_node(table, [h], [r], list(range(11)))
                 np.testing.assert_allclose(scores, mat.value[0], rtol=0, atol=1e-12)
-                np.testing.assert_array_equal(
-                    struct_scores_all_tails(table, h, r, unit_tails), scores
-                )
+
+    @pytest.mark.parametrize("kind", list(AseKind))
+    def test_batched_queries_equal_one_query_scores(self, kind):
+        """One batched query build scores exactly like one query at a time."""
+        rng = np.random.default_rng(2)
+        table = StructuralTable(300, 7, 64, kind, rng)
+        heads = rng.integers(0, 300, size=500)
+        relations = rng.integers(0, 14, size=500)
+        queries = struct_queries_node(table, heads, relations).value
+        unit_tails = unit_entity_table(table)
+        for q, (h, r) in enumerate(zip(heads.tolist(), relations.tolist())):
+            np.testing.assert_array_equal(unit_tails @ queries[q],
+                                          struct_scores_all_tails(table, h, r))
 
 
 def struct_score(table, head, relation, tail):

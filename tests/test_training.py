@@ -311,11 +311,30 @@ class TestTemperature:
 
     def test_tau_stays_clamped(self):
         toy, tokenizer, model = tiny_text_setup()
-        loss_cfg = LossConfig(tau_init=0.05, tau_min=0.04, tau_max=0.06)
+        loss_cfg = LossConfig(tau_min=0.04, tau_max=0.06)
         trainer = Trainer(toy.graph, model, tokenizer, loss_cfg,
                           small_train_cfg(epochs=2, lr=0.05, use_mh=False))
         trainer.train()
         assert 0.04 - 1e-12 <= model.tau <= 0.06 + 1e-12
+
+    @pytest.mark.parametrize("tau_init", [0.03, 0.07])
+    def test_model_tau_outside_the_clamp_range_rejected(self, tau_init):
+        toy, tokenizer, model = tiny_text_setup(tau_init=tau_init)
+        with pytest.raises(ValueError, match="outside clamp range"):
+            Trainer(toy.graph, model, tokenizer, LossConfig(tau_min=0.04, tau_max=0.06),
+                    small_train_cfg(use_mh=False))
+
+    def test_model_tau_at_the_clamp_bounds_accepted(self):
+        for tau in (0.04, 0.06):
+            toy, tokenizer, model = tiny_text_setup(tau_init=tau)
+            Trainer(toy.graph, model, tokenizer, LossConfig(tau_min=0.04, tau_max=0.06),
+                    small_train_cfg(use_mh=False))
+
+    @pytest.mark.parametrize("tau_init", [0.0, -0.05, float("nan"), float("inf")])
+    def test_model_config_rejects_a_bad_tau_naming_the_key(self, tau_init):
+        with pytest.raises(ValueError, match="^tau_init must be"):
+            ModelConfig(num_entities=3, num_base_relations=1, use_text=False,
+                        tau_init=tau_init)
 
 
 class TestTrainConfigValidation:
