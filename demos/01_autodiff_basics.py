@@ -26,9 +26,13 @@ ad.backward(out)
 print("\ndiamond grad:", y.grad, "(expected exp(y) + 2y =",
       np.exp(y.value) + 2 * y.value, ")")
 
-# softmax rows sum to one and stay finite for huge logits
-s = ad.softmax_rows(ad.Node([[1000.0, 0.0, -5.0]]))
-print("\nsoftmax of [1000, 0, -5]:", s.value, "row sum:", s.value.sum())
+# unit-length rows, as the encoders and the structural scores use them;
+# the gradient of a unit row is orthogonal to it, so its length cannot move
+r = ad.Node([[3.0, 4.0]])
+u = ad.l2_normalize_rows(r)
+ad.backward(ad.sum_all(ad.mul(u, ad.Node([[1.0, 0.0]]))))
+print("\nl2-normalised [3, 4]:", u.value, " grad:", r.grad)
+print(f"grad . row: {float((r.grad * r.value).sum()):.1e} (zero up to rounding)")
 
 # a quick finite-difference spot check on matmul
 a = ad.Node(rng.normal(size=(3, 4)))

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -89,6 +88,35 @@ class Node:
 
     def __repr__(self):
         return f"Node(shape={self.value.shape})"
+
+
+class LoadedValues:
+    """Stored arrays that a model's components take as their parameter
+    values in place of a fresh init (see :func:`parameter`).
+
+    ``take`` hands out the array stored under a name and records the
+    shape the component expects there, so that a loader can compare the
+    stored names and shapes with the expected ones once every component
+    is built.  A name with no stored array gets an empty placeholder.
+    """
+
+    def __init__(self, arrays: dict[str, np.ndarray]):
+        self.arrays = arrays
+        self.expected: dict[str, tuple[int, int]] = {}
+
+    def take(self, name: str, shape: tuple[int, int]) -> np.ndarray:
+        self.expected[name] = shape
+        return self.arrays.get(name, _NO_VALUE)
+
+
+_NO_VALUE = np.zeros((0, 0))
+
+
+def parameter(name: str, shape: tuple[int, int], init,
+              loaded: LoadedValues | None = None) -> Node:
+    """A parameter leaf holding ``init(rows, cols)``, or, when ``loaded``
+    is given, its stored array for ``name``; then no init runs."""
+    return Node(init(*shape) if loaded is None else loaded.take(name, shape))
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -215,29 +243,6 @@ def transpose(a: Node) -> Node:
     return Node(a.value.T, (a,), lambda g: (g.T,))
 
 
-def reshape(a: Node, rows: int, cols: int) -> Node:
-    if rows * cols != a.value.size:
-        raise ValueError(f"cannot reshape {a.value.shape} to ({rows}, {cols})")
-    shape = a.value.shape
-    return Node(a.value.reshape(rows, cols), (a,), lambda g: (g.reshape(shape),))
-
-
-def concat_rows(parts: Sequence[Node]) -> Node:
-    parts = list(parts)
-    if not parts:
-        raise ValueError("concat_rows needs at least one part")
-    widths = {p.value.shape[1] for p in parts}
-    if len(widths) != 1:
-        raise ValueError(f"concat_rows column mismatch: {sorted(widths)}")
-    sizes = [p.value.shape[0] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(g):
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(parts)))
-
-    return Node(np.concatenate([p.value for p in parts], axis=0), parts, vjp)
-
-
 def gather_rows(a: Node, indices) -> Node:
     """Row lookup (embedding gather); backward scatter-adds, so repeated
     indices accumulate."""
@@ -298,18 +303,6 @@ def mean_all(a: Node) -> Node:
 # ---------------------------------------------------------------------------
 # row-structured primitives
 # ---------------------------------------------------------------------------
-
-def softmax_rows(a: Node) -> Node:
-    """Row softmax with max-subtraction; every output row sums to 1."""
-    z = a.value - a.value.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=1, keepdims=True)
-
-    def vjp(g):
-        return ((g - (g * y).sum(axis=1, keepdims=True)) * y,)
-
-    return Node(y, (a,), vjp)
-
 
 def l2_normalize_rows(a: Node, eps: float = DEFAULT_NORM_EPS) -> Node:
     """Scale each row to unit Euclidean norm.

@@ -14,6 +14,7 @@ import zlib
 
 import numpy as np
 
+from . import autodiff as ad
 from .model import Model, ModelConfig
 from .structural import AseKind
 
@@ -65,18 +66,19 @@ def _read(buf: memoryview, offset: int, size: int, path) -> tuple[memoryview, in
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
+    """The checkpoint's config and its parameter blocks, each copied once
+    out of the file's bytes into a writable array of its own."""
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < 12:
         raise CheckpointError(f"{path}: truncated checkpoint")
-    body, tail = raw[:-4], raw[-4:]
-    (stored_crc,) = struct.unpack("<I", tail)
-    if zlib.crc32(body) & 0xFFFFFFFF != stored_crc:
+    buf = memoryview(raw)[:-4]
+    (stored_crc,) = struct.unpack_from("<I", raw, len(buf))
+    if zlib.crc32(buf) & 0xFFFFFFFF != stored_crc:
         raise CheckpointError(f"{path}: checksum mismatch, refusing to load")
-    buf = memoryview(body)
     offset = 0
     chunk, offset = _read(buf, offset, 4, path)
-    if bytes(chunk) != MAGIC:
+    if chunk != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
     chunk, offset = _read(buf, offset, 4, path)
     (version,) = struct.unpack("<I", chunk)
@@ -104,21 +106,23 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         chunk, offset = _read(buf, offset, 2, path)
         (name_len,) = struct.unpack("<H", chunk)
         chunk, offset = _read(buf, offset, name_len, path)
-        name = bytes(chunk).decode("utf-8")
+        name = str(chunk, "utf-8")
         chunk, offset = _read(buf, offset, 8, path)
         rows, cols = struct.unpack("<II", chunk)
         chunk, offset = _read(buf, offset, rows * cols * 8, path)
-        params[name] = np.frombuffer(bytes(chunk), dtype="<f8").reshape(rows, cols).copy()
+        params[name] = np.frombuffer(chunk, dtype="<f8").reshape(rows, cols).copy()
     if offset != len(buf):
         raise CheckpointError(f"{path}: trailing bytes after parameter blocks")
     return cfg, params
 
 
 def load_model(path, expected_dims: dict | None = None) -> Model:
-    """Rebuild a model from a checkpoint.
+    """Rebuild a model from a checkpoint, its parameters the stored arrays.
 
     ``expected_dims`` maps ModelConfig field names to required values;
-    any mismatch refuses the load and names both values.
+    any mismatch refuses the load and names both values.  So does a
+    stored parameter set that differs from the model's, by name or by
+    shape.
     """
     cfg, params = load_checkpoint(path)
     if expected_dims:
@@ -129,16 +133,16 @@ def load_model(path, expected_dims: dict | None = None) -> Model:
                     f"{path}: checkpoint {key}={have} does not match "
                     f"requested {key}={want}"
                 )
-    model = Model(cfg, seed=0)
-    own = model.parameters()
-    if set(own) != set(params):
-        missing = sorted(set(own) ^ set(params))
+    loaded = ad.LoadedValues(params)
+    model = Model(cfg, loaded=loaded)
+    expected = loaded.expected
+    if set(expected) != set(params):
+        missing = sorted(set(expected) ^ set(params))
         raise CheckpointError(f"{path}: parameter name mismatch near {missing[:4]}")
-    for name, node in own.items():
-        if node.value.shape != params[name].shape:
+    for name in model.parameters():
+        if params[name].shape != expected[name]:
             raise CheckpointError(
                 f"{path}: parameter {name} has shape {params[name].shape}, "
-                f"expected {node.value.shape}"
+                f"expected {expected[name]}"
             )
-        node.value = params[name]
     return model

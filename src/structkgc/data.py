@@ -13,13 +13,23 @@ appends inverse triples to every split so head prediction becomes tail
 prediction over inverse relations, with filtering correct in both
 directions.
 
-Each triple file is read in one pass: its non-blank lines are split
-once, every column is mapped through the entity and relation id dicts
-into an int64 array, with -1 for an id the vocabulary files do not
-declare, and the inverses are one array operation on the ``(n, 3)``
-result.  Only when a column count is wrong or a -1 shows up is the file
-scanned again line by line, to raise a ``DataError`` naming the first
-offending ``path:line`` (blank lines count in the numbering).
+Every file is read in one pass, as columns, with no object per line:
+its non-blank lines are split once, and a tab count per line checks
+the column count.
+
+- A vocabulary file's lines have one to three columns.  Shorter lines
+  are padded to three, each column is one slice of the split fields,
+  and the strip and the name fallback run per column; a duplicate id
+  shows as an id map shorter than the file.  The graph keeps the name
+  and description columns as they are.
+- A triple file's lines have three columns, each mapped through the id
+  maps into an int64 array, with -1 for an id the vocabulary files do
+  not declare; the inverses are one array operation on the result.
+
+Only when a line is bad (a wrong column count, a duplicate or an
+undeclared id) is the file scanned again line by line, to raise a
+``DataError`` naming the first offending ``path:line`` (blank lines
+count in the numbering).
 """
 
 from __future__ import annotations
@@ -31,7 +41,6 @@ from itertools import repeat
 import numpy as np
 
 from .graph import (
-    EntityRecord,
     KnowledgeGraph,
     RelationRecord,
     add_inverse_triples,
@@ -77,28 +86,53 @@ def _read_rows(path, min_cols, max_cols):
     return rows
 
 
-def _read_vocabulary(path, kind: str, record_type):
-    """Records, raw ids and the raw-to-dense id map of an entity or relation file."""
-    records, raw_ids, ids = [], [], {}
+def _read_lines(path) -> tuple[list[str], np.ndarray]:
+    """The file's non-blank lines and the tab count of each."""
+    with open(path, encoding="utf-8") as f:
+        lines = [line for line in f.read().split("\n") if line.strip()]
+    return lines, np.fromiter(map(str.count, lines, repeat("\t")), dtype=np.int64,
+                              count=len(lines))
+
+
+_PADDING = ("\t\t", "\t", "")  # by tab count
+
+
+def _read_vocabulary(path, kind: str):
+    """Names, descriptions, raw ids and the raw-to-dense id map of an
+    entity or relation file, read as columns."""
+    lines, tabs = _read_lines(path)
+    n = len(lines)
+    if np.any(tabs > 2):
+        _raise_vocabulary_error(path, kind)
+    if np.any(tabs < 2):  # pad missing name and description columns
+        lines = [line + _PADDING[t] for line, t in zip(lines, tabs.tolist())]
+    fields = "\t".join(lines).split("\t") if n else []
+    raw_ids = fields[0::3]
+    ids = dict(zip(raw_ids, range(n)))
+    if len(ids) != n:
+        _raise_vocabulary_error(path, kind)
+    names = list(map(str.strip, fields[1::3]))
+    if "" in names:  # missing name -> raw id
+        names = [name or raw for name, raw in zip(names, raw_ids)]
+    descriptions = list(map(str.strip, fields[2::3]))
+    return names, descriptions, raw_ids, ids
+
+
+def _raise_vocabulary_error(path, kind: str):
+    """Scan a vocabulary file line by line and raise for its first bad line."""
+    seen = set()
     for line_no, cols in _read_rows(path, 1, 3):
-        raw = cols[0]
-        if raw in ids:
-            raise DataError(path, line_no, f"duplicate {kind} id {raw!r}")
-        name = cols[1].strip() if len(cols) > 1 else ""
-        desc = cols[2].strip() if len(cols) > 2 else ""
-        ids[raw] = len(records)
-        records.append(record_type(name or raw, desc, len(records)))
-        raw_ids.append(raw)
-    return records, raw_ids, ids
+        if cols[0] in seen:
+            raise DataError(path, line_no, f"duplicate {kind} id {cols[0]!r}")
+        seen.add(cols[0])
+    raise AssertionError(f"{path} has no bad line to report")
 
 
 def _read_triples(path, entity_ids: dict[str, int],
                   relation_ids: dict[str, int]) -> np.ndarray:
     """The file's triples as an (n, 3) int64 array of dense ids."""
-    with open(path, encoding="utf-8") as f:
-        lines = [line for line in f.read().split("\n") if line.strip()]
+    lines, tabs = _read_lines(path)
     n = len(lines)
-    tabs = np.fromiter(map(str.count, lines, repeat("\t")), dtype=np.int64, count=n)
     if np.any(tabs != 2):
         _raise_first_error(path, entity_ids, relation_ids)
     fields = "\t".join(lines).split("\t")
@@ -130,9 +164,11 @@ def load_dataset(directory) -> Dataset:
         if not os.path.exists(path):
             raise FileNotFoundError(f"missing dataset file: {path}")
 
-    entities, entity_raw, entity_ids = _read_vocabulary(ent_path, "entity", EntityRecord)
-    base_rels, relation_raw, relation_ids = _read_vocabulary(
-        rel_path, "relation", RelationRecord)
+    names, descriptions, entity_raw, entity_ids = _read_vocabulary(ent_path, "entity")
+    rel_names, rel_descriptions, relation_raw, relation_ids = _read_vocabulary(
+        rel_path, "relation")
+    base_rels = [RelationRecord(name, desc, i)
+                 for i, (name, desc) in enumerate(zip(rel_names, rel_descriptions))]
 
     splits: dict[str, np.ndarray] = {}
     for split, fname in SPLIT_FILES.items():
@@ -141,7 +177,8 @@ def load_dataset(directory) -> Dataset:
         splits[split] = add_inverse_triples(triples, len(base_rels))
 
     relations = base_rels + inverse_relation_records(base_rels)
-    graph = KnowledgeGraph(entities, relations, splits, num_base_relations=len(base_rels))
+    graph = KnowledgeGraph.from_columns(names, descriptions, relations, splits,
+                                        num_base_relations=len(base_rels))
     return Dataset(graph, entity_raw, relation_raw, directory)
 
 
@@ -149,8 +186,11 @@ def write_dataset(graph: KnowledgeGraph, entity_raw_ids, relation_raw_ids, direc
     """Serialize back to the file layout; inverse triples are stripped."""
     os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, ENTITY_FILE), "w", encoding="utf-8") as f:
-        for rec in graph.entities:
-            f.write(f"{entity_raw_ids[rec.id]}\t{rec.name}\t{rec.description}\n")
+        f.writelines(
+            f"{entity_raw_ids[i]}\t{name}\t{desc}\n"
+            for i, (name, desc) in enumerate(zip(graph.entity_names,
+                                                 graph.entity_descriptions))
+        )
     with open(os.path.join(directory, RELATION_FILE), "w", encoding="utf-8") as f:
         for rec in graph.relations[: graph.num_base_relations]:
             f.write(f"{relation_raw_ids[rec.id]}\t{rec.name}\t{rec.description}\n")
@@ -170,14 +210,14 @@ def corpus_texts(graph: KnowledgeGraph):
     Yields the rendered text of every training triple occurrence, so a
     token's count reflects how often the encoder will actually see it.
     """
+    names, descs, rels = graph.entity_names, graph.entity_descriptions, graph.relations
     for h, r, t in graph.triples("train").tolist():
-        head, rel, tail = graph.entities[h], graph.relations[r], graph.entities[t]
-        yield head.name
-        yield head.description
-        yield rel.name
-        yield rel.description
-        yield tail.name
-        yield tail.description
+        yield names[h]
+        yield descs[h]
+        yield rels[r].name
+        yield rels[r].description
+        yield names[t]
+        yield descs[t]
 
 
 def build_tokenizer(graph: KnowledgeGraph, min_freq: int = 2) -> Tokenizer:

@@ -157,13 +157,16 @@ class ModelScorer:
         self._unit_tails = self._struct_queries = None
         with ad.no_grad():
             if mode != "struct":
-                ents, rels, max_len = graph.entities, graph.relations, model.config.max_len
+                names, descs = graph.entity_names, graph.entity_descriptions
+                rels, max_len = graph.relations, model.config.max_len
                 self._tail_matrix = _encode_in_chunks(
-                    model.encode_tails, ents, [e.id for e in ents],
-                    lambda e: tokenize_entity(tokenizer, e, max_len))
+                    model.encode_tails, range(graph.num_entities),
+                    lambda e: tokenize_entity(tokenizer, names[e], descs[e], max_len))
                 self._text_queries = _encode_in_chunks(
-                    model.encode_queries, pairs, pairs,
-                    lambda p: tokenize_hr(tokenizer, ents[p[0]], rels[p[1]], max_len))
+                    model.encode_queries, pairs,
+                    lambda p: tokenize_hr(tokenizer, names[p[0]], descs[p[0]],
+                                          rels[p[1]].name, rels[p[1]].description,
+                                          max_len))
             if mode != "text":
                 self._unit_tails = unit_entity_table(model.struct)
                 heads, relations = np.array(pairs, dtype=np.intp).T
@@ -182,13 +185,11 @@ class ModelScorer:
         return text if struct is None else text + self.beta * struct
 
 
-def _encode_in_chunks(encode, items, keys, tokenize) -> np.ndarray:
+def _encode_in_chunks(encode, keys, tokenize) -> np.ndarray:
     """Rows of ``encode(tokens, keys)`` over ``ENCODE_CHUNK``-sized slices."""
-    return np.concatenate([
-        encode([tokenize(item) for item in items[start:start + ENCODE_CHUNK]],
-               keys[start:start + ENCODE_CHUNK]).value
-        for start in range(0, len(items), ENCODE_CHUNK)
-    ])
+    chunks = [keys[start:start + ENCODE_CHUNK] for start in range(0, len(keys), ENCODE_CHUNK)]
+    return np.concatenate([encode([tokenize(key) for key in chunk], chunk).value
+                           for chunk in chunks])
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,12 @@ Entities and relations carry dense 0-based integer ids.  When inverse
 relations are in play they occupy the upper half of the relation id
 space: ``id(r_inverse) = id(r) + num_base_relations``.
 
+Entity text is kept as two columns indexed by entity id,
+``entity_names`` and ``entity_descriptions``, not as one object per
+entity: a WN18RR-sized graph has ~41k entities, and the dataset loader
+hands its parsed columns straight to ``KnowledgeGraph.from_columns``.
+Relations, a few dozen at most, stay ``RelationRecord``s.
+
 Each split is stored as a read-only ``(n, 3)`` int64 array of
 ``(head, relation, tail)`` rows, in input order with duplicates kept.
 The tail lookups read a CSR index over a tuple of splits, with R
@@ -28,6 +34,7 @@ selection build equal indexes, so shared reads stay safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -92,6 +99,10 @@ class KnowledgeGraph:
     ``tails_by_relation(r)`` is e(r) (also written N_r) and
     ``tails_by_pair(h, r)`` is e(h, r), both over a split selection, as
     sorted, distinct, read-only int64 id arrays.
+
+    The constructor takes ``EntityRecord``s in any order and keeps only
+    their text, as the ``entity_names`` and ``entity_descriptions``
+    columns; ``from_columns`` takes those columns directly.
     """
 
     def __init__(
@@ -101,12 +112,37 @@ class KnowledgeGraph:
         split_triples: Mapping[str, Sequence[Triple] | np.ndarray],
         num_base_relations: int | None = None,
     ):
-        self.entities = tuple(sorted(entities, key=lambda e: e.id))
-        self.relations = tuple(sorted(relations, key=lambda r: r.id))
-        for seq, kind in ((self.entities, "entity"), (self.relations, "relation")):
-            ids = [rec.id for rec in seq]
-            if ids != list(range(len(seq))):
-                raise GraphError(f"{kind} ids are not contiguous from 0: {ids[:8]}...")
+        entities = _by_id(entities, "entity")
+        self._setup(tuple(map(attrgetter("name"), entities)),
+                    tuple(map(attrgetter("description"), entities)),
+                    relations, split_triples, num_base_relations)
+
+    @classmethod
+    def from_columns(
+        cls,
+        entity_names: Sequence[str],
+        entity_descriptions: Sequence[str],
+        relations: Sequence[RelationRecord],
+        split_triples: Mapping[str, Sequence[Triple] | np.ndarray],
+        num_base_relations: int | None = None,
+    ) -> KnowledgeGraph:
+        """A graph whose entity ``i`` has name ``entity_names[i]`` and
+        description ``entity_descriptions[i]``."""
+        graph = cls.__new__(cls)
+        graph._setup(tuple(entity_names), tuple(entity_descriptions),
+                     relations, split_triples, num_base_relations)
+        return graph
+
+    def _setup(self, entity_names: tuple[str, ...], entity_descriptions: tuple[str, ...],
+               relations, split_triples, num_base_relations):
+        if len(entity_names) != len(entity_descriptions):
+            raise GraphError(
+                f"{len(entity_names)} entity names do not match "
+                f"{len(entity_descriptions)} entity descriptions"
+            )
+        self.entity_names = entity_names
+        self.entity_descriptions = entity_descriptions
+        self.relations = tuple(_by_id(relations, "relation"))
         if num_base_relations is None:
             num_base_relations = len(self.relations)
         if len(self.relations) not in (num_base_relations, 2 * num_base_relations):
@@ -172,7 +208,7 @@ class KnowledgeGraph:
     # ------------------------------------------------------------------
     @property
     def num_entities(self) -> int:
-        return len(self.entities)
+        return len(self.entity_names)
 
     @property
     def num_relations(self) -> int:
@@ -232,6 +268,15 @@ def _build_index(rows: np.ndarray, num_entities: int, num_relations: int) -> _In
     for arr in index:
         arr.flags.writeable = False
     return index
+
+
+def _by_id(records, kind: str) -> list:
+    """``records`` in id order; the ids must be 0..n-1."""
+    records = sorted(records, key=attrgetter("id"))
+    ids = list(map(attrgetter("id"), records))
+    if ids != list(range(len(records))):
+        raise GraphError(f"{kind} ids are not contiguous from 0: {ids[:8]}...")
+    return records
 
 
 def _run_starts(sorted_ids: np.ndarray) -> np.ndarray:

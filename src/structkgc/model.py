@@ -74,12 +74,20 @@ def encode_entities(encoder: TextEncoder, projector: PrefixProjector | None,
 
 
 class Model:
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    """The trainable components, wired as ``config`` asks.
+
+    ``Model(config, seed)`` draws fresh parameters from ``seed``.  With
+    ``loaded`` given, every parameter takes its stored array instead and
+    nothing is drawn; the checkpoint loader builds models this way.
+    """
+
+    def __init__(self, config: ModelConfig, seed: int = 0,
+                 loaded: ad.LoadedValues | None = None):
         self.config = config
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed) if loaded is None else None
         self.struct = StructuralTable(
             config.num_entities, config.num_base_relations, config.struct_dim,
-            config.ase_kind, rng,
+            config.ase_kind, rng, loaded,
         )
         self.hr_projector = None
         self.tail_projector = None
@@ -91,21 +99,23 @@ class Model:
                 heads=config.heads, max_len=config.max_len,
                 vocab_size=config.vocab_size,
             )
-            self.hr_encoder = TextEncoder(enc_cfg, rng, name="hr")
+            self.hr_encoder = TextEncoder(enc_cfg, rng, name="hr", loaded=loaded)
             if config.share_text_encoders:
                 self.tail_encoder = self.hr_encoder
             else:
-                self.tail_encoder = TextEncoder(enc_cfg, rng, name="tail")
+                self.tail_encoder = TextEncoder(enc_cfg, rng, name="tail", loaded=loaded)
             if config.use_ase:
                 self.hr_projector = PrefixProjector(
                     config.struct_dim, config.layers, config.hidden_dim, rng,
-                    name="hr_prefix",
+                    name="hr_prefix", loaded=loaded,
                 )
                 self.tail_projector = PrefixProjector(
                     config.struct_dim, config.layers, config.hidden_dim, rng,
-                    name="tail_prefix",
+                    name="tail_prefix", loaded=loaded,
                 )
-        self.log_tau = make_log_tau(config.tau_init)
+        self.log_tau = ad.parameter(
+            "log_tau", (1, 1), lambda rows, cols: make_log_tau(config.tau_init).value,
+            loaded)
 
     def parameters(self) -> dict[str, Node]:
         out: dict[str, Node] = {}

@@ -44,7 +44,8 @@ class StructuralTable:
     """
 
     def __init__(self, num_entities: int, num_base_relations: int, dim: int,
-                 kind: AseKind, rng: np.random.Generator):
+                 kind: AseKind, rng: np.random.Generator | None,
+                 loaded: ad.LoadedValues | None = None):
         if kind is AseKind.ROTATION and dim % 2 != 0:
             raise ValueError(
                 f"rotation combiner needs an even embedding dim, got {dim}"
@@ -53,10 +54,14 @@ class StructuralTable:
         self.kind = kind
         self.num_entities = num_entities
         self.num_base_relations = num_base_relations
-        self.entity_embeddings = Node(init_embedding(rng, num_entities, dim))
-        self.relation_embeddings = Node(
-            init_embedding(rng, 2 * num_base_relations, dim)
-        )
+
+        def uniform(rows, cols):
+            return init_embedding(rng, rows, cols)
+
+        self.entity_embeddings = ad.parameter(
+            "struct.entities", (num_entities, dim), uniform, loaded)
+        self.relation_embeddings = ad.parameter(
+            "struct.relations", (2 * num_base_relations, dim), uniform, loaded)
 
     def parameters(self) -> dict[str, Node]:
         return {
@@ -126,14 +131,15 @@ class PrefixProjector:
     """
 
     def __init__(self, struct_dim: int, layers: int, hidden_dim: int,
-                 rng: np.random.Generator, name: str = "prefix"):
+                 rng: np.random.Generator | None, name: str = "prefix",
+                 loaded: ad.LoadedValues | None = None):
         self.struct_dim = struct_dim
         self.layers = layers
         self.hidden_dim = hidden_dim
         self.name = name
-        self.weight = Node(
-            init_embedding(rng, struct_dim, 2 * layers * hidden_dim)
-        )
+        self.weight = ad.parameter(
+            f"{name}.weight", (struct_dim, 2 * layers * hidden_dim),
+            lambda rows, cols: init_embedding(rng, rows, cols), loaded)
 
     def parameters(self) -> dict[str, Node]:
         return {f"{self.name}.weight": self.weight}

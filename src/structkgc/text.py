@@ -115,7 +115,9 @@ def _fit_segments(segments: list[list[int]], drop_order: list[int], budget: int)
     return segments
 
 
-def tokenize_hr(tokenizer: Tokenizer, entity, relation, max_len: int) -> list[int]:
+def tokenize_hr(tokenizer: Tokenizer, head_name: str, head_description: str,
+                relation_name: str, relation_description: str,
+                max_len: int) -> list[int]:
     """([CLS], head name, head description, [SEP], relation name,
     relation description, [SEP]), truncated to ``max_len``.
 
@@ -123,10 +125,10 @@ def tokenize_hr(tokenizer: Tokenizer, entity, relation, max_len: int) -> list[in
     survives; the trailing separators are always kept.
     """
     segments = [
-        tokenizer.encode_words(entity.name),
-        tokenizer.encode_words(entity.description),
-        tokenizer.encode_words(relation.name),
-        tokenizer.encode_words(getattr(relation, "description", "")),
+        tokenizer.encode_words(head_name),
+        tokenizer.encode_words(head_description),
+        tokenizer.encode_words(relation_name),
+        tokenizer.encode_words(relation_description),
     ]
     budget = max_len - 3  # [CLS] and two [SEP]
     # head description, then head name, then relation description, then name
@@ -138,15 +140,16 @@ def tokenize_hr(tokenizer: Tokenizer, entity, relation, max_len: int) -> list[in
     )
 
 
-def tokenize_entity(tokenizer: Tokenizer, entity, max_len: int) -> list[int]:
+def tokenize_entity(tokenizer: Tokenizer, name: str, description: str,
+                    max_len: int) -> list[int]:
     """([CLS], name, description, [SEP]) for the tail side."""
     segments = [
-        tokenizer.encode_words(entity.name),
-        tokenizer.encode_words(entity.description),
+        tokenizer.encode_words(name),
+        tokenizer.encode_words(description),
     ]
     _fit_segments(segments, [1, 0], max_len - 2)
-    name, desc = segments
-    return [tokenizer.cls_id] + name + desc + [tokenizer.sep_id]
+    name_ids, desc_ids = segments
+    return [tokenizer.cls_id] + name_ids + desc_ids + [tokenizer.sep_id]
 
 
 # ---------------------------------------------------------------------------
@@ -172,42 +175,53 @@ def _linear_init(rng, rows, cols):
     return rng.normal(0.0, 0.02, size=(rows, cols))
 
 
+def _zeros(rows, cols):
+    return np.zeros((rows, cols))
+
+
+def _ones(rows, cols):
+    return np.ones((rows, cols))
+
+
 class TextEncoder:
     """Toy BERT-style encoder producing unit-norm mean-pooled embeddings."""
 
-    def __init__(self, config: TextEncoderConfig, rng: np.random.Generator,
-                 name: str = "enc"):
+    def __init__(self, config: TextEncoderConfig, rng: np.random.Generator | None,
+                 name: str = "enc", loaded: ad.LoadedValues | None = None):
         self.config = config
         self.name = name
         d = config.hidden_dim
         self._params: dict[str, Node] = {}
 
-        def param(key, value):
-            node = Node(value)
+        def param(key, rows, cols, init):
+            node = ad.parameter(f"{name}.{key}", (rows, cols), init, loaded)
             self._params[f"{name}.{key}"] = node
             return node
 
-        self.tok_emb = param("tok_emb", _linear_init(rng, config.vocab_size, d))
-        self.pos_emb = param("pos_emb", _linear_init(rng, config.max_len, d))
+        def normal(rows, cols):
+            return _linear_init(rng, rows, cols)
+
+        self.tok_emb = param("tok_emb", config.vocab_size, d, normal)
+        self.pos_emb = param("pos_emb", config.max_len, d, normal)
         self.layers = []
         for i in range(config.layers):
             layer = {
-                "wq": param(f"l{i}.wq", _linear_init(rng, d, d)),
-                "bq": param(f"l{i}.bq", np.zeros((1, d))),
-                "wk": param(f"l{i}.wk", _linear_init(rng, d, d)),
-                "bk": param(f"l{i}.bk", np.zeros((1, d))),
-                "wv": param(f"l{i}.wv", _linear_init(rng, d, d)),
-                "bv": param(f"l{i}.bv", np.zeros((1, d))),
-                "wo": param(f"l{i}.wo", _linear_init(rng, d, d)),
-                "bo": param(f"l{i}.bo", np.zeros((1, d))),
-                "ln1_g": param(f"l{i}.ln1_g", np.ones((1, d))),
-                "ln1_b": param(f"l{i}.ln1_b", np.zeros((1, d))),
-                "w1": param(f"l{i}.w1", _linear_init(rng, d, 4 * d)),
-                "b1": param(f"l{i}.b1", np.zeros((1, 4 * d))),
-                "w2": param(f"l{i}.w2", _linear_init(rng, 4 * d, d)),
-                "b2": param(f"l{i}.b2", np.zeros((1, d))),
-                "ln2_g": param(f"l{i}.ln2_g", np.ones((1, d))),
-                "ln2_b": param(f"l{i}.ln2_b", np.zeros((1, d))),
+                "wq": param(f"l{i}.wq", d, d, normal),
+                "bq": param(f"l{i}.bq", 1, d, _zeros),
+                "wk": param(f"l{i}.wk", d, d, normal),
+                "bk": param(f"l{i}.bk", 1, d, _zeros),
+                "wv": param(f"l{i}.wv", d, d, normal),
+                "bv": param(f"l{i}.bv", 1, d, _zeros),
+                "wo": param(f"l{i}.wo", d, d, normal),
+                "bo": param(f"l{i}.bo", 1, d, _zeros),
+                "ln1_g": param(f"l{i}.ln1_g", 1, d, _ones),
+                "ln1_b": param(f"l{i}.ln1_b", 1, d, _zeros),
+                "w1": param(f"l{i}.w1", d, 4 * d, normal),
+                "b1": param(f"l{i}.b1", 1, 4 * d, _zeros),
+                "w2": param(f"l{i}.w2", 4 * d, d, normal),
+                "b2": param(f"l{i}.b2", 1, d, _zeros),
+                "ln2_g": param(f"l{i}.ln2_g", 1, d, _ones),
+                "ln2_b": param(f"l{i}.ln2_b", 1, d, _zeros),
             }
             self.layers.append(layer)
 

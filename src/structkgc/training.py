@@ -142,10 +142,11 @@ class Trainer:
     def _hr_token_seq(self, head: int, relation: int) -> list[int]:
         key = (head, relation)
         if key not in self._hr_tokens:
+            graph, rel = self.graph, self.graph.relations[relation]
             self._hr_tokens[key] = tokenize_hr(
                 self.tokenizer,
-                self.graph.entities[head],
-                self.graph.relations[relation],
+                graph.entity_names[head], graph.entity_descriptions[head],
+                rel.name, rel.description,
                 self.model.config.max_len,
             )
         return self._hr_tokens[key]
@@ -153,7 +154,8 @@ class Trainer:
     def _tail_token_seq(self, tail: int) -> list[int]:
         if tail not in self._tail_tokens:
             self._tail_tokens[tail] = tokenize_entity(
-                self.tokenizer, self.graph.entities[tail], self.model.config.max_len
+                self.tokenizer, self.graph.entity_names[tail],
+                self.graph.entity_descriptions[tail], self.model.config.max_len
             )
         return self._tail_tokens[tail]
 

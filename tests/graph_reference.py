@@ -137,17 +137,26 @@ def _union(index: Mapping[str, Mapping], key, splits: Iterable[str]) -> frozense
 
 
 
+def entity_records(graph) -> list[EntityRecord]:
+    """A ``KnowledgeGraph``'s entity text as the records the reference takes."""
+    return [EntityRecord(name, desc, i) for i, (name, desc)
+            in enumerate(zip(graph.entity_names, graph.entity_descriptions))]
+
+
 class ReferenceAsArrays:
     """A ``ReferenceGraph`` behind the array interface the trainer reads.
 
     Converts the way the callers of the old graph did: triples as an
     ``(n, 3)`` array in split order and train e(r) through the sorted
     ``train_tail_array``.  e(h, r) is sorted, as ``KnowledgeGraph``
-    promises and ``in_batch_mask``'s binary search needs.
+    promises and ``in_batch_mask``'s binary search needs.  Entity text
+    is the two columns ``KnowledgeGraph`` keeps.
     """
 
     def __init__(self, reference: ReferenceGraph):
         self._reference = reference
+        self.entity_names = tuple(e.name for e in reference.entities)
+        self.entity_descriptions = tuple(e.description for e in reference.entities)
 
     def __getattr__(self, name):
         return getattr(self._reference, name)

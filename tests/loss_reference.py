@@ -12,6 +12,8 @@ from structkgc import autodiff as ad
 from structkgc.autodiff import Node
 from structkgc.losses import _info_nce
 
+from autodiff_reference import concat_rows
+
 
 def reference_contrastive_loss(h_hr, h_t, ib_mask, log_tau, margin,
                                mh_features=None, ir_features=None):
@@ -37,7 +39,7 @@ def reference_contrastive_loss(h_hr, h_t, ib_mask, log_tau, margin,
             feats_node = feats if isinstance(feats, Node) else Node(feats)
             logits = ad.matmul(ad.gather_rows(h_hr, [q]), ad.transpose(feats_node))
             rows.append(ad.sum_axis(ad.exp(ad.mul(logits, inv_tau)), axis=1))
-        extra_sums.append(ad.concat_rows(rows))
+        extra_sums.append(concat_rows(rows))
     return _info_nce(cos_ib, ib_mask, inv_tau, margin, extra_sums)
 
 

@@ -13,12 +13,14 @@ import numpy as np
 
 from structkgc import autodiff as ad
 
+from autodiff_reference import concat_rows, reshape
+
 
 def l2_normalize_pairs(a, eps=ad.DEFAULT_NORM_EPS):
     """Normalize each (even, odd) column pair of every row to unit modulus."""
     m, n = a.value.shape
-    flat = ad.reshape(a, m * n // 2, 2)
-    return ad.reshape(ad.l2_normalize_rows(flat, eps), m, n)
+    flat = reshape(a, m * n // 2, 2)
+    return reshape(ad.l2_normalize_rows(flat, eps), m, n)
 
 
 def paired_complex_mul(a, b):
@@ -30,7 +32,7 @@ def paired_complex_mul(a, b):
     b_re, b_im = ad.gather_cols(b, evens), ad.gather_cols(b, odds)
     out_re = ad.sub(ad.mul(a_re, b_re), ad.mul(a_im, b_im))
     out_im = ad.add(ad.mul(a_re, b_im), ad.mul(a_im, b_re))
-    stacked = ad.concat_rows([ad.transpose(out_re), ad.transpose(out_im)])
+    stacked = concat_rows([ad.transpose(out_re), ad.transpose(out_im)])
     # columns of `stacked`^T are [re..., im...]; restore interleaved order
     perm = np.empty(n, dtype=np.intp)
     perm[evens] = np.arange(n // 2)

@@ -25,7 +25,9 @@ class TableScorer:
 def encode_one_query(model, graph, tokenizer, head: int, relation: int) -> np.ndarray:
     """One (head, relation) query encoded by itself through ``model``: the
     one-query path that batched query encoding replaced."""
-    tokens = tokenize_hr(tokenizer, graph.entities[head], graph.relations[relation],
+    rel = graph.relations[relation]
+    tokens = tokenize_hr(tokenizer, graph.entity_names[head],
+                         graph.entity_descriptions[head], rel.name, rel.description,
                          model.config.max_len)
     with ad.no_grad():
         return model.encode_queries([tokens], [(head, relation)]).value[0]

@@ -36,30 +36,6 @@ class TestMatmul:
         )
 
 
-class TestSoftmaxRows:
-    def test_symmetric_row(self):
-        out = ad.softmax_rows(ad.Node([[0.0, 0.0]]))
-        np.testing.assert_allclose(out.value, [[0.5, 0.5]])
-
-    def test_large_logits_no_overflow(self):
-        out = ad.softmax_rows(ad.Node([[1000.0, 0.0]]))
-        assert np.all(np.isfinite(out.value))
-        np.testing.assert_allclose(out.value, [[1.0, 0.0]], atol=1e-12)
-
-    def test_rows_sum_to_one(self):
-        rng = np.random.default_rng(1)
-        out = ad.softmax_rows(ad.Node(rng.normal(size=(7, 9)) * 10))
-        np.testing.assert_allclose(out.value.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_gradient_random_2x5(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(2, 5))
-        w = random_weighting(rng, (2, 5))
-        assert_gradients_match(
-            lambda ls: _weighted_sum(ad.softmax_rows(ls[0]), w), [x]
-        )
-
-
 class TestL2NormalizeRows:
     def test_three_four_five(self):
         out = ad.l2_normalize_rows(ad.Node([[3.0, 4.0]]))
@@ -195,15 +171,6 @@ class TestPairedRotation:
 
 
 class TestShapedOps:
-    def test_concat_rows_backward_split(self):
-        a = ad.Node(np.ones((2, 3)))
-        b = ad.Node(np.ones((1, 3)))
-        out = ad.concat_rows([a, b])
-        assert out.value.shape == (3, 3)
-        ad.backward(ad.sum_all(ad.mul(out, ad.Node(np.arange(9.0).reshape(3, 3)))))
-        np.testing.assert_array_equal(a.grad, np.arange(6.0).reshape(2, 3))
-        np.testing.assert_array_equal(b.grad, [[6.0, 7.0, 8.0]])
-
     def test_gather_rows_repeated_indices_accumulate(self):
         table = ad.Node(np.zeros((4, 2)))
         out = ad.gather_rows(table, [1, 1, 3])
@@ -313,18 +280,6 @@ def _primitive_cases(rng):
             lambda ls: ad.sum_all(ad.mul(ad.transpose(ls[0]), ad.Node(y.T))),
             [x],
         ),
-        "reshape": (
-            lambda ls: ad.sum_all(
-                ad.mul(ad.reshape(ls[0], 1, m * n), ad.Node(y.reshape(1, -1)))
-            ),
-            [x],
-        ),
-        "concat_rows": (
-            lambda ls, w=rng.normal(size=(2 * m, n)): ad.sum_all(
-                ad.mul(ad.concat_rows(ls), ad.Node(w))
-            ),
-            [x, y],
-        ),
         "gather_rows": (
             lambda ls, idx=rng.integers(0, m, size=m + 2): ad.sum_all(
                 ad.gather_rows(ls[0], idx)
@@ -343,10 +298,6 @@ def _primitive_cases(rng):
         ),
         "sum_axis1": (
             lambda ls: ad.sum_all(ad.mul(ad.sum_axis(ls[0], 1), ad.Node(y[:, :1]))),
-            [x],
-        ),
-        "softmax_rows": (
-            lambda ls: ad.sum_all(ad.mul(ad.softmax_rows(ls[0]), ad.Node(y))),
             [x],
         ),
         "l2_normalize_rows": (

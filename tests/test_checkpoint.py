@@ -1,6 +1,10 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
+from structkgc import structural, text
 from structkgc.checkpoint import (
     CheckpointError,
     load_checkpoint,
@@ -75,9 +79,6 @@ class TestCorruption:
         data = bytearray(path.read_bytes())
         data[:4] = b"XXXX"
         # fix the checksum so only the magic is wrong
-        import struct
-        import zlib
-
         body = bytes(data[:-4])
         data[-4:] = struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
         path.write_bytes(bytes(data))
@@ -89,9 +90,6 @@ class TestCorruption:
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, model)
         data = bytearray(path.read_bytes())
-        import struct
-        import zlib
-
         data[4:8] = struct.pack("<I", 99)
         body = bytes(data[:-4])
         data[-4:] = struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
@@ -114,3 +112,95 @@ class TestDimChecks:
         save_checkpoint(path, model)
         loaded = load_model(path, expected_dims={"num_entities": 7, "hidden_dim": 8})
         assert loaded.config.num_entities == 7
+
+
+def restamped(body: bytes) -> bytes:
+    """``body`` followed by its own valid CRC32, so only the tampering shows."""
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+def saved_body(tmp_path, **kw) -> tuple:
+    """A saved small model's path and its bytes without the CRC."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, small_model(**kw))
+    return path, bytearray(path.read_bytes()[:-4])
+
+
+class TestRefusalsWithValidChecksum:
+    def test_unknown_combiner_code(self, tmp_path):
+        path, body = saved_body(tmp_path)
+        body[8 + 32] = 9  # the combiner byte follows magic, version and 8 u32 fields
+        path.write_bytes(restamped(bytes(body)))
+        with pytest.raises(CheckpointError, match="unknown combiner code 9"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path, body = saved_body(tmp_path)
+        path.write_bytes(restamped(bytes(body) + b"\0" * 8))
+        with pytest.raises(CheckpointError, match="trailing bytes after parameter blocks"):
+            load_checkpoint(path)
+
+    def test_truncated_block(self, tmp_path):
+        path, body = saved_body(tmp_path)
+        path.write_bytes(restamped(bytes(body[:-8])))
+        with pytest.raises(CheckpointError, match="truncated checkpoint"):
+            load_checkpoint(path)
+
+    def test_parameter_name_mismatch(self, tmp_path):
+        path, body = saved_body(tmp_path)
+        at = body.find(b"log_tau")
+        body[at:at + 7] = b"log_tax"
+        path.write_bytes(restamped(bytes(body)))
+        load_checkpoint(path)  # the file itself is well formed
+        with pytest.raises(CheckpointError,
+                           match=r"parameter name mismatch near \['log_tau', 'log_tax'\]"):
+            load_model(path)
+
+    def test_parameter_shape_mismatch(self, tmp_path):
+        path, body = saved_body(tmp_path)
+        name = b"struct.entities"
+        at = body.find(name) + len(name)
+        assert struct.unpack_from("<II", body, at) == (7, 6)
+        struct.pack_into("<II", body, at, 6, 7)  # same byte count, other shape
+        path.write_bytes(restamped(bytes(body)))
+        with pytest.raises(CheckpointError, match=r"parameter struct\.entities has "
+                                                  r"shape \(6, 7\), expected \(7, 6\)"):
+            load_model(path)
+
+
+MODEL_KINDS = {
+    "struct_only": dict(use_text=False, vocab_size=0),
+    "text": dict(),
+    "text_shared": dict(share_text_encoders=True),
+    "text_no_ase": dict(use_ase=False),
+}
+
+
+@pytest.mark.parametrize("kw", MODEL_KINDS.values(), ids=MODEL_KINDS.keys())
+class TestLoadBuildsFromTheStoredArrays:
+    def test_draws_no_random_numbers(self, tmp_path, monkeypatch, kw):
+        model = small_model(seed=5, **kw)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("loading a checkpoint ran a random init")
+
+        monkeypatch.setattr(structural, "init_embedding", no_draw)
+        monkeypatch.setattr(text, "_linear_init", no_draw)
+        loaded = load_model(path)
+        with pytest.raises(AssertionError, match="random init"):
+            Model(model.config, seed=5)  # the patch does reach a fresh build
+        assert loaded.config == model.config
+        for name, node in model.parameters().items():
+            np.testing.assert_array_equal(loaded.parameters()[name].value, node.value)
+
+    def test_parameters_are_writable_contiguous_and_own_their_memory(self, tmp_path, kw):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, small_model(**kw))
+        for name, node in load_model(path).parameters().items():
+            value = node.value
+            assert value.dtype == np.float64, name
+            assert value.flags.writeable, name
+            assert value.flags.c_contiguous, name
+            assert value.flags.owndata and value.base is None, name

@@ -1,16 +1,26 @@
+import hashlib
 import os
 
+import numpy as np
 import pytest
 
+from structkgc.cli import main
 from structkgc.data import (
+    ENTITY_FILE,
+    RELATION_FILE,
+    SPLIT_FILES,
     DataError,
     Dataset,
+    _read_vocabulary,
     build_tokenizer,
     corpus_texts,
     load_dataset,
     write_dataset,
 )
 from structkgc.graph import Triple
+from structkgc.toygen import make_text_toy, write_toy_dataset
+
+import data_reference
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "toy")
 
@@ -39,13 +49,13 @@ class TestLoadDataset:
     def test_empty_description_column(self, tmp_path):
         _write_minimal(tmp_path, entities="e1\tname one\t\ne2\tname two\n")
         ds = load_dataset(tmp_path)
-        assert ds.graph.entities[0].description == ""
-        assert ds.graph.entities[1].description == ""
+        assert ds.graph.entity_descriptions[0] == ""
+        assert ds.graph.entity_descriptions[1] == ""
 
     def test_missing_name_falls_back_to_raw_id(self, tmp_path):
         _write_minimal(tmp_path, entities="e1\t\t\ne2\tnamed\tdesc\n")
         ds = load_dataset(tmp_path)
-        assert ds.graph.entities[0].name == "e1"
+        assert ds.graph.entity_names[0] == "e1"
 
     def test_undeclared_entity_names_line(self, tmp_path):
         _write_minimal(tmp_path, train="e1\tr1\tghost\n")
@@ -128,6 +138,111 @@ class TestIngestionErrors:
         _write_minimal(tmp_path, train="e1\tr1\te2\n \t \n\ne2\tr1\te1")
         rows = load_dataset(tmp_path).graph.triples("train").tolist()
         assert rows == [[0, 0, 1], [1, 0, 0], [1, 1, 0], [0, 1, 1]]
+
+
+def random_vocabulary(rng: np.random.Generator, n: int) -> str:
+    """An entity file of ``n`` distinct ids in every layout the reader
+    takes: 1, 2 or 3 columns, blank and whitespace-only lines between
+    them, padded fields, names that strip to empty, ``\\r\\n`` endings and
+    no final newline."""
+    pads = ["", " ", "  ", "\x0b", "\u2028", " \u00a0"]
+    words = ["dog", "a mammal", "", "  ", "ship", "x y z", "caf\u00e9"]
+
+    def field():
+        pad = pads[rng.integers(len(pads))]
+        return pad + words[rng.integers(len(words))] + pads[rng.integers(len(pads))]
+
+    lines = []
+    for i in range(n):
+        while rng.random() < 0.2:
+            lines.append(["", " ", " \t ", "\t\t"][rng.integers(4)])
+        raw = pads[rng.integers(3)] + f"id{i}"
+        cols = [raw] + [field() for _ in range(rng.integers(0, 3))]
+        lines.append("\t".join(cols))
+    endings = ["\n" if rng.random() < 0.8 else "\r\n" for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, endings))
+    return text if rng.random() < 0.5 else text.rstrip("\r\n")
+
+
+class TestColumnarVocabulary:
+    """``_read_vocabulary`` against the per-line reader it replaced."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_per_line_reader(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        path = tmp_path / "entities.txt"
+        path.write_text(random_vocabulary(rng, int(rng.integers(1, 60))),
+                        encoding="utf-8", newline="")
+        names, descriptions, raw_ids, ids = _read_vocabulary(path, "entity")
+        records, want_raw, want_ids = data_reference.read_vocabulary(path, "entity")
+        assert names == [r.name for r in records]
+        assert descriptions == [r.description for r in records]
+        assert raw_ids == want_raw
+        assert ids == want_ids
+
+    def test_layouts_are_all_drawn(self):
+        text = "\n".join(random_vocabulary(np.random.default_rng(s), 40) for s in range(12))
+        lines = text.replace("\r\n", "\n").split("\n")
+        assert {line.count("\t") for line in lines if line.strip()} == {0, 1, 2}
+        assert "\r\n" in text and any(not line.strip() for line in lines)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "entities.txt"
+        path.write_text("\n \n", encoding="utf-8")
+        assert _read_vocabulary(path, "entity") == ([], [], [], {})
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("fault", ["four_columns", "late_duplicate",
+                                       "duplicate_before_four_columns"])
+    def test_errors_match_per_line_reader(self, tmp_path, seed, fault):
+        rng = np.random.default_rng(seed)
+        lines = random_vocabulary(rng, 30).split("\n")
+        late = len(lines) - 1 - int(rng.integers(0, 3))
+        if fault == "four_columns":
+            lines.insert(late, "id9\tname\tdesc\textra")
+        elif fault == "late_duplicate":
+            raw = [line.split("\t")[0].rstrip("\r") for line in lines if line.strip()][3]
+            lines.insert(late, f"{raw}\tagain")
+        else:
+            lines.insert(2, "id0\tagain")
+            lines.insert(late, "a\tb\tc\td\te")
+        path = tmp_path / "relations.txt"
+        path.write_text("\n".join(lines), encoding="utf-8", newline="")
+        with pytest.raises(DataError) as want:
+            data_reference.read_vocabulary(path, "relation")
+        with pytest.raises(DataError) as got:
+            _read_vocabulary(path, "relation")
+        assert str(got.value) == str(want.value)
+        assert (got.value.path, got.value.line_no) == (want.value.path, want.value.line_no)
+
+
+DATASET_FILES = (ENTITY_FILE, RELATION_FILE, *SPLIT_FILES.values())
+
+
+class TestRoundTripBytes:
+    @pytest.mark.parametrize("source", ["fixture", "text_toy"])
+    def test_second_write_is_byte_identical(self, tmp_path, source):
+        if source == "fixture":
+            directory = FIXTURE
+        else:
+            directory = tmp_path / "toy"
+            write_toy_dataset(make_text_toy(num_entities=30, num_relations=3,
+                                            num_triples=60, seed=2), directory)
+        passes = []
+        for i in range(2):
+            ds = load_dataset(directory)
+            directory = tmp_path / f"pass{i}"
+            write_dataset(ds.graph, ds.entity_raw_ids, ds.relation_raw_ids, directory)
+            passes.append({name: (directory / name).read_bytes() for name in DATASET_FILES})
+        assert passes[0] == passes[1]
+        assert all(passes[1][name] for name in (ENTITY_FILE, RELATION_FILE, "train.txt"))
+
+    def test_build_vocab_bytes_on_the_fixture(self, tmp_path, capsys):
+        out = tmp_path / "vocab.tsv"
+        assert main(["build-vocab", "--dataset", FIXTURE, "--out", str(out)]) == 0
+        # the digest the per-line reader's build wrote
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "7b768406b4aaccc2bbe6c6482841e4483e7081311790192be5fa14fc6b40902b")
 
 
 class TestCorpus:

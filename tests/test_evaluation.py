@@ -548,9 +548,9 @@ class TestModelScorerMatchesModel:
         monkeypatch.setattr(evaluation, "ENCODE_CHUNK", 4)
         scorer = ModelScorer(model, g, tokenizer, [(0, 0)], mode="text")
         per_entity = np.concatenate([
-            model.encode_tails([tokenize_entity(tokenizer, e, model.config.max_len)],
-                               [e.id]).value
-            for e in g.entities
+            model.encode_tails([tokenize_entity(tokenizer, name, desc, model.config.max_len)],
+                               [e]).value
+            for e, (name, desc) in enumerate(zip(g.entity_names, g.entity_descriptions))
         ])
         np.testing.assert_allclose(scorer._tail_matrix, per_entity, rtol=0, atol=1e-12)
 
@@ -566,9 +566,9 @@ class TestModelScorerMatchesModel:
         for node in model.parameters().values():
             node.value += rng.normal(0.0, 0.1, size=node.value.shape)
         tails = np.concatenate([
-            before.encode_tails([tokenize_entity(tokenizer, e, before.config.max_len)],
-                                [e.id]).value
-            for e in g.entities
+            before.encode_tails([tokenize_entity(tokenizer, name, desc,
+                                                 before.config.max_len)], [e]).value
+            for e, (name, desc) in enumerate(zip(g.entity_names, g.entity_descriptions))
         ])
         for h, r in pairs:
             struct = before.struct_scores_all_tails(h, r)

@@ -61,6 +61,25 @@ class TestBuildGraph:
         with pytest.raises(GraphError, match="contiguous"):
             KnowledgeGraph(ents, [RelationRecord("r", "", 0)], {})
 
+    def test_records_in_any_order_become_id_ordered_columns(self):
+        ents, rels = make_records(6, 2)
+        shuffled = [ents[i] for i in np.random.default_rng(3).permutation(len(ents))]
+        g = KnowledgeGraph(shuffled, rels[::-1], {"train": [Triple(0, 1, 5)]})
+        assert g.entity_names == tuple(e.name for e in ents)
+        assert g.entity_descriptions == tuple(e.description for e in ents)
+        assert g.relations == tuple(rels)
+        cols = KnowledgeGraph.from_columns(
+            [e.name for e in ents], [e.description for e in ents], rels,
+            {"train": [Triple(0, 1, 5)]})
+        assert (cols.entity_names, cols.entity_descriptions, cols.relations) == (
+            g.entity_names, g.entity_descriptions, g.relations)
+        assert cols.triples("train").tolist() == g.triples("train").tolist()
+
+    def test_columns_of_different_lengths_rejected(self):
+        _, rels = make_records(1, 1)
+        with pytest.raises(GraphError, match="3 entity names do not match 2"):
+            KnowledgeGraph.from_columns(["a", "b", "c"], ["", ""], rels, {})
+
     def test_union_invariant_random_graphs(self):
         rng = np.random.default_rng(0)
         for _ in range(20):

@@ -13,7 +13,7 @@ from structkgc.model import Model, ModelConfig
 from structkgc.structural import PrefixProjector
 from structkgc.text import TextEncoder, TextEncoderConfig
 
-from graph_reference import ReferenceGraph
+from graph_reference import ReferenceGraph, entity_records
 
 
 def unit(vec):
@@ -497,7 +497,8 @@ def sorted_set_intra_relation(graph, head, relation, count, rng):
 
 
 def assert_intra_matches_reference(g, queries, seed):
-    ref = ReferenceGraph(g.entities, g.relations, {"train": g.triples("train").tolist()})
+    ref = ReferenceGraph(entity_records(g), g.relations,
+                         {"train": g.triples("train").tolist()})
     rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
     for h, r, count in queries:
         got = sample_intra_relation(g, h, r, count, rng_new)

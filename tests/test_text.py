@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from structkgc import autodiff as ad
-from structkgc.graph import EntityRecord, RelationRecord
 from structkgc.structural import PrefixProjector
 from structkgc.text import (
     CLS,
@@ -15,6 +14,7 @@ from structkgc.text import (
     tokenize_hr,
 )
 
+from autodiff_reference import concat_rows
 from gradcheck import assert_gradients_match
 from text_reference import reference_encode
 
@@ -36,24 +36,19 @@ class TestTokenizer:
 
     def test_hr_template(self):
         tk = build_tokenizer()
-        ent = EntityRecord("dog", "a mammal", 0)
-        rel = RelationRecord("hypernym", "", 0)
-        seq = tokenize_hr(tk, ent, rel, max_len=32)
+        seq = tokenize_hr(tk, "dog", "a mammal", "hypernym", "", max_len=32)
         assert toks(tk, seq) == [CLS, "dog", "a", "mammal", SEP, "hypernym", SEP]
 
     def test_empty_descriptions(self):
         tk = build_tokenizer()
-        ent = EntityRecord("dog", "", 0)
-        rel = RelationRecord("hypernym", "", 0)
-        seq = tokenize_hr(tk, ent, rel, max_len=32)
+        seq = tokenize_hr(tk, "dog", "", "hypernym", "", max_len=32)
         assert toks(tk, seq) == [CLS, "dog", SEP, "hypernym", SEP]
 
     def test_truncation_preserves_relation_segment(self):
         tk = build_tokenizer(extra_texts=["w" + " w".join(str(i) for i in range(50))])
-        ent = EntityRecord("dog", " ".join(f"w{i}" for i in range(50)), 0)
-        rel = RelationRecord("hypernym", "", 0)
+        long_description = " ".join(f"w{i}" for i in range(50))
         max_len = 16
-        seq = tokenize_hr(tk, ent, rel, max_len=max_len)
+        seq = tokenize_hr(tk, "dog", long_description, "hypernym", "", max_len=max_len)
         assert len(seq) == max_len
         assert seq[-1] == tk.sep_id
         assert tk.token_to_id["hypernym"] in seq
@@ -80,8 +75,7 @@ class TestTokenizer:
 
     def test_tail_template(self):
         tk = build_tokenizer()
-        ent = EntityRecord("cat", "a small mammal", 0)
-        seq = tokenize_entity(tk, ent, max_len=32)
+        seq = tokenize_entity(tk, "cat", "a small mammal", max_len=32)
         assert toks(tk, seq) == [CLS, "cat", "a", "small", "mammal", SEP]
 
 
@@ -144,8 +138,7 @@ class TestEncoder:
     def test_entity_with_empty_description_encodes(self):
         tk = build_tokenizer()
         enc = small_encoder(vocab=len(tk))
-        ent = EntityRecord("dog", "", 0)
-        out = enc.encode([tokenize_entity(tk, ent, 12)])
+        out = enc.encode([tokenize_entity(tk, "dog", "", 12)])
         assert out.value.shape == (1, 8)
 
     def test_end_to_end_gradient(self):
@@ -217,7 +210,7 @@ class TestFusedMatchesReference:
                 (ad.gather_rows(k, [b]), ad.gather_rows(v, [b])) for k, v in prefixes
             ]
             rows.append(reference_encode(enc, tokens, row_prefixes))
-        reference = ad.concat_rows(rows)
+        reference = concat_rows(rows)
         ad.backward(ad.sum_all(ad.mul(reference, weights)))
 
         np.testing.assert_allclose(fused.value, reference.value, rtol=0, atol=1e-12)

@@ -12,7 +12,7 @@ from structkgc.training import TrainConfig, Trainer, TrainingError
 from structkgc.autodiff import Node
 import structkgc.autodiff as ad
 
-from graph_reference import ReferenceAsArrays, ReferenceGraph
+from graph_reference import ReferenceAsArrays, ReferenceGraph, entity_records
 
 
 def tiny_text_setup(seed=0, num_entities=12, num_triples=20, **model_kw):
@@ -155,8 +155,9 @@ def hub_relation_setup(**model_kw):
     keep = [t for t in g.triples("train").tolist() if t[1] % base == 0]
     hub = [Triple(0, 1, t) for t in range(1, 5)]
     hub += [Triple(t.tail, t.relation + base, t.head) for t in hub]
-    graph = KnowledgeGraph(g.entities, g.relations, {"train": keep + hub},
-                           num_base_relations=base)
+    graph = KnowledgeGraph.from_columns(
+        g.entity_names, g.entity_descriptions, g.relations, {"train": keep + hub},
+        num_base_relations=base)
     return graph, tokenizer, model
 
 
@@ -202,7 +203,7 @@ class TestTrainingMatchesReferenceGraph:
                 ase_kind=kind, use_ase=use_ase, share_text_encoders=share)
             if use_reference:
                 graph = ReferenceAsArrays(ReferenceGraph(
-                    graph.entities, graph.relations,
+                    entity_records(graph), graph.relations,
                     {split: graph.triples(split).tolist() for split in SPLITS},
                     num_base_relations=graph.num_base_relations))
             trainer = Trainer(graph, model, tokenizer, LossConfig(), small_train_cfg())

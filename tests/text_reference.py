@@ -15,6 +15,8 @@ import numpy as np
 
 from structkgc import autodiff as ad
 
+from autodiff_reference import concat_rows, softmax_rows
+
 
 def power(a, p):
     """Elementwise a ** p as a tape node."""
@@ -89,12 +91,12 @@ def reference_encode(enc, tokens, prefixes=None):
             kh = ad.gather_cols(k, cols)
             vh = ad.gather_cols(v, cols)
             if prefix is not None:
-                kh = ad.concat_rows([ad.gather_cols(prefix[0], cols), kh])
-                vh = ad.concat_rows([ad.gather_cols(prefix[1], cols), vh])
+                kh = concat_rows([ad.gather_cols(prefix[0], cols), kh])
+                vh = concat_rows([ad.gather_cols(prefix[1], cols), vh])
             logits = ad.smul(ad.matmul(qh, ad.transpose(kh)), scale)
-            head_outs.append(ad.transpose(ad.matmul(ad.softmax_rows(logits), vh)))
+            head_outs.append(ad.transpose(ad.matmul(softmax_rows(logits), vh)))
         attn = ad.add(
-            ad.matmul(ad.transpose(ad.concat_rows(head_outs)), layer["wo"]),
+            ad.matmul(ad.transpose(concat_rows(head_outs)), layer["wo"]),
             layer["bo"],
         )
         x = layer_norm_rows(ad.add(x, attn), layer["ln1_g"], layer["ln1_b"])
