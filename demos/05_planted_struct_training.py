@@ -14,7 +14,6 @@ Runs in under a minute at a reduced scale (full acceptance scale uses
 import numpy as np
 
 from structkgc.evaluation import evaluate
-from structkgc.losses import LossConfig
 from structkgc.model import Model, ModelConfig
 from structkgc.structural import AseKind, StructuralTable, struct_scores_all_tails
 from structkgc.toygen import make_planted_graph
@@ -49,9 +48,8 @@ model = Model(
 )
 trainer = Trainer(
     graph, model, None,
-    LossConfig(margin=0.0, tau_min=0.003),
-    TrainConfig(epochs=150, batch_size=128, lr=5e-3, use_mh=False,
-                use_ir=False, seed=1),
+    TrainConfig(margin=0.0, tau_min=0.003, epochs=150, batch_size=128, lr=5e-3,
+                use_mh=False, use_ir=False, seed=1),
 )
 
 

@@ -38,8 +38,7 @@ for name, flags in configs:
                          len(tokenizer)),
         seed=0,
     )
-    trainer = Trainer(graph, model, tokenizer, run.loss_config(),
-                      run.train_config())
+    trainer = Trainer(graph, model, tokenizer, run.train_config())
     metrics = trainer.train()
     pairs = np.concatenate([graph.triples(split)[:, :2] for split in ("train", "test")])
     scorer = ModelScorer(model, graph, tokenizer, pairs, mode="text")

@@ -113,7 +113,7 @@ def cmd_train(args) -> int:
         cfg.model_config(graph.num_entities, graph.num_base_relations, vocab_size),
         seed=cfg.seed,
     )
-    trainer = Trainer(graph, model, tokenizer, cfg.loss_config(), cfg.train_config())
+    trainer = Trainer(graph, model, tokenizer, cfg.train_config())
     metrics = trainer.train()
 
     save_checkpoint(args.out, model)
@@ -153,23 +153,34 @@ def _penalties(raw: str) -> list[float]:
     return [_penalty(part) for part in raw.split(",") if part.strip()]
 
 
-def _parse_splits(raw: str) -> tuple[str, ...]:
-    splits = tuple(s.strip() for s in raw.split(",") if s.strip())
-    bad = [s for s in splits if s not in SPLITS]
-    if bad:
-        raise UsageError(f"unknown splits {bad}")
-    return splits
+def _names(known, what: str):
+    """argparse type: a comma-separated list of entries of ``known``."""
+    def parse(raw: str) -> tuple[str, ...]:
+        names = tuple(s.strip() for s in raw.split(",") if s.strip())
+        bad = [s for s in names if s not in known]
+        if bad:
+            raise argparse.ArgumentTypeError(
+                f"unknown {what} {bad}; choose from {sorted(known)}")
+        return names
+    return parse
+
+
+def _min_freq(raw: str) -> int:
+    """argparse type: an integer of at least 1."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {raw!r}")
+    return value
 
 
 def cmd_eval(args) -> int:
     dataset, model, scorer = _load_scorer(args)
-    rerank_cfg = RerankConfig(
-        alpha=args.alpha, splits=_parse_splits(args.rerank_splits)
-    )
     report, results = evaluate(
-        scorer, dataset.graph, args.split,
-        filter_splits=_parse_splits(args.filter_splits),
-        rerank_config=rerank_cfg,
+        scorer, dataset.graph, args.split, filter_splits=args.filter_splits,
+        rerank_config=RerankConfig(alpha=args.alpha, splits=args.rerank_splits),
         collect_details=args.detail is not None,
     )
     for line in report.summary_lines():
@@ -187,23 +198,15 @@ def cmd_eval(args) -> int:
 
 def cmd_rerank_sweep(args) -> int:
     dataset, model, scorer = _load_scorer(args)
-    alphas = args.alphas
-    regimes = [r.strip() for r in args.regimes.split(",") if r.strip()]
-    bad = [r for r in regimes if r not in REGIMES]
-    if bad:
-        raise UsageError(f"unknown regimes {bad}; choose from {sorted(REGIMES)}")
     print("regime\talpha\tMRR\tH@1\tH@3\tH@10")
-    for regime in regimes:
+    for regime in args.regimes:
         splits = REGIMES[regime]
-        for alpha in alphas:
+        for alpha in args.alphas:
             if splits is None and alpha != 0.0:
                 continue  # no knowledge source: only the unpenalized baseline
             cfg = RerankConfig(alpha=alpha, splits=splits or ("train",))
-            report, _ = evaluate(
-                scorer, dataset.graph, args.split,
-                filter_splits=_parse_splits(args.filter_splits),
-                rerank_config=cfg,
-            )
+            report, _ = evaluate(scorer, dataset.graph, args.split,
+                                 filter_splits=args.filter_splits, rerank_config=cfg)
             print(
                 f"{regime}\t{alpha:g}\t{report.mrr:.4f}\t{report.hits1:.4f}"
                 f"\t{report.hits3:.4f}\t{report.hits10:.4f}"
@@ -225,8 +228,7 @@ def cmd_miou(args) -> int:
 def cmd_export_predictions(args) -> int:
     dataset, model, scorer = _load_scorer(args)
     _, results = evaluate(
-        scorer, dataset.graph, args.split,
-        filter_splits=_parse_splits(args.filter_splits),
+        scorer, dataset.graph, args.split, filter_splits=args.filter_splits,
         collect_details=True, top_k=10,
     )
     graph = dataset.graph
@@ -252,15 +254,24 @@ def _add_eval_like(p, default_split):
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--vocab", default=None)
     p.add_argument("--split", default=default_split, choices=SPLITS)
-    p.add_argument("--filter-splits", default=",".join(SPLITS),
-                   dest="filter_splits")
+    p.add_argument("--filter-splits", type=_names(SPLITS, "splits"),
+                   default=",".join(SPLITS), dest="filter_splits")
     p.add_argument("--score-mode", choices=SCORE_MODES, default=None,
                    dest="score_mode")
     p.add_argument("--beta", type=_finite_float, default=0.5)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a :class:`UsageError`, so it prints
+    the same one-line ``error<TAB>usage<TAB>detail`` as every other usage
+    error.  Subparsers inherit the class."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="structkgc",
         description="Structure-augmented contrastive knowledge graph completion",
     )
@@ -269,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-vocab", help="build and save the tokenizer vocabulary")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--min-freq", type=int, default=2, dest="min_freq")
+    p.add_argument("--min-freq", type=_min_freq, default=2, dest="min_freq")
     p.set_defaults(func=cmd_build_vocab)
 
     p = sub.add_parser("train", help="train a model and write a checkpoint")
@@ -283,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="filtered-ranking evaluation of a checkpoint")
     _add_eval_like(p, "test")
     p.add_argument("--alpha", type=_penalty, default=0.0)
-    p.add_argument("--rerank-splits", default="train", dest="rerank_splits")
+    p.add_argument("--rerank-splits", type=_names(SPLITS, "splits"),
+                   default="train", dest="rerank_splits")
     p.add_argument("--detail", default=None,
                    help="write per-query ranks and top-10 candidates here")
     p.set_defaults(func=cmd_eval)
@@ -292,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="grid over re-ranking penalties and knowledge regimes")
     _add_eval_like(p, "valid")
     p.add_argument("--alphas", type=_penalties, default="0,0.02,0.05,0.1,0.2,0.5")
-    p.add_argument("--regimes", default="none,train,train-valid,train-valid-test")
+    p.add_argument("--regimes", type=_names(REGIMES, "regimes"),
+                   default="none,train,train-valid,train-valid-test")
     p.set_defaults(func=cmd_rerank_sweep)
 
     p = sub.add_parser("miou", help="overlap of train tail sets with a split's, per relation")
@@ -309,13 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as e:  # --help
+        return int(e.code or 0)
     except (UsageError, FileNotFoundError) as e:
         print(f"error\tusage\t{e}", file=sys.stderr)
         return 2

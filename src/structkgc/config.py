@@ -4,16 +4,19 @@ Unknown keys, type errors and every constraint owned by a downstream
 module (encoder dims, temperature range, sampler sizes, component
 switches) are rejected at parse time.  Evaluation settings (score mode,
 re-ranking, filter splits) are command-line options, not config keys.
+
+Every other key but ``dataset`` and ``min_token_freq`` fills the
+same-named field of ``ModelConfig`` or ``TrainConfig``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .losses import LossConfig
 from .model import ModelConfig
 from .structural import AseKind
 from .training import TrainConfig
+
 
 class ConfigError(ValueError):
     pass
@@ -75,16 +78,12 @@ class RunConfig:
             raise ConfigError(
                 f"min_token_freq must be at least 1, got {self.min_token_freq}"
             )
-        # delegate the rest to the owning modules' own validation
+        # delegate the rest to the owning modules' own validation, in the
+        # order train (loss settings first), then model
         try:
-            self.loss_config()
             self.train_config()
-            if self.use_text:
-                self.model_config(num_entities=2, num_base_relations=1,
-                                  vocab_size=16)
-            else:
-                self.model_config(num_entities=2, num_base_relations=1,
-                                  vocab_size=0)
+            self.model_config(num_entities=2, num_base_relations=1,
+                              vocab_size=16 if self.use_text else 0)
         except ValueError as e:
             raise ConfigError(str(e)) from None
         if not self.tau_min <= self.tau_init <= self.tau_max:
@@ -94,39 +93,23 @@ class RunConfig:
             )
 
     # ------------------------------------------------------------------
+    def _fill(self, component, **given):
+        """``component`` built from ``given`` plus, for each other field,
+        the run config key of the same name."""
+        values = {f.name: getattr(self, f.name) for f in fields(component)
+                  if f.name not in given}
+        if "ase_kind" in values:
+            values["ase_kind"] = AseKind(values["ase_kind"])
+        return component(**values, **given)
+
     def model_config(self, num_entities: int, num_base_relations: int,
                      vocab_size: int) -> ModelConfig:
-        return ModelConfig(
-            num_entities=num_entities,
-            num_base_relations=num_base_relations,
-            struct_dim=self.struct_dim,
-            layers=self.layers,
-            hidden_dim=self.hidden_dim,
-            heads=self.heads,
-            max_len=self.max_len,
-            vocab_size=vocab_size,
-            ase_kind=AseKind(self.ase_kind),
-            share_text_encoders=self.share_text_encoders,
-            use_text=self.use_text,
-            use_ase=self.use_ase,
-            tau_init=self.tau_init,
-        )
-
-    def loss_config(self) -> LossConfig:
-        return LossConfig(
-            tau_min=self.tau_min, tau_max=self.tau_max, margin=self.margin,
-            beta=self.beta,
-        )
+        return self._fill(ModelConfig, num_entities=num_entities,
+                          num_base_relations=num_base_relations,
+                          vocab_size=vocab_size)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs, batch_size=self.batch_size, lr=self.lr,
-            weight_decay=self.weight_decay, clip_norm=self.clip_norm,
-            seed=self.seed, use_mh=self.use_mh, use_ir=self.use_ir,
-            queue_capacity=self.queue_capacity, hardest_k=self.hardest_k,
-            mh_count=self.mh_count, ir_count=self.ir_count,
-            momentum=self.momentum,
-        )
+        return self._fill(TrainConfig)
 
 
 def _coerce(field_type, raw: str, key: str):

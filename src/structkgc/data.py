@@ -65,7 +65,6 @@ class Dataset:
     graph: KnowledgeGraph
     entity_raw_ids: list[str]
     relation_raw_ids: list[str]  # base relations only
-    directory: str
 
 
 def _read_rows(path, min_cols, max_cols):
@@ -179,7 +178,7 @@ def load_dataset(directory) -> Dataset:
     relations = base_rels + inverse_relation_records(base_rels)
     graph = KnowledgeGraph.from_columns(names, descriptions, relations, splits,
                                         num_base_relations=len(base_rels))
-    return Dataset(graph, entity_raw, relation_raw, directory)
+    return Dataset(graph, entity_raw, relation_raw)
 
 
 def write_dataset(graph: KnowledgeGraph, entity_raw_ids, relation_raw_ids, directory):

@@ -3,8 +3,8 @@
 Ranks are filtered: every known-true candidate other than the queried
 gold tail is ignored.  Ties are pessimistic: the gold entity ranks last
 among equal scores.  Reports average over both query directions (tail
-prediction and head prediction via inverse relations) and carry
-per-direction and per-relation breakdowns.
+prediction and head prediction via inverse relations) and carry a
+per-direction breakdown.
 """
 
 from __future__ import annotations
@@ -227,7 +227,6 @@ class RankingReport:
     hits10: float
     num_queries: int
     by_direction: dict[str, dict[str, float]]
-    by_relation: dict[int, dict[str, float]]
 
     def summary_lines(self) -> list[str]:
         lines = [
@@ -255,13 +254,10 @@ def build_report(results: list[QueryResult]) -> RankingReport:
         ranks = [r.rank for r in results if r.direction == direction]
         if ranks:
             by_direction[direction] = aggregate(ranks)
-    by_relation = {}
-    for rel in sorted({r.relation for r in results}):
-        by_relation[rel] = aggregate([r.rank for r in results if r.relation == rel])
     return RankingReport(
         mrr=overall["mrr"], hits1=overall["hits1"], hits3=overall["hits3"],
         hits10=overall["hits10"], num_queries=len(results),
-        by_direction=by_direction, by_relation=by_relation,
+        by_direction=by_direction,
     )
 
 

@@ -20,50 +20,17 @@ rows, and, for IR, one gather of B*k rows of the encoded IR batch, one
 
 Temperature is carried as a learnable log-temperature node, which makes
 tau > 0 by construction; the clamp to the configured range happens after
-each optimizer step.
+each optimizer step.  The loss settings (margin, beta, clamp range) are
+fields of ``training.TrainConfig``; the functions here take them as
+arguments.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
-
-
-@dataclass
-class LossConfig:
-    """Loss settings.  The initial temperature is ``ModelConfig.tau_init``;
-    ``tau_min`` and ``tau_max`` bound it after every optimizer step."""
-
-    tau_min: float = 0.01
-    tau_max: float = 1.0
-    margin: float = 0.02
-    beta: float = 0.5
-
-    def __post_init__(self):
-        for name in ("tau_min", "tau_max", "margin", "beta"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value}")
-        if not 0 < self.tau_min <= self.tau_max:
-            raise ValueError(
-                f"temperature clamp range [{self.tau_min}, {self.tau_max}] must be "
-                f"positive and non-empty"
-            )
-        if self.margin < 0:
-            raise ValueError(f"margin must be non-negative, got {self.margin}")
-        if self.beta < 0:
-            raise ValueError(f"structural weight must be non-negative, got {self.beta}")
-
-
-def make_log_tau(tau: float) -> Node:
-    if tau <= 0:
-        raise ValueError(f"temperature must be positive, got {tau}")
-    return Node([[float(np.log(tau))]])
 
 
 def clamp_log_tau(log_tau: Node, tau_min: float, tau_max: float):

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
-from .losses import make_log_tau
 from .structural import (
     AseKind,
     PrefixProjector,
@@ -114,8 +113,8 @@ class Model:
                     name="tail_prefix", loaded=loaded,
                 )
         self.log_tau = ad.parameter(
-            "log_tau", (1, 1), lambda rows, cols: make_log_tau(config.tau_init).value,
-            loaded)
+            "log_tau", (1, 1),
+            lambda rows, cols: np.full((rows, cols), np.log(config.tau_init)), loaded)
 
     def parameters(self) -> dict[str, Node]:
         out: dict[str, Node] = {}

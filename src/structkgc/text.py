@@ -31,6 +31,7 @@ values, which in practice means the feature is off.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,11 +67,14 @@ class Tokenizer:
     @classmethod
     def build(cls, texts, min_freq: int = 2) -> "Tokenizer":
         """Count tokens over a text stream (with multiplicity) and keep the
-        ones seen at least ``min_freq`` times, alphabetically ordered."""
+        ones seen at least ``min_freq`` times, alphabetically ordered.
+
+        Each distinct text is split once and its tokens counted as often
+        as the text occurs."""
         counts: dict[str, int] = {}
-        for text in texts:
+        for text, times in Counter(texts).items():
             for tok in split_text(text):
-                counts[tok] = counts.get(tok, 0) + 1
+                counts[tok] = counts.get(tok, 0) + times
         vocab = {s: i for i, s in enumerate(_SPECIALS)}
         for tok in sorted(counts):
             if counts[tok] >= min_freq:

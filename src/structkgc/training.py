@@ -5,24 +5,21 @@ batch tails, gather in-batch / intra-relation / momentum-hard negatives,
 compute the combined loss, backprop, take an AdamW step, clamp the
 temperature, EMA-update the momentum encoder and push its features for
 the batch tails into the queue.
+
+:class:`TrainConfig` holds every training setting: the loss's clamp
+range, margin and beta, and the loop, optimizer and sampler settings.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .graph import KnowledgeGraph
-from .losses import (
-    LossConfig,
-    clamp_log_tau,
-    contrastive_loss,
-    structural_loss,
-    total_loss,
-)
+from .losses import clamp_log_tau, contrastive_loss, structural_loss, total_loss
 from .model import Model
 from .negatives import (
     MomentumEncoder,
@@ -41,6 +38,12 @@ class TrainingError(RuntimeError):
 
 @dataclass
 class TrainConfig:
+    # loss: tau_min and tau_max bound the temperature after every step
+    tau_min: float = 0.01
+    tau_max: float = 1.0
+    margin: float = 0.02
+    beta: float = 0.5
+    # loop, optimizer and samplers
     epochs: int = 10
     batch_size: int = 32
     lr: float = 5e-4
@@ -56,6 +59,19 @@ class TrainConfig:
     momentum: float = 0.999
 
     def __post_init__(self):
+        for name in ("tau_min", "tau_max", "margin", "beta"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value}")
+        if not 0 < self.tau_min <= self.tau_max:
+            raise ValueError(
+                f"temperature clamp range [{self.tau_min}, {self.tau_max}] must be "
+                f"positive and non-empty"
+            )
+        if self.margin < 0:
+            raise ValueError(f"margin must be non-negative, got {self.margin}")
+        if self.beta < 0:
+            raise ValueError(f"structural weight must be non-negative, got {self.beta}")
         for name in ("lr", "weight_decay", "clip_norm", "momentum"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -96,23 +112,21 @@ class EpochMetrics:
 
 class Trainer:
     def __init__(self, graph: KnowledgeGraph, model: Model,
-                 tokenizer: Tokenizer | None, loss_cfg: LossConfig,
-                 cfg: TrainConfig):
+                 tokenizer: Tokenizer | None, cfg: TrainConfig):
         if model.config.use_text and tokenizer is None:
             raise ValueError("the text path needs a tokenizer")
         if cfg.use_mh and not model.config.use_text:
             raise ValueError("momentum hard negatives need the text path")
         # in log space, like the clamp: exp(log(tau)) need not give tau back
         log_tau = model.log_tau.value[0, 0]
-        if not np.log(loss_cfg.tau_min) <= log_tau <= np.log(loss_cfg.tau_max):
+        if not np.log(cfg.tau_min) <= log_tau <= np.log(cfg.tau_max):
             raise ValueError(
                 f"model temperature {model.tau:g} outside clamp range "
-                f"[{loss_cfg.tau_min}, {loss_cfg.tau_max}]"
+                f"[{cfg.tau_min}, {cfg.tau_max}]"
             )
         self.graph = graph
         self.model = model
         self.tokenizer = tokenizer
-        self.loss_cfg = loss_cfg
         self.cfg = cfg
         self.rng = np.random.default_rng(cfg.seed)
 
@@ -219,19 +233,17 @@ class Trainer:
                     ir_features = (ir_batch, index, keep)
 
             loss_cl = contrastive_loss(
-                h_hr, h_t, mask, model.log_tau, self.loss_cfg.margin,
+                h_hr, h_t, mask, model.log_tau, cfg.margin,
                 mh_features=mh_features, ir_features=ir_features,
             )
 
         loss_dis = None
         if model.config.use_ase:
             score_mat = model.struct_score_matrix(heads, rels, tails)
-            loss_dis = structural_loss(
-                score_mat, mask, model.log_tau, self.loss_cfg.margin
-            )
+            loss_dis = structural_loss(score_mat, mask, model.log_tau, cfg.margin)
 
         if loss_cl is not None and loss_dis is not None:
-            loss = total_loss(loss_cl, loss_dis, self.loss_cfg.beta)
+            loss = total_loss(loss_cl, loss_dis, cfg.beta)
         elif loss_cl is not None:
             loss = loss_cl
         else:
@@ -248,7 +260,7 @@ class Trainer:
         except NonFiniteGradientError as exc:
             ids = [tuple(t) for t in batch.tolist()]
             raise TrainingError(f"{exc} on batch triples {ids}") from exc
-        clamp_log_tau(model.log_tau, self.loss_cfg.tau_min, self.loss_cfg.tau_max)
+        clamp_log_tau(model.log_tau, cfg.tau_min, cfg.tau_max)
 
         if cfg.use_mh:
             self.momentum_encoder.ema_update()

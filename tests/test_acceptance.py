@@ -10,7 +10,6 @@ import pytest
 
 from structkgc import autodiff as ad
 from structkgc.autodiff import Node
-from structkgc.checkpoint import load_checkpoint
 from structkgc.cli import main
 from structkgc.data import build_tokenizer
 from structkgc.evaluation import (
@@ -23,7 +22,6 @@ from structkgc.evaluation import (
     rerank,
 )
 from structkgc.graph import EntityRecord, KnowledgeGraph, RelationRecord, Triple
-from structkgc.losses import LossConfig
 from structkgc.model import Model, ModelConfig
 from structkgc.negatives import (
     MomentumQueue,
@@ -229,9 +227,9 @@ def test_criterion_3_planted_structure_recovery():
     # angular score gaps are a few percent, smaller than the textual
     # margin default
     trainer = Trainer(
-        g, model, None, LossConfig(margin=0.0, tau_min=0.003),
-        TrainConfig(epochs=300, batch_size=128, lr=5e-3, use_mh=False,
-                    use_ir=False, seed=1),
+        g, model, None,
+        TrainConfig(margin=0.0, tau_min=0.003, epochs=300, batch_size=128,
+                    lr=5e-3, use_mh=False, use_ir=False, seed=1),
     )
     mrr = 0.0
     for epoch in range(1, trainer.cfg.epochs + 1):
@@ -266,8 +264,8 @@ def test_criterion_4_memorization_witness():
     )
     model = Model(cfg, seed=0)
     trainer = Trainer(
-        g, model, tokenizer, LossConfig(beta=0.5),
-        TrainConfig(epochs=40, batch_size=16, lr=2e-3, use_mh=True,
+        g, model, tokenizer,
+        TrainConfig(beta=0.5, epochs=40, batch_size=16, lr=2e-3, use_mh=True,
                     use_ir=True, queue_capacity=128, hardest_k=16,
                     mh_count=16, ir_count=2, seed=0),
     )
@@ -320,8 +318,7 @@ def test_criterion_5_ablation_table():
                                  len(tokenizer)),
             seed=0,
         )
-        trainer = Trainer(g, model, tokenizer, run_cfg.loss_config(),
-                          run_cfg.train_config())
+        trainer = Trainer(g, model, tokenizer, run_cfg.train_config())
         trainer.train()
         scorer = ModelScorer(model, g, tokenizer, g.triples("test")[:, :2],
                              mode="text")

@@ -1,6 +1,3 @@
-import os
-
-import numpy as np
 import pytest
 
 from structkgc import cli
@@ -246,6 +243,78 @@ class TestNonFiniteOptions:
         cfg.write_text(workspace["config"].read_text() + "lr = nan\n")
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m")]) == 2
         assert capsys.readouterr().err.startswith("error\tinput\tlr must be a finite")
+
+
+class TestOptionsCheckedWhenParsed:
+    """Split, regime and --min-freq values are argparse types: a bad one
+    is a one-line usage error naming the option, raised before any file
+    is read (the dataset and checkpoint below do not exist)."""
+
+    @pytest.mark.parametrize("command,option,value", [
+        ("eval", "--filter-splits", "train,bogus"),
+        ("eval", "--rerank-splits", "bogus"),
+        ("rerank-sweep", "--filter-splits", "bogus"),
+        ("rerank-sweep", "--regimes", "train,bogus"),
+        ("export-predictions", "--filter-splits", "bogus"),
+    ])
+    def test_unknown_split_or_regime(self, tmp_path, capsys, command, option, value):
+        what = "regimes" if option == "--regimes" else "splits"
+        detail = f"unknown {what} ['bogus']"
+        out = tmp_path / "preds.tsv"
+        argv = [command, "--dataset", str(tmp_path / "missing"),
+                "--checkpoint", str(tmp_path / "missing.ckpt"), option, value]
+        if command == "export-predictions":
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error\tusage\targument {option}: {detail}")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_min_freq_below_one(self, tmp_path, capsys, value):
+        out = tmp_path / "vocab.tsv"
+        argv = ["build-vocab", "--dataset", str(tmp_path / "missing"),
+                "--out", str(out), f"--min-freq={value}"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error\tusage\targument --min-freq: expected an integer of at least 1, "
+            f"got '{value}'\n"
+        )
+        assert not out.exists()
+
+
+class TestOneLineUsageErrors:
+    def test_bad_option_value_is_exactly_one_line(self, capsys):
+        argv = ["eval", "--dataset", "d", "--checkpoint", "c", "--alpha", "nan"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error\tusage\targument --alpha: expected a finite number, got 'nan'\n"
+        )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv,detail", [
+        (["eval", "--dataset", "d", "--checkpoint", "c", "--split", "dev"],
+         "argument --split: invalid choice"),
+        (["build-vocab", "--dataset", "d"],
+         "the following arguments are required: --out"),
+        ([], "the following arguments are required: command"),
+        (["frobnicate"], "argument command: invalid choice"),
+        (["train", "--epochs", "3"], "unrecognized arguments: --epochs 3"),
+    ])
+    def test_argparse_errors_use_the_error_line(self, capsys, argv, detail):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error\tusage\t{detail}")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["eval", "--help"]])
+    def test_help_still_exits_zero(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: structkgc")
 
 
 class TestBuildVocab:

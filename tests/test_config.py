@@ -3,7 +3,6 @@ from dataclasses import fields
 import pytest
 
 from structkgc.config import ConfigError, RunConfig, parse_config
-from structkgc.losses import LossConfig
 from structkgc.model import ModelConfig
 from structkgc.structural import AseKind
 from structkgc.training import TrainConfig
@@ -35,7 +34,6 @@ class TestRunConfig:
         per component; the two lists must agree."""
         cfg = RunConfig()
         assert cfg.train_config() == TrainConfig()
-        assert cfg.loss_config() == LossConfig()
         assert cfg.model_config(num_entities=5, num_base_relations=2,
                                 vocab_size=16) == ModelConfig(
             num_entities=5, num_base_relations=2, vocab_size=16)
@@ -48,7 +46,7 @@ class TestRunConfig:
             cfg = RunConfig(**{**NON_DEFAULT, **variant})
             parts = [cfg.model_config(num_entities=5, num_base_relations=2,
                                       vocab_size=16 if cfg.use_text else 0),
-                     cfg.loss_config(), cfg.train_config()]
+                     cfg.train_config()]
             for f in fields(RunConfig):
                 value = getattr(cfg, f.name)
                 if value != getattr(defaults, f.name):
@@ -101,6 +99,22 @@ class TestRunConfig:
     def test_non_finite_float_rejected_naming_the_key(self, key, value):
         with pytest.raises(ConfigError, match=f"^{key} must be a finite number"):
             RunConfig(**{key: value})
+
+    @pytest.mark.parametrize("kwargs,first", [
+        ({"margin": -1.0, "epochs": 0}, "margin must be non-negative"),
+        ({"tau_min": 0.5, "tau_max": 0.1, "lr": float("nan")},
+         "temperature clamp range"),
+        ({"beta": -1.0, "hidden_dim": 30}, "structural weight must be non-negative"),
+        ({"tau_max": float("inf"), "momentum": 1.5}, "tau_max must be a finite"),
+        ({"epochs": 0, "hidden_dim": 30}, "epochs and batch size must be positive"),
+        ({"queue_capacity": 0, "ase_kind": "rotation", "struct_dim": 7},
+         "queue capacity"),
+        ({"hidden_dim": 30, "tau_init": 2.0}, "hidden dim 30 not divisible"),
+    ])
+    def test_several_bad_keys_report_the_first_owner_check(self, kwargs, first):
+        """Loss settings, then loop settings, then model settings."""
+        with pytest.raises(ConfigError, match=f"^{first}"):
+            RunConfig(**kwargs)
 
     def test_struct_only_config_valid(self):
         cfg = RunConfig(use_text=False, use_mh=False, use_ir=False)

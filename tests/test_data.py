@@ -10,14 +10,12 @@ from structkgc.data import (
     RELATION_FILE,
     SPLIT_FILES,
     DataError,
-    Dataset,
     _read_vocabulary,
     build_tokenizer,
     corpus_texts,
     load_dataset,
     write_dataset,
 )
-from structkgc.graph import Triple
 from structkgc.toygen import make_text_toy, write_toy_dataset
 
 import data_reference

@@ -386,7 +386,6 @@ class TestEvaluate:
         assert report.by_direction["tail"]["mrr"] == 1.0
         assert report.by_direction["head"]["mrr"] == 0.5
         assert report.mrr == pytest.approx(0.75)
-        assert 0 in report.by_relation and 1 in report.by_relation
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,19 @@ import pytest
 from structkgc import autodiff as ad
 from structkgc.autodiff import Node
 from structkgc.losses import (
-    LossConfig,
     clamp_log_tau,
     contrastive_loss,
-    make_log_tau,
     structural_loss,
     total_loss,
 )
 
 from gradcheck import assert_gradients_match
 from loss_reference import ir_index_and_keep, reference_contrastive_loss
+
+
+def log_tau_node(tau):
+    """A (1, 1) log-temperature leaf, as ``Model`` makes it."""
+    return Node([[float(np.log(tau))]])
 
 
 def oracle_infonce(pos_cos, mh_cos, d_cos, tau, margin):
@@ -46,7 +49,7 @@ class TestContrastiveLoss:
         h = Node([[1.0, 0.0]])
         t = Node([[0.6, 0.8]])
         mask = np.array([[True]])
-        loss = contrastive_loss(h, t, mask, make_log_tau(0.05), 0.02)
+        loss = contrastive_loss(h, t, mask, log_tau_node(0.05), 0.02)
         assert abs(loss.value[0, 0]) <= 1e-12
 
     def test_equal_negative_zero_margin_is_ln2(self):
@@ -56,7 +59,7 @@ class TestContrastiveLoss:
         neg = vector_with_cosine(anchor, 0.4, rng)
         loss = contrastive_loss(
             Node(anchor), Node(pos), np.array([[True]]),
-            make_log_tau(0.1), margin=0.0, mh_features=[neg.reshape(1, -1)],
+            log_tau_node(0.1), margin=0.0, mh_features=[neg.reshape(1, -1)],
         )
         assert loss.value[0, 0] == pytest.approx(math.log(2.0), abs=1e-12)
 
@@ -67,7 +70,7 @@ class TestContrastiveLoss:
         neg = vector_with_cosine(anchor, 0.1, rng)
         loss = contrastive_loss(
             Node(anchor), Node(pos), np.array([[True]]),
-            make_log_tau(0.05), margin=0.02, mh_features=[neg.reshape(1, -1)],
+            log_tau_node(0.05), margin=0.02, mh_features=[neg.reshape(1, -1)],
         )
         expected = oracle_infonce(0.9, [0.1], [], 0.05, 0.02)
         assert loss.value[0, 0] == pytest.approx(expected, abs=1e-10)
@@ -83,7 +86,7 @@ class TestContrastiveLoss:
         ir_arrays = [unit_rows(rng, 2, d) for _ in range(n)]
         index, keep = ir_index_and_keep([[2 * q, 2 * q + 1] for q in range(n)], 2)
         loss = contrastive_loss(
-            Node(h), Node(t), mask, make_log_tau(0.07), 0.02,
+            Node(h), Node(t), mask, log_tau_node(0.07), 0.02,
             mh_features=mh, ir_features=(Node(np.vstack(ir_arrays)), index, keep),
         )
         per_query = []
@@ -101,7 +104,7 @@ class TestContrastiveLoss:
             n, d = 3, 6
             h, t = unit_rows(rng, n, d), unit_rows(rng, n, d)
             loss = contrastive_loss(
-                Node(h), Node(t), np.eye(n, dtype=bool), make_log_tau(0.2), 0.0
+                Node(h), Node(t), np.eye(n, dtype=bool), log_tau_node(0.2), 0.0
             )
             assert loss.value[0, 0] >= 0.0
 
@@ -116,13 +119,13 @@ class TestContrastiveLoss:
         rng = np.random.default_rng(4)
         h, t = unit_rows(rng, 2, 4), unit_rows(rng, 2, 4)
         all_masked = np.ones((2, 2), dtype=bool)
-        loss = contrastive_loss(Node(h), Node(t), all_masked, make_log_tau(0.05), 0.0)
+        loss = contrastive_loss(Node(h), Node(t), all_masked, log_tau_node(0.05), 0.0)
         assert loss.value[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_gradient_reaches_log_tau(self):
         rng = np.random.default_rng(5)
         h, t = unit_rows(rng, 3, 4), unit_rows(rng, 3, 4)
-        log_tau = make_log_tau(0.05)
+        log_tau = log_tau_node(0.05)
         loss = contrastive_loss(Node(h), Node(t), np.eye(3, dtype=bool), log_tau, 0.02)
         ad.backward(loss)
         assert log_tau.grad is not None
@@ -150,7 +153,7 @@ class TestBatchedMatchesPerQueryLoop:
         h, t, mask, mh, ir_rows = self._inputs(seed)
         out = []
         for batched in (True, False):
-            leaves = [Node(h), Node(t), make_log_tau(0.07), Node(ir_rows)]
+            leaves = [Node(h), Node(t), log_tau_node(0.07), Node(ir_rows)]
             h_n, t_n, log_tau, rows = leaves
             if batched:
                 idx, keep = ir_index_and_keep(sampled, self.K)
@@ -215,10 +218,10 @@ class TestBatchedMatchesPerQueryLoop:
         h, t, mask, mh, ir_rows = self._inputs(7)
         index, keep = ir_index_and_keep(self.SAMPLED, self.K)
         with pytest.raises(ValueError, match="hard negatives"):
-            contrastive_loss(Node(h), Node(t), mask, make_log_tau(0.07), 0.02,
+            contrastive_loss(Node(h), Node(t), mask, log_tau_node(0.07), 0.02,
                              mh_features=mh[:-1])
         with pytest.raises(ValueError, match="intra-relation"):
-            contrastive_loss(Node(h), Node(t), mask, make_log_tau(0.07), 0.02,
+            contrastive_loss(Node(h), Node(t), mask, log_tau_node(0.07), 0.02,
                              ir_features=(Node(ir_rows), index, keep[:, :-1]))
 
 
@@ -228,7 +231,7 @@ class TestStructuralLoss:
         scores = np.full((n, n), -1.0)
         np.fill_diagonal(scores, 1.0)
         loss = structural_loss(
-            Node(scores), np.eye(n, dtype=bool), make_log_tau(0.02), 0.0
+            Node(scores), np.eye(n, dtype=bool), log_tau_node(0.02), 0.0
         )
         assert loss.value[0, 0] == pytest.approx(0.0, abs=1e-8)
 
@@ -236,7 +239,7 @@ class TestStructuralLoss:
         n = 5
         scores = np.full((n, n), 0.3)
         loss = structural_loss(
-            Node(scores), np.eye(n, dtype=bool), make_log_tau(0.1), 0.0
+            Node(scores), np.eye(n, dtype=bool), log_tau_node(0.1), 0.0
         )
         assert loss.value[0, 0] == pytest.approx(math.log(n), abs=1e-10)
 
@@ -246,7 +249,7 @@ class TestStructuralLoss:
         scores = rng.uniform(-1, 1, size=(n, n))
         mask = np.eye(n, dtype=bool)
         mask[1, 3] = True
-        loss = structural_loss(Node(scores), mask, make_log_tau(0.07), 0.02)
+        loss = structural_loss(Node(scores), mask, log_tau_node(0.07), 0.02)
         per_query = []
         for q in range(n):
             negs = [scores[q, j] for j in range(n) if j != q and not mask[q, j]]
@@ -260,7 +263,7 @@ class TestSharedBody:
         h, t = unit_rows(rng, 5, 6), unit_rows(rng, 5, 6)
         mask = np.eye(5, dtype=bool)
         mask[2, 0] = mask[4, 1] = True
-        text_tau, struct_tau = make_log_tau(0.07), make_log_tau(0.07)
+        text_tau, struct_tau = log_tau_node(0.07), log_tau_node(0.07)
         text = contrastive_loss(Node(h), Node(t), mask, text_tau, 0.02)
         struct = structural_loss(Node(h @ t.T), mask, struct_tau, 0.02)
         np.testing.assert_array_equal(text.value, struct.value)
@@ -290,7 +293,7 @@ class TestTotalLoss:
             node = Node(scores)
             loss = total_loss(
                 Node([[0.0]]),
-                structural_loss(node, np.eye(3, dtype=bool), make_log_tau(0.1), 0.0),
+                structural_loss(node, np.eye(3, dtype=bool), log_tau_node(0.1), 0.0),
                 beta,
             )
             ad.backward(loss)
@@ -298,37 +301,9 @@ class TestTotalLoss:
         np.testing.assert_allclose(grads[1], 2.0 * grads[0], atol=1e-12)
 
 
-class TestLossConfig:
-    def test_defaults_valid(self):
-        cfg = LossConfig()
-        assert cfg.tau_min == 0.01 and cfg.tau_max == 1.0 and cfg.margin == 0.02
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"tau_min": 0.0},
-            {"tau_min": -0.1},
-            {"tau_min": 0.5, "tau_max": 0.1},
-            {"margin": -0.5},
-            {"beta": -1.0},
-        ],
-    )
-    def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            LossConfig(**kwargs)
-
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    @pytest.mark.parametrize("key", ["tau_min", "tau_max", "margin", "beta"])
-    def test_non_finite_rejected_naming_the_field(self, key, value):
-        with pytest.raises(ValueError, match=f"^{key} must be a finite number"):
-            LossConfig(**{key: value})
-
+class TestClamp:
     def test_clamp(self):
-        node = make_log_tau(0.5)
+        node = log_tau_node(0.5)
         node.value[0, 0] = math.log(5.0)
         clamp_log_tau(node, 0.01, 1.0)
         assert math.exp(node.value[0, 0]) == pytest.approx(1.0)
-
-    def test_make_log_tau_rejects_nonpositive(self):
-        with pytest.raises(ValueError, match="positive"):
-            make_log_tau(0.0)

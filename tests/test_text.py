@@ -5,7 +5,9 @@ from structkgc import autodiff as ad
 from structkgc.structural import PrefixProjector
 from structkgc.text import (
     CLS,
+    PAD,
     SEP,
+    UNK,
     TextEncoder,
     TextEncoderConfig,
     Tokenizer,
@@ -65,6 +67,26 @@ class TestTokenizer:
     def test_deterministic(self):
         texts = ["b a c", "c a"]
         assert Tokenizer.build(texts).token_to_id == Tokenizer.build(texts).token_to_id
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_build_counts_every_occurrence(self, seed):
+        """Counting each distinct text once, weighted by how often it
+        occurs, gives the vocabulary of a count per occurrence."""
+        rng = np.random.default_rng(seed)
+        words = ["Dog", "cat", "a", "mammal", "small", "x-1", "part of", "2"]
+        pool = [""] + [
+            " ".join(rng.choice(words, size=int(rng.integers(1, 5))).tolist())
+            for _ in range(25)
+        ]
+        texts = [pool[i] for i in rng.integers(0, len(pool), size=400)]
+        for min_freq in (1, 2, 5, 40):
+            counts: dict[str, int] = {}
+            for text in texts:
+                for tok in split_text(text):
+                    counts[tok] = counts.get(tok, 0) + 1
+            kept = sorted(t for t, c in counts.items() if c >= min_freq)
+            want = {t: i for i, t in enumerate([PAD, UNK, CLS, SEP, *kept])}
+            assert Tokenizer.build(iter(texts), min_freq=min_freq).token_to_id == want
 
     def test_save_load_roundtrip(self, tmp_path):
         tk = build_tokenizer()

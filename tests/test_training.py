@@ -3,7 +3,6 @@ import pytest
 
 from structkgc.data import build_tokenizer
 from structkgc.graph import SPLITS, KnowledgeGraph, Triple
-from structkgc.losses import LossConfig
 from structkgc.model import Model, ModelConfig
 from structkgc.optim import AdamW, NonFiniteGradientError, linear_decay
 from structkgc.structural import AseKind
@@ -93,8 +92,7 @@ class TestOptimizer:
 class TestTrainerSmoke:
     def test_smoke_two_epochs_finite_loss(self):
         toy, tokenizer, model = tiny_text_setup()
-        trainer = Trainer(toy.graph, model, tokenizer, LossConfig(beta=0.5),
-                          small_train_cfg())
+        trainer = Trainer(toy.graph, model, tokenizer, small_train_cfg())
         metrics = trainer.train()
         assert len(metrics) == 2
         assert all(np.isfinite(m.mean_loss) for m in metrics)
@@ -109,7 +107,7 @@ class TestTrainerSmoke:
             struct_dim=8, use_text=False, use_ase=True, vocab_size=0,
         )
         model = Model(cfg, seed=1)
-        trainer = Trainer(planted.graph, model, None, LossConfig(),
+        trainer = Trainer(planted.graph, model, None,
                           small_train_cfg(use_mh=False, use_ir=False))
         metrics = trainer.train()
         assert all(np.isfinite(m.mean_loss) for m in metrics)
@@ -124,21 +122,19 @@ class TestTrainerSmoke:
         )
         model = Model(cfg, seed=2)
         with pytest.raises(ValueError, match="text path"):
-            Trainer(planted.graph, model, None, LossConfig(),
-                    small_train_cfg(use_mh=True))
+            Trainer(planted.graph, model, None, small_train_cfg(use_mh=True))
 
     def test_nan_loss_aborts_with_batch_ids(self):
         toy, tokenizer, model = tiny_text_setup()
         model.struct.entity_embeddings.value[:] = np.nan
-        trainer = Trainer(toy.graph, model, tokenizer, LossConfig(beta=0.5),
+        trainer = Trainer(toy.graph, model, tokenizer,
                           small_train_cfg(use_mh=False, use_ir=False))
         with pytest.raises(TrainingError, match=r"batch triples \[\("):
             trainer.train_epoch(1)
 
     def test_metrics_log_line_shape(self):
         toy, tokenizer, model = tiny_text_setup()
-        trainer = Trainer(toy.graph, model, tokenizer, LossConfig(),
-                          small_train_cfg(epochs=1))
+        trainer = Trainer(toy.graph, model, tokenizer, small_train_cfg(epochs=1))
         m = trainer.train_epoch(1)
         parts = m.as_log_line().split("\t")
         assert len(parts) == 6
@@ -164,7 +160,7 @@ def hub_relation_setup(**model_kw):
 class TestSamplerTelemetry:
     def test_pool_empty_matches_set_difference(self):
         graph, tokenizer, model = hub_relation_setup()
-        trainer = Trainer(graph, model, tokenizer, LossConfig(), small_train_cfg())
+        trainer = Trainer(graph, model, tokenizer, small_train_cfg())
         seen = set()
         for h in range(graph.num_entities):
             for r in range(graph.num_relations):
@@ -176,8 +172,7 @@ class TestSamplerTelemetry:
 
     def test_fallback_rate_is_per_epoch(self):
         graph, tokenizer, model = hub_relation_setup()
-        trainer = Trainer(graph, model, tokenizer, LossConfig(),
-                          small_train_cfg(use_mh=False))
+        trainer = Trainer(graph, model, tokenizer, small_train_cfg(use_mh=False))
         triples = trainer.train_triples
         empty = [trainer._irns_pool_empty(h, r) for h, r, _ in triples.tolist()]
         assert 0 < sum(empty) < len(empty)
@@ -206,7 +201,7 @@ class TestTrainingMatchesReferenceGraph:
                     entity_records(graph), graph.relations,
                     {split: graph.triples(split).tolist() for split in SPLITS},
                     num_base_relations=graph.num_base_relations))
-            trainer = Trainer(graph, model, tokenizer, LossConfig(), small_train_cfg())
+            trainer = Trainer(graph, model, tokenizer, small_train_cfg())
             metrics = trainer.train()
             checksums.append(trainer.parameter_checksum())
         assert 0 < metrics[0].irns_fallback_rate < 1
@@ -243,7 +238,7 @@ class TestFiniteGradientGuard:
 
     def test_trainer_raises_training_error_naming_the_parameter(self, monkeypatch):
         toy, tokenizer, model = tiny_text_setup()
-        trainer = Trainer(toy.graph, model, tokenizer, LossConfig(), small_train_cfg())
+        trainer = Trainer(toy.graph, model, tokenizer, small_train_cfg())
         backward = ad.backward
 
         def backward_then_plant_nan(loss):
@@ -262,8 +257,7 @@ class TestFiniteGradientGuard:
 class TestDeterminism:
     def _run(self, seed):
         toy, tokenizer, model = tiny_text_setup(seed=3)
-        trainer = Trainer(toy.graph, model, tokenizer, LossConfig(beta=0.5),
-                          small_train_cfg(seed=seed))
+        trainer = Trainer(toy.graph, model, tokenizer, small_train_cfg(seed=seed))
         metrics = trainer.train()
         return [m.mean_loss for m in metrics], trainer.parameter_checksum()
 
@@ -284,8 +278,7 @@ class TestTapeSize:
         # every node of the encoders, both losses and the MH/IR sums; a
         # per-query loop or a split-up primitive would change the count
         toy, tokenizer, model = tiny_text_setup(seed=1)
-        trainer = Trainer(toy.graph, model, tokenizer, LossConfig(),
-                          small_train_cfg(ir_count=2))
+        trainer = Trainer(toy.graph, model, tokenizer, small_train_cfg(ir_count=2))
         sizes = []
         toposort = ad._toposort
 
@@ -305,16 +298,16 @@ class TestTemperature:
     def test_log_tau_receives_gradient_after_one_step(self):
         toy, tokenizer, model = tiny_text_setup()
         before = model.log_tau.value.copy()
-        trainer = Trainer(toy.graph, model, tokenizer, LossConfig(),
+        trainer = Trainer(toy.graph, model, tokenizer,
                           small_train_cfg(epochs=1, use_mh=False))
         trainer.train_epoch(1)
         assert model.log_tau.value[0, 0] != before[0, 0]
 
     def test_tau_stays_clamped(self):
         toy, tokenizer, model = tiny_text_setup()
-        loss_cfg = LossConfig(tau_min=0.04, tau_max=0.06)
-        trainer = Trainer(toy.graph, model, tokenizer, loss_cfg,
-                          small_train_cfg(epochs=2, lr=0.05, use_mh=False))
+        trainer = Trainer(toy.graph, model, tokenizer,
+                          small_train_cfg(tau_min=0.04, tau_max=0.06, epochs=2,
+                                          lr=0.05, use_mh=False))
         trainer.train()
         assert 0.04 - 1e-12 <= model.tau <= 0.06 + 1e-12
 
@@ -322,20 +315,53 @@ class TestTemperature:
     def test_model_tau_outside_the_clamp_range_rejected(self, tau_init):
         toy, tokenizer, model = tiny_text_setup(tau_init=tau_init)
         with pytest.raises(ValueError, match="outside clamp range"):
-            Trainer(toy.graph, model, tokenizer, LossConfig(tau_min=0.04, tau_max=0.06),
-                    small_train_cfg(use_mh=False))
+            Trainer(toy.graph, model, tokenizer,
+                    small_train_cfg(tau_min=0.04, tau_max=0.06, use_mh=False))
 
     def test_model_tau_at_the_clamp_bounds_accepted(self):
         for tau in (0.04, 0.06):
             toy, tokenizer, model = tiny_text_setup(tau_init=tau)
-            Trainer(toy.graph, model, tokenizer, LossConfig(tau_min=0.04, tau_max=0.06),
-                    small_train_cfg(use_mh=False))
+            Trainer(toy.graph, model, tokenizer,
+                    small_train_cfg(tau_min=0.04, tau_max=0.06, use_mh=False))
+
+    @pytest.mark.parametrize("tau_init", [0.05, 0.003, 0.7])
+    def test_model_log_tau_is_the_log_of_tau_init(self, tau_init):
+        model = Model(ModelConfig(num_entities=3, num_base_relations=1,
+                                  use_text=False, tau_init=tau_init), seed=0)
+        assert model.log_tau.value.shape == (1, 1)
+        assert model.log_tau.value[0, 0] == np.log(tau_init)
 
     @pytest.mark.parametrize("tau_init", [0.0, -0.05, float("nan"), float("inf")])
     def test_model_config_rejects_a_bad_tau_naming_the_key(self, tau_init):
         with pytest.raises(ValueError, match="^tau_init must be"):
             ModelConfig(num_entities=3, num_base_relations=1, use_text=False,
                         tau_init=tau_init)
+
+
+class TestLossSettings:
+    def test_defaults_valid(self):
+        cfg = TrainConfig()
+        assert cfg.tau_min == 0.01 and cfg.tau_max == 1.0 and cfg.margin == 0.02
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"tau_min": 0.0},
+            {"tau_min": -0.1},
+            {"tau_min": 0.5, "tau_max": 0.1},
+            {"margin": -0.5},
+            {"beta": -1.0},
+        ],
+    )
+    def test_invalid_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("key", ["tau_min", "tau_max", "margin", "beta"])
+    def test_non_finite_rejected_naming_the_field(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be a finite number"):
+            TrainConfig(**{key: value})
 
 
 class TestTrainConfigValidation:
