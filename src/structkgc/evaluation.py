@@ -5,6 +5,14 @@ gold tail is ignored.  Ties are pessimistic: the gold entity ranks last
 among equal scores.  Reports average over both query directions (tail
 prediction and head prediction via inverse relations) and carry a
 per-direction breakdown.
+
+``evaluate`` ranks a split in blocks of ``SCORE_BLOCK`` queries.  A scorer
+with ``block_scores`` proposes each block's score rows from one matrix
+product per scoring path, with a bound on their distance from the
+per-query ``scores``; a query keeps the ranking of its proposed row only
+when ``_certified`` shows that no scores within that bound could change
+its rank, its top list or the printed 6-decimal scores, and otherwise is
+ranked again from ``scores``, the canonical path.
 """
 
 from __future__ import annotations
@@ -28,6 +36,15 @@ DEFAULT_FILTER_SPLITS = ("train", "valid", "test")
 # arrays, ~4.3 MB each at 4 heads and max_len 64, so peak memory grows
 # with neither the entity count nor the query count.
 ENCODE_CHUNK = 32
+# Queries per score block.  ``ModelScorer`` scores a block with one matrix
+# product per path instead of one matrix-vector product per query, each of
+# which reads the whole entity table again; one (16, 40,943) float64 block
+# of a WN18RR-sized graph is 5.2 MB.
+SCORE_BLOCK = 16
+# Unit roundoff of float64, and the relative margin added to a computed
+# error bound to cover the rounding of computing it.
+_U = 2.0 ** -53
+_SLACK = 1 + 2.0 ** -40
 
 
 def _ids(ids) -> np.ndarray:
@@ -129,7 +146,8 @@ class ModelScorer:
     batched build.  Text goes through the encoders in padded batches of
     at most ``ENCODE_CHUNK`` sequences.  The scorer keeps these arrays and
     no reference to the model, so later parameter updates do not reach it;
-    ``scores`` is one or two matrix-vector products.
+    ``scores`` is one or two matrix-vector products, and ``block_scores``
+    one or two matrix products for a block of pairs.
     """
 
     def __init__(self, model: Model, graph: KnowledgeGraph,
@@ -173,16 +191,67 @@ class ModelScorer:
                 self._struct_queries = struct_queries_node(model.struct, heads,
                                                            relations).value
 
-    def scores(self, head: int, relation: int) -> np.ndarray:
+    def _row(self, head: int, relation: int) -> int:
         row = self._rows.get((head, relation))
         if row is None:
             raise KeyError(f"the scorer was not built for pair {(head, relation)}")
+        return row
+
+    def scores(self, head: int, relation: int) -> np.ndarray:
+        row = self._row(head, relation)
         struct = (None if self.mode == "text"
                   else self._unit_tails @ self._struct_queries[row])
         if self.mode == "struct":
             return struct
         text = self._tail_matrix @ self._text_queries[row]
         return text if struct is None else text + self.beta * struct
+
+    def block_scores(self, pairs) -> tuple[np.ndarray, float]:
+        """Score rows of ``pairs`` from one matrix product per path, and a
+        bound ``delta`` with |row[e] - scores(h, r)[e]| <= delta everywhere.
+
+        A row of a matrix product is not bit for bit the matrix-vector
+        product of ``scores``: the two sum in different orders.  With u =
+        2**-53 and gamma_n = n*u / (1 - n*u), any float64 dot product of
+        length d, in any summation order and with or without fused
+        multiply-adds, is within gamma_d * sum|q_i||t_i| <= gamma_d *
+        |q||t| of the exact one (Higham, *Accuracy and Stability of
+        Numerical Algorithms*, 2002, section 3.1), so the bound holds for
+        any BLAS.  Every query and tail row here comes out of
+        ``l2_normalize_rows``, whose rows have norm at most nu = (1 + u) /
+        ((1 - gamma_d)(1 - u)); so the two products of one path differ by
+        at most delta_p = 2 gamma_d nu**2, and each is at most m_p =
+        nu**2 (1 + gamma_d) in size.  In combined mode both sides compute
+        fl(T + fl(beta S)); the multiply and the add each round by at most
+        u times their result on either side, so
+
+            delta = delta_T + |beta| delta_S + 2u (m_T + |beta| m_S (2 + u)).
+
+        ``delta`` is raised by the relative ``_SLACK``, which covers the
+        rounding of these few operations and the absolute error of any
+        underflow.  ``evaluate`` adds the rounding of its ``--alpha``
+        subtraction.
+        """
+        rows = [self._row(h, r) for h, r in pairs]
+        if self.mode != "text":
+            struct = self._struct_queries[rows] @ self._unit_tails.T
+            delta_s, m_s = _dot_bound(self._unit_tails.shape[1])
+            if self.mode == "struct":
+                return struct, delta_s * _SLACK
+        text = self._text_queries[rows] @ self._tail_matrix.T
+        delta_t, m_t = _dot_bound(self._tail_matrix.shape[1])
+        if self.mode == "text":
+            return text, delta_t * _SLACK
+        beta = abs(self.beta)
+        delta = delta_t + beta * delta_s + 2 * _U * (m_t + beta * m_s * (2 + _U))
+        return text + self.beta * struct, delta * _SLACK
+
+
+def _dot_bound(d: int) -> tuple[float, float]:
+    """(delta_p, m_p) of ``ModelScorer.block_scores`` for rows of length ``d``."""
+    gamma = d * _U / (1 - d * _U)
+    nu2 = ((1 + _U) / ((1 - gamma) * (1 - _U))) ** 2
+    return 2 * gamma * nu2, nu2 * (1 + gamma)
 
 
 def _encode_in_chunks(encode, keys, tokenize) -> np.ndarray:
@@ -227,6 +296,7 @@ class RankingReport:
     hits10: float
     num_queries: int
     by_direction: dict[str, dict[str, float]]
+    fallbacks: int = 0                  # queries ranked again from ``scores``
 
     def summary_lines(self) -> list[str]:
         lines = [
@@ -245,7 +315,7 @@ class RankingReport:
         return lines
 
 
-def build_report(results: list[QueryResult]) -> RankingReport:
+def build_report(results: list[QueryResult], fallbacks: int = 0) -> RankingReport:
     if not results:
         raise ValueError("cannot report on zero queries")
     overall = aggregate([r.rank for r in results])
@@ -257,8 +327,51 @@ def build_report(results: list[QueryResult]) -> RankingReport:
     return RankingReport(
         mrr=overall["mrr"], hits1=overall["hits1"], hits3=overall["hits3"],
         hits10=overall["hits10"], num_queries=len(results),
-        by_direction=by_direction,
+        by_direction=by_direction, fallbacks=fallbacks,
     )
+
+
+def _certified(scores: np.ndarray, gold: int, filtered, delta: float,
+               top: np.ndarray | None = None, shown: int = 0) -> bool:
+    """Whether every float64 score vector within ``delta`` of ``scores``,
+    entry by entry, gives ``gold`` the same filtered rank, the same first
+    ``shown`` ids of ``top`` in the same order, and the same 6-decimal
+    strings of their scores.
+
+    ``top`` is ``top_candidates(scores, filtered, shown + 1)``, or None
+    when no top list is wanted.  Moving each entry by at most ``delta``
+    moves the difference of two entries by at most ``2 * delta``, so no
+    comparison separated by more than that can flip.  Rounding to float64 is monotone, so a computed
+    difference above ``2 * delta`` proves the exact one is, and every
+    float64 within ``delta`` of ``x`` lies between the computed ``x - delta``
+    and ``x + delta``; 6-decimal formatting is monotone too, so it prints
+    the same as ``x`` when those two ends do.
+    """
+    if not np.isfinite(scores).all():
+        return False
+    margin = 2 * delta
+    near = np.abs(scores - scores[gold]) <= margin
+    near[_ids(filtered)] = near[gold] = False
+    if near.any():
+        return False
+    if top is None:
+        return True
+    ranked = scores[top]
+    if np.any(ranked[:-1] - ranked[1:] <= margin):
+        return False
+    low, high = (ranked[:shown] - delta).tolist(), (ranked[:shown] + delta).tolist()
+    return all(f"{a:.6f}" == f"{b:.6f}" for a, b in zip(low, high))
+
+
+def _ranked(raw, gold: int, filtered: np.ndarray, neighbors, alpha: float,
+            k: int | None):
+    """(re-ranked scores, filtered rank of ``gold``, top-``k`` ids or None)."""
+    adjusted = np.asarray(raw, dtype=np.float64)
+    if alpha > 0:
+        adjusted = rerank(adjusted, neighbors, alpha)
+    rank = filtered_rank(adjusted, gold, filtered)
+    top = None if k is None else top_candidates(adjusted, filtered, k)
+    return adjusted, rank, top
 
 
 def evaluate(
@@ -275,24 +388,48 @@ def evaluate(
     Splits loaded through the dataset layer already contain inverse
     triples, so head prediction is covered by the inverse-relation
     queries of the same split.
+
+    Queries go in blocks of ``SCORE_BLOCK``.  A scorer with
+    ``block_scores`` proposes the block's rows and a bound ``delta`` on
+    their distance from ``scores``; each query keeps the ranking of its
+    proposed row only if ``_certified`` shows that ``scores`` would rank
+    and print it the same, and is otherwise ranked again from ``scores``
+    (counted in the report's ``fallbacks``).  So ranks, top ids and
+    printed scores are those of ``scores``; a kept top score differs from
+    its ``scores`` value by at most ``delta``.  A scorer with only
+    ``scores`` proposes those rows, with ``delta`` 0 and nothing to check.
     """
     rerank_config = rerank_config or RerankConfig()
+    alpha = rerank_config.alpha
+    k = top_k + 1 if collect_details else None   # one more, for the certificate
+    propose = getattr(scorer, "block_scores", None)
     triples = graph.triples(split).tolist()
     results: list[QueryResult] = []
-    for h, r, t in triples:
-        raw = np.asarray(scorer.scores(h, r), dtype=np.float64)
-        if rerank_config.alpha > 0:
-            adjusted = rerank(raw, graph.tails_by_relation(r, rerank_config.splits),
-                              rerank_config.alpha)
+    fallbacks = 0
+    for start in range(0, len(triples), SCORE_BLOCK):
+        block = triples[start:start + SCORE_BLOCK]
+        if propose is None:
+            rows, delta = [scorer.scores(h, r) for h, r, _ in block], 0.0
         else:
-            adjusted = raw
-        filtered = graph.tails_by_pair(h, r, filter_splits)
-        filtered = filtered[filtered != t]
-        rank = filtered_rank(adjusted, t, filtered)
-        direction = "head" if graph.is_inverse_relation(r) else "tail"
-        result = QueryResult(h, r, t, rank, direction)
-        if collect_details:
-            top = top_candidates(adjusted, filtered, top_k)
-            result.top = [(i, float(adjusted[i])) for i in top.tolist()]
-        results.append(result)
-    return build_report(results), results
+            rows, delta = propose([(h, r) for h, r, _ in block])
+        for (h, r, t), raw in zip(block, rows):
+            neighbors = (graph.tails_by_relation(r, rerank_config.splits)
+                         if alpha > 0 else None)
+            filtered = graph.tails_by_pair(h, r, filter_splits)
+            filtered = filtered[filtered != t]
+            adjusted, rank, top = _ranked(raw, t, filtered, neighbors, alpha, k)
+            if delta > 0:
+                # rerank's x - p rounds by at most u |x - p| on either side,
+                # and |x - p| <= max |raw| + delta + alpha
+                bound = delta if alpha == 0 else (
+                    (delta + _U * (2 * np.abs(raw).max() + 2 * alpha + delta)) * _SLACK)
+                if not _certified(adjusted, t, filtered, bound, top, top_k):
+                    fallbacks += 1
+                    adjusted, rank, top = _ranked(scorer.scores(h, r), t, filtered,
+                                                  neighbors, alpha, k)
+            direction = "head" if graph.is_inverse_relation(r) else "tail"
+            result = QueryResult(h, r, t, rank, direction)
+            if collect_details:
+                result.top = [(i, float(adjusted[i])) for i in top[:top_k].tolist()]
+            results.append(result)
+    return build_report(results, fallbacks), results

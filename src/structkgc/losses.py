@@ -134,6 +134,5 @@ def structural_loss(score_matrix: Node, ib_mask: np.ndarray,
 
 
 def total_loss(loss_cl: Node, loss_dis: Node, beta: float) -> Node:
-    if beta < 0:
-        raise ValueError(f"structural weight must be non-negative, got {beta}")
+    """loss_cl + beta * loss_dis; ``TrainConfig`` rejects a negative beta."""
     return ad.add(loss_cl, ad.smul(loss_dis, beta))

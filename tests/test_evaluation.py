@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import weakref
 
@@ -618,3 +619,259 @@ class TestModelScorerMatchesModel:
         assert [ref() for ref in refs] == [None] * len(refs)
         h, r = g.triples("test")[0, :2].tolist()
         assert np.isfinite(scorer.scores(h, r)).all()
+
+
+# ---------------------------------------------------------------------------
+# blocked scoring: the certificate and the per-query fallback
+# ---------------------------------------------------------------------------
+
+GRID = 2.0 ** -40   # test scores sit on this grid, so every perturbation is exact
+
+
+def grid_scores(rng, n, dim):
+    """Scores of a random unit query against ``n`` random unit rows, rounded
+    to ``GRID``."""
+    rows = rng.normal(size=(n + 1, dim))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    return np.round(rows[1:] @ rows[0] / GRID) * GRID
+
+
+def plant_near_misses(rng, scores, gold, top, delta):
+    """Move a few candidates to within or just beyond ``2 * delta`` of the
+    gold score, and a few top-list neighbours to within or just beyond
+    ``2 * delta`` of each other."""
+    steps = np.array([-GRID, 0.0, GRID])
+    for i in rng.choice(len(scores), size=3, replace=False).tolist():
+        if i != gold:
+            scores[i] = scores[gold] + rng.choice([-1, 1]) * 2 * delta + rng.choice(steps)
+    for j in rng.choice(len(top) - 1, size=2, replace=False).tolist():
+        scores[top[j + 1]] = scores[top[j]] - 2 * delta + rng.choice(steps)
+
+
+def perturbations(rng, scores, gold, delta):
+    """Score vectors within ``delta`` of ``scores``: random signs of exactly
+    delta, each extreme pushed against the gold score, and random grid
+    steps."""
+    n = len(scores)
+    up = np.full(n, delta)
+    up[gold] = -delta
+    steps = rng.integers(-int(delta / GRID), int(delta / GRID) + 1, size=(4, n)) * GRID
+    for shift in (rng.choice([-delta, delta], size=n), up, -up, *steps):
+        yield scores + shift
+
+
+def shown_strings(scores, ids):
+    return [f"{scores[i]:.6f}" for i in ids.tolist()]
+
+
+class TestCertificate:
+    K = 10
+
+    def check(self, scores, gold, filtered, delta, with_top, rng):
+        """Returns whether the certificate held; if it did, every perturbed
+        vector must rank and show exactly what ``scores`` does."""
+        top = top_candidates(scores, filtered, self.K + 1) if with_top else None
+        if not evaluation._certified(scores, gold, filtered, delta, top, self.K):
+            return False
+        rank = filtered_rank(scores, gold, filtered)
+        shown = top_candidates(scores, filtered, self.K)
+        for moved in perturbations(rng, scores, gold, delta):
+            assert filtered_rank(moved, gold, filtered) == rank
+            if with_top:
+                moved_top = top_candidates(moved, filtered, self.K)
+                assert moved_top.tolist() == shown.tolist()
+                assert shown_strings(moved, moved_top) == shown_strings(scores, shown)
+        return True
+
+    @pytest.mark.parametrize("delta_exp,with_top", [(-28, True), (-24, True),
+                                                     (-14, False), (-10, False)])
+    def test_accepted_scores_survive_every_perturbation(self, delta_exp, with_top):
+        rng = np.random.default_rng(30 - delta_exp)
+        delta = 2.0 ** delta_exp
+        verdicts = []
+        for _ in range(300):
+            n = int(rng.integers(2, 200))
+            scores = grid_scores(rng, n, int(rng.integers(2, 6)))
+            gold = int(rng.integers(0, n))
+            others = np.delete(np.arange(n), gold)
+            filtered = rng.choice(others, size=int(rng.integers(0, n // 2 + 1)),
+                                  replace=False)
+            top = top_candidates(scores, filtered, self.K + 1)
+            if len(top) > 2 and rng.random() < 0.5:
+                plant_near_misses(rng, scores, gold, top, delta)
+            verdicts.append(self.check(scores, gold, filtered, delta, with_top, rng))
+        assert 0 < sum(verdicts) < len(verdicts)    # neither side is vacuous
+
+    def test_margins_are_exactly_two_delta(self):
+        delta = 2.0 ** -20
+        scores = np.array([0.5, 0.0, 0.25, -0.5])
+        for sign in (1, -1):
+            for offset, accepted in ((2 * delta, False), (2 * delta + GRID, True)):
+                scores[1] = 0.25 + sign * offset      # a kept candidate near gold 2
+                assert evaluation._certified(scores, 2, [], delta) == accepted
+        # at exactly 2 * delta below gold, a perturbation makes the tie that
+        # counts against gold
+        scores[1] = 0.25 - 2 * delta
+        moved = scores + np.array([0, delta, -delta, 0])
+        assert filtered_rank(moved, 2, []) == filtered_rank(scores, 2, []) + 1
+
+    def test_gold_tied_with_a_kept_candidate_falls_back(self):
+        scores = np.array([0.9, 0.4, 0.1, 0.4, 0.2])
+        assert not evaluation._certified(scores, 1, [], 1e-15)
+        assert evaluation._certified(scores, 1, [3], 1e-15)    # the tie is filtered
+        assert evaluation._certified(scores, 1, [], 0.0) is False
+
+    def test_tie_across_the_k_boundary_falls_back(self):
+        k = self.K
+        scores = (32 - np.arange(20)) / 32              # no ties, all printable
+        gold = 19
+        top = top_candidates(scores, [], k + 1)
+        assert evaluation._certified(scores, gold, [], 1e-15, top, k)
+        scores[k] = scores[k - 1]                       # places k and k + 1 tie
+        top = top_candidates(scores, [], k + 1)
+        assert not evaluation._certified(scores, gold, [], 1e-15, top, k)
+        scores = (32 - np.arange(20)) / 32
+        scores[k + 1] = scores[k]                       # a tie below the list
+        top = top_candidates(scores, [], k + 1)
+        assert evaluation._certified(scores, gold, [], 1e-15, top, k)
+
+    def test_non_finite_row_falls_back(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            scores = np.array([0.9, 0.4, 0.1, 0.2])
+            scores[3] = bad
+            assert not evaluation._certified(scores, 1, [], 1e-15)
+            assert not evaluation._certified(scores, 1, [3], 1e-15)   # filtered too
+
+    def test_score_at_a_6_decimal_boundary_falls_back(self):
+        k = 3
+        scores = np.array([0.9, 0.6234565, 0.5, 0.25, 0.1])
+        top = top_candidates(scores, [], k + 1)
+        assert top[:k].tolist() == [0, 1, 2]
+        assert not evaluation._certified(scores, 4, [], 1e-15, top, k)
+        scores[1] = 0.6234561                   # the same place, off the boundary
+        assert evaluation._certified(scores, 4, [], 1e-15, top, k)
+        scores[3] = 0.1234565                   # a boundary below the shown list
+        assert evaluation._certified(scores, 4, [], 1e-15, top, k)
+
+
+class ProposingScorer(TableScorer):
+    """Proposes fixed rows, each within ``delta`` of its ``table`` row, as a
+    matrix product may, so that ``evaluate`` has to certify them."""
+
+    def __init__(self, table, proposed, delta):
+        super().__init__(table)
+        self.proposed = proposed
+        self.delta = delta
+
+    def block_scores(self, pairs):
+        return np.array([self.proposed[pair] for pair in pairs]), self.delta
+
+
+def assert_same_as_reference(got, want, tol):
+    """Ranks, reports and top ids equal; top scores within ``tol``."""
+    (got_report, got_results), (want_report, want_results) = got, want
+    assert dataclasses.replace(got_report, fallbacks=0) == want_report
+    for g, w in zip(got_results, want_results):
+        assert (g.head, g.relation, g.gold, g.rank, g.direction) == \
+            (w.head, w.relation, w.gold, w.rank, w.direction)
+        assert [e for e, _ in g.top] == [e for e, _ in w.top]
+        np.testing.assert_allclose([s for _, s in g.top], [s for _, s in w.top],
+                                   rtol=0, atol=tol)
+    assert len(got_results) == len(want_results)
+
+
+class TestBlockedEvaluate:
+    def test_planted_ties_fall_back_to_the_canonical_scores(self):
+        rng = np.random.default_rng(31)
+        n, delta, k = 30, 2.0 ** -30, 10
+        test = [Triple(int(rng.integers(0, n)), int(rng.integers(0, 2)),
+                       int(rng.integers(0, n))) for _ in range(37)]
+        g = graph_with_splits(n, 2, test[:10], test)
+        queries = g.triples("test").tolist()
+        table = {(h, r): np.round(rng.uniform(-1, 1, size=n) / GRID) * GRID
+                 for h, r, _ in queries}
+        for h, r, t in queries[::3]:
+            table[(h, r)][(t + 1) % n] = table[(h, r)][t]   # gold ties a candidate
+
+        def tied(h, r, t, alpha):
+            """Exact ties at gold or in the top k + 1: grid gaps are far
+            wider than 2 delta, so these are the queries that must fall back."""
+            scores = reference_rerank(table[(h, r)], g.tails_by_relation(r, ("train",)),
+                                      alpha)
+            filtered = set(g.tails_by_pair(h, r, DEFAULT_FILTER_SPLITS).tolist()) - {t}
+            kept = [i for i in range(n) if i not in filtered and i != t]
+            top = reference_top(scores, filtered, k + 1)
+            return (any(scores[i] == scores[t] for i in kept)
+                    or len({scores[i] for i in top}) < len(top))
+
+        for alpha in (0.0, 0.2):
+            kwargs = dict(rerank_config=RerankConfig(alpha=alpha), collect_details=True,
+                          top_k=k)
+            want = reference_evaluate(TableScorer(table), g, "test", **kwargs)
+            proposed = {pair: row + rng.choice([-delta, delta], size=n)
+                        for pair, row in table.items()}
+            got = evaluate(ProposingScorer(table, proposed, delta), g, "test", **kwargs)
+            assert_same_as_reference(got, want, tol=2 * delta)
+            expected = sum(tied(h, r, t, alpha) for h, r, t in queries)
+            assert 0 < expected < len(queries)
+            assert got[0].fallbacks == expected
+            plain = evaluate(TableScorer(table), g, "test", **kwargs)
+            assert plain == want and plain[0].fallbacks == 0
+
+    def test_the_alpha_subtraction_widens_the_bound(self):
+        # proposed and canonical rows within delta of each other whose
+        # re-ranked gaps differ by more than 2 * delta: x - alpha rounds on
+        # the 2**-53 grid above 0.5 and on the finer one below it
+        ulp, alpha = 2.0 ** -53, 0.2
+        delta = 3 * ulp
+        canonical = np.array([0.5 + 2 * ulp, 0.7 + 2 * ulp, -1.0])
+        proposed = np.array([0.5 + 5 * ulp, 0.7 - ulp, -1.0])
+        g = graph_with_splits(3, 1, [Triple(2, 0, 0)], [Triple(1, 0, 0)])
+        assert g.tails_by_relation(0, ("train",)).tolist() == [0]  # gold is not penalised
+        fast = rerank(proposed, [0], alpha)
+        assert evaluation._certified(fast, 0, [], delta)      # delta alone accepts it
+        assert filtered_rank(fast, 0, []) != filtered_rank(rerank(canonical, [0], alpha), 0, [])
+        table = {pair: canonical for pair in map(tuple, g.triples("test")[:, :2].tolist())}
+        kwargs = dict(rerank_config=RerankConfig(alpha=alpha))
+        got = evaluate(ProposingScorer(table, dict.fromkeys(table, proposed), delta),
+                       g, "test", **kwargs)
+        want = reference_evaluate(TableScorer(table), g, "test", **kwargs)
+        assert [r.rank for r in got[1]] == [r.rank for r in want[1]]
+        assert got[0].fallbacks == 1
+
+    @pytest.mark.parametrize("mode", SCORE_MODES)
+    def test_block_rows_are_within_delta_of_the_canonical_scores(self, mode):
+        for kind in AseKind:
+            g, tokenizer, model = text_struct_model(kind)
+            pairs = split_pairs(g, "train", "test")
+            scorer = ModelScorer(model, g, tokenizer, pairs, mode=mode, beta=0.3)
+            rows, delta = scorer.block_scores(pairs.tolist())
+            assert 0 < delta <= 1e-12
+            canonical = np.array([scorer.scores(h, r) for h, r in pairs.tolist()])
+            assert np.abs(rows - canonical).max() <= delta
+
+    @pytest.mark.parametrize("kind", list(AseKind))
+    @pytest.mark.parametrize("mode", SCORE_MODES)
+    @pytest.mark.parametrize("alpha", [0.0, 0.2])
+    def test_model_scorer_matches_the_per_query_loop(self, kind, mode, alpha):
+        g, tokenizer, model = text_struct_model(kind)
+        scorer = ModelScorer(model, g, tokenizer, split_pairs(g, "train", "test"),
+                             mode=mode, beta=0.3)
+        for split, filter_splits in (("test", DEFAULT_FILTER_SPLITS), ("train", ("train",))):
+            kwargs = dict(filter_splits=filter_splits, collect_details=True,
+                          rerank_config=RerankConfig(alpha=alpha))
+            want = reference_evaluate(scorer, g, split, **kwargs)
+            assert_same_as_reference(evaluate(scorer, g, split, **kwargs), want, 1e-12)
+
+    @pytest.mark.parametrize("block", [1, 8, evaluation.SCORE_BLOCK, 64])
+    def test_block_size_does_not_change_the_result(self, block, monkeypatch):
+        g, tokenizer, model = text_struct_model(AseKind.ROTATION)
+        queries = len(g.triples("train"))
+        assert queries > evaluation.SCORE_BLOCK and queries % evaluation.SCORE_BLOCK
+        scorer = ModelScorer(model, g, tokenizer, split_pairs(g, "train"),
+                             mode="combined", beta=0.3)
+        kwargs = dict(filter_splits=("train",), collect_details=True,
+                      rerank_config=RerankConfig(alpha=0.2))
+        want = reference_evaluate(scorer, g, "train", **kwargs)
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK", block)
+        assert_same_as_reference(evaluate(scorer, g, "train", **kwargs), want, 1e-12)

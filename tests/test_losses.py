@@ -281,10 +281,6 @@ class TestTotalLoss:
         out = total_loss(Node([[0.5]]), Node([[0.25]]), 1.0)
         assert out.value[0, 0] == pytest.approx(0.75)
 
-    def test_negative_beta_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            total_loss(Node([[0.5]]), Node([[0.25]]), -1.0)
-
     def test_beta_scales_structural_gradient(self):
         rng = np.random.default_rng(7)
         scores = rng.uniform(-0.5, 0.5, size=(3, 3))
