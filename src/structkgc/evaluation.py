@@ -10,9 +10,9 @@ per-direction breakdown.
 with ``block_scores`` proposes each block's score rows from one matrix
 product per scoring path, with a bound on their distance from the
 per-query ``scores``; a query keeps the ranking of its proposed row only
-when ``_certified`` shows that no scores within that bound could change
-its rank, its top list or the printed 6-decimal scores, and otherwise is
-ranked again from ``scores``, the canonical path.
+when ``_certified_rank`` and ``_certified_top`` show that no scores within
+that bound could change its rank, its top list or the printed 6-decimal
+scores, and otherwise is ranked again from ``scores``, the canonical path.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .graph import KnowledgeGraph
+from .graph import SPLITS, KnowledgeGraph
 from .model import Model
 from .structural import struct_queries_node, unit_entity_table
 from .text import Tokenizer, tokenize_entity, tokenize_hr
@@ -41,6 +41,10 @@ ENCODE_CHUNK = 32
 # which reads the whole entity table again; one (16, 40,943) float64 block
 # of a WN18RR-sized graph is 5.2 MB.
 SCORE_BLOCK = 16
+# Candidates per group when ``top_candidates`` looks for its threshold: the
+# best of each group is one entry of a row 1/64 as long, so finding the
+# k-th best of those is cheap, and few candidates lie above it.
+TOP_GROUP = 64
 # Unit roundoff of float64, and the relative margin added to a computed
 # error bound to cover the rounding of computing it.
 _U = 2.0 ** -53
@@ -68,15 +72,28 @@ def filtered_rank(scores: np.ndarray, gold: int, filter_ids) -> int:
 
 
 def top_candidates(scores: np.ndarray, filtered, k: int) -> np.ndarray:
-    """Ids of the ``k`` best candidates outside ``filtered``, by (-score, id);
-    only those at or above the k-th score get sorted, all of them if any is NaN.
+    """Ids of the ``k`` best candidates outside ``filtered``, by (-score, id).
+
+    The scores are negated with the filtered ones set to +inf, and split
+    into ``TOP_GROUP`` groups when that leaves at least ``k`` of them.  The
+    k-th smallest of the group minima, found by one partition, is a
+    threshold at least ``k`` kept candidates reach, so only those at or
+    below it get sorted.  NaN and +inf sort last, so either there means
+    fewer than ``k`` such candidates, and then every candidate gets sorted.
     """
-    ids = np.delete(np.arange(len(scores)), _ids(filtered))
-    neg = -scores[ids]
-    if 0 < k < len(ids) and not np.isnan(neg).any():
-        at_or_above = neg <= np.partition(neg, k - 1)[k - 1]
-        ids, neg = ids[at_or_above], neg[at_or_above]
-    return ids[np.lexsort((ids, neg))[:k]]
+    filtered = _ids(filtered)
+    if 0 < k < len(scores) - len(filtered):
+        neg = np.negative(scores, dtype=np.float64)
+        neg[filtered] = np.inf
+        width = len(neg) // TOP_GROUP
+        best = (neg[:width * TOP_GROUP].reshape(TOP_GROUP, width).min(axis=0)
+                if width >= k else neg)
+        threshold = np.partition(best, k - 1)[k - 1]
+        if threshold < np.inf:
+            ids = np.flatnonzero(neg <= threshold)
+            return ids[np.lexsort((ids, neg[ids]))[:k]]
+    ids = np.delete(np.arange(len(scores)), filtered)
+    return ids[np.lexsort((ids, -scores[ids]))[:k]]
 
 
 def aggregate(ranks) -> dict[str, float]:
@@ -276,6 +293,9 @@ class RerankConfig:
                 f"re-ranking penalty alpha must be a finite non-negative number, "
                 f"got {self.alpha}"
             )
+        if not self.splits or any(split not in SPLITS for split in self.splits):
+            raise ValueError(f"re-ranking splits must be one or more of {SPLITS}, "
+                             f"got {self.splits!r}")
 
 
 @dataclass
@@ -331,36 +351,40 @@ def build_report(results: list[QueryResult], fallbacks: int = 0) -> RankingRepor
     )
 
 
-def _certified(scores: np.ndarray, gold: int, filtered, delta: float,
-               top: np.ndarray | None = None, shown: int = 0) -> bool:
-    """Whether every float64 score vector within ``delta`` of ``scores``,
-    entry by entry, gives ``gold`` the same filtered rank, the same first
-    ``shown`` ids of ``top`` in the same order, and the same 6-decimal
-    strings of their scores.
+def _certified_rank(scores: np.ndarray, gold: int, filtered, delta: float) -> int | None:
+    """The filtered rank of ``gold`` if every float64 score vector within
+    ``delta`` of ``scores``, entry by entry, gives it the same; else None.
 
-    ``top`` is ``top_candidates(scores, filtered, shown + 1)``, or None
-    when no top list is wanted.  Moving each entry by at most ``delta``
-    moves the difference of two entries by at most ``2 * delta``, so no
-    comparison separated by more than that can flip.  Rounding to float64 is monotone, so a computed
-    difference above ``2 * delta`` proves the exact one is, and every
-    float64 within ``delta`` of ``x`` lies between the computed ``x - delta``
-    and ``x + delta``; 6-decimal formatting is monotone too, so it prints
-    the same as ``x`` when those two ends do.
+    One sum shows the row finite.  Then two counts over the row and two
+    over the filtered ids give the kept candidates above ``hi`` and at or
+    above ``lo``, the ends of the band ``evaluate`` describes: the rank is
+    1 + the first count when the gold is the only kept entry in the band.
     """
-    if not np.isfinite(scores).all():
-        return False
+    if not math.isfinite(scores.sum()):
+        return None
+    g, margin = float(scores[gold]), 2 * delta
+    lo, hi = math.nextafter(g - margin, -math.inf), math.nextafter(g + margin, math.inf)
+    dropped = scores[_ids(filtered)]
+    above = np.count_nonzero(scores > hi) - np.count_nonzero(dropped > hi)
+    from_lo = np.count_nonzero(scores >= lo) - np.count_nonzero(dropped >= lo)
+    return 1 + above if from_lo == above + 1 else None    # gold alone in the band
+
+
+def _certified_top(scores: np.ndarray, top: np.ndarray, shown: int, delta: float) -> bool:
+    """Whether every float64 score vector within ``delta`` of the finite
+    ``scores`` gives the same first ``shown`` ids of ``top``, in the same
+    order, and the same 6-decimal strings of their scores.
+
+    ``top`` is ``top_candidates(scores, filtered, shown + 1)``.  A computed
+    difference above ``2 * delta`` proves the exact one is, since rounding
+    is monotone; and every float64 within ``delta`` of ``x`` lies between
+    the computed ``x - delta`` and ``x + delta``; 6-decimal formatting is
+    monotone too, so it prints the same as ``x`` when those two ends do.
+    """
+    ranked = scores[top].tolist()
     margin = 2 * delta
-    near = np.abs(scores - scores[gold]) <= margin
-    near[_ids(filtered)] = near[gold] = False
-    if near.any():
-        return False
-    if top is None:
-        return True
-    ranked = scores[top]
-    if np.any(ranked[:-1] - ranked[1:] <= margin):
-        return False
-    low, high = (ranked[:shown] - delta).tolist(), (ranked[:shown] + delta).tolist()
-    return all(f"{a:.6f}" == f"{b:.6f}" for a, b in zip(low, high))
+    return (all(a - b > margin for a, b in zip(ranked, ranked[1:]))
+            and all(f"{x - delta:.6f}" == f"{x + delta:.6f}" for x in ranked[:shown]))
 
 
 def _ranked(raw, gold: int, filtered: np.ndarray, neighbors, alpha: float,
@@ -372,6 +396,32 @@ def _ranked(raw, gold: int, filtered: np.ndarray, neighbors, alpha: float,
     rank = filtered_rank(adjusted, gold, filtered)
     top = None if k is None else top_candidates(adjusted, filtered, k)
     return adjusted, rank, top
+
+
+def _certified_ranked(raw: np.ndarray, gold: int, filtered: np.ndarray, neighbors,
+                      alpha: float, k: int | None, delta: float):
+    """``_ranked`` of a row proposed within ``delta`` of the canonical one,
+    or None unless ``_certified_rank`` and, for a top list,
+    ``_certified_top`` show the canonical row would give the same.
+
+    The penalty is ``raw - alpha`` with the e(r) entries copied back from
+    ``raw``: x - 0.0 is x, so that is ``rerank`` bit for bit.  Each side's
+    x - alpha rounds by at most u |x - alpha| <= u (max |raw| + delta +
+    alpha), which widens ``delta``.
+    """
+    adjusted = raw
+    if alpha > 0:
+        size = max(raw.max(), -raw.min())
+        delta = (delta + _U * (2 * size + 2 * alpha + delta)) * _SLACK
+        adjusted = raw - alpha
+        adjusted[neighbors] = raw[neighbors]
+    rank = _certified_rank(adjusted, gold, filtered, delta)
+    if rank is None:
+        return None
+    if k is None:
+        return adjusted, rank, None
+    top = top_candidates(adjusted, filtered, k)
+    return (adjusted, rank, top) if _certified_top(adjusted, top, k - 1, delta) else None
 
 
 def evaluate(
@@ -392,13 +442,26 @@ def evaluate(
     Queries go in blocks of ``SCORE_BLOCK``.  A scorer with
     ``block_scores`` proposes the block's rows and a bound ``delta`` on
     their distance from ``scores``; each query keeps the ranking of its
-    proposed row only if ``_certified`` shows that ``scores`` would rank
-    and print it the same, and is otherwise ranked again from ``scores``
-    (counted in the report's ``fallbacks``).  So ranks, top ids and
-    printed scores are those of ``scores``; a kept top score differs from
-    its ``scores`` value by at most ``delta``.  A scorer with only
-    ``scores`` proposes those rows, with ``delta`` 0 and nothing to check.
+    proposed row only if ``_certified_rank`` and, with details,
+    ``_certified_top`` show that ``scores`` would rank and print it the
+    same, and is otherwise ranked again from ``scores`` (counted in the
+    report's ``fallbacks``).  So ranks, top ids and printed scores are
+    those of ``scores``; a kept top score differs from its ``scores`` value
+    by at most ``delta``.  A scorer with only ``scores`` proposes those
+    rows, with ``delta`` 0 and nothing to check.
+
+    The rank test is a band around the gold's score g: lo is the float
+    below the computed g - 2 delta and hi the float above the computed
+    g + 2 delta.  Rounding to nearest leaves a computed value closer to
+    the exact one than to the float on its other side, so lo < g - 2 delta
+    and hi > g + 2 delta exactly, and any x outside [lo, hi] has
+    |x - g| > 2 delta exactly.  Moving every entry by at most ``delta``
+    moves x - g by at most 2 delta, so no such x crosses g: with no kept
+    candidate in the band, the rank is 1 + the kept candidates above hi
+    for every row within ``delta``.
     """
+    if top_k < 0:
+        raise ValueError(f"top_k must be non-negative, got {top_k}")
     rerank_config = rerank_config or RerankConfig()
     alpha = rerank_config.alpha
     k = top_k + 1 if collect_details else None   # one more, for the certificate
@@ -417,19 +480,16 @@ def evaluate(
                          if alpha > 0 else None)
             filtered = graph.tails_by_pair(h, r, filter_splits)
             filtered = filtered[filtered != t]
-            adjusted, rank, top = _ranked(raw, t, filtered, neighbors, alpha, k)
-            if delta > 0:
-                # rerank's x - p rounds by at most u |x - p| on either side,
-                # and |x - p| <= max |raw| + delta + alpha
-                bound = delta if alpha == 0 else (
-                    (delta + _U * (2 * np.abs(raw).max() + 2 * alpha + delta)) * _SLACK)
-                if not _certified(adjusted, t, filtered, bound, top, top_k):
-                    fallbacks += 1
-                    adjusted, rank, top = _ranked(scorer.scores(h, r), t, filtered,
-                                                  neighbors, alpha, k)
+            ranked = (_certified_ranked(raw, t, filtered, neighbors, alpha, k, delta)
+                      if delta > 0 else _ranked(raw, t, filtered, neighbors, alpha, k))
+            if ranked is None:
+                fallbacks += 1
+                ranked = _ranked(scorer.scores(h, r), t, filtered, neighbors, alpha, k)
+            adjusted, rank, top = ranked
             direction = "head" if graph.is_inverse_relation(r) else "tail"
             result = QueryResult(h, r, t, rank, direction)
             if collect_details:
-                result.top = [(i, float(adjusted[i])) for i in top[:top_k].tolist()]
+                shown = top[:top_k]
+                result.top = list(zip(shown.tolist(), adjusted[shown].tolist()))
             results.append(result)
     return build_report(results, fallbacks), results

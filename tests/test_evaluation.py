@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -76,6 +77,17 @@ def reference_rerank(scores, neighbor_ids, alpha):
 def reference_top(scores, filter_ids, k):
     order = np.lexsort((np.arange(len(scores)), -scores))
     return [int(i) for i in order if i not in filter_ids][:k]
+
+
+def reference_top_candidates(scores, filtered, k):
+    """``top_candidates`` before the group threshold: every kept id in one
+    array, and one partition over all of their scores."""
+    ids = np.delete(np.arange(len(scores)), np.fromiter(filtered, dtype=np.intp))
+    neg = -scores[ids]
+    if 0 < k < len(ids) and not np.isnan(neg).any():
+        at_or_above = neg <= np.partition(neg, k - 1)[k - 1]
+        ids, neg = ids[at_or_above], neg[at_or_above]
+    return ids[np.lexsort((ids, neg))[:k]]
 
 
 def reference_evaluate(scorer, graph, split, filter_splits=DEFAULT_FILTER_SPLITS,
@@ -233,6 +245,11 @@ class TestRerank:
         with pytest.raises(ValueError, match="non-negative"):
             rerank(np.zeros(3), set(), -0.1)
 
+    @pytest.mark.parametrize("splits", [(), ("bogus",), ("train", "tests"), "train"])
+    def test_config_rejects_unknown_or_no_splits(self, splits):
+        with pytest.raises(ValueError, match=re.escape(repr(splits))):
+            RerankConfig(alpha=0.1, splits=splits)
+
     @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -0.1])
     def test_config_rejects_non_finite_or_negative_alpha(self, alpha):
         with pytest.raises(ValueError, match="alpha must be a finite non-negative"):
@@ -378,6 +395,15 @@ class TestEvaluate:
             scores = [s for _, s in res.top]
             assert scores == sorted(scores, reverse=True)
 
+    def test_negative_top_k_rejected(self):
+        g = self._toy()
+        table = self._oracle_table(g, np.random.default_rng(9))
+        for details in (True, False):
+            with pytest.raises(ValueError, match="top_k.*-2"):
+                evaluate(TableScorer(table), g, "test", collect_details=details, top_k=-2)
+        _, results = evaluate(TableScorer(table), g, "test", collect_details=True, top_k=0)
+        assert [res.top for res in results] == [[], []]
+
     def test_direction_breakdown(self):
         results = [
             QueryResult(0, 0, 1, 1, "tail"),
@@ -463,6 +489,29 @@ class TestArrayRankingMatchesLoops:
             gold = int(rng.integers(0, n))
             filter_ids = set(rng.choice(n, size=n // 3, replace=False).tolist()) - {gold}
             assert_same_ranking(scores, gold, filter_ids, k=int(rng.integers(1, 12)))
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_top_candidates_matches_one_partition_over_every_kept_id(self, wide):
+        # wide rows give at least k groups of TOP_GROUP, so the group
+        # threshold runs; narrow ones partition the whole row
+        rng = np.random.default_rng(27 + wide)
+        for _ in range(300):
+            k = int(rng.integers(0, 25))
+            n = int(rng.integers(evaluation.TOP_GROUP * max(k, 1), 4000) if wide
+                    else rng.integers(1, 80))
+            scores = (quantized(rng, n, levels=int(rng.integers(2, 40)))
+                      if rng.random() < 0.5 else rng.normal(size=n))
+            if k and rng.random() < 0.5:       # a tie across the k-th place
+                kth = np.sort(scores)[::-1][min(k, n) - 1]
+                scores[rng.random(n) < 0.02] = kth
+            if rng.random() < 0.2:
+                scores[rng.random(n) < 0.3] = rng.choice([np.nan, np.inf, -np.inf])
+            # none, any number, or so many that fewer than k candidates stay
+            size = rng.choice([0, rng.integers(0, n + 1), n - min(k, n) + rng.integers(0, k + 1)])
+            filtered = rng.choice(n, size=min(int(size), n), replace=False)
+            want = reference_top_candidates(scores, filtered, k).tolist()
+            for ids in (filtered, set(filtered.tolist()), filtered.tolist()):
+                assert top_candidates(scores, ids, k).tolist() == want
 
     def test_gold_in_filter_rejected_for_every_container(self):
         for ids in ({1}, [1], np.array([0, 1])):
@@ -660,6 +709,14 @@ def perturbations(rng, scores, gold, delta):
         yield scores + shift
 
 
+def certified(scores, gold, filtered, delta, top=None, shown=0):
+    """Whether the certificate keeps this ranking: its rank part, and its
+    top-list part when ``top`` is given."""
+    if evaluation._certified_rank(scores, gold, filtered, delta) is None:
+        return False
+    return top is None or evaluation._certified_top(scores, top, shown, delta)
+
+
 def shown_strings(scores, ids):
     return [f"{scores[i]:.6f}" for i in ids.tolist()]
 
@@ -671,7 +728,7 @@ class TestCertificate:
         """Returns whether the certificate held; if it did, every perturbed
         vector must rank and show exactly what ``scores`` does."""
         top = top_candidates(scores, filtered, self.K + 1) if with_top else None
-        if not evaluation._certified(scores, gold, filtered, delta, top, self.K):
+        if not certified(scores, gold, filtered, delta, top, self.K):
             return False
         rank = filtered_rank(scores, gold, filtered)
         shown = top_candidates(scores, filtered, self.K)
@@ -708,7 +765,7 @@ class TestCertificate:
         for sign in (1, -1):
             for offset, accepted in ((2 * delta, False), (2 * delta + GRID, True)):
                 scores[1] = 0.25 + sign * offset      # a kept candidate near gold 2
-                assert evaluation._certified(scores, 2, [], delta) == accepted
+                assert certified(scores, 2, [], delta) == accepted
         # at exactly 2 * delta below gold, a perturbation makes the tie that
         # counts against gold
         scores[1] = 0.25 - 2 * delta
@@ -717,41 +774,41 @@ class TestCertificate:
 
     def test_gold_tied_with_a_kept_candidate_falls_back(self):
         scores = np.array([0.9, 0.4, 0.1, 0.4, 0.2])
-        assert not evaluation._certified(scores, 1, [], 1e-15)
-        assert evaluation._certified(scores, 1, [3], 1e-15)    # the tie is filtered
-        assert evaluation._certified(scores, 1, [], 0.0) is False
+        assert not certified(scores, 1, [], 1e-15)
+        assert certified(scores, 1, [3], 1e-15)    # the tie is filtered
+        assert certified(scores, 1, [], 0.0) is False
 
     def test_tie_across_the_k_boundary_falls_back(self):
         k = self.K
         scores = (32 - np.arange(20)) / 32              # no ties, all printable
         gold = 19
         top = top_candidates(scores, [], k + 1)
-        assert evaluation._certified(scores, gold, [], 1e-15, top, k)
+        assert certified(scores, gold, [], 1e-15, top, k)
         scores[k] = scores[k - 1]                       # places k and k + 1 tie
         top = top_candidates(scores, [], k + 1)
-        assert not evaluation._certified(scores, gold, [], 1e-15, top, k)
+        assert not certified(scores, gold, [], 1e-15, top, k)
         scores = (32 - np.arange(20)) / 32
         scores[k + 1] = scores[k]                       # a tie below the list
         top = top_candidates(scores, [], k + 1)
-        assert evaluation._certified(scores, gold, [], 1e-15, top, k)
+        assert certified(scores, gold, [], 1e-15, top, k)
 
     def test_non_finite_row_falls_back(self):
         for bad in (np.nan, np.inf, -np.inf):
             scores = np.array([0.9, 0.4, 0.1, 0.2])
             scores[3] = bad
-            assert not evaluation._certified(scores, 1, [], 1e-15)
-            assert not evaluation._certified(scores, 1, [3], 1e-15)   # filtered too
+            assert not certified(scores, 1, [], 1e-15)
+            assert not certified(scores, 1, [3], 1e-15)   # filtered too
 
     def test_score_at_a_6_decimal_boundary_falls_back(self):
         k = 3
         scores = np.array([0.9, 0.6234565, 0.5, 0.25, 0.1])
         top = top_candidates(scores, [], k + 1)
         assert top[:k].tolist() == [0, 1, 2]
-        assert not evaluation._certified(scores, 4, [], 1e-15, top, k)
+        assert not certified(scores, 4, [], 1e-15, top, k)
         scores[1] = 0.6234561                   # the same place, off the boundary
-        assert evaluation._certified(scores, 4, [], 1e-15, top, k)
+        assert certified(scores, 4, [], 1e-15, top, k)
         scores[3] = 0.1234565                   # a boundary below the shown list
-        assert evaluation._certified(scores, 4, [], 1e-15, top, k)
+        assert certified(scores, 4, [], 1e-15, top, k)
 
 
 class ProposingScorer(TableScorer):
@@ -778,6 +835,29 @@ def assert_same_as_reference(got, want, tol):
         np.testing.assert_allclose([s for _, s in g.top], [s for _, s in w.top],
                                    rtol=0, atol=tol)
     assert len(got_results) == len(want_results)
+
+
+def printed(results):
+    """Each result as ``eval --detail`` prints it, after the query number."""
+    return [(r.head, r.relation, r.gold, r.rank,
+             ",".join(f"{e}:{s:.6f}" for e, s in r.top)) for r in results]
+
+
+def must_fall_back(scores, gold, filtered, delta, k):
+    """The certificate as loops: a non-finite score, a kept candidate within
+    2 delta of the gold, or, for a top-k list, neighbours among the first
+    k + 1 within 2 delta or a shown score whose 6 decimals change within
+    delta."""
+    if not np.isfinite(scores).all():
+        return True
+    if any(abs(x - scores[gold]) <= 2 * delta
+           for i, x in enumerate(scores.tolist()) if i != gold and i not in filtered):
+        return True
+    if k is None:
+        return False
+    top = [scores[i] for i in reference_top(scores, filtered, k + 1)]
+    return (any(a - b <= 2 * delta for a, b in zip(top, top[1:]))
+            or any(f"{x - delta:.6f}" != f"{x + delta:.6f}" for x in top[:k]))
 
 
 class TestBlockedEvaluate:
@@ -818,26 +898,73 @@ class TestBlockedEvaluate:
             plain = evaluate(TableScorer(table), g, "test", **kwargs)
             assert plain == want and plain[0].fallbacks == 0
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.25])
+    @pytest.mark.parametrize("details", [False, True])
+    def test_planted_near_misses_match_the_exact_path(self, alpha, details):
+        # proposed re-ranked rows on a 2**-40 grid, with planted scores within
+        # 2 delta of the gold or of a top-list neighbour, at a 6-decimal
+        # rounding boundary, or NaN; alpha 0.25 keeps every sum exact
+        rng = np.random.default_rng(32)
+        n, delta, k = 40, 2.0 ** -36, 5
+        test = [Triple(int(rng.integers(0, n)), int(rng.integers(0, 3)),
+                       int(rng.integers(0, n))) for _ in range(80)]
+        g = graph_with_splits(n, 3, test[:30], test)
+        queries = g.triples("test").tolist()
+        penalties = {r: np.where(np.isin(np.arange(n), g.tails_by_relation(r, ("train",))),
+                                 0.0, alpha) for r in range(g.num_relations)}
+
+        def filtered(h, r, t):
+            return set(g.tails_by_pair(h, r, DEFAULT_FILTER_SPLITS).tolist()) - {t}
+
+        adjusted = {(h, r): np.round(rng.uniform(-1, 1, size=n) * 2.0 ** 40) * 2.0 ** -40
+                    for h, r, _ in queries}
+        for h, r, t in queries:
+            row = adjusted[(h, r)]
+            top = reference_top(row, filtered(h, r, t), k + 1)
+            kept = [i for i in range(n) if i != t and i not in filtered(h, r, t)]
+            plant = int(rng.integers(0, 8))
+            if plant == 1 and kept:
+                row[rng.choice(kept)] = row[t] + rng.choice([-1.5, -1, 0, 1, 1.5]) * delta
+            elif plant == 2:
+                j = int(rng.integers(0, k))
+                row[top[j + 1]] = row[top[j]] - rng.choice([0, 1, 1.5]) * delta
+            elif plant == 3:
+                i = top[int(rng.integers(0, k))]
+                boundary = (np.floor(row[i] * 1e6) + 0.5) / 1e6
+                row[i] = np.round(boundary * 2.0 ** 40) * 2.0 ** -40
+            elif plant == 4:
+                row[int(rng.integers(0, n))] = np.nan
+        proposed = {(h, r): row + penalties[r] for (h, r), row in adjusted.items()}
+        table = {pair: np.nan_to_num(row) + rng.choice([-delta, 0.0, delta], size=n)
+                 for pair, row in proposed.items()}
+        kwargs = dict(rerank_config=RerankConfig(alpha=alpha), collect_details=details,
+                      top_k=k)
+        got = evaluate(ProposingScorer(table, proposed, delta), g, "test", **kwargs)
+        want = reference_evaluate(TableScorer(table), g, "test", **kwargs)
+        assert dataclasses.replace(got[0], fallbacks=0) == want[0]
+        assert printed(got[1]) == printed(want[1])
+        expected = sum(must_fall_back(adjusted[(h, r)], t, filtered(h, r, t), delta,
+                                      k if details else None) for h, r, t in queries)
+        assert 0 < expected < len(queries)
+        assert got[0].fallbacks == expected
+
     def test_the_alpha_subtraction_widens_the_bound(self):
-        # proposed and canonical rows within delta of each other whose
-        # re-ranked gaps differ by more than 2 * delta: x - alpha rounds on
-        # the 2**-53 grid above 0.5 and on the finer one below it
-        ulp, alpha = 2.0 ** -53, 0.2
-        delta = 3 * ulp
-        canonical = np.array([0.5 + 2 * ulp, 0.7 + 2 * ulp, -1.0])
-        proposed = np.array([0.5 + 5 * ulp, 0.7 - ulp, -1.0])
+        # x - alpha rounds by up to u |x - alpha| on either side, so a row
+        # with a large entry widens the band around the gold: candidate 1
+        # sits 4 delta below gold 0 once penalised, which delta alone
+        # accepts, and -2**30 makes the rounding bound ~2**-22
+        delta, alpha = 2.0 ** -40, 0.25
+        row = np.array([0.5, 0.5 - 4 * delta + alpha, -2.0 ** 30])
         g = graph_with_splits(3, 1, [Triple(2, 0, 0)], [Triple(1, 0, 0)])
         assert g.tails_by_relation(0, ("train",)).tolist() == [0]  # gold is not penalised
-        fast = rerank(proposed, [0], alpha)
-        assert evaluation._certified(fast, 0, [], delta)      # delta alone accepts it
-        assert filtered_rank(fast, 0, []) != filtered_rank(rerank(canonical, [0], alpha), 0, [])
-        table = {pair: canonical for pair in map(tuple, g.triples("test")[:, :2].tolist())}
-        kwargs = dict(rerank_config=RerankConfig(alpha=alpha))
-        got = evaluate(ProposingScorer(table, dict.fromkeys(table, proposed), delta),
-                       g, "test", **kwargs)
-        want = reference_evaluate(TableScorer(table), g, "test", **kwargs)
-        assert [r.rank for r in got[1]] == [r.rank for r in want[1]]
-        assert got[0].fallbacks == 1
+        assert certified(rerank(row, [0], alpha), 0, [], delta)
+        table = {pair: row for pair in map(tuple, g.triples("test")[:, :2].tolist())}
+        for a, fallbacks in ((alpha, 1), (0.0, 0)):
+            kwargs = dict(rerank_config=RerankConfig(alpha=a), collect_details=True)
+            got = evaluate(ProposingScorer(table, table, delta), g, "test", **kwargs)
+            assert got[0].fallbacks == fallbacks
+            want = reference_evaluate(TableScorer(table), g, "test", **kwargs)
+            assert_same_as_reference(got, want, 0.0)
 
     @pytest.mark.parametrize("mode", SCORE_MODES)
     def test_block_rows_are_within_delta_of_the_canonical_scores(self, mode):
