@@ -153,14 +153,18 @@ def _penalties(raw: str) -> list[float]:
     return [_penalty(part) for part in raw.split(",") if part.strip()]
 
 
-def _names(known, what: str):
-    """argparse type: a comma-separated list of entries of ``known``."""
+def _names(known, what: str, empty_ok: bool = False):
+    """argparse type: a comma-separated list of entries of ``known``, which
+    may be empty only if ``empty_ok``."""
     def parse(raw: str) -> tuple[str, ...]:
         names = tuple(s.strip() for s in raw.split(",") if s.strip())
         bad = [s for s in names if s not in known]
         if bad:
             raise argparse.ArgumentTypeError(
                 f"unknown {what} {bad}; choose from {sorted(known)}")
+        if not names and not empty_ok:
+            raise argparse.ArgumentTypeError(
+                f"expected one or more {what} from {sorted(known)}, got {raw!r}")
         return names
     return parse
 
@@ -254,7 +258,7 @@ def _add_eval_like(p, default_split):
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--vocab", default=None)
     p.add_argument("--split", default=default_split, choices=SPLITS)
-    p.add_argument("--filter-splits", type=_names(SPLITS, "splits"),
+    p.add_argument("--filter-splits", type=_names(SPLITS, "splits", empty_ok=True),
                    default=",".join(SPLITS), dest="filter_splits")
     p.add_argument("--score-mode", choices=SCORE_MODES, default=None,
                    dest="score_mode")

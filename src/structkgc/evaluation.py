@@ -113,12 +113,13 @@ def rerank(scores: np.ndarray, neighbor_ids, alpha: float) -> np.ndarray:
     """score'(t) = score(t) - alpha * 1(t not in N_r); pure, input untouched."""
     if alpha < 0:
         raise ValueError(f"re-ranking penalty must be non-negative, got {alpha}")
-    out = np.array(scores, dtype=np.float64, copy=True)
+    scores = np.asarray(scores, dtype=np.float64)
     if alpha == 0.0:
-        return out
-    penalty = np.full(out.shape, alpha)
-    penalty[_ids(neighbor_ids)] = 0.0
-    return out - penalty
+        return scores.copy()
+    out = scores - alpha        # x - 0.0 is x: the e(r) entries are copied back
+    ids = _ids(neighbor_ids)
+    out[ids] = scores[ids]
+    return out
 
 
 def miou(graph: KnowledgeGraph, split: str = "test") -> tuple[float, dict[int, float]]:
@@ -404,17 +405,14 @@ def _certified_ranked(raw: np.ndarray, gold: int, filtered: np.ndarray, neighbor
     or None unless ``_certified_rank`` and, for a top list,
     ``_certified_top`` show the canonical row would give the same.
 
-    The penalty is ``raw - alpha`` with the e(r) entries copied back from
-    ``raw``: x - 0.0 is x, so that is ``rerank`` bit for bit.  Each side's
-    x - alpha rounds by at most u |x - alpha| <= u (max |raw| + delta +
-    alpha), which widens ``delta``.
+    Each side's ``rerank`` subtraction x - alpha rounds by at most
+    u |x - alpha| <= u (max |raw| + delta + alpha), which widens ``delta``.
     """
     adjusted = raw
     if alpha > 0:
         size = max(raw.max(), -raw.min())
         delta = (delta + _U * (2 * size + 2 * alpha + delta)) * _SLACK
-        adjusted = raw - alpha
-        adjusted[neighbors] = raw[neighbors]
+        adjusted = rerank(raw, neighbors, alpha)
     rank = _certified_rank(adjusted, gold, filtered, delta)
     if rank is None:
         return None

@@ -272,6 +272,21 @@ class TestOptionsCheckedWhenParsed:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,option", [
+        ("eval", "--rerank-splits"),
+        ("rerank-sweep", "--regimes"),
+    ])
+    def test_empty_split_or_regime_list(self, tmp_path, capsys, command, option):
+        what = "regimes" if option == "--regimes" else "splits"
+        argv = [command, "--dataset", str(tmp_path / "missing"),
+                "--checkpoint", str(tmp_path / "missing.ckpt"), option, ","]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error\tusage\targument {option}: expected one or more {what} from ")
+        assert captured.err.endswith(", got ','\n")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_min_freq_below_one(self, tmp_path, capsys, value):
         out = tmp_path / "vocab.tsv"
