@@ -1,9 +1,10 @@
 """Versioned binary checkpoints with byte-exact round trips.
 
 Layout: magic ``SKGC``, a u32 format version, fixed-width header fields
-(vocabulary sizes, encoder dims, combiner kind, component switches),
-then the named parameter blocks as little-endian float64 in the model's
-fixed parameter order, and a trailing CRC32 of everything before it.
+(vocabulary sizes, encoder dims, combiner kind, a reserved byte that is
+always 0 and keeps the version-1 layout, component switches), then the
+named parameter blocks as little-endian float64 in the model's fixed
+parameter order, and a trailing CRC32 of everything before it.
 Loads refuse to proceed on any checksum, version or dimension mismatch.
 """
 
@@ -34,8 +35,7 @@ def _header_bytes(cfg: ModelConfig) -> bytes:
         "<8I4Bd",
         cfg.num_entities, cfg.num_base_relations, cfg.struct_dim, cfg.layers,
         cfg.hidden_dim, cfg.heads, cfg.max_len, cfg.vocab_size,
-        _ASE_CODES[cfg.ase_kind], int(cfg.share_text_encoders),
-        int(cfg.use_text), int(cfg.use_ase),
+        _ASE_CODES[cfg.ase_kind], 0, int(cfg.use_text), int(cfg.use_ase),
         cfg.tau_init,
     )
 
@@ -92,12 +92,15 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
      ase_code, share, use_text, use_ase, tau_init) = struct.unpack("<8I4Bd", chunk)
     if ase_code not in _ASE_FROM_CODE:
         raise CheckpointError(f"{path}: unknown combiner code {ase_code}")
+    if share:
+        raise CheckpointError(
+            f"{path}: share_text_encoders={share} is not supported; the query and "
+            f"tail text encoders are always separate")
     cfg = ModelConfig(
         num_entities=n_ent, num_base_relations=n_rel, struct_dim=struct_dim,
         layers=layers, hidden_dim=hidden, heads=heads, max_len=max_len,
         vocab_size=vocab, ase_kind=_ASE_FROM_CODE[ase_code],
-        share_text_encoders=bool(share), use_text=bool(use_text),
-        use_ase=bool(use_ase), tau_init=tau_init,
+        use_text=bool(use_text), use_ase=bool(use_ase), tau_init=tau_init,
     )
     chunk, offset = _read(buf, offset, 4, path)
     (count,) = struct.unpack("<I", chunk)

@@ -20,7 +20,7 @@ from .evaluation import SCORE_MODES, ModelScorer, RerankConfig, evaluate, miou
 from .graph import SPLITS, GraphError
 from .model import Model
 from .text import Tokenizer
-from .training import Trainer, TrainingError
+from .training import EpochMetrics, Trainer, TrainingError
 
 REGIMES = {
     "none": None,
@@ -52,15 +52,21 @@ def _load_run_config(args) -> RunConfig:
     return RunConfig(**overrides)
 
 
+def _split_triples(graph, split: str, what: str):
+    """The split's triples; a usage error naming the split if it has none."""
+    triples = graph.triples(split)
+    if not len(triples):
+        raise UsageError(
+            f"split {split!r} has no triples to {what}; pass --split "
+            f"with a split that has some"
+        )
+    return triples
+
+
 def _load_scorer(args):
     _require_file(args.dataset, "dataset directory")
     dataset = load_dataset(args.dataset)
-    pairs = dataset.graph.triples(args.split)[:, :2]
-    if not len(pairs):
-        raise UsageError(
-            f"split {args.split!r} has no triples to rank; pass --split "
-            f"with a split that has some"
-        )
+    pairs = _split_triples(dataset.graph, args.split, "rank")[:, :2]
     _require_file(args.checkpoint, "checkpoint")
     model = load_model(
         args.checkpoint,
@@ -121,7 +127,7 @@ def cmd_train(args) -> int:
         tokenizer.save(args.out + ".vocab.tsv")
     metrics_path = args.metrics or args.out + ".metrics.tsv"
     with open(metrics_path, "w", encoding="utf-8") as f:
-        f.write("epoch\tmean_loss\ttau\tlr\tqueue_fill\tirns_fallback_rate\n")
+        f.write(EpochMetrics.HEADER + "\n")
         for m in metrics:
             f.write(m.as_log_line() + "\n")
     print(f"trained\t{len(metrics)} epochs\tfinal_loss={metrics[-1].mean_loss:.6f}")
@@ -221,6 +227,7 @@ def cmd_rerank_sweep(args) -> int:
 def cmd_miou(args) -> int:
     _require_file(args.dataset, "dataset directory")
     dataset = load_dataset(args.dataset)
+    _split_triples(dataset.graph, args.split, "compare")
     value, per_relation = miou(dataset.graph, args.split)
     print(f"MIOU\t{value:.6f}")
     for rel_id in sorted(per_relation):

@@ -34,7 +34,6 @@ class RunConfig:
     heads: int = 4
     max_len: int = 64
     ase_kind: str = "additive"
-    share_text_encoders: bool = False
     # component switches
     use_text: bool = True
     use_ase: bool = True

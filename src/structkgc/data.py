@@ -41,6 +41,7 @@ from itertools import repeat
 import numpy as np
 
 from .graph import (
+    DataError,
     KnowledgeGraph,
     RelationRecord,
     add_inverse_triples,
@@ -51,13 +52,6 @@ from .text import Tokenizer
 SPLIT_FILES = {"train": "train.txt", "valid": "valid.txt", "test": "test.txt"}
 ENTITY_FILE = "entities.txt"
 RELATION_FILE = "relations.txt"
-
-
-class DataError(ValueError):
-    def __init__(self, path, line_no, message):
-        super().__init__(f"{path}:{line_no}: {message}")
-        self.path = str(path)
-        self.line_no = line_no
 
 
 @dataclass

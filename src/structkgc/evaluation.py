@@ -128,9 +128,12 @@ def miou(graph: KnowledgeGraph, split: str = "test") -> tuple[float, dict[int, f
     Each relation r of the split's triples scores |e(r, train) & e(r, split)|
     over |e(r, train) | e(r, split)|, both from the graph's splits; the
     mean runs over the split's triples, so relations count with
-    multiplicity.  A relation absent from train contributes 0.
+    multiplicity.  A relation absent from train contributes 0.  A split
+    with no triples has no mean and raises ``ValueError``.
     """
     relations = graph.triples(split)[:, 1].tolist()
+    if not relations:
+        raise ValueError(f"split {split!r} has no triples to compare")
     per_relation: dict[int, float] = {}
     for r in relations:
         if r in per_relation:
@@ -143,8 +146,6 @@ def miou(graph: KnowledgeGraph, split: str = "test") -> tuple[float, dict[int, f
         overlap = np.intersect1d(train_tails, split_tails, assume_unique=True)
         union = np.union1d(train_tails, split_tails)
         per_relation[r] = len(overlap) / len(union)
-    if not relations:
-        return 0.0, per_relation
     mean = float(np.mean([per_relation[r] for r in relations]))
     return mean, per_relation
 
@@ -193,16 +194,13 @@ class ModelScorer:
         self._unit_tails = self._struct_queries = None
         with ad.no_grad():
             if mode != "struct":
-                names, descs = graph.entity_names, graph.entity_descriptions
-                rels, max_len = graph.relations, model.config.max_len
+                max_len = model.config.max_len
                 self._tail_matrix = _encode_in_chunks(
                     model.encode_tails, range(graph.num_entities),
-                    lambda e: tokenize_entity(tokenizer, names[e], descs[e], max_len))
+                    lambda e: tokenize_entity(tokenizer, graph, e, max_len))
                 self._text_queries = _encode_in_chunks(
                     model.encode_queries, pairs,
-                    lambda p: tokenize_hr(tokenizer, names[p[0]], descs[p[0]],
-                                          rels[p[1]].name, rels[p[1]].description,
-                                          max_len))
+                    lambda p: tokenize_hr(tokenizer, graph, *p, max_len))
             if mode != "text":
                 self._unit_tails = unit_entity_table(model.struct)
                 heads, relations = np.array(pairs, dtype=np.intp).T

@@ -46,6 +46,17 @@ class GraphError(ValueError):
     """Raised for inconsistent vocabulary/triple inputs."""
 
 
+class DataError(ValueError):
+    """A bad input file, named as ``path:line``, or as ``path`` alone when
+    no one line is at fault."""
+
+    def __init__(self, path, line_no: int | None, message: str):
+        where = str(path) if line_no is None else f"{path}:{line_no}"
+        super().__init__(f"{where}: {message}")
+        self.path = str(path)
+        self.line_no = line_no
+
+
 class Triple(NamedTuple):
     head: int
     relation: int

@@ -1,8 +1,8 @@
 """Aggregate of the trainable components and their wiring.
 
 A model owns the structural tables, the optional KV-prefix projectors,
-the optional pair of text encoders (query side and tail side, separate
-weights unless sharing is requested) and the learnable log-temperature.
+the optional pair of text encoders (query side and tail side, each with
+weights of its own) and the learnable log-temperature.
 Parameter order is fixed by construction order, which checkpointing
 relies on.
 """
@@ -23,7 +23,7 @@ from .structural import (
     struct_score_matrix_node,
     struct_scores_all_tails,
 )
-from .text import TextEncoder, TextEncoderConfig
+from .text import TextEncoder
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,6 @@ class ModelConfig:
     max_len: int = 64
     vocab_size: int = 0
     ase_kind: AseKind = AseKind.ADDITIVE
-    share_text_encoders: bool = False
     use_text: bool = True
     use_ase: bool = True
     tau_init: float = 0.05
@@ -93,16 +92,8 @@ class Model:
         self.hr_encoder = None
         self.tail_encoder = None
         if config.use_text:
-            enc_cfg = TextEncoderConfig(
-                layers=config.layers, hidden_dim=config.hidden_dim,
-                heads=config.heads, max_len=config.max_len,
-                vocab_size=config.vocab_size,
-            )
-            self.hr_encoder = TextEncoder(enc_cfg, rng, name="hr", loaded=loaded)
-            if config.share_text_encoders:
-                self.tail_encoder = self.hr_encoder
-            else:
-                self.tail_encoder = TextEncoder(enc_cfg, rng, name="tail", loaded=loaded)
+            self.hr_encoder = TextEncoder(config, rng, name="hr", loaded=loaded)
+            self.tail_encoder = TextEncoder(config, rng, name="tail", loaded=loaded)
             if config.use_ase:
                 self.hr_projector = PrefixProjector(
                     config.struct_dim, config.layers, config.hidden_dim, rng,
@@ -124,8 +115,7 @@ class Model:
             out.update(self.tail_projector.parameters())
         if self.hr_encoder is not None:
             out.update(self.hr_encoder.parameters())
-            if self.tail_encoder is not self.hr_encoder:
-                out.update(self.tail_encoder.parameters())
+            out.update(self.tail_encoder.parameters())
         out["log_tau"] = self.log_tau
         return out
 

@@ -20,9 +20,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Node
 
-COSINE_EPS = 1e-12
-
-
 class AseKind(enum.Enum):
     ADDITIVE = "additive"
     HADAMARD = "hadamard"
@@ -86,18 +83,18 @@ def ase_apply_node(kind: AseKind, e_h: Node, e_r: Node) -> Node:
     if kind is AseKind.HADAMARD:
         return ad.mul(e_h, e_r)
     if kind is AseKind.ROTATION:
-        return ad.paired_rotation(e_h, e_r, COSINE_EPS)
+        return ad.paired_rotation(e_h, e_r)
     raise ValueError(f"unknown combiner kind: {kind}")
 
 
 def struct_queries_node(table: StructuralTable, heads, relations) -> Node:
     """(B, dim) unit rows of combine(E_h, E_r), one per query."""
-    return ad.l2_normalize_rows(table.combine(heads, relations), COSINE_EPS)
+    return ad.l2_normalize_rows(table.combine(heads, relations))
 
 
 def unit_entity_table(table: StructuralTable) -> np.ndarray:
     """Every entity row scaled to unit length, as candidate tails."""
-    return ad.l2_normalize_rows(table.entity_embeddings, COSINE_EPS).value
+    return ad.l2_normalize_rows(table.entity_embeddings).value
 
 
 def struct_score_matrix_node(table: StructuralTable, heads, relations,
@@ -109,7 +106,7 @@ def struct_score_matrix_node(table: StructuralTable, heads, relations,
     """
     queries = struct_queries_node(table, heads, relations)
     e_t = ad.gather_rows(table.entity_embeddings, tails)
-    tails_n = ad.l2_normalize_rows(e_t, COSINE_EPS)
+    tails_n = ad.l2_normalize_rows(e_t)
     return ad.matmul(queries, ad.transpose(tails_n))
 
 

@@ -32,12 +32,16 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
+from .graph import DataError, KnowledgeGraph
+
+if TYPE_CHECKING:
+    from .model import ModelConfig
 
 PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
 _SPECIALS = (PAD, UNK, CLS, SEP)
@@ -94,14 +98,29 @@ class Tokenizer:
 
     @classmethod
     def load(cls, path) -> "Tokenizer":
+        """Read ``token<TAB>id`` lines; a bad line raises a ``DataError``
+        naming ``path:line``, and ids the constructor refuses one naming ``path``."""
         vocab: dict[str, int] = {}
         with open(path, encoding="utf-8") as f:
-            for line in f:
+            for line_no, line in enumerate(f, start=1):
                 if not line.strip():
                     continue
-                token, idx = line.rstrip("\n").split("\t")
-                vocab[token] = int(idx)
-        return cls(vocab)
+                cols = line.rstrip("\n").split("\t")
+                if len(cols) != 2:
+                    raise DataError(path, line_no,
+                                    f"expected 2 tab-separated columns, got {len(cols)}")
+                token, idx = cols
+                if token in vocab:
+                    raise DataError(path, line_no, f"duplicate token {token!r}")
+                try:
+                    vocab[token] = int(idx)
+                except ValueError:
+                    raise DataError(path, line_no,
+                                    f"token id {idx!r} is not an integer") from None
+        try:
+            return cls(vocab)
+        except ValueError as e:
+            raise DataError(path, None, str(e)) from None
 
 
 def _fit_segments(segments: list[list[int]], drop_order: list[int], budget: int):
@@ -119,20 +138,20 @@ def _fit_segments(segments: list[list[int]], drop_order: list[int], budget: int)
     return segments
 
 
-def tokenize_hr(tokenizer: Tokenizer, head_name: str, head_description: str,
-                relation_name: str, relation_description: str,
-                max_len: int) -> list[int]:
+def tokenize_hr(tokenizer: Tokenizer, graph: KnowledgeGraph, head: int,
+                relation: int, max_len: int) -> list[int]:
     """([CLS], head name, head description, [SEP], relation name,
-    relation description, [SEP]), truncated to ``max_len``.
+    relation description, [SEP]) from ``graph``, truncated to ``max_len``.
 
     The head description is truncated first so the relation segment
     survives; the trailing separators are always kept.
     """
+    rel = graph.relations[relation]
     segments = [
-        tokenizer.encode_words(head_name),
-        tokenizer.encode_words(head_description),
-        tokenizer.encode_words(relation_name),
-        tokenizer.encode_words(relation_description),
+        tokenizer.encode_words(graph.entity_names[head]),
+        tokenizer.encode_words(graph.entity_descriptions[head]),
+        tokenizer.encode_words(rel.name),
+        tokenizer.encode_words(rel.description),
     ]
     budget = max_len - 3  # [CLS] and two [SEP]
     # head description, then head name, then relation description, then name
@@ -144,12 +163,13 @@ def tokenize_hr(tokenizer: Tokenizer, head_name: str, head_description: str,
     )
 
 
-def tokenize_entity(tokenizer: Tokenizer, name: str, description: str,
+def tokenize_entity(tokenizer: Tokenizer, graph: KnowledgeGraph, entity: int,
                     max_len: int) -> list[int]:
-    """([CLS], name, description, [SEP]) for the tail side."""
+    """([CLS], name, description, [SEP]) of ``graph``'s ``entity``, for the
+    tail side, truncated to ``max_len``."""
     segments = [
-        tokenizer.encode_words(name),
-        tokenizer.encode_words(description),
+        tokenizer.encode_words(graph.entity_names[entity]),
+        tokenizer.encode_words(graph.entity_descriptions[entity]),
     ]
     _fit_segments(segments, [1, 0], max_len - 2)
     name_ids, desc_ids = segments
@@ -159,21 +179,6 @@ def tokenize_entity(tokenizer: Tokenizer, name: str, description: str,
 # ---------------------------------------------------------------------------
 # encoder
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TextEncoderConfig:
-    layers: int
-    hidden_dim: int
-    heads: int
-    max_len: int
-    vocab_size: int
-
-    def __post_init__(self):
-        if self.hidden_dim % self.heads != 0:
-            raise ValueError(
-                f"hidden dim {self.hidden_dim} not divisible by {self.heads} heads"
-            )
-
 
 def _linear_init(rng, rows, cols):
     return rng.normal(0.0, 0.02, size=(rows, cols))
@@ -188,9 +193,11 @@ def _ones(rows, cols):
 
 
 class TextEncoder:
-    """Toy BERT-style encoder producing unit-norm mean-pooled embeddings."""
+    """Toy BERT-style encoder producing unit-norm mean-pooled embeddings,
+    shaped by the model config's layers, hidden_dim, heads, max_len and
+    vocab_size."""
 
-    def __init__(self, config: TextEncoderConfig, rng: np.random.Generator | None,
+    def __init__(self, config: ModelConfig, rng: np.random.Generator | None,
                  name: str = "enc", loaded: ad.LoadedValues | None = None):
         self.config = config
         self.name = name

@@ -97,6 +97,9 @@ class EpochMetrics:
     queue_fill: float
     irns_fallback_rate: float
 
+    # the metrics file's header line; ``as_log_line`` writes the rows under it
+    HEADER = "epoch\tmean_loss\ttau\tlr\tqueue_fill\tirns_fallback_rate"
+
     def as_log_line(self) -> str:
         return "\t".join(
             [
@@ -148,31 +151,9 @@ class Trainer:
                 model.struct.entity_embeddings, momentum=cfg.momentum,
             )
 
-        self._hr_tokens: dict[tuple[int, int], list[int]] = {}
-        self._tail_tokens: dict[int, list[int]] = {}
         self.telemetry = {"irns_queries": 0, "irns_fallbacks": 0}
 
     # ------------------------------------------------------------------
-    def _hr_token_seq(self, head: int, relation: int) -> list[int]:
-        key = (head, relation)
-        if key not in self._hr_tokens:
-            graph, rel = self.graph, self.graph.relations[relation]
-            self._hr_tokens[key] = tokenize_hr(
-                self.tokenizer,
-                graph.entity_names[head], graph.entity_descriptions[head],
-                rel.name, rel.description,
-                self.model.config.max_len,
-            )
-        return self._hr_tokens[key]
-
-    def _tail_token_seq(self, tail: int) -> list[int]:
-        if tail not in self._tail_tokens:
-            self._tail_tokens[tail] = tokenize_entity(
-                self.tokenizer, self.graph.entity_names[tail],
-                self.graph.entity_descriptions[tail], self.model.config.max_len
-            )
-        return self._tail_tokens[tail]
-
     def _irns_pool_empty(self, head: int, relation: int) -> bool:
         # within one split e(h, r) is a subset of e(r), so e(r) - e(h, r)
         # is empty exactly when the two sets have the same size
@@ -191,8 +172,9 @@ class Trainer:
         loss_cl = None
         tail_tokens = None
         if model.config.use_text:
-            hr_tokens = [self._hr_token_seq(h, r) for h, r in queries]
-            tail_tokens = [self._tail_token_seq(t) for t in tails]
+            tokenizer, graph, max_len = self.tokenizer, self.graph, model.config.max_len
+            hr_tokens = [tokenize_hr(tokenizer, graph, h, r, max_len) for h, r in queries]
+            tail_tokens = [tokenize_entity(tokenizer, graph, t, max_len) for t in tails]
             h_hr = model.encode_queries(hr_tokens, queries)
             h_t = model.encode_tails(tail_tokens, tails)
 
@@ -222,7 +204,8 @@ class Trainer:
                 row_of = {t: i for i, t in enumerate(drawn)}
                 if row_of:
                     ir_batch = model.encode_tails(
-                        [self._tail_token_seq(t) for t in row_of], list(row_of)
+                        [tokenize_entity(tokenizer, graph, t, max_len) for t in row_of],
+                        list(row_of),
                     )
                     # query q's tails fill the first slots of index row q
                     index = np.zeros((len(batch), cfg.ir_count), dtype=np.intp)

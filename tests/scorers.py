@@ -25,9 +25,6 @@ class TableScorer:
 def encode_one_query(model, graph, tokenizer, head: int, relation: int) -> np.ndarray:
     """One (head, relation) query encoded by itself through ``model``: the
     one-query path that batched query encoding replaced."""
-    rel = graph.relations[relation]
-    tokens = tokenize_hr(tokenizer, graph.entity_names[head],
-                         graph.entity_descriptions[head], rel.name, rel.description,
-                         model.config.max_len)
+    tokens = tokenize_hr(tokenizer, graph, head, relation, model.config.max_len)
     with ad.no_grad():
         return model.encode_queries([tokens], [(head, relation)]).value[0]

@@ -78,11 +78,11 @@ def test_criterion_1_gradient_integrity():
                 report(1, "gradient-integrity", False, f"{name} seed {seed}: {e}")
 
     # end-to-end loss through a 2-layer, d=8 encoder with prefixes
-    from structkgc.text import TextEncoder, TextEncoderConfig
+    from structkgc.text import TextEncoder
 
     enc = TextEncoder(
-        TextEncoderConfig(layers=2, hidden_dim=8, heads=2, max_len=12,
-                          vocab_size=14),
+        ModelConfig(num_entities=1, num_base_relations=1, layers=2, hidden_dim=8,
+                    heads=2, max_len=12, vocab_size=14),
         np.random.default_rng(7), name="e2e",
     )
     proj = PrefixProjector(4, 2, 8, np.random.default_rng(8))

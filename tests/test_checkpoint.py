@@ -52,6 +52,20 @@ class TestRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+class TestParameterOrder:
+    def test_two_text_encoders_in_a_fixed_order(self):
+        """The query and tail encoders are separate objects with the same
+        layout, and the saved order is struct, prefixes, hr, tail, tau."""
+        model = small_model()
+        names = list(model.parameters())
+        groups = list(dict.fromkeys(name.split(".")[0] for name in names))
+        assert groups == ["struct", "hr_prefix", "tail_prefix", "hr", "tail", "log_tau"]
+        hr = [name.removeprefix("hr.") for name in names if name.startswith("hr.")]
+        tail = [name.removeprefix("tail.") for name in names if name.startswith("tail.")]
+        assert hr == tail
+        assert model.hr_encoder is not model.tail_encoder
+
+
 class TestCorruption:
     def test_truncated_file_rejected(self, tmp_path):
         model = small_model()
@@ -134,6 +148,14 @@ class TestRefusalsWithValidChecksum:
         with pytest.raises(CheckpointError, match="unknown combiner code 9"):
             load_checkpoint(path)
 
+    def test_shared_text_encoder_byte(self, tmp_path):
+        path, body = saved_body(tmp_path)
+        assert body[8 + 33] == 0  # written as 0 by every save
+        body[8 + 33] = 1
+        path.write_bytes(restamped(bytes(body)))
+        with pytest.raises(CheckpointError, match="share_text_encoders=1 is not supported"):
+            load_model(path)
+
     def test_trailing_bytes(self, tmp_path):
         path, body = saved_body(tmp_path)
         path.write_bytes(restamped(bytes(body) + b"\0" * 8))
@@ -171,7 +193,6 @@ class TestRefusalsWithValidChecksum:
 MODEL_KINDS = {
     "struct_only": dict(use_text=False, vocab_size=0),
     "text": dict(),
-    "text_shared": dict(share_text_encoders=True),
     "text_no_ase": dict(use_ase=False),
 }
 

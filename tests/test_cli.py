@@ -144,6 +144,14 @@ class TestMiou:
             assert main(["miou", "--dataset", str(tmp_path), "--split", split]) == 0
             assert capsys.readouterr().out.splitlines()[0] == f"MIOU\t{want}"
 
+    def test_split_with_no_triples_is_a_usage_error(self, workspace, capsys):
+        assert load_dataset(workspace["data"]).graph.triples("valid").size == 0
+        assert main(["miou", "--dataset", str(workspace["data"]), "--split", "valid"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error\tusage\tsplit 'valid' has no triples")
+        assert "--split" in captured.err
+
 
 class TestSweepAndExport:
     def test_rerank_sweep_table(self, workspace, capsys):
@@ -344,6 +352,36 @@ class TestBuildVocab:
         ids = [int(line.split("\t")[1]) for line in lines]
         assert ids == list(range(len(ids)))
         assert lines[0].split("\t")[0] == "[PAD]"
+
+
+class TestMalformedVocabulary:
+    @pytest.mark.parametrize("bad_line,detail", [
+        ("oops", "expected 2 tab-separated columns, got 1"),
+        ("oops\tfive", "token id 'five' is not an integer"),
+        ("[PAD]\t7", "duplicate token '[PAD]'"),
+    ])
+    def test_is_an_input_error_naming_the_line(self, workspace, tmp_path, capsys,
+                                               bad_line, detail):
+        lines = (workspace["root"] / "model.ckpt.vocab.tsv").read_text().splitlines()
+        vocab = tmp_path / "vocab.tsv"
+        vocab.write_text("\n".join(lines[:6] + [bad_line] + lines[6:]) + "\n")
+        argv = ["eval", "--dataset", str(workspace["data"]),
+                "--checkpoint", str(workspace["ckpt"]), "--vocab", str(vocab)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error\tinput\t{vocab}:7: {detail}\n"
+
+    def test_bad_ids_are_an_input_error_naming_the_file(self, workspace, tmp_path,
+                                                        capsys):
+        lines = (workspace["root"] / "model.ckpt.vocab.tsv").read_text().splitlines()
+        vocab = tmp_path / "vocab.tsv"
+        vocab.write_text("\n".join(lines[:-1]) + f"\n{lines[-1].split()[0]}\t99\n")
+        argv = ["eval", "--dataset", str(workspace["data"]),
+                "--checkpoint", str(workspace["ckpt"]), "--vocab", str(vocab)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error\tinput\t{vocab}: token ids must be contiguous from 0\n")
 
 
 class ReferenceScorer(ModelScorer):

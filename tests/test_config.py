@@ -1,3 +1,5 @@
+import os
+import re
 from dataclasses import fields
 
 import pytest
@@ -13,13 +15,15 @@ from structkgc.training import TrainConfig
 NON_DEFAULT = dict(
     dataset="data/x", min_token_freq=3, struct_dim=32, layers=3,
     hidden_dim=48, heads=6, max_len=20, ase_kind="rotation",
-    share_text_encoders=True, use_mh=False, use_ir=False, tau_init=0.1,
+    use_mh=False, use_ir=False, tau_init=0.1,
     tau_min=0.02, tau_max=0.5, margin=0.05, beta=0.25, queue_capacity=64,
     hardest_k=8, mh_count=16, ir_count=2, momentum=0.99, lr=1e-3,
     weight_decay=0.05, clip_norm=2.0, epochs=4, batch_size=16, seed=7,
 )
 NON_DEFAULT_VARIANTS = [{"use_text": False}, {"use_ase": False}]
 DATA_DERIVED = {"num_entities", "num_base_relations", "vocab_size"}
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "README.md")
 
 
 class TestRunConfig:
@@ -138,6 +142,25 @@ class TestParseConfig:
         assert cfg.use_mh is False
         assert cfg.beta == 0.25
         assert cfg.seed == 9
+
+    def test_readme_block_lists_every_key_at_its_default(self, tmp_path):
+        """The README's ``ini`` block, comments dropped, holds every
+        ``RunConfig`` key once, in field order, at its default value."""
+        with open(README, encoding="utf-8") as f:
+            (block,) = re.findall(r"```ini\n(.*?)```", f.read(), flags=re.S)
+        lines = [line.split("#", 1)[0].strip() for line in block.splitlines()]
+        lines = [line for line in lines if line]
+        assert [line.split("=", 1)[0].strip() for line in lines] == [
+            f.name for f in fields(RunConfig)]
+        path = tmp_path / "readme.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        assert parse_config(path) == RunConfig()
+
+    def test_removed_shared_encoder_key_is_unknown(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("share_text_encoders = false\n")
+        with pytest.raises(ConfigError, match="unknown key 'share_text_encoders'"):
+            parse_config(path)
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -127,8 +127,6 @@ def reference_miou(graph, test_triples):
             continue
         union = train_tails | test_tails
         per_relation[r] = len(train_tails & test_tails) / len(union) if union else 0.0
-    if not test_triples:
-        return 0.0, per_relation
     mean = float(np.mean([per_relation[t.relation] for t in test_triples]))
     return mean, per_relation
 
@@ -343,7 +341,16 @@ class TestMiou:
                       for s in ("train", "test")}
             g = KnowledgeGraph(ents, rels, splits)
             ref = ReferenceGraph(ents, rels, {s: a.tolist() for s, a in splits.items()})
+            if not len(splits["test"]):
+                with pytest.raises(ValueError, match="'test' has no triples"):
+                    miou(g)
+                continue
             assert miou(g) == reference_miou(ref, ref.triples("test"))
+
+    def test_split_with_no_triples_is_refused(self):
+        g = graph_with_splits(3, 1, [Triple(0, 0, 1)], [])
+        with pytest.raises(ValueError, match="split 'valid' has no triples"):
+            miou(g, "valid")
 
 
 class TestEvaluate:
@@ -597,9 +604,9 @@ class TestModelScorerMatchesModel:
         monkeypatch.setattr(evaluation, "ENCODE_CHUNK", 4)
         scorer = ModelScorer(model, g, tokenizer, [(0, 0)], mode="text")
         per_entity = np.concatenate([
-            model.encode_tails([tokenize_entity(tokenizer, name, desc, model.config.max_len)],
+            model.encode_tails([tokenize_entity(tokenizer, g, e, model.config.max_len)],
                                [e]).value
-            for e, (name, desc) in enumerate(zip(g.entity_names, g.entity_descriptions))
+            for e in range(g.num_entities)
         ])
         np.testing.assert_allclose(scorer._tail_matrix, per_entity, rtol=0, atol=1e-12)
 
@@ -615,9 +622,9 @@ class TestModelScorerMatchesModel:
         for node in model.parameters().values():
             node.value += rng.normal(0.0, 0.1, size=node.value.shape)
         tails = np.concatenate([
-            before.encode_tails([tokenize_entity(tokenizer, name, desc,
-                                                 before.config.max_len)], [e]).value
-            for e, (name, desc) in enumerate(zip(g.entity_names, g.entity_descriptions))
+            before.encode_tails([tokenize_entity(tokenizer, g, e, before.config.max_len)],
+                                [e]).value
+            for e in range(g.num_entities)
         ])
         for h, r in pairs:
             struct = before.struct_scores_all_tails(h, r)

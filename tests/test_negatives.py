@@ -11,7 +11,7 @@ from structkgc.negatives import (
 )
 from structkgc.model import Model, ModelConfig
 from structkgc.structural import PrefixProjector
-from structkgc.text import TextEncoder, TextEncoderConfig
+from structkgc.text import TextEncoder
 
 from graph_reference import ReferenceGraph, entity_records
 
@@ -284,8 +284,8 @@ class TestInBatchMask:
 
 class TestMomentumEncoder:
     def _setup(self):
-        cfg = TextEncoderConfig(layers=1, hidden_dim=8, heads=2, max_len=8,
-                                vocab_size=12)
+        cfg = ModelConfig(num_entities=5, num_base_relations=1, layers=1,
+                          hidden_dim=8, heads=2, max_len=8, vocab_size=12)
         rng = np.random.default_rng(13)
         tail = TextEncoder(cfg, rng, name="tail")
         proj = PrefixProjector(4, 1, 8, rng, name="tail_prefix")
@@ -330,12 +330,10 @@ class TestMomentumEncoder:
         ).max() == 0.0
 
     @pytest.mark.parametrize("use_ase", [True, False])
-    @pytest.mark.parametrize("share", [False, True])
-    def test_fresh_shadow_matches_model_tail_path(self, use_ase, share):
+    def test_fresh_shadow_matches_model_tail_path(self, use_ase):
         model = Model(ModelConfig(
             num_entities=6, num_base_relations=2, struct_dim=4, layers=2,
             hidden_dim=8, heads=2, max_len=8, vocab_size=12, use_ase=use_ase,
-            share_text_encoders=share,
         ), seed=3)
         mom = MomentumEncoder(model.tail_encoder, model.tail_projector,
                               model.struct.entity_embeddings)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from structkgc import autodiff as ad
+from structkgc.graph import EntityRecord, KnowledgeGraph, RelationRecord
+from structkgc.model import ModelConfig
 from structkgc.structural import PrefixProjector
 from structkgc.text import (
     CLS,
@@ -9,7 +11,6 @@ from structkgc.text import (
     SEP,
     UNK,
     TextEncoder,
-    TextEncoderConfig,
     Tokenizer,
     split_text,
     tokenize_entity,
@@ -32,25 +33,33 @@ def toks(tokenizer, ids):
     return [tokenizer.id_to_token[i] for i in ids]
 
 
+def text_graph(*entities):
+    """A graph of (name, description) entities and one relation, hypernym,
+    with no description; it holds no triples."""
+    records = [EntityRecord(name, desc, i) for i, (name, desc) in enumerate(entities)]
+    return KnowledgeGraph(records, [RelationRecord("hypernym", "", 0)], {})
+
+
 class TestTokenizer:
     def test_split(self):
         assert split_text("Hello, World-2!") == ["hello", "world", "2"]
 
     def test_hr_template(self):
         tk = build_tokenizer()
-        seq = tokenize_hr(tk, "dog", "a mammal", "hypernym", "", max_len=32)
+        seq = tokenize_hr(tk, text_graph(("dog", "a mammal")), 0, 0, max_len=32)
         assert toks(tk, seq) == [CLS, "dog", "a", "mammal", SEP, "hypernym", SEP]
 
     def test_empty_descriptions(self):
         tk = build_tokenizer()
-        seq = tokenize_hr(tk, "dog", "", "hypernym", "", max_len=32)
+        seq = tokenize_hr(tk, text_graph(("dog", "")), 0, 0, max_len=32)
         assert toks(tk, seq) == [CLS, "dog", SEP, "hypernym", SEP]
 
     def test_truncation_preserves_relation_segment(self):
         tk = build_tokenizer(extra_texts=["w" + " w".join(str(i) for i in range(50))])
         long_description = " ".join(f"w{i}" for i in range(50))
         max_len = 16
-        seq = tokenize_hr(tk, "dog", long_description, "hypernym", "", max_len=max_len)
+        seq = tokenize_hr(tk, text_graph(("dog", long_description)), 0, 0,
+                          max_len=max_len)
         assert len(seq) == max_len
         assert seq[-1] == tk.sep_id
         assert tk.token_to_id["hypernym"] in seq
@@ -97,13 +106,14 @@ class TestTokenizer:
 
     def test_tail_template(self):
         tk = build_tokenizer()
-        seq = tokenize_entity(tk, "cat", "a small mammal", max_len=32)
+        graph = text_graph(("dog", "a mammal"), ("cat", "a small mammal"))
+        seq = tokenize_entity(tk, graph, 1, max_len=32)
         assert toks(tk, seq) == [CLS, "cat", "a", "small", "mammal", SEP]
 
 
 def small_encoder(seed=0, layers=1, d=8, heads=2, vocab=16, max_len=12, name="enc"):
-    cfg = TextEncoderConfig(layers=layers, hidden_dim=d, heads=heads,
-                            max_len=max_len, vocab_size=vocab)
+    cfg = ModelConfig(num_entities=1, num_base_relations=1, layers=layers,
+                      hidden_dim=d, heads=heads, max_len=max_len, vocab_size=vocab)
     return TextEncoder(cfg, np.random.default_rng(seed), name=name)
 
 
@@ -115,6 +125,13 @@ def random_prefixes(rng, layers, d, scale=1.0):
 
 
 class TestEncoder:
+    def test_shape_comes_from_the_model_config(self):
+        enc = small_encoder(layers=3, d=12, heads=3, vocab=20, max_len=9)
+        assert enc.tok_emb.value.shape == (20, 12)
+        assert enc.pos_emb.value.shape == (9, 12)
+        assert len(enc.layers) == 3
+        assert enc.layers[0]["w1"].value.shape == (12, 48)
+
     def test_zero_prefix_equals_plain(self):
         enc = small_encoder(layers=1)
         tokens = [2, 5, 7, 3]
@@ -160,7 +177,7 @@ class TestEncoder:
     def test_entity_with_empty_description_encodes(self):
         tk = build_tokenizer()
         enc = small_encoder(vocab=len(tk))
-        out = enc.encode([tokenize_entity(tk, "dog", "", 12)])
+        out = enc.encode([tokenize_entity(tk, text_graph(("dog", "")), 0, 12)])
         assert out.value.shape == (1, 8)
 
     def test_end_to_end_gradient(self):

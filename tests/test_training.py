@@ -188,14 +188,12 @@ class TestSamplerTelemetry:
 
 
 class TestTrainingMatchesReferenceGraph:
-    @pytest.mark.parametrize("share", [False, True], ids=["separate", "shared"])
     @pytest.mark.parametrize("use_ase", [True, False], ids=["ase", "no_ase"])
     @pytest.mark.parametrize("kind", list(AseKind), ids=lambda k: k.value)
-    def test_same_checksum_with_either_graph(self, kind, use_ase, share):
+    def test_same_checksum_with_either_graph(self, kind, use_ase):
         checksums = []
         for use_reference in (False, True):
-            graph, tokenizer, model = hub_relation_setup(
-                ase_kind=kind, use_ase=use_ase, share_text_encoders=share)
+            graph, tokenizer, model = hub_relation_setup(ase_kind=kind, use_ase=use_ase)
             if use_reference:
                 graph = ReferenceAsArrays(ReferenceGraph(
                     entity_records(graph), graph.relations,
