@@ -86,15 +86,17 @@ class MomentumQueue:
         """
         if tau <= 0:
             raise ValueError("temperature must be positive")
+        if k < 0:
+            raise ValueError(f"k must be non-negative, got {k}")
         mat = self._window()
         n = len(mat)
         logits = mat @ np.asarray(query, dtype=np.float64).ravel() / tau
-        members = np.arange(n)
+        members = None
         if 0 < k < n:
             kth = np.partition(logits, n - k)[n - k]
-            above = np.flatnonzero(logits >= kth)
-            if len(above) >= k:  # fewer only with NaN logits: sort them all
-                members = above
+            members = np.flatnonzero(logits >= kth)
+        if members is None or len(members) < k:  # fewer only with NaN logits
+            members = np.arange(n)
         # primary: logits descending; secondary: recency descending
         order = members[np.lexsort((-members, -logits[members]))]
         return mat[order[: min(k, n)]]
@@ -109,19 +111,23 @@ def mix_hard_negatives(hardest: np.ndarray, count: int,
     members there is nothing to mix: the raw members are returned and the
     fallback flag is set for telemetry.
 
-    Draw order, per call: one ``rng.choice(n * (n - 1), size=count)``
+    Draw order, per call: one ``rng.integers(0, n * (n - 1), size=count)``
     over the ordered pairs, pair p decoding to i = p // (n - 1) and
-    j = p % (n - 1), skipping i; then one ``rng.uniform`` with
-    ``count``-long bounds for every lam.
+    j = p % (n - 1), skipping i; then one ``rng.uniform(0.0, 1.0, count)``
+    for every lam.  These give the same numbers, and leave the generator
+    in the same state, as ``rng.choice(n * (n - 1), size=count)`` and
+    ``rng.uniform`` with ``count``-long bounds of 0 and 1.
     """
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
     hardest = np.atleast_2d(np.asarray(hardest, dtype=np.float64))
     n = hardest.shape[0]
     if n < 2:
         return hardest.copy(), True
-    pairs = rng.choice(n * (n - 1), size=count, replace=True)
+    pairs = rng.integers(0, n * (n - 1), size=count)
     i, j = np.divmod(pairs, n - 1)
     j += j >= i
-    lam = np.reshape(rng.uniform(np.zeros(count), np.ones(count)), (-1, 1))
+    lam = np.reshape(rng.uniform(0.0, 1.0, count), (-1, 1))
     mixed = lam * hardest[i] + (1.0 - lam) * hardest[j]
     norms = np.linalg.norm(mixed, axis=1, keepdims=True)
     return mixed / np.maximum(norms, 1e-12), False
@@ -135,19 +141,33 @@ def sample_intra_relation(graph: KnowledgeGraph, head: int, relation: int,
     e(h, r).  Sampled tails are never train-true for (head, relation).
     The pool is sorted by entity id and drawn from with one
     ``rng.choice(len(pool), size, replace=False)``.
+
+    The pool is never built: it is a sorted universe (e(r), or every
+    entity id in the fallback) minus the sorted positions of e(h, r) in
+    it, and each draw maps to its universe position by counting the
+    excluded positions at or below it.
     """
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
+    if not 0 <= relation < graph.num_relations:
+        raise ValueError(
+            f"relation {relation} is out of range (have {graph.num_relations} relations)")
+    if not 0 <= head < graph.num_entities:
+        raise ValueError(
+            f"head {head} is out of range (have {graph.num_entities} entities)")
     true_tails = graph.tails_by_pair(head, relation, ("train",))
-    pool = graph.tails_by_relation(relation, ("train",))
-    pool = pool[~np.isin(pool, true_tails)]
-    if not len(pool):
-        outside = np.ones(graph.num_entities, dtype=bool)
-        outside[true_tails] = False
-        pool = np.flatnonzero(outside)
-    if not len(pool):
+    universe = graph.tails_by_relation(relation, ("train",))
+    if len(true_tails) < len(universe):  # within one split e(h, r) is a subset of e(r)
+        excluded, size = universe.searchsorted(true_tails), len(universe)
+    else:  # every entity id, which is its own position
+        universe, excluded, size = None, true_tails, graph.num_entities
+    size -= len(excluded)
+    if not size:
         return []
-    take = min(count, len(pool))
-    picks = rng.choice(len(pool), size=take, replace=False)
-    return pool[picks].tolist()
+    picks = rng.choice(size, size=min(count, size), replace=False)
+    # the p-th pool member sits past the excluded positions e_i with e_i - i <= p
+    picks += (excluded - np.arange(len(excluded))).searchsorted(picks, side="right")
+    return (picks if universe is None else universe[picks]).tolist()
 
 
 def in_batch_mask(queries: list[tuple[int, int]], batch_tails: list[int],

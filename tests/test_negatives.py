@@ -171,16 +171,21 @@ class TestMixHardNegatives:
 
 
 class FixedLam:
-    """Deterministic stand-in RNG for the mixing coefficient."""
+    """Deterministic stand-in RNG for the mixing coefficient: pair codes
+    0, 1, 2, ... and a constant lam.  It records each call it serves."""
 
     def __init__(self, lam):
         self.lam = lam
+        self.calls = []
 
-    def choice(self, n, size, replace):
+    def integers(self, low, high, size):
+        self.calls.append(("integers", low, high, size))
+        assert size <= high
         return np.arange(size)
 
-    def uniform(self, lo, hi):
-        return self.lam
+    def uniform(self, low, high, size):
+        self.calls.append(("uniform", low, high, size))
+        return np.full(size, self.lam)
 
 
 A, B, X, Y, Z = range(5)
@@ -466,10 +471,25 @@ class TestMixDrawOrder:
 
     def test_pair_codes_decode_to_ordered_pairs(self):
         # FixedLam draws pair codes 0..5; lam = 0.75 makes p_i the larger part
-        out, _ = mix_hard_negatives(np.eye(3), 6, FixedLam(0.75))
+        rng = FixedLam(0.75)
+        out, _ = mix_hard_negatives(np.eye(3), 6, rng)
+        assert rng.calls == [("integers", 0, 6, 6), ("uniform", 0.0, 1.0, 6)]
         first = out.argmax(axis=1)
         second = np.where(out > 0.0, out, np.inf).argmin(axis=1)
         assert list(zip(first, second)) == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 192])
+    @pytest.mark.parametrize("count", [0, 1, 64])
+    def test_matches_the_choice_draws(self, n, count):
+        for seed in range(5):
+            parents = random_units(np.random.default_rng([seed, n]), n, 8)
+            rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):  # later calls start from the state the first left
+                out, fallback = mix_hard_negatives(parents, count, rng)
+                want, want_fallback = choice_mix_hard_negatives(parents, count, rng_ref)
+                assert out.shape == (count, 8) and fallback == want_fallback
+                assert np.array_equal(out, want)
+                assert rng.bit_generator.state == rng_ref.bit_generator.state
 
     def test_repeats_exactly_for_a_fixed_seed(self):
         parents = random_units(np.random.default_rng(24), 16, 8)
@@ -478,6 +498,22 @@ class TestMixDrawOrder:
         out_b, _ = mix_hard_negatives(parents, 64, rng_b)
         np.testing.assert_array_equal(out_a, out_b)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def choice_mix_hard_negatives(hardest, count, rng):
+    """Reference: the mixer as it drew before, with ``rng.choice`` for the
+    pairs and a ``uniform`` with array bounds for the coefficients."""
+    hardest = np.atleast_2d(np.asarray(hardest, dtype=np.float64))
+    n = hardest.shape[0]
+    if n < 2:
+        return hardest.copy(), True
+    pairs = rng.choice(n * (n - 1), size=count, replace=True)
+    i, j = np.divmod(pairs, n - 1)
+    j += j >= i
+    lam = np.reshape(rng.uniform(np.zeros(count), np.ones(count)), (-1, 1))
+    mixed = lam * hardest[i] + (1.0 - lam) * hardest[j]
+    norms = np.linalg.norm(mixed, axis=1, keepdims=True)
+    return mixed / np.maximum(norms, 1e-12), False
 
 
 def sorted_set_intra_relation(graph, head, relation, count, rng):
@@ -528,3 +564,61 @@ class TestIntraRelationMatchesSortedSets:
         assert sample_intra_relation(g, 1, 1, 3, np.random.default_rng(0)) == []
         queries = [(0, 0, 3), (0, 0, 10), (1, 1, 2), (3, 2, 2), (0, 0, 0), (4, 0, 1)]
         assert_intra_matches_reference(g, queries * 5, seed=27)
+
+    def test_large_graph_pools_and_fallbacks(self):
+        # 12,000 entities.  r0: pools of thousands, with e(h, r) of hundreds
+        # for heads 0 and 1.  r1: head 1 owns all of e(r), so every r1 query
+        # of head 1 falls back to all entities minus hundreds.  r2: no
+        # triples, a fallback with nothing excluded.  r3: head 2 links to
+        # every entity, so its pool is empty.
+        rng = np.random.default_rng(29)
+        n_e = 12_000
+        ents = [EntityRecord(f"e{i}", "", i) for i in range(n_e)]
+        rels = [RelationRecord(f"r{i}", "", i) for i in range(4)]
+        train = [Triple(int(h), 0, int(t)) for h, t in zip(
+            rng.integers(10, n_e, size=9000), rng.integers(0, 7000, size=9000))]
+        train += [Triple(0, 0, int(t)) for t in rng.choice(7000, 600, replace=False)]
+        train += [Triple(1, 0, int(t)) for t in rng.choice(n_e, 300, replace=False)]
+        train += [Triple(1, 1, int(t)) for t in rng.choice(n_e, 400, replace=False)]
+        train += [Triple(2, 3, t) for t in range(n_e)]
+        train += [Triple(3, 3, 5)]
+        g = KnowledgeGraph(ents, rels, {"train": train})
+        assert len(g.tails_by_relation(0)) > 5000
+        assert len(g.tails_by_pair(0, 0)) == 600
+        assert len(g.tails_by_relation(1)) == len(g.tails_by_pair(1, 1)) == 400
+        heads = [0, 1, 2, 3, *map(int, rng.integers(4, n_e, size=6))]
+        queries = [(h, r, count) for h in heads for r in range(4)
+                   for count in (0, 1, 3, 200)]
+        queries += [(0, 0, 7000), (1, 1, n_e), (5, 2, n_e), (3, 3, 50)]
+        assert_intra_matches_reference(g, queries, seed=30)
+
+
+class TestSamplerArgumentsRejected:
+    def test_out_of_range_relation(self):
+        g = irns_graph()
+        for relation in (2, 5, -1):
+            with pytest.raises(ValueError, match=f"relation {relation}"):
+                sample_intra_relation(g, A, relation, 2, np.random.default_rng(0))
+
+    def test_out_of_range_head(self):
+        g = irns_graph()
+        for head in (5, 40, -1):
+            with pytest.raises(ValueError, match=f"head {head}"):
+                sample_intra_relation(g, head, R, 2, np.random.default_rng(0))
+
+    def test_negative_intra_relation_count(self):
+        g = irns_graph()
+        for relation in (R, 1):  # a drawn pool and the fallback
+            with pytest.raises(ValueError, match="count"):
+                sample_intra_relation(g, A, relation, -1, np.random.default_rng(0))
+
+    def test_negative_mix_count(self):
+        with pytest.raises(ValueError, match="count"):
+            mix_hard_negatives(np.eye(3), -1, np.random.default_rng(0))
+
+    def test_negative_hardest_k(self):
+        q = MomentumQueue(8, 2)
+        q.push(random_units(np.random.default_rng(31), 5, 2))
+        with pytest.raises(ValueError, match="k must be non-negative"):
+            q.hardest(unit([1, 0]), 0.05, -1)
+        assert q.hardest(unit([1, 0]), 0.05, 0).shape == (0, 2)
