@@ -3,9 +3,12 @@ import pytest
 
 from structkgc.graph import EntityRecord, KnowledgeGraph, RelationRecord, Triple
 from structkgc.negatives import (
+    PREFILTER_MAX_SCALE,
+    UNIT_NORM_TOL,
     MomentumEncoder,
     MomentumQueue,
     in_batch_mask,
+    member_logits,
     mix_hard_negatives,
     sample_intra_relation,
 )
@@ -458,6 +461,224 @@ class TestHardestMatchesFullSort:
         np.testing.assert_array_equal(q.features(), [[1.0, 0.0]])
 
 
+def gemv_hardest(queue, query, tau, k, mat=None):
+    """Reference: ``hardest`` as it was before the float32 prefilter.  One
+    float64 gemv scores the queue, oldest first; the members at or above
+    the k-th logit are lexsorted by (-logit, -position)."""
+    mat = queue.features() if mat is None else mat
+    n = len(mat)
+    logits = mat @ np.asarray(query, dtype=np.float64).ravel() / tau
+    members = None
+    if 0 < k < n:
+        kth = np.partition(logits, n - k)[n - k]
+        members = np.flatnonzero(logits >= kth)
+    if members is None or len(members) < k:
+        members = np.arange(n)
+    order = members[np.lexsort((-members, -logits[members]))]
+    return mat[order[: min(k, n)]]
+
+
+def per_member_full_sort(queue, query, tau, k):
+    """Reference selection with ``member_logits``: a full lexsort of every
+    member by (-logit, -position), oldest first."""
+    mat = queue.features()
+    logits = member_logits(mat, np.asarray(query, dtype=np.float64).ravel(), tau)
+    order = np.lexsort((-np.arange(len(mat)), -logits))
+    return mat[order[: min(k, len(mat))]]
+
+
+def documented_delta(dim, query, tau):
+    """delta as ``MomentumQueue.hardest`` documents it, before its slack."""
+    u, lam, big_lam = 2.0 ** -24, 2.0 ** -126, 2.0 ** -1022
+    x = np.asarray(query, dtype=np.float64) / tau
+    big_x = np.sqrt(dim) * np.abs(x).max()
+    norm = 1 + 2 * UNIT_NORM_TOL
+    gamma = (dim + 4) * u / (1 - (dim + 4) * u)
+    return (gamma * norm * big_x + 8 * dim * lam * (norm + big_x + 1)
+            + 8 * dim * big_lam * (1 + 1 / tau))
+
+
+def push_in_chunks(queue, rng, total):
+    """Push ``total`` random unit rows in chunks of 1 to 2,000 rows."""
+    while total > 0:
+        size = min(total, int(rng.integers(1, 2000)))
+        queue.push(random_units(rng, size, queue.dim))
+        total -= size
+
+
+class TestHardestMatchesGemv:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_paper_scale_queue(self, seed):
+        rng = np.random.default_rng([seed, 40])
+        cap, dim = 15_360, 64
+        tau = (0.05, 0.02, 1.0)[seed % 3]
+        q = MomentumQueue(cap, dim)
+        fill = int(rng.integers(200, cap - 200))
+        stages = [
+            ("partly filled", lambda: push_in_chunks(q, rng, fill)),
+            ("wrapped", lambda: push_in_chunks(q, rng, cap - fill + int(rng.integers(1, cap)))),
+            ("push larger than capacity",
+             lambda: q.push(random_units(rng, cap + int(rng.integers(1, 999)), dim))),
+        ]
+        for stage, fill_queue in stages:
+            fill_queue()
+            mat = q.features()
+            n = len(mat)
+            assert (n < cap) == (stage == "partly filled")
+            for _ in range(2):
+                query = unit(rng.normal(size=dim)) * rng.uniform(0.5, 2.0)
+                for k in (1, 2, n - 1, 192):
+                    out = q.hardest(query, tau, k)
+                    assert out.tobytes() == gemv_hardest(q, query, tau, k, mat).tobytes(), (stage, k)
+
+
+class TestPrefilterBound:
+    def adversarial_queue(self, rng, dim):
+        """Rows at norm 1 +- 0.99e-4 and rows whose other components sit
+        around and below the float32 subnormal range."""
+        near_one = random_units(rng, 200, dim)
+        near_one[:100] *= 1 + 0.99e-4
+        near_one[100:] *= 1 - 0.99e-4
+        tiny = random_units(rng, 200, dim)
+        tiny[:, 1:] *= 10.0 ** rng.uniform(-47, -36, size=(200, dim - 1))
+        tiny /= np.linalg.norm(tiny, axis=1, keepdims=True)
+        rows = np.concatenate([near_one, tiny, random_units(rng, 100, dim)])
+        q = MomentumQueue(len(rows), dim)
+        q.push(rows)
+        return q
+
+    def test_scores_within_delta_of_logits(self):
+        rng = np.random.default_rng(41)
+        dim = 64
+        q = self.adversarial_queue(rng, dim)
+        mat = q.features()  # a full ring pushed from slot 0: in slot order
+        directions = [unit(rng.normal(size=dim)), np.eye(dim)[0],
+                      unit(np.r_[1.0, 10.0 ** rng.uniform(-45, -38, size=dim - 1)])]
+        for direction in directions:
+            for norm in 10.0 ** np.arange(-30, 31, 5):
+                for tau in (1.0, 0.05):
+                    query = direction * norm
+                    scores, delta = q._scores_and_delta(query, tau)
+                    logits = member_logits(mat, query, tau)
+                    err = np.abs(scores.astype(np.float64) - logits)
+                    assert np.isfinite(delta) and np.all(err <= delta), (norm, tau, err.max(), delta)
+
+    def test_delta_is_the_documented_bound(self):
+        rng = np.random.default_rng(44)
+        for dim in (1, 8, 64, 768):
+            q = MomentumQueue(4, dim)
+            q.push(random_units(rng, 4, dim))
+            for norm in (0.0, 1e-300, 1e-30, 1.0, 1e30):
+                for tau in (1e-300, 0.05, 1.0, 1e300):
+                    query = unit(rng.normal(size=dim)) * norm
+                    with np.errstate(over="ignore"):
+                        if not np.sqrt(dim) * np.abs(query / tau).max() <= PREFILTER_MAX_SCALE:
+                            assert q._scores_and_delta(query, tau) is None
+                            continue
+                    _, delta = q._scores_and_delta(query, tau)
+                    want = documented_delta(dim, query, tau)
+                    assert want <= delta <= want * (1 + 2.0 ** -19), (dim, norm, tau)
+
+    def test_planted_near_ties_match_full_sort(self):
+        # 60 rows whose logits lie within delta of each other, so their
+        # float32 scores are out of float64 order, and 16 rows from 0.25
+        # to 4 delta below them that straddle T - 2 delta
+        rng = np.random.default_rng(42)
+        dim, tau = 64, 0.05
+        query = unit(rng.normal(size=dim))
+        side = unit(rng.normal(size=dim) - query * (query @ rng.normal(size=dim)))
+        side = unit(side - query * (query @ side))
+
+        def at_cos(c):
+            return c * query + np.sqrt(1 - c * c) * side
+
+        cluster = at_cos(0.9) + 2e-7 * rng.normal(size=(60, dim))
+        cluster /= np.linalg.norm(cluster, axis=1, keepdims=True)
+        cluster[::7] = cluster[1]  # equal rows: equal logits, newer first
+        q = MomentumQueue(4000, dim)
+        q.push(random_units(rng, 3000, dim))
+        _, delta = q._scores_and_delta(query, tau)
+        straddle = np.stack([at_cos(0.9 - j * delta * tau / 4) for j in range(1, 17)])
+        planted = np.concatenate([cluster, straddle])
+        for part in np.array_split(planted[rng.permutation(len(planted))], 5):
+            q.push(part)
+            q.push(random_units(rng, int(rng.integers(1, 50)), dim))
+        scores, delta = q._scores_and_delta(query, tau)
+        logits = member_logits(q.features(), query, tau)  # slot order: no wrap yet
+        by_logit = np.lexsort((-np.arange(len(q)), -logits))
+        assert np.ptp(logits[by_logit[:60]]) < delta
+        # for these k the rows scoring at least the k-th score miss one of
+        # the k largest logits, so a threshold at T alone would lose it
+        lost = [k for k in range(1, 61) if scores[by_logit[:k]].min() < np.sort(scores)[-k]]
+        assert len(lost) >= 5
+        n = len(q)
+        for k in (*range(1, 62), 70, 76, 77, 200, n - 1, n):
+            out = q.hardest(query, tau, k)
+            assert out.tobytes() == per_member_full_sort(q, query, tau, k).tobytes(), k
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "huge"])
+    def test_unproven_queries_take_the_full_path(self, bad):
+        rng = np.random.default_rng(43)
+        q = MomentumQueue(64, 8)
+        q.push(random_units(rng, 50, 8))
+        query = unit(rng.normal(size=8))
+        if bad == "huge":
+            query = query * 1e300
+        else:
+            query[3] = float(bad)
+        assert q._scores_and_delta(query, 0.05) is None
+        with np.errstate(invalid="ignore"):
+            for k in (1, 3, 49, 50, 60):
+                out = q.hardest(query, 0.05, k)
+                assert out.tobytes() == per_member_full_sort(q, query, 0.05, k).tobytes(), k
+
+    def test_scale_limit(self):
+        q = MomentumQueue(8, 4)
+        q.push(np.eye(4))
+        edge = np.array([PREFILTER_MAX_SCALE / 2, 0.0, 0.0, 0.0])  # X = sqrt(4) * |x_0|
+        assert q._scores_and_delta(edge, 1.0) is not None
+        assert q._scores_and_delta(np.nextafter(edge, np.inf), 1.0) is None
+        for query in (edge, edge * 2):  # the prefilter, then the full path
+            np.testing.assert_array_equal(q.hardest(query, 1.0, 2), np.eye(4)[[0, 3]])
+
+
+class TestMemberLogits:
+    def test_independent_of_the_other_rows(self):
+        rng = np.random.default_rng(45)
+        mat = random_units(rng, 2_001, 64)
+        query = unit(rng.normal(size=64)) * 3.7
+        whole = member_logits(mat, query, 0.05)
+        for size in (*range(1, 10), 193):
+            for _ in range(20):
+                subset = rng.choice(len(mat), size=size, replace=False)
+                part = member_logits(mat[subset], query, 0.05)
+                assert part.tobytes() == whole[subset].tobytes(), size
+        for stop in range(1, 9):  # windows of every length modulo 4
+            assert member_logits(mat[:stop], query, 0.05).tobytes() == whole[:stop].tobytes()
+
+    def test_equal_rows_get_equal_logits(self):
+        rng = np.random.default_rng(46)
+        for n in (5, 6, 7, 9, 10, 11, 15_359):
+            mat = random_units(rng, n, 64)
+            for tail in range(1, n % 4 + 1):  # each of the last n % 4 rows
+                mat[n - tail] = mat[0]
+                query = unit(rng.normal(size=64))
+                logits = member_logits(mat, query, 0.05)
+                assert logits[n - tail] == logits[0], (n, tail)
+
+    def test_hardest_keeps_equal_rows_together_newest_first(self):
+        rng = np.random.default_rng(47)
+        q = MomentumQueue(15_359, 64)
+        rows = random_units(rng, 15_359, 64)
+        query = unit(rng.normal(size=64))
+        best = int(np.argmax(rows @ query))
+        rows[-3:] = rows[best]  # the best row again, at the end of the window
+        q.push(rows)
+        out = q.hardest(query, 0.05, 5)
+        np.testing.assert_array_equal(out[:4], np.repeat(rows[best][None], 4, axis=0))
+        assert out.tobytes() == per_member_full_sort(q, query, 0.05, 5).tobytes()
+
+
 class TestMixDrawOrder:
     def test_never_pairs_a_member_with_itself(self):
         # one-hot parents: a row mixed from i != j has exactly two non-zeros
@@ -622,3 +843,22 @@ class TestSamplerArgumentsRejected:
         with pytest.raises(ValueError, match="k must be non-negative"):
             q.hardest(unit([1, 0]), 0.05, -1)
         assert q.hardest(unit([1, 0]), 0.05, 0).shape == (0, 2)
+
+    def test_in_batch_mask_out_of_range_ids(self):
+        ents = [EntityRecord(f"e{i}", "", i) for i in range(3)]
+        g = KnowledgeGraph(ents, [RelationRecord("r", "", 0)], {"train": [Triple(0, 0, 1)]})
+        with pytest.raises(ValueError, match="head 7 is out of range"):
+            in_batch_mask([(0, 0), (7, 0), (0, 5)], [1, 2, 1], g)
+        with pytest.raises(ValueError, match="relation 5 is out of range"):
+            in_batch_mask([(0, 0), (1, 0), (0, 5)], [1, 2, 1], g)
+        with pytest.raises(ValueError, match="tail 3 is out of range"):
+            in_batch_mask([(0, 0), (1, 0)], [1, 3], g)
+        for queries, tails, name in (([(-1, 0)], [1], "head -1"), ([(0, -1)], [1], "relation -1"),
+                                     ([(0, 0)], [-2], "tail -2")):
+            with pytest.raises(ValueError, match=name):
+                in_batch_mask(queries, tails, g)
+        # in batch order: query 0's tail comes before query 1's head
+        with pytest.raises(ValueError, match="tail 9"):
+            in_batch_mask([(0, 0), (8, 0)], [9, 1], g)
+        assert in_batch_mask([(0, 0), (2, 0)], [1, 2], g).shape == (2, 2)
+
