@@ -9,10 +9,11 @@ per-direction breakdown.
 ``evaluate`` ranks a split in blocks of ``SCORE_BLOCK`` queries.  A scorer
 with ``block_scores`` proposes each block's score rows from one matrix
 product per scoring path, with a bound on their distance from the
-per-query ``scores``; a query keeps the ranking of its proposed row only
-when ``_certified_rank`` and ``_certified_top`` show that no scores within
-that bound could change its rank, its top list or the printed 6-decimal
-scores, and otherwise is ranked again from ``scores``, the canonical path.
+per-query ``scores``.  ``_ranked`` ranks every row; a proposed row keeps
+its ranking only when no scores within that bound could change its rank
+(``_rank``, the one count behind every rank), its top list or the printed
+6-decimal scores, and otherwise is ranked again from ``scores``, the
+canonical path.
 """
 
 from __future__ import annotations
@@ -51,24 +52,58 @@ _U = 2.0 ** -53
 _SLACK = 1 + 2.0 ** -40
 
 
-def _ids(ids) -> np.ndarray:
-    """Candidate ids as an index array, from an array or any iterable of ints."""
-    return ids if isinstance(ids, np.ndarray) else np.fromiter(ids, dtype=np.intp)
+def _ids(ids, n: int) -> np.ndarray:
+    """Candidate ids as an index array, from an array or any iterable of
+    ints; ``ValueError`` names the first id outside [0, n)."""
+    ids = ids if isinstance(ids, np.ndarray) else np.fromiter(ids, dtype=np.intp)
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        bad = ids[(ids < 0) | (ids >= n)][0]
+        raise ValueError(f"candidate id {bad} is outside [0, {n})")
+    return ids
 
 
 def filtered_rank(scores: np.ndarray, gold: int, filter_ids) -> int:
     """1 + the number of unfiltered non-gold candidates at or above gold.
 
-    Candidates in ``filter_ids`` are ignored entirely.  Score ties count
-    against the gold entity (pessimistic tie-breaking).
+    Candidates in ``filter_ids`` are ignored entirely, an id listed twice
+    once.  Score ties count against the gold entity (pessimistic
+    tie-breaking).
     """
     scores = np.asarray(scores, dtype=np.float64)
-    filtered = _ids(filter_ids)
+    filtered = _ids(filter_ids, len(scores))
     if np.any(filtered == gold):
         raise ValueError(f"gold entity {gold} is in the filter set")
-    keep = np.ones(len(scores), dtype=bool)
-    keep[filtered] = keep[gold] = False
-    return 1 + int(np.count_nonzero(keep & (scores >= scores[gold])))
+    return _rank(scores, gold, np.unique(filtered), 0.0)
+
+
+def _rank(scores: np.ndarray, gold: int, filtered: np.ndarray, delta: float) -> int | None:
+    """The filtered rank of ``gold``, or None when ``delta`` > 0 and a
+    float64 score vector within ``delta`` of ``scores``, entry by entry,
+    could rank it differently.
+
+    ``filtered`` holds distinct ids other than ``gold``.  The rank is the
+    count of kept candidates, gold included, at or above ``lo``.  With
+    ``delta`` 0, lo is the gold's score g, so ties count against the gold,
+    and a NaN g, at or above nothing, ranks 1.  With ``delta`` > 0, one sum
+    shows the row finite, and lo and hi are the floats below the computed
+    g - 2 delta and above the computed g + 2 delta.  Rounding to nearest
+    leaves a computed value closer to the exact one than to the float on
+    its other side, so any x outside [lo, hi] has |x - g| > 2 delta
+    exactly.  Moving every entry by at most ``delta`` moves x - g by at
+    most 2 delta, so no such x crosses g: the rank holds for every row
+    within ``delta`` when the gold is the only kept entry in [lo, hi].
+    """
+    g = float(scores[gold])
+    dropped = scores[filtered]
+    lo = math.nextafter(g - 2 * delta, -math.inf) if delta else g
+    rank = np.count_nonzero(scores >= lo) - np.count_nonzero(dropped >= lo)
+    if not delta:
+        return max(rank, 1)                 # a NaN gold counts nothing
+    if not math.isfinite(scores.sum()):
+        return None
+    hi = math.nextafter(g + 2 * delta, math.inf)
+    above = np.count_nonzero(scores > hi) - np.count_nonzero(dropped > hi)
+    return rank if rank == above + 1 else None    # gold alone in the band
 
 
 def top_candidates(scores: np.ndarray, filtered, k: int) -> np.ndarray:
@@ -81,7 +116,7 @@ def top_candidates(scores: np.ndarray, filtered, k: int) -> np.ndarray:
     below it get sorted.  NaN and +inf sort last, so either there means
     fewer than ``k`` such candidates, and then every candidate gets sorted.
     """
-    filtered = _ids(filtered)
+    filtered = _ids(filtered, len(scores))
     if 0 < k < len(scores) - len(filtered):
         neg = np.negative(scores, dtype=np.float64)
         neg[filtered] = np.inf
@@ -114,10 +149,10 @@ def rerank(scores: np.ndarray, neighbor_ids, alpha: float) -> np.ndarray:
     if alpha < 0:
         raise ValueError(f"re-ranking penalty must be non-negative, got {alpha}")
     scores = np.asarray(scores, dtype=np.float64)
+    ids = _ids(neighbor_ids, len(scores))
     if alpha == 0.0:
         return scores.copy()
     out = scores - alpha        # x - 0.0 is x: the e(r) entries are copied back
-    ids = _ids(neighbor_ids)
     out[ids] = scores[ids]
     return out
 
@@ -350,25 +385,6 @@ def build_report(results: list[QueryResult], fallbacks: int = 0) -> RankingRepor
     )
 
 
-def _certified_rank(scores: np.ndarray, gold: int, filtered, delta: float) -> int | None:
-    """The filtered rank of ``gold`` if every float64 score vector within
-    ``delta`` of ``scores``, entry by entry, gives it the same; else None.
-
-    One sum shows the row finite.  Then two counts over the row and two
-    over the filtered ids give the kept candidates above ``hi`` and at or
-    above ``lo``, the ends of the band ``evaluate`` describes: the rank is
-    1 + the first count when the gold is the only kept entry in the band.
-    """
-    if not math.isfinite(scores.sum()):
-        return None
-    g, margin = float(scores[gold]), 2 * delta
-    lo, hi = math.nextafter(g - margin, -math.inf), math.nextafter(g + margin, math.inf)
-    dropped = scores[_ids(filtered)]
-    above = np.count_nonzero(scores > hi) - np.count_nonzero(dropped > hi)
-    from_lo = np.count_nonzero(scores >= lo) - np.count_nonzero(dropped >= lo)
-    return 1 + above if from_lo == above + 1 else None    # gold alone in the band
-
-
 def _certified_top(scores: np.ndarray, top: np.ndarray, shown: int, delta: float) -> bool:
     """Whether every float64 score vector within ``delta`` of the finite
     ``scores`` gives the same first ``shown`` ids of ``top``, in the same
@@ -387,37 +403,29 @@ def _certified_top(scores: np.ndarray, top: np.ndarray, shown: int, delta: float
 
 
 def _ranked(raw, gold: int, filtered: np.ndarray, neighbors, alpha: float,
-            k: int | None):
-    """(re-ranked scores, filtered rank of ``gold``, top-``k`` ids or None)."""
+            k: int | None, delta: float):
+    """(re-ranked scores, filtered rank of ``gold``, top-``k`` ids or None)
+    of a row within ``delta`` of the canonical one, or None when ``delta``
+    > 0 and ``_rank`` or, for a top list, ``_certified_top`` cannot show
+    that the canonical row gives the same; with ``delta`` 0 the rank comes
+    from ``filtered_rank``.  Each side's ``rerank`` subtraction x - alpha
+    rounds by at most u |x - alpha| <= u (max |raw| + delta + alpha), which
+    widens a positive ``delta``.
+    """
     adjusted = np.asarray(raw, dtype=np.float64)
     if alpha > 0:
+        if delta:
+            size = max(adjusted.max(), -adjusted.min())
+            delta = (delta + _U * (2 * size + 2 * alpha + delta)) * _SLACK
         adjusted = rerank(adjusted, neighbors, alpha)
-    rank = filtered_rank(adjusted, gold, filtered)
-    top = None if k is None else top_candidates(adjusted, filtered, k)
-    return adjusted, rank, top
-
-
-def _certified_ranked(raw: np.ndarray, gold: int, filtered: np.ndarray, neighbors,
-                      alpha: float, k: int | None, delta: float):
-    """``_ranked`` of a row proposed within ``delta`` of the canonical one,
-    or None unless ``_certified_rank`` and, for a top list,
-    ``_certified_top`` show the canonical row would give the same.
-
-    Each side's ``rerank`` subtraction x - alpha rounds by at most
-    u |x - alpha| <= u (max |raw| + delta + alpha), which widens ``delta``.
-    """
-    adjusted = raw
-    if alpha > 0:
-        size = max(raw.max(), -raw.min())
-        delta = (delta + _U * (2 * size + 2 * alpha + delta)) * _SLACK
-        adjusted = rerank(raw, neighbors, alpha)
-    rank = _certified_rank(adjusted, gold, filtered, delta)
+    rank = (_rank(adjusted, gold, filtered, delta) if delta
+            else filtered_rank(adjusted, gold, filtered))
     if rank is None:
         return None
-    if k is None:
-        return adjusted, rank, None
-    top = top_candidates(adjusted, filtered, k)
-    return (adjusted, rank, top) if _certified_top(adjusted, top, k - 1, delta) else None
+    top = None if k is None else top_candidates(adjusted, filtered, k)
+    if delta and top is not None and not _certified_top(adjusted, top, k - 1, delta):
+        return None
+    return adjusted, rank, top
 
 
 def evaluate(
@@ -437,24 +445,12 @@ def evaluate(
 
     Queries go in blocks of ``SCORE_BLOCK``.  A scorer with
     ``block_scores`` proposes the block's rows and a bound ``delta`` on
-    their distance from ``scores``; each query keeps the ranking of its
-    proposed row only if ``_certified_rank`` and, with details,
-    ``_certified_top`` show that ``scores`` would rank and print it the
-    same, and is otherwise ranked again from ``scores`` (counted in the
-    report's ``fallbacks``).  So ranks, top ids and printed scores are
-    those of ``scores``; a kept top score differs from its ``scores`` value
-    by at most ``delta``.  A scorer with only ``scores`` proposes those
-    rows, with ``delta`` 0 and nothing to check.
-
-    The rank test is a band around the gold's score g: lo is the float
-    below the computed g - 2 delta and hi the float above the computed
-    g + 2 delta.  Rounding to nearest leaves a computed value closer to
-    the exact one than to the float on its other side, so lo < g - 2 delta
-    and hi > g + 2 delta exactly, and any x outside [lo, hi] has
-    |x - g| > 2 delta exactly.  Moving every entry by at most ``delta``
-    moves x - g by at most 2 delta, so no such x crosses g: with no kept
-    candidate in the band, the rank is 1 + the kept candidates above hi
-    for every row within ``delta``.
+    their distance from ``scores``; a scorer with only ``scores`` proposes
+    those rows, with ``delta`` 0.  Each row is ranked once by ``_ranked``.
+    A proposed row it cannot certify is ranked again, by ``_ranked`` with
+    ``delta`` 0 on ``scores``, and counted in the report's ``fallbacks``.
+    So ranks, top ids and printed scores are those of ``scores``; a kept
+    top score differs from its ``scores`` value by at most ``delta``.
     """
     if top_k < 0:
         raise ValueError(f"top_k must be non-negative, got {top_k}")
@@ -476,11 +472,10 @@ def evaluate(
                          if alpha > 0 else None)
             filtered = graph.tails_by_pair(h, r, filter_splits)
             filtered = filtered[filtered != t]
-            ranked = (_certified_ranked(raw, t, filtered, neighbors, alpha, k, delta)
-                      if delta > 0 else _ranked(raw, t, filtered, neighbors, alpha, k))
+            ranked = _ranked(raw, t, filtered, neighbors, alpha, k, delta)
             if ranked is None:
                 fallbacks += 1
-                ranked = _ranked(scorer.scores(h, r), t, filtered, neighbors, alpha, k)
+                ranked = _ranked(scorer.scores(h, r), t, filtered, neighbors, alpha, k, 0.0)
             adjusted, rank, top = ranked
             direction = "head" if graph.is_inverse_relation(r) else "tail"
             result = QueryResult(h, r, t, rank, direction)

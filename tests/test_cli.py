@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from structkgc import cli
@@ -61,6 +65,19 @@ class TestTrain:
             ])
             assert code == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_bytes_equal_across_fresh_processes(self, workspace, tmp_path):
+        # same seed and BLAS thread count, two interpreters: checkpoint and
+        # metrics bytes are equal
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for run in ("a", "b"):
+            subprocess.run([sys.executable, "-m", "structkgc.cli", "train", "--config",
+                            str(workspace["config"]), "--out", str(tmp_path / f"{run}.ckpt")],
+                           env=env, check=True, capture_output=True)
+        for name in ("ckpt", "ckpt.metrics.tsv"):
+            assert (tmp_path / f"a.{name}").read_bytes() == (tmp_path / f"b.{name}").read_bytes()
 
     def test_missing_dataset_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

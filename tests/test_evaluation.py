@@ -432,11 +432,12 @@ def quantized(rng, n, levels=6):
 
 
 def assert_same_ranking(scores, gold, filter_ids, k=10):
-    """Rank and top-k agree with the loops for a set, a list and an array."""
+    """Rank and top-k agree with the loops for a set, a list, an array and
+    a list that names every id twice."""
     expected_rank = reference_filtered_rank(scores, gold, filter_ids)
     expected_top = reference_top(scores, filter_ids, k)
     as_array = np.array(sorted(filter_ids), dtype=np.intp)
-    for ids in (set(filter_ids), sorted(filter_ids), as_array):
+    for ids in (set(filter_ids), sorted(filter_ids), as_array, sorted(filter_ids) * 2):
         assert filtered_rank(scores, gold, ids) == expected_rank
         assert top_candidates(scores, ids, k).tolist() == expected_top
 
@@ -496,6 +497,19 @@ class TestArrayRankingMatchesLoops:
             gold = int(rng.integers(0, n))
             filter_ids = set(rng.choice(n, size=n // 3, replace=False).tolist()) - {gold}
             assert_same_ranking(scores, gold, filter_ids, k=int(rng.integers(1, 12)))
+        # +-inf as well, and a NaN gold in about a third of the rows
+        rng = np.random.default_rng(26)
+        for _ in range(200):
+            n = int(rng.integers(2, 30))
+            scores = quantized(rng, n)
+            bad = rng.random(n) < 0.4
+            scores[bad] = rng.choice([np.nan, np.inf, -np.inf], size=int(bad.sum()))
+            gold = int(rng.integers(0, n))
+            if rng.random() < 0.3:
+                scores[gold] = np.nan
+            filter_ids = set(rng.choice(n, size=n // 3, replace=False).tolist()) - {gold}
+            assert_same_ranking(scores, gold, filter_ids, k=int(rng.integers(1, 12)))
+        assert filtered_rank(np.array([np.nan, 0.5, np.inf]), 0, [2]) == 1
 
     @pytest.mark.parametrize("wide", [False, True])
     def test_top_candidates_matches_one_partition_over_every_kept_id(self, wide):
@@ -524,6 +538,19 @@ class TestArrayRankingMatchesLoops:
         for ids in ({1}, [1], np.array([0, 1])):
             with pytest.raises(ValueError, match="filter"):
                 filtered_rank(np.ones(3), 1, ids)
+
+    @pytest.mark.parametrize("bad", [-1, -4, 4, 9])
+    def test_ids_outside_the_row_are_rejected(self, bad):
+        # -1 would wrap to the gold (3) or the last candidate
+        scores = np.array([0.9, 0.5, 0.7, 0.5])
+        for ids in ([bad], {0, bad}, np.array([1, bad])):
+            message = f"candidate id {bad} is outside \\[0, 4\\)"
+            with pytest.raises(ValueError, match=message):
+                filtered_rank(scores, 3, ids)
+            with pytest.raises(ValueError, match=message):
+                top_candidates(scores, ids, 4)
+            with pytest.raises(ValueError, match=message):
+                rerank(scores, ids, 0.5)
 
     def test_rerank_bit_identical(self):
         rng = np.random.default_rng(25)
@@ -719,7 +746,7 @@ def perturbations(rng, scores, gold, delta):
 def certified(scores, gold, filtered, delta, top=None, shown=0):
     """Whether the certificate keeps this ranking: its rank part, and its
     top-list part when ``top`` is given."""
-    if evaluation._certified_rank(scores, gold, filtered, delta) is None:
+    if evaluation._rank(scores, gold, filtered, delta) is None:
         return False
     return top is None or evaluation._certified_top(scores, top, shown, delta)
 
@@ -783,7 +810,7 @@ class TestCertificate:
         scores = np.array([0.9, 0.4, 0.1, 0.4, 0.2])
         assert not certified(scores, 1, [], 1e-15)
         assert certified(scores, 1, [3], 1e-15)    # the tie is filtered
-        assert certified(scores, 1, [], 0.0) is False
+        assert evaluation._rank(scores, 1, [], 0.0) == 3   # delta 0: the exact rank
 
     def test_tie_across_the_k_boundary_falls_back(self):
         k = self.K

@@ -379,12 +379,12 @@ def _gather(table, idx):
 # ---------------------------------------------------------------------------
 
 def full_sort_hardest(queue, query, tau, k):
-    """Reference selection: a full lexsort of every member, oldest first."""
+    """Reference selection with ``member_logits``: a full lexsort of every
+    member by (-logit, -position), oldest first."""
     mat = queue.features()
-    logits = mat @ np.asarray(query, dtype=np.float64).ravel() / tau
-    recency = np.arange(len(mat))
-    order = np.lexsort((-recency, -logits))
-    return mat[order[: min(k, len(order))]]
+    logits = member_logits(mat, np.asarray(query, dtype=np.float64).ravel(), tau)
+    order = np.lexsort((-np.arange(len(mat)), -logits))
+    return mat[order[: min(k, len(mat))]]
 
 
 def assert_hardest_matches_full_sort(queue, query, tau, ks):
@@ -476,15 +476,6 @@ def gemv_hardest(queue, query, tau, k, mat=None):
         members = np.arange(n)
     order = members[np.lexsort((-members, -logits[members]))]
     return mat[order[: min(k, n)]]
-
-
-def per_member_full_sort(queue, query, tau, k):
-    """Reference selection with ``member_logits``: a full lexsort of every
-    member by (-logit, -position), oldest first."""
-    mat = queue.features()
-    logits = member_logits(mat, np.asarray(query, dtype=np.float64).ravel(), tau)
-    order = np.lexsort((-np.arange(len(mat)), -logits))
-    return mat[order[: min(k, len(mat))]]
 
 
 def documented_delta(dim, query, tau):
@@ -614,7 +605,7 @@ class TestPrefilterBound:
         n = len(q)
         for k in (*range(1, 62), 70, 76, 77, 200, n - 1, n):
             out = q.hardest(query, tau, k)
-            assert out.tobytes() == per_member_full_sort(q, query, tau, k).tobytes(), k
+            assert out.tobytes() == full_sort_hardest(q, query, tau, k).tobytes(), k
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "huge"])
     def test_unproven_queries_take_the_full_path(self, bad):
@@ -630,7 +621,7 @@ class TestPrefilterBound:
         with np.errstate(invalid="ignore"):
             for k in (1, 3, 49, 50, 60):
                 out = q.hardest(query, 0.05, k)
-                assert out.tobytes() == per_member_full_sort(q, query, 0.05, k).tobytes(), k
+                assert out.tobytes() == full_sort_hardest(q, query, 0.05, k).tobytes(), k
 
     def test_scale_limit(self):
         q = MomentumQueue(8, 4)
@@ -676,7 +667,7 @@ class TestMemberLogits:
         q.push(rows)
         out = q.hardest(query, 0.05, 5)
         np.testing.assert_array_equal(out[:4], np.repeat(rows[best][None], 4, axis=0))
-        assert out.tobytes() == per_member_full_sort(q, query, 0.05, 5).tobytes()
+        assert out.tobytes() == full_sort_hardest(q, query, 0.05, 5).tobytes()
 
 
 class TestMixDrawOrder:
