@@ -18,7 +18,6 @@ import contextlib
 import threading
 
 import numpy as np
-from scipy.special import erf
 
 DEFAULT_NORM_EPS = 1e-12
 
@@ -195,8 +194,11 @@ def gelu(a: Node) -> Node:
     """Exact Gaussian-error-function GELU (smooth, finite-difference safe).
 
     The Gaussian pdf is only needed by the derivative, so only the
-    vector-Jacobian callback computes it.
+    vector-Jacobian callback computes it.  scipy is imported here, by the
+    text path only, so a process that never encodes text never loads it.
     """
+    from scipy.special import erf
+
     x = a.value
     cdf = 0.5 * (1.0 + erf(x / _SQRT2))
 

@@ -18,7 +18,10 @@ canonical path.
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +38,8 @@ DEFAULT_FILTER_SPLITS = ("train", "valid", "test")
 # and its queries.  One padded pass per chunk amortises the per-op
 # overhead; the chunk bounds the (chunk, heads, L, L + 1) attention
 # arrays, ~4.3 MB each at 4 heads and max_len 64, so peak memory grows
-# with neither the entity count nor the query count.
+# with the number of usable CPUs, one chunk in flight on each, and with
+# neither the entity count nor the query count.
 ENCODE_CHUNK = 32
 # Queries per score block.  ``ModelScorer`` scores a block with one matrix
 # product per path instead of one matrix-vector product per query, each of
@@ -67,9 +71,11 @@ def filtered_rank(scores: np.ndarray, gold: int, filter_ids) -> int:
 
     Candidates in ``filter_ids`` are ignored entirely, an id listed twice
     once.  Score ties count against the gold entity (pessimistic
-    tie-breaking).
+    tie-breaking).  A gold or filter id outside [0, n) is a ``ValueError``.
     """
     scores = np.asarray(scores, dtype=np.float64)
+    if not 0 <= gold < len(scores):
+        raise ValueError(f"gold entity {gold} is outside [0, {len(scores)})")
     filtered = _ids(filter_ids, len(scores))
     if np.any(filtered == gold):
         raise ValueError(f"gold entity {gold} is in the filter set")
@@ -198,10 +204,13 @@ class ModelScorer:
     side, and on the query side the text queries of the distinct
     ``pairs`` in first-seen order and their unit structural queries in one
     batched build.  Text goes through the encoders in padded batches of
-    at most ``ENCODE_CHUNK`` sequences.  The scorer keeps these arrays and
-    no reference to the model, so later parameter updates do not reach it;
-    ``scores`` is one or two matrix-vector products, and ``block_scores``
-    one or two matrix products for a block of pairs.
+    at most ``ENCODE_CHUNK`` sequences, encoded at the same time on the
+    calling thread and one helper thread per other usable CPU, with the
+    same bytes as one after another (``_encode_in_chunks``).  The scorer
+    keeps these arrays and no reference to the model, so later parameter
+    updates do not reach it; ``scores`` is one or two matrix-vector
+    products, and ``block_scores`` one or two matrix products for a block
+    of pairs.
     """
 
     def __init__(self, model: Model, graph: KnowledgeGraph,
@@ -306,10 +315,52 @@ def _dot_bound(d: int) -> tuple[float, float]:
 
 
 def _encode_in_chunks(encode, keys, tokenize) -> np.ndarray:
-    """Rows of ``encode(tokens, keys)`` over ``ENCODE_CHUNK``-sized slices."""
+    """Rows of ``encode(tokens, keys)`` over ``ENCODE_CHUNK``-sized slices.
+
+    The calling thread and one helper per other CPU the process may use,
+    never more threads than slices, take the slices in order from one
+    counter; each thread records no tape, and rows come back in key
+    order.  numpy's gemms and ufuncs release the GIL, and each slice is
+    the same call on the same inputs as in a serial loop, so the rows are
+    the same bytes.  No thread starts a slice above a failed one, and
+    every thread is joined.  Each slice below a failed one was taken
+    before it and still runs, so the error raised is that of the lowest
+    failing slice, the one a serial loop raises.
+    """
     chunks = [keys[start:start + ENCODE_CHUNK] for start in range(0, len(keys), ENCODE_CHUNK)]
-    return np.concatenate([encode([tokenize(key) for key in chunk], chunk).value
-                           for chunk in chunks])
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    rows = [None] * len(chunks)         # a slice's rows, or the error it raised
+    # a failed slice, once there is one; any will do, so two failures need
+    # no lock: every slice below either was taken before it
+    stop = len(chunks)
+    order = itertools.count()
+
+    def work():
+        nonlocal stop
+        with ad.no_grad():
+            for i in order:
+                if i >= stop:
+                    return
+                try:
+                    rows[i] = encode([tokenize(key) for key in chunks[i]], chunks[i]).value
+                except BaseException as error:
+                    rows[i], stop = error, i
+
+    helpers = [threading.Thread(target=work)
+               for _ in range(min(cpus, len(chunks)) - 1)]
+    try:
+        for helper in helpers:
+            helper.start()
+        work()
+    finally:
+        for helper in helpers:
+            if helper.ident is not None:    # started
+                helper.join()
+    for row in rows:
+        if isinstance(row, BaseException):
+            raise row
+    return np.concatenate(rows)
 
 
 # ---------------------------------------------------------------------------

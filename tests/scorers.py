@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from structkgc import autodiff as ad
+from structkgc import evaluation
 from structkgc.text import tokenize_hr
 
 
@@ -28,3 +29,12 @@ def encode_one_query(model, graph, tokenizer, head: int, relation: int) -> np.nd
     tokens = tokenize_hr(tokenizer, graph, head, relation, model.config.max_len)
     with ad.no_grad():
         return model.encode_queries([tokens], [(head, relation)]).value[0]
+
+
+def serial_encode_in_chunks(encode, keys, tokenize) -> np.ndarray:
+    """The scorer's text rows one ``ENCODE_CHUNK`` slice after another on
+    the calling thread: the loop the threaded build replaced."""
+    size = evaluation.ENCODE_CHUNK
+    chunks = [keys[start:start + size] for start in range(0, len(keys), size)]
+    return np.concatenate([encode([tokenize(key) for key in chunk], chunk).value
+                           for chunk in chunks])

@@ -31,6 +31,15 @@ seed = 0
 """
 
 
+def fresh_env(blas_threads: int) -> dict:
+    """The environment of a fresh interpreter that imports this checkout's
+    ``src`` and runs BLAS on ``blas_threads`` threads."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
+                OMP_NUM_THREADS=str(blas_threads),
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -69,13 +78,10 @@ class TestTrain:
     def test_bytes_equal_across_fresh_processes(self, workspace, tmp_path):
         # same seed and BLAS thread count, two interpreters: checkpoint and
         # metrics bytes are equal
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         for run in ("a", "b"):
             subprocess.run([sys.executable, "-m", "structkgc.cli", "train", "--config",
                             str(workspace["config"]), "--out", str(tmp_path / f"{run}.ckpt")],
-                           env=env, check=True, capture_output=True)
+                           env=fresh_env(1), check=True, capture_output=True)
         for name in ("ckpt", "ckpt.metrics.tsv"):
             assert (tmp_path / f"a.{name}").read_bytes() == (tmp_path / f"b.{name}").read_bytes()
 
@@ -134,6 +140,35 @@ class TestEval:
         main(args)
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestFreshProcesses:
+    @pytest.mark.parametrize("mode", ["text", "combined"])
+    def test_eval_bytes_equal_across_blas_thread_counts(self, workspace, tmp_path, mode):
+        # the threaded text-table build relies on this: a row's bytes do not
+        # depend on how many threads BLAS runs
+        outputs = []
+        for threads in (1, 2):
+            detail = tmp_path / f"detail{threads}.tsv"
+            run = subprocess.run(
+                [sys.executable, "-m", "structkgc.cli", "eval", "--dataset",
+                 str(workspace["data"]), "--checkpoint", str(workspace["ckpt"]),
+                 "--split", "test", "--score-mode", mode, "--detail", str(detail)],
+                env=fresh_env(threads), check=True, capture_output=True)
+            outputs.append((run.stdout, detail.read_bytes()))
+        assert b"MRR\t" in outputs[0][0]
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("mode,loads_scipy", [("struct", False), ("text", True)])
+    def test_only_the_text_path_imports_scipy(self, workspace, mode, loads_scipy):
+        script = ("import sys; from structkgc.cli import main; "
+                  "code = main(sys.argv[1:]); print(code, 'scipy.special' in sys.modules)")
+        run = subprocess.run(
+            [sys.executable, "-c", script, "eval", "--dataset", str(workspace["data"]),
+             "--checkpoint", str(workspace["ckpt"]), "--split", "test",
+             "--score-mode", mode],
+            env=fresh_env(1), check=True, capture_output=True, text=True)
+        assert run.stdout.splitlines()[-1] == f"0 {loads_scipy}"
 
 
 class TestMiou:

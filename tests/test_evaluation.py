@@ -1,12 +1,18 @@
 import copy
 import dataclasses
 import gc
+import itertools
 import re
+import sys
+import threading
+import time
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from structkgc import autodiff as ad
 from structkgc import evaluation
 from structkgc.data import build_tokenizer
 from structkgc.evaluation import (
@@ -30,7 +36,7 @@ from structkgc.text import tokenize_entity
 from structkgc.toygen import make_text_toy
 
 from graph_reference import ReferenceGraph
-from scorers import TableScorer, encode_one_query
+from scorers import TableScorer, encode_one_query, serial_encode_in_chunks
 
 
 def oracle_rank(scores, gold, filter_ids):
@@ -145,6 +151,12 @@ class TestFilteredRank:
     def test_gold_in_filter_rejected(self):
         with pytest.raises(ValueError, match="filter"):
             filtered_rank(np.ones(3), 1, {1})
+
+    @pytest.mark.parametrize("gold", [-1, -3, 3, 8])
+    def test_gold_outside_the_row_rejected(self, gold):
+        # -1 would wrap to the last candidate and rank it; 3 would index past the row
+        with pytest.raises(ValueError, match=rf"gold entity {gold} is outside \[0, 3\)"):
+            filtered_rank(np.array([0.9, 0.5, 0.7]), gold, [])
 
     def test_matches_oracle_on_random_instances(self):
         rng = np.random.default_rng(0)
@@ -702,6 +714,193 @@ class TestModelScorerMatchesModel:
         assert [ref() for ref in refs] == [None] * len(refs)
         h, r = g.triples("test")[0, :2].tolist()
         assert np.isfinite(scorer.scores(h, r)).all()
+
+
+# ---------------------------------------------------------------------------
+# the threaded text-table build against the serial loop
+# ---------------------------------------------------------------------------
+
+def use_cpus(monkeypatch, count):
+    """Make ``count`` CPUs usable as far as the scorer's build can tell."""
+    monkeypatch.setattr(evaluation.os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
+
+
+def first_pairs(graph, count):
+    return list(dict.fromkeys(map(tuple, split_pairs(graph, "train", "test").tolist())))[:count]
+
+
+class TestThreadedEncode:
+    # 14 entities and 14 pairs: chunks of 14, 7 and 4 make one chunk, two,
+    # and three full ones and a short last one; 8 CPUs are more than the
+    # 4 chunks, and 1 CPU runs the build on the calling thread alone
+    @pytest.mark.parametrize("kind", list(AseKind))
+    @pytest.mark.parametrize("mode", ["text", "combined"])
+    @pytest.mark.parametrize("chunk,cpus", [(14, 2), (7, 2), (4, 2), (4, 8), (4, 1)])
+    def test_tables_equal_the_serial_loop_byte_for_byte(self, monkeypatch, kind, mode,
+                                                        chunk, cpus):
+        g, tokenizer, model = text_struct_model(kind)
+        pairs = first_pairs(g, 14)
+        assert g.num_entities == len(pairs) == 14
+        monkeypatch.setattr(evaluation, "ENCODE_CHUNK", chunk)
+        use_cpus(monkeypatch, cpus)
+        threaded = ModelScorer(model, g, tokenizer, pairs, mode=mode, beta=0.3)
+        monkeypatch.setattr(evaluation, "_encode_in_chunks", serial_encode_in_chunks)
+        serial = ModelScorer(model, g, tokenizer, pairs, mode=mode, beta=0.3)
+        for got, want in [(threaded._tail_matrix, serial._tail_matrix),
+                          (threaded._text_queries, serial._text_queries)]:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cpus,threads", [(1, 1), (2, 2), (8, 4)])
+    def test_threads_run_chunks_at_once_with_recording_off(self, monkeypatch, cpus, threads):
+        # 14 keys in chunks of 4 make 4 chunks per table; each encode waits
+        # until ``threads`` encodes run at once, so a missing thread times
+        # out, and the live threads are counted while all of them wait
+        g, tokenizer, model = text_struct_model(AseKind.ROTATION)
+        monkeypatch.setattr(evaluation, "ENCODE_CHUNK", 4)
+        use_cpus(monkeypatch, cpus)
+        before = threading.active_count()
+        calls, alive = {"encode_tails": [], "encode_queries": []}, []
+
+        def spy(name):
+            encode = getattr(model, name)
+            barrier = threading.Barrier(
+                threads, action=lambda: alive.append(threading.active_count()), timeout=30)
+
+            def wrapped(tokens, keys):
+                barrier.wait()
+                recording = ad._mode.recording
+                out = encode(tokens, keys)
+                calls[name].append((threading.get_ident(), recording, out._parents))
+                return out
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(model, name, spy(name))
+        ModelScorer(model, g, tokenizer, first_pairs(g, 14), mode="text")
+        for table in calls.values():
+            assert len(table) == 4
+            assert len({ident for ident, *_ in table}) == threads
+            assert all(recording is False and parents == () for _, recording, parents in table)
+        assert alive == [before + threads - 1] * (8 // threads)
+        assert threading.active_count() == before
+
+    def test_the_lowest_failing_chunk_raises(self, monkeypatch):
+        # chunks of 4 on 4 threads: entity 5 fails in chunk 1 and entity 9 in
+        # chunk 2; chunk 1 starts slow, so chunk 2 fails first, and chunk 1's
+        # error, the serial loop's, is the one raised
+        g, tokenizer, model = text_struct_model(AseKind.ROTATION)
+        monkeypatch.setattr(evaluation, "ENCODE_CHUNK", 4)
+        use_cpus(monkeypatch, 4)
+        tokenize = evaluation.tokenize_entity
+
+        def failing(tok, graph, entity, max_len):
+            if entity == 4:
+                time.sleep(0.2)
+            if entity in (5, 9):
+                raise LookupError(f"entity {entity}")
+            return tokenize(tok, graph, entity, max_len)
+
+        monkeypatch.setattr(evaluation, "tokenize_entity", failing)
+        before = threading.active_count()
+        with pytest.raises(LookupError, match="entity 5"):
+            ModelScorer(model, g, tokenizer, [(0, 0)], mode="text")
+        assert threading.active_count() == before
+        monkeypatch.setattr(evaluation, "_encode_in_chunks", serial_encode_in_chunks)
+        with pytest.raises(LookupError, match="entity 5"):
+            ModelScorer(model, g, tokenizer, [(0, 0)], mode="text")
+
+    def test_a_chunk_taken_before_a_failure_still_runs(self, monkeypatch):
+        # chunks of one entity on two threads: the thread that takes chunk 0
+        # stalls before starting it while chunk 1 fails; chunk 0 still runs,
+        # so its error, the serial loop's, is the one raised
+        g, tokenizer, model = text_struct_model(AseKind.ROTATION)
+        monkeypatch.setattr(evaluation, "ENCODE_CHUNK", 1)
+        use_cpus(monkeypatch, 2)
+
+        class StallAfterZero:
+            def __init__(self):
+                self.inner = itertools.count()
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                i = next(self.inner)
+                if i == 0:
+                    time.sleep(0.2)
+                return i
+
+        def failing(tok, graph, entity, max_len):
+            raise LookupError(f"entity {entity}")
+
+        monkeypatch.setattr(evaluation, "itertools", SimpleNamespace(count=StallAfterZero))
+        monkeypatch.setattr(evaluation, "tokenize_entity", failing)
+        with pytest.raises(LookupError, match="entity 0"):
+            ModelScorer(model, g, tokenizer, [(0, 0)], mode="text")
+
+    def test_stress_more_threads_than_cores(self, monkeypatch):
+        # 8 threads take one-entity chunks, switching as often as the
+        # interpreter allows: no chunk is encoded twice, a build with no
+        # failure gives the serial loop's bytes, and one with failures
+        # runs every chunk below the lowest and raises that chunk's error
+        g, tokenizer, model = text_struct_model(AseKind.ROTATION)
+        monkeypatch.setattr(evaluation, "ENCODE_CHUNK", 1)
+        use_cpus(monkeypatch, 8)
+        tokenize = evaluation.tokenize_entity
+        with monkeypatch.context() as serial:
+            serial.setattr(evaluation, "_encode_in_chunks", serial_encode_in_chunks)
+            want = ModelScorer(model, g, tokenizer, [(0, 0)], mode="text")._tail_matrix
+        rng = np.random.default_rng(3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(30):
+                failing = set(rng.choice(14, size=int(rng.integers(0, 3)), replace=False).tolist())
+                seen = []
+
+                def flaky(tok, graph, entity, max_len):
+                    seen.append(entity)
+                    if entity in failing:
+                        raise LookupError(f"entity {entity}")
+                    return tokenize(tok, graph, entity, max_len)
+
+                monkeypatch.setattr(evaluation, "tokenize_entity", flaky)
+                if failing:
+                    with pytest.raises(LookupError, match=f"entity {min(failing)}$"):
+                        ModelScorer(model, g, tokenizer, [(0, 0)], mode="text")
+                    assert set(range(min(failing) + 1)) <= set(seen)
+                else:
+                    got = ModelScorer(model, g, tokenizer, [(0, 0)], mode="text")._tail_matrix
+                    assert got.tobytes() == want.tobytes()
+                    assert sorted(seen) == list(range(14))
+                assert len(seen) == len(set(seen))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_no_chunk_starts_after_a_failure(self, monkeypatch):
+        # chunks of one entity on two threads: entity 0 fails at once while
+        # entity 1 is slow, so no thread takes entity 2 or a later one
+        g, tokenizer, model = text_struct_model(AseKind.ROTATION)
+        monkeypatch.setattr(evaluation, "ENCODE_CHUNK", 1)
+        use_cpus(monkeypatch, 2)
+        tokenize = evaluation.tokenize_entity
+        seen = []
+
+        def failing(tok, graph, entity, max_len):
+            seen.append(entity)
+            if entity == 0:
+                raise LookupError("entity 0")
+            if entity == 1:
+                time.sleep(0.2)
+            return tokenize(tok, graph, entity, max_len)
+
+        monkeypatch.setattr(evaluation, "tokenize_entity", failing)
+        before = threading.active_count()
+        with pytest.raises(LookupError, match="entity 0"):
+            ModelScorer(model, g, tokenizer, [(0, 0)], mode="text")
+        assert set(seen) <= {0, 1}
+        assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------
