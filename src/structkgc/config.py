@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from .graph import DataError, read_text
 from .model import ModelConfig
 from .structural import AseKind
 from .training import TrainConfig
@@ -137,19 +138,22 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
     values: dict = {}
     field_types = {f.name: f.type for f in fields(RunConfig)}
     type_map = {"int": int, "float": float, "bool": bool, "str": str}
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{line_no}: expected key=value")
-            key, raw = stripped.split("=", 1)
-            key = key.strip()
-            if key not in field_types:
-                raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
-            ftype = type_map.get(field_types[key], str)
-            values[key] = _coerce(ftype, raw, key)
+    try:
+        text = read_text(path)
+    except DataError as e:
+        raise ConfigError(str(e)) from None
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{line_no}: expected key=value")
+        key, raw = stripped.split("=", 1)
+        key = key.strip()
+        if key not in field_types:
+            raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
+        ftype = type_map.get(field_types[key], str)
+        values[key] = _coerce(ftype, raw, key)
     if overrides:
         values.update(overrides)
     return RunConfig(**values)

@@ -13,18 +13,31 @@ appends inverse triples to every split so head prediction becomes tail
 prediction over inverse relations, with filtering correct in both
 directions.
 
-Every file is read in one pass, as columns, with no object per line:
-its non-blank lines are split once, and a tab count per line checks
-the column count.
+Every file is read whole as UTF-8 text with universal newlines (a byte
+that is not UTF-8 is a ``DataError`` naming its line), in one pass, as
+columns, with no object per line of a triple file.  A line counts when
+``str.strip()`` would not empty it.
 
-- A vocabulary file's lines have one to three columns.  Shorter lines
-  are padded to three, each column is one slice of the split fields,
-  and the strip and the name fallback run per column; a duplicate id
-  shows as an id map shorter than the file.  The graph keeps the name
-  and description columns as they are.
-- A triple file's lines have three columns, each mapped through the id
-  maps into an int64 array, with -1 for an id the vocabulary files do
-  not declare; the inverses are one array operation on the result.
+- A vocabulary file's lines have one to three columns.  Its non-blank
+  lines are split once, shorter lines padded to three, each column is
+  one slice of the split fields, and the strip and the name fallback run
+  per column.  The graph keeps the name and description columns as
+  ``str`` lists; the raw ids become an :class:`_IdIndex`, where a
+  duplicate id shows as two equal adjacent keys.
+- A triple file stays bytes: numpy finds its newlines and tabs, drops
+  the blank lines, checks that every other line has two tabs, and the
+  indexes map each column to an int64 array of dense ids, with -1 for an
+  id the vocabulary files do not declare.  The inverses are one array
+  operation on the result.
+
+An id is looked up by a key: its UTF-8 bytes, a newline byte and zero
+padding, as little-endian uint64 words, as many as the vocabulary's
+longest id needs.  No id holds a newline, so the first one ends the id,
+``"ab"`` and ``"ab\\0"`` differ, and a field longer than every id packs
+no newline and matches nothing.  Keys are searched by a one-word digest
+(the key itself when it is one word), and every match is confirmed by
+comparing all of its words, so a digest shared by two ids costs a
+compare, never a wrong id.
 
 Only when a line is bad (a wrong column count, a duplicate or an
 undeclared id) is the file scanned again line by line, to raise a
@@ -46,6 +59,7 @@ from .graph import (
     RelationRecord,
     add_inverse_triples,
     inverse_relation_records,
+    read_text,
 )
 from .text import Tokenizer
 
@@ -63,26 +77,128 @@ class Dataset:
 
 def _read_rows(path, min_cols, max_cols):
     rows = []
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            cols = line.split("\t")
-            if not min_cols <= len(cols) <= max_cols:
-                raise DataError(
-                    path, line_no,
-                    f"expected {min_cols}..{max_cols} tab-separated columns, "
-                    f"got {len(cols)}",
-                )
-            rows.append((line_no, cols))
+    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        cols = line.split("\t")
+        if not min_cols <= len(cols) <= max_cols:
+            raise DataError(
+                path, line_no,
+                f"expected {min_cols}..{max_cols} tab-separated columns, "
+                f"got {len(cols)}",
+            )
+        rows.append((line_no, cols))
     return rows
+
+
+# Per byte of UTF-8 text, for finding blank lines: 2 where the byte is, or
+# leads, a character that ``str.isspace()`` refuses; 1 where it leads a
+# character that may be a space (U+0085, U+00A0, U+1680, U+2000..U+205F and
+# U+3000 all start with one of these four bytes); 0 for ASCII whitespace
+# and for continuation bytes, which their lead byte stands for.
+_BYTE_CLASS = bytes(
+    0 if b < 0x80 and chr(b).isspace() or 0x80 <= b < 0xC0
+    else 1 if b in b"\xc2\xe1\xe2\xe3" else 2
+    for b in range(256))
+
+
+def _lines(data: bytes, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Start and end offsets of the lines of ``data[:size]`` (UTF-8 text
+    split at newlines), and which of them ``str.strip()`` would not empty."""
+    text = np.frombuffer(data, np.uint8, size)
+    ends = np.flatnonzero(text == 10)
+    if size and text[-1] != 10:
+        ends = np.append(ends, size)
+    starts = np.r_[0, ends + 1][:len(ends)]
+    kind = np.frombuffer(_BYTE_CLASS, np.uint8)[text[starts]]
+    unsure = np.flatnonzero(kind != 2)  # lines that do not start with a non-space
+    if len(unsure):
+        bounds = np.stack([starts[unsure], ends[unsure]], axis=1).ravel()
+        classes = np.frombuffer(data.translate(_BYTE_CLASS) + b"\0", np.uint8)
+        kind[unsure] = np.maximum.reduceat(classes, bounds)[::2]
+    for i in np.flatnonzero(kind == 1):  # decode only lines that may be all spaces
+        if data[starts[i]:ends[i]].decode("utf-8").strip():
+            kind[i] = 2
+    return starts, ends, kind == 2
+
+
+# Indexed by a word's bytes left in its field, clipped to -1..8, plus one:
+# the mask that keeps the field's bytes, and the newline that ends it.
+_WORD_MASK = np.array([0] + [(1 << 8 * n) - 1 for n in range(9)], np.uint64)
+_WORD_END = np.array([0] + [10 << 8 * n for n in range(8)] + [0], np.uint64)
+_DIGEST_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _pack(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+          width: int) -> np.ndarray:
+    """The ``(n, width)`` uint64 keys of the fields ``buf[start:start +
+    length]``; ``buf`` has 8 zero bytes past its last field."""
+    words = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))  # the word at each byte
+    keys = np.empty((len(starts), width), np.uint64)
+    for j in range(width):
+        left = np.clip(lengths - 8 * j, -1, 8) + 1
+        word = words[np.minimum(starts + 8 * j, len(words) - 1)]
+        keys[:, j] = (word & _WORD_MASK[left]) | _WORD_END[left]
+    return keys
+
+
+def _digest(keys: np.ndarray) -> np.ndarray:
+    """One uint64 per key, the key itself when it is one word."""
+    digest = keys[:, 0]
+    for j in range(1, keys.shape[1]):
+        digest = digest * _DIGEST_MULTIPLIER + keys[:, j]  # wraps modulo 2**64
+    return digest
+
+
+def _joined(strings: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The UTF-8 bytes of ``strings`` joined by tabs, with 8 zero bytes
+    after, and each string's start and length in them; no string may
+    hold a tab."""
+    data = "\t".join(strings).encode("utf-8")
+    buf = np.frombuffer(data + bytes(8), np.uint8)
+    tabs = np.flatnonzero(buf[:len(data)] == 9)
+    starts = np.r_[0, tabs + 1][:len(strings)]
+    return buf, starts, np.r_[tabs, len(data)][:len(strings)] - starts
+
+
+class _IdIndex:
+    """The raw ids of a vocabulary file, looked up exactly by their bytes.
+
+    The keys are sorted once, by digest and then word by word, so equal
+    ids sit side by side, and so do ids whose digests collide."""
+
+    def __init__(self, raw_ids: list[str]):
+        self.raw_ids = raw_ids
+        buf, starts, lengths = _joined(raw_ids)
+        self.width = int(lengths.max(initial=0)) // 8 + 1
+        keys = _pack(buf, starts, lengths, self.width)
+        digests = _digest(keys)
+        self.ids = np.lexsort((*keys.T[::-1], digests))
+        self.keys, self.digests = keys[self.ids], digests[self.ids]
+        # the most ids that share one digest: 1 unless digests collide
+        self.most_sharing = int(np.unique(self.digests, return_counts=True)[1].max(initial=0))
+
+    def has_duplicates(self) -> bool:
+        return bool(np.any(np.all(self.keys[1:] == self.keys[:-1], axis=1)))
+
+    def lookup(self, buf: np.ndarray, starts: np.ndarray,
+               lengths: np.ndarray) -> np.ndarray:
+        """The dense id of each field ``buf[start:start + length]``, -1
+        where no id has its bytes; ``buf`` as :func:`_pack` takes it."""
+        keys = _pack(buf, starts, lengths, self.width)
+        unique, inverse = np.unique(_digest(keys), return_inverse=True)
+        first = np.searchsorted(self.digests, unique)[inverse]
+        ids = np.full(len(keys), -1, np.int64)
+        for step in range(self.most_sharing):  # compare every word of each candidate
+            at = np.minimum(first + step, len(self.keys) - 1)
+            match = np.all(self.keys[at] == keys, axis=1)
+            ids[match] = self.ids[at[match]]
+        return ids
 
 
 def _read_lines(path) -> tuple[list[str], np.ndarray]:
     """The file's non-blank lines and the tab count of each."""
-    with open(path, encoding="utf-8") as f:
-        lines = [line for line in f.read().split("\n") if line.strip()]
+    lines = [line for line in read_text(path).split("\n") if line.strip()]
     return lines, np.fromiter(map(str.count, lines, repeat("\t")), dtype=np.int64,
                               count=len(lines))
 
@@ -91,8 +207,8 @@ _PADDING = ("\t\t", "\t", "")  # by tab count
 
 
 def _read_vocabulary(path, kind: str):
-    """Names, descriptions, raw ids and the raw-to-dense id map of an
-    entity or relation file, read as columns."""
+    """Names, descriptions and the id index of an entity or relation file,
+    read as columns."""
     lines, tabs = _read_lines(path)
     n = len(lines)
     if np.any(tabs > 2):
@@ -101,14 +217,14 @@ def _read_vocabulary(path, kind: str):
         lines = [line + _PADDING[t] for line, t in zip(lines, tabs.tolist())]
     fields = "\t".join(lines).split("\t") if n else []
     raw_ids = fields[0::3]
-    ids = dict(zip(raw_ids, range(n)))
-    if len(ids) != n:
+    index = _IdIndex(raw_ids)
+    if index.has_duplicates():
         _raise_vocabulary_error(path, kind)
     names = list(map(str.strip, fields[1::3]))
     if "" in names:  # missing name -> raw id
         names = [name or raw for name, raw in zip(names, raw_ids)]
     descriptions = list(map(str.strip, fields[2::3]))
-    return names, descriptions, raw_ids, ids
+    return names, descriptions, index
 
 
 def _raise_vocabulary_error(path, kind: str):
@@ -121,26 +237,30 @@ def _raise_vocabulary_error(path, kind: str):
     raise AssertionError(f"{path} has no bad line to report")
 
 
-def _read_triples(path, entity_ids: dict[str, int],
-                  relation_ids: dict[str, int]) -> np.ndarray:
+def _read_triples(path, entities: _IdIndex, relations: _IdIndex) -> np.ndarray:
     """The file's triples as an (n, 3) int64 array of dense ids."""
-    lines, tabs = _read_lines(path)
-    n = len(lines)
-    if np.any(tabs != 2):
-        _raise_first_error(path, entity_ids, relation_ids)
-    fields = "\t".join(lines).split("\t")
-    columns = [
-        np.fromiter(map(table.get, fields[c::3], repeat(-1)), dtype=np.int64, count=n)
-        for c, table in enumerate((entity_ids, relation_ids, entity_ids))
-    ]
-    triples = np.stack(columns, axis=1)
+    data = read_text(path).encode("utf-8") + bytes(8)  # zero bytes past the end, for _pack
+    starts, ends, nonblank = _lines(data, len(data) - 8)
+    buf = np.frombuffer(data, np.uint8)
+    tabs = np.flatnonzero(buf == 9)
+    first = np.searchsorted(tabs, starts)  # each line's first tab
+    if np.any(np.diff(first, append=len(tabs))[nonblank] != 2):
+        _raise_first_error(path, entities, relations)
+    first = first[nonblank]
+    starts, ends, tab1, tab2 = starts[nonblank], ends[nonblank], tabs[first], tabs[first + 1]
+    del tabs, first  # the lookups' temporaries set the peak memory
+    triples = np.empty((len(starts), 3), np.int64)
+    triples[:, 0] = entities.lookup(buf, starts, tab1 - starts)
+    triples[:, 1] = relations.lookup(buf, tab1 + 1, tab2 - tab1 - 1)
+    triples[:, 2] = entities.lookup(buf, tab2 + 1, ends - tab2 - 1)
     if np.any(triples < 0):
-        _raise_first_error(path, entity_ids, relation_ids)
+        _raise_first_error(path, entities, relations)
     return triples
 
 
-def _raise_first_error(path, entity_ids: dict[str, int], relation_ids: dict[str, int]):
+def _raise_first_error(path, entities: _IdIndex, relations: _IdIndex):
     """Scan a triple file line by line and raise for its first bad line."""
+    entity_ids, relation_ids = set(entities.raw_ids), set(relations.raw_ids)
     for line_no, cols in _read_rows(path, 3, 3):
         for raw, table, kind in zip(cols, (entity_ids, relation_ids, entity_ids),
                                     ("entity", "relation", "entity")):
@@ -157,22 +277,22 @@ def load_dataset(directory) -> Dataset:
         if not os.path.exists(path):
             raise FileNotFoundError(f"missing dataset file: {path}")
 
-    names, descriptions, entity_raw, entity_ids = _read_vocabulary(ent_path, "entity")
-    rel_names, rel_descriptions, relation_raw, relation_ids = _read_vocabulary(
-        rel_path, "relation")
+    names, descriptions, entity_index = _read_vocabulary(ent_path, "entity")
+    rel_names, rel_descriptions, relation_index = _read_vocabulary(rel_path, "relation")
     base_rels = [RelationRecord(name, desc, i)
                  for i, (name, desc) in enumerate(zip(rel_names, rel_descriptions))]
 
     splits: dict[str, np.ndarray] = {}
     for split, fname in SPLIT_FILES.items():
         path = os.path.join(directory, fname)
-        triples = _read_triples(path, entity_ids, relation_ids) if os.path.exists(path) else ()
+        triples = (_read_triples(path, entity_index, relation_index)
+                   if os.path.exists(path) else ())
         splits[split] = add_inverse_triples(triples, len(base_rels))
 
     relations = base_rels + inverse_relation_records(base_rels)
     graph = KnowledgeGraph.from_columns(names, descriptions, relations, splits,
                                         num_base_relations=len(base_rels))
-    return Dataset(graph, entity_raw, relation_raw)
+    return Dataset(graph, entity_index.raw_ids, relation_index.raw_ids)
 
 
 def write_dataset(graph: KnowledgeGraph, entity_raw_ids, relation_raw_ids, directory):

@@ -57,6 +57,20 @@ class DataError(ValueError):
         self.line_no = line_no
 
 
+def read_text(path) -> str:
+    """The whole text of a UTF-8 file with universal newlines (``\\r\\n``
+    and a lone ``\\r`` read as ``\\n``).  A byte that is not UTF-8 raises a
+    ``DataError`` naming the line it is on."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:  # e.object is the whole file: read() decodes it at once
+        head = e.object[:e.start]
+        line_no = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise DataError(path, line_no,
+                        f"not valid UTF-8: byte 0x{e.object[e.start]:02x} ({e.reason})") from None
+
+
 class Triple(NamedTuple):
     head: int
     relation: int

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
-from .graph import DataError, KnowledgeGraph
+from .graph import DataError, KnowledgeGraph, read_text
 
 if TYPE_CHECKING:
     from .model import ModelConfig
@@ -101,22 +101,21 @@ class Tokenizer:
         """Read ``token<TAB>id`` lines; a bad line raises a ``DataError``
         naming ``path:line``, and ids the constructor refuses one naming ``path``."""
         vocab: dict[str, int] = {}
-        with open(path, encoding="utf-8") as f:
-            for line_no, line in enumerate(f, start=1):
-                if not line.strip():
-                    continue
-                cols = line.rstrip("\n").split("\t")
-                if len(cols) != 2:
-                    raise DataError(path, line_no,
-                                    f"expected 2 tab-separated columns, got {len(cols)}")
-                token, idx = cols
-                if token in vocab:
-                    raise DataError(path, line_no, f"duplicate token {token!r}")
-                try:
-                    vocab[token] = int(idx)
-                except ValueError:
-                    raise DataError(path, line_no,
-                                    f"token id {idx!r} is not an integer") from None
+        for line_no, line in enumerate(read_text(path).split("\n"), start=1):
+            if not line.strip():
+                continue
+            cols = line.split("\t")
+            if len(cols) != 2:
+                raise DataError(path, line_no,
+                                f"expected 2 tab-separated columns, got {len(cols)}")
+            token, idx = cols
+            if token in vocab:
+                raise DataError(path, line_no, f"duplicate token {token!r}")
+            try:
+                vocab[token] = int(idx)
+            except ValueError:
+                raise DataError(path, line_no,
+                                f"token id {idx!r} is not an integer") from None
         try:
             return cls(vocab)
         except ValueError as e:

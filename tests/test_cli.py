@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 
@@ -434,6 +435,41 @@ class TestMalformedVocabulary:
         assert main(argv) == 2
         assert capsys.readouterr().err == (
             f"error\tinput\t{vocab}: token ids must be contiguous from 0\n")
+
+
+class TestNotUtf8:
+    """A byte that is not UTF-8 is an input error naming its file and line,
+    where ``\\n``, ``\\r\\n`` and a lone ``\\r`` each end a line."""
+
+    DETAIL = "not valid UTF-8: byte 0xff (invalid start byte)"
+
+    def _error(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err
+
+    def test_dataset_file(self, workspace, tmp_path, capsys):
+        data = tmp_path / "toy"
+        shutil.copytree(workspace["data"], data)
+        first, *rest = (data / "train.txt").read_bytes().splitlines(keepends=True)
+        (data / "train.txt").write_bytes(first.rstrip(b"\n") + b"\r\n\r" + b"\xff" + b"".join(rest))
+        err = self._error(["miou", "--dataset", str(data)], capsys)
+        assert err == f"error\tinput\t{data / 'train.txt'}:3: {self.DETAIL}\n"
+
+    def test_vocab_file(self, workspace, tmp_path, capsys):
+        lines = (workspace["root"] / "model.ckpt.vocab.tsv").read_bytes().split(b"\n")
+        vocab = tmp_path / "vocab.tsv"
+        vocab.write_bytes(b"\r\n".join(lines[:4]) + b"\r\n\xff" + b"\n".join(lines[4:]))
+        err = self._error(["eval", "--dataset", str(workspace["data"]),
+                           "--checkpoint", str(workspace["ckpt"]), "--vocab", str(vocab)], capsys)
+        assert err == f"error\tinput\t{vocab}:5: {self.DETAIL}\n"
+
+    def test_config_file(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"# toy\rseed = 1\n\nlr = 0.1\xff\n")
+        err = self._error(["train", "--config", str(cfg), "--out", str(tmp_path / "x")], capsys)
+        assert err == f"error\tinput\t{cfg}:4: {self.DETAIL}\n"
 
 
 class ReferenceScorer(ModelScorer):
