@@ -1,8 +1,8 @@
 """Run configuration: a flat key=value file validated before any compute.
 
-Unknown keys, type errors and every constraint owned by a downstream
-module (encoder dims, temperature range, sampler sizes, component
-switches) are rejected at parse time.  Evaluation settings (score mode,
+Unknown keys, a key set twice, type errors and every constraint owned
+by a downstream module (encoder dims, temperature range, sampler sizes,
+component switches) are rejected at parse time.  Evaluation settings (score mode,
 re-ranking, filter splits) are command-line options, not config keys.
 
 Every other key but ``dataset`` and ``min_token_freq`` fills the
@@ -134,7 +134,8 @@ def _coerce(field_type, raw: str, key: str):
 
 
 def parse_config(path, overrides: dict | None = None) -> RunConfig:
-    """Read a key=value file; ``overrides`` win over file values."""
+    """Read a key=value file, each key at most once; ``overrides`` win
+    over file values."""
     values: dict = {}
     field_types = {f.name: f.type for f in fields(RunConfig)}
     type_map = {"int": int, "float": float, "bool": bool, "str": str}
@@ -152,6 +153,8 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
         key = key.strip()
         if key not in field_types:
             raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{line_no}: key {key!r} is set twice")
         ftype = type_map.get(field_types[key], str)
         values[key] = _coerce(ftype, raw, key)
     if overrides:

@@ -13,22 +13,21 @@ appends inverse triples to every split so head prediction becomes tail
 prediction over inverse relations, with filtering correct in both
 directions.
 
-Every file is read whole as UTF-8 text with universal newlines (a byte
-that is not UTF-8 is a ``DataError`` naming its line), in one pass, as
-columns, with no object per line of a triple file.  A line counts when
-``str.strip()`` would not empty it.
+Every file goes through one parser, :func:`_columns`, with no object per
+line.  It reads the file once as UTF-8 text with universal newlines (a
+byte that is not UTF-8 is a ``DataError`` naming its line) and encodes
+it back to bytes.  numpy then finds the newlines and tabs, drops the
+lines ``str.strip()`` would empty, checks each other line's column count
+(one to three in a vocabulary file, three in a triple file) and gives
+each column as one byte span per line, a missing column being empty.
 
-- A vocabulary file's lines have one to three columns.  Its non-blank
-  lines are split once, shorter lines padded to three, each column is
-  one slice of the split fields, and the strip and the name fallback run
-  per column.  The graph keeps the name and description columns as
-  ``str`` lists; the raw ids become an :class:`_IdIndex`, where a
-  duplicate id shows as two equal adjacent keys.
-- A triple file stays bytes: numpy finds its newlines and tabs, drops
-  the blank lines, checks that every other line has two tabs, and the
-  indexes map each column to an int64 array of dense ids, with -1 for an
-  id the vocabulary files do not declare.  The inverses are one array
-  operation on the result.
+- A vocabulary file's raw ids, names and descriptions are each decoded
+  from their spans with one gather, one ``decode`` and one ``split``;
+  the strip and the name fallback run per column.  The raw ids also
+  become an :class:`_IdIndex`, packed from the same spans.
+- A triple file's columns are looked up in the indexes to int64 arrays
+  of dense ids, with -1 for an id the vocabulary files do not declare.
+  The inverses are one array operation on the result.
 
 An id is looked up by a key: its UTF-8 bytes, a newline byte and zero
 padding, as little-endian uint64 words, as many as the vocabulary's
@@ -39,17 +38,18 @@ no newline and matches nothing.  Keys are searched by a one-word digest
 comparing all of its words, so a digest shared by two ids costs a
 compare, never a wrong id.
 
-Only when a line is bad (a wrong column count, a duplicate or an
-undeclared id) is the file scanned again line by line, to raise a
-``DataError`` naming the first offending ``path:line`` (blank lines
-count in the numbering).
+A bad line is found in the same arrays, with no second scan, and raises
+a ``DataError`` naming its ``path:line`` (blank lines count in the
+numbering).  A wrong column count outranks every other fault of its
+file; then a vocabulary file names the first line whose id repeats an
+earlier one, and a triple file the first line with an undeclared id
+(head, then relation, then tail).
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -73,22 +73,6 @@ class Dataset:
     graph: KnowledgeGraph
     entity_raw_ids: list[str]
     relation_raw_ids: list[str]  # base relations only
-
-
-def _read_rows(path, min_cols, max_cols):
-    rows = []
-    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
-        if not line.strip():
-            continue
-        cols = line.split("\t")
-        if not min_cols <= len(cols) <= max_cols:
-            raise DataError(
-                path, line_no,
-                f"expected {min_cols}..{max_cols} tab-separated columns, "
-                f"got {len(cols)}",
-            )
-        rows.append((line_no, cols))
-    return rows
 
 
 # Per byte of UTF-8 text, for finding blank lines: 2 where the byte is, or
@@ -129,12 +113,13 @@ _WORD_END = np.array([0] + [10 << 8 * n for n in range(8)] + [0], np.uint64)
 _DIGEST_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _pack(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+def _pack(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
           width: int) -> np.ndarray:
-    """The ``(n, width)`` uint64 keys of the fields ``buf[start:start +
-    length]``; ``buf`` has 8 zero bytes past its last field."""
+    """The ``(n, width)`` uint64 keys of the fields ``buf[start:end]``;
+    ``buf`` has 8 zero bytes past its last field."""
     words = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))  # the word at each byte
     keys = np.empty((len(starts), width), np.uint64)
+    lengths = ends - starts
     for j in range(width):
         left = np.clip(lengths - 8 * j, -1, 8) + 1
         word = words[np.minimum(starts + 8 * j, len(words) - 1)]
@@ -150,42 +135,28 @@ def _digest(keys: np.ndarray) -> np.ndarray:
     return digest
 
 
-def _joined(strings: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The UTF-8 bytes of ``strings`` joined by tabs, with 8 zero bytes
-    after, and each string's start and length in them; no string may
-    hold a tab."""
-    data = "\t".join(strings).encode("utf-8")
-    buf = np.frombuffer(data + bytes(8), np.uint8)
-    tabs = np.flatnonzero(buf[:len(data)] == 9)
-    starts = np.r_[0, tabs + 1][:len(strings)]
-    return buf, starts, np.r_[tabs, len(data)][:len(strings)] - starts
-
-
 class _IdIndex:
     """The raw ids of a vocabulary file, looked up exactly by their bytes.
 
-    The keys are sorted once, by digest and then word by word, so equal
-    ids sit side by side, and so do ids whose digests collide."""
+    The raw ids are decoded from the id column's spans in the file's
+    bytes, and the keys packed from the same spans and sorted once, stably,
+    by digest and then word by word, so equal ids sit side by side in file
+    order, and so do ids whose digests collide."""
 
-    def __init__(self, raw_ids: list[str]):
-        self.raw_ids = raw_ids
-        buf, starts, lengths = _joined(raw_ids)
-        self.width = int(lengths.max(initial=0)) // 8 + 1
-        keys = _pack(buf, starts, lengths, self.width)
+    def __init__(self, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+        self.raw_ids = _decode(buf, starts, ends)
+        self.width = int((ends - starts).max(initial=0)) // 8 + 1
+        keys = _pack(buf, starts, ends, self.width)
         digests = _digest(keys)
         self.ids = np.lexsort((*keys.T[::-1], digests))
         self.keys, self.digests = keys[self.ids], digests[self.ids]
         # the most ids that share one digest: 1 unless digests collide
         self.most_sharing = int(np.unique(self.digests, return_counts=True)[1].max(initial=0))
 
-    def has_duplicates(self) -> bool:
-        return bool(np.any(np.all(self.keys[1:] == self.keys[:-1], axis=1)))
-
-    def lookup(self, buf: np.ndarray, starts: np.ndarray,
-               lengths: np.ndarray) -> np.ndarray:
-        """The dense id of each field ``buf[start:start + length]``, -1
-        where no id has its bytes; ``buf`` as :func:`_pack` takes it."""
-        keys = _pack(buf, starts, lengths, self.width)
+    def lookup(self, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """The dense id of each field ``buf[start:end]``, -1 where no id
+        has its bytes; ``buf`` as :func:`_pack` takes it."""
+        keys = _pack(buf, starts, ends, self.width)
         unique, inverse = np.unique(_digest(keys), return_inverse=True)
         first = np.searchsorted(self.digests, unique)[inverse]
         ids = np.full(len(keys), -1, np.int64)
@@ -196,77 +167,73 @@ class _IdIndex:
         return ids
 
 
-def _read_lines(path) -> tuple[list[str], np.ndarray]:
-    """The file's non-blank lines and the tab count of each."""
-    lines = [line for line in read_text(path).split("\n") if line.strip()]
-    return lines, np.fromiter(map(str.count, lines, repeat("\t")), dtype=np.int64,
-                              count=len(lines))
-
-
-_PADDING = ("\t\t", "\t", "")  # by tab count
-
-
-def _read_vocabulary(path, kind: str):
-    """Names, descriptions and the id index of an entity or relation file,
-    read as columns."""
-    lines, tabs = _read_lines(path)
-    n = len(lines)
-    if np.any(tabs > 2):
-        _raise_vocabulary_error(path, kind)
-    if np.any(tabs < 2):  # pad missing name and description columns
-        lines = [line + _PADDING[t] for line, t in zip(lines, tabs.tolist())]
-    fields = "\t".join(lines).split("\t") if n else []
-    raw_ids = fields[0::3]
-    index = _IdIndex(raw_ids)
-    if index.has_duplicates():
-        _raise_vocabulary_error(path, kind)
-    names = list(map(str.strip, fields[1::3]))
-    if "" in names:  # missing name -> raw id
-        names = [name or raw for name, raw in zip(names, raw_ids)]
-    descriptions = list(map(str.strip, fields[2::3]))
-    return names, descriptions, index
-
-
-def _raise_vocabulary_error(path, kind: str):
-    """Scan a vocabulary file line by line and raise for its first bad line."""
-    seen = set()
-    for line_no, cols in _read_rows(path, 1, 3):
-        if cols[0] in seen:
-            raise DataError(path, line_no, f"duplicate {kind} id {cols[0]!r}")
-        seen.add(cols[0])
-    raise AssertionError(f"{path} has no bad line to report")
-
-
-def _read_triples(path, entities: _IdIndex, relations: _IdIndex) -> np.ndarray:
-    """The file's triples as an (n, 3) int64 array of dense ids."""
-    data = read_text(path).encode("utf-8") + bytes(8)  # zero bytes past the end, for _pack
+def _columns(path, min_cols: int, max_cols: int):
+    """Parse a dataset file: ``buf``, its UTF-8 bytes and 8 zero bytes (as
+    :func:`_pack` takes it), the 1-based number of each non-blank line, and
+    per column the start and end offsets of its field on each such line.
+    A column that a line lacks is an empty span at the line's end."""
+    data = read_text(path).encode("utf-8") + bytes(8)
     starts, ends, nonblank = _lines(data, len(data) - 8)
     buf = np.frombuffer(data, np.uint8)
     tabs = np.flatnonzero(buf == 9)
     first = np.searchsorted(tabs, starts)  # each line's first tab
-    if np.any(np.diff(first, append=len(tabs))[nonblank] != 2):
-        _raise_first_error(path, entities, relations)
-    first = first[nonblank]
-    starts, ends, tab1, tab2 = starts[nonblank], ends[nonblank], tabs[first], tabs[first + 1]
-    del tabs, first  # the lookups' temporaries set the peak memory
-    triples = np.empty((len(starts), 3), np.int64)
-    triples[:, 0] = entities.lookup(buf, starts, tab1 - starts)
-    triples[:, 1] = relations.lookup(buf, tab1 + 1, tab2 - tab1 - 1)
-    triples[:, 2] = entities.lookup(buf, tab2 + 1, ends - tab2 - 1)
-    if np.any(triples < 0):
-        _raise_first_error(path, entities, relations)
+    cols = np.diff(first, append=len(tabs)) + 1
+    bad = np.flatnonzero(nonblank & ((cols < min_cols) | (cols > max_cols)))
+    if len(bad):
+        raise DataError(path, int(bad[0]) + 1,
+                        f"expected {min_cols}..{max_cols} tab-separated columns, "
+                        f"got {cols[bad[0]]}")
+    first, ends = first[nonblank], ends[nonblank]
+    tabs = np.append(tabs, np.full(max_cols - 1, len(buf)))  # past every line's end
+    # column c < max_cols - 1 ends at the line's tab c, or at its end if it has none
+    cuts = [np.minimum(tabs[first + c], ends) for c in range(max_cols - 1)]
+    column_starts = [starts[nonblank], *(np.minimum(cut + 1, ends) for cut in cuts)]
+    return buf, np.flatnonzero(nonblank) + 1, list(zip(column_starts, [*cuts, ends]))
+
+
+def _decode(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[str]:
+    """The fields ``buf[start:end]`` as ``str``s.  One gather takes each
+    field and the byte after it (which becomes a newline, a byte no field
+    holds) through a mask over ``buf``, then one decode and one split."""
+    bounds = np.stack([starts, ends + 1], axis=1).ravel()
+    runs = np.diff(bounds, prepend=0, append=len(buf))  # bytes out, in, out, ..., out
+    taken = np.zeros(len(runs), bool)
+    taken[1::2] = True
+    text = buf[np.repeat(taken, runs)]
+    text[np.cumsum(ends + 1 - starts) - 1] = 10
+    return text.tobytes().decode("utf-8").split("\n")[:-1]
+
+
+def _read_vocabulary(path, kind: str):
+    """Names, descriptions and the id index of an entity or relation file."""
+    buf, line_nos, (ids, names, descriptions) = _columns(path, 1, 3)
+    index = _IdIndex(buf, *ids)
+    raw_ids = index.raw_ids
+    # sorted stably, an id's first line leads its run of equal keys, so the
+    # first repeated id is on the earliest line that leads no run
+    repeats = index.ids[1:][np.all(index.keys[1:] == index.keys[:-1], axis=1)]
+    if len(repeats):
+        row = int(repeats.min())
+        raise DataError(path, int(line_nos[row]), f"duplicate {kind} id {raw_ids[row]!r}")
+    names = list(map(str.strip, _decode(buf, *names)))
+    if "" in names:  # missing name -> raw id
+        names = [name or raw for name, raw in zip(names, raw_ids)]
+    return names, list(map(str.strip, _decode(buf, *descriptions))), index
+
+
+def _read_triples(path, entities: _IdIndex, relations: _IdIndex) -> np.ndarray:
+    """The file's triples as an (n, 3) int64 array of dense ids."""
+    buf, line_nos, columns = _columns(path, 3, 3)
+    triples = np.empty((len(line_nos), 3), np.int64)
+    for c, index in enumerate((entities, relations, entities)):
+        triples[:, c] = index.lookup(buf, *columns[c])
+    undeclared = np.argwhere(triples < 0)  # by line, then head, relation, tail
+    if len(undeclared):
+        row, c = undeclared[0]
+        (starts, ends), kind = columns[c], ("entity", "relation", "entity")[c]
+        raw = buf[starts[row]:ends[row]].tobytes().decode("utf-8")
+        raise DataError(path, int(line_nos[row]), f"undeclared {kind} id {raw!r}")
     return triples
-
-
-def _raise_first_error(path, entities: _IdIndex, relations: _IdIndex):
-    """Scan a triple file line by line and raise for its first bad line."""
-    entity_ids, relation_ids = set(entities.raw_ids), set(relations.raw_ids)
-    for line_no, cols in _read_rows(path, 3, 3):
-        for raw, table, kind in zip(cols, (entity_ids, relation_ids, entity_ids),
-                                    ("entity", "relation", "entity")):
-            if raw not in table:
-                raise DataError(path, line_no, f"undeclared {kind} id {raw!r}")
-    raise AssertionError(f"{path} has no bad line to report")
 
 
 def load_dataset(directory) -> Dataset:

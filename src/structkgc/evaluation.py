@@ -197,7 +197,8 @@ def miou(graph: KnowledgeGraph, split: str = "test") -> tuple[float, dict[int, f
 
 class ModelScorer:
     """Scores every entity as tail candidate for the (head, relation)
-    pairs it is built for.
+    pairs it is built for; a pair outside the graph's entities or
+    relations is a ``ValueError``.
 
     Everything is computed at construction, from the model as it is then:
     the tail text matrix and the unit-normalised entity table on the tail
@@ -226,9 +227,13 @@ class ModelScorer:
             raise ValueError(f"{mode!r} scoring needs structural embeddings")
         if mode in ("text", "combined") and tokenizer is None:
             raise ValueError("text scoring needs a tokenizer")
-        pairs = list(dict.fromkeys(
-            map(tuple, np.asarray(pairs, dtype=np.intp).reshape(-1, 2).tolist())
-        ))
+        pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+        outside = np.flatnonzero((pairs < 0).any(axis=1) | (pairs[:, 0] >= graph.num_entities)
+                                 | (pairs[:, 1] >= graph.num_relations))
+        if len(outside):
+            raise ValueError(f"pair {tuple(pairs[outside[0]].tolist())} is outside the graph's "
+                             f"{graph.num_entities} entities and {graph.num_relations} relations")
+        pairs = list(dict.fromkeys(map(tuple, pairs.tolist())))
         if not pairs:
             raise ValueError("a scorer needs at least one (head, relation) pair")
         self.mode = mode

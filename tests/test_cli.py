@@ -100,6 +100,20 @@ class TestTrain:
         assert code == 2
         assert "error\tinput" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("route", ["option", "config"])
+    def test_negative_seed_is_input_error(self, workspace, tmp_path, capsys, route):
+        text = workspace["config"].read_text()
+        cfg = tmp_path / "run.cfg"
+        argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "m")]
+        if route == "option":
+            argv += ["--seed", "-1"]
+        else:
+            text = text.replace("seed = 0\n", "seed = -1\n")
+        cfg.write_text(text)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error\tinput\tseed must be non-negative, got -1\n"
+        assert not (tmp_path / "m").exists()
+
 
 class TestEval:
     def test_eval_prints_report(self, workspace, capsys):
@@ -301,7 +315,7 @@ class TestNonFiniteOptions:
     def test_config_key_is_an_input_error_naming_the_key(self, workspace, tmp_path,
                                                          capsys):
         cfg = tmp_path / "nan.cfg"
-        cfg.write_text(workspace["config"].read_text() + "lr = nan\n")
+        cfg.write_text(workspace["config"].read_text().replace("lr = 1e-3\n", "lr = nan\n"))
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m")]) == 2
         assert capsys.readouterr().err.startswith("error\tinput\tlr must be a finite")
 

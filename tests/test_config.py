@@ -91,6 +91,7 @@ class TestRunConfig:
             {"queue_capacity": 0},
             {"hardest_k": 1},
             {"ir_count": -2},
+            {"seed": -1},
         ],
     )
     def test_invalid_rejected_at_parse_time(self, kwargs):
@@ -134,10 +135,11 @@ class TestParseConfig:
             "struct_dim = 16\n"
             "use_mh = false\n"
             "beta = 0.25\n"
+            "seed = 3\n"
             "\n"
         )
-        cfg = parse_config(path, overrides={"seed": 9})
-        assert cfg.dataset == "data/toy"
+        cfg = parse_config(path, overrides={"seed": 9, "dataset": "data/other"})
+        assert cfg.dataset == "data/other"
         assert cfg.struct_dim == 16
         assert cfg.use_mh is False
         assert cfg.beta == 0.25
@@ -167,6 +169,13 @@ class TestParseConfig:
         path.write_text("struct_dims = 16\n")
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(path)
+
+    def test_key_set_twice_names_the_second_line(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("epochs = 1\n# again\n seed=3\nepochs=2\n")
+        with pytest.raises(ConfigError) as info:
+            parse_config(path)
+        assert str(info.value) == f"{path}:4: key 'epochs' is set twice"
 
     def test_type_error(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from structkgc import data
 from structkgc.cli import main
 from structkgc.data import (
     ENTITY_FILE,
@@ -14,8 +15,8 @@ from structkgc.data import (
     DataError,
     _DIGEST_MULTIPLIER,
     _IdIndex,
+    _columns,
     _digest,
-    _joined,
     _lines,
     _read_triples,
     _read_vocabulary,
@@ -24,6 +25,7 @@ from structkgc.data import (
     load_dataset,
     write_dataset,
 )
+from structkgc.graph import read_text
 from structkgc.toygen import make_text_toy, write_toy_dataset
 
 import data_reference
@@ -140,6 +142,30 @@ class TestIngestionErrors:
         _write_minimal(tmp_path, train="e1\tr1\te2\n\ne2\tr1\tghost")
         assert self._error(tmp_path, "train.txt") == "PATH:3: undeclared entity id 'ghost'"
 
+    @pytest.mark.parametrize("files,read", [
+        ({}, ["entities.txt", "relations.txt", "train.txt", "test.txt"]),
+        ({"train": "e1\tr1\te2\ne1\tr1\n"}, ["entities.txt", "relations.txt", "train.txt"]),
+        ({"entities": "e1\ne2\ne1\n"}, ["entities.txt"]),
+        ({"train": "e1\tr1\te2\ne1\tr1\tghost\n"}, ["entities.txt", "relations.txt", "train.txt"]),
+    ], ids=["good", "columns", "duplicate", "undeclared"])
+    def test_each_file_is_read_once(self, tmp_path, monkeypatch, files, read):
+        """A bad line is found in the arrays of its file's one read."""
+        _write_minimal(tmp_path, **files)
+        (tmp_path / "test.txt").write_text("e2\tr1\te1\n", encoding="utf-8")
+        reads = []
+
+        def counting_read_text(path):
+            reads.append(os.path.basename(path))
+            return read_text(path)
+
+        monkeypatch.setattr(data, "read_text", counting_read_text)
+        if files:
+            with pytest.raises(DataError):
+                load_dataset(tmp_path)
+        else:
+            load_dataset(tmp_path)
+        assert reads == read
+
     def test_blank_and_whitespace_lines_and_no_final_newline_load(self, tmp_path):
         _write_minimal(tmp_path, train="e1\tr1\te2\n \t \n\ne2\tr1\te1")
         rows = load_dataset(tmp_path).graph.triples("train").tolist()
@@ -170,6 +196,16 @@ def random_vocabulary(rng: np.random.Generator, n: int) -> str:
     return text if rng.random() < 0.5 else text.rstrip("\r\n")
 
 
+def id_column(tmp_path, raw_ids):
+    """The :class:`_IdIndex` of ``raw_ids``, and their bytes and spans as
+    ``_IdIndex.lookup`` takes them, read from a file of ``raw<TAB>x``
+    lines, so that an id ``str.strip()`` empties is still declared."""
+    path = tmp_path / "ids.txt"
+    path.write_bytes("".join(f"{raw}\tx\n" for raw in raw_ids).encode("utf-8"))
+    buf, _, (ids, _) = _columns(path, 2, 2)
+    return _IdIndex(buf, *ids), (buf, *ids)
+
+
 class TestColumnarVocabulary:
     """``_read_vocabulary`` against the per-line reader it replaced."""
 
@@ -184,7 +220,8 @@ class TestColumnarVocabulary:
         assert names == [r.name for r in records]
         assert descriptions == [r.description for r in records]
         assert index.raw_ids == want_raw
-        assert index.lookup(*_joined(list(want_ids))).tolist() == list(want_ids.values())
+        _, fields = id_column(tmp_path, want_ids)
+        assert index.lookup(*fields).tolist() == list(want_ids.values())
 
     def test_layouts_are_all_drawn(self):
         text = "\n".join(random_vocabulary(np.random.default_rng(s), 40) for s in range(12))
@@ -200,7 +237,8 @@ class TestColumnarVocabulary:
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("fault", ["four_columns", "late_duplicate",
-                                       "duplicate_before_four_columns"])
+                                       "duplicate_before_four_columns",
+                                       "repeats_out_of_order"])
     def test_errors_match_per_line_reader(self, tmp_path, seed, fault):
         rng = np.random.default_rng(seed)
         lines = random_vocabulary(rng, 30).split("\n")
@@ -210,9 +248,11 @@ class TestColumnarVocabulary:
         elif fault == "late_duplicate":
             raw = [line.split("\t")[0].rstrip("\r") for line in lines if line.strip()][3]
             lines.insert(late, f"{raw}\tagain")
-        else:
+        elif fault == "duplicate_before_four_columns":
             lines.insert(2, "id0\tagain")
             lines.insert(late, "a\tb\tc\td\te")
+        else:  # the second b is the first repeat, though a's run sorts first
+            lines[late:late] = ["a", "b", "b", "a"]
         path = tmp_path / "relations.txt"
         path.write_text("\n".join(lines), encoding="utf-8", newline="")
         with pytest.raises(DataError) as want:
@@ -270,10 +310,11 @@ def random_triple_file(rng: np.random.Generator, entities: list[str],
 class TestColumnarTriples:
     """``_read_triples`` against the ``str``-column reader it replaced."""
 
-    def _indexes(self, rng):
+    def _indexes(self, tmp_path, rng):
         entities = random_ids(rng, 60, FIXED_ENTITIES)
         relations = random_ids(rng, 8, FIXED_RELATIONS)
-        return entities, relations, _IdIndex(entities), _IdIndex(relations)
+        return (entities, relations, id_column(tmp_path, entities)[0],
+                id_column(tmp_path, relations)[0])
 
     @staticmethod
     def _dicts(entities, relations):
@@ -283,7 +324,7 @@ class TestColumnarTriples:
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_str_reader(self, tmp_path, seed):
         rng = np.random.default_rng(seed)
-        entities, relations, entity_index, relation_index = self._indexes(rng)
+        entities, relations, entity_index, relation_index = self._indexes(tmp_path, rng)
         path = tmp_path / "train.txt"
         path.write_bytes(random_triple_file(rng, entities, relations,
                                             int(rng.integers(0, 80))).encode("utf-8"))
@@ -292,10 +333,10 @@ class TestColumnarTriples:
         assert got.dtype == np.int64 and got.shape == want.shape
         assert np.array_equal(got, want)
 
-    def test_every_id_is_drawn(self):
+    def test_every_id_is_drawn(self, tmp_path):
         for seed in range(12):
             rng = np.random.default_rng(seed)
-            entities, relations, _, _ = self._indexes(rng)
+            entities, relations, _, _ = self._indexes(tmp_path, rng)
             text = random_triple_file(rng, entities, relations, 400)
             assert all(raw in text for raw in FIXED_ENTITIES + FIXED_RELATIONS)
             assert "\r\n" in text and "\r" in text.replace("\r\n", "")  # and a lone \r
@@ -306,7 +347,9 @@ class TestColumnarTriples:
     def test_files_with_no_triples(self, tmp_path, text):
         path = tmp_path / "train.txt"
         path.write_bytes(text.encode("utf-8"))
-        got = _read_triples(path, _IdIndex(["e1"]), _IdIndex(["r1"]))
+        (entity_index, _), (relation_index, _) = (id_column(tmp_path, ["e1"]),
+                                                  id_column(tmp_path, ["r1"]))
+        got = _read_triples(path, entity_index, relation_index)
         assert got.dtype == np.int64 and got.shape == (0, 3)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -317,7 +360,7 @@ class TestColumnarTriples:
             "two_columns", "four_columns", "space_and_id"])
     def test_errors_match_str_reader(self, tmp_path, seed, fault):
         rng = np.random.default_rng(seed)
-        entities, relations, entity_index, relation_index = self._indexes(rng)
+        entities, relations, entity_index, relation_index = self._indexes(tmp_path, rng)
         lines = random_triple_file(rng, entities, relations, 30).split("\n")
         at = int(rng.integers(0, len(lines) + 1))
         lines[at:at] = ["", " \t ", "\u3000", fault]  # after blank lines
@@ -342,14 +385,16 @@ class TestColumnarTriples:
                 break
         pair = [(a + b).decode(), (c + d.to_bytes(8, "little")).decode()]
         entities = ["e1", pair[0], "zz", pair[1]]
-        index = _IdIndex(entities)
+        index, _ = id_column(tmp_path, entities)
         assert index.width == 3 and index.most_sharing == 2
         assert len(set(_digest(index.keys).tolist())) == 3
         near = pair[1][:-1] + chr(ord(pair[1][-1]) ^ 1)
-        assert index.lookup(*_joined(entities + [near])).tolist() == [0, 1, 2, 3, -1]
+        _, fields = id_column(tmp_path, entities + [near])
+        assert index.lookup(*fields).tolist() == [0, 1, 2, 3, -1]
         path = tmp_path / "train.txt"
         path.write_text(f"{pair[1]}\tr\t{pair[0]}\n{pair[0]}\tr\t{pair[1]}\n", encoding="utf-8")
-        assert _read_triples(path, index, _IdIndex(["r"])).tolist() == [[3, 0, 1], [1, 0, 3]]
+        relation_index, _ = id_column(tmp_path, ["r"])
+        assert _read_triples(path, index, relation_index).tolist() == [[3, 0, 1], [1, 0, 3]]
 
     def test_blank_lines_are_what_strip_empties(self):
         """Every character but the line breaks, alone on a line and beside
@@ -374,7 +419,8 @@ class TestColumnarTriples:
                          for h, r, t in zip(rng.integers(0, 5000, 50000),
                                             rng.integers(0, 11, 50000),
                                             rng.integers(0, 5000, 50000)))
-        entity_index, relation_index = _IdIndex(entities), _IdIndex(relations)
+        (entity_index, _), (relation_index, _) = (id_column(tmp_path, entities),
+                                                  id_column(tmp_path, relations))
         tracemalloc.start()
         try:
             triples = _read_triples(path, entity_index, relation_index)

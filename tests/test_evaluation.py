@@ -697,6 +697,16 @@ class TestModelScorerMatchesModel:
         with pytest.raises(KeyError, match=r"\(2, 0\)"):
             scorer.scores(2, 0)
 
+    @pytest.mark.parametrize("mode", SCORE_MODES)
+    def test_pair_outside_the_graph_rejected(self, kind, mode):
+        g, tokenizer, model = text_struct_model(kind)
+        last = (g.num_entities - 1, g.num_relations - 1)
+        assert ModelScorer(model, g, tokenizer, [last], mode=mode).scores(*last).shape == (
+            g.num_entities,)
+        for bad in [(-1, 0), (g.num_entities, 0), (0, -1), (0, g.num_relations)]:
+            with pytest.raises(ValueError, match=re.escape(f"pair {bad} is outside the graph's")):
+                ModelScorer(model, g, tokenizer, [(1, 0), bad, (-2, 0)], mode=mode)
+
     def test_no_pairs_rejected(self, kind):
         g, tokenizer, model = text_struct_model(kind)
         with pytest.raises(ValueError, match="at least one"):
