@@ -155,8 +155,13 @@ def _penalty(raw: str) -> float:
 
 
 def _penalties(raw: str) -> list[float]:
-    """argparse type: a comma-separated list of finite non-negative floats."""
-    return [_penalty(part) for part in raw.split(",") if part.strip()]
+    """argparse type: a non-empty comma-separated list of finite
+    non-negative floats."""
+    values = [_penalty(part) for part in raw.split(",") if part.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(
+            f"expected one or more non-negative numbers, got {raw!r}")
+    return values
 
 
 def _names(known, what: str, empty_ok: bool = False):

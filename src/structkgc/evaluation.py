@@ -13,7 +13,10 @@ per-query ``scores``.  ``_ranked`` ranks every row; a proposed row keeps
 its ranking only when no scores within that bound could change its rank
 (``_rank``, the one count behind every rank), its top list or the printed
 6-decimal scores, and otherwise is ranked again from ``scores``, the
-canonical path.
+canonical path.  Blocks are ranked on every usable CPU (``_run_on_cpus``),
+so a scorer's ``scores`` and ``block_scores`` may be called from several
+threads at once and must be pure; the output does not depend on the
+number of threads.
 """
 
 from __future__ import annotations
@@ -205,13 +208,12 @@ class ModelScorer:
     side, and on the query side the text queries of the distinct
     ``pairs`` in first-seen order and their unit structural queries in one
     batched build.  Text goes through the encoders in padded batches of
-    at most ``ENCODE_CHUNK`` sequences, encoded at the same time on the
-    calling thread and one helper thread per other usable CPU, with the
-    same bytes as one after another (``_encode_in_chunks``).  The scorer
-    keeps these arrays and no reference to the model, so later parameter
-    updates do not reach it; ``scores`` is one or two matrix-vector
-    products, and ``block_scores`` one or two matrix products for a block
-    of pairs.
+    at most ``ENCODE_CHUNK`` sequences, encoded at the same time on every
+    usable CPU by ``_run_on_cpus``, with the same bytes as one after
+    another (``_encode_in_chunks``).  The scorer keeps these arrays and
+    no reference to the model, so later parameter updates do not reach
+    it; ``scores`` is one or two matrix-vector products, and
+    ``block_scores`` one or two matrix products for a block of pairs.
     """
 
     def __init__(self, model: Model, graph: KnowledgeGraph,
@@ -319,53 +321,62 @@ def _dot_bound(d: int) -> tuple[float, float]:
     return 2 * gamma * nu2, nu2 * (1 + gamma)
 
 
-def _encode_in_chunks(encode, keys, tokenize) -> np.ndarray:
-    """Rows of ``encode(tokens, keys)`` over ``ENCODE_CHUNK``-sized slices.
+def _run_on_cpus(work, items) -> list:
+    """``[work(item) for item in items]``, on every CPU the process may use.
 
-    The calling thread and one helper per other CPU the process may use,
-    never more threads than slices, take the slices in order from one
-    counter; each thread records no tape, and rows come back in key
-    order.  numpy's gemms and ufuncs release the GIL, and each slice is
-    the same call on the same inputs as in a serial loop, so the rows are
-    the same bytes.  No thread starts a slice above a failed one, and
-    every thread is joined.  Each slice below a failed one was taken
-    before it and still runs, so the error raised is that of the lowest
-    failing slice, the one a serial loop raises.
+    The calling thread and one helper per other usable CPU, never more
+    threads than items, take the items in order from one counter, and
+    each thread records no tape.  numpy's gemms and ufuncs release the
+    GIL, so a ``work`` made of them runs on several cores at once; it must
+    be pure, and then each result is that of the serial loop.  No thread
+    starts an item above a failed one, and every thread is joined.  Each
+    item below a failed one was taken before it and still runs, so the
+    error raised is that of the lowest failing item, the one a serial loop
+    raises.  Results come back in item order.
     """
-    chunks = [keys[start:start + ENCODE_CHUNK] for start in range(0, len(keys), ENCODE_CHUNK)]
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    rows = [None] * len(chunks)         # a slice's rows, or the error it raised
-    # a failed slice, once there is one; any will do, so two failures need
-    # no lock: every slice below either was taken before it
-    stop = len(chunks)
+    results = [None] * len(items)
+    errors = {}
+    # a failed item, once there is one; any will do, so two failures need
+    # no lock: every item below either was taken before it
+    stop = len(items)
     order = itertools.count()
 
-    def work():
+    def run():
         nonlocal stop
         with ad.no_grad():
             for i in order:
                 if i >= stop:
                     return
                 try:
-                    rows[i] = encode([tokenize(key) for key in chunks[i]], chunks[i]).value
+                    results[i] = work(items[i])
                 except BaseException as error:
-                    rows[i], stop = error, i
+                    errors[i], stop = error, i
 
-    helpers = [threading.Thread(target=work)
-               for _ in range(min(cpus, len(chunks)) - 1)]
+    helpers = [threading.Thread(target=run)
+               for _ in range(min(cpus, len(items)) - 1)]
     try:
         for helper in helpers:
             helper.start()
-        work()
+        run()
     finally:
         for helper in helpers:
             if helper.ident is not None:    # started
                 helper.join()
-    for row in rows:
-        if isinstance(row, BaseException):
-            raise row
-    return np.concatenate(rows)
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
+def _encode_in_chunks(encode, keys, tokenize) -> np.ndarray:
+    """Rows of ``encode(tokens, keys)`` over ``ENCODE_CHUNK``-sized slices,
+    one ``_run_on_cpus`` item each, in key order.  Each slice is the same
+    call on the same inputs as in a serial loop, so the rows are the same
+    bytes."""
+    chunks = [keys[start:start + ENCODE_CHUNK] for start in range(0, len(keys), ENCODE_CHUNK)]
+    return np.concatenate(_run_on_cpus(
+        lambda chunk: encode([tokenize(key) for key in chunk], chunk).value, chunks))
 
 
 # ---------------------------------------------------------------------------
@@ -499,14 +510,18 @@ def evaluate(
     triples, so head prediction is covered by the inverse-relation
     queries of the same split.
 
-    Queries go in blocks of ``SCORE_BLOCK``.  A scorer with
-    ``block_scores`` proposes the block's rows and a bound ``delta`` on
-    their distance from ``scores``; a scorer with only ``scores`` proposes
-    those rows, with ``delta`` 0.  Each row is ranked once by ``_ranked``.
-    A proposed row it cannot certify is ranked again, by ``_ranked`` with
-    ``delta`` 0 on ``scores``, and counted in the report's ``fallbacks``.
-    So ranks, top ids and printed scores are those of ``scores``; a kept
-    top score differs from its ``scores`` value by at most ``delta``.
+    Queries go in blocks of ``SCORE_BLOCK``, one ``_run_on_cpus`` item
+    each, so blocks are ranked on every usable CPU; a scorer's ``scores``
+    and ``block_scores`` may be called from several threads at once and
+    must be pure.  Every graph lookup is made on the calling thread before
+    any block starts.  A scorer with ``block_scores`` proposes the block's
+    rows and a bound ``delta`` on their distance from ``scores``; a scorer
+    with only ``scores`` proposes those rows, with ``delta`` 0.  Each row
+    is ranked once by ``_ranked``.  A proposed row it cannot certify is
+    ranked again, by ``_ranked`` with ``delta`` 0 on ``scores``, and
+    counted in the report's ``fallbacks``.  So ranks, top ids and printed
+    scores are those of ``scores``, whatever the thread count; a kept top
+    score differs from its ``scores`` value by at most ``delta``.
     """
     if top_k < 0:
         raise ValueError(f"top_k must be non-negative, got {top_k}")
@@ -514,20 +529,22 @@ def evaluate(
     alpha = rerank_config.alpha
     k = top_k + 1 if collect_details else None   # one more, for the certificate
     propose = getattr(scorer, "block_scores", None)
-    triples = graph.triples(split).tolist()
-    results: list[QueryResult] = []
-    fallbacks = 0
-    for start in range(0, len(triples), SCORE_BLOCK):
-        block = triples[start:start + SCORE_BLOCK]
+    # the graph builds its lookup indexes lazily, so no helper may be the
+    # first to look up a split selection
+    queries = []
+    for h, r, t in graph.triples(split).tolist():
+        neighbors = (graph.tails_by_relation(r, rerank_config.splits)
+                     if alpha > 0 else None)
+        filtered = graph.tails_by_pair(h, r, filter_splits)
+        queries.append((h, r, t, filtered[filtered != t], neighbors))
+
+    def rank_block(block) -> tuple[list[QueryResult], int]:
         if propose is None:
-            rows, delta = [scorer.scores(h, r) for h, r, _ in block], 0.0
+            rows, delta = [scorer.scores(h, r) for h, r, *_ in block], 0.0
         else:
-            rows, delta = propose([(h, r) for h, r, _ in block])
-        for (h, r, t), raw in zip(block, rows):
-            neighbors = (graph.tails_by_relation(r, rerank_config.splits)
-                         if alpha > 0 else None)
-            filtered = graph.tails_by_pair(h, r, filter_splits)
-            filtered = filtered[filtered != t]
+            rows, delta = propose([(h, r) for h, r, *_ in block])
+        results, fallbacks = [], 0
+        for (h, r, t, filtered, neighbors), raw in zip(block, rows):
             ranked = _ranked(raw, t, filtered, neighbors, alpha, k, delta)
             if ranked is None:
                 fallbacks += 1
@@ -539,4 +556,9 @@ def evaluate(
                 shown = top[:top_k]
                 result.top = list(zip(shown.tolist(), adjusted[shown].tolist()))
             results.append(result)
-    return build_report(results, fallbacks), results
+        return results, fallbacks
+
+    blocks = _run_on_cpus(rank_block, [queries[start:start + SCORE_BLOCK]
+                                       for start in range(0, len(queries), SCORE_BLOCK)])
+    results = [result for block, _ in blocks for result in block]
+    return build_report(results, sum(fallbacks for _, fallbacks in blocks)), results

@@ -38,3 +38,43 @@ def serial_encode_in_chunks(encode, keys, tokenize) -> np.ndarray:
     chunks = [keys[start:start + size] for start in range(0, len(keys), size)]
     return np.concatenate([encode([tokenize(key) for key in chunk], chunk).value
                            for chunk in chunks])
+
+
+def serial_evaluate(scorer, graph, split, filter_splits=evaluation.DEFAULT_FILTER_SPLITS,
+                    rerank_config=None, collect_details=False, top_k=10):
+    """``evaluate``'s blocks one after another on the calling thread, each
+    graph lookup made as its query is ranked: the loop the threaded
+    ranking replaced."""
+    if top_k < 0:
+        raise ValueError(f"top_k must be non-negative, got {top_k}")
+    rerank_config = rerank_config or evaluation.RerankConfig()
+    alpha = rerank_config.alpha
+    k = top_k + 1 if collect_details else None   # one more, for the certificate
+    propose = getattr(scorer, "block_scores", None)
+    triples = graph.triples(split).tolist()
+    results = []
+    fallbacks = 0
+    for start in range(0, len(triples), evaluation.SCORE_BLOCK):
+        block = triples[start:start + evaluation.SCORE_BLOCK]
+        if propose is None:
+            rows, delta = [scorer.scores(h, r) for h, r, _ in block], 0.0
+        else:
+            rows, delta = propose([(h, r) for h, r, _ in block])
+        for (h, r, t), raw in zip(block, rows):
+            neighbors = (graph.tails_by_relation(r, rerank_config.splits)
+                         if alpha > 0 else None)
+            filtered = graph.tails_by_pair(h, r, filter_splits)
+            filtered = filtered[filtered != t]
+            ranked = evaluation._ranked(raw, t, filtered, neighbors, alpha, k, delta)
+            if ranked is None:
+                fallbacks += 1
+                ranked = evaluation._ranked(scorer.scores(h, r), t, filtered, neighbors,
+                                            alpha, k, 0.0)
+            adjusted, rank, top = ranked
+            direction = "head" if graph.is_inverse_relation(r) else "tail"
+            result = evaluation.QueryResult(h, r, t, rank, direction)
+            if collect_details:
+                shown = top[:top_k]
+                result.top = list(zip(shown.tolist(), adjusted[shown].tolist()))
+            results.append(result)
+    return evaluation.build_report(results, fallbacks), results

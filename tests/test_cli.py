@@ -5,13 +5,15 @@ import sys
 
 import pytest
 
-from structkgc import cli
+from structkgc import cli, evaluation
+from structkgc.checkpoint import save_checkpoint
 from structkgc.cli import main
 from structkgc.data import load_dataset
 from structkgc.evaluation import ModelScorer, miou
+from structkgc.model import Model, ModelConfig
 from structkgc.toygen import make_text_toy, write_toy_dataset
 
-from scorers import encode_one_query
+from scorers import encode_one_query, serial_evaluate
 from test_evaluation import reference_evaluate
 
 TOY_CONFIG = """
@@ -173,6 +175,35 @@ class TestFreshProcesses:
             outputs.append((run.stdout, detail.read_bytes()))
         assert b"MRR\t" in outputs[0][0]
         assert outputs[0] == outputs[1]
+
+    def test_struct_eval_over_several_blocks_equals_the_serial_loop(
+            self, tmp_path, monkeypatch, capsys):
+        # the 68 train queries of this toy make five score blocks, so helper
+        # threads rank some of them: the bytes are the same at 1 and 2 BLAS
+        # threads, and the same as the serial block loop's in this process
+        data = tmp_path / "toy"
+        write_toy_dataset(make_text_toy(num_entities=30, num_relations=3, num_triples=40,
+                                        seed=1), data)
+        graph = load_dataset(data).graph
+        assert len(graph.triples("train")) >= 3 * evaluation.SCORE_BLOCK
+        ckpt = tmp_path / "struct.ckpt"
+        save_checkpoint(str(ckpt), Model(ModelConfig(graph.num_entities,
+                                                     graph.num_base_relations,
+                                                     struct_dim=8, use_text=False), seed=0))
+        argv = ["eval", "--dataset", str(data), "--checkpoint", str(ckpt), "--split",
+                "train", "--score-mode", "struct", "--alpha", "0.1", "--detail"]
+        outputs = []
+        for threads in (1, 2):
+            detail = tmp_path / f"detail{threads}.tsv"
+            run = subprocess.run([sys.executable, "-m", "structkgc.cli", *argv, str(detail)],
+                                 env=fresh_env(threads), check=True, capture_output=True)
+            outputs.append((run.stdout, detail.read_bytes()))
+        monkeypatch.setattr(cli, "evaluate", serial_evaluate)
+        detail = tmp_path / "serial.tsv"
+        assert main([*argv, str(detail)]) == 0
+        serial = (capsys.readouterr().out.encode(), detail.read_bytes())
+        assert b"MRR\t" in serial[0]
+        assert outputs[0] == outputs[1] == serial
 
     @pytest.mark.parametrize("mode,loads_scipy", [("struct", False), ("text", True)])
     def test_only_the_text_path_imports_scipy(self, workspace, mode, loads_scipy):
@@ -360,6 +391,16 @@ class TestOptionsCheckedWhenParsed:
         assert captured.err.startswith(
             f"error\tusage\targument {option}: expected one or more {what} from ")
         assert captured.err.endswith(", got ','\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value", [",", ""])
+    def test_empty_penalty_list(self, tmp_path, capsys, value):
+        argv = ["rerank-sweep", "--dataset", str(tmp_path / "missing"),
+                "--checkpoint", str(tmp_path / "missing.ckpt"), "--alphas", value]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error\tusage\targument --alphas: expected one or more "
+                                f"non-negative numbers, got {value!r}\n")
         assert captured.out == ""
 
     @pytest.mark.parametrize("value", ["0", "-3"])

@@ -36,7 +36,12 @@ from structkgc.text import tokenize_entity
 from structkgc.toygen import make_text_toy
 
 from graph_reference import ReferenceGraph
-from scorers import TableScorer, encode_one_query, serial_encode_in_chunks
+from scorers import (
+    TableScorer,
+    encode_one_query,
+    serial_encode_in_chunks,
+    serial_evaluate,
+)
 
 
 def oracle_rank(scores, gold, filter_ids):
@@ -1103,36 +1108,93 @@ def must_fall_back(scores, gold, filtered, delta, k):
             or any(f"{x - delta:.6f}" != f"{x + delta:.6f}" for x in top[:k]))
 
 
+PLANTED_TIE_ALPHAS = (0.0, 0.2)
+
+
+def kept_out(graph, h, r, t):
+    """The filter set of query (h, r, t) as ``evaluate`` uses it."""
+    return set(graph.tails_by_pair(h, r, DEFAULT_FILTER_SPLITS).tolist()) - {t}
+
+
+def planted_ties():
+    """(graph, table, {alpha: proposed}, delta, k): 37 test queries on 30
+    entities, every third row with its gold tied to a candidate, scores on
+    a grid far coarser than 2 delta, and for each alpha of
+    ``PLANTED_TIE_ALPHAS`` rows within delta of the table to propose."""
+    rng = np.random.default_rng(31)
+    n, delta, k = 30, 2.0 ** -30, 10
+    test = [Triple(int(rng.integers(0, n)), int(rng.integers(0, 2)),
+                   int(rng.integers(0, n))) for _ in range(37)]
+    g = graph_with_splits(n, 2, test[:10], test)
+    queries = g.triples("test").tolist()
+    table = {(h, r): np.round(rng.uniform(-1, 1, size=n) / GRID) * GRID
+             for h, r, _ in queries}
+    for h, r, t in queries[::3]:
+        table[(h, r)][(t + 1) % n] = table[(h, r)][t]   # gold ties a candidate
+    proposals = {alpha: {pair: row + rng.choice([-delta, delta], size=n)
+                         for pair, row in table.items()}
+                 for alpha in PLANTED_TIE_ALPHAS}
+    return g, table, proposals, delta, k
+
+
+def planted_near_misses(alpha):
+    """(graph, table, proposed, adjusted, delta, k): proposed re-ranked rows
+    on a 2**-40 grid, with planted scores within 2 delta of the gold or of
+    a top-list neighbour, at a 6-decimal rounding boundary, or NaN; alpha
+    0.25 keeps every sum exact."""
+    rng = np.random.default_rng(32)
+    n, delta, k = 40, 2.0 ** -36, 5
+    test = [Triple(int(rng.integers(0, n)), int(rng.integers(0, 3)),
+                   int(rng.integers(0, n))) for _ in range(80)]
+    g = graph_with_splits(n, 3, test[:30], test)
+    queries = g.triples("test").tolist()
+    penalties = {r: np.where(np.isin(np.arange(n), g.tails_by_relation(r, ("train",))),
+                             0.0, alpha) for r in range(g.num_relations)}
+    adjusted = {(h, r): np.round(rng.uniform(-1, 1, size=n) * 2.0 ** 40) * 2.0 ** -40
+                for h, r, _ in queries}
+    for h, r, t in queries:
+        row = adjusted[(h, r)]
+        top = reference_top(row, kept_out(g, h, r, t), k + 1)
+        kept = [i for i in range(n) if i != t and i not in kept_out(g, h, r, t)]
+        plant = int(rng.integers(0, 8))
+        if plant == 1 and kept:
+            row[rng.choice(kept)] = row[t] + rng.choice([-1.5, -1, 0, 1, 1.5]) * delta
+        elif plant == 2:
+            j = int(rng.integers(0, k))
+            row[top[j + 1]] = row[top[j]] - rng.choice([0, 1, 1.5]) * delta
+        elif plant == 3:
+            i = top[int(rng.integers(0, k))]
+            boundary = (np.floor(row[i] * 1e6) + 0.5) / 1e6
+            row[i] = np.round(boundary * 2.0 ** 40) * 2.0 ** -40
+        elif plant == 4:
+            row[int(rng.integers(0, n))] = np.nan
+    proposed = {(h, r): row + penalties[r] for (h, r), row in adjusted.items()}
+    table = {pair: np.nan_to_num(row) + rng.choice([-delta, 0.0, delta], size=n)
+             for pair, row in proposed.items()}
+    return g, table, proposed, adjusted, delta, k
+
+
 class TestBlockedEvaluate:
     def test_planted_ties_fall_back_to_the_canonical_scores(self):
-        rng = np.random.default_rng(31)
-        n, delta, k = 30, 2.0 ** -30, 10
-        test = [Triple(int(rng.integers(0, n)), int(rng.integers(0, 2)),
-                       int(rng.integers(0, n))) for _ in range(37)]
-        g = graph_with_splits(n, 2, test[:10], test)
+        g, table, proposals, delta, k = planted_ties()
+        n = g.num_entities
         queries = g.triples("test").tolist()
-        table = {(h, r): np.round(rng.uniform(-1, 1, size=n) / GRID) * GRID
-                 for h, r, _ in queries}
-        for h, r, t in queries[::3]:
-            table[(h, r)][(t + 1) % n] = table[(h, r)][t]   # gold ties a candidate
 
         def tied(h, r, t, alpha):
             """Exact ties at gold or in the top k + 1: grid gaps are far
             wider than 2 delta, so these are the queries that must fall back."""
             scores = reference_rerank(table[(h, r)], g.tails_by_relation(r, ("train",)),
                                       alpha)
-            filtered = set(g.tails_by_pair(h, r, DEFAULT_FILTER_SPLITS).tolist()) - {t}
+            filtered = kept_out(g, h, r, t)
             kept = [i for i in range(n) if i not in filtered and i != t]
             top = reference_top(scores, filtered, k + 1)
             return (any(scores[i] == scores[t] for i in kept)
                     or len({scores[i] for i in top}) < len(top))
 
-        for alpha in (0.0, 0.2):
+        for alpha, proposed in proposals.items():
             kwargs = dict(rerank_config=RerankConfig(alpha=alpha), collect_details=True,
                           top_k=k)
             want = reference_evaluate(TableScorer(table), g, "test", **kwargs)
-            proposed = {pair: row + rng.choice([-delta, delta], size=n)
-                        for pair, row in table.items()}
             got = evaluate(ProposingScorer(table, proposed, delta), g, "test", **kwargs)
             assert_same_as_reference(got, want, tol=2 * delta)
             expected = sum(tied(h, r, t, alpha) for h, r, t in queries)
@@ -1144,49 +1206,15 @@ class TestBlockedEvaluate:
     @pytest.mark.parametrize("alpha", [0.0, 0.25])
     @pytest.mark.parametrize("details", [False, True])
     def test_planted_near_misses_match_the_exact_path(self, alpha, details):
-        # proposed re-ranked rows on a 2**-40 grid, with planted scores within
-        # 2 delta of the gold or of a top-list neighbour, at a 6-decimal
-        # rounding boundary, or NaN; alpha 0.25 keeps every sum exact
-        rng = np.random.default_rng(32)
-        n, delta, k = 40, 2.0 ** -36, 5
-        test = [Triple(int(rng.integers(0, n)), int(rng.integers(0, 3)),
-                       int(rng.integers(0, n))) for _ in range(80)]
-        g = graph_with_splits(n, 3, test[:30], test)
+        g, table, proposed, adjusted, delta, k = planted_near_misses(alpha)
         queries = g.triples("test").tolist()
-        penalties = {r: np.where(np.isin(np.arange(n), g.tails_by_relation(r, ("train",))),
-                                 0.0, alpha) for r in range(g.num_relations)}
-
-        def filtered(h, r, t):
-            return set(g.tails_by_pair(h, r, DEFAULT_FILTER_SPLITS).tolist()) - {t}
-
-        adjusted = {(h, r): np.round(rng.uniform(-1, 1, size=n) * 2.0 ** 40) * 2.0 ** -40
-                    for h, r, _ in queries}
-        for h, r, t in queries:
-            row = adjusted[(h, r)]
-            top = reference_top(row, filtered(h, r, t), k + 1)
-            kept = [i for i in range(n) if i != t and i not in filtered(h, r, t)]
-            plant = int(rng.integers(0, 8))
-            if plant == 1 and kept:
-                row[rng.choice(kept)] = row[t] + rng.choice([-1.5, -1, 0, 1, 1.5]) * delta
-            elif plant == 2:
-                j = int(rng.integers(0, k))
-                row[top[j + 1]] = row[top[j]] - rng.choice([0, 1, 1.5]) * delta
-            elif plant == 3:
-                i = top[int(rng.integers(0, k))]
-                boundary = (np.floor(row[i] * 1e6) + 0.5) / 1e6
-                row[i] = np.round(boundary * 2.0 ** 40) * 2.0 ** -40
-            elif plant == 4:
-                row[int(rng.integers(0, n))] = np.nan
-        proposed = {(h, r): row + penalties[r] for (h, r), row in adjusted.items()}
-        table = {pair: np.nan_to_num(row) + rng.choice([-delta, 0.0, delta], size=n)
-                 for pair, row in proposed.items()}
         kwargs = dict(rerank_config=RerankConfig(alpha=alpha), collect_details=details,
                       top_k=k)
         got = evaluate(ProposingScorer(table, proposed, delta), g, "test", **kwargs)
         want = reference_evaluate(TableScorer(table), g, "test", **kwargs)
         assert dataclasses.replace(got[0], fallbacks=0) == want[0]
         assert printed(got[1]) == printed(want[1])
-        expected = sum(must_fall_back(adjusted[(h, r)], t, filtered(h, r, t), delta,
+        expected = sum(must_fall_back(adjusted[(h, r)], t, kept_out(g, h, r, t), delta,
                                       k if details else None) for h, r, t in queries)
         assert 0 < expected < len(queries)
         assert got[0].fallbacks == expected
@@ -1245,3 +1273,224 @@ class TestBlockedEvaluate:
         want = reference_evaluate(scorer, g, "train", **kwargs)
         monkeypatch.setattr(evaluation, "SCORE_BLOCK", block)
         assert_same_as_reference(evaluate(scorer, g, "train", **kwargs), want, 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# threaded ranking against the serial block loop
+# ---------------------------------------------------------------------------
+
+def assert_identical(got, want):
+    """Reports equal, fallbacks included, and every result equal, its top
+    scores byte for byte."""
+    (got_report, got_results), (want_report, want_results) = got, want
+    assert got_report == want_report
+    assert len(got_results) == len(want_results)
+    for g, w in zip(got_results, want_results):
+        assert (g.head, g.relation, g.gold, g.rank, g.direction) == \
+            (w.head, w.relation, w.gold, w.rank, w.direction)
+        assert [e for e, _ in g.top] == [e for e, _ in w.top]
+        assert (np.array([s for _, s in g.top], dtype=np.float64).tobytes()
+                == np.array([s for _, s in w.top], dtype=np.float64).tobytes())
+
+
+def check_against_serial(scorer, graph, split, **kwargs):
+    """``evaluate`` and ``serial_evaluate`` give the same; the report."""
+    got = evaluate(scorer, graph, split, **kwargs)
+    assert_identical(got, serial_evaluate(scorer, graph, split, **kwargs))
+    return got[0]
+
+
+class FailingBlocks(TableScorer):
+    """Proposes the table's rows, after ``waits[b]`` seconds for block b,
+    and raises for the blocks in ``failing``; records each block it starts.
+    Each test query has a pair of its own, which names its block."""
+
+    def __init__(self, graph, table, failing, waits):
+        super().__init__(table)
+        queries = graph.triples("test").tolist()
+        self.block_of = {(h, r): i // evaluation.SCORE_BLOCK
+                         for i, (h, r, _) in enumerate(queries)}
+        assert len(self.block_of) == len(queries)
+        self.failing, self.waits = failing, waits
+        self.started = []
+
+    def block_scores(self, pairs):
+        block = self.block_of[pairs[0]]
+        self.started.append(block)
+        time.sleep(self.waits.get(block, 0.0))
+        if block in self.failing:
+            raise LookupError(f"block {block}")
+        return np.array([self.table[pair] for pair in pairs]), 0.0
+
+
+def distinct_head_graph(queries, n=12):
+    """A graph whose ``queries`` test triples have heads 0, 1, ...; one
+    train triple; and a random table for every test pair."""
+    rng = np.random.default_rng(41)
+    test = [Triple(i, 0, int(rng.integers(0, n))) for i in range(queries)]
+    g = graph_with_splits(max(n, queries), 1, [Triple(0, 0, 1)], test)
+    table = {(h, r): quantized(rng, g.num_entities) for h, r, _ in g.triples("test").tolist()}
+    return g, table
+
+
+class TestThreadedEvaluate:
+    # blocks of 4 make 10 blocks of the 40 train queries and 2 of the 8
+    # test queries; 8 CPUs are more than either, and 1 CPU ranks every
+    # block on the calling thread
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    @pytest.mark.parametrize("mode", SCORE_MODES)
+    @pytest.mark.parametrize("kind", list(AseKind))
+    def test_model_scorer_matches_the_serial_loop(self, monkeypatch, cpus, mode, kind):
+        g, tokenizer, model = text_struct_model(kind)
+        scorer = ModelScorer(model, g, tokenizer, split_pairs(g, "train", "test"),
+                             mode=mode, beta=0.3)
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK", 4)
+        use_cpus(monkeypatch, cpus)
+        assert len(g.triples("train")) >= 3 * evaluation.SCORE_BLOCK
+        for alpha in (0.0, 0.1):
+            for details in (False, True):
+                for split, filter_splits in (("train", ("train",)),
+                                             ("test", DEFAULT_FILTER_SPLITS)):
+                    check_against_serial(scorer, g, split, filter_splits=filter_splits,
+                                         rerank_config=RerankConfig(alpha=alpha),
+                                         collect_details=details)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_scores_only_scorer_matches_the_serial_loop(self, monkeypatch, cpus):
+        rng = np.random.default_rng(42)
+        n = 25
+        train = [Triple(int(rng.integers(0, n)), int(rng.integers(0, 3)),
+                        int(rng.integers(0, n))) for _ in range(40)]
+        test = [Triple(int(rng.integers(0, n)), int(rng.integers(0, 3)),
+                       int(rng.integers(0, n))) for _ in range(30)]
+        g = graph_with_splits(n, 3, train, test)
+        table = {(h, r): quantized(rng, n) for h, r, _ in g.triples("test").tolist()}
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK", 4)
+        use_cpus(monkeypatch, cpus)
+        for alpha in (0.0, 0.1):
+            for details in (False, True):
+                check_against_serial(TableScorer(table), g, "test",
+                                     rerank_config=RerankConfig(alpha=alpha),
+                                     collect_details=details, top_k=3)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_planted_fallbacks_match_the_serial_loop(self, monkeypatch, cpus):
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK", 4)
+        use_cpus(monkeypatch, cpus)
+        g, table, proposals, delta, k = planted_ties()
+        for alpha, proposed in proposals.items():
+            report = check_against_serial(
+                ProposingScorer(table, proposed, delta), g, "test",
+                rerank_config=RerankConfig(alpha=alpha), collect_details=True, top_k=k)
+            assert report.fallbacks > 0
+        for alpha in (0.0, 0.25):
+            g, table, proposed, _, delta, k = planted_near_misses(alpha)
+            for details in (False, True):
+                report = check_against_serial(
+                    ProposingScorer(table, proposed, delta), g, "test",
+                    rerank_config=RerankConfig(alpha=alpha), collect_details=details,
+                    top_k=k)
+                assert report.fallbacks > 0
+
+    @pytest.mark.parametrize("cpus,threads", [(1, 1), (2, 2), (8, 4)])
+    def test_blocks_are_ranked_at_once(self, monkeypatch, cpus, threads):
+        # 16 queries in blocks of 4 make 4 blocks; each proposal waits until
+        # ``threads`` of them run at once, so a missing thread times out
+        g, table = distinct_head_graph(16)
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK", 4)
+        use_cpus(monkeypatch, cpus)
+        barrier = threading.Barrier(threads, timeout=30)
+        idents = []
+
+        class Waiting(ProposingScorer):
+            def block_scores(self, pairs):
+                barrier.wait()
+                idents.append(threading.get_ident())
+                return super().block_scores(pairs)
+
+        before = threading.active_count()
+        got = evaluate(Waiting(table, table, 0.0), g, "test")
+        assert_identical(got, serial_evaluate(ProposingScorer(table, table, 0.0), g, "test"))
+        assert len(idents) == 4 and len(set(idents)) == threads
+        assert threading.active_count() == before
+
+    def test_graph_lookups_stay_on_the_calling_thread(self, monkeypatch):
+        # the graph builds its indexes lazily, so helpers never look up
+        g, table = distinct_head_graph(16)
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK", 4)
+        use_cpus(monkeypatch, 2)
+        callers = []
+        for name in ("tails_by_pair", "tails_by_relation"):
+            def spy(*args, lookup=getattr(g, name)):
+                callers.append(threading.get_ident())
+                return lookup(*args)
+            monkeypatch.setattr(g, name, spy)
+        check_against_serial(ProposingScorer(table, table, 0.0), g, "test",
+                             rerank_config=RerankConfig(alpha=0.1))
+        assert len(callers) == 2 * 2 * 16      # two per query, in each of two runs
+        assert set(callers) == {threading.get_ident()}
+
+    def test_the_lowest_failing_block_raises(self, monkeypatch):
+        # blocks of 2 on 3 threads: blocks 1 and 2 fail, block 2 first, as
+        # block 1 starts slow; block 1's error, the serial loop's, is raised,
+        # and block 3 never starts, as block 0 is slower than block 2's failure
+        g, table = distinct_head_graph(8)
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK", 2)
+        use_cpus(monkeypatch, 3)
+        scorer = FailingBlocks(g, table, failing={1, 2}, waits={0: 0.1, 1: 0.2})
+        before = threading.active_count()
+        with pytest.raises(LookupError, match="block 1"):
+            evaluate(scorer, g, "test")
+        assert sorted(scorer.started) == [0, 1, 2]
+        assert threading.active_count() == before
+        with pytest.raises(LookupError, match="block 1"):
+            serial_evaluate(FailingBlocks(g, table, failing={1, 2}, waits={}), g, "test")
+
+    def test_no_block_starts_after_a_failure(self, monkeypatch):
+        # blocks of one query on two threads: block 0 fails at once while
+        # block 1 is slow, so no thread takes block 2 or a later one
+        g, table = distinct_head_graph(6)
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK", 1)
+        use_cpus(monkeypatch, 2)
+        scorer = FailingBlocks(g, table, failing={0}, waits={1: 0.2})
+        before = threading.active_count()
+        with pytest.raises(LookupError, match="block 0"):
+            evaluate(scorer, g, "test")
+        assert set(scorer.started) <= {0, 1}
+        assert threading.active_count() == before
+
+    def test_stress_more_threads_than_cores(self, monkeypatch):
+        # 8 threads rank one-query blocks, switching as often as the
+        # interpreter allows: every run gives the serial loop's results, and
+        # one with failing blocks raises the lowest one's error
+        g, table, proposals, delta, k = planted_ties()
+        scorer = ProposingScorer(table, proposals[0.2], delta)
+        kwargs = dict(rerank_config=RerankConfig(alpha=0.2), collect_details=True, top_k=k)
+        want = serial_evaluate(scorer, g, "test", **kwargs)
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK", 1)
+        use_cpus(monkeypatch, 8)
+        rng = np.random.default_rng(43)
+        blocks = 24
+        g_failing, table_failing = distinct_head_graph(blocks)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                assert_identical(evaluate(scorer, g, "test", **kwargs), want)
+                failing = set(rng.choice(blocks, size=2, replace=False).tolist())
+                failer = FailingBlocks(g_failing, table_failing, failing, waits={})
+                with pytest.raises(LookupError, match=f"block {min(failing)}$"):
+                    evaluate(failer, g_failing, "test")
+                assert set(range(min(failing) + 1)) <= set(failer.started)
+                assert len(failer.started) == len(set(failer.started))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("run", [evaluate, serial_evaluate])
+    def test_input_errors_stay_the_serial_loops(self, monkeypatch, run):
+        g, table = distinct_head_graph(8)
+        use_cpus(monkeypatch, 2)
+        with pytest.raises(ValueError, match="cannot report on zero queries"):
+            run(TableScorer(table), g, "valid")
+        with pytest.raises(KeyError, match="bogus"):
+            run(TableScorer(table), g, "test", filter_splits=("bogus",))
