@@ -19,7 +19,7 @@ from .data import DataError, build_tokenizer, load_dataset
 from .evaluation import SCORE_MODES, ModelScorer, RerankConfig, evaluate, miou
 from .graph import SPLITS, GraphError
 from .model import Model
-from .text import Tokenizer
+from .text import MIN_TOKEN_FREQ, Tokenizer
 from .training import EpochMetrics, Trainer, TrainingError
 
 REGIMES = {
@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-vocab", help="build and save the tokenizer vocabulary")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--min-freq", type=_min_freq, default=2, dest="min_freq")
+    p.add_argument("--min-freq", type=_min_freq, default=MIN_TOKEN_FREQ, dest="min_freq")
     p.set_defaults(func=cmd_build_vocab)
 
     p = sub.add_parser("train", help="train a model and write a checkpoint")

@@ -5,75 +5,39 @@ by a downstream module (encoder dims, temperature range, sampler sizes,
 component switches) are rejected at parse time.  Evaluation settings (score mode,
 re-ranking, filter splits) are command-line options, not config keys.
 
-Every other key but ``dataset`` and ``min_token_freq`` fills the
-same-named field of ``ModelConfig`` or ``TrainConfig``.
+The keys are ``dataset`` and ``min_token_freq``, then every field of
+``ModelConfig`` and then of ``TrainConfig`` but the three the dataset
+decides, in declaration order with the components' own types and
+defaults; each fills the same-named component field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import field, fields, make_dataclass
 
 from .graph import DataError, read_text
 from .model import ModelConfig
 from .structural import AseKind
-from .training import TrainConfig
+from .text import MIN_TOKEN_FREQ
+from .training import TrainConfig, require_text_path
+
+# ModelConfig fields that the dataset and its vocabulary decide
+_DATA_DERIVED = ("num_entities", "num_base_relations", "vocab_size")
 
 
 class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    # data
-    dataset: str = ""
-    min_token_freq: int = 2
-    # model dims
-    struct_dim: int = 64
-    layers: int = 2
-    hidden_dim: int = 64
-    heads: int = 4
-    max_len: int = 64
-    ase_kind: str = "additive"
-    # component switches
-    use_text: bool = True
-    use_ase: bool = True
-    use_mh: bool = True
-    use_ir: bool = True
-    # loss
-    tau_init: float = 0.05
-    tau_min: float = 0.01
-    tau_max: float = 1.0
-    margin: float = 0.02
-    beta: float = 0.5
-    # negatives
-    queue_capacity: int = 256
-    hardest_k: int = 32
-    mh_count: int = 64
-    ir_count: int = 3
-    momentum: float = 0.999
-    # optimizer / loop
-    lr: float = 5e-4
-    weight_decay: float = 0.01
-    clip_norm: float = 1.0
-    epochs: int = 10
-    batch_size: int = 32
-    seed: int = 0
-
+class _RunConfigBase:
     def __post_init__(self):
-        self.validate()
-
-    # ------------------------------------------------------------------
-    def validate(self):
         try:
-            AseKind(self.ase_kind)
+            self.ase_kind = AseKind(self.ase_kind)
         except ValueError:
             raise ConfigError(
                 f"ase_kind must be one of "
                 f"{[k.value for k in AseKind]}, got {self.ase_kind!r}"
             ) from None
-        if self.use_mh and not self.use_text:
-            raise ConfigError("use_mh needs the text path (use_text=true)")
         if self.min_token_freq < 1:
             raise ConfigError(
                 f"min_token_freq must be at least 1, got {self.min_token_freq}"
@@ -81,9 +45,10 @@ class RunConfig:
         # delegate the rest to the owning modules' own validation, in the
         # order train (loss settings first), then model
         try:
-            self.train_config()
+            train = self.train_config()
             self.model_config(num_entities=2, num_base_relations=1,
                               vocab_size=16 if self.use_text else 0)
+            require_text_path(train, self.use_text)
         except ValueError as e:
             raise ConfigError(str(e)) from None
         if not self.tau_min <= self.tau_init <= self.tau_max:
@@ -92,14 +57,11 @@ class RunConfig:
                 f"[{self.tau_min}, {self.tau_max}]"
             )
 
-    # ------------------------------------------------------------------
     def _fill(self, component, **given):
         """``component`` built from ``given`` plus, for each other field,
         the run config key of the same name."""
         values = {f.name: getattr(self, f.name) for f in fields(component)
                   if f.name not in given}
-        if "ase_kind" in values:
-            values["ase_kind"] = AseKind(values["ase_kind"])
         return component(**values, **given)
 
     def model_config(self, num_entities: int, num_base_relations: int,
@@ -110,6 +72,18 @@ class RunConfig:
 
     def train_config(self) -> TrainConfig:
         return self._fill(TrainConfig)
+
+
+RunConfig = make_dataclass(
+    "RunConfig",
+    [("dataset", "str", field(default="")),
+     ("min_token_freq", "int", field(default=MIN_TOKEN_FREQ))]
+    + [(f.name, f.type, field(default=f.default))
+       for component in (ModelConfig, TrainConfig) for f in fields(component)
+       if f.name not in _DATA_DERIVED],
+    bases=(_RunConfigBase,),
+    namespace={"__module__": __name__},
+)
 
 
 def _coerce(field_type, raw: str, key: str):

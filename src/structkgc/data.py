@@ -61,7 +61,7 @@ from .graph import (
     inverse_relation_records,
     read_text,
 )
-from .text import Tokenizer
+from .text import MIN_TOKEN_FREQ, Tokenizer
 
 SPLIT_FILES = {"train": "train.txt", "valid": "valid.txt", "test": "test.txt"}
 ENTITY_FILE = "entities.txt"
@@ -300,5 +300,5 @@ def corpus_texts(graph: KnowledgeGraph):
         yield descs[t]
 
 
-def build_tokenizer(graph: KnowledgeGraph, min_freq: int = 2) -> Tokenizer:
+def build_tokenizer(graph: KnowledgeGraph, min_freq: int = MIN_TOKEN_FREQ) -> Tokenizer:
     return Tokenizer.build(corpus_texts(graph), min_freq=min_freq)

@@ -153,10 +153,15 @@ def aggregate(ranks) -> dict[str, float]:
     }
 
 
+def _check_alpha(alpha: float) -> None:
+    if not math.isfinite(alpha) or alpha < 0:
+        raise ValueError(
+            f"re-ranking penalty alpha must be a finite non-negative number, got {alpha}")
+
+
 def rerank(scores: np.ndarray, neighbor_ids, alpha: float) -> np.ndarray:
     """score'(t) = score(t) - alpha * 1(t not in N_r); pure, input untouched."""
-    if alpha < 0:
-        raise ValueError(f"re-ranking penalty must be non-negative, got {alpha}")
+    _check_alpha(alpha)
     scores = np.asarray(scores, dtype=np.float64)
     ids = _ids(neighbor_ids, len(scores))
     if alpha == 0.0:
@@ -389,11 +394,7 @@ class RerankConfig:
     splits: tuple[str, ...] = ("train",)
 
     def __post_init__(self):
-        if not math.isfinite(self.alpha) or self.alpha < 0:
-            raise ValueError(
-                f"re-ranking penalty alpha must be a finite non-negative number, "
-                f"got {self.alpha}"
-            )
+        _check_alpha(self.alpha)
         if not self.splits or any(split not in SPLITS for split in self.splits):
             raise ValueError(f"re-ranking splits must be one or more of {SPLITS}, "
                              f"got {self.splits!r}")

@@ -47,6 +47,7 @@ PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
 _SPECIALS = (PAD, UNK, CLS, SEP)
 _PAD_ID = _SPECIALS.index(PAD)
 _WORD_RE = re.compile(r"[a-z0-9]+")
+MIN_TOKEN_FREQ = 2      # default count a token needs to enter the vocabulary
 
 
 def split_text(text: str) -> list[str]:
@@ -69,7 +70,7 @@ class Tokenizer:
         self.pad_id, self.unk_id, self.cls_id, self.sep_id = range(4)
 
     @classmethod
-    def build(cls, texts, min_freq: int = 2) -> "Tokenizer":
+    def build(cls, texts, min_freq: int = MIN_TOKEN_FREQ) -> "Tokenizer":
         """Count tokens over a text stream (with multiplicity) and keep the
         ones seen at least ``min_freq`` times, alphabetically ordered.
 

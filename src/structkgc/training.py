@@ -76,6 +76,12 @@ class TrainConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite number, got {value}")
+        # 0 turns decay or clipping off; below 0 decay grows the weights
+        # and clipping is silently off
+        for name in ("weight_decay", "clip_norm"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.epochs < 1 or self.batch_size < 1:
@@ -84,10 +90,19 @@ class TrainConfig:
             raise ValueError(f"learning rate must be positive, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.queue_capacity < 1 or self.hardest_k < 2 or self.mh_count < 1:
-            raise ValueError("queue capacity, hardest-k (>= 2) and mix count must be positive")
-        if self.ir_count < 0:
-            raise ValueError("intra-relation count must be non-negative")
+        if (self.queue_capacity < 1 or self.hardest_k < 2 or self.mh_count < 1
+                or self.ir_count < 1):
+            raise ValueError("queue capacity, hardest-k (>= 2), mix count and "
+                             "intra-relation count must be positive")
+
+
+def require_text_path(cfg: TrainConfig, use_text: bool) -> None:
+    """Refuse the momentum-hard or intra-relation switch without the text
+    path: both negative sources are tail text features, so neither would
+    run."""
+    for name in ("use_mh", "use_ir"):
+        if getattr(cfg, name) and not use_text:
+            raise ValueError(f"{name} needs the text path (use_text=true)")
 
 
 @dataclass
@@ -120,8 +135,7 @@ class Trainer:
                  tokenizer: Tokenizer | None, cfg: TrainConfig):
         if model.config.use_text and tokenizer is None:
             raise ValueError("the text path needs a tokenizer")
-        if cfg.use_mh and not model.config.use_text:
-            raise ValueError("momentum hard negatives need the text path")
+        require_text_path(cfg, model.config.use_text)
         # in log space, like the clamp: exp(log(tau)) need not give tau back
         log_tau = model.log_tau.value[0, 0]
         if not np.log(cfg.tau_min) <= log_tau <= np.log(cfg.tau_max):
@@ -192,7 +206,7 @@ class Trainer:
                 ])
 
             ir_features = None
-            if cfg.use_ir and cfg.ir_count > 0:
+            if cfg.use_ir:
                 sampled = []
                 for h, r in queries:
                     self.telemetry["irns_queries"] += 1

@@ -1,4 +1,5 @@
 import os
+import pickle
 import re
 from dataclasses import fields
 
@@ -82,6 +83,7 @@ class TestRunConfig:
             {"margin": -0.1},
             {"beta": -0.5},
             {"use_mh": True, "use_text": False},
+            {"use_ir": True, "use_text": False, "use_mh": False},
             {"use_text": False, "use_ase": False, "use_mh": False},
             {"min_token_freq": 0},
             {"epochs": 0},
@@ -91,6 +93,9 @@ class TestRunConfig:
             {"queue_capacity": 0},
             {"hardest_k": 1},
             {"ir_count": -2},
+            {"ir_count": 0},
+            {"weight_decay": -0.01},
+            {"clip_norm": -1.0},
             {"seed": -1},
         ],
     )
@@ -104,6 +109,17 @@ class TestRunConfig:
     def test_non_finite_float_rejected_naming_the_key(self, key, value):
         with pytest.raises(ConfigError, match=f"^{key} must be a finite number"):
             RunConfig(**{key: value})
+
+    @pytest.mark.parametrize("key", ["weight_decay", "clip_norm"])
+    def test_negative_float_rejected_naming_the_key(self, key):
+        with pytest.raises(ConfigError, match=f"^{key} must be non-negative"):
+            RunConfig(**{key: -0.5})
+
+    @pytest.mark.parametrize("key", ["use_mh", "use_ir"])
+    def test_text_negatives_without_the_text_path_name_the_switch(self, key):
+        switches = {"use_mh": False, "use_ir": False, key: True}
+        with pytest.raises(ConfigError, match=f"^{key} needs the text path"):
+            RunConfig(use_text=False, **switches)
 
     @pytest.mark.parametrize("kwargs,first", [
         ({"margin": -1.0, "epochs": 0}, "margin must be non-negative"),
@@ -120,6 +136,23 @@ class TestRunConfig:
         """Loss settings, then loop settings, then model settings."""
         with pytest.raises(ConfigError, match=f"^{first}"):
             RunConfig(**kwargs)
+
+    def test_keys_are_the_component_fields(self):
+        """``dataset`` and ``min_token_freq``, then the fields of
+        ``ModelConfig`` and ``TrainConfig`` the dataset does not decide."""
+        component_keys = [f.name for c in (ModelConfig, TrainConfig) for f in fields(c)
+                          if f.name not in DATA_DERIVED]
+        assert [f.name for f in fields(RunConfig)] == [
+            "dataset", "min_token_freq", *component_keys]
+
+    def test_ase_kind_parses_from_a_string(self):
+        assert RunConfig(ase_kind="rotation").ase_kind is AseKind.ROTATION
+        assert RunConfig().ase_kind is AseKind.ADDITIVE
+
+    def test_pickles_under_its_module(self):
+        cfg = RunConfig(**NON_DEFAULT)
+        assert RunConfig.__module__ == "structkgc.config"
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
 
     def test_struct_only_config_valid(self):
         cfg = RunConfig(use_text=False, use_mh=False, use_ir=False)

@@ -257,8 +257,9 @@ class TestRerank:
             outsider_rank_prev = above
 
     def test_negative_alpha_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            rerank(np.zeros(3), set(), -0.1)
+        for alpha in (-0.1, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="alpha must be a finite non-negative"):
+                rerank(np.zeros(3), {1}, alpha)
 
     @pytest.mark.parametrize("splits", [(), ("bogus",), ("train", "tests"), "train"])
     def test_config_rejects_unknown_or_no_splits(self, splits):

@@ -124,6 +124,19 @@ class TestTrainerSmoke:
         with pytest.raises(ValueError, match="text path"):
             Trainer(planted.graph, model, None, small_train_cfg(use_mh=True))
 
+    def test_ir_requires_text_path(self):
+        planted = make_planted_graph(num_entities=20, num_relations=2, dim=8,
+                                     seed=2)
+        cfg = ModelConfig(
+            num_entities=planted.graph.num_entities,
+            num_base_relations=planted.graph.num_base_relations,
+            struct_dim=8, use_text=False, use_ase=True, vocab_size=0,
+        )
+        model = Model(cfg, seed=2)
+        with pytest.raises(ValueError, match="^use_ir needs the text path"):
+            Trainer(planted.graph, model, None,
+                    small_train_cfg(use_mh=False, use_ir=True))
+
     def test_nan_loss_aborts_with_batch_ids(self):
         toy, tokenizer, model = tiny_text_setup()
         model.struct.entity_embeddings.value[:] = np.nan
@@ -373,6 +386,9 @@ class TestTrainConfigValidation:
             {"queue_capacity": 0},
             {"hardest_k": 1},
             {"ir_count": -1},
+            {"ir_count": 0},
+            {"weight_decay": -0.01},
+            {"clip_norm": -1.0},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -384,3 +400,12 @@ class TestTrainConfigValidation:
     def test_non_finite_rejected_naming_the_field(self, key, value):
         with pytest.raises(ValueError, match=f"^{key} must be a finite number"):
             TrainConfig(**{key: value})
+
+    @pytest.mark.parametrize("key", ["weight_decay", "clip_norm"])
+    def test_negative_rejected_naming_the_field(self, key):
+        with pytest.raises(ValueError, match=f"^{key} must be non-negative"):
+            TrainConfig(**{key: -0.5})
+
+    @pytest.mark.parametrize("key", ["weight_decay", "clip_norm"])
+    def test_zero_turns_decay_or_clipping_off(self, key):
+        assert getattr(TrainConfig(**{key: 0.0}), key) == 0.0
