@@ -1,12 +1,14 @@
 """Reverse-mode automatic differentiation on dense float64 matrices.
 
 Every value in the graph is a 2-D numpy array: scalars are (1, 1), row
-vectors (1, n).  A :class:`Node` records a value, an accumulated gradient
-and a vector-Jacobian callback; :func:`backward` walks the tape in reverse
-topological order.  Tapes are built per forward pass and dropped with the
-nodes; parameters are long-lived leaves whose ``grad`` the optimizer
-consumes and resets.  Inside :func:`no_grad` nodes record no parents and
-no callbacks, so values that are only read leave no tape behind.
+vectors (1, n).  A :class:`Node` records a value, its parents and a
+vector-Jacobian callback; :func:`backward` walks the tape in reverse
+topological order and accumulates a gradient on the leaves only, as
+interior gradients are read by nothing but their own callbacks.  Tapes
+are built per forward pass and dropped with the nodes; parameters are
+long-lived leaves whose ``grad`` the optimizer consumes and resets.
+Inside :func:`no_grad` nodes record no parents and no callbacks, so
+values that are only read leave no tape behind.
 
 Elementwise ops support the limited broadcasting the encoders need:
 (m, n) against (m, 1), (1, n) or (1, 1).
@@ -65,8 +67,9 @@ def as_matrix(x) -> np.ndarray:
 class Node:
     """One vertex of the differentiation graph.
 
-    Leaves (parameters, constants) have no parents.  ``grad`` is allocated
-    lazily by :func:`backward` and accumulates across calls until reset.
+    Leaves (parameters, constants) have no parents.  On a leaf ``grad`` is
+    allocated lazily by :func:`backward` and accumulates across calls
+    until reset; on a node with parents it stays ``None``.
     """
 
     __slots__ = ("value", "grad", "_parents", "_vjp")
@@ -538,9 +541,12 @@ def _toposort(root: Node) -> list[Node]:
 
 
 def backward(root: Node) -> None:
-    """Accumulate d(root)/d(node) into ``grad`` for every reachable node.
+    """Accumulate d(root)/d(leaf) into ``grad`` for every reachable leaf.
 
-    The root must be scalar-shaped.  Calling backward twice without
+    The root must be scalar-shaped.  Leaves are the nodes with no
+    recorded parents (parameters and constants); an interior node's
+    gradient lives only until its vector-Jacobian callback has used it,
+    and its ``grad`` stays ``None``.  Calling backward twice without
     resetting grads adds the same contribution again.
     """
     if root.value.size != 1:
@@ -552,7 +558,9 @@ def backward(root: Node) -> None:
         g = pending.pop(id(node), None)
         if g is None:
             continue
-        node.grad = g if node.grad is None else node.grad + g
+        if not node._parents:
+            node.grad = g if node.grad is None else node.grad + g
+            continue
         if node._vjp is None:
             continue
         for parent, pg in zip(node._parents, node._vjp(g)):

@@ -5,11 +5,15 @@ Layout: magic ``SKGC``, a u32 format version, fixed-width header fields
 always 0 and keeps the version-1 layout, component switches), then the
 named parameter blocks as little-endian float64 in the model's fixed
 parameter order, and a trailing CRC32 of everything before it.
-Loads refuse to proceed on any checksum, version or dimension mismatch.
+Saves stream each block from its array into a file beside the target
+and move it over the target once complete.  Loads refuse to proceed on
+any checksum, version or dimension mismatch.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 import zlib
 
@@ -40,23 +44,38 @@ def _header_bytes(cfg: ModelConfig) -> bytes:
     )
 
 
-def save_checkpoint(path, model: Model):
-    payload = bytearray()
-    payload += MAGIC
-    payload += struct.pack("<I", VERSION)
-    payload += _header_bytes(model.config)
+def _chunks(model: Model):
+    """The file's bytes before the CRC, in order: the header, then per
+    parameter its name and shape, then its block as an array."""
     params = model.parameters()
-    payload += struct.pack("<I", len(params))
+    yield (MAGIC + struct.pack("<I", VERSION) + _header_bytes(model.config)
+           + struct.pack("<I", len(params)))
     for name, node in params.items():
         encoded = name.encode("utf-8")
         rows, cols = node.value.shape
-        payload += struct.pack("<H", len(encoded))
-        payload += encoded
-        payload += struct.pack("<II", rows, cols)
-        payload += np.ascontiguousarray(node.value, dtype="<f8").tobytes()
-    payload += struct.pack("<I", zlib.crc32(bytes(payload)) & 0xFFFFFFFF)
-    with open(path, "wb") as f:
-        f.write(payload)
+        yield struct.pack("<H", len(encoded)) + encoded + struct.pack("<II", rows, cols)
+        yield np.ascontiguousarray(node.value, dtype="<f8")
+
+
+def save_checkpoint(path, model: Model):
+    """Write ``model`` to ``path``, streaming each parameter block from its
+    array with a running CRC.  The file is written beside ``path`` and
+    moved over it once complete, so a failed save leaves an existing file
+    as it was."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            crc = 0
+            for chunk in _chunks(model):
+                crc = zlib.crc32(chunk, crc)
+                f.write(chunk)
+            f.write(struct.pack("<I", crc & 0xFFFFFFFF))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _read(buf: memoryview, offset: int, size: int, path) -> tuple[memoryview, int]:

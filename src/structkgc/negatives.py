@@ -318,8 +318,11 @@ class MomentumEncoder:
 
     def ema_update(self):
         m = self.momentum
+        # in place, in the order of operations of the formula: the shadows
+        # are deep copies that nothing outside this encoder holds
         for shadow, online in self._pairs:
-            shadow.value = m * shadow.value + (1.0 - m) * online.value
+            shadow.value *= m
+            shadow.value += (1.0 - m) * online.value
 
     def encode_tails(self, token_seqs, tail_ids) -> np.ndarray:
         """Momentum features for a batch of tails, as a plain (B, d) array."""

@@ -87,14 +87,30 @@ class AdamW:
         self.step_count += 1
         t = self.step_count
         for name, p in self.params.items():
-            g = grads[name] * scale
-            m = self._m[name] = BETA1 * self._m[name] + (1 - BETA1) * g
-            v = self._v[name] = BETA2 * self._v[name] + (1 - BETA2) * g * g
-            m_hat = m / (1 - BETA1 ** t)
-            v_hat = v / (1 - BETA2 ** t)
-            update = m_hat / (np.sqrt(v_hat) + EPS)
+            # the moments and the update are built in place, in the same
+            # order of operations as their out-of-place formulas; the grad
+            # may be shared with another leaf, so it is only read
+            g = grads.pop(name)
+            if scale != 1.0:
+                g = g * scale
+            m, v = self._m[name], self._v[name]
+            m *= BETA1
+            m += (1 - BETA1) * g
+            v *= BETA2
+            g_sq = (1 - BETA2) * g
+            g_sq *= g
+            v += g_sq
+            del g, g_sq
+            update = m / (1 - BETA1 ** t)
+            root = v / (1 - BETA2 ** t)
+            np.sqrt(root, out=root)
+            root += EPS
+            update /= root
+            del root
             if self.weight_decay and self._decays(p):
-                update = update + self.weight_decay * p.value
-            p.value = p.value - lr_t * update
+                update += self.weight_decay * p.value
+            update *= lr_t
+            # a new array: callers may hold the old value
+            p.value = p.value - update
             p.grad = None
         return float(norm)

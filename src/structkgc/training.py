@@ -181,6 +181,26 @@ class Trainer:
     def _step(self, batch: np.ndarray) -> float:
         """One optimizer step on a (B, 3) array of train triples."""
         model, cfg = self.model, self.cfg
+        # the tape lives in _loss_backward's frame only, so it is freed
+        # before the optimizer, EMA and momentum encode allocate
+        loss_value, tail_tokens, tails = self._loss_backward(batch)
+        try:
+            self.optimizer.step()
+        except NonFiniteGradientError as exc:
+            ids = [tuple(t) for t in batch.tolist()]
+            raise TrainingError(f"{exc} on batch triples {ids}") from exc
+        clamp_log_tau(model.log_tau, cfg.tau_min, cfg.tau_max)
+
+        if cfg.use_mh:
+            self.momentum_encoder.ema_update()
+            feats = self.momentum_encoder.encode_tails(tail_tokens, tails)
+            self.queue.push(feats)
+        return loss_value
+
+    def _loss_backward(self, batch: np.ndarray) -> tuple[float, list | None, list]:
+        """Forward, loss and backward for one batch: the loss value, the
+        tail token lists (None without the text path) and the tail ids."""
+        model, cfg = self.model, self.cfg
         heads, rels, tails = batch.T.tolist()
         queries = list(zip(heads, rels))
         mask = in_batch_mask(queries, tails, self.graph)
@@ -254,18 +274,7 @@ class Trainer:
             raise TrainingError(f"non-finite loss on batch triples {ids}")
 
         ad.backward(loss)
-        try:
-            self.optimizer.step()
-        except NonFiniteGradientError as exc:
-            ids = [tuple(t) for t in batch.tolist()]
-            raise TrainingError(f"{exc} on batch triples {ids}") from exc
-        clamp_log_tau(model.log_tau, cfg.tau_min, cfg.tau_max)
-
-        if cfg.use_mh:
-            self.momentum_encoder.ema_update()
-            feats = self.momentum_encoder.encode_tails(tail_tokens, tails)
-            self.queue.push(feats)
-        return loss_value
+        return loss_value, tail_tokens, tails
 
     # ------------------------------------------------------------------
     def train_epoch(self, epoch: int) -> EpochMetrics:

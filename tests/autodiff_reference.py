@@ -8,6 +8,11 @@ pairs through ``reshape`` and stacks real and imaginary parts with
 ``concat_rows``, and ``loss_reference`` stacks per-query sums with
 ``concat_rows``.  Each has a hand-written VJP that
 ``test_autodiff_reference`` checks against finite differences.
+
+``backward`` is the backward loop as it was when every node of the tape
+kept a ``grad``; ``checked_backward`` runs it beside
+``structkgc.autodiff.backward`` on the same graph and asserts that every
+leaf gets the same gradient bytes and no interior node a gradient.
 """
 
 from __future__ import annotations
@@ -16,7 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
+from structkgc import autodiff as ad
 from structkgc.autodiff import Node
+
+_leaf_backward = ad.backward
 
 
 def reshape(a: Node, rows: int, cols: int) -> Node:
@@ -52,3 +60,52 @@ def softmax_rows(a: Node) -> Node:
         return ((g - (g * y).sum(axis=1, keepdims=True)) * y,)
 
     return Node(y, (a,), vjp)
+
+
+def backward(root: Node) -> None:
+    """Accumulate d(root)/d(node) into ``grad`` for every reachable node,
+    interior nodes included."""
+    if root.value.size != 1:
+        raise ValueError(f"backward root must be scalar, got shape {root.value.shape}")
+    order = ad._toposort(root)
+    pending: dict[int, np.ndarray] = {id(root): np.ones((1, 1))}
+    for node in reversed(order):
+        g = pending.pop(id(node), None)
+        if g is None:
+            continue
+        node.grad = g if node.grad is None else node.grad + g
+        if node._vjp is None:
+            continue
+        for parent, pg in zip(node._parents, node._vjp(g)):
+            key = id(parent)
+            if key in pending:
+                pending[key] = pending[key] + pg
+            else:
+                pending[key] = pg
+
+
+def checked_backward(root: Node) -> None:
+    """``structkgc.autodiff.backward``, checked against :func:`backward`.
+
+    The reference runs first from the leaves' current grads; those grads
+    are then put back, interior grads cleared, and the leaf-only pass
+    runs.  Leaf grads must match byte for byte, interior grads stay None.
+    """
+    order = ad._toposort(root)
+    leaves = [node for node in order if not node._parents]
+    interior = [node for node in order if node._parents]
+    assert all(node.grad is None for node in interior)
+    before = [node.grad for node in leaves]
+    backward(root)
+    expected = [node.grad for node in leaves]
+    for node, grad in zip(leaves, before):
+        node.grad = grad
+    for node in interior:
+        node.grad = None
+    _leaf_backward(root)
+    for node, want in zip(leaves, expected):
+        assert (node.grad is None) == (want is None)
+        if want is not None:
+            assert node.grad.shape == want.shape
+            assert node.grad.tobytes() == want.tobytes()
+    assert all(node.grad is None for node in interior)

@@ -1,12 +1,16 @@
 """Central finite-difference oracle shared by the gradient tests.
 
 The oracle never touches the reverse-mode code path: it re-evaluates the
-forward function at perturbed inputs only.
+forward function at perturbed inputs only.  The reverse-mode side runs
+through ``autodiff_reference.checked_backward``, so every case also pins
+the leaf-only backward to the every-node reference loop.
 """
 
 import numpy as np
 
 from structkgc import autodiff as ad
+
+from autodiff_reference import checked_backward
 
 
 def numeric_gradients(f, arrays, eps=1e-5):
@@ -41,7 +45,7 @@ def assert_gradients_match(build, arrays, eps=1e-5, rtol=1e-4):
     leaves = [ad.Node(a) for a in arrays]
     out = build(leaves)
     assert out.value.size == 1, "gradient check target must be scalar"
-    ad.backward(out)
+    checked_backward(out)
     analytic = [
         leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value)
         for leaf in leaves

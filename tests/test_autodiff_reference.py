@@ -3,10 +3,18 @@ import pytest
 
 from structkgc import autodiff as ad
 
+import autodiff_reference
 from autodiff_reference import concat_rows, reshape, softmax_rows
 from gradcheck import assert_gradients_match, random_weighting
 
 N_SEEDS = 20
+
+
+@pytest.fixture(autouse=True)
+def backward_matches_reference(monkeypatch):
+    """Every backward here also runs the every-node reference loop and
+    must give each leaf the same gradient bytes."""
+    monkeypatch.setattr(ad, "backward", autodiff_reference.checked_backward)
 
 
 class TestSoftmaxRows:

@@ -14,6 +14,8 @@ from structkgc.checkpoint import (
 from structkgc.model import Model, ModelConfig
 from structkgc.structural import AseKind
 
+import checkpoint_reference
+
 
 def small_model(seed=0, **kw):
     defaults = dict(
@@ -225,3 +227,50 @@ class TestLoadBuildsFromTheStoredArrays:
             assert value.flags.writeable, name
             assert value.flags.c_contiguous, name
             assert value.flags.owndata and value.base is None, name
+
+
+SAVE_KINDS = {**MODEL_KINDS, **{kind.value: dict(ase_kind=kind) for kind in AseKind}}
+
+
+class TestStreamingSave:
+    @pytest.mark.parametrize("kw", SAVE_KINDS.values(), ids=SAVE_KINDS.keys())
+    def test_same_bytes_as_the_in_memory_writer(self, tmp_path, kw):
+        model = small_model(seed=6, **kw)
+        save_checkpoint(tmp_path / "stream.ckpt", model)
+        checkpoint_reference.save_checkpoint(tmp_path / "memory.ckpt", model)
+        assert ((tmp_path / "stream.ckpt").read_bytes()
+                == (tmp_path / "memory.ckpt").read_bytes())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["memory.ckpt", "stream.ckpt"]
+
+    def test_a_fortran_ordered_value_is_written_in_c_order(self, tmp_path):
+        model = small_model(seed=6)
+        node = model.struct.entity_embeddings
+        node.value = np.asfortranarray(node.value)
+        save_checkpoint(tmp_path / "stream.ckpt", model)
+        checkpoint_reference.save_checkpoint(tmp_path / "memory.ckpt", model)
+        assert ((tmp_path / "stream.ckpt").read_bytes()
+                == (tmp_path / "memory.ckpt").read_bytes())
+
+    @pytest.mark.parametrize("at", ["first", "middle", "last"])
+    def test_a_failed_save_leaves_the_old_file_as_it_was(self, tmp_path, at):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, small_model(seed=1))
+        old = path.read_bytes()
+        model = small_model(seed=2)
+        names = list(model.parameters())
+        name = {"first": names[0], "middle": names[len(names) // 2],
+                "last": names[-1]}[at]
+        # the block cannot be converted to float64, after the blocks before
+        # it are written
+        model.parameters()[name].value = np.array([["x"]], dtype=object)
+        with pytest.raises(ValueError):
+            save_checkpoint(path, model)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+    def test_a_failed_first_save_leaves_no_file(self, tmp_path):
+        model = small_model()
+        model.log_tau.value = np.array([["x"]], dtype=object)
+        with pytest.raises(ValueError):
+            save_checkpoint(tmp_path / "m.ckpt", model)
+        assert list(tmp_path.iterdir()) == []
