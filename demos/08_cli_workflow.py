@@ -11,12 +11,13 @@ import tempfile
 from pathlib import Path
 
 from structkgc.cli import main
-from structkgc.toygen import make_text_toy, write_toy_dataset
+from structkgc.data import write_dataset
+from structkgc.toygen import make_text_toy
 
 root = Path(tempfile.mkdtemp(prefix="structkgc-demo-"))
 data = root / "toy"
-write_toy_dataset(make_text_toy(num_entities=15, num_relations=2,
-                                num_triples=24, seed=1), data)
+write_dataset(make_text_toy(num_entities=15, num_relations=2,
+                            num_triples=24, seed=1), data)
 print("dataset in", data)
 
 config = root / "run.cfg"

@@ -3,7 +3,8 @@ re-ranking sweeps, MIOU diagnostics and prediction export.
 
 Every command is deterministic under a fixed seed.  Failures print one
 machine-readable line ``error<TAB>category<TAB>detail`` to stderr and
-exit non-zero (2 for usage or missing inputs, 1 for runtime errors).
+exit non-zero (2 for usage errors, missing inputs and paths the OS
+refuses to read or write, 1 for runtime errors).
 """
 
 from __future__ import annotations
@@ -343,7 +344,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as e:  # --help
         return int(e.code or 0)
-    except (UsageError, FileNotFoundError) as e:
+    except (UsageError, OSError) as e:
         print(f"error\tusage\t{e}", file=sys.stderr)
         return 2
     except (ConfigError, DataError, GraphError, CheckpointError) as e:

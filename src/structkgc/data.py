@@ -11,7 +11,7 @@ Loading assigns dense ids in file order, applies the name fallbacks
 (missing name -> raw id string, missing description -> empty) and
 appends inverse triples to every split so head prediction becomes tail
 prediction over inverse relations, with filtering correct in both
-directions.
+directions; ``KnowledgeGraph.with_inverses`` adds the inverses.
 
 Every file goes through one parser, :func:`_columns`, with no object per
 line.  It reads the file once as UTF-8 text with universal newlines (a
@@ -27,7 +27,8 @@ each column as one byte span per line, a missing column being empty.
   become an :class:`_IdIndex`, packed from the same spans.
 - A triple file's columns are looked up in the indexes to int64 arrays
   of dense ids, with -1 for an id the vocabulary files do not declare.
-  The inverses are one array operation on the result.
+  The inverses are one array operation on the result, in the graph
+  constructor.
 
 An id is looked up by a key: its UTF-8 bytes, a newline byte and zero
 padding, as little-endian uint64 words, as many as the vocabulary's
@@ -53,14 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (
-    DataError,
-    KnowledgeGraph,
-    RelationRecord,
-    add_inverse_triples,
-    inverse_relation_records,
-    read_text,
-)
+from .graph import DataError, KnowledgeGraph, RelationRecord, read_text
 from .text import MIN_TOKEN_FREQ, Tokenizer
 
 SPLIT_FILES = {"train": "train.txt", "valid": "valid.txt", "test": "test.txt"}
@@ -70,6 +64,9 @@ RELATION_FILE = "relations.txt"
 
 @dataclass
 class Dataset:
+    """A graph with the raw string ids its files name entities and base
+    relations by; ``load_dataset`` and the toy generators return one, and
+    ``write_dataset`` writes one."""
     graph: KnowledgeGraph
     entity_raw_ids: list[str]
     relation_raw_ids: list[str]  # base relations only
@@ -249,30 +246,36 @@ def load_dataset(directory) -> Dataset:
     base_rels = [RelationRecord(name, desc, i)
                  for i, (name, desc) in enumerate(zip(rel_names, rel_descriptions))]
 
-    splits: dict[str, np.ndarray] = {}
-    for split, fname in SPLIT_FILES.items():
-        path = os.path.join(directory, fname)
-        triples = (_read_triples(path, entity_index, relation_index)
-                   if os.path.exists(path) else ())
-        splits[split] = add_inverse_triples(triples, len(base_rels))
-
-    relations = base_rels + inverse_relation_records(base_rels)
-    graph = KnowledgeGraph.from_columns(names, descriptions, relations, splits,
-                                        num_base_relations=len(base_rels))
+    paths = {split: os.path.join(directory, fname) for split, fname in SPLIT_FILES.items()}
+    splits = {split: _read_triples(path, entity_index, relation_index)
+              for split, path in paths.items() if os.path.exists(path)}
+    graph = KnowledgeGraph.with_inverses(names, descriptions, base_rels, splits)
     return Dataset(graph, entity_index.raw_ids, relation_index.raw_ids)
 
 
-def write_dataset(graph: KnowledgeGraph, entity_raw_ids, relation_raw_ids, directory):
-    """Serialize back to the file layout; inverse triples are stripped."""
+def write_dataset(dataset: Dataset, directory):
+    """Serialize back to the file layout; inverse triples are stripped.  A
+    raw id, name or description that holds a tab, ``\\n`` or ``\\r`` (the
+    loader would split it) raises a ``ValueError`` before any file is written."""
+    graph, entity_raw_ids, relation_raw_ids = (
+        dataset.graph, dataset.entity_raw_ids, dataset.relation_raw_ids)
+    base_rels = graph.relations[: graph.num_base_relations]
+    for what, texts in (("entity raw id", entity_raw_ids), ("entity name", graph.entity_names),
+                        ("entity description", graph.entity_descriptions),
+                        ("relation raw id", relation_raw_ids),
+                        ("relation name", [rec.name for rec in base_rels]),
+                        ("relation description", [rec.description for rec in base_rels])):
+        bad = next((text for text in texts if "\t" in text or "\n" in text or "\r" in text), None)
+        if bad is not None:
+            raise ValueError(f"{what} {bad!r} holds a tab or a line break, "
+                             f"which the dataset files cannot hold")
+
     os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, ENTITY_FILE), "w", encoding="utf-8") as f:
-        f.writelines(
-            f"{entity_raw_ids[i]}\t{name}\t{desc}\n"
-            for i, (name, desc) in enumerate(zip(graph.entity_names,
-                                                 graph.entity_descriptions))
-        )
+        f.writelines(f"{raw}\t{name}\t{desc}\n" for raw, name, desc in zip(
+            entity_raw_ids, graph.entity_names, graph.entity_descriptions, strict=True))
     with open(os.path.join(directory, RELATION_FILE), "w", encoding="utf-8") as f:
-        for rec in graph.relations[: graph.num_base_relations]:
+        for rec in base_rels:
             f.write(f"{relation_raw_ids[rec.id]}\t{rec.name}\t{rec.description}\n")
     for split, fname in SPLIT_FILES.items():
         triples = graph.triples(split)

@@ -3,11 +3,13 @@
 Entities and relations carry dense 0-based integer ids.  When inverse
 relations are in play they occupy the upper half of the relation id
 space: ``id(r_inverse) = id(r) + num_base_relations``.
+``KnowledgeGraph.with_inverses``, which every dataset is built with,
+adds them to the base relations and triples.
 
 Entity text is kept as two columns indexed by entity id,
 ``entity_names`` and ``entity_descriptions``, not as one object per
 entity: a WN18RR-sized graph has ~41k entities, and the dataset loader
-hands its parsed columns straight to ``KnowledgeGraph.from_columns``.
+hands its parsed columns straight to the graph.
 Relations, a few dozen at most, stay ``RelationRecord``s.
 
 Each split is stored as a read-only ``(n, 3)`` int64 array of
@@ -157,6 +159,26 @@ class KnowledgeGraph:
         graph._setup(tuple(entity_names), tuple(entity_descriptions),
                      relations, split_triples, num_base_relations)
         return graph
+
+    @classmethod
+    def with_inverses(
+        cls,
+        entity_names: Sequence[str],
+        entity_descriptions: Sequence[str],
+        base_relations: Sequence[RelationRecord],
+        base_splits: Mapping[str, Sequence[Triple] | np.ndarray],
+    ) -> KnowledgeGraph:
+        """A graph over ``base_relations`` and their inverses, built with
+        ``from_columns``: the relations are the base records, then their
+        ``inverse_relation_records``, and each split holds its base triples,
+        then their inverses (``add_inverse_triples``)."""
+        n = len(base_relations)
+        return cls.from_columns(
+            entity_names, entity_descriptions,
+            [*base_relations, *inverse_relation_records(base_relations)],
+            {split: add_inverse_triples(triples, n) for split, triples in base_splits.items()},
+            num_base_relations=n,
+        )
 
     def _setup(self, entity_names: tuple[str, ...], entity_descriptions: tuple[str, ...],
                relations, split_triples, num_base_relations):

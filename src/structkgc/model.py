@@ -3,8 +3,10 @@
 A model owns the structural tables, the optional KV-prefix projectors,
 the optional pair of text encoders (query side and tail side, each with
 weights of its own) and the learnable log-temperature.
-Parameter order is fixed by construction order, which checkpointing
-relies on.
+``Model.parameters()`` fixes the parameter order, which checkpoints are
+saved in: structural tables, prefix projectors, text encoders, then the
+log-temperature.  Construction order, in which the encoders come before
+the projectors, fixes the order of the random draws.
 """
 
 from __future__ import annotations

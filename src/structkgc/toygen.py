@@ -6,7 +6,7 @@ Two generators:
   ``E_t = E_h + E_r + noise`` by construction, for exercising the
   structural path with a solvable recovery task, and
 * a small text corpus with uniquely-named entities for end-to-end
-  memorization runs.
+  memorization runs, returned as a ``data.Dataset``.
 """
 
 from __future__ import annotations
@@ -15,14 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (
-    EntityRecord,
-    KnowledgeGraph,
-    RelationRecord,
-    Triple,
-    add_inverse_triples,
-    inverse_relation_records,
-)
+from .data import Dataset
+from .graph import KnowledgeGraph, RelationRecord, Triple
 
 _WORD_BANK = (
     "amber basalt cedar delta ember fjord garnet harbor iris juniper "
@@ -36,7 +30,6 @@ class PlantedGraph:
     graph: KnowledgeGraph
     entity_vecs: np.ndarray        # (num_entities, dim)
     relation_vecs: np.ndarray      # (2 * num_base_relations, dim), inverses negated
-    noise: float
 
 
 # lattice step directions; pairwise non-antiparallel so no triple has a
@@ -125,28 +118,13 @@ def make_planted_graph(
     test = [edges[i] for i in sorted(test_idx)]
     valid = [edges[i] for i in sorted(valid_idx)]
 
-    entities = [EntityRecord(f"node {i}", "", i) for i in range(num_entities)]
-    base_rels = [RelationRecord(f"step {j}", "", j) for j in range(num_relations)]
-    relations = base_rels + inverse_relation_records(base_rels)
-    graph = KnowledgeGraph(
-        entities,
-        relations,
-        {
-            "train": add_inverse_triples(train, num_relations),
-            "valid": add_inverse_triples(valid, num_relations),
-            "test": add_inverse_triples(test, num_relations),
-        },
-        num_base_relations=num_relations,
+    graph = KnowledgeGraph.with_inverses(
+        [f"node {i}" for i in range(num_entities)],
+        [""] * num_entities,
+        [RelationRecord(f"step {j}", "", j) for j in range(num_relations)],
+        {"train": train, "valid": valid, "test": test},
     )
-    planted_rels = np.vstack([rel_vecs, -rel_vecs])
-    return PlantedGraph(graph, vecs, planted_rels, noise)
-
-
-@dataclass
-class TextToy:
-    graph: KnowledgeGraph
-    entity_raw_ids: list[str]
-    relation_raw_ids: list[str]
+    return PlantedGraph(graph, vecs, np.vstack([rel_vecs, -rel_vecs]))
 
 
 def make_text_toy(
@@ -155,7 +133,7 @@ def make_text_toy(
     num_triples: int = 70,
     seed: int = 0,
     test_frac: float = 0.15,
-) -> TextToy:
+) -> Dataset:
     """A small corpus with unique entity names and word-bank descriptions.
 
     Every entity appears in at least one training triple so its tokens
@@ -168,15 +146,11 @@ def make_text_toy(
             f"and {num_relations} relations"
         )
     rng = np.random.default_rng(seed)
-    entities = []
-    for i in range(num_entities):
-        words = rng.choice(_WORD_BANK, size=3, replace=False)
-        entities.append(EntityRecord(f"item{i}", " ".join(words), i))
+    descriptions = [" ".join(rng.choice(_WORD_BANK, size=3, replace=False))
+                    for _ in range(num_entities)]
     names = ["linked to", "part of", "variant of", "derived from"]
     names += [f"relation {j}" for j in range(len(names), num_relations)]
-    base_rels = [
-        RelationRecord(name, "", j) for j, name in enumerate(names[:num_relations])
-    ]
+    base_rels = [RelationRecord(name, "", j) for j, name in enumerate(names[:num_relations])]
 
     seen = set()
     triples: list[Triple] = []
@@ -199,25 +173,12 @@ def make_text_toy(
     test = [triples[i] for i in sorted(order[:n_test])]
     train = [triples[i] for i in sorted(order[n_test:])]
 
-    relations = base_rels + inverse_relation_records(base_rels)
-    graph = KnowledgeGraph(
-        entities,
-        relations,
-        {
-            "train": add_inverse_triples(train, num_relations),
-            "test": add_inverse_triples(test, num_relations),
-        },
-        num_base_relations=num_relations,
+    graph = KnowledgeGraph.with_inverses(
+        [f"item{i}" for i in range(num_entities)], descriptions, base_rels,
+        {"train": train, "test": test},
     )
-    return TextToy(
+    return Dataset(
         graph,
         [f"E{i:03d}" for i in range(num_entities)],
         [f"R{j}" for j in range(num_relations)],
     )
-
-
-def write_toy_dataset(toy: TextToy, directory):
-    """Materialize a TextToy in the on-disk layout the loader reads."""
-    from .data import write_dataset
-
-    write_dataset(toy.graph, toy.entity_raw_ids, toy.relation_raw_ids, directory)

@@ -11,7 +11,7 @@ import pytest
 from structkgc import autodiff as ad
 from structkgc.autodiff import Node
 from structkgc.cli import main
-from structkgc.data import build_tokenizer
+from structkgc.data import build_tokenizer, write_dataset
 from structkgc.evaluation import (
     RerankConfig,
     ModelScorer,
@@ -34,7 +34,7 @@ from structkgc.structural import (
     StructuralTable,
     struct_scores_all_tails,
 )
-from structkgc.toygen import make_planted_graph, make_text_toy, write_toy_dataset
+from structkgc.toygen import make_planted_graph, make_text_toy
 from structkgc.training import TrainConfig, Trainer
 
 from gradcheck import assert_gradients_match
@@ -443,7 +443,7 @@ def test_criterion_7_rerank_miou_regimes():
 def test_criterion_8_determinism(tmp_path, capsys):
     data_dir = tmp_path / "toy"
     toy = make_text_toy(num_entities=10, num_relations=2, num_triples=16, seed=0)
-    write_toy_dataset(toy, data_dir)
+    write_dataset(toy, data_dir)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         f"dataset = {data_dir}\n"

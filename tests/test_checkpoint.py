@@ -1,5 +1,6 @@
 import struct
 import zlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -52,6 +53,27 @@ class TestRoundTrip:
         save_checkpoint(p1, model)
         save_checkpoint(p2, model)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+    # between them these two give every ModelConfig field a value other
+    # than its default, so a field the header does not store fails here
+    EVERY_FIELD_CONFIGS = (
+        dict(num_entities=7, num_base_relations=3, struct_dim=6,
+             ase_kind=AseKind.ROTATION, use_text=False, tau_init=0.07),
+        dict(num_entities=5, num_base_relations=2, struct_dim=4, layers=1, hidden_dim=8,
+             heads=2, max_len=10, vocab_size=15, ase_kind=AseKind.HADAMARD, use_ase=False),
+    )
+
+    def test_every_config_field_round_trips(self, tmp_path):
+        set_fields = set()
+        for i, kw in enumerate(self.EVERY_FIELD_CONFIGS):
+            config = ModelConfig(**kw)
+            set_fields |= {f.name for f in fields(ModelConfig)
+                           if getattr(config, f.name) != f.default}
+            path = tmp_path / f"{i}.ckpt"
+            save_checkpoint(path, Model(config, seed=i))
+            assert load_checkpoint(path)[0] == config
+        assert set_fields == {f.name for f in fields(ModelConfig)}
 
 
 class TestParameterOrder:

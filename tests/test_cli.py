@@ -8,10 +8,10 @@ import pytest
 from structkgc import cli, evaluation
 from structkgc.checkpoint import save_checkpoint
 from structkgc.cli import main
-from structkgc.data import load_dataset
+from structkgc.data import load_dataset, write_dataset
 from structkgc.evaluation import ModelScorer, miou
 from structkgc.model import Model, ModelConfig
-from structkgc.toygen import make_text_toy, write_toy_dataset
+from structkgc.toygen import make_text_toy
 
 from scorers import encode_one_query, serial_evaluate
 from test_evaluation import reference_evaluate
@@ -48,7 +48,7 @@ def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     data_dir = root / "toy"
     toy = make_text_toy(num_entities=10, num_relations=2, num_triples=16, seed=0)
-    write_toy_dataset(toy, data_dir)
+    write_dataset(toy, data_dir)
     cfg_path = root / "toy.cfg"
     cfg_path.write_text(TOY_CONFIG + f"dataset = {data_dir}\n")
     ckpt = root / "model.ckpt"
@@ -182,8 +182,8 @@ class TestFreshProcesses:
         # threads rank some of them: the bytes are the same at 1 and 2 BLAS
         # threads, and the same as the serial block loop's in this process
         data = tmp_path / "toy"
-        write_toy_dataset(make_text_toy(num_entities=30, num_relations=3, num_triples=40,
-                                        seed=1), data)
+        write_dataset(make_text_toy(num_entities=30, num_relations=3, num_triples=40,
+                                    seed=1), data)
         graph = load_dataset(data).graph
         assert len(graph.triples("train")) >= 3 * evaluation.SCORE_BLOCK
         ckpt = tmp_path / "struct.ckpt"
@@ -446,6 +446,31 @@ class TestOneLineUsageErrors:
     def test_help_still_exits_zero(self, capsys, argv):
         assert main(argv) == 0
         assert capsys.readouterr().out.startswith("usage: structkgc")
+
+
+class TestPathsTheOsRefuses:
+    """A path that cannot be read or written, here a directory, is a usage
+    error on one line, not a traceback."""
+
+    @pytest.mark.parametrize("command,option", [
+        ("train", "--out"), ("train", "--metrics"), ("eval", "--detail"), ("eval", "--vocab"),
+    ])
+    def test_a_directory_is_a_usage_error(self, workspace, tmp_path, capsys, command, option):
+        directory = tmp_path / "dir"
+        directory.mkdir()
+        if command == "train":
+            argv = ["train", "--config", str(workspace["config"])]
+            if option != "--out":
+                argv += ["--out", str(tmp_path / "m.ckpt")]
+        else:
+            argv = ["eval", "--dataset", str(workspace["data"]),
+                    "--checkpoint", str(workspace["ckpt"])]
+        assert main(argv + [option, str(directory)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error\tusage\t")
+        assert str(directory) in captured.err
+        assert captured.err.count("\n") == 1
+        assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
 
 class TestBuildVocab:

@@ -13,6 +13,7 @@ from structkgc.data import (
     RELATION_FILE,
     SPLIT_FILES,
     DataError,
+    Dataset,
     _DIGEST_MULTIPLIER,
     _IdIndex,
     _columns,
@@ -25,8 +26,8 @@ from structkgc.data import (
     load_dataset,
     write_dataset,
 )
-from structkgc.graph import read_text
-from structkgc.toygen import make_text_toy, write_toy_dataset
+from structkgc.graph import KnowledgeGraph, RelationRecord, read_text
+from structkgc.toygen import make_text_toy
 
 import data_reference
 
@@ -86,16 +87,86 @@ class TestLoadDataset:
         with pytest.raises(FileNotFoundError, match="train.txt"):
             load_dataset(tmp_path)
 
-    def test_round_trip_preserves_triple_multisets(self, tmp_path):
-        ds = load_dataset(FIXTURE)
+    @pytest.mark.parametrize("source", ["fixture", *(f"text_toy_seed{s}" for s in range(4))])
+    def test_round_trip_preserves_triple_multisets(self, tmp_path, source):
+        if source == "fixture":
+            ds = load_dataset(FIXTURE)
+        else:
+            ds = make_text_toy(num_entities=25, num_relations=5, num_triples=60,
+                               seed=int(source.removeprefix("text_toy_seed")))
         out_dir = tmp_path / "again"
-        write_dataset(ds.graph, ds.entity_raw_ids, ds.relation_raw_ids, out_dir)
+        write_dataset(ds, out_dir)
         ds2 = load_dataset(out_dir)
         for split in ("train", "valid", "test"):
             assert sorted(ds.graph.triples(split).tolist()) == sorted(
                 ds2.graph.triples(split).tolist())
         assert ds.entity_raw_ids == ds2.entity_raw_ids
         assert ds.relation_raw_ids == ds2.relation_raw_ids
+        if source != "fixture":  # the toy's text and triple order come back as they were
+            assert ds2.graph.entity_names == ds.graph.entity_names
+            assert ds2.graph.entity_descriptions == ds.graph.entity_descriptions
+            assert ds2.graph.relations == ds.graph.relations
+            assert ds2.graph.num_base_relations == ds.graph.num_base_relations
+            for split in ("train", "valid", "test"):
+                np.testing.assert_array_equal(ds2.graph.triples(split), ds.graph.triples(split))
+
+
+class TestWriteRefusesTextItCannotWriteBack:
+    """A tab, ``\\n`` or ``\\r`` in a raw id, name or description would be
+    read back as more columns or lines, so the writer refuses it, naming
+    the text, before it writes any file."""
+
+    FIELDS = ("entity raw id", "entity name", "entity description",
+              "relation raw id", "relation name", "relation description")
+
+    @staticmethod
+    def _dataset(field: str, text: str) -> Dataset:
+        toy = make_text_toy(num_entities=6, num_relations=2, num_triples=10, seed=0)
+        g = toy.graph
+        names, descriptions = list(g.entity_names), list(g.entity_descriptions)
+        relations = list(g.relations[:g.num_base_relations])
+        entity_raw_ids, relation_raw_ids = list(toy.entity_raw_ids), list(toy.relation_raw_ids)
+        if field == "entity raw id":
+            entity_raw_ids[3] = text
+        elif field == "entity name":
+            names[3] = text
+        elif field == "entity description":
+            descriptions[3] = text
+        elif field == "relation raw id":
+            relation_raw_ids[1] = text
+        elif field == "relation name":
+            relations[1] = RelationRecord(text, relations[1].description, 1)
+        else:
+            relations[1] = RelationRecord(relations[1].name, text, 1)
+        base = {split: g.triples(split)[:len(g.triples(split)) // 2] for split in SPLIT_FILES}
+        graph = KnowledgeGraph.with_inverses(names, descriptions, relations, base)
+        return Dataset(graph, entity_raw_ids, relation_raw_ids)
+
+    @pytest.mark.parametrize("separator", ["\t", "\n", "\r"], ids=["tab", "lf", "cr"])
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_is_refused_before_any_file_is_written(self, tmp_path, field, separator):
+        # written as is, a name "alpha\nE9\nghost" would load back as three
+        # entities, two of them ghosts
+        text = f"alpha{separator}E9{separator}ghost"
+        out = tmp_path / "out"
+        with pytest.raises(ValueError) as info:
+            write_dataset(self._dataset(field, text), out)
+        assert str(info.value) == (f"{field} {text!r} holds a tab or a line break, "
+                                   f"which the dataset files cannot hold")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_other_whitespace_is_written_and_read_back(self, tmp_path, field):
+        # a space, a form feed or a line separator inside the text splits
+        # nothing the loader reads, so the writer takes it
+        ds = self._dataset(field, "alpha beta\x0c\u2028E9")
+        write_dataset(ds, tmp_path / "out")
+        back = load_dataset(tmp_path / "out")
+        assert back.entity_raw_ids == ds.entity_raw_ids
+        assert back.relation_raw_ids == ds.relation_raw_ids
+        assert back.graph.entity_names == ds.graph.entity_names
+        assert back.graph.entity_descriptions == ds.graph.entity_descriptions
+        assert back.graph.relations == ds.graph.relations
 
 
 class TestIngestionErrors:
@@ -441,13 +512,13 @@ class TestRoundTripBytes:
             directory = FIXTURE
         else:
             directory = tmp_path / "toy"
-            write_toy_dataset(make_text_toy(num_entities=30, num_relations=3,
-                                            num_triples=60, seed=2), directory)
+            write_dataset(make_text_toy(num_entities=30, num_relations=3,
+                                        num_triples=60, seed=2), directory)
         passes = []
         for i in range(2):
             ds = load_dataset(directory)
             directory = tmp_path / f"pass{i}"
-            write_dataset(ds.graph, ds.entity_raw_ids, ds.relation_raw_ids, directory)
+            write_dataset(ds, directory)
             passes.append({name: (directory / name).read_bytes() for name in DATASET_FILES})
         assert passes[0] == passes[1]
         assert all(passes[1][name] for name in (ENTITY_FILE, RELATION_FILE, "train.txt"))

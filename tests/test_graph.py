@@ -1,3 +1,4 @@
+import os
 from itertools import combinations
 
 import numpy as np
@@ -11,6 +12,7 @@ from structkgc.graph import (
     RelationRecord,
     Triple,
     add_inverse_triples,
+    inverse_relation_records,
 )
 
 from graph_reference import ReferenceGraph
@@ -212,6 +214,52 @@ class TestInverseTriples:
         for orig, inv in zip(doubled[: len(triples)], doubled[len(triples):]):
             assert inv[1] == orig[1] + base
             assert [inv[2], inv[1] - base, inv[0]] == orig
+
+
+class TestWithInverses:
+    def test_equals_the_graph_built_by_hand(self):
+        ents, rels = make_records(5, 2)
+        base = {"train": [Triple(A, 0, X), Triple(B, 1, Y)], "test": np.array([[Z, 0, A]])}
+        g = KnowledgeGraph.with_inverses([e.name for e in ents],
+                                         [e.description for e in ents], rels, base)
+        by_hand = KnowledgeGraph.from_columns(
+            [e.name for e in ents], [e.description for e in ents],
+            rels + inverse_relation_records(rels),
+            {split: add_inverse_triples(triples, 2) for split, triples in base.items()},
+            num_base_relations=2,
+        )
+        assert g.relations == by_hand.relations
+        assert g.num_base_relations == 2 and g.num_relations == 4
+        assert (g.entity_names, g.entity_descriptions) == (
+            by_hand.entity_names, by_hand.entity_descriptions)
+        for split in SPLITS:
+            assert g.triples(split).dtype == np.int64
+            np.testing.assert_array_equal(g.triples(split), by_hand.triples(split))
+        assert g.triples("valid").shape == (0, 3)
+        assert g.tails_by_pair(Y, 3).tolist() == [B]
+
+    def test_refuses_a_triple_that_uses_an_inverse_id(self):
+        ents, rels = make_records(3, 1)
+        with pytest.raises(GraphError, match="inverse"):
+            KnowledgeGraph.with_inverses(["a", "b", "c"], ["", "", ""], rels,
+                                         {"train": [Triple(0, 1, 2)]})
+
+    def test_refuses_an_unknown_split(self):
+        _, rels = make_records(3, 1)
+        with pytest.raises(GraphError, match="unknown splits"):
+            KnowledgeGraph.with_inverses(["a", "b", "c"], ["", "", ""], rels,
+                                         {"dev": [Triple(0, 0, 2)]})
+
+
+    def test_is_the_one_place_in_src_that_adds_inverses(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "src", "structkgc")
+        for name in sorted(os.listdir(src)):
+            if name.endswith(".py") and name != "graph.py":
+                with open(os.path.join(src, name), encoding="utf-8") as f:
+                    text = f.read()
+                assert "add_inverse_triples" not in text, name
+                assert "inverse_relation_records" not in text, name
 
 
 class TestKnownTrue:
