@@ -7,33 +7,19 @@ reformulation that turns head prediction into tail prediction, and
 split-scoped known-true filtering.
 """
 
-from structkgc.graph import (
-    EntityRecord,
-    KnowledgeGraph,
-    RelationRecord,
-    Triple,
-    add_inverse_triples,
-    inverse_relation_records,
-)
+from structkgc.graph import KnowledgeGraph, RelationRecord, Triple
 
-entities = [
-    EntityRecord("ship", "a large watercraft", 0),
-    EntityRecord("hull", "the body of a ship", 1),
-    EntityRecord("mast", "a tall upright post", 2),
-    EntityRecord("sail", "fabric catching wind", 3),
-]
+names = ["ship", "hull", "mast", "sail"]
+descriptions = ["a large watercraft", "the body of a ship",
+                "a tall upright post", "fabric catching wind"]
 base = [RelationRecord("has part", "", 0)]
 train = [Triple(0, 0, 1), Triple(0, 0, 2), Triple(2, 0, 3)]
 
-doubled = add_inverse_triples(train, num_base_relations=1)
-print("with inverses:", doubled.tolist())
-
-graph = KnowledgeGraph(
-    entities,
-    base + inverse_relation_records(base),
-    {"train": doubled, "test": add_inverse_triples([Triple(0, 0, 3)], 1)},
-    num_base_relations=1,
-)
+# every dataset is built this way: the base relations and triples, and
+# the graph adds each relation's inverse and each triple's inverse
+graph = KnowledgeGraph.with_inverses(
+    names, descriptions, base, {"train": train, "test": [Triple(0, 0, 3)]})
+print("with inverses:", graph.triples("train").tolist())
 
 print("\ne(has part)      =", graph.tails_by_relation(0).tolist())
 print("e(ship, has part) =", graph.tails_by_pair(0, 0).tolist())

@@ -41,6 +41,16 @@ def _require_file(path, what) -> str:
     return path
 
 
+def _writable(*paths):
+    """Refuse, before any work, an output path (``None`` is skipped) that is
+    a directory or whose parent directory does not exist."""
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise UsageError(f"output path {path!r} is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise UsageError(f"output path {path!r} is in a directory that does not exist")
+
+
 def _load_run_config(args) -> RunConfig:
     overrides = {}
     if getattr(args, "seed", None) is not None:
@@ -97,6 +107,7 @@ def _load_scorer(args):
 # ---------------------------------------------------------------------------
 
 def cmd_build_vocab(args) -> int:
+    _writable(args.out)
     _require_file(args.dataset, "dataset directory")
     dataset = load_dataset(args.dataset)
     tokenizer = build_tokenizer(dataset.graph, min_freq=args.min_freq)
@@ -107,6 +118,8 @@ def cmd_build_vocab(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
+    metrics_path = args.metrics or args.out + ".metrics.tsv"
+    _writable(args.out, args.out + ".vocab.tsv" if cfg.use_text else None, metrics_path)
     _require_file(cfg.dataset, "dataset directory")
     dataset = load_dataset(cfg.dataset)
     graph = dataset.graph
@@ -126,7 +139,6 @@ def cmd_train(args) -> int:
     save_checkpoint(args.out, model)
     if tokenizer is not None:
         tokenizer.save(args.out + ".vocab.tsv")
-    metrics_path = args.metrics or args.out + ".metrics.tsv"
     with open(metrics_path, "w", encoding="utf-8") as f:
         f.write(EpochMetrics.HEADER + "\n")
         for m in metrics:
@@ -193,6 +205,7 @@ def _min_freq(raw: str) -> int:
 
 
 def cmd_eval(args) -> int:
+    _writable(args.detail)
     dataset, model, scorer = _load_scorer(args)
     report, results = evaluate(
         scorer, dataset.graph, args.split, filter_splits=args.filter_splits,
@@ -213,20 +226,22 @@ def cmd_eval(args) -> int:
 
 
 def cmd_rerank_sweep(args) -> int:
+    # regime "none" has no knowledge source: only the unpenalized baseline
+    grid = [(regime, alpha) for regime in args.regimes for alpha in args.alphas
+            if REGIMES[regime] is not None or alpha == 0.0]
+    if not grid:
+        raise UsageError(f"--regimes none runs only alpha 0, which --alphas "
+                         f"{','.join(f'{a:g}' for a in args.alphas)} leaves out: no rows to sweep")
     dataset, model, scorer = _load_scorer(args)
     print("regime\talpha\tMRR\tH@1\tH@3\tH@10")
-    for regime in args.regimes:
-        splits = REGIMES[regime]
-        for alpha in args.alphas:
-            if splits is None and alpha != 0.0:
-                continue  # no knowledge source: only the unpenalized baseline
-            cfg = RerankConfig(alpha=alpha, splits=splits or ("train",))
-            report, _ = evaluate(scorer, dataset.graph, args.split,
-                                 filter_splits=args.filter_splits, rerank_config=cfg)
-            print(
-                f"{regime}\t{alpha:g}\t{report.mrr:.4f}\t{report.hits1:.4f}"
-                f"\t{report.hits3:.4f}\t{report.hits10:.4f}"
-            )
+    for regime, alpha in grid:
+        cfg = RerankConfig(alpha=alpha, splits=REGIMES[regime] or ("train",))
+        report, _ = evaluate(scorer, dataset.graph, args.split,
+                             filter_splits=args.filter_splits, rerank_config=cfg)
+        print(
+            f"{regime}\t{alpha:g}\t{report.mrr:.4f}\t{report.hits1:.4f}"
+            f"\t{report.hits3:.4f}\t{report.hits10:.4f}"
+        )
     return 0
 
 
@@ -243,6 +258,7 @@ def cmd_miou(args) -> int:
 
 
 def cmd_export_predictions(args) -> int:
+    _writable(args.out)
     dataset, model, scorer = _load_scorer(args)
     _, results = evaluate(
         scorer, dataset.graph, args.split, filter_splits=args.filter_splits,

@@ -96,9 +96,10 @@ class RelationRecord:
 def add_inverse_triples(triples, num_base_relations: int) -> np.ndarray:
     """Append the inverse triple (t, r + R, h) for every (h, r, t).
 
-    Takes an ``(n, 3)`` array or any sequence of triples and returns a
-    ``(2n, 3)`` int64 array: originals first, inverses after in matching
-    order.  Input relations must be base relations (id < num_base_relations).
+    Takes an ``(n, 3)`` array (an int64 one is read in place, not copied)
+    or any sequence of triples and returns a new ``(2n, 3)`` int64 array:
+    originals first, inverses after in matching order.  Input relations
+    must be base relations (id < num_base_relations).
     """
     rows = _rows(triples)
     inverse = rows[:, 1] >= num_base_relations
@@ -129,7 +130,7 @@ class KnowledgeGraph:
 
     The constructor takes ``EntityRecord``s in any order and keeps only
     their text, as the ``entity_names`` and ``entity_descriptions``
-    columns; ``from_columns`` takes those columns directly.
+    columns; it copies each split it is given, never the caller's array.
     """
 
     def __init__(
@@ -141,24 +142,10 @@ class KnowledgeGraph:
     ):
         entities = _by_id(entities, "entity")
         self._setup(tuple(map(attrgetter("name"), entities)),
-                    tuple(map(attrgetter("description"), entities)),
-                    relations, split_triples, num_base_relations)
-
-    @classmethod
-    def from_columns(
-        cls,
-        entity_names: Sequence[str],
-        entity_descriptions: Sequence[str],
-        relations: Sequence[RelationRecord],
-        split_triples: Mapping[str, Sequence[Triple] | np.ndarray],
-        num_base_relations: int | None = None,
-    ) -> KnowledgeGraph:
-        """A graph whose entity ``i`` has name ``entity_names[i]`` and
-        description ``entity_descriptions[i]``."""
-        graph = cls.__new__(cls)
-        graph._setup(tuple(entity_names), tuple(entity_descriptions),
-                     relations, split_triples, num_base_relations)
-        return graph
+                    tuple(map(attrgetter("description"), entities)), relations,
+                    {split: np.array(triples, dtype=np.int64)
+                     for split, triples in split_triples.items()},
+                    num_base_relations)
 
     @classmethod
     def with_inverses(
@@ -168,20 +155,22 @@ class KnowledgeGraph:
         base_relations: Sequence[RelationRecord],
         base_splits: Mapping[str, Sequence[Triple] | np.ndarray],
     ) -> KnowledgeGraph:
-        """A graph over ``base_relations`` and their inverses, built with
-        ``from_columns``: the relations are the base records, then their
-        ``inverse_relation_records``, and each split holds its base triples,
-        then their inverses (``add_inverse_triples``)."""
+        """A graph whose entity ``i`` is named ``entity_names[i]``, over the
+        base relations, then their ``inverse_relation_records``; each split
+        is the array ``add_inverse_triples`` builds from it, kept uncopied."""
         n = len(base_relations)
-        return cls.from_columns(
-            entity_names, entity_descriptions,
+        graph = cls.__new__(cls)
+        graph._setup(
+            tuple(entity_names), tuple(entity_descriptions),
             [*base_relations, *inverse_relation_records(base_relations)],
             {split: add_inverse_triples(triples, n) for split, triples in base_splits.items()},
             num_base_relations=n,
         )
+        return graph
 
     def _setup(self, entity_names: tuple[str, ...], entity_descriptions: tuple[str, ...],
-               relations, split_triples, num_base_relations):
+               relations, split_triples: Mapping[str, np.ndarray], num_base_relations):
+        """Check the inputs and keep them: each split array becomes the graph's own."""
         if len(entity_names) != len(entity_descriptions):
             raise GraphError(
                 f"{len(entity_names)} entity names do not match "
@@ -217,22 +206,14 @@ class KnowledgeGraph:
 
     def _validate(self, rows: np.ndarray, split: str):
         """Raise for the first row that names an unknown entity or relation."""
-        ends = rows[:, [0, 2]]
-        bad_entity = ((ends < 0) | (ends >= self.num_entities)).any(axis=1)
-        bad_relation = (rows[:, 1] < 0) | (rows[:, 1] >= self.num_relations)
-        bad = bad_entity | bad_relation
+        bad = (rows < 0) | (rows >= [self.num_entities, self.num_relations, self.num_entities])
         if not bad.any():
             return
-        i = int(bad.argmax())
-        if bad_entity[i]:
-            raise GraphError(
-                f"{split} triple {tuple(rows[i].tolist())} references an unknown "
-                f"entity id (have {self.num_entities} entities)"
-            )
-        raise GraphError(
-            f"{split} triple {tuple(rows[i].tolist())} references an unknown "
-            f"relation id (have {self.num_relations} relations)"
-        )
+        i = int(bad.any(axis=1).argmax())
+        kind, kinds, have = (("entity", "entities", self.num_entities) if bad[i, [0, 2]].any()
+                             else ("relation", "relations", self.num_relations))
+        raise GraphError(f"{split} triple {tuple(rows[i].tolist())} references an unknown "
+                         f"{kind} id (have {have} {kinds})")
 
     def _index(self, splits: Iterable[str]) -> _Index:
         """The CSR index over ``splits``, built on first use and cached."""
@@ -338,9 +319,10 @@ def _distinct(sorted_ids: np.ndarray) -> np.ndarray:
 
 
 def _rows(triples) -> np.ndarray:
-    """A fresh (n, 3) int64 array from an array or any sequence of triples."""
-    rows = np.array(triples, dtype=np.int64)
-    if rows.size == 0:
+    """An (n, 3) int64 array of an array or any sequence of triples; an
+    (n, 3) int64 array is returned as it is, not copied."""
+    rows = np.asarray(triples, dtype=np.int64)
+    if rows.size == 0 and rows.shape != (0, 3):
         return rows.reshape(0, 3)
     if rows.ndim != 2 or rows.shape[1] != 3:
         raise GraphError(f"triples must be (head, relation, tail) rows, got shape {rows.shape}")

@@ -263,6 +263,22 @@ class TestSweepAndExport:
         assert out[0].startswith("regime\talpha")
         assert len(out) == 1 + 1 + 2  # header, none@0, train@{0,0.1}
 
+    def test_a_grid_with_no_rows_is_a_usage_error(self, workspace, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dataset read for a grid with no rows")
+        monkeypatch.setattr(cli, "load_dataset", refuse)
+        code = main([
+            "rerank-sweep", "--dataset", str(workspace["data"]),
+            "--checkpoint", str(workspace["ckpt"]), "--regimes", "none",
+            "--alphas", "0.1,0.2",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error\tusage\t")
+        assert "--regimes" in captured.err and "--alphas" in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_export_predictions_format(self, workspace, tmp_path, capsys):
         out_file = tmp_path / "preds.tsv"
         code = main([
@@ -450,12 +466,33 @@ class TestOneLineUsageErrors:
 
 class TestPathsTheOsRefuses:
     """A path that cannot be read or written, here a directory, is a usage
-    error on one line, not a traceback."""
+    error on one line, not a traceback.  An output path is checked before
+    any work: nothing is printed, trained, ranked or written."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the paths were checked")
+        monkeypatch.setattr("structkgc.training.Trainer.train", refuse)
+        monkeypatch.setattr(cli, "evaluate", refuse)
+        monkeypatch.setattr(cli, "build_tokenizer", refuse)
+
+    @staticmethod
+    def _refused(argv, path, tmp_path, capsys):
+        before = sorted(tmp_path.iterdir())
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error\tusage\t")
+        assert str(path) in captured.err
+        assert captured.err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == before  # no checkpoint, vocabulary, metrics or .tmp
 
     @pytest.mark.parametrize("command,option", [
         ("train", "--out"), ("train", "--metrics"), ("eval", "--detail"), ("eval", "--vocab"),
     ])
-    def test_a_directory_is_a_usage_error(self, workspace, tmp_path, capsys, command, option):
+    def test_a_directory_is_a_usage_error(self, workspace, tmp_path, capsys, no_work,
+                                          command, option):
         directory = tmp_path / "dir"
         directory.mkdir()
         if command == "train":
@@ -465,12 +502,31 @@ class TestPathsTheOsRefuses:
         else:
             argv = ["eval", "--dataset", str(workspace["data"]),
                     "--checkpoint", str(workspace["ckpt"])]
-        assert main(argv + [option, str(directory)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error\tusage\t")
-        assert str(directory) in captured.err
-        assert captured.err.count("\n") == 1
-        assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+        self._refused(argv + [option, str(directory)], directory, tmp_path, capsys)
+
+    @pytest.mark.parametrize("command_line,directory,refused", [
+        ("train --config {config} --out {tmp}/no/m.ckpt", None, "no/m.ckpt"),
+        ("train --config {config} --out {tmp}/m.ckpt --metrics {tmp}/no/m.tsv", None, "no/m.tsv"),
+        ("train --config {config} --out {tmp}/m.ckpt", "m.ckpt.metrics.tsv", "m.ckpt.metrics.tsv"),
+        ("train --config {config} --out {tmp}/m.ckpt", "m.ckpt.vocab.tsv", "m.ckpt.vocab.tsv"),
+        ("eval --dataset {data} --checkpoint {ckpt} --detail {tmp}/no/d.tsv", None, "no/d.tsv"),
+        ("export-predictions --dataset {data} --checkpoint {ckpt} --out {tmp}/p.tsv",
+         "p.tsv", "p.tsv"),
+        ("export-predictions --dataset {data} --checkpoint {ckpt} --out {tmp}/no/p.tsv",
+         None, "no/p.tsv"),
+        ("build-vocab --dataset {data} --out {tmp}/v.tsv", "v.tsv", "v.tsv"),
+        ("build-vocab --dataset {data} --out {tmp}/no/v.tsv", None, "no/v.tsv"),
+    ], ids=["train-out-parent", "train-metrics-parent", "train-default-metrics",
+            "train-vocab", "eval-detail-parent", "export-out", "export-out-parent",
+            "build-vocab-out", "build-vocab-out-parent"])
+    def test_an_output_path_is_refused_before_any_work(self, workspace, tmp_path, capsys,
+                                                       no_work, command_line, directory,
+                                                       refused):
+        if directory:
+            (tmp_path / directory).mkdir()
+        argv = [part.format(tmp=tmp_path, config=workspace["config"], data=workspace["data"],
+                            ckpt=workspace["ckpt"]) for part in command_line.split()]
+        self._refused(argv, tmp_path / refused, tmp_path, capsys)
 
 
 class TestBuildVocab:

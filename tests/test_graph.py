@@ -70,17 +70,21 @@ class TestBuildGraph:
         assert g.entity_names == tuple(e.name for e in ents)
         assert g.entity_descriptions == tuple(e.description for e in ents)
         assert g.relations == tuple(rels)
-        cols = KnowledgeGraph.from_columns(
-            [e.name for e in ents], [e.description for e in ents], rels,
-            {"train": [Triple(0, 1, 5)]})
-        assert (cols.entity_names, cols.entity_descriptions, cols.relations) == (
-            g.entity_names, g.entity_descriptions, g.relations)
-        assert cols.triples("train").tolist() == g.triples("train").tolist()
+        assert g.triples("train").tolist() == [[0, 1, 5]]
 
     def test_columns_of_different_lengths_rejected(self):
         _, rels = make_records(1, 1)
         with pytest.raises(GraphError, match="3 entity names do not match 2"):
-            KnowledgeGraph.from_columns(["a", "b", "c"], ["", ""], rels, {})
+            KnowledgeGraph.with_inverses(["a", "b", "c"], ["", ""], rels, {})
+
+    def test_copies_an_array_it_is_given(self):
+        ents, rels = make_records(3, 1)
+        triples = np.array([[0, 0, 1], [1, 0, 2]], dtype=np.int64)
+        g = KnowledgeGraph(ents, rels, {"train": triples})
+        assert triples.flags.writeable
+        assert not np.shares_memory(g.triples("train"), triples)
+        triples[0, 2] = 2
+        assert g.triples("train").tolist() == [[0, 0, 1], [1, 0, 2]]
 
     def test_union_invariant_random_graphs(self):
         rng = np.random.default_rng(0)
@@ -222,9 +226,8 @@ class TestWithInverses:
         base = {"train": [Triple(A, 0, X), Triple(B, 1, Y)], "test": np.array([[Z, 0, A]])}
         g = KnowledgeGraph.with_inverses([e.name for e in ents],
                                          [e.description for e in ents], rels, base)
-        by_hand = KnowledgeGraph.from_columns(
-            [e.name for e in ents], [e.description for e in ents],
-            rels + inverse_relation_records(rels),
+        by_hand = KnowledgeGraph(
+            ents, rels + inverse_relation_records(rels),
             {split: add_inverse_triples(triples, 2) for split, triples in base.items()},
             num_base_relations=2,
         )
@@ -237,6 +240,30 @@ class TestWithInverses:
             np.testing.assert_array_equal(g.triples(split), by_hand.triples(split))
         assert g.triples("valid").shape == (0, 3)
         assert g.tails_by_pair(Y, 3).tolist() == [B]
+
+    def test_keeps_the_arrays_add_inverse_triples_builds(self, monkeypatch):
+        built = []
+
+        def recording(triples, num_base_relations):
+            built.append(add_inverse_triples(triples, num_base_relations))
+            return built[-1]
+
+        monkeypatch.setattr("structkgc.graph.add_inverse_triples", recording)
+        _, rels = make_records(3, 1)
+        base = {"train": np.array([[0, 0, 1], [1, 0, 2]]), "test": [Triple(2, 0, 0)]}
+        g = KnowledgeGraph.with_inverses(["a", "b", "c"], ["", "", ""], rels, base)
+        assert len(built) == 2
+        for split, array in zip(base, built):
+            assert g.triples(split) is array
+            assert not array.flags.writeable
+
+    def test_leaves_the_base_arrays_as_they_were(self):
+        _, rels = make_records(3, 1)
+        train = np.array([[0, 0, 1], [1, 0, 2]], dtype=np.int64)
+        g = KnowledgeGraph.with_inverses(["a", "b", "c"], ["", "", ""], rels, {"train": train})
+        assert train.flags.writeable
+        assert not np.shares_memory(g.triples("train"), train)
+        assert train.tolist() == [[0, 0, 1], [1, 0, 2]]
 
     def test_refuses_a_triple_that_uses_an_inverse_id(self):
         ents, rels = make_records(3, 1)

@@ -228,9 +228,8 @@ def hub_relation_setup(**model_kw):
     keep = [t for t in g.triples("train").tolist() if t[1] % base == 0]
     hub = [Triple(0, 1, t) for t in range(1, 5)]
     hub += [Triple(t.tail, t.relation + base, t.head) for t in hub]
-    graph = KnowledgeGraph.from_columns(
-        g.entity_names, g.entity_descriptions, g.relations, {"train": keep + hub},
-        num_base_relations=base)
+    graph = KnowledgeGraph(entity_records(g), g.relations, {"train": keep + hub},
+                           num_base_relations=base)
     return graph, tokenizer, model
 
 
