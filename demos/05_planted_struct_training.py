@@ -11,11 +11,8 @@ Runs in under a minute at a reduced scale (full acceptance scale uses
 200 entities and 300 epochs).
 """
 
-import numpy as np
-
-from structkgc.evaluation import evaluate
+from structkgc.evaluation import ModelScorer, evaluate
 from structkgc.model import Model, ModelConfig
-from structkgc.structural import AseKind, StructuralTable, struct_scores_all_tails
 from structkgc.toygen import make_planted_graph
 from structkgc.training import TrainConfig, Trainer
 
@@ -24,44 +21,37 @@ planted = make_planted_graph(num_entities=120, num_relations=6, dim=24,
 graph = planted.graph
 print(f"{graph.num_entities} entities, {len(graph.triples('train'))} training "
       f"triples (inverses included), {len(graph.triples('test'))} held out")
+config = ModelConfig(num_entities=graph.num_entities,
+                     num_base_relations=graph.num_base_relations,
+                     struct_dim=24, use_text=False, use_ase=True, vocab_size=0)
+test_pairs = graph.triples("test")[:, :2]
 
 
-class PlantedScorer:
-    def __init__(self):
-        self.table = StructuralTable(graph.num_entities, graph.num_base_relations,
-                                     24, AseKind.ADDITIVE, np.random.default_rng(0))
-        self.table.entity_embeddings.value = planted.entity_vecs
-        self.table.relation_embeddings.value = planted.relation_vecs
-
-    def scores(self, h, r):
-        return struct_scores_all_tails(self.table, h, r)
+def held_out(model):
+    """The held-out ranking report of the model's structural scores, as
+    ``structkgc eval --score-mode struct`` ranks them."""
+    scorer = ModelScorer(model, graph, None, test_pairs, mode="struct")
+    report, _ = evaluate(scorer, graph, "test")
+    return report
 
 
-oracle, _ = evaluate(PlantedScorer(), graph, "test")
+oracle_model = Model(config)
+oracle_model.struct.entity_embeddings.value = planted.entity_vecs
+oracle_model.struct.relation_embeddings.value = planted.relation_vecs
+oracle = held_out(oracle_model)
 print(f"oracle (planted vectors): MRR {oracle.mrr:.3f}  H@1 {oracle.hits1:.3f}")
 
-model = Model(
-    ModelConfig(num_entities=graph.num_entities,
-                num_base_relations=graph.num_base_relations,
-                struct_dim=24, use_text=False, use_ase=True, vocab_size=0),
-    seed=1,
-)
+model = Model(config, seed=1)
 trainer = Trainer(
     graph, model, None,
     TrainConfig(margin=0.0, tau_min=0.003, epochs=150, batch_size=128, lr=5e-3,
                 use_mh=False, use_ir=False, seed=1),
 )
 
-
-class TrainedScorer:
-    def scores(self, h, r):
-        return model.struct_scores_all_tails(h, r)
-
-
 for epoch in range(1, trainer.cfg.epochs + 1):
     metrics = trainer.train_epoch(epoch)
     if epoch % 50 == 0:
-        rep, _ = evaluate(TrainedScorer(), graph, "test")
+        rep = held_out(model)
         print(f"epoch {epoch:3d}: loss {metrics.mean_loss:.4f} "
               f"tau {metrics.tau:.4f}  held-out MRR {rep.mrr:.3f} "
               f"H@1 {rep.hits1:.3f}")

@@ -24,6 +24,9 @@ class TableScorer:
     def scores(self, h, r):
         return self.table[(h, r)]
 
+    def block_scores(self, pairs):
+        return [self.table[pair] for pair in pairs], 0.0
+
 
 def build_world(overlap):
     n = 40

@@ -28,6 +28,11 @@ VERSION = 1
 
 _ASE_CODES = {AseKind.ADDITIVE: 0, AseKind.HADAMARD: 1, AseKind.ROTATION: 2}
 _ASE_FROM_CODE = {v: k for k, v in _ASE_CODES.items()}
+# The header: the ModelConfig dimensions below as u32s in this order, then
+# the combiner code, the reserved byte, use_text, use_ase and tau_init.
+_DIMS = ("num_entities", "num_base_relations", "struct_dim", "layers",
+         "hidden_dim", "heads", "max_len", "vocab_size")
+_HEADER = struct.Struct(f"<{len(_DIMS)}I4Bd")
 
 
 class CheckpointError(ValueError):
@@ -35,13 +40,8 @@ class CheckpointError(ValueError):
 
 
 def _header_bytes(cfg: ModelConfig) -> bytes:
-    return struct.pack(
-        "<8I4Bd",
-        cfg.num_entities, cfg.num_base_relations, cfg.struct_dim, cfg.layers,
-        cfg.hidden_dim, cfg.heads, cfg.max_len, cfg.vocab_size,
-        _ASE_CODES[cfg.ase_kind], 0, int(cfg.use_text), int(cfg.use_ase),
-        cfg.tau_init,
-    )
+    return _HEADER.pack(*(getattr(cfg, name) for name in _DIMS), _ASE_CODES[cfg.ase_kind],
+                        0, int(cfg.use_text), int(cfg.use_ase), cfg.tau_init)
 
 
 def _chunks(model: Model):
@@ -105,22 +105,16 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         raise CheckpointError(
             f"{path}: format version {version} not supported (expected {VERSION})"
         )
-    header_size = struct.calcsize("<8I4Bd")
-    chunk, offset = _read(buf, offset, header_size, path)
-    (n_ent, n_rel, struct_dim, layers, hidden, heads, max_len, vocab,
-     ase_code, share, use_text, use_ase, tau_init) = struct.unpack("<8I4Bd", chunk)
+    chunk, offset = _read(buf, offset, _HEADER.size, path)
+    *dims, ase_code, share, use_text, use_ase, tau_init = _HEADER.unpack(chunk)
     if ase_code not in _ASE_FROM_CODE:
         raise CheckpointError(f"{path}: unknown combiner code {ase_code}")
     if share:
         raise CheckpointError(
             f"{path}: share_text_encoders={share} is not supported; the query and "
             f"tail text encoders are always separate")
-    cfg = ModelConfig(
-        num_entities=n_ent, num_base_relations=n_rel, struct_dim=struct_dim,
-        layers=layers, hidden_dim=hidden, heads=heads, max_len=max_len,
-        vocab_size=vocab, ase_kind=_ASE_FROM_CODE[ase_code],
-        use_text=bool(use_text), use_ase=bool(use_ase), tau_init=tau_init,
-    )
+    cfg = ModelConfig(**dict(zip(_DIMS, dims)), ase_kind=_ASE_FROM_CODE[ase_code],
+                      use_text=bool(use_text), use_ase=bool(use_ase), tau_init=tau_init)
     chunk, offset = _read(buf, offset, 4, path)
     (count,) = struct.unpack("<I", chunk)
     params: dict[str, np.ndarray] = {}

@@ -43,8 +43,12 @@ def _require_file(path, what) -> str:
 
 def _writable(*paths):
     """Refuse, before any work, an output path (``None`` is skipped) that is
-    a directory or whose parent directory does not exist."""
-    for path in filter(None, paths):
+    empty, is a directory or is in a directory that does not exist."""
+    for path in paths:
+        if path is None:
+            continue
+        if not path:
+            raise UsageError("output path '' is empty")
         if os.path.isdir(path):
             raise UsageError(f"output path {path!r} is a directory")
         if not os.path.isdir(os.path.dirname(path) or "."):
@@ -118,7 +122,7 @@ def cmd_build_vocab(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
-    metrics_path = args.metrics or args.out + ".metrics.tsv"
+    metrics_path = args.out + ".metrics.tsv" if args.metrics is None else args.metrics
     _writable(args.out, args.out + ".vocab.tsv" if cfg.use_text else None, metrics_path)
     _require_file(cfg.dataset, "dataset directory")
     dataset = load_dataset(cfg.dataset)
@@ -210,11 +214,11 @@ def cmd_eval(args) -> int:
     report, results = evaluate(
         scorer, dataset.graph, args.split, filter_splits=args.filter_splits,
         rerank_config=RerankConfig(alpha=args.alpha, splits=args.rerank_splits),
-        collect_details=args.detail is not None,
+        top_k=None if args.detail is None else 10,
     )
     for line in report.summary_lines():
         print(line)
-    if args.detail:
+    if args.detail is not None:
         with open(args.detail, "w", encoding="utf-8") as f:
             f.write("query\thead\trelation\tgold\trank\ttop10\n")
             for i, res in enumerate(results):
@@ -262,7 +266,7 @@ def cmd_export_predictions(args) -> int:
     dataset, model, scorer = _load_scorer(args)
     _, results = evaluate(
         scorer, dataset.graph, args.split, filter_splits=args.filter_splits,
-        collect_details=True, top_k=10,
+        top_k=10,
     )
     graph = dataset.graph
     with open(args.out, "w", encoding="utf-8") as f:

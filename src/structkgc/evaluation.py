@@ -7,16 +7,19 @@ prediction and head prediction via inverse relations) and carry a
 per-direction breakdown.
 
 ``evaluate`` ranks a split in blocks of ``SCORE_BLOCK`` queries.  A scorer
-with ``block_scores`` proposes each block's score rows from one matrix
-product per scoring path, with a bound on their distance from the
-per-query ``scores``.  ``_ranked`` ranks every row; a proposed row keeps
-its ranking only when no scores within that bound could change its rank
+has two methods.  ``block_scores(pairs)`` returns ``(rows, delta)``: a
+score row for each (head, relation) pair of a block, and a bound
+``delta`` on each row's distance from the canonical ``scores(head,
+relation)``; ``ModelScorer`` proposes its rows from one matrix product
+per scoring path.  ``_ranked`` ranks every row; a proposed row keeps its
+ranking only when no scores within ``delta`` could change its rank
 (``_rank``, the one count behind every rank), its top list or the printed
-6-decimal scores, and otherwise is ranked again from ``scores``, the
-canonical path.  Blocks are ranked on every usable CPU (``_run_on_cpus``),
-so a scorer's ``scores`` and ``block_scores`` may be called from several
-threads at once and must be pure; the output does not depend on the
-number of threads.
+6-decimal scores, and otherwise is ranked again from ``scores``.  So
+``scores`` is called only for a row that fails this certificate, and a
+scorer that proposes its canonical rows with ``delta`` 0 is never asked.
+Blocks are ranked on every usable CPU (``_run_on_cpus``), so a scorer's
+methods may be called from several threads at once and must be pure; the
+output does not depend on the number of threads.
 """
 
 from __future__ import annotations
@@ -502,8 +505,7 @@ def evaluate(
     split: str,
     filter_splits=DEFAULT_FILTER_SPLITS,
     rerank_config: RerankConfig | None = None,
-    collect_details: bool = False,
-    top_k: int = 10,
+    top_k: int | None = None,
 ) -> tuple[RankingReport, list[QueryResult]]:
     """Rank the gold tail of every triple in ``split``.
 
@@ -515,21 +517,21 @@ def evaluate(
     each, so blocks are ranked on every usable CPU; a scorer's ``scores``
     and ``block_scores`` may be called from several threads at once and
     must be pure.  Every graph lookup is made on the calling thread before
-    any block starts.  A scorer with ``block_scores`` proposes the block's
-    rows and a bound ``delta`` on their distance from ``scores``; a scorer
-    with only ``scores`` proposes those rows, with ``delta`` 0.  Each row
-    is ranked once by ``_ranked``.  A proposed row it cannot certify is
+    any block starts.  The scorer's ``block_scores`` proposes the block's
+    rows and a bound ``delta`` on their distance from ``scores``, and each
+    row is ranked once by ``_ranked``.  A proposed row it cannot certify is
     ranked again, by ``_ranked`` with ``delta`` 0 on ``scores``, and
     counted in the report's ``fallbacks``.  So ranks, top ids and printed
     scores are those of ``scores``, whatever the thread count; a kept top
-    score differs from its ``scores`` value by at most ``delta``.
+    score differs from its ``scores`` value by at most ``delta``.  Each
+    result lists its ``top_k`` best unfiltered candidates with their
+    scores, or none when ``top_k`` is None.
     """
-    if top_k < 0:
+    if top_k is not None and top_k < 0:
         raise ValueError(f"top_k must be non-negative, got {top_k}")
     rerank_config = rerank_config or RerankConfig()
     alpha = rerank_config.alpha
-    k = top_k + 1 if collect_details else None   # one more, for the certificate
-    propose = getattr(scorer, "block_scores", None)
+    k = None if top_k is None else top_k + 1   # one more, for the certificate
     # the graph builds its lookup indexes lazily, so no helper may be the
     # first to look up a split selection
     queries = []
@@ -540,10 +542,7 @@ def evaluate(
         queries.append((h, r, t, filtered[filtered != t], neighbors))
 
     def rank_block(block) -> tuple[list[QueryResult], int]:
-        if propose is None:
-            rows, delta = [scorer.scores(h, r) for h, r, *_ in block], 0.0
-        else:
-            rows, delta = propose([(h, r) for h, r, *_ in block])
+        rows, delta = scorer.block_scores([(h, r) for h, r, *_ in block])
         results, fallbacks = [], 0
         for (h, r, t, filtered, neighbors), raw in zip(block, rows):
             ranked = _ranked(raw, t, filtered, neighbors, alpha, k, delta)
@@ -553,7 +552,7 @@ def evaluate(
             adjusted, rank, top = ranked
             direction = "head" if graph.is_inverse_relation(r) else "tail"
             result = QueryResult(h, r, t, rank, direction)
-            if collect_details:
+            if top_k is not None:
                 shown = top[:top_k]
                 result.top = list(zip(shown.tolist(), adjusted[shown].tolist()))
             results.append(result)

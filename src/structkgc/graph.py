@@ -226,10 +226,10 @@ class KnowledgeGraph:
             key = tuple(s for s in SPLITS if s in splits)
             index = self._indexes.get(key)
             if index is None:
-                index = _build_index(
-                    np.concatenate([self._splits[s] for s in key] or [_NO_ROWS]),
-                    self.num_entities, self.num_relations,
-                )
+                # one split is indexed from its own read-only array, not a copy
+                rows = [self._splits[s] for s in key] or [_NO_ROWS]
+                index = _build_index(rows[0] if len(rows) == 1 else np.concatenate(rows),
+                                     self.num_entities, self.num_relations)
             self._indexes[key] = self._indexes[splits] = index
         return index
 

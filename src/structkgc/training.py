@@ -90,10 +90,11 @@ class TrainConfig:
             raise ValueError(f"learning rate must be positive, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if (self.queue_capacity < 1 or self.hardest_k < 2 or self.mh_count < 1
+        # the queue is read for hardest negatives only once it holds 2 rows
+        if (self.queue_capacity < 2 or self.hardest_k < 2 or self.mh_count < 1
                 or self.ir_count < 1):
-            raise ValueError("queue capacity, hardest-k (>= 2), mix count and "
-                             "intra-relation count must be positive")
+            raise ValueError("queue capacity and hardest-k must be at least 2, and mix "
+                             "count and intra-relation count positive")
 
 
 def require_text_path(cfg: TrainConfig, use_text: bool) -> None:

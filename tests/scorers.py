@@ -13,7 +13,8 @@ class TableScorer:
     """Scores straight out of a fixed lookup.
 
     Useful for oracle evaluations: maps (head, relation) to a precomputed
-    score vector.
+    score vector, and proposes those rows with ``delta`` 0, so ``evaluate``
+    ranks them as they are.
     """
 
     def __init__(self, table: dict[tuple[int, int], np.ndarray]):
@@ -21,6 +22,9 @@ class TableScorer:
 
     def scores(self, head: int, relation: int) -> np.ndarray:
         return self.table[(head, relation)]
+
+    def block_scores(self, pairs):
+        return [self.table[pair] for pair in pairs], 0.0
 
 
 def encode_one_query(model, graph, tokenizer, head: int, relation: int) -> np.ndarray:
@@ -41,25 +45,21 @@ def serial_encode_in_chunks(encode, keys, tokenize) -> np.ndarray:
 
 
 def serial_evaluate(scorer, graph, split, filter_splits=evaluation.DEFAULT_FILTER_SPLITS,
-                    rerank_config=None, collect_details=False, top_k=10):
+                    rerank_config=None, top_k=None):
     """``evaluate``'s blocks one after another on the calling thread, each
     graph lookup made as its query is ranked: the loop the threaded
     ranking replaced."""
-    if top_k < 0:
+    if top_k is not None and top_k < 0:
         raise ValueError(f"top_k must be non-negative, got {top_k}")
     rerank_config = rerank_config or evaluation.RerankConfig()
     alpha = rerank_config.alpha
-    k = top_k + 1 if collect_details else None   # one more, for the certificate
-    propose = getattr(scorer, "block_scores", None)
+    k = None if top_k is None else top_k + 1   # one more, for the certificate
     triples = graph.triples(split).tolist()
     results = []
     fallbacks = 0
     for start in range(0, len(triples), evaluation.SCORE_BLOCK):
         block = triples[start:start + evaluation.SCORE_BLOCK]
-        if propose is None:
-            rows, delta = [scorer.scores(h, r) for h, r, _ in block], 0.0
-        else:
-            rows, delta = propose([(h, r) for h, r, _ in block])
+        rows, delta = scorer.block_scores([(h, r) for h, r, _ in block])
         for (h, r, t), raw in zip(block, rows):
             neighbors = (graph.tails_by_relation(r, rerank_config.splits)
                          if alpha > 0 else None)
@@ -73,7 +73,7 @@ def serial_evaluate(scorer, graph, split, filter_splits=evaluation.DEFAULT_FILTE
             adjusted, rank, top = ranked
             direction = "head" if graph.is_inverse_relation(r) else "tail"
             result = evaluation.QueryResult(h, r, t, rank, direction)
-            if collect_details:
+            if top_k is not None:
                 shown = top[:top_k]
                 result.top = list(zip(shown.tolist(), adjusted[shown].tolist()))
             results.append(result)

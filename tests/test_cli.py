@@ -528,6 +528,23 @@ class TestPathsTheOsRefuses:
                             ckpt=workspace["ckpt"]) for part in command_line.split()]
         self._refused(argv, tmp_path / refused, tmp_path, capsys)
 
+    @pytest.mark.parametrize("command,options", [
+        ("train", ["--out", ""]),
+        ("train", ["--out", "{tmp}/m.ckpt", "--metrics", ""]),
+        ("eval", ["--detail", ""]),
+        ("export-predictions", ["--out", ""]),
+        ("build-vocab", ["--out", ""]),
+    ], ids=["train-out", "train-metrics", "eval-detail", "export-out", "build-vocab-out"])
+    def test_an_empty_output_path_is_refused_before_any_work(self, workspace, tmp_path, capsys,
+                                                            no_work, monkeypatch, command,
+                                                            options):
+        monkeypatch.chdir(tmp_path)     # so a write to a relative path would show
+        inputs = {"train": ["--config", str(workspace["config"])],
+                  "build-vocab": ["--dataset", str(workspace["data"])]}.get(
+            command, ["--dataset", str(workspace["data"]), "--checkpoint", str(workspace["ckpt"])])
+        argv = [command, *inputs, *(option.format(tmp=tmp_path) for option in options)]
+        self._refused(argv, "output path '' is empty", tmp_path, capsys)
+
 
 class TestBuildVocab:
     def test_writes_sorted_vocab(self, workspace, tmp_path, capsys):

@@ -91,6 +91,7 @@ class TestRunConfig:
             {"lr": -1e-4},
             {"momentum": 1.5},
             {"queue_capacity": 0},
+            {"queue_capacity": 1},
             {"hardest_k": 1},
             {"ir_count": -2},
             {"ir_count": 0},

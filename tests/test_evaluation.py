@@ -102,7 +102,7 @@ def reference_top_candidates(scores, filtered, k):
 
 
 def reference_evaluate(scorer, graph, split, filter_splits=DEFAULT_FILTER_SPLITS,
-                       rerank_config=None, collect_details=False, top_k=10):
+                       rerank_config=None, top_k=None):
     rerank_config = rerank_config or RerankConfig()
     results = []
     for h, r, t in graph.triples(split):
@@ -117,7 +117,7 @@ def reference_evaluate(scorer, graph, split, filter_splits=DEFAULT_FILTER_SPLITS
         rank = reference_filtered_rank(adjusted, t, filter_ids)
         direction = "head" if graph.is_inverse_relation(r) else "tail"
         result = QueryResult(h, r, t, rank, direction)
-        if collect_details:
+        if top_k is not None:
             kept = reference_top(adjusted, filter_ids, top_k)
             result.top = [(i, float(adjusted[i])) for i in kept]
         results.append(result)
@@ -409,12 +409,11 @@ class TestEvaluate:
                            rerank_config=RerankConfig(alpha=0.0))
         assert base == zero
 
-    def test_collect_details_top_k(self):
+    def test_top_k_lists(self):
         g = self._toy()
         rng = np.random.default_rng(8)
         table = self._oracle_table(g, rng)
-        _, results = evaluate(TableScorer(table), g, "test",
-                              collect_details=True, top_k=3)
+        _, results = evaluate(TableScorer(table), g, "test", top_k=3)
         for res in results:
             assert len(res.top) == 3
             scores = [s for _, s in res.top]
@@ -423,11 +422,11 @@ class TestEvaluate:
     def test_negative_top_k_rejected(self):
         g = self._toy()
         table = self._oracle_table(g, np.random.default_rng(9))
-        for details in (True, False):
-            with pytest.raises(ValueError, match="top_k.*-2"):
-                evaluate(TableScorer(table), g, "test", collect_details=details, top_k=-2)
-        _, results = evaluate(TableScorer(table), g, "test", collect_details=True, top_k=0)
-        assert [res.top for res in results] == [[], []]
+        with pytest.raises(ValueError, match="top_k.*-2"):
+            evaluate(TableScorer(table), g, "test", top_k=-2)
+        for top_k in (0, None):
+            _, results = evaluate(TableScorer(table), g, "test", top_k=top_k)
+            assert [res.top for res in results] == [[], []]
 
     def test_direction_breakdown(self):
         results = [
@@ -600,7 +599,7 @@ class TestArrayRankingMatchesLoops:
         for alpha in (0.0, 0.2, 1.0):
             for top_k in (3, 10, 40):
                 kwargs = dict(rerank_config=RerankConfig(alpha=alpha, splits=splits),
-                              collect_details=True, top_k=top_k)
+                              top_k=top_k)
                 want = reference_evaluate(TableScorer(table), g, "test", **kwargs)
                 got = evaluate(TableScorer(table), g, "test", **kwargs)
                 assert got == want
@@ -1193,8 +1192,7 @@ class TestBlockedEvaluate:
                     or len({scores[i] for i in top}) < len(top))
 
         for alpha, proposed in proposals.items():
-            kwargs = dict(rerank_config=RerankConfig(alpha=alpha), collect_details=True,
-                          top_k=k)
+            kwargs = dict(rerank_config=RerankConfig(alpha=alpha), top_k=k)
             want = reference_evaluate(TableScorer(table), g, "test", **kwargs)
             got = evaluate(ProposingScorer(table, proposed, delta), g, "test", **kwargs)
             assert_same_as_reference(got, want, tol=2 * delta)
@@ -1209,14 +1207,14 @@ class TestBlockedEvaluate:
     def test_planted_near_misses_match_the_exact_path(self, alpha, details):
         g, table, proposed, adjusted, delta, k = planted_near_misses(alpha)
         queries = g.triples("test").tolist()
-        kwargs = dict(rerank_config=RerankConfig(alpha=alpha), collect_details=details,
-                      top_k=k)
+        top_k = k if details else None
+        kwargs = dict(rerank_config=RerankConfig(alpha=alpha), top_k=top_k)
         got = evaluate(ProposingScorer(table, proposed, delta), g, "test", **kwargs)
         want = reference_evaluate(TableScorer(table), g, "test", **kwargs)
         assert dataclasses.replace(got[0], fallbacks=0) == want[0]
         assert printed(got[1]) == printed(want[1])
-        expected = sum(must_fall_back(adjusted[(h, r)], t, kept_out(g, h, r, t), delta,
-                                      k if details else None) for h, r, t in queries)
+        expected = sum(must_fall_back(adjusted[(h, r)], t, kept_out(g, h, r, t), delta, top_k)
+                       for h, r, t in queries)
         assert 0 < expected < len(queries)
         assert got[0].fallbacks == expected
 
@@ -1232,7 +1230,7 @@ class TestBlockedEvaluate:
         assert certified(rerank(row, [0], alpha), 0, [], delta)
         table = {pair: row for pair in map(tuple, g.triples("test")[:, :2].tolist())}
         for a, fallbacks in ((alpha, 1), (0.0, 0)):
-            kwargs = dict(rerank_config=RerankConfig(alpha=a), collect_details=True)
+            kwargs = dict(rerank_config=RerankConfig(alpha=a), top_k=10)
             got = evaluate(ProposingScorer(table, table, delta), g, "test", **kwargs)
             assert got[0].fallbacks == fallbacks
             want = reference_evaluate(TableScorer(table), g, "test", **kwargs)
@@ -1257,7 +1255,7 @@ class TestBlockedEvaluate:
         scorer = ModelScorer(model, g, tokenizer, split_pairs(g, "train", "test"),
                              mode=mode, beta=0.3)
         for split, filter_splits in (("test", DEFAULT_FILTER_SPLITS), ("train", ("train",))):
-            kwargs = dict(filter_splits=filter_splits, collect_details=True,
+            kwargs = dict(filter_splits=filter_splits, top_k=10,
                           rerank_config=RerankConfig(alpha=alpha))
             want = reference_evaluate(scorer, g, split, **kwargs)
             assert_same_as_reference(evaluate(scorer, g, split, **kwargs), want, 1e-12)
@@ -1269,7 +1267,7 @@ class TestBlockedEvaluate:
         assert queries > evaluation.SCORE_BLOCK and queries % evaluation.SCORE_BLOCK
         scorer = ModelScorer(model, g, tokenizer, split_pairs(g, "train"),
                              mode="combined", beta=0.3)
-        kwargs = dict(filter_splits=("train",), collect_details=True,
+        kwargs = dict(filter_splits=("train",), top_k=10,
                       rerank_config=RerankConfig(alpha=0.2))
         want = reference_evaluate(scorer, g, "train", **kwargs)
         monkeypatch.setattr(evaluation, "SCORE_BLOCK", block)
@@ -1349,15 +1347,14 @@ class TestThreadedEvaluate:
         use_cpus(monkeypatch, cpus)
         assert len(g.triples("train")) >= 3 * evaluation.SCORE_BLOCK
         for alpha in (0.0, 0.1):
-            for details in (False, True):
+            for top_k in (None, 10):
                 for split, filter_splits in (("train", ("train",)),
                                              ("test", DEFAULT_FILTER_SPLITS)):
                     check_against_serial(scorer, g, split, filter_splits=filter_splits,
-                                         rerank_config=RerankConfig(alpha=alpha),
-                                         collect_details=details)
+                                         rerank_config=RerankConfig(alpha=alpha), top_k=top_k)
 
     @pytest.mark.parametrize("cpus", [1, 2, 8])
-    def test_scores_only_scorer_matches_the_serial_loop(self, monkeypatch, cpus):
+    def test_exact_proposals_match_the_serial_loop(self, monkeypatch, cpus):
         rng = np.random.default_rng(42)
         n = 25
         train = [Triple(int(rng.integers(0, n)), int(rng.integers(0, 3)),
@@ -1369,10 +1366,9 @@ class TestThreadedEvaluate:
         monkeypatch.setattr(evaluation, "SCORE_BLOCK", 4)
         use_cpus(monkeypatch, cpus)
         for alpha in (0.0, 0.1):
-            for details in (False, True):
+            for top_k in (None, 3):
                 check_against_serial(TableScorer(table), g, "test",
-                                     rerank_config=RerankConfig(alpha=alpha),
-                                     collect_details=details, top_k=3)
+                                     rerank_config=RerankConfig(alpha=alpha), top_k=top_k)
 
     @pytest.mark.parametrize("cpus", [1, 2, 8])
     def test_planted_fallbacks_match_the_serial_loop(self, monkeypatch, cpus):
@@ -1382,15 +1378,14 @@ class TestThreadedEvaluate:
         for alpha, proposed in proposals.items():
             report = check_against_serial(
                 ProposingScorer(table, proposed, delta), g, "test",
-                rerank_config=RerankConfig(alpha=alpha), collect_details=True, top_k=k)
+                rerank_config=RerankConfig(alpha=alpha), top_k=k)
             assert report.fallbacks > 0
         for alpha in (0.0, 0.25):
             g, table, proposed, _, delta, k = planted_near_misses(alpha)
-            for details in (False, True):
+            for top_k in (None, k):
                 report = check_against_serial(
                     ProposingScorer(table, proposed, delta), g, "test",
-                    rerank_config=RerankConfig(alpha=alpha), collect_details=details,
-                    top_k=k)
+                    rerank_config=RerankConfig(alpha=alpha), top_k=top_k)
                 assert report.fallbacks > 0
 
     @pytest.mark.parametrize("cpus,threads", [(1, 1), (2, 2), (8, 4)])
@@ -1466,7 +1461,7 @@ class TestThreadedEvaluate:
         # one with failing blocks raises the lowest one's error
         g, table, proposals, delta, k = planted_ties()
         scorer = ProposingScorer(table, proposals[0.2], delta)
-        kwargs = dict(rerank_config=RerankConfig(alpha=0.2), collect_details=True, top_k=k)
+        kwargs = dict(rerank_config=RerankConfig(alpha=0.2), top_k=k)
         want = serial_evaluate(scorer, g, "test", **kwargs)
         monkeypatch.setattr(evaluation, "SCORE_BLOCK", 1)
         use_cpus(monkeypatch, 8)

@@ -529,6 +529,7 @@ class TestTrainConfigValidation:
             {"lr": 0.0},
             {"momentum": 1.0},
             {"queue_capacity": 0},
+            {"queue_capacity": 1},
             {"hardest_k": 1},
             {"ir_count": -1},
             {"ir_count": 0},
