@@ -203,7 +203,10 @@ def gelu(a: Node) -> Node:
     from scipy.special import erf
 
     x = a.value
-    cdf = 0.5 * (1.0 + erf(x / _SQRT2))
+    cdf = x / _SQRT2                    # 0.5 * (1.0 + erf(x / sqrt 2)), in place
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
 
     def vjp(g):
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
@@ -237,8 +240,10 @@ def linear(x: Node, w: Node, b: Node) -> Node:
         raise ValueError(
             f"linear shape mismatch: {x.value.shape} x {w.value.shape} + {b.value.shape}"
         )
+    out = x.value @ w.value
+    out += b.value                      # x @ w + b, with no second (m, n) array
     return Node(
-        x.value @ w.value + b.value,
+        out,
         (x, w, b),
         lambda g: (g @ w.value.T, x.value.T @ g, g.sum(axis=0, keepdims=True)),
     )

@@ -55,6 +55,20 @@ def _writable(*paths):
             raise UsageError(f"output path {path!r} is in a directory that does not exist")
 
 
+def _distinct(paths: dict[str, str | None]) -> None:
+    """Refuse, before any work, two of a command's paths, keyed by what
+    they are (``None`` and ``''`` are skipped), that resolve to the same
+    file: an output would be written over an input or another output."""
+    seen: dict[str, str] = {}
+    for what, path in paths.items():
+        if not path:
+            continue
+        real = os.path.realpath(path)
+        if real in seen:
+            raise UsageError(f"{seen[real]} and {what} {path!r} name the same file")
+        seen[real] = f"{what} {path!r}"
+
+
 def _load_run_config(args) -> RunConfig:
     overrides = {}
     if getattr(args, "seed", None) is not None:
@@ -78,7 +92,16 @@ def _split_triples(graph, split: str, what: str):
     return triples
 
 
-def _load_scorer(args):
+def _load_scorer(args, **outputs):
+    """The dataset, model and scorer of an eval-like command.  First, before
+    any work, refuse an output path (``outputs``, keyed by option name)
+    that ``_writable`` refuses, and two of the command's paths that name
+    one file."""
+    _writable(*outputs.values())
+    vocab_path = args.vocab or args.checkpoint + ".vocab.tsv"
+    _distinct({"--checkpoint": args.checkpoint,
+               "--vocab" if args.vocab else "vocabulary": vocab_path,
+               **{f"--{name}": path for name, path in outputs.items()}})
     _require_file(args.dataset, "dataset directory")
     dataset = load_dataset(args.dataset)
     pairs = _split_triples(dataset.graph, args.split, "rank")[:, :2]
@@ -92,7 +115,6 @@ def _load_scorer(args):
     )
     tokenizer = None
     if model.config.use_text:
-        vocab_path = args.vocab or args.checkpoint + ".vocab.tsv"
         _require_file(vocab_path, "vocabulary file")
         tokenizer = Tokenizer.load(vocab_path)
         if len(tokenizer) != model.config.vocab_size:
@@ -123,7 +145,10 @@ def cmd_build_vocab(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
     metrics_path = args.out + ".metrics.tsv" if args.metrics is None else args.metrics
-    _writable(args.out, args.out + ".vocab.tsv" if cfg.use_text else None, metrics_path)
+    vocab_path = args.out + ".vocab.tsv" if cfg.use_text else None
+    _writable(args.out, vocab_path, metrics_path)
+    _distinct({"--config": args.config, "--out": args.out, "vocabulary": vocab_path,
+               "--metrics" if args.metrics is not None else "metrics file": metrics_path})
     _require_file(cfg.dataset, "dataset directory")
     dataset = load_dataset(cfg.dataset)
     graph = dataset.graph
@@ -142,7 +167,7 @@ def cmd_train(args) -> int:
 
     save_checkpoint(args.out, model)
     if tokenizer is not None:
-        tokenizer.save(args.out + ".vocab.tsv")
+        tokenizer.save(vocab_path)
     with open(metrics_path, "w", encoding="utf-8") as f:
         f.write(EpochMetrics.HEADER + "\n")
         for m in metrics:
@@ -209,8 +234,7 @@ def _min_freq(raw: str) -> int:
 
 
 def cmd_eval(args) -> int:
-    _writable(args.detail)
-    dataset, model, scorer = _load_scorer(args)
+    dataset, model, scorer = _load_scorer(args, detail=args.detail)
     report, results = evaluate(
         scorer, dataset.graph, args.split, filter_splits=args.filter_splits,
         rerank_config=RerankConfig(alpha=args.alpha, splits=args.rerank_splits),
@@ -262,8 +286,7 @@ def cmd_miou(args) -> int:
 
 
 def cmd_export_predictions(args) -> int:
-    _writable(args.out)
-    dataset, model, scorer = _load_scorer(args)
+    dataset, model, scorer = _load_scorer(args, out=args.out)
     _, results = evaluate(
         scorer, dataset.graph, args.split, filter_splits=args.filter_splits,
         top_k=10,

@@ -40,13 +40,16 @@ from .text import Tokenizer, tokenize_entity, tokenize_hr
 
 SCORE_MODES = ("text", "struct", "combined")
 DEFAULT_FILTER_SPLITS = ("train", "valid", "test")
-# Sequences per text-encoder call when the scorer encodes its tail matrix
-# and its queries.  One padded pass per chunk amortises the per-op
-# overhead; the chunk bounds the (chunk, heads, L, L + 1) attention
-# arrays, ~4.3 MB each at 4 heads and max_len 64, so peak memory grows
-# with the number of usable CPUs, one chunk in flight on each, and with
-# neither the entity count nor the query count.
-ENCODE_CHUNK = 32
+# Token rows per text-encoder call when the scorer encodes its tail matrix
+# and its queries: a chunk holds max(1, ENCODE_TOKENS // L) sequences, L
+# being the longest token list of the table, so one padded pass amortises
+# the per-op overhead over about as many rows at any description length.
+# The budget bounds what a chunk holds in flight: its (rows, 4 * hidden_dim)
+# FFN arrays, ~0.8 MB each at hidden_dim 64, and its (chunk, heads, L,
+# L + 1) attention arrays, ~0.8 MB each at 4 heads and L = 64.  Each usable
+# CPU has one chunk in flight, so peak memory grows with the number of
+# CPUs and with neither the entity count nor the query count.
+ENCODE_TOKENS = 384
 # Queries per score block.  ``ModelScorer`` scores a block with one matrix
 # product per path instead of one matrix-vector product per query, each of
 # which reads the whole entity table again; one (16, 40,943) float64 block
@@ -216,12 +219,15 @@ class ModelScorer:
     side, and on the query side the text queries of the distinct
     ``pairs`` in first-seen order and their unit structural queries in one
     batched build.  Text goes through the encoders in padded batches of
-    at most ``ENCODE_CHUNK`` sequences, encoded at the same time on every
-    usable CPU by ``_run_on_cpus``, with the same bytes as one after
-    another (``_encode_in_chunks``).  The scorer keeps these arrays and
-    no reference to the model, so later parameter updates do not reach
-    it; ``scores`` is one or two matrix-vector products, and
-    ``block_scores`` one or two matrix products for a block of pairs.
+    at most ``ENCODE_TOKENS`` token rows, one sequence at the least,
+    encoded at the same time on every usable CPU by ``_run_on_cpus``, with
+    the same bytes as one after another (``_encode_in_chunks``).  A row's
+    bytes depend on its batch's padded length, so they may differ by
+    rounding from those of the same sequence encoded alone.  The scorer
+    keeps these arrays and no reference to the model, so later parameter
+    updates do not reach it; ``scores`` is one or two matrix-vector
+    products, and ``block_scores`` one or two matrix products for a block
+    of pairs.
     """
 
     def __init__(self, model: Model, graph: KnowledgeGraph,
@@ -378,13 +384,20 @@ def _run_on_cpus(work, items) -> list:
 
 
 def _encode_in_chunks(encode, keys, tokenize) -> np.ndarray:
-    """Rows of ``encode(tokens, keys)`` over ``ENCODE_CHUNK``-sized slices,
-    one ``_run_on_cpus`` item each, in key order.  Each slice is the same
-    call on the same inputs as in a serial loop, so the rows are the same
-    bytes."""
-    chunks = [keys[start:start + ENCODE_CHUNK] for start in range(0, len(keys), ENCODE_CHUNK)]
-    return np.concatenate(_run_on_cpus(
-        lambda chunk: encode([tokenize(key) for key in chunk], chunk).value, chunks))
+    """Rows of ``encode(tokens, keys)`` over consecutive slices of
+    ``keys``, one ``_run_on_cpus`` item each, in key order.
+
+    Every key is tokenized first, on the calling thread.  A slice holds
+    max(1, ``ENCODE_TOKENS`` // L) keys, L being the longest token list,
+    so its padded batch has at most ``ENCODE_TOKENS`` rows unless one
+    sequence alone has more.  Each slice is the same call on the same
+    inputs as in a serial loop, so the rows are the same bytes.
+    """
+    tokens = [tokenize(key) for key in keys]
+    size = max(1, ENCODE_TOKENS // max(map(len, tokens)))
+    chunks = [(tokens[start:start + size], keys[start:start + size])
+              for start in range(0, len(keys), size)]
+    return np.concatenate(_run_on_cpus(lambda chunk: encode(*chunk).value, chunks))
 
 
 # ---------------------------------------------------------------------------

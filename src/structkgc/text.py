@@ -269,17 +269,19 @@ class TextEncoder:
             ad.gather_rows(self.tok_emb, ids.ravel()),
             ad.gather_rows(self.pos_emb, np.tile(np.arange(seq_len), batch)),
         )
+        # each sublayer is one nested call, so no local keeps q, k, v, the
+        # context or the FFN output: without a tape, each intermediate is
+        # freed as soon as its consumer has run
         for i, layer in enumerate(self.layers):
-            q = ad.linear(x, layer["wq"], layer["bq"])
-            k = ad.linear(x, layer["wk"], layer["bk"])
-            v = ad.linear(x, layer["wv"], layer["bv"])
-            context = ad.attention(q, k, v, lengths, cfg.heads,
-                                   None if prefixes is None else prefixes[i])
-            attn = ad.linear(context, layer["wo"], layer["bo"])
-            x = ad.layer_norm_rows(ad.add(x, attn), layer["ln1_g"], layer["ln1_b"])
-            ffn = ad.linear(ad.gelu(ad.linear(x, layer["w1"], layer["b1"])),
-                            layer["w2"], layer["b2"])
-            x = ad.layer_norm_rows(ad.add(x, ffn), layer["ln2_g"], layer["ln2_b"])
+            x = ad.layer_norm_rows(ad.add(x, ad.linear(
+                ad.attention(ad.linear(x, layer["wq"], layer["bq"]),
+                             ad.linear(x, layer["wk"], layer["bk"]),
+                             ad.linear(x, layer["wv"], layer["bv"]),
+                             lengths, cfg.heads, None if prefixes is None else prefixes[i]),
+                layer["wo"], layer["bo"])), layer["ln1_g"], layer["ln1_b"])
+            x = ad.layer_norm_rows(ad.add(x, ad.linear(
+                ad.gelu(ad.linear(x, layer["w1"], layer["b1"])),
+                layer["w2"], layer["b2"])), layer["ln2_g"], layer["ln2_b"])
 
         # row b averages its own positions, leaving out padding and [PAD] ids
         pooled = ad.mean_pool(x, (np.arange(seq_len) < lengths[:, None]) & (ids != _PAD_ID))

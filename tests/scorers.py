@@ -36,12 +36,13 @@ def encode_one_query(model, graph, tokenizer, head: int, relation: int) -> np.nd
 
 
 def serial_encode_in_chunks(encode, keys, tokenize) -> np.ndarray:
-    """The scorer's text rows one ``ENCODE_CHUNK`` slice after another on
-    the calling thread: the loop the threaded build replaced."""
-    size = evaluation.ENCODE_CHUNK
-    chunks = [keys[start:start + size] for start in range(0, len(keys), size)]
-    return np.concatenate([encode([tokenize(key) for key in chunk], chunk).value
-                           for chunk in chunks])
+    """The scorer's text rows one slice of max(1, ``ENCODE_TOKENS`` //
+    longest token list) keys after another on the calling thread: the loop
+    the threaded build replaced."""
+    tokens = [tokenize(key) for key in keys]
+    size = max(1, evaluation.ENCODE_TOKENS // max(len(seq) for seq in tokens))
+    return np.concatenate([encode(tokens[start:start + size], keys[start:start + size]).value
+                           for start in range(0, len(keys), size)])
 
 
 def serial_evaluate(scorer, graph, split, filter_splits=evaluation.DEFAULT_FILTER_SPLITS,

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -405,6 +407,32 @@ class TestFusedMatchesComposite:
             results.append([out.value, x.grad, wt.grad, b.grad])
         for got, expected in zip(*results):
             np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("recording", [True, False])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_linear_and_gelu_equal_their_formulas_byte_for_byte(self, seed, recording):
+        # in-place arithmetic in both, on entries of every scale, among
+        # them signed zeros and |x| > 10
+        from scipy.special import erf
+
+        rng = np.random.default_rng(80 + seed)
+
+        def values(rows, cols):
+            a = rng.normal(size=(rows, cols)) * rng.choice([1e-3, 1.0, 30.0], size=(rows, cols))
+            zeros = rng.choice(a.size, size=a.size // 5, replace=False)
+            a.flat[zeros] = rng.choice([0.0, -0.0], size=len(zeros))
+            return a
+
+        x, w, b = values(37, 16), values(16, 64), values(1, 64)
+        zeros = x[x == 0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+        assert (np.abs(x) > 10).any()
+        with contextlib.nullcontext() if recording else ad.no_grad():
+            affine = ad.linear(ad.Node(x), ad.Node(w), ad.Node(b))
+            activated = ad.gelu(ad.Node(x))
+        assert bool(affine._parents) == bool(activated._parents) == recording
+        assert affine.value.tobytes() == (x @ w + b).tobytes()
+        assert activated.value.tobytes() == (x * (0.5 * (1.0 + erf(x / np.sqrt(2.0))))).tobytes()
 
     def test_linear_rejects_mismatched_bias(self):
         with pytest.raises(ValueError, match="linear shape mismatch"):

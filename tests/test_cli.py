@@ -8,13 +8,14 @@ import pytest
 from structkgc import cli, evaluation
 from structkgc.checkpoint import save_checkpoint
 from structkgc.cli import main
-from structkgc.data import load_dataset, write_dataset
+from structkgc.data import build_tokenizer, load_dataset, write_dataset
 from structkgc.evaluation import ModelScorer, miou
 from structkgc.model import Model, ModelConfig
+from structkgc.text import tokenize_entity
 from structkgc.toygen import make_text_toy
 
-from scorers import encode_one_query, serial_evaluate
-from test_evaluation import reference_evaluate
+from scorers import encode_one_query, serial_encode_in_chunks, serial_evaluate
+from test_evaluation import reference_evaluate, varied_length_toy
 
 TOY_CONFIG = """
 struct_dim = 8
@@ -198,6 +199,43 @@ class TestFreshProcesses:
             run = subprocess.run([sys.executable, "-m", "structkgc.cli", *argv, str(detail)],
                                  env=fresh_env(threads), check=True, capture_output=True)
             outputs.append((run.stdout, detail.read_bytes()))
+        monkeypatch.setattr(cli, "evaluate", serial_evaluate)
+        detail = tmp_path / "serial.tsv"
+        assert main([*argv, str(detail)]) == 0
+        serial = (capsys.readouterr().out.encode(), detail.read_bytes())
+        assert b"MRR\t" in serial[0]
+        assert outputs[0] == outputs[1] == serial
+
+    @pytest.mark.parametrize("mode", ["text", "combined"])
+    def test_text_eval_over_several_chunks_equals_the_serial_loop(
+            self, tmp_path, monkeypatch, capsys, mode):
+        # descriptions of 1 to 20 words: at max_len 16 the token budget
+        # cuts the 120 entities into at least 5 chunks, so helper threads
+        # encode some of them; the bytes are the same at 1 and 2 BLAS
+        # threads, and the same as the serial chunk and block loops' in
+        # this process
+        data = tmp_path / "toy"
+        write_dataset(varied_length_toy(120, 3, 160, seed=2), data)
+        graph = load_dataset(data).graph
+        tokenizer = build_tokenizer(graph)
+        model = Model(ModelConfig(graph.num_entities, graph.num_base_relations, struct_dim=8,
+                                  layers=1, hidden_dim=16, heads=2, max_len=16,
+                                  vocab_size=len(tokenizer)), seed=0)
+        longest = max(len(tokenize_entity(tokenizer, graph, e, 16))
+                      for e in range(graph.num_entities))
+        assert graph.num_entities > 4 * (evaluation.ENCODE_TOKENS // longest)
+        ckpt = tmp_path / "text.ckpt"
+        save_checkpoint(str(ckpt), model)
+        tokenizer.save(str(ckpt) + ".vocab.tsv")
+        argv = ["eval", "--dataset", str(data), "--checkpoint", str(ckpt), "--split", "test",
+                "--score-mode", mode, "--alpha", "0.1", "--detail"]
+        outputs = []
+        for threads in (1, 2):
+            detail = tmp_path / f"detail{threads}.tsv"
+            run = subprocess.run([sys.executable, "-m", "structkgc.cli", *argv, str(detail)],
+                                 env=fresh_env(threads), check=True, capture_output=True)
+            outputs.append((run.stdout, detail.read_bytes()))
+        monkeypatch.setattr(evaluation, "_encode_in_chunks", serial_encode_in_chunks)
         monkeypatch.setattr(cli, "evaluate", serial_evaluate)
         detail = tmp_path / "serial.tsv"
         assert main([*argv, str(detail)]) == 0
@@ -464,18 +502,19 @@ class TestOneLineUsageErrors:
         assert capsys.readouterr().out.startswith("usage: structkgc")
 
 
+@pytest.fixture
+def no_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the paths were checked")
+    monkeypatch.setattr("structkgc.training.Trainer.train", refuse)
+    monkeypatch.setattr(cli, "evaluate", refuse)
+    monkeypatch.setattr(cli, "build_tokenizer", refuse)
+
+
 class TestPathsTheOsRefuses:
     """A path that cannot be read or written, here a directory, is a usage
     error on one line, not a traceback.  An output path is checked before
     any work: nothing is printed, trained, ranked or written."""
-
-    @pytest.fixture
-    def no_work(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("work started before the paths were checked")
-        monkeypatch.setattr("structkgc.training.Trainer.train", refuse)
-        monkeypatch.setattr(cli, "evaluate", refuse)
-        monkeypatch.setattr(cli, "build_tokenizer", refuse)
 
     @staticmethod
     def _refused(argv, path, tmp_path, capsys):
@@ -544,6 +583,52 @@ class TestPathsTheOsRefuses:
             command, ["--dataset", str(workspace["data"]), "--checkpoint", str(workspace["ckpt"])])
         argv = [command, *inputs, *(option.format(tmp=tmp_path) for option in options)]
         self._refused(argv, "output path '' is empty", tmp_path, capsys)
+
+
+class TestClashingPaths:
+    """Two paths of one command that name the same file, however spelt,
+    are a usage error on one line before any work: every file is left as
+    it was."""
+
+    @pytest.mark.parametrize("command_line,clash", [
+        ("train --config toy.cfg --out m.ckpt --metrics m.ckpt", "--metrics 'm.ckpt'"),
+        ("train --config toy.cfg --out m.ckpt --metrics {tmp}/m.ckpt.vocab.tsv",
+         "m.ckpt.vocab.tsv' name the same file"),
+        ("train --config toy.cfg --out ./toy.cfg", "--out './toy.cfg'"),
+        ("train --config toy.cfg --out m.ckpt --metrics sub/../toy.cfg", "sub/../toy.cfg"),
+        ("train --config toy.cfg --out m.ckpt --metrics link.tsv", "--metrics 'link.tsv'"),
+        ("eval --checkpoint c.ckpt --detail {tmp}/c.ckpt", "--detail"),
+        ("eval --checkpoint c.ckpt --detail c.ckpt.vocab.tsv", "--detail 'c.ckpt.vocab.tsv'"),
+        ("eval --checkpoint c.ckpt --vocab v.tsv --detail sub/../v.tsv", "--detail"),
+        ("export-predictions --checkpoint c.ckpt --out c.ckpt", "--out 'c.ckpt'"),
+        ("export-predictions --checkpoint c.ckpt --out link.tsv --vocab m.ckpt",
+         "--out 'link.tsv'"),
+        ("rerank-sweep --checkpoint c.ckpt --vocab ./c.ckpt", "--vocab './c.ckpt'"),
+    ], ids=["train-metrics-out", "train-metrics-vocab", "train-out-config",
+            "train-metrics-config", "train-metrics-symlink", "eval-detail-checkpoint",
+            "eval-detail-vocab", "eval-detail-explicit-vocab", "export-out-checkpoint",
+            "export-out-symlink-vocab", "sweep-vocab-checkpoint"])
+    def test_is_a_usage_error_before_any_work(self, workspace, tmp_path, capsys, no_work,
+                                              monkeypatch, command_line, clash):
+        shutil.copy(workspace["config"], tmp_path / "toy.cfg")
+        shutil.copy(workspace["ckpt"], tmp_path / "c.ckpt")
+        shutil.copy(str(workspace["ckpt"]) + ".vocab.tsv", tmp_path / "c.ckpt.vocab.tsv")
+        shutil.copy(str(workspace["ckpt"]) + ".vocab.tsv", tmp_path / "v.tsv")
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.tsv").symlink_to("m.ckpt")
+        monkeypatch.chdir(tmp_path)
+        before = {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+        argv = command_line.format(tmp=tmp_path).split()
+        if argv[0] != "train":
+            argv += ["--dataset", str(workspace["data"])]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error\tusage\t")
+        assert clash in captured.err and "name the same file" in captured.err
+        assert captured.err.count("\n") == 1
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()
+                if path.is_file()} == before
 
 
 class TestBuildVocab:

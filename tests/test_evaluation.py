@@ -14,7 +14,7 @@ import pytest
 
 from structkgc import autodiff as ad
 from structkgc import evaluation
-from structkgc.data import build_tokenizer
+from structkgc.data import Dataset, build_tokenizer
 from structkgc.evaluation import (
     DEFAULT_FILTER_SPLITS,
     SCORE_MODES,
@@ -29,10 +29,10 @@ from structkgc.evaluation import (
     rerank,
     top_candidates,
 )
-from structkgc.graph import EntityRecord, KnowledgeGraph, RelationRecord, Triple
+from structkgc.graph import SPLITS, EntityRecord, KnowledgeGraph, RelationRecord, Triple
 from structkgc.model import Model, ModelConfig
 from structkgc.structural import AseKind
-from structkgc.text import tokenize_entity
+from structkgc.text import tokenize_entity, tokenize_hr
 from structkgc.toygen import make_text_toy
 
 from graph_reference import ReferenceGraph
@@ -605,8 +605,31 @@ class TestArrayRankingMatchesLoops:
                 assert got == want
 
 
-def text_struct_model(kind, seed=0):
-    toy = make_text_toy(num_entities=14, num_relations=3, num_triples=24, seed=seed)
+def with_descriptions(toy, descriptions) -> Dataset:
+    """``toy`` with entity ``i`` described by ``descriptions[i]``."""
+    graph = toy.graph
+    records = [EntityRecord(name, description, i) for i, (name, description)
+               in enumerate(zip(graph.entity_names, descriptions, strict=True))]
+    return Dataset(KnowledgeGraph(records, graph.relations,
+                                  {split: graph.triples(split) for split in SPLITS},
+                                  graph.num_base_relations),
+                   toy.entity_raw_ids, toy.relation_raw_ids)
+
+
+def varied_length_toy(num_entities, num_relations, num_triples, seed=0) -> Dataset:
+    """``make_text_toy``'s dataset with descriptions of 1 to 20 of its
+    description words, so token lists vary in length, some past a
+    ``max_len`` of 16."""
+    toy = make_text_toy(num_entities=num_entities, num_relations=num_relations,
+                        num_triples=num_triples, seed=seed)
+    words = sorted(set(" ".join(toy.graph.entity_descriptions).split()))
+    rng = np.random.default_rng(seed)
+    return with_descriptions(toy, [" ".join(rng.choice(words, size=int(rng.integers(1, 21))))
+                                   for _ in range(num_entities)])
+
+
+def text_struct_model(kind, seed=0, toy=None):
+    toy = toy or make_text_toy(num_entities=14, num_relations=3, num_triples=24, seed=seed)
     tokenizer = build_tokenizer(toy.graph, min_freq=2)
     cfg = ModelConfig(
         num_entities=toy.graph.num_entities,
@@ -615,6 +638,27 @@ def text_struct_model(kind, seed=0):
         vocab_size=len(tokenizer), ase_kind=kind,
     )
     return toy.graph, tokenizer, Model(cfg, seed=seed)
+
+
+def tail_tokens(graph, tokenizer, model):
+    return [tokenize_entity(tokenizer, graph, e, model.config.max_len)
+            for e in range(graph.num_entities)]
+
+
+def query_tokens(graph, tokenizer, model, pairs):
+    return [tokenize_hr(tokenizer, graph, h, r, model.config.max_len) for h, r in pairs]
+
+
+def record_chunks(monkeypatch, model) -> dict[str, list[list]]:
+    """Record the keys of each ``encode_tails`` and ``encode_queries`` call
+    on ``model``, by method name, in the order the calls start."""
+    calls = {"encode_tails": [], "encode_queries": []}
+    for name, seen in calls.items():
+        def wrapped(tokens, keys, encode=getattr(model, name), seen=seen):
+            seen.append(list(keys))
+            return encode(tokens, keys)
+        monkeypatch.setattr(model, name, wrapped)
+    return calls
 
 
 def split_pairs(graph, *splits):
@@ -645,7 +689,8 @@ class TestModelScorerMatchesModel:
     def test_text_tail_matrix_matches_per_entity_build(self, kind, monkeypatch):
         g, tokenizer, model = text_struct_model(kind)
         # 14 entities in chunks of 4: three full chunks and a remainder
-        monkeypatch.setattr(evaluation, "ENCODE_CHUNK", 4)
+        monkeypatch.setattr(evaluation, "ENCODE_TOKENS",
+                            4 * max(map(len, tail_tokens(g, tokenizer, model))))
         scorer = ModelScorer(model, g, tokenizer, [(0, 0)], mode="text")
         per_entity = np.concatenate([
             model.encode_tails([tokenize_entity(tokenizer, g, e, model.config.max_len)],
@@ -686,13 +731,58 @@ class TestModelScorerMatchesModel:
         pairs = list(dict.fromkeys(map(tuple, g.triples("train")[:, :2].tolist())))[:10]
         # 10 distinct pairs in chunks of 4: two full chunks and a remainder
         assert len(pairs) == 10
-        monkeypatch.setattr(evaluation, "ENCODE_CHUNK", 4)
+        monkeypatch.setattr(evaluation, "ENCODE_TOKENS",
+                            4 * max(map(len, query_tokens(g, tokenizer, model, pairs))))
         scorer = ModelScorer(model, g, tokenizer, [*pairs, pairs[3]], mode="text")
         assert list(scorer._rows) == pairs
         for row, (h, r) in enumerate(pairs):
             np.testing.assert_allclose(scorer._text_queries[row],
                                        encode_one_query(model, g, tokenizer, h, r),
                                        rtol=0, atol=1e-12)
+
+    def test_one_long_description_bounds_every_chunk(self, kind, monkeypatch):
+        # entity 3's description runs past max_len, so its token list is
+        # the longest: each table goes in chunks of budget // longest keys,
+        # in key order, every chunk full but the last
+        toy = make_text_toy(num_entities=14, num_relations=3, num_triples=24, seed=0)
+        descriptions = list(toy.graph.entity_descriptions)
+        descriptions[3] = " ".join(descriptions)
+        g, tokenizer, model = text_struct_model(kind, toy=with_descriptions(toy, descriptions))
+        pairs = first_pairs(g, 14)
+        budget = 40
+        monkeypatch.setattr(evaluation, "ENCODE_TOKENS", budget)
+        calls = record_chunks(monkeypatch, model)
+        ModelScorer(model, g, tokenizer, pairs, mode="text")
+        tails = tail_tokens(g, tokenizer, model)
+        assert max(map(len, tails)) == len(tails[3]) == model.config.max_len > len(tails[0])
+        for name, keys, tokens in [("encode_tails", list(range(g.num_entities)), tails),
+                                   ("encode_queries", pairs,
+                                    query_tokens(g, tokenizer, model, pairs))]:
+            size = budget // max(map(len, tokens))
+            chunks = sorted(calls[name], key=lambda chunk: keys.index(chunk[0]))
+            assert [key for chunk in chunks for key in chunk] == keys
+            assert all(len(chunk) == size for chunk in chunks[:-1])
+            assert 0 < len(chunks[-1]) <= size < len(keys)
+
+    def test_varied_lengths_match_one_key_chunks(self, kind, monkeypatch):
+        # descriptions of 1 to 20 words: a row's bytes depend on its
+        # chunk's padded length, but at every budget each row is within
+        # 1e-12 of its one-key encode, and the ranks are the same
+        g, tokenizer, model = text_struct_model(kind, toy=varied_length_toy(14, 3, 24))
+        assert len(set(map(len, tail_tokens(g, tokenizer, model)))) > 3
+        pairs = split_pairs(g, "test")
+        budgets = (24, 48, evaluation.ENCODE_TOKENS)
+        monkeypatch.setattr(evaluation, "ENCODE_TOKENS", 1)
+        alone = ModelScorer(model, g, tokenizer, pairs, mode="combined", beta=0.3)
+        _, want = evaluate(alone, g, "test")
+        for budget in budgets:
+            monkeypatch.setattr(evaluation, "ENCODE_TOKENS", budget)
+            scorer = ModelScorer(model, g, tokenizer, pairs, mode="combined", beta=0.3)
+            for got, one_key in [(scorer._tail_matrix, alone._tail_matrix),
+                                 (scorer._text_queries, alone._text_queries)]:
+                np.testing.assert_allclose(got, one_key, rtol=0, atol=1e-12)
+            _, results = evaluate(scorer, g, "test")
+            assert [r.rank for r in results] == [r.rank for r in want]
 
     @pytest.mark.parametrize("mode", SCORE_MODES)
     def test_pair_not_built_for_is_a_key_error(self, kind, mode):
@@ -745,21 +835,50 @@ def first_pairs(graph, count):
     return list(dict.fromkeys(map(tuple, split_pairs(graph, "train", "test").tolist())))[:count]
 
 
+def fail_on(monkeypatch, model, failing, slow=(), seen=None):
+    """Make ``model.encode_tails`` raise ``LookupError("entity <e>")`` for
+    the lowest key ``e`` of a chunk that holds one of ``failing``, after
+    sleeping 0.2 s on a chunk that holds one of ``slow``; ``seen``, when
+    given, gets every chunk's keys."""
+    encode = model.encode_tails
+
+    def wrapped(tokens, keys):
+        if seen is not None:
+            seen.extend(keys)
+        if set(keys) & set(slow):
+            time.sleep(0.2)
+        bad = sorted(set(keys) & set(failing))
+        if bad:
+            raise LookupError(f"entity {bad[0]}")
+        return encode(tokens, keys)
+
+    monkeypatch.setattr(model, "encode_tails", wrapped)
+
+
 class TestThreadedEncode:
-    # 14 entities and 14 pairs: chunks of 14, 7 and 4 make one chunk, two,
-    # and three full ones and a short last one; 8 CPUs are more than the
-    # 4 chunks, and 1 CPU runs the build on the calling thread alone
+    # 14 entities of 6 tokens and 14 pairs of 9: budgets of 126, 63 and 36
+    # tokens make one chunk per table, two, and two or three full ones and
+    # a short last one; 8 CPUs are more than the chunks, and 1 CPU runs
+    # the build on the calling thread alone
     @pytest.mark.parametrize("kind", list(AseKind))
     @pytest.mark.parametrize("mode", ["text", "combined"])
-    @pytest.mark.parametrize("chunk,cpus", [(14, 2), (7, 2), (4, 2), (4, 8), (4, 1)])
-    def test_tables_equal_the_serial_loop_byte_for_byte(self, monkeypatch, kind, mode,
-                                                        chunk, cpus):
+    @pytest.mark.parametrize("budget,cpus,tail_chunks,query_chunks", [
+        (126, 2, [14], [14]), (63, 2, [10, 4], [7, 7]), (36, 2, [6, 6, 2], [4, 4, 4, 2]),
+        (36, 8, [6, 6, 2], [4, 4, 4, 2]), (36, 1, [6, 6, 2], [4, 4, 4, 2])])
+    def test_tables_equal_the_serial_loop_byte_for_byte(self, monkeypatch, kind, mode, budget,
+                                                        cpus, tail_chunks, query_chunks):
         g, tokenizer, model = text_struct_model(kind)
         pairs = first_pairs(g, 14)
         assert g.num_entities == len(pairs) == 14
-        monkeypatch.setattr(evaluation, "ENCODE_CHUNK", chunk)
+        assert {len(t) for t in tail_tokens(g, tokenizer, model)} == {6}
+        assert {len(t) for t in query_tokens(g, tokenizer, model, pairs)} == {9}
+        monkeypatch.setattr(evaluation, "ENCODE_TOKENS", budget)
         use_cpus(monkeypatch, cpus)
-        threaded = ModelScorer(model, g, tokenizer, pairs, mode=mode, beta=0.3)
+        with monkeypatch.context() as spy:
+            calls = record_chunks(spy, model)
+            threaded = ModelScorer(model, g, tokenizer, pairs, mode=mode, beta=0.3)
+        assert sorted(map(len, calls["encode_tails"]), reverse=True) == tail_chunks
+        assert sorted(map(len, calls["encode_queries"]), reverse=True) == query_chunks
         monkeypatch.setattr(evaluation, "_encode_in_chunks", serial_encode_in_chunks)
         serial = ModelScorer(model, g, tokenizer, pairs, mode=mode, beta=0.3)
         for got, want in [(threaded._tail_matrix, serial._tail_matrix),
@@ -768,11 +887,13 @@ class TestThreadedEncode:
 
     @pytest.mark.parametrize("cpus,threads", [(1, 1), (2, 2), (8, 4)])
     def test_threads_run_chunks_at_once_with_recording_off(self, monkeypatch, cpus, threads):
-        # 14 keys in chunks of 4 make 4 chunks per table; each encode waits
-        # until ``threads`` encodes run at once, so a missing thread times
-        # out, and the live threads are counted while all of them wait
+        # a 27-token budget cuts 14 six-token entities into chunks of 4 and
+        # 12 nine-token pairs into chunks of 3: 4 chunks per table; each
+        # encode waits until ``threads`` encodes run at once, so a missing
+        # thread times out, and the live threads are counted while all of
+        # them wait
         g, tokenizer, model = text_struct_model(AseKind.ROTATION)
-        monkeypatch.setattr(evaluation, "ENCODE_CHUNK", 4)
+        monkeypatch.setattr(evaluation, "ENCODE_TOKENS", 27)
         use_cpus(monkeypatch, cpus)
         before = threading.active_count()
         calls, alive = {"encode_tails": [], "encode_queries": []}, []
@@ -792,7 +913,7 @@ class TestThreadedEncode:
 
         for name in calls:
             monkeypatch.setattr(model, name, spy(name))
-        ModelScorer(model, g, tokenizer, first_pairs(g, 14), mode="text")
+        ModelScorer(model, g, tokenizer, first_pairs(g, 12), mode="text")
         for table in calls.values():
             assert len(table) == 4
             assert len({ident for ident, *_ in table}) == threads
@@ -805,18 +926,9 @@ class TestThreadedEncode:
         # chunk 2; chunk 1 starts slow, so chunk 2 fails first, and chunk 1's
         # error, the serial loop's, is the one raised
         g, tokenizer, model = text_struct_model(AseKind.ROTATION)
-        monkeypatch.setattr(evaluation, "ENCODE_CHUNK", 4)
+        monkeypatch.setattr(evaluation, "ENCODE_TOKENS", 4 * 6)
         use_cpus(monkeypatch, 4)
-        tokenize = evaluation.tokenize_entity
-
-        def failing(tok, graph, entity, max_len):
-            if entity == 4:
-                time.sleep(0.2)
-            if entity in (5, 9):
-                raise LookupError(f"entity {entity}")
-            return tokenize(tok, graph, entity, max_len)
-
-        monkeypatch.setattr(evaluation, "tokenize_entity", failing)
+        fail_on(monkeypatch, model, failing=(5, 9), slow=(4,))
         before = threading.active_count()
         with pytest.raises(LookupError, match="entity 5"):
             ModelScorer(model, g, tokenizer, [(0, 0)], mode="text")
@@ -826,11 +938,12 @@ class TestThreadedEncode:
             ModelScorer(model, g, tokenizer, [(0, 0)], mode="text")
 
     def test_a_chunk_taken_before_a_failure_still_runs(self, monkeypatch):
-        # chunks of one entity on two threads: the thread that takes chunk 0
-        # stalls before starting it while chunk 1 fails; chunk 0 still runs,
-        # so its error, the serial loop's, is the one raised
+        # a budget below one token list makes chunks of one entity; on two
+        # threads, the thread that takes chunk 0 stalls before starting it
+        # while chunk 1 fails; chunk 0 still runs, so its error, the serial
+        # loop's, is the one raised
         g, tokenizer, model = text_struct_model(AseKind.ROTATION)
-        monkeypatch.setattr(evaluation, "ENCODE_CHUNK", 1)
+        monkeypatch.setattr(evaluation, "ENCODE_TOKENS", 1)
         use_cpus(monkeypatch, 2)
 
         class StallAfterZero:
@@ -846,11 +959,8 @@ class TestThreadedEncode:
                     time.sleep(0.2)
                 return i
 
-        def failing(tok, graph, entity, max_len):
-            raise LookupError(f"entity {entity}")
-
         monkeypatch.setattr(evaluation, "itertools", SimpleNamespace(count=StallAfterZero))
-        monkeypatch.setattr(evaluation, "tokenize_entity", failing)
+        fail_on(monkeypatch, model, failing=range(g.num_entities))
         with pytest.raises(LookupError, match="entity 0"):
             ModelScorer(model, g, tokenizer, [(0, 0)], mode="text")
 
@@ -860,9 +970,8 @@ class TestThreadedEncode:
         # failure gives the serial loop's bytes, and one with failures
         # runs every chunk below the lowest and raises that chunk's error
         g, tokenizer, model = text_struct_model(AseKind.ROTATION)
-        monkeypatch.setattr(evaluation, "ENCODE_CHUNK", 1)
+        monkeypatch.setattr(evaluation, "ENCODE_TOKENS", 1)
         use_cpus(monkeypatch, 8)
-        tokenize = evaluation.tokenize_entity
         with monkeypatch.context() as serial:
             serial.setattr(evaluation, "_encode_in_chunks", serial_encode_in_chunks)
             want = ModelScorer(model, g, tokenizer, [(0, 0)], mode="text")._tail_matrix
@@ -873,22 +982,16 @@ class TestThreadedEncode:
             for _ in range(30):
                 failing = set(rng.choice(14, size=int(rng.integers(0, 3)), replace=False).tolist())
                 seen = []
-
-                def flaky(tok, graph, entity, max_len):
-                    seen.append(entity)
-                    if entity in failing:
-                        raise LookupError(f"entity {entity}")
-                    return tokenize(tok, graph, entity, max_len)
-
-                monkeypatch.setattr(evaluation, "tokenize_entity", flaky)
-                if failing:
-                    with pytest.raises(LookupError, match=f"entity {min(failing)}$"):
-                        ModelScorer(model, g, tokenizer, [(0, 0)], mode="text")
-                    assert set(range(min(failing) + 1)) <= set(seen)
-                else:
-                    got = ModelScorer(model, g, tokenizer, [(0, 0)], mode="text")._tail_matrix
-                    assert got.tobytes() == want.tobytes()
-                    assert sorted(seen) == list(range(14))
+                with monkeypatch.context() as flaky:
+                    fail_on(flaky, model, failing, seen=seen)
+                    if failing:
+                        with pytest.raises(LookupError, match=f"entity {min(failing)}$"):
+                            ModelScorer(model, g, tokenizer, [(0, 0)], mode="text")
+                        assert set(range(min(failing) + 1)) <= set(seen)
+                    else:
+                        got = ModelScorer(model, g, tokenizer, [(0, 0)], mode="text")._tail_matrix
+                        assert got.tobytes() == want.tobytes()
+                        assert sorted(seen) == list(range(14))
                 assert len(seen) == len(set(seen))
         finally:
             sys.setswitchinterval(interval)
@@ -897,25 +1000,37 @@ class TestThreadedEncode:
         # chunks of one entity on two threads: entity 0 fails at once while
         # entity 1 is slow, so no thread takes entity 2 or a later one
         g, tokenizer, model = text_struct_model(AseKind.ROTATION)
-        monkeypatch.setattr(evaluation, "ENCODE_CHUNK", 1)
+        monkeypatch.setattr(evaluation, "ENCODE_TOKENS", 1)
         use_cpus(monkeypatch, 2)
-        tokenize = evaluation.tokenize_entity
         seen = []
-
-        def failing(tok, graph, entity, max_len):
-            seen.append(entity)
-            if entity == 0:
-                raise LookupError("entity 0")
-            if entity == 1:
-                time.sleep(0.2)
-            return tokenize(tok, graph, entity, max_len)
-
-        monkeypatch.setattr(evaluation, "tokenize_entity", failing)
+        fail_on(monkeypatch, model, failing=(0,), slow=(1,), seen=seen)
         before = threading.active_count()
         with pytest.raises(LookupError, match="entity 0"):
             ModelScorer(model, g, tokenizer, [(0, 0)], mode="text")
         assert set(seen) <= {0, 1}
         assert threading.active_count() == before
+
+    def test_every_key_is_tokenized_on_the_calling_thread_first(self, monkeypatch):
+        # the chunk sizes need every token list, so even with one-entity
+        # chunks on two threads a tokenizer error is raised before any
+        # chunk is encoded
+        g, tokenizer, model = text_struct_model(AseKind.ROTATION)
+        monkeypatch.setattr(evaluation, "ENCODE_TOKENS", 1)
+        use_cpus(monkeypatch, 2)
+        tokenize = evaluation.tokenize_entity
+        threads, calls = set(), record_chunks(monkeypatch, model)
+
+        def tokenize_entity(tok, graph, entity, max_len):
+            threads.add(threading.get_ident())
+            if entity == 9:
+                raise LookupError("entity 9")
+            return tokenize(tok, graph, entity, max_len)
+
+        monkeypatch.setattr(evaluation, "tokenize_entity", tokenize_entity)
+        with pytest.raises(LookupError, match="entity 9"):
+            ModelScorer(model, g, tokenizer, [(0, 0)], mode="text")
+        assert threads == {threading.get_ident()}
+        assert calls == {"encode_tails": [], "encode_queries": []}
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,17 @@ class TestFusedMatchesReference:
             expected = np.zeros_like(leaf.value) if leaf.grad is None else leaf.grad
             np.testing.assert_allclose(grad, expected, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("mode", ["off", "on", "mixed"])
+    def test_no_tape_encode_equals_the_recorded_one_byte_for_byte(self, mode):
+        rng = np.random.default_rng(17)
+        enc = small_encoder(seed=18, layers=2, heads=2)
+        prefixes = self._prefixes(rng, mode)
+        recorded = enc.encode(self.SEQS, prefixes)
+        with ad.no_grad():
+            plain = enc.encode(self.SEQS, prefixes)
+        assert recorded._parents and not plain._parents
+        assert plain.value.tobytes() == recorded.value.tobytes()
+
     def test_tape_size_does_not_grow_with_batch(self):
         # a per-sequence loop inside encode would multiply the node count
         rng = np.random.default_rng(14)
