@@ -16,7 +16,8 @@ import sys
 
 from .checkpoint import CheckpointError, load_model, save_checkpoint
 from .config import ConfigError, RunConfig, parse_config
-from .data import DataError, build_tokenizer, load_dataset
+from .data import (ENTITY_FILE, RELATION_FILE, SPLIT_FILES, DataError, build_tokenizer,
+                   load_dataset)
 from .evaluation import SCORE_MODES, ModelScorer, RerankConfig, evaluate, miou
 from .graph import SPLITS, GraphError
 from .model import Model
@@ -35,48 +36,50 @@ class UsageError(ValueError):
     pass
 
 
-def _require_file(path, what) -> str:
-    if not path or not os.path.exists(path):
-        raise UsageError(f"{what} not found: {path!r}")
-    return path
+DATASET = "dataset directory"
+# every file ``load_dataset`` may read from a dataset directory
+DATASET_FILES = (ENTITY_FILE, RELATION_FILE, *SPLIT_FILES.values())
 
 
-def _writable(*paths):
-    """Refuse, before any work, an output path (``None`` is skipped) that is
-    empty, is a directory or is in a directory that does not exist."""
-    for path in paths:
+def _check_paths(reads: dict[str, str | None], writes: dict[str, str | None]) -> None:
+    """Refuse, before any input is parsed, a command's paths that cannot
+    work.  ``reads`` and ``writes`` map what each path is to the path
+    (``None`` is skipped).  An output must not be empty or a directory,
+    and must sit in a directory that exists.  An input must exist, and
+    only the ``DATASET`` may be a directory.  No two paths may resolve to
+    one file, where the dataset directory stands for all of
+    ``DATASET_FILES``, present or not: an output would land on an input
+    or another output."""
+    seen: dict[str, str] = {}
+    for what, path in {**writes, **reads}.items():
         if path is None:
             continue
-        if not path:
-            raise UsageError("output path '' is empty")
-        if os.path.isdir(path):
-            raise UsageError(f"output path {path!r} is a directory")
-        if not os.path.isdir(os.path.dirname(path) or "."):
-            raise UsageError(f"output path {path!r} is in a directory that does not exist")
-
-
-def _distinct(paths: dict[str, str | None]) -> None:
-    """Refuse, before any work, two of a command's paths, keyed by what
-    they are (``None`` and ``''`` are skipped), that resolve to the same
-    file: an output would be written over an input or another output."""
-    seen: dict[str, str] = {}
-    for what, path in paths.items():
-        if not path:
-            continue
-        real = os.path.realpath(path)
-        if real in seen:
-            raise UsageError(f"{seen[real]} and {what} {path!r} name the same file")
-        seen[real] = f"{what} {path!r}"
+        if what in writes:
+            if not path:
+                raise UsageError("output path '' is empty")
+            if os.path.isdir(path):
+                raise UsageError(f"output path {path!r} is a directory")
+            if not os.path.isdir(os.path.dirname(path) or "."):
+                raise UsageError(f"output path {path!r} is in a directory that does not exist")
+        for label, file in ([("dataset file", os.path.join(path, name)) for name in DATASET_FILES]
+                            if what == DATASET else [(what, path)]):
+            real = os.path.realpath(file)
+            if real in seen:
+                raise UsageError(f"{seen[real]} and {label} {file!r} name the same file")
+            seen[real] = f"{label} {file!r}"
+        if what in reads and not os.path.exists(path):
+            raise UsageError(f"{what} not found: {path!r}")
+        if what in reads and what != DATASET and os.path.isdir(path):
+            raise UsageError(f"{what} {path!r} is a directory")
 
 
 def _load_run_config(args) -> RunConfig:
     overrides = {}
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "dataset", None):
+    if args.dataset is not None:
         overrides["dataset"] = args.dataset
-    if args.config:
-        _require_file(args.config, "config file")
+    if args.config is not None:
         return parse_config(args.config, overrides)
     return RunConfig(**overrides)
 
@@ -92,20 +95,17 @@ def _split_triples(graph, split: str, what: str):
     return triples
 
 
-def _load_scorer(args, **outputs):
-    """The dataset, model and scorer of an eval-like command.  First, before
-    any work, refuse an output path (``outputs``, keyed by option name)
-    that ``_writable`` refuses, and two of the command's paths that name
-    one file."""
-    _writable(*outputs.values())
-    vocab_path = args.vocab or args.checkpoint + ".vocab.tsv"
-    _distinct({"--checkpoint": args.checkpoint,
-               "--vocab" if args.vocab else "vocabulary": vocab_path,
-               **{f"--{name}": path for name, path in outputs.items()}})
-    _require_file(args.dataset, "dataset directory")
+def _load_scorer(args, outputs: dict[str, str | None]):
+    """The dataset and scorer of an eval-like command, once its paths and
+    ``outputs`` (what each is, to its path) pass ``_check_paths``.  The
+    default vocabulary ``<checkpoint>.vocab.tsv`` is read only for a text
+    checkpoint, so it is one of the paths only if it is a file."""
+    default_vocab = args.checkpoint + ".vocab.tsv"
+    _check_paths({DATASET: args.dataset, "--checkpoint": args.checkpoint, "--vocab": args.vocab,
+                  "vocabulary": default_vocab if args.vocab is None
+                  and os.path.isfile(default_vocab) else None}, outputs)
     dataset = load_dataset(args.dataset)
     pairs = _split_triples(dataset.graph, args.split, "rank")[:, :2]
-    _require_file(args.checkpoint, "checkpoint")
     model = load_model(
         args.checkpoint,
         expected_dims={
@@ -115,17 +115,15 @@ def _load_scorer(args, **outputs):
     )
     tokenizer = None
     if model.config.use_text:
-        _require_file(vocab_path, "vocabulary file")
-        tokenizer = Tokenizer.load(vocab_path)
+        tokenizer = Tokenizer.load(default_vocab if args.vocab is None else args.vocab)
         if len(tokenizer) != model.config.vocab_size:
             raise UsageError(
                 f"vocabulary size {len(tokenizer)} does not match the "
                 f"checkpoint's {model.config.vocab_size}"
             )
     mode = args.score_mode or ("text" if model.config.use_text else "struct")
-    scorer = ModelScorer(model, dataset.graph, tokenizer, pairs, mode=mode,
-                         beta=args.beta)
-    return dataset, model, scorer
+    return dataset, ModelScorer(model, dataset.graph, tokenizer, pairs, mode=mode,
+                                beta=args.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +131,7 @@ def _load_scorer(args, **outputs):
 # ---------------------------------------------------------------------------
 
 def cmd_build_vocab(args) -> int:
-    _writable(args.out)
-    _require_file(args.dataset, "dataset directory")
+    _check_paths({DATASET: args.dataset}, {"--out": args.out})
     dataset = load_dataset(args.dataset)
     tokenizer = build_tokenizer(dataset.graph, min_freq=args.min_freq)
     tokenizer.save(args.out)
@@ -146,10 +143,9 @@ def cmd_train(args) -> int:
     cfg = _load_run_config(args)
     metrics_path = args.out + ".metrics.tsv" if args.metrics is None else args.metrics
     vocab_path = args.out + ".vocab.tsv" if cfg.use_text else None
-    _writable(args.out, vocab_path, metrics_path)
-    _distinct({"--config": args.config, "--out": args.out, "vocabulary": vocab_path,
-               "--metrics" if args.metrics is not None else "metrics file": metrics_path})
-    _require_file(cfg.dataset, "dataset directory")
+    _check_paths({"--config": args.config, DATASET: cfg.dataset},
+                 {"--out": args.out, "vocabulary": vocab_path,
+                  "--metrics" if args.metrics is not None else "metrics file": metrics_path})
     dataset = load_dataset(cfg.dataset)
     graph = dataset.graph
 
@@ -234,7 +230,7 @@ def _min_freq(raw: str) -> int:
 
 
 def cmd_eval(args) -> int:
-    dataset, model, scorer = _load_scorer(args, detail=args.detail)
+    dataset, scorer = _load_scorer(args, {"--detail": args.detail})
     report, results = evaluate(
         scorer, dataset.graph, args.split, filter_splits=args.filter_splits,
         rerank_config=RerankConfig(alpha=args.alpha, splits=args.rerank_splits),
@@ -260,7 +256,7 @@ def cmd_rerank_sweep(args) -> int:
     if not grid:
         raise UsageError(f"--regimes none runs only alpha 0, which --alphas "
                          f"{','.join(f'{a:g}' for a in args.alphas)} leaves out: no rows to sweep")
-    dataset, model, scorer = _load_scorer(args)
+    dataset, scorer = _load_scorer(args, {})
     print("regime\talpha\tMRR\tH@1\tH@3\tH@10")
     for regime, alpha in grid:
         cfg = RerankConfig(alpha=alpha, splits=REGIMES[regime] or ("train",))
@@ -274,7 +270,7 @@ def cmd_rerank_sweep(args) -> int:
 
 
 def cmd_miou(args) -> int:
-    _require_file(args.dataset, "dataset directory")
+    _check_paths({DATASET: args.dataset}, {})
     dataset = load_dataset(args.dataset)
     _split_triples(dataset.graph, args.split, "compare")
     value, per_relation = miou(dataset.graph, args.split)
@@ -286,7 +282,7 @@ def cmd_miou(args) -> int:
 
 
 def cmd_export_predictions(args) -> int:
-    dataset, model, scorer = _load_scorer(args, out=args.out)
+    dataset, scorer = _load_scorer(args, {"--out": args.out})
     _, results = evaluate(
         scorer, dataset.graph, args.split, filter_splits=args.filter_splits,
         top_k=10,

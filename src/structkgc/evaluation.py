@@ -271,6 +271,12 @@ class ModelScorer:
                 heads, relations = np.array(pairs, dtype=np.intp).T
                 self._struct_queries = struct_queries_node(model.struct, heads,
                                                            relations).value
+        # the bound of ``block_scores``; a path the mode does not use adds 0
+        delta_t, m_t = (0.0, 0.0) if mode == "struct" else _dot_bound(self._tail_matrix.shape[1])
+        delta_s, m_s = (0.0, 0.0) if mode == "text" else _dot_bound(self._unit_tails.shape[1])
+        delta = (delta_t + abs(beta) * delta_s + 2 * _U * (m_t + abs(beta) * m_s * (2 + _U))
+                 if mode == "combined" else delta_t + delta_s)
+        self._delta = delta * _SLACK
 
     def _row(self, head: int, relation: int) -> int:
         row = self._rows.get((head, relation))
@@ -310,22 +316,16 @@ class ModelScorer:
 
         ``delta`` is raised by the relative ``_SLACK``, which covers the
         rounding of these few operations and the absolute error of any
-        underflow.  ``evaluate`` adds the rounding of its ``--alpha``
-        subtraction.
+        underflow, and is computed once, when the scorer is built.
+        ``evaluate`` adds the rounding of its ``--alpha`` subtraction.
         """
         rows = [self._row(h, r) for h, r in pairs]
-        if self.mode != "text":
-            struct = self._struct_queries[rows] @ self._unit_tails.T
-            delta_s, m_s = _dot_bound(self._unit_tails.shape[1])
-            if self.mode == "struct":
-                return struct, delta_s * _SLACK
+        struct = (None if self.mode == "text"
+                  else self._struct_queries[rows] @ self._unit_tails.T)
+        if self.mode == "struct":
+            return struct, self._delta
         text = self._text_queries[rows] @ self._tail_matrix.T
-        delta_t, m_t = _dot_bound(self._tail_matrix.shape[1])
-        if self.mode == "text":
-            return text, delta_t * _SLACK
-        beta = abs(self.beta)
-        delta = delta_t + beta * delta_s + 2 * _U * (m_t + beta * m_s * (2 + _U))
-        return text + self.beta * struct, delta * _SLACK
+        return (text if struct is None else text + self.beta * struct), self._delta
 
 
 def _dot_bound(d: int) -> tuple[float, float]:

@@ -87,12 +87,10 @@ def contrastive_loss(h_hr: Node, h_t: Node, ib_mask: np.ndarray,
 
     ``mh_features`` is an optional constant (B, m, d) array, row q
     holding query q's m mixed hard negatives.  ``ir_features`` is an
-    optional ``(rows, index, keep)`` triple: a (n, d) Node of
-    intra-relation tail encodings, a (B, k) integer array naming the
-    rows each query contrasts with, and a (B, k) 0/1 array that is 0
-    where a query has fewer than k tails.  An entry with ``keep`` 0 adds
-    exactly zero to the loss and to every gradient, whatever row it
-    names.
+    optional ``(rows, index)`` pair: a (n, d) Node of intra-relation tail
+    encodings and a (B, k) integer array naming the rows each query
+    contrasts with, -1 marking a slot of a query with fewer than k tails.
+    A -1 slot adds exactly zero to the loss and to every gradient.
     """
     n = h_hr.value.shape[0]
     if h_t.value.shape[0] != n or ib_mask.shape != (n, n):
@@ -107,16 +105,16 @@ def contrastive_loss(h_hr: Node, h_t: Node, ib_mask: np.ndarray,
         extra_sums.append(_negative_sums(
             h_hr, Node(mh.reshape(-1, mh.shape[2])), mh.shape[1], inv_tau))
     if ir_features is not None:
-        rows, index, keep = ir_features
+        rows, index = ir_features
         index = np.asarray(index, dtype=np.intp)
-        keep = np.asarray(keep, dtype=np.float64)
-        if index.ndim != 2 or index.shape[0] != n or keep.shape != index.shape:
-            raise ValueError(
-                f"expected ({n}, k) intra-relation index and keep arrays, got "
-                f"{index.shape} and {keep.shape}"
-            )
+        if index.ndim != 2 or index.shape[0] != n:
+            raise ValueError(f"expected a ({n}, k) intra-relation index, got {index.shape}")
+        if index.size and (index.min() < -1 or index.max() >= len(rows.value)):
+            raise ValueError(f"intra-relation index {index.min()}..{index.max()} is "
+                             f"outside [-1, {len(rows.value)})")
         extra_sums.append(_negative_sums(
-            h_hr, ad.gather_rows(rows, index.ravel()), index.shape[1], inv_tau, keep))
+            h_hr, ad.gather_rows(rows, np.maximum(index, 0).ravel()), index.shape[1],
+            inv_tau, (index >= 0).astype(np.float64)))
     return _info_nce(cos_ib, ib_mask, inv_tau, margin, extra_sums)
 
 

@@ -244,13 +244,11 @@ class Trainer:
                         [tokenize_entity(tokenizer, graph, t, max_len) for t in row_of],
                         list(row_of),
                     )
-                    # query q's tails fill the first slots of index row q
-                    index = np.zeros((len(batch), cfg.ir_count), dtype=np.intp)
-                    keep = np.zeros(index.shape)
+                    # query q's tails fill the first slots of index row q, -1 the rest
+                    index = np.full((len(batch), cfg.ir_count), -1, dtype=np.intp)
                     for q, ts in enumerate(sampled):
                         index[q, :len(ts)] = [row_of[t] for t in ts]
-                        keep[q, :len(ts)] = 1.0
-                    ir_features = (ir_batch, index, keep)
+                    ir_features = (ir_batch, index)
 
             loss_cl = contrastive_loss(
                 h_hr, h_t, mask, model.log_tau, cfg.margin,

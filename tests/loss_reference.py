@@ -43,12 +43,10 @@ def reference_contrastive_loss(h_hr, h_t, ib_mask, log_tau, margin,
     return _info_nce(cos_ib, ib_mask, inv_tau, margin, extra_sums)
 
 
-def ir_index_and_keep(sampled, k):
-    """The (B, k) index and 0/1 keep arrays for per-query row lists, each
-    query's rows in its first slots."""
-    index = np.zeros((len(sampled), k), dtype=np.intp)
-    keep = np.zeros(index.shape)
+def ir_index(sampled, k):
+    """The (B, k) index array for per-query row lists, each query's rows in
+    its first slots and -1 in the rest."""
+    index = np.full((len(sampled), k), -1, dtype=np.intp)
     for q, rows in enumerate(sampled):
         index[q, :len(rows)] = rows
-        keep[q, :len(rows)] = 1.0
-    return index, keep
+    return index

@@ -1,3 +1,4 @@
+import argparse
 import os
 import shutil
 import subprocess
@@ -89,12 +90,15 @@ class TestTrain:
         for name in ("ckpt", "ckpt.metrics.tsv"):
             assert (tmp_path / f"a.{name}").read_bytes() == (tmp_path / f"b.{name}").read_bytes()
 
-    def test_missing_dataset_is_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("option", [[], ["--dataset", ""]])
+    def test_missing_dataset_is_usage_error(self, workspace, tmp_path, capsys, option):
+        # an empty --dataset overrides the config's dataset, as any other does
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("dataset = /nonexistent/dir\n")
-        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        cfg.write_text("dataset = /nonexistent/dir\n" if not option
+                       else workspace["config"].read_text())
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "x"), *option])
         assert code == 2
-        assert "error\tusage" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error\tusage\tdataset directory not found")
 
     def test_invalid_config_is_input_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -509,6 +513,8 @@ def no_work(monkeypatch):
     monkeypatch.setattr("structkgc.training.Trainer.train", refuse)
     monkeypatch.setattr(cli, "evaluate", refuse)
     monkeypatch.setattr(cli, "build_tokenizer", refuse)
+    monkeypatch.setattr(cli, "load_dataset", refuse)
+    monkeypatch.setattr(cli, "load_model", refuse)
 
 
 class TestPathsTheOsRefuses:
@@ -588,7 +594,7 @@ class TestPathsTheOsRefuses:
 class TestClashingPaths:
     """Two paths of one command that name the same file, however spelt,
     are a usage error on one line before any work: every file is left as
-    it was."""
+    it was.  A dataset directory's paths are every file it may hold."""
 
     @pytest.mark.parametrize("command_line,clash", [
         ("train --config toy.cfg --out m.ckpt --metrics m.ckpt", "--metrics 'm.ckpt'"),
@@ -604,31 +610,116 @@ class TestClashingPaths:
         ("export-predictions --checkpoint c.ckpt --out link.tsv --vocab m.ckpt",
          "--out 'link.tsv'"),
         ("rerank-sweep --checkpoint c.ckpt --vocab ./c.ckpt", "--vocab './c.ckpt'"),
+        ("build-vocab --out d/entities.txt", "--out 'd/entities.txt' and dataset file"),
+        ("train --config d.cfg --out m.ckpt --metrics d/train.txt",
+         "--metrics 'd/train.txt' and dataset file"),
+        ("train --config d.cfg --out d/relations.txt", "--out 'd/relations.txt' and dataset file"),
+        # the toy has no valid triples, so valid.txt is there but empty
+        ("eval --checkpoint c.ckpt --detail d/valid.txt", "--detail 'd/valid.txt' and dataset"),
+        ("export-predictions --checkpoint c.ckpt --out d/relations.txt",
+         "--out 'd/relations.txt' and dataset file"),
+        ("export-predictions --checkpoint c.ckpt --out d/sub/../test.txt",
+         "--out 'd/sub/../test.txt' and dataset file"),
+        ("export-predictions --checkpoint c.ckpt --out test-link.tsv",
+         "--out 'test-link.tsv' and dataset file"),
     ], ids=["train-metrics-out", "train-metrics-vocab", "train-out-config",
             "train-metrics-config", "train-metrics-symlink", "eval-detail-checkpoint",
             "eval-detail-vocab", "eval-detail-explicit-vocab", "export-out-checkpoint",
-            "export-out-symlink-vocab", "sweep-vocab-checkpoint"])
+            "export-out-symlink-vocab", "sweep-vocab-checkpoint", "build-vocab-out-entities",
+            "train-metrics-train", "train-out-relations", "eval-detail-valid",
+            "export-out-relations", "export-out-test", "export-out-symlink-test"])
     def test_is_a_usage_error_before_any_work(self, workspace, tmp_path, capsys, no_work,
                                               monkeypatch, command_line, clash):
         shutil.copy(workspace["config"], tmp_path / "toy.cfg")
         shutil.copy(workspace["ckpt"], tmp_path / "c.ckpt")
         shutil.copy(str(workspace["ckpt"]) + ".vocab.tsv", tmp_path / "c.ckpt.vocab.tsv")
         shutil.copy(str(workspace["ckpt"]) + ".vocab.tsv", tmp_path / "v.tsv")
-        (tmp_path / "sub").mkdir()
+        shutil.copytree(workspace["data"], tmp_path / "d")
+        (tmp_path / "d.cfg").write_text(TOY_CONFIG + "dataset = d\n")
+        for sub in ("sub", "d/sub"):
+            (tmp_path / sub).mkdir()
         (tmp_path / "link.tsv").symlink_to("m.ckpt")
+        (tmp_path / "test-link.tsv").symlink_to("d/test.txt")
         monkeypatch.chdir(tmp_path)
-        before = {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+        before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
         argv = command_line.format(tmp=tmp_path).split()
         if argv[0] != "train":
-            argv += ["--dataset", str(workspace["data"])]
+            argv += ["--dataset", "d"]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error\tusage\t")
-        assert clash in captured.err and "name the same file" in captured.err
+        assert clash in captured.err and captured.err.endswith(" name the same file\n")
         assert captured.err.count("\n") == 1
-        assert {path: path.read_bytes() for path in tmp_path.iterdir()
+        assert {path: path.read_bytes() for path in tmp_path.rglob("*")
                 if path.is_file()} == before
+
+
+class TestMissingInputs:
+    """A named input that is not there is a usage error naming it, before
+    the dataset is read."""
+
+    @pytest.mark.parametrize("command", ["eval", "rerank-sweep", "export-predictions"])
+    @pytest.mark.parametrize("option", ["--checkpoint", "--vocab"])
+    def test_is_refused_before_the_dataset_is_read(self, workspace, tmp_path, capsys, no_work,
+                                                   command, option):
+        missing = str(tmp_path / "missing")
+        paths = {"--checkpoint": str(workspace["ckpt"]), option: missing}
+        argv = [command, "--dataset", str(workspace["data"]),
+                *(part for pair in paths.items() for part in pair), "--split", "test"]
+        if command == "export-predictions":
+            argv += ["--out", str(tmp_path / "p.tsv")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error\tusage\t{option} not found: {missing!r}\n"
+        assert not (tmp_path / "p.tsv").exists()
+
+
+def subcommands() -> list[str]:
+    parser = cli.build_parser()
+    return list(next(action for action in parser._actions
+                     if isinstance(action, argparse._SubParsersAction)).choices)
+
+
+class TestEveryCommandChecksItsPathsFirst:
+    """Each command ``build_parser`` registers calls ``_check_paths`` once
+    before it reads its dataset, so none can skip the path rule."""
+
+    ARGV = {
+        "build-vocab": "build-vocab --dataset {data} --out {tmp}/v.tsv",
+        "train": "train --config {config} --out {tmp}/m.ckpt",
+        "eval": "eval --dataset {data} --checkpoint {ckpt} --detail {tmp}/d.tsv",
+        "rerank-sweep": "rerank-sweep --dataset {data} --checkpoint {ckpt} --split test",
+        "miou": "miou --dataset {data}",
+        "export-predictions": "export-predictions --dataset {data} --checkpoint {ckpt} "
+                              "--out {tmp}/p.tsv",
+    }
+
+    class Stop(Exception):
+        pass
+
+    @pytest.mark.parametrize("command", subcommands())
+    def test_check_comes_before_the_dataset(self, workspace, tmp_path, monkeypatch, command):
+        assert command in self.ARGV, f"{command!r} has no command line in this test"
+        calls = []
+        check = cli._check_paths
+
+        def record_check(*args):
+            calls.append("check")
+            check(*args)
+
+        def record_load(*args):
+            calls.append("load")
+            raise self.Stop
+
+        monkeypatch.setattr(cli, "_check_paths", record_check)
+        monkeypatch.setattr(cli, "load_dataset", record_load)
+        argv = self.ARGV[command].format(tmp=tmp_path, config=workspace["config"],
+                                         data=workspace["data"], ckpt=workspace["ckpt"])
+        with pytest.raises(self.Stop):
+            main(argv.split())
+        assert calls == ["check", "load"]
 
 
 class TestBuildVocab:

@@ -13,7 +13,7 @@ from structkgc.losses import (
 )
 
 from gradcheck import assert_gradients_match
-from loss_reference import ir_index_and_keep, reference_contrastive_loss
+from loss_reference import ir_index, reference_contrastive_loss
 
 
 def log_tau_node(tau):
@@ -84,10 +84,10 @@ class TestContrastiveLoss:
         mask[0, 2] = True  # pretend a false negative
         mh = [unit_rows(rng, 3, d) for _ in range(n)]
         ir_arrays = [unit_rows(rng, 2, d) for _ in range(n)]
-        index, keep = ir_index_and_keep([[2 * q, 2 * q + 1] for q in range(n)], 2)
+        index = ir_index([[2 * q, 2 * q + 1] for q in range(n)], 2)
         loss = contrastive_loss(
             Node(h), Node(t), mask, log_tau_node(0.07), 0.02,
-            mh_features=mh, ir_features=(Node(np.vstack(ir_arrays)), index, keep),
+            mh_features=mh, ir_features=(Node(np.vstack(ir_arrays)), index),
         )
         per_query = []
         for q in range(n):
@@ -150,19 +150,17 @@ class TestBatchedMatchesPerQueryLoop:
 
     def _losses(self, seed, use_mh, use_ir, sampled=None, index=None):
         sampled = self.SAMPLED if sampled is None else sampled
+        index = ir_index(sampled, self.K) if index is None else index
         h, t, mask, mh, ir_rows = self._inputs(seed)
         out = []
         for batched in (True, False):
             leaves = [Node(h), Node(t), log_tau_node(0.07), Node(ir_rows)]
             h_n, t_n, log_tau, rows = leaves
             if batched:
-                idx, keep = ir_index_and_keep(sampled, self.K)
-                if index is not None:
-                    idx = index
                 loss = contrastive_loss(
                     h_n, t_n, mask, log_tau, 0.02,
                     mh_features=mh if use_mh else None,
-                    ir_features=(rows, idx, keep) if use_ir else None,
+                    ir_features=(rows, index) if use_ir else None,
                 )
             else:
                 loss = reference_contrastive_loss(
@@ -194,35 +192,57 @@ class TestBatchedMatchesPerQueryLoop:
         for grad, ref in zip(grads[:3], ref_grads[:3]):
             np.testing.assert_allclose(grad, ref, rtol=0, atol=1e-12)
 
-    def test_masked_entries_add_exactly_zero(self):
-        # pointing the masked slots at other rows changes no bit
-        (value, grads), _ = self._losses(5, True, True)
-        index, keep = ir_index_and_keep(self.SAMPLED, self.K)
-        index[keep == 0] = 6
-        (moved, moved_grads), _ = self._losses(5, True, True, index=index)
+    def test_an_empty_slot_adds_exactly_zero(self):
+        # a -1 slot gathers row 0 under a 0 weight: with no query naming row
+        # 0, what row 0 holds changes no bit of the loss or of any gradient,
+        # and row 0's own gradient is exactly zero
+        h, t, mask, mh, ir_rows = self._inputs(5)
+        index = ir_index([[r for r in rows if r] for rows in self.SAMPLED], self.K)
+        assert (index == -1).any() and not (index == 0).any()
+        runs = []
+        for row0 in (ir_rows[0], ir_rows[6]):
+            rows = ir_rows.copy()
+            rows[0] = row0
+            leaves = [Node(h), Node(t), log_tau_node(0.07), Node(rows)]
+            loss = contrastive_loss(leaves[0], leaves[1], mask, leaves[2], 0.02,
+                                    mh_features=mh, ir_features=(leaves[3], index))
+            ad.backward(loss)
+            runs.append((loss.value, [leaf.grad for leaf in leaves]))
+        (value, grads), (moved, moved_grads) = runs
         np.testing.assert_array_equal(moved, value)
         for grad, moved_grad in zip(grads, moved_grads):
             np.testing.assert_array_equal(moved_grad, grad)
+        assert not grads[3][0].any()
 
     def test_matches_finite_differences(self):
         h, t, mask, mh, ir_rows = self._inputs(6)
-        index, keep = ir_index_and_keep(self.SAMPLED, self.K)
+        index = ir_index(self.SAMPLED, self.K)
         assert_gradients_match(
             lambda ls: contrastive_loss(
                 ls[0], ls[1], mask, ls[2], 0.02, mh_features=mh,
-                ir_features=(ls[3], index, keep)),
+                ir_features=(ls[3], index)),
             [h, t, np.log([[0.07]]), ir_rows],
         )
 
     def test_rejects_mismatched_shapes(self):
         h, t, mask, mh, ir_rows = self._inputs(7)
-        index, keep = ir_index_and_keep(self.SAMPLED, self.K)
         with pytest.raises(ValueError, match="hard negatives"):
             contrastive_loss(Node(h), Node(t), mask, log_tau_node(0.07), 0.02,
                              mh_features=mh[:-1])
-        with pytest.raises(ValueError, match="intra-relation"):
+        with pytest.raises(ValueError, match="intra-relation index, got"):
             contrastive_loss(Node(h), Node(t), mask, log_tau_node(0.07), 0.02,
-                             ir_features=(Node(ir_rows), index, keep[:, :-1]))
+                             ir_features=(Node(ir_rows), ir_index(self.SAMPLED, self.K)[:-1]))
+
+    @pytest.mark.parametrize("slot", [-2, 7])
+    def test_rejects_an_index_outside_the_rows(self, slot):
+        # -1 is the one empty slot; below it, or at or past the 7 rows, is
+        # refused rather than gathered or masked
+        h, t, mask, mh, ir_rows = self._inputs(7)
+        index = ir_index(self.SAMPLED, self.K)
+        index[2, 0] = slot
+        with pytest.raises(ValueError, match=r"outside \[-1, 7\)"):
+            contrastive_loss(Node(h), Node(t), mask, log_tau_node(0.07), 0.02,
+                             ir_features=(Node(ir_rows), index))
 
 
 class TestStructuralLoss:
