@@ -12,6 +12,12 @@ values that are only read leave no tape behind.
 
 Elementwise ops support the limited broadcasting the encoders need:
 (m, n) against (m, 1), (1, n) or (1, 1).
+
+The text encoder's transformer layer is two nodes: an attention
+sublayer and a feed-forward sublayer, each a whole post-norm residual
+block.  Each keeps only the arrays its vector-Jacobian callback reads,
+recomputing what is cheap to recompute, so a training step's tape holds
+no projection, residual sum or activation that backward would not read.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import threading
 import numpy as np
 
 DEFAULT_NORM_EPS = 1e-12
+_LN_EPS = 1e-5
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -193,28 +200,6 @@ def log(a: Node) -> Node:
     return Node(np.log(a.value), (a,), lambda g: (g / a.value,))
 
 
-def gelu(a: Node) -> Node:
-    """Exact Gaussian-error-function GELU (smooth, finite-difference safe).
-
-    The Gaussian pdf is only needed by the derivative, so only the
-    vector-Jacobian callback computes it.  scipy is imported here, by the
-    text path only, so a process that never encodes text never loads it.
-    """
-    from scipy.special import erf
-
-    x = a.value
-    cdf = x / _SQRT2                    # 0.5 * (1.0 + erf(x / sqrt 2)), in place
-    erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
-
-    def vjp(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-        return (g * (cdf + x * pdf),)
-
-    return Node(x * cdf, (a,), vjp)
-
-
 # ---------------------------------------------------------------------------
 # structural primitives
 # ---------------------------------------------------------------------------
@@ -231,43 +216,51 @@ def matmul(a: Node, b: Node) -> Node:
     )
 
 
-def linear(x: Node, w: Node, b: Node) -> Node:
-    """The affine map ``x @ w + b`` as one node; ``b`` is a (1, n) row.
-
-    Values and gradients are those of ``add(matmul(x, w), b)``.
-    """
-    if x.value.shape[1] != w.value.shape[0] or b.value.shape != (1, w.value.shape[1]):
-        raise ValueError(
-            f"linear shape mismatch: {x.value.shape} x {w.value.shape} + {b.value.shape}"
-        )
-    out = x.value @ w.value
-    out += b.value                      # x @ w + b, with no second (m, n) array
-    return Node(
-        out,
-        (x, w, b),
-        lambda g: (g @ w.value.T, x.value.T @ g, g.sum(axis=0, keepdims=True)),
-    )
-
-
 def transpose(a: Node) -> Node:
     return Node(a.value.T, (a,), lambda g: (g.T,))
 
 
-def gather_rows(a: Node, indices) -> Node:
-    """Row lookup (embedding gather); backward scatter-adds, so repeated
-    indices accumulate."""
+def _row_index(a: Node, indices) -> np.ndarray:
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1:
         raise ValueError("gather_rows expects a flat index list")
     if idx.size and (idx.min() < 0 or idx.max() >= a.value.shape[0]):
         raise IndexError(f"row index out of range for shape {a.value.shape}")
+    return idx
 
-    def vjp(g):
-        out = np.zeros_like(a.value)
-        np.add.at(out, idx, g)
-        return (out,)
 
-    return Node(a.value[idx], (a,), vjp)
+def _scatter_rows(g: np.ndarray, idx: np.ndarray, table: Node) -> np.ndarray:
+    """The gradient of ``table[idx]``: repeated indices accumulate."""
+    out = np.zeros_like(table.value)
+    np.add.at(out, idx, g)
+    return out
+
+
+def gather_rows(a: Node, indices) -> Node:
+    """Row lookup (embedding gather); backward scatter-adds, so repeated
+    indices accumulate."""
+    idx = _row_index(a, indices)
+    return Node(a.value[idx], (a,), lambda g: (_scatter_rows(g, idx, a),))
+
+
+def gather_rows_sum(a: Node, a_indices, b: Node, b_indices) -> Node:
+    """``a[a_indices] + b[b_indices]`` as one node, such as a token plus a
+    position embedding lookup.
+
+    Values and gradients are those of ``add(gather_rows(a, a_indices),
+    gather_rows(b, b_indices))``, but the node keeps only the indices:
+    neither gathered array outlives the forward pass.
+    """
+    a_idx, b_idx = _row_index(a, a_indices), _row_index(b, b_indices)
+    if a_idx.shape != b_idx.shape or a.value.shape[1] != b.value.shape[1]:
+        raise ValueError(
+            f"gather_rows_sum shape mismatch: {len(a_idx)} rows of {a.value.shape} "
+            f"and {len(b_idx)} rows of {b.value.shape}"
+        )
+    out = a.value[a_idx]
+    out += b.value[b_idx]
+    return Node(out, (a, b),
+                lambda g: (_scatter_rows(g, a_idx, a), _scatter_rows(g, b_idx, b)))
 
 
 def gather_cols(a: Node, indices) -> Node:
@@ -332,108 +325,6 @@ def l2_normalize_rows(a: Node, eps: float = DEFAULT_NORM_EPS) -> Node:
         return (g * inv - x * radial * big,)
 
     return Node(y, (a,), vjp)
-
-
-def attention(q: Node, k: Node, v: Node, lengths, heads: int,
-              prefix: tuple[Node, Node] | None = None) -> Node:
-    """Multi-head scaled dot-product self-attention over padded sequences.
-
-    ``q``, ``k`` and ``v`` are (B*L, d) rows of B sequences padded to a
-    common length L; sequence b owns rows b*L .. b*L + L - 1, and its
-    keys at or past ``lengths[b]`` are masked out.  ``prefix`` is an
-    optional (key, value) pair of (B, d) nodes whose row b is prepended
-    to sequence b's keys and values.  A prefix row whose value is
-    exactly zero is masked for its sequence, so it takes no attention
-    and gets no gradient.  Head h works on columns h*d/heads ..
-    (h+1)*d/heads - 1 with scale 1/sqrt(d/heads); the output is (B*L, d)
-    with the heads side by side, like the inputs.
-    """
-    lengths = np.asarray(lengths, dtype=np.intp)
-    rows, d = q.value.shape
-    b_count = len(lengths)
-    if b_count == 0 or rows % b_count != 0:
-        raise ValueError(f"{rows} rows do not split into {b_count} sequences")
-    seq_len = rows // b_count
-    if k.value.shape != (rows, d) or v.value.shape != (rows, d):
-        raise ValueError(
-            f"attention shape mismatch: {q.value.shape}, {k.value.shape}, "
-            f"{v.value.shape}"
-        )
-    if lengths.min() < 1 or lengths.max() > seq_len:
-        raise ValueError(f"sequence lengths must lie in [1, {seq_len}]")
-    if d % heads != 0:
-        raise ValueError(f"width {d} not divisible by {heads} heads")
-    d_k = d // heads
-    scale = 1.0 / np.sqrt(d_k)
-
-    def split(x):  # (B*L, d) -> (B, H, L, d_k)
-        return x.reshape(b_count, seq_len, heads, d_k).transpose(0, 2, 1, 3)
-
-    def merge(x):  # (B, H, L, d_k) -> (B*L, d)
-        return x.transpose(0, 2, 1, 3).reshape(rows, d)
-
-    if prefix is None:  # a masked zero row: same arithmetic as a zero prefix
-        k_pre = v_pre = np.zeros((b_count, d))
-    else:
-        k_pre, v_pre = prefix[0].value, prefix[1].value
-        if k_pre.shape != (b_count, d) or v_pre.shape != (b_count, d):
-            raise ValueError(
-                f"prefix shapes {k_pre.shape}, {v_pre.shape} do not match "
-                f"({b_count}, {d})"
-            )
-    # key/value slot 0 is the prefix, slots 1..L the sequence positions
-    keys = np.concatenate([k_pre.reshape(b_count, heads, 1, d_k), split(k.value)], axis=2)
-    values = np.concatenate([v_pre.reshape(b_count, heads, 1, d_k), split(v.value)], axis=2)
-    queries = split(q.value)
-    keep = np.empty((b_count, 1, 1, seq_len + 1), dtype=bool)
-    keep[:, 0, 0, 0] = np.any(v_pre != 0.0, axis=1)  # exact zero means off
-    keep[:, 0, 0, 1:] = np.arange(seq_len) < lengths[:, None]
-    logits = np.where(keep, (queries @ keys.transpose(0, 1, 3, 2)) * scale, -np.inf)
-    e = np.exp(logits - logits.max(axis=3, keepdims=True))
-    probs = e / e.sum(axis=3, keepdims=True)
-    out = merge(probs @ values)
-
-    def vjp(g):
-        g = split(g)
-        d_values = probs.transpose(0, 1, 3, 2) @ g
-        d_probs = g @ values.transpose(0, 1, 3, 2)
-        d_logits = (d_probs - (d_probs * probs).sum(axis=3, keepdims=True)) * probs * scale
-        d_queries = d_logits @ keys
-        d_keys = d_logits.transpose(0, 1, 3, 2) @ queries
-        grads = (merge(d_queries), merge(d_keys[:, :, 1:]), merge(d_values[:, :, 1:]))
-        if prefix is None:
-            return grads
-        return grads + (d_keys[:, :, 0].reshape(b_count, d),
-                        d_values[:, :, 0].reshape(b_count, d))
-
-    parents = (q, k, v) if prefix is None else (q, k, v, prefix[0], prefix[1])
-    return Node(out, parents, vjp)
-
-
-def layer_norm_rows(a: Node, gain: Node, bias: Node, eps: float = 1e-5) -> Node:
-    """Per-row standardization followed by a learned (1, n) affine map.
-
-    The variance is the biased one, over each row's n entries.
-    """
-    x = a.value
-    n = x.shape[1]
-    if gain.value.shape != (1, n) or bias.value.shape != (1, n):
-        raise ValueError(
-            f"layer norm of width {n} got gain {gain.value.shape} and bias "
-            f"{bias.value.shape}"
-        )
-    xc = x - x.sum(axis=1, keepdims=True) * (1.0 / n)
-    inv_std = ((xc * xc).sum(axis=1, keepdims=True) * (1.0 / n) + eps) ** -0.5
-    x_hat = xc * inv_std
-
-    def vjp(g):
-        d_hat = g * gain.value
-        d_x = inv_std * (d_hat - d_hat.mean(axis=1, keepdims=True)
-                         - x_hat * (d_hat * x_hat).mean(axis=1, keepdims=True))
-        return (d_x, (g * x_hat).sum(axis=0, keepdims=True),
-                g.sum(axis=0, keepdims=True))
-
-    return Node(x_hat * gain.value + bias.value, (a, gain, bias), vjp)
 
 
 def mean_pool(x: Node, weights) -> Node:
@@ -520,6 +411,195 @@ def paired_rotation(h: Node, phases: Node, eps: float = DEFAULT_NORM_EPS) -> Nod
         return d_a.reshape(m, n), (d_u * inv - x * radial * big).reshape(m, n)
 
     return Node(out.reshape(m, n), (h, phases), vjp)
+
+
+# ---------------------------------------------------------------------------
+# transformer sublayers
+# ---------------------------------------------------------------------------
+
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x @ w + b`` for a (1, n) row ``b``, with no second (m, n) array."""
+    if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
+        raise ValueError(f"linear shape mismatch: {x.shape} x {w.shape} + {b.shape}")
+    out = x @ w
+    out += b
+    return out
+
+
+def _affine_grads(g: np.ndarray, x: np.ndarray, w: np.ndarray):
+    """Gradients of ``x @ w + b`` with respect to x, w and b."""
+    return g @ w.T, x.T @ g, g.sum(axis=0, keepdims=True)
+
+
+def _layer_norm(s: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """Per-row standardization of ``s`` (biased variance over each row)
+    followed by ``* gain + bias``: the output, x-hat and 1/sigma."""
+    n = s.shape[1]
+    if gain.shape != (1, n) or bias.shape != (1, n):
+        raise ValueError(
+            f"layer norm of width {n} got gain {gain.shape} and bias {bias.shape}"
+        )
+    x_hat = s - s.sum(axis=1, keepdims=True) * (1.0 / n)
+    inv_std = ((x_hat * x_hat).sum(axis=1, keepdims=True) * (1.0 / n) + _LN_EPS) ** -0.5
+    x_hat *= inv_std
+    out = x_hat * gain
+    out += bias
+    return out, x_hat, inv_std
+
+
+def _layer_norm_grads(g: np.ndarray, gain: np.ndarray, x_hat: np.ndarray,
+                      inv_std: np.ndarray):
+    """Gradients of :func:`_layer_norm` with respect to s, gain and bias."""
+    d_hat = g * gain
+    d_s = inv_std * (d_hat - d_hat.mean(axis=1, keepdims=True)
+                     - x_hat * (d_hat * x_hat).mean(axis=1, keepdims=True))
+    return d_s, (g * x_hat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
+
+
+def attention_sublayer(x: Node, query: tuple[Node, Node], key: tuple[Node, Node],
+                       value: tuple[Node, Node], output: tuple[Node, Node],
+                       norm: tuple[Node, Node], lengths, heads: int,
+                       prefix: tuple[Node, Node] | None = None) -> Node:
+    """A post-norm self-attention sublayer as one node:
+    ``LN(x + attention(x W_q + b_q, x W_k + b_k, x W_v + b_v) W_o + b_o)``.
+
+    ``query``, ``key``, ``value`` and ``output`` are (W, b) pairs of a
+    (d, d) matrix and a (1, d) row, ``norm`` the layer norm's (gain,
+    bias) rows.  ``x`` is (B*L, d), the rows of B sequences padded to a
+    common length L; sequence b owns rows b*L .. b*L + L - 1, and its
+    keys at or past ``lengths[b]`` are masked out.  ``prefix`` is an
+    optional (key, value) pair of (B, d) nodes whose row b is prepended
+    to sequence b's keys and values.  A prefix row whose value is
+    exactly zero is masked for its sequence, so it takes no attention
+    and gets no gradient.  Head h works on columns h*d/heads ..
+    (h+1)*d/heads - 1 with scale 1/sqrt(d/heads).
+
+    Values and gradients have the bytes of the composition of one node
+    per linear map, attention, residual sum and layer norm.  The node
+    keeps only what its backward reads: the queries, the prefixed keys
+    and values, the attention probabilities and context, and the layer
+    norm's x-hat and 1/sigma; ``x`` is its parent.
+    """
+    lengths = np.asarray(lengths, dtype=np.intp)
+    xv = x.value
+    rows, d = xv.shape
+    b_count = len(lengths)
+    if b_count == 0 or rows % b_count != 0:
+        raise ValueError(f"{rows} rows do not split into {b_count} sequences")
+    seq_len = rows // b_count
+    if lengths.min() < 1 or lengths.max() > seq_len:
+        raise ValueError(f"sequence lengths must lie in [1, {seq_len}]")
+    if d % heads != 0:
+        raise ValueError(f"width {d} not divisible by {heads} heads")
+    for w, _ in (query, key, value, output):
+        if w.value.shape != (d, d):
+            raise ValueError(f"attention weight {w.value.shape} for width {d}")
+    d_k = d // heads
+    scale = 1.0 / np.sqrt(d_k)
+
+    def split(a):  # (B*L, d) -> (B, H, L, d_k)
+        return a.reshape(b_count, seq_len, heads, d_k).transpose(0, 2, 1, 3)
+
+    def merge(a):  # (B, H, L, d_k) -> (B*L, d)
+        return a.transpose(0, 2, 1, 3).reshape(rows, d)
+
+    if prefix is None:  # a masked zero row: same arithmetic as a zero prefix
+        k_pre = v_pre = np.zeros((b_count, d))
+    else:
+        k_pre, v_pre = prefix[0].value, prefix[1].value
+        if k_pre.shape != (b_count, d) or v_pre.shape != (b_count, d):
+            raise ValueError(
+                f"prefix shapes {k_pre.shape}, {v_pre.shape} do not match "
+                f"({b_count}, {d})"
+            )
+    queries = split(_affine(xv, query[0].value, query[1].value))
+    # key/value slot 0 is the prefix, slots 1..L the sequence positions
+    keys = np.concatenate([k_pre.reshape(b_count, heads, 1, d_k),
+                           split(_affine(xv, key[0].value, key[1].value))], axis=2)
+    values = np.concatenate([v_pre.reshape(b_count, heads, 1, d_k),
+                             split(_affine(xv, value[0].value, value[1].value))], axis=2)
+    keep = np.empty((b_count, 1, 1, seq_len + 1), dtype=bool)
+    keep[:, 0, 0, 0] = np.any(v_pre != 0.0, axis=1)  # exact zero means off
+    keep[:, 0, 0, 1:] = np.arange(seq_len) < lengths[:, None]
+    logits = np.where(keep, (queries @ keys.transpose(0, 1, 3, 2)) * scale, -np.inf)
+    e = np.exp(logits - logits.max(axis=3, keepdims=True))
+    del logits
+    probs = e / e.sum(axis=3, keepdims=True)
+    del e
+    context = merge(probs @ values)
+    s = _affine(context, output[0].value, output[1].value)
+    if not _mode.recording:  # no tape reads them again
+        del queries, keys, values, probs, context
+    s += xv
+    out, x_hat, inv_std = _layer_norm(s, norm[0].value, norm[1].value)
+
+    def vjp(g):
+        d_s, d_gain, d_bias = _layer_norm_grads(g, norm[0].value, x_hat, inv_std)
+        d_context, d_wo, d_bo = _affine_grads(d_s, context, output[0].value)
+        g = split(d_context)
+        d_values = probs.transpose(0, 1, 3, 2) @ g
+        d_probs = g @ values.transpose(0, 1, 3, 2)
+        d_logits = (d_probs - (d_probs * probs).sum(axis=3, keepdims=True)) * probs * scale
+        d_queries = d_logits @ keys
+        d_keys = d_logits.transpose(0, 1, 3, 2) @ queries
+        grads = []
+        # x's residual gradient first, then its query, key and value ones
+        for (w, _), d_proj in zip((query, key, value),
+                                  (merge(d_queries), merge(d_keys[:, :, 1:]),
+                                   merge(d_values[:, :, 1:]))):
+            d_x, d_w, d_b = _affine_grads(d_proj, xv, w.value)
+            d_s += d_x
+            grads += [d_w, d_b]
+        grads = [d_s, *grads, d_wo, d_bo, d_gain, d_bias]
+        if prefix is not None:
+            grads += [d_keys[:, :, 0].reshape(b_count, d),
+                      d_values[:, :, 0].reshape(b_count, d)]
+        return grads
+
+    parents = (x, *query, *key, *value, *output, *norm)
+    return Node(out, parents if prefix is None else parents + prefix, vjp)
+
+
+def ffn_sublayer(x: Node, inner: tuple[Node, Node], outer: tuple[Node, Node],
+                 norm: tuple[Node, Node]) -> Node:
+    """A post-norm feed-forward sublayer as one node:
+    ``LN(x + gelu(x W_1 + b_1) W_2 + b_2)``.
+
+    ``inner`` and ``outer`` are the (W, b) pairs of the two linear maps,
+    ``norm`` the layer norm's (gain, bias) rows.  GELU is the exact
+    Gaussian-error-function one, x * Phi(x).  Values and gradients have
+    the bytes of the composition of one node per linear map, GELU,
+    residual sum and layer norm.  The node keeps only what its backward
+    reads: the pre-activation h, its Gaussian CDF and the layer norm's
+    x-hat and 1/sigma; ``x`` is its parent, and backward recomputes the
+    GELU output as h * CDF.  scipy is imported here, by the text path
+    only, so a process that never encodes text never loads it.
+    """
+    from scipy.special import erf
+
+    xv = x.value
+    h = _affine(xv, inner[0].value, inner[1].value)
+    cdf = h / _SQRT2                    # 0.5 * (1.0 + erf(h / sqrt 2)), in place
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    act = h * cdf
+    if not _mode.recording:  # no tape reads them again
+        del h, cdf
+    s = _affine(act, outer[0].value, outer[1].value)
+    del act
+    s += xv
+    out, x_hat, inv_std = _layer_norm(s, norm[0].value, norm[1].value)
+
+    def vjp(g):
+        d_s, d_gain, d_bias = _layer_norm_grads(g, norm[0].value, x_hat, inv_std)
+        d_act, d_w2, d_b2 = _affine_grads(d_s, h * cdf, outer[0].value)
+        pdf = _INV_SQRT_2PI * np.exp(-0.5 * h * h)
+        d_x, d_w1, d_b1 = _affine_grads(d_act * (cdf + h * pdf), xv, inner[0].value)
+        d_s += d_x  # x's residual gradient first
+        return d_s, d_w1, d_b1, d_w2, d_b2, d_gain, d_bias
+
+    return Node(out, (x, *inner, *outer, *norm), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,16 @@ class ModelConfig:
             raise ValueError(f"tau_init must be positive, got {self.tau_init}")
         if not self.use_text and not self.use_ase:
             raise ValueError("at least one of the text and structural paths must be on")
+        # the structural table is built on both paths, the encoders on the text one
+        sizes = ("struct_dim",) + (("hidden_dim", "heads", "layers") if self.use_text else ())
+        for name in sizes:
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.use_text and self.max_len < 3:
+            raise ValueError(
+                f"max_len must be at least 3 for a [CLS] ... [SEP] ... [SEP] query, "
+                f"got {self.max_len}"
+            )
         if self.use_text and self.vocab_size <= 4:
             raise ValueError("text path needs a tokenizer vocabulary")
         if self.use_text and self.hidden_dim % self.heads != 0:

@@ -8,13 +8,17 @@ positions never include the prefix, so pooling is automatically over
 token positions only.
 
 A batch is encoded in one padded pass: the B sequences are padded with
-[PAD] to the longest one and stacked into (B*L, d) rows, every linear
-map (:func:`autodiff.linear`, one tape node each) and layer norm runs
-once over those rows, and attention (:func:`autodiff.attention`) keeps
-each sequence to its own keys, with keys past a sequence's length masked
-out.  Pooling (:func:`autodiff.mean_pool`) averages each sequence's own
-L rows with a (B, L) 0/1 weight that leaves out padding and any [PAD]
-id inside the sequence; such an id is still attended as a key.  No
+[PAD] to the longest one and stacked into (B*L, d) rows.  The token and
+position lookups are one tape node (:func:`autodiff.gather_rows_sum`),
+and each layer is two: :func:`autodiff.attention_sublayer` and
+:func:`autodiff.ffn_sublayer`, each a whole residual block with its
+layer norm, run once over those rows.  Attention keeps each sequence to
+its own keys, with keys past a sequence's length masked out.  Each node
+keeps only what its backward reads, and under :func:`autodiff.no_grad`
+frees each intermediate once it is consumed.  Pooling
+(:func:`autodiff.mean_pool`) averages each sequence's own L rows with a
+(B, L) 0/1 weight that leaves out padding and any [PAD] id inside the
+sequence; such an id is still attended as a key.  No
 (B, B*L) pooling matrix is built, so pooling costs O(B*L*d) at any
 batch size.
 
@@ -265,23 +269,15 @@ class TextEncoder:
         ids = np.full((batch, seq_len), _PAD_ID, dtype=np.intp)
         for b, tokens in enumerate(seqs):
             ids[b, :len(tokens)] = tokens
-        x = ad.add(
-            ad.gather_rows(self.tok_emb, ids.ravel()),
-            ad.gather_rows(self.pos_emb, np.tile(np.arange(seq_len), batch)),
-        )
-        # each sublayer is one nested call, so no local keeps q, k, v, the
-        # context or the FFN output: without a tape, each intermediate is
-        # freed as soon as its consumer has run
-        for i, layer in enumerate(self.layers):
-            x = ad.layer_norm_rows(ad.add(x, ad.linear(
-                ad.attention(ad.linear(x, layer["wq"], layer["bq"]),
-                             ad.linear(x, layer["wk"], layer["bk"]),
-                             ad.linear(x, layer["wv"], layer["bv"]),
-                             lengths, cfg.heads, None if prefixes is None else prefixes[i]),
-                layer["wo"], layer["bo"])), layer["ln1_g"], layer["ln1_b"])
-            x = ad.layer_norm_rows(ad.add(x, ad.linear(
-                ad.gelu(ad.linear(x, layer["w1"], layer["b1"])),
-                layer["w2"], layer["b2"])), layer["ln2_g"], layer["ln2_b"])
+        x = ad.gather_rows_sum(self.tok_emb, ids.ravel(),
+                               self.pos_emb, np.tile(np.arange(seq_len), batch))
+        for i, p in enumerate(self.layers):
+            x = ad.attention_sublayer(
+                x, (p["wq"], p["bq"]), (p["wk"], p["bk"]), (p["wv"], p["bv"]),
+                (p["wo"], p["bo"]), (p["ln1_g"], p["ln1_b"]), lengths, cfg.heads,
+                None if prefixes is None else prefixes[i])
+            x = ad.ffn_sublayer(x, (p["w1"], p["b1"]), (p["w2"], p["b2"]),
+                                (p["ln2_g"], p["ln2_b"]))
 
         # row b averages its own positions, leaving out padding and [PAD] ids
         pooled = ad.mean_pool(x, (np.arange(seq_len) < lengths[:, None]) & (ids != _PAD_ID))

@@ -202,15 +202,6 @@ class TestShapedOps:
         with pytest.raises(ValueError, match="do not split"):
             ad.mean_pool(x, [[1, 1, 1]])
 
-    def test_layer_norm_standardizes(self):
-        rng = np.random.default_rng(8)
-        x = ad.Node(rng.normal(size=(5, 16)) * 3 + 1)
-        out = ad.layer_norm_rows(
-            x, ad.Node(np.ones((1, 16))), ad.Node(np.zeros((1, 16)))
-        )
-        np.testing.assert_allclose(out.value.mean(axis=1), 0.0, atol=1e-12)
-        np.testing.assert_allclose(out.value.std(axis=1), 1.0, atol=1e-3)
-
 
 def _rand_shape(rng, max_dim=6):
     return (int(rng.integers(1, max_dim)), int(rng.integers(1, max_dim)))
@@ -223,29 +214,51 @@ def _row_masks(rng, rows, cols):
     return mask
 
 
-def _attention_case(rng, lengths, heads, d, prefix_on=None):
-    """FD scenario for ``attention`` over sequences of ``lengths``.
+def _sublayer_arrays(rng, kind, rows, d, b_count, prefix):
+    """x and the sublayer's weights in parent order, then for ``prefix``
+    "on" or "zero rows" the (B, d) prefix key and value; "zero rows" sets
+    the value's row 1 to exactly zero, which switches that row's prefix
+    off.  Entries span several scales, and GELU sees |h| > 10."""
+    def normal(r, c, scale=0.5):
+        return rng.normal(size=(r, c)) * scale
 
-    ``prefix_on`` is None for no prefix, else True/False for every
-    sequence or one flag per sequence; the prefix key is a leaf, the
-    prefix value a constant whose rows are zero where the prefix is off
-    (the mask is a step in the value, which finite differences would
-    straddle).
-    """
+    arrays = [normal(rows, d, 2.0)]
+    if kind == "attention":
+        for _ in range(4):
+            arrays += [normal(d, d), normal(1, d)]
+    else:
+        arrays += [normal(d, 4 * d, 3.0), normal(1, 4 * d), normal(4 * d, d), normal(1, d)]
+    arrays += [1.0 + normal(1, d, 0.1), normal(1, d)]
+    if prefix is not None:
+        arrays += [normal(b_count, d, 1.0), normal(b_count, d, 1.0)]
+        if prefix == "zero rows":
+            arrays[-1][1 % b_count] = 0.0
+    return arrays
+
+
+def _sublayer(sublayers, kind, leaves, lengths, heads):
+    """``sublayers.attention_sublayer`` or ``sublayers.ffn_sublayer`` over
+    leaves laid out as :func:`_sublayer_arrays` lays them out."""
+    x, *rest = leaves
+    pairs = [tuple(rest[i:i + 2]) for i in range(0, len(rest), 2)]
+    if kind == "ffn":
+        return sublayers.ffn_sublayer(x, *pairs)
+    prefix = pairs[5] if len(pairs) > 5 else None
+    return sublayers.attention_sublayer(x, *pairs[:5], lengths, heads, prefix)
+
+
+def _sublayer_case(rng, kind, lengths, heads, d, prefix):
+    """FD scenario for a sublayer; the prefix value is a constant, as its
+    exact-zero mask is a step that finite differences would straddle."""
     lengths = np.asarray(lengths)
     rows = len(lengths) * int(lengths.max())
-    arrays = [rng.normal(size=(rows, d)) for _ in range(3)]
+    arrays = _sublayer_arrays(rng, kind, rows, d, len(lengths), prefix)
+    value = arrays.pop() if prefix is not None else None
     w = rng.normal(size=(rows, d))
-    v_pre = None
-    if prefix_on is not None:
-        arrays.append(rng.normal(size=(len(lengths), d)))
-        v_pre = rng.normal(size=(len(lengths), d))
-        v_pre[~np.broadcast_to(np.asarray(prefix_on, dtype=bool), len(lengths))] = 0.0
 
     def build(ls):
-        prefix = None if v_pre is None else (ls[3], ad.Node(v_pre))
-        out = ad.attention(ls[0], ls[1], ls[2], lengths, heads, prefix)
-        return ad.sum_all(ad.mul(out, ad.Node(w)))
+        leaves = ls if value is None else [*ls, ad.Node(value)]
+        return ad.sum_all(ad.mul(_sublayer(ad, kind, leaves, lengths, heads), ad.Node(w)))
 
     return build, arrays
 
@@ -275,16 +288,9 @@ def _primitive_cases(rng):
         "smul": (lambda ls: ad.sum_all(ad.smul(ls[0], -1.7)), [x]),
         "exp": (lambda ls: ad.sum_all(ad.exp(ls[0])), [x]),
         "log": (lambda ls: ad.sum_all(ad.log(ls[0])), [np.abs(x) + 0.5]),
-        "gelu": (lambda ls: ad.sum_all(ad.gelu(ls[0])), [x]),
         "matmul": (
             lambda ls: ad.sum_all(ad.matmul(ls[0], ls[1])),
             [rng.normal(size=(m, k)), rng.normal(size=(k, n))],
-        ),
-        "linear": (
-            lambda ls, w=rng.normal(size=(m, n)): ad.sum_all(
-                ad.mul(ad.linear(ls[0], ls[1], ls[2]), ad.Node(w))
-            ),
-            [rng.normal(size=(m, k)), rng.normal(size=(k, n)), rng.normal(size=(1, n))],
         ),
         "transpose": (
             lambda ls: ad.sum_all(ad.mul(ad.transpose(ls[0]), ad.Node(y.T))),
@@ -324,17 +330,16 @@ def _primitive_cases(rng):
             lambda ls: ad.sum_all(ad.mul(ad.row_dots(ls[0], ls[1], n), ad.Node(y))),
             [rng.normal(size=(m, k)), rng.normal(size=(m * n, k))],
         ),
-        "layer_norm_rows": (
-            lambda ls: ad.sum_all(
-                ad.mul(ad.layer_norm_rows(ls[0], ls[1], ls[2]), ad.Node(y))
-            ),
-            [x, rng.normal(size=(1, n)), rng.normal(size=(1, n))],
-        ),
-        "attention": _attention_case(
-            rng, rng.integers(1, 4, size=int(rng.integers(1, 4))), 2, 4,
-            prefix_on=True,
-        ),
     }
+    cases["gather_rows_sum"] = (
+        lambda ls, i=rng.integers(0, m, size=k + 2), j=rng.integers(0, k, size=k + 2),
+        w=rng.normal(size=(k + 2, n)):
+            ad.sum_all(ad.mul(ad.gather_rows_sum(ls[0], i, ls[1], j), ad.Node(w))),
+        [x, rng.normal(size=(k, n))],
+    )
+    lengths = rng.integers(1, 4, size=int(rng.integers(1, 4)))
+    cases["attention_sublayer"] = _sublayer_case(rng, "attention", lengths, 2, 4, "zero rows")
+    cases["ffn_sublayer"] = _sublayer_case(rng, "ffn", lengths, 2, 4, None)
     if n % 2 == 0:
         cases["paired_rotation"] = (
             lambda ls: ad.sum_all(ad.mul(ad.paired_rotation(ls[0], ls[1]), ad.Node(y))),
@@ -353,109 +358,8 @@ def test_every_primitive_matches_finite_differences(seed):
             raise AssertionError(f"primitive {name} failed FD check: {e}") from e
 
 
-class TestAttention:
-    @pytest.mark.parametrize("heads", [1, 3])
-    @pytest.mark.parametrize("prefix_on", [None, True, False, [True, False, True]])
-    def test_matches_finite_differences(self, heads, prefix_on):
-        rng = np.random.default_rng(40 + heads)
-        # ragged: one full-length, one length-1 and one middle sequence
-        build, arrays = _attention_case(rng, [4, 1, 2], heads, 2 * heads,
-                                        prefix_on=prefix_on)
-        assert_gradients_match(build, arrays)
-
-    def _inputs(self, rng, lengths, d):
-        rows = len(lengths) * max(lengths)
-        return [ad.Node(rng.normal(size=(rows, d))) for _ in range(3)]
-
-    def test_masked_keys_and_prefix_rows_take_no_gradient(self):
-        rng = np.random.default_rng(44)
-        lengths = [3, 1]
-        q, k, v = self._inputs(rng, lengths, 4)
-        k_pre = ad.Node(rng.normal(size=(2, 4)))
-        v_pre = ad.Node(np.vstack([np.zeros(4), rng.normal(size=4)]))
-        out = ad.attention(q, k, v, lengths, 2, (k_pre, v_pre))
-        ad.backward(ad.sum_all(ad.mul(out, ad.Node(rng.normal(size=(6, 4))))))
-        # sequence 1 has one key; its padded key/value rows are rows 4 and 5
-        assert not np.any(k.grad[4:]) and not np.any(v.grad[4:])
-        assert not np.any(k_pre.grad[0]) and not np.any(v_pre.grad[0])
-        assert np.any(k_pre.grad[1]) and np.any(v_pre.grad[1])
-
-    def test_rejects_bad_shapes(self):
-        rng = np.random.default_rng(47)
-        q, k, v = self._inputs(rng, [2, 2], 4)
-        with pytest.raises(ValueError, match="lengths"):
-            ad.attention(q, k, v, [2, 3], 2)
-        with pytest.raises(ValueError, match="split"):
-            ad.attention(q, k, v, [1, 1, 1], 2)
-        with pytest.raises(ValueError, match="prefix"):
-            ad.attention(q, k, v, [2, 2], 2, (ad.Node(np.ones((1, 4))),) * 2)
-
-
 class TestFusedMatchesComposite:
     """The fused encoder primitives against the compositions they replaced."""
-
-    def test_linear_is_matmul_then_add_bit_for_bit(self):
-        rng = np.random.default_rng(50)
-        arrays = [rng.normal(size=(37, 16)), rng.normal(size=(16, 64)),
-                  rng.normal(size=(1, 64))]
-        w = ad.Node(rng.normal(size=(37, 64)))
-        results = []
-        for fused in (True, False):
-            x, wt, b = (ad.Node(a) for a in arrays)
-            out = ad.linear(x, wt, b) if fused else ad.add(ad.matmul(x, wt), b)
-            ad.backward(ad.sum_all(ad.mul(out, w)))
-            results.append([out.value, x.grad, wt.grad, b.grad])
-        for got, expected in zip(*results):
-            np.testing.assert_array_equal(got, expected)
-
-    @pytest.mark.parametrize("recording", [True, False])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_linear_and_gelu_equal_their_formulas_byte_for_byte(self, seed, recording):
-        # in-place arithmetic in both, on entries of every scale, among
-        # them signed zeros and |x| > 10
-        from scipy.special import erf
-
-        rng = np.random.default_rng(80 + seed)
-
-        def values(rows, cols):
-            a = rng.normal(size=(rows, cols)) * rng.choice([1e-3, 1.0, 30.0], size=(rows, cols))
-            zeros = rng.choice(a.size, size=a.size // 5, replace=False)
-            a.flat[zeros] = rng.choice([0.0, -0.0], size=len(zeros))
-            return a
-
-        x, w, b = values(37, 16), values(16, 64), values(1, 64)
-        zeros = x[x == 0]
-        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
-        assert (np.abs(x) > 10).any()
-        with contextlib.nullcontext() if recording else ad.no_grad():
-            affine = ad.linear(ad.Node(x), ad.Node(w), ad.Node(b))
-            activated = ad.gelu(ad.Node(x))
-        assert bool(affine._parents) == bool(activated._parents) == recording
-        assert affine.value.tobytes() == (x @ w + b).tobytes()
-        assert activated.value.tobytes() == (x * (0.5 * (1.0 + erf(x / np.sqrt(2.0))))).tobytes()
-
-    def test_linear_rejects_mismatched_bias(self):
-        with pytest.raises(ValueError, match="linear shape mismatch"):
-            ad.linear(ad.Node(np.ones((2, 3))), ad.Node(np.ones((3, 4))),
-                      ad.Node(np.ones((1, 3))))
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_layer_norm_forward_bit_identical_gradients_close(self, seed):
-        rng = np.random.default_rng(60 + seed)
-        rows, width = int(rng.integers(1, 40)), int(rng.integers(1, 70))
-        arrays = [rng.normal(size=(rows, width)) * rng.uniform(0.1, 10.0) + rng.normal(),
-                  rng.normal(size=(1, width)), rng.normal(size=(1, width))]
-        w = ad.Node(rng.normal(size=(rows, width)))
-        results = []
-        for layer_norm in (ad.layer_norm_rows, text_reference.layer_norm_rows):
-            leaves = [ad.Node(a) for a in arrays]
-            out = layer_norm(*leaves)
-            ad.backward(ad.sum_all(ad.mul(out, w)))
-            results.append((out.value, [leaf.grad for leaf in leaves]))
-        (fused, fused_grads), (composite, composite_grads) = results
-        np.testing.assert_array_equal(fused, composite)
-        for got, expected in zip(fused_grads, composite_grads):
-            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_mean_pool_matches_dense_mask_pooling(self, seed):
@@ -480,6 +384,106 @@ class TestFusedMatchesComposite:
             ad.row_dots(ad.Node(np.ones((2, 3))), ad.Node(np.ones((5, 3))), 2)
 
 
+class TestSublayersMatchTheComposition:
+    """Each sublayer node against the one-node-per-op composition it
+    replaced, by the bytes of its value and of every leaf gradient."""
+
+    LENGTHS = [4, 1, 3]  # padded to 4: a full, a length-1 and a middle sequence
+
+    def _run(self, sublayers, kind, arrays, heads, recording):
+        leaves = [ad.Node(a) for a in arrays]
+        with contextlib.nullcontext() if recording else ad.no_grad():
+            out = _sublayer(sublayers, kind, leaves, self.LENGTHS, heads)
+        assert bool(out._parents) == recording
+        if recording:
+            w = np.random.default_rng(5).normal(size=out.value.shape)
+            ad.backward(ad.sum_all(ad.mul(out, ad.Node(w))))
+        return [out.value.tobytes()] + [
+            None if leaf.grad is None else leaf.grad.tobytes() for leaf in leaves]
+
+    def _check(self, kind, heads, prefix, recording, seed):
+        rng = np.random.default_rng(seed)
+        rows = len(self.LENGTHS) * max(self.LENGTHS)
+        arrays = _sublayer_arrays(rng, kind, rows, 8, len(self.LENGTHS), prefix)
+        fused = self._run(ad, kind, arrays, heads, recording)
+        composed = self._run(text_reference, kind, arrays, heads, recording)
+        assert fused == composed
+        if recording:
+            assert all(grad is not None for grad in fused[1:])
+
+    @pytest.mark.parametrize("recording", [True, False])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("prefix", [None, "on", "zero rows"])
+    def test_attention_sublayer(self, prefix, heads, recording):
+        self._check("attention", heads, prefix, recording, seed=90 + heads)
+
+    @pytest.mark.parametrize("recording", [True, False])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ffn_sublayer(self, seed, recording):
+        self._check("ffn", 1, None, recording, seed=95 + seed)
+
+    def test_a_zero_prefix_row_takes_no_gradient(self):
+        rng = np.random.default_rng(98)
+        rows = len(self.LENGTHS) * max(self.LENGTHS)
+        leaves = [ad.Node(a) for a in
+                  _sublayer_arrays(rng, "attention", rows, 8, 3, "zero rows")]
+        out = _sublayer(ad, "attention", leaves, self.LENGTHS, 2)
+        ad.backward(ad.sum_all(ad.mul(out, ad.Node(rng.normal(size=(rows, 8))))))
+        k_pre, v_pre = leaves[-2:]
+        assert not np.any(k_pre.grad[1]) and not np.any(v_pre.grad[1])
+        assert np.all(np.any(k_pre.grad[[0, 2]], axis=1))
+
+    @pytest.mark.parametrize("recording", [True, False])
+    def test_gather_rows_sum(self, recording):
+        rng = np.random.default_rng(99)
+        tables = [rng.normal(size=(6, 5)), rng.normal(size=(4, 5))]
+        indices = [[0, 5, 5, 2, 0, 3, 1], [3, 0, 3, 1, 2, 2, 0]]  # repeats accumulate
+        results = []
+        for gather_sum in (ad.gather_rows_sum, text_reference.gather_rows_sum):
+            a, b = (ad.Node(t) for t in tables)
+            with contextlib.nullcontext() if recording else ad.no_grad():
+                out = gather_sum(a, indices[0], b, indices[1])
+            if recording:
+                ad.backward(ad.sum_all(ad.mul(out, ad.Node(np.arange(35.0).reshape(7, 5)))))
+            results.append([out.value.tobytes(), a.grad is None or a.grad.tobytes(),
+                            b.grad is None or b.grad.tobytes()])
+        assert results[0] == results[1]
+
+    def test_rejects_bad_shapes(self):
+        rng = np.random.default_rng(97)
+        arrays = _sublayer_arrays(rng, "attention", 8, 4, 2, "on")
+
+        def attend(lengths=(4, 4), heads=2, swap=None):
+            leaves = [ad.Node(a) for a in arrays]
+            if swap is not None:
+                leaves[swap[0]] = ad.Node(swap[1])
+            return _sublayer(ad, "attention", leaves, lengths, heads)
+
+        with pytest.raises(ValueError, match="lengths"):
+            attend(lengths=(4, 5))
+        with pytest.raises(ValueError, match="split"):
+            attend(lengths=(1, 1, 1))
+        with pytest.raises(ValueError, match="divisible"):
+            attend(heads=3)
+        with pytest.raises(ValueError, match="attention weight"):
+            attend(swap=(3, np.ones((4, 3))))
+        with pytest.raises(ValueError, match="linear shape mismatch"):
+            attend(swap=(2, np.ones((1, 3))))
+        with pytest.raises(ValueError, match="layer norm"):
+            attend(swap=(9, np.ones((1, 3))))
+        with pytest.raises(ValueError, match="prefix"):
+            attend(swap=(11, np.ones((1, 4))))
+        ffn = [ad.Node(a) for a in _sublayer_arrays(rng, "ffn", 8, 4, 2, None)]
+        ffn[3] = ad.Node(np.ones((15, 4)))
+        with pytest.raises(ValueError, match="linear shape mismatch"):
+            _sublayer(ad, "ffn", ffn, None, None)
+        table = ad.Node(np.ones((3, 2)))
+        with pytest.raises(ValueError, match="gather_rows_sum"):
+            ad.gather_rows_sum(table, [0, 1], table, [0])
+        with pytest.raises(IndexError, match="out of range"):
+            ad.gather_rows_sum(table, [0, 3], table, [0, 1])
+
+
 class TestNoGrad:
     def test_nodes_built_inside_record_no_parents(self):
         a, b = ad.Node([[1.0, 2.0]]), ad.Node([[3.0, 4.0]])
@@ -491,17 +495,16 @@ class TestNoGrad:
     def test_values_equal_the_recording_path(self):
         rng = np.random.default_rng(48)
         lengths = [3, 1, 2]
-        q, k, v = (ad.Node(rng.normal(size=(9, 4))) for _ in range(3))
+        x = ad.Node(rng.normal(size=(9, 4)))
         prefix = (ad.Node(rng.normal(size=(3, 4))), ad.Node(rng.normal(size=(3, 4))))
-
-        w, b = ad.Node(rng.normal(size=(4, 4))), ad.Node(rng.normal(size=(1, 4)))
         weights = [[1, 1, 1], [1, 0, 0], [1, 1, 0]]
         feats = ad.Node(rng.normal(size=(6, 4)))
+        attention = [ad.Node(a) for a in _sublayer_arrays(rng, "attention", 9, 4, 3, None)]
+        ffn = [ad.Node(a) for a in _sublayer_arrays(rng, "ffn", 9, 4, 3, None)]
 
         def build():
-            att = ad.attention(q, k, v, lengths, 2, prefix)
-            hidden = ad.layer_norm_rows(ad.gelu(ad.linear(att, w, b)),
-                                        ad.Node(np.ones((1, 4))), ad.Node(np.zeros((1, 4))))
+            hidden = _sublayer(ad, "attention", [x] + attention[1:] + list(prefix), lengths, 2)
+            hidden = _sublayer(ad, "ffn", [hidden] + ffn[1:], lengths, 2)
             pooled = ad.l2_normalize_rows(ad.mean_pool(hidden, weights))
             return ad.row_dots(pooled, feats, 2)
 

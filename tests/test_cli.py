@@ -100,6 +100,27 @@ class TestTrain:
         assert code == 2
         assert capsys.readouterr().err.startswith("error\tusage\tdataset directory not found")
 
+    @pytest.mark.parametrize("line,message", [
+        ("heads = 0", "heads must be at least 1, got 0"),
+        ("hidden_dim = 0", "hidden_dim must be at least 1, got 0"),
+        ("struct_dim = 0", "struct_dim must be at least 1, got 0"),
+        ("layers = 0", "layers must be at least 1, got 0"),
+        ("max_len = 2", "max_len must be at least 3 for a [CLS] ... [SEP] ... [SEP] "
+                        "query, got 2"),
+    ])
+    def test_a_size_that_cannot_build_is_refused_before_the_dataset_is_read(
+            self, workspace, tmp_path, capsys, no_work, line, message):
+        key = line.split(" ")[0]
+        text = "".join(row + "\n" for row in workspace["config"].read_text().splitlines()
+                       if not row.startswith(key + " "))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text + line + "\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error\tinput\t{message}\n"
+        assert sorted(tmp_path.iterdir()) == [cfg]
+
     def test_invalid_config_is_input_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("hidden_dim = 30\nheads = 4\n")

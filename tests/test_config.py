@@ -159,6 +159,26 @@ class TestRunConfig:
         cfg = RunConfig(use_text=False, use_mh=False, use_ir=False)
         assert not cfg.use_text
 
+    @pytest.mark.parametrize("key,value", [
+        ("struct_dim", 0), ("hidden_dim", 0), ("heads", 0), ("layers", 0),
+        ("struct_dim", -3), ("heads", -2),
+    ])
+    def test_a_size_below_one_is_refused_naming_the_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must be at least 1, got {value}$"):
+            RunConfig(**{key: value})
+
+    @pytest.mark.parametrize("max_len", [2, 0, -1])
+    def test_max_len_below_a_query_template_is_refused(self, max_len):
+        with pytest.raises(ConfigError, match=f"^max_len must be at least 3 .*got {max_len}$"):
+            RunConfig(max_len=max_len)
+        assert RunConfig(max_len=3).max_len == 3
+
+    def test_the_struct_path_checks_only_its_own_size(self):
+        struct_only = dict(use_text=False, use_mh=False, use_ir=False)
+        RunConfig(**struct_only, hidden_dim=0, heads=0, layers=0, max_len=0)
+        with pytest.raises(ConfigError, match="^struct_dim must be at least 1"):
+            RunConfig(**struct_only, struct_dim=0)
+
 
 class TestParseConfig:
     def test_parse_and_overrides(self, tmp_path):

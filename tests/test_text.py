@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from structkgc.text import (
 
 from autodiff_reference import concat_rows
 from gradcheck import assert_gradients_match
+import text_reference
 from text_reference import reference_encode
 
 
@@ -267,6 +270,39 @@ class TestFusedMatchesReference:
             plain = enc.encode(self.SEQS, prefixes)
         assert recorded._parents and not plain._parents
         assert plain.value.tobytes() == recorded.value.tobytes()
+
+    @pytest.mark.parametrize("recording", [True, False])
+    @pytest.mark.parametrize("mode", ["off", "projected", "mixed"])
+    def test_encode_has_the_bytes_of_one_node_per_op(self, monkeypatch, mode, recording):
+        # the same padded pass with one node per gather, linear map,
+        # attention, GELU, residual sum and layer norm; "projected" routes
+        # every prefix through one shared projection whose gradient sums
+        # four contributions, with sequence 2's structure vector zero (no
+        # prefix at any layer)
+        runs = []
+        for composed in (False, True):
+            if composed:
+                text_reference.use_compositions(monkeypatch)
+            rng = np.random.default_rng(19)
+            enc = small_encoder(seed=20, layers=2, heads=2)
+            leaves = list(enc.parameters().values())
+            if mode == "projected":
+                proj = PrefixProjector(4, 2, 8, np.random.default_rng(21))
+                vecs = rng.normal(size=(len(self.SEQS), 4))
+                vecs[2] = 0.0
+                leaves += [proj.weight, ad.Node(vecs)]
+                prefixes = proj.project(leaves[-1])
+            else:
+                prefixes = self._prefixes(rng, mode)
+                leaves += [node for pair in prefixes or () for node in pair]
+            with contextlib.nullcontext() if recording else ad.no_grad():
+                out = enc.encode(self.SEQS, prefixes)
+            if recording:
+                ad.backward(ad.sum_all(ad.mul(out, ad.Node(rng.normal(size=out.value.shape)))))
+            runs.append([out.value.tobytes()] + [
+                None if leaf.grad is None else leaf.grad.tobytes() for leaf in leaves])
+        assert runs[0] == runs[1]
+        assert all(grad is not None for grad in runs[0][1:]) == recording
 
     def test_tape_size_does_not_grow_with_batch(self):
         # a per-sequence loop inside encode would multiply the node count

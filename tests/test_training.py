@@ -18,6 +18,7 @@ from structkgc.autodiff import Node
 import structkgc.autodiff as ad
 
 import autodiff_reference
+import text_reference
 import update_reference
 from graph_reference import ReferenceAsArrays, ReferenceGraph, entity_records
 
@@ -365,11 +366,84 @@ class TestTapeSize:
         batch = trainer.train_triples[:4]
         trainer._step(batch)  # fills the queue: no MH term yet
         trainer._step(batch)
-        assert sizes == [162, 168]
+        assert sizes == [126, 132]
+
+    @staticmethod
+    def _second_step_tape(monkeypatch, composed):
+        """The nodes and the arrays of the tape at the start of the second
+        backward of :meth:`test_one_step_builds_a_fixed_tape`'s run, the
+        encoder tables, and the parameter checksum after that step."""
+        found = {}
+        with monkeypatch.context() as patch:
+            if composed:
+                text_reference.use_compositions(patch)
+            toy, tokenizer, model = tiny_text_setup(seed=1)
+            trainer = Trainer(toy.graph, model, tokenizer, small_train_cfg(ir_count=2))
+            backward = ad.backward
+
+            def inventory(root):
+                found["nodes"] = ad._toposort(root)
+                found["arrays"] = autodiff_reference.tape_arrays(root)
+                backward(root)
+
+            patch.setattr(ad, "backward", inventory)
+            batch = trainer.train_triples[:4]
+            trainer._step(batch)
+            trainer._step(batch)  # with the MH term
+        tables = {id(enc.tok_emb) for enc in (model.hr_encoder, model.tail_encoder)}
+        tables |= {id(enc.pos_emb) for enc in (model.hr_encoder, model.tail_encoder)}
+        return found["nodes"], found["arrays"], tables, trainer.parameter_checksum()
+
+    @staticmethod
+    def _dropped(nodes, tables):
+        """The arrays of a one-node-per-op tape that no sublayer backward
+        reads: the k and v projections, the out-projection and FFN-out
+        outputs, both residual sums, the GELU output and the two gathered
+        embedding lookups."""
+        op = {id(n): n._vjp.__qualname__.split(".")[0] if n._vjp else None for n in nodes}
+
+        def mixes(n):  # the out-projection or FFN-out linear map
+            return op[id(n)] == "linear" and op[id(n._parents[0])] in ("attention", "gelu")
+
+        dropped = []
+        for n in nodes:
+            if op[id(n)] == "attention":
+                dropped += [n._parents[1].value, n._parents[2].value]
+            elif op[id(n)] == "gelu" or mixes(n):
+                dropped.append(n.value)
+            elif op[id(n)] == "add" and mixes(n._parents[1]):
+                dropped.append(n.value)
+            elif op[id(n)] == "gather_rows" and id(n._parents[0]) in tables:
+                dropped.append(n.value)
+        return dropped
+
+    def test_the_tape_keeps_only_what_backward_reads(self, monkeypatch):
+        # the same step built one node per op: every array the sublayer
+        # tape holds, the composed one holds too, and the composed one
+        # holds nothing else but the dropped arrays
+        nodes, arrays, tables, checksum = self._second_step_tape(monkeypatch, composed=False)
+        c_nodes, c_arrays, c_tables, c_checksum = self._second_step_tape(monkeypatch, composed=True)
+        assert checksum == c_checksum
+        assert len(nodes) == 132
+        # 3 encodes (query, tail, IR) of one layer: 10 nodes fewer per layer,
+        # 2 per embedding lookup
+        assert len(c_nodes) - len(nodes) == 3 * (10 + 2)
+
+        def keys(found):
+            return {(a.shape, a.tobytes()) for a in found}
+
+        dropped = self._dropped(c_nodes, c_tables)
+        assert len(dropped) == 3 * (7 + 2)
+        assert keys(arrays.values()) == keys(c_arrays.values()) - keys(dropped)
+        assert keys(dropped) <= keys(c_arrays.values())
+        kept = sum(a.nbytes for a in arrays.values())
+        assert kept == sum(a.nbytes for a in c_arrays.values()) - sum(a.nbytes for a in dropped)
 
 
 def reference_bodies(monkeypatch):
-    """Patch the step's backward, optimizer and EMA to their earlier bodies."""
+    """Patch the step's backward, optimizer, EMA and encoder sublayers to
+    their earlier bodies."""
+    text_reference.use_compositions(monkeypatch)
     monkeypatch.setattr(ad, "backward", autodiff_reference.backward)
     monkeypatch.setattr(AdamW, "step", update_reference.adamw_step)
     monkeypatch.setattr(MomentumEncoder, "ema_update", update_reference.ema_update)
@@ -422,8 +496,9 @@ class TestStepMemory:
         assert seen_alive == [False] * len(watched)
 
     def test_a_step_peaks_well_below_the_reference_step(self, monkeypatch):
-        # measured: the lean step peaks 35% below the reference step, which
-        # holds its tape to the end; the 25% bound leaves a margin
+        # measured: the lean step peaks 51% below the reference step, which
+        # builds one node per encoder op and holds its tape to the end; the
+        # 25% bound leaves a margin
         peaks = []
         for reference in (False, True):
             if reference:

@@ -1,20 +1,30 @@
 """The per-sequence, per-head text encoder that the fused pass replaced,
-and the composite layer norm and dense-mask pooling it was built from.
+the composite layer norm and dense-mask pooling it was built from, and
+the one-node-per-op sublayers that ``ad.attention_sublayer``,
+``ad.ffn_sublayer`` and ``ad.gather_rows_sum`` replaced.
 
 The encoder encodes one sequence at a time, slicing every head out with
 ``gather_cols`` and joining the heads with ``concat_rows``, and drops a
 layer's prefix when its value vector is exactly zero.  Its projections
 are a ``matmul`` node followed by a bias ``add``, its layer norm is the
 ten-node composition below and its pooling multiplies by a 0/1 mask
-matrix.  Tests pin the fused ``TextEncoder.encode``, ``ad.linear``,
-``ad.layer_norm_rows`` and ``ad.mean_pool`` to them, values and
+matrix.  Tests pin the fused ``TextEncoder.encode``, ``linear``,
+``layer_norm_rows`` and ``ad.mean_pool`` to them, values and
 gradients.
+
+``attention_sublayer``, ``ffn_sublayer`` and ``gather_rows_sum`` take
+the arguments of their ``structkgc.autodiff`` namesakes and build one
+node per linear map, attention, GELU, residual sum, layer norm and
+gather from ``autodiff_reference``; ``use_compositions`` patches them
+in, so ``TextEncoder.encode`` runs the composition the sublayers
+replaced, which they must match byte for byte.
 """
 
 import numpy as np
 
 from structkgc import autodiff as ad
 
+import autodiff_reference as ref
 from autodiff_reference import concat_rows, softmax_rows
 
 
@@ -102,7 +112,7 @@ def reference_encode(enc, tokens, prefixes=None):
         x = layer_norm_rows(ad.add(x, attn), layer["ln1_g"], layer["ln1_b"])
         ffn = ad.add(
             ad.matmul(
-                ad.gelu(ad.add(ad.matmul(x, layer["w1"]), layer["b1"])),
+                ref.gelu(ad.add(ad.matmul(x, layer["w1"]), layer["b1"])),
                 layer["w2"],
             ),
             layer["b2"],
@@ -110,3 +120,24 @@ def reference_encode(enc, tokens, prefixes=None):
         x = layer_norm_rows(ad.add(x, ffn), layer["ln2_g"], layer["ln2_b"])
     mask = [1.0 if t != 0 else 0.0 for t in tokens]  # exclude [PAD]
     return ad.l2_normalize_rows(masked_mean_rows(x, mask))
+
+
+def attention_sublayer(x, query, key, value, output, norm, lengths, heads, prefix=None):
+    attended = ref.attention(ref.linear(x, *query), ref.linear(x, *key),
+                             ref.linear(x, *value), lengths, heads, prefix)
+    return ref.layer_norm_rows(ad.add(x, ref.linear(attended, *output)), *norm)
+
+
+def ffn_sublayer(x, inner, outer, norm):
+    hidden = ref.gelu(ref.linear(x, *inner))
+    return ref.layer_norm_rows(ad.add(x, ref.linear(hidden, *outer)), *norm)
+
+
+def gather_rows_sum(a, a_indices, b, b_indices):
+    return ad.add(ad.gather_rows(a, a_indices), ad.gather_rows(b, b_indices))
+
+
+def use_compositions(monkeypatch):
+    """Make ``TextEncoder.encode`` build the one-node-per-op composition."""
+    for name in ("attention_sublayer", "ffn_sublayer", "gather_rows_sum"):
+        monkeypatch.setattr(ad, name, globals()[name])
