@@ -451,8 +451,11 @@ def _layer_norm_grads(g: np.ndarray, gain: np.ndarray, x_hat: np.ndarray,
                       inv_std: np.ndarray):
     """Gradients of :func:`_layer_norm` with respect to s, gain and bias."""
     d_hat = g * gain
-    d_s = inv_std * (d_hat - d_hat.mean(axis=1, keepdims=True)
-                     - x_hat * (d_hat * x_hat).mean(axis=1, keepdims=True))
+    # inv_std * (d_hat - mean(d_hat) - x_hat * mean(d_hat * x_hat)), in place
+    d_s = d_hat - d_hat.mean(axis=1, keepdims=True)
+    d_s -= x_hat * (d_hat * x_hat).mean(axis=1, keepdims=True)
+    del d_hat
+    d_s *= inv_std
     return d_s, (g * x_hat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
 
 
@@ -536,18 +539,23 @@ def attention_sublayer(x: Node, query: tuple[Node, Node], key: tuple[Node, Node]
     def vjp(g):
         d_s, d_gain, d_bias = _layer_norm_grads(g, norm[0].value, x_hat, inv_std)
         d_context, d_wo, d_bo = _affine_grads(d_s, context, output[0].value)
-        g = split(d_context)
-        d_values = probs.transpose(0, 1, 3, 2) @ g
-        d_probs = g @ values.transpose(0, 1, 3, 2)
-        d_logits = (d_probs - (d_probs * probs).sum(axis=3, keepdims=True)) * probs * scale
+        d_context = split(d_context)
+        d_values = probs.transpose(0, 1, 3, 2) @ d_context
+        # d_probs, turned into d_logits in place:
+        # (d_probs - (d_probs * probs).sum(axis=3)) * probs * scale
+        d_logits = d_context @ values.transpose(0, 1, 3, 2)
+        del d_context
+        d_logits -= (d_logits * probs).sum(axis=3, keepdims=True)
+        d_logits *= probs
+        d_logits *= scale
         d_queries = d_logits @ keys
         d_keys = d_logits.transpose(0, 1, 3, 2) @ queries
+        del d_logits
         grads = []
         # x's residual gradient first, then its query, key and value ones
         for (w, _), d_proj in zip((query, key, value),
-                                  (merge(d_queries), merge(d_keys[:, :, 1:]),
-                                   merge(d_values[:, :, 1:]))):
-            d_x, d_w, d_b = _affine_grads(d_proj, xv, w.value)
+                                  (d_queries, d_keys[:, :, 1:], d_values[:, :, 1:])):
+            d_x, d_w, d_b = _affine_grads(merge(d_proj), xv, w.value)
             d_s += d_x
             grads += [d_w, d_b]
         grads = [d_s, *grads, d_wo, d_bo, d_gain, d_bias]
@@ -594,8 +602,18 @@ def ffn_sublayer(x: Node, inner: tuple[Node, Node], outer: tuple[Node, Node],
     def vjp(g):
         d_s, d_gain, d_bias = _layer_norm_grads(g, norm[0].value, x_hat, inv_std)
         d_act, d_w2, d_b2 = _affine_grads(d_s, h * cdf, outer[0].value)
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * h * h)
-        d_x, d_w1, d_b1 = _affine_grads(d_act * (cdf + h * pdf), xv, inner[0].value)
+        # d_act * (cdf + h * pdf), pdf = exp(-h^2 / 2) / sqrt(2 pi), built in
+        # one array: each step is the composition's product or sum, operands
+        # swapped
+        d_h = h * -0.5
+        d_h *= h
+        np.exp(d_h, out=d_h)
+        d_h *= _INV_SQRT_2PI
+        d_h *= h
+        d_h += cdf
+        d_h *= d_act
+        del d_act
+        d_x, d_w1, d_b1 = _affine_grads(d_h, xv, inner[0].value)
         d_s += d_x  # x's residual gradient first
         return d_s, d_w1, d_b1, d_w2, d_b2, d_gain, d_bias
 

@@ -441,9 +441,7 @@ class TestTapeSize:
 
 
 def reference_bodies(monkeypatch):
-    """Patch the step's backward, optimizer, EMA and encoder sublayers to
-    their earlier bodies."""
-    text_reference.use_compositions(monkeypatch)
+    """Patch the step's backward, optimizer and EMA to their earlier bodies."""
     monkeypatch.setattr(ad, "backward", autodiff_reference.backward)
     monkeypatch.setattr(AdamW, "step", update_reference.adamw_step)
     monkeypatch.setattr(MomentumEncoder, "ema_update", update_reference.ema_update)
@@ -462,6 +460,7 @@ class TestStepMemory:
         for reference in (False, True):
             if reference:
                 reference_bodies(monkeypatch)
+                text_reference.use_compositions(monkeypatch)
             trainer = self._trainer()
             assert trainer.cfg.use_mh and trainer.cfg.use_ir
             assert trainer.model.config.use_text and trainer.model.config.use_ase
@@ -495,10 +494,22 @@ class TestStepMemory:
         assert len(watched) > 1
         assert seen_alive == [False] * len(watched)
 
+    def _second_step_peak(self):
+        """The traced peak of a step that runs the MH term."""
+        trainer = self._trainer()
+        batch = trainer.train_triples[:8]
+        trainer._step(batch)  # fills the queue, so the next step runs MH
+        gc.collect()
+        tracemalloc.start()
+        try:
+            trainer._step(batch)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_a_step_peaks_well_below_the_reference_step(self, monkeypatch):
-        # measured: the lean step peaks 51% below the reference step, which
-        # builds one node per encoder op and holds its tape to the end; the
-        # 25% bound leaves a margin
+        # measured: the lean step peaks 30% below the reference step, which
+        # holds its tape to the end; the 25% bound leaves a margin
         peaks = []
         for reference in (False, True):
             if reference:
@@ -511,18 +522,16 @@ class TestStepMemory:
                     return held[-1]
 
                 monkeypatch.setattr(training, "contrastive_loss", holding_loss)
-            trainer = self._trainer()
-            batch = trainer.train_triples[:8]
-            trainer._step(batch)  # fills the queue, so the next step runs MH
-            gc.collect()
-            tracemalloc.start()
-            try:
-                trainer._step(batch)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(self._second_step_peak())
         lean, reference = peaks
         assert lean < 0.75 * reference
+
+    def test_a_step_peaks_below_the_one_node_per_op_step(self, monkeypatch):
+        # measured: the sublayer step peaks 32% below the same lean step with
+        # the encoder built one node per op; the 20% bound leaves a margin
+        lean = self._second_step_peak()
+        text_reference.use_compositions(monkeypatch)
+        assert lean < 0.8 * self._second_step_peak()
 
 
 class TestTemperature:
