@@ -12,16 +12,26 @@ from structkgc import autodiff as ad
 
 rng = np.random.default_rng(0)
 
+
+def total(a: ad.Node) -> ad.Node:
+    """The sum of every entry as a (1, 1) node.  A primitive is a value,
+    its parents and a vector-Jacobian callback that maps the output's
+    gradient to one gradient per parent."""
+    shape = a.value.shape
+    return ad.Node(a.value.sum().reshape(1, 1), (a,),
+                   lambda g: (np.broadcast_to(g, shape).copy(),))
+
+
 # d/dx sum(x * x) = 2x
 x = ad.Node([[1.0, 2.0, -3.0]])
-loss = ad.sum_all(ad.mul(x, x))
+loss = total(ad.mul(x, x))
 ad.backward(loss)
 print("value:", loss.value[0, 0])
 print("grad :", x.grad, "(expected 2x)")
 
 # a two-consumer (diamond) graph: gradients sum over both paths
 y = ad.Node([[0.5, -0.25]])
-out = ad.sum_all(ad.add(ad.exp(y), ad.mul(y, y)))
+out = total(ad.add(ad.exp(y), ad.mul(y, y)))
 ad.backward(out)
 print("\ndiamond grad:", y.grad, "(expected exp(y) + 2y =",
       np.exp(y.value) + 2 * y.value, ")")
@@ -30,14 +40,14 @@ print("\ndiamond grad:", y.grad, "(expected exp(y) + 2y =",
 # the gradient of a unit row is orthogonal to it, so its length cannot move
 r = ad.Node([[3.0, 4.0]])
 u = ad.l2_normalize_rows(r)
-ad.backward(ad.sum_all(ad.mul(u, ad.Node([[1.0, 0.0]]))))
+ad.backward(total(ad.mul(u, ad.Node([[1.0, 0.0]]))))
 print("\nl2-normalised [3, 4]:", u.value, " grad:", r.grad)
 print(f"grad . row: {float((r.grad * r.value).sum()):.1e} (zero up to rounding)")
 
 # a quick finite-difference spot check on matmul
 a = ad.Node(rng.normal(size=(3, 4)))
 b = ad.Node(rng.normal(size=(4, 2)))
-loss = ad.sum_all(ad.matmul(a, b))
+loss = total(ad.matmul(a, b))
 ad.backward(loss)
 eps = 1e-5
 i, j = 1, 2

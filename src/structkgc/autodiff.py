@@ -18,6 +18,8 @@ sublayer and a feed-forward sublayer, each a whole post-norm residual
 block.  Each keeps only the arrays its vector-Jacobian callback reads,
 recomputing what is cheap to recompute, so a training step's tape holds
 no projection, residual sum or activation that backward would not read.
+The InfoNCE loss is one node too, its masks plain arrays, so no constant
+of a training step is a leaf that takes a gradient.
 """
 
 from __future__ import annotations
@@ -160,15 +162,6 @@ def add(a: Node, b: Node) -> Node:
     )
 
 
-def sub(a: Node, b: Node) -> Node:
-    _check_broadcast(a, b, "sub")
-    return Node(
-        a.value - b.value,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.value.shape), _unbroadcast(-g, b.value.shape)),
-    )
-
-
 def mul(a: Node, b: Node) -> Node:
     _check_broadcast(a, b, "mul")
     return Node(
@@ -186,18 +179,9 @@ def smul(a: Node, c: float) -> Node:
     return Node(a.value * c, (a,), lambda g: (g * c,))
 
 
-def add_const(a: Node, c: float) -> Node:
-    c = float(c)
-    return Node(a.value + c, (a,), lambda g: (g,))
-
-
 def exp(a: Node) -> Node:
     y = np.exp(a.value)
     return Node(y, (a,), lambda g: (g * y,))
-
-
-def log(a: Node) -> Node:
-    return Node(np.log(a.value), (a,), lambda g: (g / a.value,))
 
 
 # ---------------------------------------------------------------------------
@@ -278,31 +262,6 @@ def gather_cols(a: Node, indices) -> Node:
     return Node(a.value[:, idx], (a,), vjp)
 
 
-def sum_all(a: Node) -> Node:
-    shape = a.value.shape
-    return Node(
-        a.value.sum().reshape(1, 1),
-        (a,),
-        lambda g: (np.broadcast_to(g, shape).copy(),),
-    )
-
-
-def sum_axis(a: Node, axis: int) -> Node:
-    """Sum along one axis, keeping it as a broadcastable singleton."""
-    if axis not in (0, 1):
-        raise ValueError("axis must be 0 or 1")
-    shape = a.value.shape
-    return Node(
-        a.value.sum(axis=axis, keepdims=True),
-        (a,),
-        lambda g: (np.broadcast_to(g, shape).copy(),),
-    )
-
-
-def mean_all(a: Node) -> Node:
-    return smul(sum_all(a), 1.0 / a.value.size)
-
-
 # ---------------------------------------------------------------------------
 # row-structured primitives
 # ---------------------------------------------------------------------------
@@ -349,25 +308,30 @@ def mean_pool(x: Node, weights) -> Node:
                 lambda g: ((share[:, :, None] * g[:, None, :]).reshape(rows, d),))
 
 
-def row_dots(h: Node, f: Node, m: int) -> Node:
+def row_dots(h: Node, f, m: int) -> Node:
     """Dot products of each row of ``h`` with its own ``m`` rows of ``f``.
 
     ``h`` is (B, d) and ``f`` is (B*m, d), rows b*m .. b*m + m - 1 being
-    row b's; the (B, m) output holds h[b] . f[b*m + j] at (b, j).
+    row b's; the (B, m) output holds h[b] . f[b*m + j] at (b, j).  ``f``
+    is a node, or an array of constant rows that takes no gradient.
     """
+    fv = f.value if isinstance(f, Node) else as_matrix(f)
     b_count, d = h.value.shape
-    if m < 1 or f.value.shape != (b_count * m, d):
+    if m < 1 or fv.shape != (b_count * m, d):
         raise ValueError(
-            f"row_dots needs ({b_count} * {m}, {d}) rows, got {f.value.shape}"
+            f"row_dots needs ({b_count} * {m}, {d}) rows, got {fv.shape}"
         )
     hv = h.value
-    fv = f.value.reshape(b_count, m, d)
+    fv = fv.reshape(b_count, m, d)
+    out = (fv @ hv[:, :, None])[:, :, 0]
+    if not isinstance(f, Node):
+        return Node(out, (h,), lambda g: ((g[:, None, :] @ fv)[:, 0],))
 
     def vjp(g):
         return ((g[:, None, :] @ fv)[:, 0],
                 (g[:, :, None] * hv[:, None, :]).reshape(b_count * m, d))
 
-    return Node((fv @ hv[:, :, None])[:, :, 0], (h, f), vjp)
+    return Node(out, (h, f), vjp)
 
 
 def paired_rotation(h: Node, phases: Node, eps: float = DEFAULT_NORM_EPS) -> Node:
@@ -618,6 +582,76 @@ def ffn_sublayer(x: Node, inner: tuple[Node, Node], outer: tuple[Node, Node],
         return d_s, d_w1, d_b1, d_w2, d_b2, d_gain, d_bias
 
     return Node(out, (x, *inner, *outer, *norm), vjp)
+
+
+# ---------------------------------------------------------------------------
+# contrastive loss
+# ---------------------------------------------------------------------------
+
+def info_nce(scores: Node, inv_tau: Node, margin: float, keep,
+             extra: tuple = ()) -> Node:
+    """The mean over rows b of -log(e^pos_b / (e^pos_b + negatives_b)),
+    as one node.
+
+    ``scores`` is (B, B) with the positives on the diagonal and
+    ``inv_tau`` the (1, 1) inverse temperature: pos_b = (scores[b, b] -
+    margin) * inv_tau.  The negatives of row b are e^(scores[b, j] *
+    inv_tau) for each j != b where the (B, B) boolean ``keep`` holds,
+    then, for each (dots, mask) pair of ``extra`` in order, e^(dots *
+    inv_tau) for a (B, m) node of row b's dot products with m more
+    negatives, where the (B, m) ``mask`` holds (None keeps them all).
+
+    Value and gradients have the bytes of the composition of one node per
+    op: the positive picked by a product with the identity and a row sum,
+    each mask a 0/1 product, the denominator summed from e^pos and then
+    each row sum of negatives in order, the mean a sum times 1/B.  The
+    node keeps only what its backward reads: the masked exponentials,
+    e^pos, the denominator and the shifted positives.  Backward reaches
+    its parents in the composition's order (the extras first, ``scores``
+    last), so gradients meet in shared nodes in the same order too.
+    """
+    s, inv = scores.value, inv_tau.value
+    n = s.shape[0]
+    if s.shape != (n, n) or inv.shape != (1, 1):
+        raise ValueError(f"info_nce needs (B, B) scores and a (1, 1) inverse "
+                         f"temperature, got {s.shape} and {inv.shape}")
+    keep = np.array(keep, dtype=bool)
+    negatives = [(scores, keep), *extra]
+    for node, mask in negatives:
+        if node.value.shape[0] != n or (mask is not None
+                                        and np.shape(mask) != node.value.shape):
+            raise ValueError(f"negatives {node.value.shape} with mask "
+                             f"{np.shape(mask)} for {n} rows")
+    np.fill_diagonal(keep, False)  # the positive is never a negative
+
+    shifted = (s * np.eye(n)).sum(axis=1, keepdims=True) + float(-margin)
+    pos_logit = shifted * inv
+    exp_pos = np.exp(pos_logit)
+    denom, terms = exp_pos, []
+    for node, mask in negatives:
+        t = np.exp(node.value * inv)
+        if mask is not None:
+            t *= mask
+        denom = denom + t.sum(axis=1, keepdims=True)
+        terms.append(t)
+    value = (np.log(denom) - pos_logit).sum().reshape(1, 1) * (1.0 / n)
+    nodes = [node for node, _ in negatives]
+
+    def vjp(g):
+        g_row = g * (1.0 / n)  # each row's share of the mean
+        g_denom = g_row / denom
+        g_pos = -g_row + g_denom * exp_pos
+        grads, d_inv = [], []
+        for node, t in zip(nodes, terms):
+            d = g_denom * t  # g * mask * e, as t is e * mask
+            d_inv.append(_unbroadcast(d * node.value, inv.shape))
+            d *= inv
+            grads.append(d)
+        d_inv.append(_unbroadcast(g_pos * shifted, inv.shape))
+        grads[0] += (g_pos * inv) * np.eye(n)
+        return (*grads[1:], sum(d_inv[1:], d_inv[0]), grads[0])
+
+    return Node(value, (*nodes[1:], inv_tau, scores), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ range, margin and beta, and the loop, optimizer and sampler settings.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +96,15 @@ class TrainConfig:
                 or self.ir_count < 1):
             raise ValueError("queue capacity and hardest-k must be at least 2, and mix "
                              "count and intra-relation count positive")
+        # scores are cosines, so a loss row sums at most `terms` values of at
+        # most e^(1/tau); below the floor that sum overflows float64
+        terms = self.batch_size + self.use_mh * self.mh_count + self.use_ir * self.ir_count
+        floor = 1.0 / (math.log(sys.float_info.max) - math.log(terms))
+        if self.tau_min < floor:
+            raise ValueError(
+                f"tau_min must be at least {floor:.6g} for {terms} terms per loss row, "
+                f"got {self.tau_min}: below it e^(1/tau) times the terms overflows float64"
+            )
 
 
 def require_text_path(cfg: TrainConfig, use_text: bool) -> None:

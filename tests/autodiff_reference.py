@@ -6,7 +6,9 @@ carries them: ``text_reference`` joins heads with ``concat_rows`` and
 weights them with ``softmax_rows``, ``rotation_reference`` views phase
 pairs through ``reshape`` and stacks real and imaginary parts with
 ``concat_rows``, and ``loss_reference`` stacks per-query sums with
-``concat_rows``.  The transformer sublayers of ``structkgc.autodiff``
+``concat_rows``.  ``autodiff.info_nce`` replaced the loss composition
+of ``sub``, ``add_const``, ``log``, ``sum_axis`` and ``mean_all``;
+``sum_all`` turns a test's matrix output into a scalar to differentiate.  The transformer sublayers of ``structkgc.autodiff``
 replaced ``linear``, ``gelu``, ``layer_norm_rows`` and ``attention``,
 one node each; ``text_reference.attention_sublayer`` and
 ``ffn_sublayer`` compose them, as the sublayers' byte-for-byte
@@ -34,6 +36,49 @@ from structkgc.autodiff import Node
 _leaf_backward = ad.backward
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+
+def sub(a: Node, b: Node) -> Node:
+    ad._check_broadcast(a, b, "sub")
+    return Node(
+        a.value - b.value,
+        (a, b),
+        lambda g: (ad._unbroadcast(g, a.value.shape), ad._unbroadcast(-g, b.value.shape)),
+    )
+
+
+def add_const(a: Node, c: float) -> Node:
+    c = float(c)
+    return Node(a.value + c, (a,), lambda g: (g,))
+
+
+def log(a: Node) -> Node:
+    return Node(np.log(a.value), (a,), lambda g: (g / a.value,))
+
+
+def sum_all(a: Node) -> Node:
+    shape = a.value.shape
+    return Node(
+        a.value.sum().reshape(1, 1),
+        (a,),
+        lambda g: (np.broadcast_to(g, shape).copy(),),
+    )
+
+
+def sum_axis(a: Node, axis: int) -> Node:
+    """Sum along one axis, keeping it as a broadcastable singleton."""
+    if axis not in (0, 1):
+        raise ValueError("axis must be 0 or 1")
+    shape = a.value.shape
+    return Node(
+        a.value.sum(axis=axis, keepdims=True),
+        (a,),
+        lambda g: (np.broadcast_to(g, shape).copy(),),
+    )
+
+
+def mean_all(a: Node) -> Node:
+    return ad.smul(sum_all(a), 1.0 / a.value.size)
 
 
 def reshape(a: Node, rows: int, cols: int) -> Node:

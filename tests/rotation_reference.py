@@ -13,7 +13,7 @@ import numpy as np
 
 from structkgc import autodiff as ad
 
-from autodiff_reference import concat_rows, reshape
+from autodiff_reference import concat_rows, reshape, sub
 
 
 def l2_normalize_pairs(a, eps=ad.DEFAULT_NORM_EPS):
@@ -30,7 +30,7 @@ def paired_complex_mul(a, b):
     odds = np.arange(1, n, 2)
     a_re, a_im = ad.gather_cols(a, evens), ad.gather_cols(a, odds)
     b_re, b_im = ad.gather_cols(b, evens), ad.gather_cols(b, odds)
-    out_re = ad.sub(ad.mul(a_re, b_re), ad.mul(a_im, b_im))
+    out_re = sub(ad.mul(a_re, b_re), ad.mul(a_im, b_im))
     out_im = ad.add(ad.mul(a_re, b_im), ad.mul(a_im, b_re))
     stacked = concat_rows([ad.transpose(out_re), ad.transpose(out_im)])
     # columns of `stacked`^T are [re..., im...]; restore interleaved order

@@ -8,13 +8,19 @@ from structkgc import autodiff as ad
 import autodiff_reference
 import text_reference
 from autodiff_reference import (
+    add_const,
     attention,
     concat_rows,
     gelu,
     layer_norm_rows,
     linear,
+    log,
+    mean_all,
     reshape,
     softmax_rows,
+    sub,
+    sum_all,
+    sum_axis,
 )
 from gradcheck import assert_gradients_match, random_weighting
 
@@ -48,8 +54,15 @@ class TestSoftmaxRows:
         x = rng.normal(size=(2, 5))
         w = random_weighting(rng, (2, 5))
         assert_gradients_match(
-            lambda ls: ad.sum_all(ad.mul(softmax_rows(ls[0]), ad.Node(w))), [x]
+            lambda ls: sum_all(ad.mul(softmax_rows(ls[0]), ad.Node(w))), [x]
         )
+
+
+class TestReductions:
+    def test_sum_gives_ones(self):
+        x = ad.Node(np.zeros((2, 3)))
+        ad.backward(sum_all(x))
+        np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
 
 class TestShapedOps:
@@ -58,7 +71,7 @@ class TestShapedOps:
         b = ad.Node(np.ones((1, 3)))
         out = concat_rows([a, b])
         assert out.value.shape == (3, 3)
-        ad.backward(ad.sum_all(ad.mul(out, ad.Node(np.arange(9.0).reshape(3, 3)))))
+        ad.backward(sum_all(ad.mul(out, ad.Node(np.arange(9.0).reshape(3, 3)))))
         np.testing.assert_array_equal(a.grad, np.arange(6.0).reshape(2, 3))
         np.testing.assert_array_equal(b.grad, [[6.0, 7.0, 8.0]])
 
@@ -94,7 +107,7 @@ def _attention_case(rng, lengths, heads, d, prefix_on=None):
     def build(ls):
         prefix = None if v_pre is None else (ls[3], ad.Node(v_pre))
         out = attention(ls[0], ls[1], ls[2], lengths, heads, prefix)
-        return ad.sum_all(ad.mul(out, ad.Node(w)))
+        return sum_all(ad.mul(out, ad.Node(w)))
 
     return build, arrays
 
@@ -107,30 +120,30 @@ def _cases(rng):
     k = int(rng.integers(1, 5))
     return {
         "reshape": (
-            lambda ls: ad.sum_all(
+            lambda ls: sum_all(
                 ad.mul(reshape(ls[0], 1, m * n), ad.Node(y.reshape(1, -1)))
             ),
             [x],
         ),
         "concat_rows": (
-            lambda ls, w=rng.normal(size=(2 * m, n)): ad.sum_all(
+            lambda ls, w=rng.normal(size=(2 * m, n)): sum_all(
                 ad.mul(concat_rows(ls), ad.Node(w))
             ),
             [x, y],
         ),
         "softmax_rows": (
-            lambda ls: ad.sum_all(ad.mul(softmax_rows(ls[0]), ad.Node(y))),
+            lambda ls: sum_all(ad.mul(softmax_rows(ls[0]), ad.Node(y))),
             [x],
         ),
-        "gelu": (lambda ls: ad.sum_all(gelu(ls[0])), [x]),
+        "gelu": (lambda ls: sum_all(gelu(ls[0])), [x]),
         "linear": (
-            lambda ls, w=rng.normal(size=(m, n)): ad.sum_all(
+            lambda ls, w=rng.normal(size=(m, n)): sum_all(
                 ad.mul(linear(ls[0], ls[1], ls[2]), ad.Node(w))
             ),
             [rng.normal(size=(m, k)), rng.normal(size=(k, n)), rng.normal(size=(1, n))],
         ),
         "layer_norm_rows": (
-            lambda ls: ad.sum_all(
+            lambda ls: sum_all(
                 ad.mul(layer_norm_rows(ls[0], ls[1], ls[2]), ad.Node(y))
             ),
             [x, rng.normal(size=(1, n)), rng.normal(size=(1, n))],
@@ -139,6 +152,18 @@ def _cases(rng):
             rng, rng.integers(1, 4, size=int(rng.integers(1, 4))), 2, 4,
             prefix_on=True,
         ),
+        "sub": (lambda ls: sum_all(sub(ls[0], ls[1])), [x, y]),
+        "add_const": (lambda ls: sum_all(ad.mul(add_const(ls[0], 0.3), ad.Node(y))), [x]),
+        "log": (lambda ls: sum_all(log(ls[0])), [np.abs(x) + 0.5]),
+        "sum_axis0": (
+            lambda ls: sum_all(ad.mul(sum_axis(ls[0], 0), ad.Node(y[:1]))),
+            [x],
+        ),
+        "sum_axis1": (
+            lambda ls: sum_all(ad.mul(sum_axis(ls[0], 1), ad.Node(y[:, :1]))),
+            [x],
+        ),
+        "mean_all": (lambda ls: mean_all(ad.mul(ls[0], ad.Node(y))), [x]),
     }
 
 
@@ -173,7 +198,7 @@ class TestAttention:
         k_pre = ad.Node(rng.normal(size=(2, 4)))
         v_pre = ad.Node(np.vstack([np.zeros(4), rng.normal(size=4)]))
         out = attention(q, k, v, lengths, 2, (k_pre, v_pre))
-        ad.backward(ad.sum_all(ad.mul(out, ad.Node(rng.normal(size=(6, 4))))))
+        ad.backward(sum_all(ad.mul(out, ad.Node(rng.normal(size=(6, 4))))))
         # sequence 1 has one key; its padded key/value rows are rows 4 and 5
         assert not np.any(k.grad[4:]) and not np.any(v.grad[4:])
         assert not np.any(k_pre.grad[0]) and not np.any(v_pre.grad[0])
@@ -202,7 +227,7 @@ class TestFusedMatchesComposite:
         for fused in (True, False):
             x, wt, b = (ad.Node(a) for a in arrays)
             out = linear(x, wt, b) if fused else ad.add(ad.matmul(x, wt), b)
-            ad.backward(ad.sum_all(ad.mul(out, w)))
+            ad.backward(sum_all(ad.mul(out, w)))
             results.append([out.value, x.grad, wt.grad, b.grad])
         for got, expected in zip(*results):
             np.testing.assert_array_equal(got, expected)
@@ -249,7 +274,7 @@ class TestFusedMatchesComposite:
         for layer_norm in (layer_norm_rows, text_reference.layer_norm_rows):
             leaves = [ad.Node(a) for a in arrays]
             out = layer_norm(*leaves)
-            ad.backward(ad.sum_all(ad.mul(out, w)))
+            ad.backward(sum_all(ad.mul(out, w)))
             results.append((out.value, [leaf.grad for leaf in leaves]))
         (fused, fused_grads), (composite, composite_grads) = results
         np.testing.assert_array_equal(fused, composite)

@@ -12,19 +12,19 @@ import pytest
 
 from structkgc import autodiff as ad
 
-from autodiff_reference import checked_backward, gelu
+from autodiff_reference import add_const, checked_backward, gelu, sub, sum_all
 
 N = 4  # every node is (N, N), so any two combine
 
 BINARY = {
     "add": ad.add,
-    "sub": ad.sub,
+    "sub": sub,
     "mul": ad.mul,
     "matmul": ad.matmul,
 }
 UNARY = {
     "smul": lambda a: ad.smul(a, -0.7),
-    "add_const": lambda a: ad.add_const(a, 0.3),
+    "add_const": lambda a: add_const(a, 0.3),
     "gelu": gelu,
     "l2_normalize_rows": ad.l2_normalize_rows,
     "transpose": ad.transpose,
@@ -58,7 +58,7 @@ def random_dag(rng, n_leaves=4, n_ops=14):
     total = picks[0]
     for node in picks[1:]:
         total = ad.add(total, node)
-    root = ad.sum_all(ad.mul(total, ad.Node(rng.uniform(-1, 1, size=(N, N)))))
+    root = sum_all(ad.mul(total, ad.Node(rng.uniform(-1, 1, size=(N, N)))))
     return root, nodes
 
 
@@ -81,7 +81,7 @@ def test_repeated_parent_and_shared_leaf():
     a = ad.Node([[1.5, -2.0]])
     b = ad.Node([[0.5, 3.0]])
     squared = ad.mul(a, a)
-    root = ad.sum_all(ad.add(ad.mul(squared, b), ad.mul(a, b)))
+    root = sum_all(ad.add(ad.mul(squared, b), ad.mul(a, b)))
     checked_backward(root)
     # d/da (a^2 b + a b) = 2ab + b; d/db = a^2 + a
     np.testing.assert_array_equal(a.grad, 2 * a.value * b.value + b.value)
@@ -95,7 +95,7 @@ def test_a_no_grad_constant_is_a_leaf_that_gets_a_gradient():
         c = ad.exp(x)
     assert c._parents == () and c._vjp is None
     y = ad.mul(c, x)
-    checked_backward(ad.sum_all(y))
+    checked_backward(sum_all(y))
     # only the recorded path reaches x; the constant keeps its own grad
     np.testing.assert_array_equal(x.grad, c.value)
     np.testing.assert_array_equal(c.grad, x.value)
@@ -106,7 +106,7 @@ def test_a_recorded_node_without_a_vjp_stops_the_gradient():
     x = ad.Node([[2.0, 3.0]])
     stopped = ad.Node(x.value * 2.0, (x,), None)
     w = ad.Node([[1.0, -1.0]])
-    checked_backward(ad.sum_all(ad.mul(stopped, w)))
+    checked_backward(sum_all(ad.mul(stopped, w)))
     assert x.grad is None and stopped.grad is None
     np.testing.assert_array_equal(w.grad, stopped.value)
 
@@ -120,7 +120,7 @@ def test_a_leaf_root_gets_a_unit_gradient():
 def test_interior_nodes_keep_no_gradient():
     x = ad.Node(np.arange(6.0).reshape(2, 3))
     h = ad.l2_normalize_rows(gelu(ad.smul(x, 0.5)))
-    loss = ad.sum_all(ad.mul(h, h))
+    loss = sum_all(ad.mul(h, h))
     ad.backward(loss)
     order = ad._toposort(loss)
     assert [node.grad is None for node in order if node._parents] == [True] * 5

@@ -121,6 +121,20 @@ class TestTrain:
         assert captured.err == f"error\tinput\t{message}\n"
         assert sorted(tmp_path.iterdir()) == [cfg]
 
+    def test_a_tau_min_whose_loss_overflows_is_refused_before_the_dataset_is_read(
+            self, workspace, tmp_path, capsys, no_work):
+        # 8 in-batch + 4 momentum-hard + 1 intra-relation terms per loss row:
+        # at tau 0.001 the toy's training stopped on a non-finite loss
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(workspace["config"].read_text() + "tau_init = 0.001\ntau_min = 0.001\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error\tinput\ttau_min must be at least 0.00141399 for 13 terms per loss row, "
+            "got 0.001")
+        assert sorted(tmp_path.iterdir()) == [cfg]
+
     def test_invalid_config_is_input_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("hidden_dim = 30\nheads = 4\n")

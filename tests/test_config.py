@@ -1,6 +1,8 @@
+import math
 import os
 import pickle
 import re
+import sys
 from dataclasses import fields
 
 import pytest
@@ -110,6 +112,22 @@ class TestRunConfig:
     def test_non_finite_float_rejected_naming_the_key(self, key, value):
         with pytest.raises(ConfigError, match=f"^{key} must be a finite number"):
             RunConfig(**{key: value})
+
+    @pytest.mark.parametrize("switches,terms", [
+        ({}, 32 + 64 + 3),
+        ({"use_ir": False}, 32 + 64),
+        ({"use_mh": False, "use_ir": False}, 32),
+    ])
+    def test_a_tau_min_whose_loss_overflows_is_refused_naming_the_floor(self, switches,
+                                                                        terms):
+        # a row sums `terms` values of up to e^(1/tau), which passes float64's
+        # maximum below tau = 1 / (ln max - ln terms)
+        floor = 1.0 / (math.log(sys.float_info.max) - math.log(terms))
+        below = floor * (1 - 1e-9)
+        with pytest.raises(ConfigError, match=f"^tau_min must be at least {floor:.6g} "
+                                              f"for {terms} terms per loss row"):
+            RunConfig(tau_init=below, tau_min=below, **switches)
+        assert RunConfig(tau_init=floor, tau_min=floor, **switches).tau_min == floor
 
     @pytest.mark.parametrize("key", ["weight_decay", "clip_norm"])
     def test_negative_float_rejected_naming_the_key(self, key):

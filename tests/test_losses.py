@@ -1,9 +1,11 @@
+import contextlib
 import math
 
 import numpy as np
 import pytest
 
 from structkgc import autodiff as ad
+from structkgc import losses
 from structkgc.autodiff import Node
 from structkgc.losses import (
     clamp_log_tau,
@@ -12,6 +14,8 @@ from structkgc.losses import (
     total_loss,
 )
 
+import loss_reference
+from autodiff_reference import sum_axis, tape_arrays
 from gradcheck import assert_gradients_match
 from loss_reference import ir_index, reference_contrastive_loss
 
@@ -243,6 +247,116 @@ class TestBatchedMatchesPerQueryLoop:
         with pytest.raises(ValueError, match=r"outside \[-1, 7\)"):
             contrastive_loss(Node(h), Node(t), mask, log_tau_node(0.07), 0.02,
                              ir_features=(Node(ir_rows), index))
+
+
+class TestOneNodeMatchesTheComposition:
+    """Each loss is one ``info_nce`` node with the bytes of the one-node-per-op
+    composition it replaced: value and every leaf gradient."""
+
+    N, D, M, K = 5, 6, 3, 2
+
+    def _inputs(self, seed, full_row):
+        rng = np.random.default_rng(seed)
+        h, t = unit_rows(rng, self.N, self.D), unit_rows(rng, self.N, self.D)
+        mask = np.eye(self.N, dtype=bool)
+        mask[0, 3] = mask[2, 4] = True
+        if full_row:  # no in-batch negative left in row 1
+            mask[1] = True
+        mh = np.stack([unit_rows(rng, self.M, self.D) for _ in range(self.N)])
+        ir_rows = unit_rows(rng, 4, self.D)
+        index = ir_index([[0, 1], [2], [], [3, 0], [1]], self.K)  # -1 slots
+        return h, t, mask, mh, ir_rows, index
+
+    def _run(self, module, inputs, use_mh, use_ir, recording):
+        h, t, mask, mh, ir_rows, index = inputs
+        leaves = [Node(h), Node(t), log_tau_node(0.07), Node(ir_rows), Node(h @ t.T)]
+        with contextlib.nullcontext() if recording else ad.no_grad():
+            text = module.contrastive_loss(
+                leaves[0], leaves[1], mask, leaves[2], 0.02,
+                mh_features=mh if use_mh else None,
+                ir_features=(leaves[3], index) if use_ir else None)
+            struct = module.structural_loss(leaves[4], mask, leaves[2], 0.02)
+            loss = total_loss(text, struct, 0.5)
+        if recording:
+            ad.backward(loss)
+        return [x.value.tobytes() for x in (text, struct, loss)] + [
+            None if leaf.grad is None else leaf.grad.tobytes() for leaf in leaves]
+
+    @pytest.mark.parametrize("recording", [True, False])
+    @pytest.mark.parametrize("full_row", [False, True])
+    @pytest.mark.parametrize("use_mh,use_ir", [(True, True), (True, False),
+                                               (False, True), (False, False)])
+    def test_same_bytes(self, use_mh, use_ir, full_row, recording):
+        inputs = self._inputs(11, full_row)
+        one_node = self._run(losses, inputs, use_mh, use_ir, recording)
+        assert one_node == self._run(loss_reference, inputs, use_mh, use_ir, recording)
+        assert (one_node[3] is not None) == recording
+
+    def test_each_loss_is_one_node_over_its_inputs(self):
+        h, t, mask, mh, ir_rows, index = self._inputs(12, False)
+        h_n, rows, log_tau = Node(h), Node(ir_rows), log_tau_node(0.07)
+        text = contrastive_loss(h_n, Node(t), mask, log_tau, 0.02,
+                                mh_features=mh, ir_features=(rows, index))
+        mh_dots, ir_dots, inv_tau, cos = text._parents
+        assert mh_dots._parents == (h_n,)  # the features are not a leaf
+        assert ir_dots._parents[0] is h_n and ir_dots._parents[1]._parents == (rows,)
+        assert inv_tau._parents[0]._parents == (log_tau,)
+        assert cos._parents[0] is h_n
+        scores = Node(h @ t.T)
+        struct = structural_loss(scores, mask, log_tau, 0.02)
+        assert struct._parents[1:] == (scores,)
+
+    def test_the_node_keeps_only_what_backward_reads(self):
+        # its inputs, the masked exponentials, e^pos, the denominator and the
+        # shifted positives, each with the bytes of the composition's node
+        h, t, mask, mh, ir_rows, index = self._inputs(13, True)
+        dots = [(Node(d), keep) for d, keep in (
+            (np.einsum("bd,bmd->bm", h, mh), None),
+            (np.einsum("bd,bmd->bm", h, ir_rows[np.maximum(index, 0)]), index >= 0))]
+        scores, inv_tau = Node(h @ t.T), Node([[1 / 0.07]])
+        loss = ad.info_nce(scores, inv_tau, 0.02, ~mask, dots)
+        extra_sums = []
+        for d, k in dots:
+            terms = ad.exp(ad.mul(d, inv_tau))
+            if k is not None:
+                terms = ad.mul(terms, Node(k.astype(np.float64)))
+            extra_sums.append(sum_axis(terms, axis=1))
+        composed = loss_reference.info_nce(scores, mask, inv_tau, 0.02, extra_sums)
+        assert loss.value.tobytes() == composed.value.tobytes()
+
+        def keys(arrays):
+            return {(a.shape, a.tobytes()) for a in arrays.values()}
+
+        inputs = [scores, inv_tau] + [d for d, _ in dots]
+        kept = keys(tape_arrays(loss)) - keys({id(x): x.value for x in inputs})
+        inv = 1 / 0.07
+        shifted = np.diag(h @ t.T)[:, None] - 0.02
+        e_batch = np.exp(h @ t.T * inv) * (~mask & ~np.eye(self.N, dtype=bool))
+        e_mh, e_ir = (np.exp(d.value * inv) * (1.0 if k is None else k) for d, k in dots)
+        e_pos = np.exp(shifted * inv)
+        denom = e_pos + e_batch.sum(axis=1, keepdims=True) + e_mh.sum(
+            axis=1, keepdims=True) + e_ir.sum(axis=1, keepdims=True)
+        expected = [loss.value, shifted, e_batch, e_mh, e_ir, e_pos, denom]
+        assert len(kept) == len(expected)
+        for want in expected:
+            assert any(np.allclose(want, np.frombuffer(b).reshape(s), rtol=0, atol=1e-12)
+                       for s, b in kept if s == want.shape)
+        assert kept <= keys(tape_arrays(composed))
+
+    def test_rejects_mismatched_shapes(self):
+        scores, inv_tau = Node(np.zeros((3, 3))), Node([[1.0]])
+        keep = np.ones((3, 3), dtype=bool)
+        with pytest.raises(ValueError, match="info_nce needs"):
+            ad.info_nce(Node(np.zeros((3, 2))), inv_tau, 0.0, keep)
+        with pytest.raises(ValueError, match="info_nce needs"):
+            ad.info_nce(scores, Node([[1.0, 2.0]]), 0.0, keep)
+        with pytest.raises(ValueError, match="negatives"):
+            ad.info_nce(scores, inv_tau, 0.0, keep[:2])
+        with pytest.raises(ValueError, match="negatives"):
+            ad.info_nce(scores, inv_tau, 0.0, keep, [(Node(np.zeros((2, 4))), None)])
+        with pytest.raises(ValueError, match="negatives"):
+            ad.info_nce(scores, inv_tau, 0.0, keep,
+                        [(Node(np.zeros((3, 4))), np.ones((3, 2), dtype=bool))])
 
 
 class TestStructuralLoss:

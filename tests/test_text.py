@@ -19,7 +19,7 @@ from structkgc.text import (
     tokenize_hr,
 )
 
-from autodiff_reference import concat_rows
+from autodiff_reference import concat_rows, sum_all
 from gradcheck import assert_gradients_match
 import text_reference
 from text_reference import reference_encode
@@ -241,7 +241,7 @@ class TestFusedMatchesReference:
             leaves += [node for pair in prefixes for node in pair]
 
         fused = enc.encode(self.SEQS, prefixes)
-        ad.backward(ad.sum_all(ad.mul(fused, weights)))
+        ad.backward(sum_all(ad.mul(fused, weights)))
         fused_grads = [leaf.grad for leaf in leaves]
         for leaf in leaves:
             leaf.grad = None
@@ -253,7 +253,7 @@ class TestFusedMatchesReference:
             ]
             rows.append(reference_encode(enc, tokens, row_prefixes))
         reference = concat_rows(rows)
-        ad.backward(ad.sum_all(ad.mul(reference, weights)))
+        ad.backward(sum_all(ad.mul(reference, weights)))
 
         np.testing.assert_allclose(fused.value, reference.value, rtol=0, atol=1e-12)
         for leaf, grad in zip(leaves, fused_grads):
@@ -298,7 +298,7 @@ class TestFusedMatchesReference:
             with contextlib.nullcontext() if recording else ad.no_grad():
                 out = enc.encode(self.SEQS, prefixes)
             if recording:
-                ad.backward(ad.sum_all(ad.mul(out, ad.Node(rng.normal(size=out.value.shape)))))
+                ad.backward(sum_all(ad.mul(out, ad.Node(rng.normal(size=out.value.shape)))))
             runs.append([out.value.tobytes()] + [
                 None if leaf.grad is None else leaf.grad.tobytes() for leaf in leaves])
         assert runs[0] == runs[1]

@@ -18,6 +18,7 @@ from structkgc.autodiff import Node
 import structkgc.autodiff as ad
 
 import autodiff_reference
+import loss_reference
 import text_reference
 import update_reference
 from graph_reference import ReferenceAsArrays, ReferenceGraph, entity_records
@@ -366,7 +367,27 @@ class TestTapeSize:
         batch = trainer.train_triples[:4]
         trainer._step(batch)  # fills the queue: no MH term yet
         trainer._step(batch)
-        assert sizes == [126, 132]
+        assert sizes == [90, 91]
+
+    def test_no_constant_leaf_takes_a_gradient(self, monkeypatch):
+        # the masks, the identity and the MH features are arrays, not leaves
+        toy, tokenizer, model = tiny_text_setup(seed=1)
+        trainer = Trainer(toy.graph, model, tokenizer, small_train_cfg(ir_count=2))
+        leaves = []
+        backward = ad.backward
+
+        def listing(root):
+            leaves.append([n for n in ad._toposort(root) if not n._parents])
+            backward(root)
+
+        monkeypatch.setattr(ad, "backward", listing)
+        batch = trainer.train_triples[:4]
+        trainer._step(batch)
+        trainer._step(batch)  # with the MH term
+        assert trainer.cfg.use_mh and trainer.cfg.use_ir
+        params = {id(p) for p in model.parameters().values()}
+        for step in leaves:
+            assert [n for n in step if id(n) not in params] == []
 
     @staticmethod
     def _second_step_tape(monkeypatch, composed):
@@ -424,7 +445,7 @@ class TestTapeSize:
         nodes, arrays, tables, checksum = self._second_step_tape(monkeypatch, composed=False)
         c_nodes, c_arrays, c_tables, c_checksum = self._second_step_tape(monkeypatch, composed=True)
         assert checksum == c_checksum
-        assert len(nodes) == 132
+        assert len(nodes) == 91
         # 3 encodes (query, tail, IR) of one layer: 10 nodes fewer per layer,
         # 2 per embedding lookup
         assert len(c_nodes) - len(nodes) == 3 * (10 + 2)
@@ -461,6 +482,7 @@ class TestStepMemory:
             if reference:
                 reference_bodies(monkeypatch)
                 text_reference.use_compositions(monkeypatch)
+                loss_reference.use_compositions(monkeypatch)
             trainer = self._trainer()
             assert trainer.cfg.use_mh and trainer.cfg.use_ir
             assert trainer.model.config.use_text and trainer.model.config.use_ase

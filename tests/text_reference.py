@@ -25,7 +25,7 @@ import numpy as np
 from structkgc import autodiff as ad
 
 import autodiff_reference as ref
-from autodiff_reference import concat_rows, softmax_rows
+from autodiff_reference import add_const, concat_rows, softmax_rows, sub, sum_axis
 
 
 def power(a, p):
@@ -38,10 +38,10 @@ def layer_norm_rows(a, gain, bias, eps=1e-5):
     """Per-row standardization followed by a learned affine map, composed
     from elementwise and reduction nodes."""
     n = a.value.shape[1]
-    mu = ad.smul(ad.sum_axis(a, axis=1), 1.0 / n)
-    xc = ad.sub(a, mu)
-    var = ad.smul(ad.sum_axis(ad.mul(xc, xc), axis=1), 1.0 / n)
-    inv_std = power(ad.add_const(var, eps), -0.5)
+    mu = ad.smul(sum_axis(a, axis=1), 1.0 / n)
+    xc = sub(a, mu)
+    var = ad.smul(sum_axis(ad.mul(xc, xc), axis=1), 1.0 / n)
+    inv_std = power(add_const(var, eps), -0.5)
     return ad.add(ad.mul(ad.mul(xc, inv_std), gain), bias)
 
 
