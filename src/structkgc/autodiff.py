@@ -315,7 +315,8 @@ def row_dots(h: Node, f, m: int) -> Node:
     row b's; the (B, m) output holds h[b] . f[b*m + j] at (b, j).  ``f``
     is a node, or an array of constant rows that takes no gradient.
     """
-    fv = f.value if isinstance(f, Node) else as_matrix(f)
+    constant = not isinstance(f, Node)
+    fv = as_matrix(f) if constant else f.value
     b_count, d = h.value.shape
     if m < 1 or fv.shape != (b_count * m, d):
         raise ValueError(
@@ -323,15 +324,14 @@ def row_dots(h: Node, f, m: int) -> Node:
         )
     hv = h.value
     fv = fv.reshape(b_count, m, d)
-    out = (fv @ hv[:, :, None])[:, :, 0]
-    if not isinstance(f, Node):
-        return Node(out, (h,), lambda g: ((g[:, None, :] @ fv)[:, 0],))
 
     def vjp(g):
-        return ((g[:, None, :] @ fv)[:, 0],
-                (g[:, :, None] * hv[:, None, :]).reshape(b_count * m, d))
+        d_h = (g[:, None, :] @ fv)[:, 0]
+        if constant:
+            return (d_h,)
+        return d_h, (g[:, :, None] * hv[:, None, :]).reshape(b_count * m, d)
 
-    return Node(out, (h, f), vjp)
+    return Node((fv @ hv[:, :, None])[:, :, 0], (h,) if constant else (h, f), vjp)
 
 
 def paired_rotation(h: Node, phases: Node, eps: float = DEFAULT_NORM_EPS) -> Node:
