@@ -4,7 +4,8 @@ Structural combiners and the KV-prefix projector
 
 The three head+relation combiners (additive, Hadamard, rotation), the
 cosine structural score, and the projection of a combined vector into
-per-layer key/value prefixes for the text encoder.
+per-layer key/value prefixes for the text encoder: one projection whose
+column blocks are each layer's key and value.
 """
 
 import numpy as np
@@ -45,9 +46,15 @@ scores = struct_scores_all_tails(table, 4, 1)
 print("\nplanted score (4, r1, 17):", f"{scores[17]:.6f}")
 print("argmax over all 30 tails  :", int(np.argmax(scores)))
 
-# a combined vector projects to one (key, value) pair per encoder layer
+# a combined vector projects to one node that every encoder layer reads:
+# layer i's attention takes its key block from column `start` and its
+# value block from the hidden_dim columns after it
 proj = PrefixProjector(struct_dim=16, layers=2, hidden_dim=8, rng=rng)
-combined = ad.Node(ents[4] + rels[1])
-prefixes = proj.project(combined)
-for i, (k, v) in enumerate(prefixes):
-    print(f"layer {i}: key {k.value.shape} value {v.value.shape}")
+prefixes = proj.project(ad.Node(ents[4] + rels[1]))
+d = proj.hidden_dim
+print(f"\none projection node {prefixes[0][0].value.shape} for {len(prefixes)} layers")
+for i, (node, start) in enumerate(prefixes):
+    key = node.value[0, start:start + d]
+    value = node.value[0, start + d:start + 2 * d]
+    print(f"layer {i}: key   columns {start:2d}..{start + d - 1:2d}", np.round(key, 3))
+    print(f"         value columns {start + d:2d}..{start + 2 * d - 1:2d}", np.round(value, 3))

@@ -19,7 +19,9 @@ block.  Each keeps only the arrays its vector-Jacobian callback reads,
 recomputing what is cheap to recompute, so a training step's tape holds
 no projection, residual sum or activation that backward would not read.
 The InfoNCE loss is one node too, its masks plain arrays, so no constant
-of a training step is a leaf that takes a gradient.
+of a training step is a leaf that takes a gradient.  No node only slices
+or rescales: an attention sublayer reads its prefix as column blocks of
+one projection node, and the loss reads the log-temperature leaf itself.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ def no_grad():
         _mode.recording = previous
 
 
-def as_matrix(x) -> np.ndarray:
+def _as_matrix(x) -> np.ndarray:
     """Coerce scalars / 1-D / 2-D array-likes to a float64 2-D array."""
     a = np.asarray(x, dtype=np.float64)
     if a.ndim == 0:
@@ -84,7 +86,7 @@ class Node:
     __slots__ = ("value", "grad", "_parents", "_vjp")
 
     def __init__(self, value, _parents=(), _vjp=None):
-        self.value = as_matrix(value)
+        self.value = _as_matrix(value)
         self.grad = None
         if _mode.recording:
             self._parents = tuple(_parents)
@@ -179,11 +181,6 @@ def smul(a: Node, c: float) -> Node:
     return Node(a.value * c, (a,), lambda g: (g * c,))
 
 
-def exp(a: Node) -> Node:
-    y = np.exp(a.value)
-    return Node(y, (a,), lambda g: (g * y,))
-
-
 # ---------------------------------------------------------------------------
 # structural primitives
 # ---------------------------------------------------------------------------
@@ -247,21 +244,6 @@ def gather_rows_sum(a: Node, a_indices, b: Node, b_indices) -> Node:
                 lambda g: (_scatter_rows(g, a_idx, a), _scatter_rows(g, b_idx, b)))
 
 
-def gather_cols(a: Node, indices) -> Node:
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ValueError("gather_cols expects a flat index list")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.value.shape[1]):
-        raise IndexError(f"column index out of range for shape {a.value.shape}")
-
-    def vjp(g):
-        out = np.zeros_like(a.value)
-        np.add.at(out, (slice(None), idx), g)
-        return (out,)
-
-    return Node(a.value[:, idx], (a,), vjp)
-
-
 # ---------------------------------------------------------------------------
 # row-structured primitives
 # ---------------------------------------------------------------------------
@@ -316,7 +298,7 @@ def row_dots(h: Node, f, m: int) -> Node:
     is a node, or an array of constant rows that takes no gradient.
     """
     constant = not isinstance(f, Node)
-    fv = as_matrix(f) if constant else f.value
+    fv = _as_matrix(f) if constant else f.value
     b_count, d = h.value.shape
     if m < 1 or fv.shape != (b_count * m, d):
         raise ValueError(
@@ -426,7 +408,7 @@ def _layer_norm_grads(g: np.ndarray, gain: np.ndarray, x_hat: np.ndarray,
 def attention_sublayer(x: Node, query: tuple[Node, Node], key: tuple[Node, Node],
                        value: tuple[Node, Node], output: tuple[Node, Node],
                        norm: tuple[Node, Node], lengths, heads: int,
-                       prefix: tuple[Node, Node] | None = None) -> Node:
+                       prefix: tuple[Node, int] | None = None) -> Node:
     """A post-norm self-attention sublayer as one node:
     ``LN(x + attention(x W_q + b_q, x W_k + b_k, x W_v + b_v) W_o + b_o)``.
 
@@ -435,17 +417,18 @@ def attention_sublayer(x: Node, query: tuple[Node, Node], key: tuple[Node, Node]
     bias) rows.  ``x`` is (B*L, d), the rows of B sequences padded to a
     common length L; sequence b owns rows b*L .. b*L + L - 1, and its
     keys at or past ``lengths[b]`` are masked out.  ``prefix`` is an
-    optional (key, value) pair of (B, d) nodes whose row b is prepended
-    to sequence b's keys and values.  A prefix row whose value is
-    exactly zero is masked for its sequence, so it takes no attention
-    and gets no gradient.  Head h works on columns h*d/heads ..
-    (h+1)*d/heads - 1 with scale 1/sqrt(d/heads).
+    optional (node, start) pair: row b of the (B, n) node's columns start
+    .. start + d - 1 and of the d columns after them is prepended to
+    sequence b's keys and values.  A prefix row whose value is exactly
+    zero is masked for its sequence, so it takes no attention and gets
+    no gradient.  Head h works on columns h*d/heads .. (h+1)*d/heads - 1
+    with scale 1/sqrt(d/heads).
 
     Values and gradients have the bytes of the composition of one node
-    per linear map, attention, residual sum and layer norm.  The node
-    keeps only what its backward reads: the queries, the prefixed keys
-    and values, the attention probabilities and context, and the layer
-    norm's x-hat and 1/sigma; ``x`` is its parent.
+    per linear map, column gather, attention, residual sum and layer
+    norm.  The node keeps only what its backward reads: the queries, the
+    prefixed keys and values, the attention probabilities and context,
+    and the layer norm's x-hat and 1/sigma; ``x`` is its parent.
     """
     lengths = np.asarray(lengths, dtype=np.intp)
     xv = x.value
@@ -473,12 +456,13 @@ def attention_sublayer(x: Node, query: tuple[Node, Node], key: tuple[Node, Node]
     if prefix is None:  # a masked zero row: same arithmetic as a zero prefix
         k_pre = v_pre = np.zeros((b_count, d))
     else:
-        k_pre, v_pre = prefix[0].value, prefix[1].value
-        if k_pre.shape != (b_count, d) or v_pre.shape != (b_count, d):
+        flat, start = prefix[0].value, prefix[1]
+        if flat.shape[0] != b_count or not 0 <= start <= flat.shape[1] - 2 * d:
             raise ValueError(
-                f"prefix shapes {k_pre.shape}, {v_pre.shape} do not match "
-                f"({b_count}, {d})"
+                f"prefix blocks at column {start} of {flat.shape} do not hold "
+                f"two ({b_count}, {d}) blocks"
             )
+        k_pre, v_pre = flat[:, start:start + d], flat[:, start + d:start + 2 * d]
     queries = split(_affine(xv, query[0].value, query[1].value))
     # key/value slot 0 is the prefix, slots 1..L the sequence positions
     keys = np.concatenate([k_pre.reshape(b_count, heads, 1, d_k),
@@ -523,13 +507,15 @@ def attention_sublayer(x: Node, query: tuple[Node, Node], key: tuple[Node, Node]
             d_s += d_x
             grads += [d_w, d_b]
         grads = [d_s, *grads, d_wo, d_bo, d_gain, d_bias]
-        if prefix is not None:
-            grads += [d_keys[:, :, 0].reshape(b_count, d),
-                      d_values[:, :, 0].reshape(b_count, d)]
+        if prefix is not None:  # added into zeros, as a column gather scatters
+            d_flat = np.zeros_like(flat)
+            d_flat[:, start:start + d] += d_keys[:, :, 0].reshape(b_count, d)
+            d_flat[:, start + d:start + 2 * d] += d_values[:, :, 0].reshape(b_count, d)
+            grads.append(d_flat)
         return grads
 
     parents = (x, *query, *key, *value, *output, *norm)
-    return Node(out, parents if prefix is None else parents + prefix, vjp)
+    return Node(out, parents if prefix is None else (*parents, prefix[0]), vjp)
 
 
 def ffn_sublayer(x: Node, inner: tuple[Node, Node], outer: tuple[Node, Node],
@@ -588,33 +574,35 @@ def ffn_sublayer(x: Node, inner: tuple[Node, Node], outer: tuple[Node, Node],
 # contrastive loss
 # ---------------------------------------------------------------------------
 
-def info_nce(scores: Node, inv_tau: Node, margin: float, keep,
+def info_nce(scores: Node, log_tau: Node, margin: float, keep,
              extra: tuple = ()) -> Node:
     """The mean over rows b of -log(e^pos_b / (e^pos_b + negatives_b)),
     as one node.
 
     ``scores`` is (B, B) with the positives on the diagonal and
-    ``inv_tau`` the (1, 1) inverse temperature: pos_b = (scores[b, b] -
-    margin) * inv_tau.  The negatives of row b are e^(scores[b, j] *
-    inv_tau) for each j != b where the (B, B) boolean ``keep`` holds,
-    then, for each (dots, mask) pair of ``extra`` in order, e^(dots *
-    inv_tau) for a (B, m) node of row b's dot products with m more
-    negatives, where the (B, m) ``mask`` holds (None keeps them all).
+    ``log_tau`` the (1, 1) log-temperature, inv = e^(-log_tau): pos_b =
+    (scores[b, b] - margin) * inv.  The negatives of row b are
+    e^(scores[b, j] * inv) for each j != b where the (B, B) boolean
+    ``keep`` holds, then, for each (dots, mask) pair of ``extra`` in
+    order, e^(dots * inv) for a (B, m) node of row b's dot products with
+    m more negatives, where the (B, m) ``mask`` holds (None keeps them all).
 
     Value and gradients have the bytes of the composition of one node per
-    op: the positive picked by a product with the identity and a row sum,
-    each mask a 0/1 product, the denominator summed from e^pos and then
-    each row sum of negatives in order, the mean a sum times 1/B.  The
-    node keeps only what its backward reads: the masked exponentials,
-    e^pos, the denominator and the shifted positives.  Backward reaches
-    its parents in the composition's order (the extras first, ``scores``
-    last), so gradients meet in shared nodes in the same order too.
+    op: inv a negation and an exponential, the positive picked by a
+    product with the identity and a row sum, each mask a 0/1 product, the
+    denominator summed from e^pos and then each row sum of negatives in
+    order, the mean a sum times 1/B.  The node keeps only what its
+    backward reads: the masked exponentials, e^pos, the denominator, the
+    shifted positives and inv.  Backward reaches its parents in the
+    composition's order (the extras first, ``scores`` last), so gradients
+    meet in shared nodes in the same order too.
     """
-    s, inv = scores.value, inv_tau.value
+    s = scores.value
     n = s.shape[0]
-    if s.shape != (n, n) or inv.shape != (1, 1):
-        raise ValueError(f"info_nce needs (B, B) scores and a (1, 1) inverse "
-                         f"temperature, got {s.shape} and {inv.shape}")
+    if s.shape != (n, n) or log_tau.value.shape != (1, 1):
+        raise ValueError(f"info_nce needs (B, B) scores and a (1, 1) log-temperature, "
+                         f"got {s.shape} and {log_tau.value.shape}")
+    inv = np.exp(log_tau.value * -1.0)
     keep = np.array(keep, dtype=bool)
     negatives = [(scores, keep), *extra]
     for node, mask in negatives:
@@ -649,9 +637,9 @@ def info_nce(scores: Node, inv_tau: Node, margin: float, keep,
             grads.append(d)
         d_inv.append(_unbroadcast(g_pos * shifted, inv.shape))
         grads[0] += (g_pos * inv) * np.eye(n)
-        return (*grads[1:], sum(d_inv[1:], d_inv[0]), grads[0])
+        return (*grads[1:], (sum(d_inv[1:], d_inv[0]) * inv) * -1.0, grads[0])
 
-    return Node(value, (*nodes[1:], inv_tau, scores), vjp)
+    return Node(value, (*nodes[1:], log_tau, scores), vjp)
 
 
 # ---------------------------------------------------------------------------

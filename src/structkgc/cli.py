@@ -18,7 +18,7 @@ from .checkpoint import CheckpointError, load_model, save_checkpoint
 from .config import ConfigError, RunConfig, parse_config
 from .data import (ENTITY_FILE, RELATION_FILE, SPLIT_FILES, DataError, build_tokenizer,
                    load_dataset)
-from .evaluation import SCORE_MODES, ModelScorer, RerankConfig, evaluate, miou
+from .evaluation import SCORE_MODES, ModelScorer, RerankConfig, evaluate, miou, missing_path
 from .graph import SPLITS, GraphError
 from .model import Model
 from .text import MIN_TOKEN_FREQ, Tokenizer
@@ -99,7 +99,8 @@ def _load_scorer(args, outputs: dict[str, str | None]):
     """The dataset and scorer of an eval-like command, once its paths and
     ``outputs`` (what each is, to its path) pass ``_check_paths``.  The
     default vocabulary ``<checkpoint>.vocab.tsv`` is read only for a text
-    checkpoint, so it is one of the paths only if it is a file."""
+    checkpoint, so it is one of the paths only if it is a file.  The
+    checkpoint must have the paths ``--score-mode`` needs."""
     default_vocab = args.checkpoint + ".vocab.tsv"
     _check_paths({DATASET: args.dataset, "--checkpoint": args.checkpoint, "--vocab": args.vocab,
                   "vocabulary": default_vocab if args.vocab is None
@@ -113,6 +114,11 @@ def _load_scorer(args, outputs: dict[str, str | None]):
             "num_base_relations": dataset.graph.num_base_relations,
         },
     )
+    mode = args.score_mode or ("text" if model.config.use_text else "struct")
+    lacking = missing_path(model.config, mode)
+    if lacking is not None:
+        raise UsageError(f"--score-mode {mode} needs the {lacking} path, which checkpoint "
+                         f"{args.checkpoint!r} was trained without")
     tokenizer = None
     if model.config.use_text:
         tokenizer = Tokenizer.load(default_vocab if args.vocab is None else args.vocab)
@@ -121,7 +127,6 @@ def _load_scorer(args, outputs: dict[str, str | None]):
                 f"vocabulary size {len(tokenizer)} does not match the "
                 f"checkpoint's {model.config.vocab_size}"
             )
-    mode = args.score_mode or ("text" if model.config.use_text else "struct")
     return dataset, ModelScorer(model, dataset.graph, tokenizer, pairs, mode=mode,
                                 beta=args.beta)
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .graph import SPLITS, KnowledgeGraph
-from .model import Model
+from .model import Model, ModelConfig
 from .structural import struct_queries_node, unit_entity_table
 from .text import Tokenizer, tokenize_entity, tokenize_hr
 
@@ -209,6 +209,15 @@ def miou(graph: KnowledgeGraph, split: str = "test") -> tuple[float, dict[int, f
 # scoring backends
 # ---------------------------------------------------------------------------
 
+def missing_path(config: ModelConfig, mode: str) -> str | None:
+    """The path ("text" or "structural") ``mode`` scoring needs and ``config`` lacks, or None."""
+    if mode in ("text", "combined") and not config.use_text:
+        return "text"
+    if mode in ("struct", "combined") and not config.use_ase:
+        return "structural"
+    return None
+
+
 class ModelScorer:
     """Scores every entity as tail candidate for the (head, relation)
     pairs it is built for; a pair outside the graph's entities or
@@ -237,10 +246,9 @@ class ModelScorer:
             raise ValueError(f"score mode must be one of {SCORE_MODES}, got {mode!r}")
         if not math.isfinite(beta):
             raise ValueError(f"structural weight beta must be a finite number, got {beta}")
-        if mode in ("text", "combined") and not model.config.use_text:
-            raise ValueError(f"{mode!r} scoring needs a model with the text path")
-        if mode in ("struct", "combined") and not model.config.use_ase:
-            raise ValueError(f"{mode!r} scoring needs structural embeddings")
+        lacking = missing_path(model.config, mode)
+        if lacking is not None:
+            raise ValueError(f"{mode!r} scoring needs a model with the {lacking} path")
         if mode in ("text", "combined") and tokenizer is None:
             raise ValueError("text scoring needs a tokenizer")
         pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)

@@ -20,10 +20,10 @@ rows, a constant array that takes no gradient, and, for IR, a
 with a mask for queries with fewer than k tails.
 
 Temperature is carried as a learnable log-temperature node, which makes
-tau > 0 by construction; the clamp to the configured range happens after
-each optimizer step.  The loss settings (margin, beta, clamp range) are
-fields of ``training.TrainConfig``; the functions here take them as
-arguments.
+tau > 0 by construction; ``info_nce`` reads it and forms 1/tau itself.
+The clamp to the configured range happens after each optimizer step.
+The loss settings (margin, beta, clamp range) are fields of
+``training.TrainConfig``; the functions here take them as arguments.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ def contrastive_loss(h_hr: Node, h_t: Node, ib_mask: np.ndarray,
     n = h_hr.value.shape[0]
     if h_t.value.shape[0] != n or ib_mask.shape != (n, n):
         raise ValueError("batch sizes of features and mask must agree")
-    inv_tau = ad.exp(ad.smul(log_tau, -1.0))
     cos_ib = ad.matmul(h_hr, ad.transpose(h_t))
     extra = []
     if mh_features is not None:
@@ -71,7 +70,7 @@ def contrastive_loss(h_hr: Node, h_t: Node, ib_mask: np.ndarray,
                              f"outside [-1, {len(rows.value)})")
         gathered = ad.gather_rows(rows, np.maximum(index, 0).ravel())
         extra.append((ad.row_dots(h_hr, gathered, index.shape[1]), index >= 0))
-    return ad.info_nce(cos_ib, inv_tau, margin, np.logical_not(ib_mask), extra)
+    return ad.info_nce(cos_ib, log_tau, margin, np.logical_not(ib_mask), extra)
 
 
 def structural_loss(score_matrix: Node, ib_mask: np.ndarray,
@@ -84,8 +83,7 @@ def structural_loss(score_matrix: Node, ib_mask: np.ndarray,
     n = score_matrix.value.shape[0]
     if score_matrix.value.shape != (n, n) or ib_mask.shape != (n, n):
         raise ValueError("structural loss expects square scores and mask")
-    return ad.info_nce(score_matrix, ad.exp(ad.smul(log_tau, -1.0)), margin,
-                       np.logical_not(ib_mask))
+    return ad.info_nce(score_matrix, log_tau, margin, np.logical_not(ib_mask))
 
 
 def total_loss(loss_cl: Node, loss_dis: Node, beta: float) -> Node:

@@ -140,7 +140,8 @@ class Model:
     # ------------------------------------------------------------------
 
     def hr_prefixes(self, heads, relations):
-        """Per-layer (key, value) prefixes of (B, hidden_dim), row q from
+        """Per-layer (projection node, key column) prefixes from the query
+        projector (see ``PrefixProjector.project``), row q from
         combine(E_h[q], E_r[q]); None without a query projector."""
         if self.hr_projector is None:
             return None

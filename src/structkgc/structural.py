@@ -47,10 +47,7 @@ class StructuralTable:
             raise ValueError(
                 f"rotation combiner needs an even embedding dim, got {dim}"
             )
-        self.dim = dim
         self.kind = kind
-        self.num_entities = num_entities
-        self.num_base_relations = num_base_relations
 
         def uniform(rows, cols):
             return init_embedding(rng, rows, cols)
@@ -141,18 +138,14 @@ class PrefixProjector:
     def parameters(self) -> dict[str, Node]:
         return {f"{self.name}.weight": self.weight}
 
-    def project(self, vecs: Node) -> list[tuple[Node, Node]]:
-        """Project (B, struct_dim) vectors to [(key, value)] per layer, each
-        (B, hidden_dim) with row b from vector b."""
+    def project(self, vecs: Node) -> list[tuple[Node, int]]:
+        """Project (B, struct_dim) vectors to one node, row b from vector b,
+        and pair it with each layer's key column, 2 * layer * hidden_dim: the
+        ``prefix`` of :func:`autodiff.attention_sublayer`."""
         if vecs.value.shape[1] != self.struct_dim:
             raise ValueError(
                 f"prefix input shape {vecs.value.shape} does not match "
                 f"struct dim {self.struct_dim}"
             )
-        flat = ad.matmul(vecs, self.weight)  # (B, 2*l*d)
-        d = self.hidden_dim
-        return [
-            (ad.gather_cols(flat, np.arange(2 * layer * d, (2 * layer + 1) * d)),
-             ad.gather_cols(flat, np.arange((2 * layer + 1) * d, (2 * layer + 2) * d)))
-            for layer in range(self.layers)
-        ]
+        flat = ad.matmul(vecs, self.weight)
+        return [(flat, 2 * layer * self.hidden_dim) for layer in range(self.layers)]

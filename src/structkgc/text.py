@@ -71,7 +71,7 @@ class Tokenizer:
             raise ValueError("token ids must be contiguous from 0")
         self.token_to_id = dict(token_to_id)
         self.id_to_token = {i: t for t, i in token_to_id.items()}
-        self.pad_id, self.unk_id, self.cls_id, self.sep_id = range(4)
+        self.unk_id, self.cls_id, self.sep_id = range(1, 4)  # [PAD] is _PAD_ID, 0
 
     @classmethod
     def build(cls, texts, min_freq: int = MIN_TOKEN_FREQ) -> "Tokenizer":
@@ -246,8 +246,8 @@ class TextEncoder:
     def encode(self, token_seqs, prefixes=None) -> Node:
         """Encode B token sequences to unit-norm (B, d) embeddings.
 
-        ``prefixes`` is an optional per-layer list of (key, value) Nodes of
-        shape (B, d) from a prefix projector, row b for sequence b.
+        ``prefixes`` is an optional per-layer list of (node, key column)
+        pairs from ``PrefixProjector.project``, row b for sequence b.
         """
         cfg = self.config
         seqs = [list(tokens) for tokens in token_seqs]

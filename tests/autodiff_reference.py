@@ -7,8 +7,13 @@ weights them with ``softmax_rows``, ``rotation_reference`` views phase
 pairs through ``reshape`` and stacks real and imaginary parts with
 ``concat_rows``, and ``loss_reference`` stacks per-query sums with
 ``concat_rows``.  ``autodiff.info_nce`` replaced the loss composition
-of ``sub``, ``add_const``, ``log``, ``sum_axis`` and ``mean_all``;
-``sum_all`` turns a test's matrix output into a scalar to differentiate.  The transformer sublayers of ``structkgc.autodiff``
+of ``sub``, ``add_const``, ``log``, ``sum_axis`` and ``mean_all``, and,
+as it reads the log-temperature, the ``exp`` that made the inverse
+temperature; ``sum_all`` turns a test's matrix output into a scalar to
+differentiate.  ``gather_cols`` sliced each prefix key and value out of
+the projection before ``autodiff.attention_sublayer`` read them as
+column blocks; the per-head reference encoder and ``rotation_reference``
+still slice with it.  The transformer sublayers of ``structkgc.autodiff``
 replaced ``linear``, ``gelu``, ``layer_norm_rows`` and ``attention``,
 one node each; ``text_reference.attention_sublayer`` and
 ``ffn_sublayer`` compose them, as the sublayers' byte-for-byte
@@ -36,6 +41,26 @@ from structkgc.autodiff import Node
 _leaf_backward = ad.backward
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+
+def exp(a: Node) -> Node:
+    y = np.exp(a.value)
+    return Node(y, (a,), lambda g: (g * y,))
+
+
+def gather_cols(a: Node, indices) -> Node:
+    idx = np.asarray(indices, dtype=np.intp)
+    if idx.ndim != 1:
+        raise ValueError("gather_cols expects a flat index list")
+    if idx.size and (idx.min() < 0 or idx.max() >= a.value.shape[1]):
+        raise IndexError(f"column index out of range for shape {a.value.shape}")
+
+    def vjp(g):
+        out = np.zeros_like(a.value)
+        np.add.at(out, (slice(None), idx), g)
+        return (out,)
+
+    return Node(a.value[:, idx], (a,), vjp)
 
 
 def sub(a: Node, b: Node) -> Node:

@@ -13,7 +13,7 @@ import numpy as np
 
 from structkgc import autodiff as ad
 
-from autodiff_reference import concat_rows, reshape, sub
+from autodiff_reference import concat_rows, gather_cols, reshape, sub
 
 
 def l2_normalize_pairs(a, eps=ad.DEFAULT_NORM_EPS):
@@ -28,8 +28,8 @@ def paired_complex_mul(a, b):
     n = a.value.shape[1]
     evens = np.arange(0, n, 2)
     odds = np.arange(1, n, 2)
-    a_re, a_im = ad.gather_cols(a, evens), ad.gather_cols(a, odds)
-    b_re, b_im = ad.gather_cols(b, evens), ad.gather_cols(b, odds)
+    a_re, a_im = gather_cols(a, evens), gather_cols(a, odds)
+    b_re, b_im = gather_cols(b, evens), gather_cols(b, odds)
     out_re = sub(ad.mul(a_re, b_re), ad.mul(a_im, b_im))
     out_im = ad.add(ad.mul(a_re, b_im), ad.mul(a_im, b_re))
     stacked = concat_rows([ad.transpose(out_re), ad.transpose(out_im)])
@@ -37,7 +37,7 @@ def paired_complex_mul(a, b):
     perm = np.empty(n, dtype=np.intp)
     perm[evens] = np.arange(n // 2)
     perm[odds] = np.arange(n // 2) + n // 2
-    return ad.gather_cols(ad.transpose(stacked), perm)
+    return gather_cols(ad.transpose(stacked), perm)
 
 
 def paired_rotation(h, phases, eps=ad.DEFAULT_NORM_EPS):

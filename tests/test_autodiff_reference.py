@@ -11,6 +11,8 @@ from autodiff_reference import (
     add_const,
     attention,
     concat_rows,
+    exp,
+    gather_cols,
     gelu,
     layer_norm_rows,
     linear,
@@ -133,6 +135,13 @@ def _cases(rng):
         ),
         "softmax_rows": (
             lambda ls: sum_all(ad.mul(softmax_rows(ls[0]), ad.Node(y))),
+            [x],
+        ),
+        "exp": (lambda ls: sum_all(exp(ls[0])), [x]),
+        "gather_cols": (
+            lambda ls, idx=rng.integers(0, n, size=n + 1): sum_all(
+                gather_cols(ls[0], idx)
+            ),
             [x],
         ),
         "gelu": (lambda ls: sum_all(gelu(ls[0])), [x]),

@@ -711,6 +711,65 @@ class TestMissingInputs:
         assert not (tmp_path / "p.tsv").exists()
 
 
+class TestScoreModeTheCheckpointLacks:
+    """A ``--score-mode`` that needs a path the checkpoint was trained
+    without is a usage error naming the option and the path, raised once
+    the checkpoint is read, before the vocabulary is read or any table is
+    encoded."""
+
+    @pytest.fixture(scope="class")
+    def checkpoints(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("one_path")
+        data = root / "toy"
+        write_dataset(make_text_toy(num_entities=10, num_relations=2, num_triples=16, seed=0),
+                      data)
+        graph = load_dataset(data).graph
+        tokenizer = build_tokenizer(graph)
+        paths = {}
+        for name, switches in (("no-ase", {"use_ase": False, "vocab_size": len(tokenizer)}),
+                               ("no-text", {"use_text": False})):
+            paths[name] = root / f"{name}.ckpt"
+            save_checkpoint(str(paths[name]), Model(ModelConfig(
+                graph.num_entities, graph.num_base_relations, struct_dim=8, layers=1,
+                hidden_dim=16, heads=2, max_len=16, **switches), seed=0))
+        tokenizer.save(str(paths["no-ase"]) + ".vocab.tsv")
+        return data, paths
+
+    @pytest.mark.parametrize("command", ["eval", "rerank-sweep", "export-predictions"])
+    @pytest.mark.parametrize("checkpoint,mode,lacking", [
+        ("no-ase", "struct", "structural"), ("no-ase", "combined", "structural"),
+        ("no-text", "text", "text"), ("no-text", "combined", "text"),
+    ])
+    def test_is_a_usage_error_before_the_vocabulary_is_read(
+            self, checkpoints, tmp_path, capsys, monkeypatch, command, checkpoint, mode,
+            lacking):
+        def refuse(*args, **kwargs):
+            raise AssertionError("read or encoded after a score mode the checkpoint lacks")
+
+        monkeypatch.setattr(cli.Tokenizer, "load", refuse)
+        monkeypatch.setattr(cli, "ModelScorer", refuse)
+        data, paths = checkpoints
+        argv = [command, "--dataset", str(data), "--checkpoint", str(paths[checkpoint]),
+                "--split", "test", "--score-mode", mode]
+        if command == "export-predictions":
+            argv += ["--out", str(tmp_path / "p.tsv")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error\tusage\t--score-mode {mode} needs the {lacking} path, "
+                                f"which checkpoint {str(paths[checkpoint])!r} was trained "
+                                f"without\n")
+        assert not (tmp_path / "p.tsv").exists()
+
+    @pytest.mark.parametrize("checkpoint,mode", [("no-ase", "text"), ("no-text", "struct")])
+    def test_the_mode_it_has_still_ranks(self, checkpoints, capsys, checkpoint, mode):
+        data, paths = checkpoints
+        for given in ([], ["--score-mode", mode]):  # the default is that mode
+            assert main(["eval", "--dataset", str(data), "--checkpoint",
+                         str(paths[checkpoint]), "--split", "test", *given]) == 0
+            assert "MRR\t" in capsys.readouterr().out
+
+
 def subcommands() -> list[str]:
     parser = cli.build_parser()
     return list(next(action for action in parser._actions

@@ -821,6 +821,49 @@ class TestModelScorerMatchesModel:
         assert np.isfinite(scorer.scores(h, r)).all()
 
 
+class TestModelScorerRefusals:
+    """A library caller gets a ``ValueError`` naming what is wrong, before
+    any text is encoded."""
+
+    @staticmethod
+    def _model(use_text=True, use_ase=True):
+        toy = make_text_toy(num_entities=14, num_relations=3, num_triples=24, seed=0)
+        tokenizer = build_tokenizer(toy.graph, min_freq=2)
+        cfg = ModelConfig(toy.graph.num_entities, toy.graph.num_base_relations, struct_dim=8,
+                          layers=1, hidden_dim=16, heads=2, max_len=16,
+                          vocab_size=len(tokenizer) if use_text else 0,
+                          use_text=use_text, use_ase=use_ase)
+        return toy.graph, tokenizer, Model(cfg, seed=0)
+
+    def _refused(self, monkeypatch, model, message, *args, **kwargs):
+        calls = record_chunks(monkeypatch, model)
+        with pytest.raises(ValueError, match=message):
+            ModelScorer(model, *args, **kwargs)
+        assert calls == {"encode_tails": [], "encode_queries": []}
+
+    def test_an_unknown_mode(self, monkeypatch):
+        g, tokenizer, model = self._model()
+        self._refused(monkeypatch, model, r"score mode must be one of .*, got 'cosine'$",
+                      g, tokenizer, [(0, 0)], mode="cosine")
+
+    @pytest.mark.parametrize("use_text,mode,lacking", [
+        (True, "struct", "structural"), (True, "combined", "structural"),
+        (False, "text", "text"), (False, "combined", "text"),
+    ])
+    def test_a_mode_the_model_has_no_path_for(self, monkeypatch, use_text, mode, lacking):
+        g, tokenizer, model = self._model(use_text=use_text, use_ase=not use_text)
+        assert evaluation.missing_path(model.config, mode) == lacking
+        self._refused(monkeypatch, model,
+                      f"^'{mode}' scoring needs a model with the {lacking} path$",
+                      g, tokenizer, [(0, 0)], mode=mode)
+
+    @pytest.mark.parametrize("mode", ["text", "combined"])
+    def test_text_scoring_without_a_tokenizer(self, monkeypatch, mode):
+        g, _, model = self._model()
+        self._refused(monkeypatch, model, "^text scoring needs a tokenizer$",
+                      g, None, [(0, 0)], mode=mode)
+
+
 # ---------------------------------------------------------------------------
 # the threaded text-table build against the serial loop
 # ---------------------------------------------------------------------------

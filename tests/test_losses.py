@@ -15,7 +15,7 @@ from structkgc.losses import (
 )
 
 import loss_reference
-from autodiff_reference import sum_axis, tape_arrays
+from autodiff_reference import tape_arrays
 from gradcheck import assert_gradients_match
 from loss_reference import ir_index, reference_contrastive_loss
 
@@ -297,46 +297,41 @@ class TestOneNodeMatchesTheComposition:
         h_n, rows, log_tau = Node(h), Node(ir_rows), log_tau_node(0.07)
         text = contrastive_loss(h_n, Node(t), mask, log_tau, 0.02,
                                 mh_features=mh, ir_features=(rows, index))
-        mh_dots, ir_dots, inv_tau, cos = text._parents
+        mh_dots, ir_dots, tau, cos = text._parents
         assert mh_dots._parents == (h_n,)  # the features are not a leaf
         assert ir_dots._parents[0] is h_n and ir_dots._parents[1]._parents == (rows,)
-        assert inv_tau._parents[0]._parents == (log_tau,)
+        assert tau is log_tau  # no node between the loss and its temperature
         assert cos._parents[0] is h_n
         scores = Node(h @ t.T)
         struct = structural_loss(scores, mask, log_tau, 0.02)
-        assert struct._parents[1:] == (scores,)
+        assert struct._parents == (log_tau, scores)
 
     def test_the_node_keeps_only_what_backward_reads(self):
-        # its inputs, the masked exponentials, e^pos, the denominator and the
-        # shifted positives, each with the bytes of the composition's node
+        # its inputs, the masked exponentials, e^pos, the denominator, the
+        # shifted positives and the inverse temperature, each with the bytes
+        # of the composition's node
         h, t, mask, mh, ir_rows, index = self._inputs(13, True)
         dots = [(Node(d), keep) for d, keep in (
             (np.einsum("bd,bmd->bm", h, mh), None),
             (np.einsum("bd,bmd->bm", h, ir_rows[np.maximum(index, 0)]), index >= 0))]
-        scores, inv_tau = Node(h @ t.T), Node([[1 / 0.07]])
-        loss = ad.info_nce(scores, inv_tau, 0.02, ~mask, dots)
-        extra_sums = []
-        for d, k in dots:
-            terms = ad.exp(ad.mul(d, inv_tau))
-            if k is not None:
-                terms = ad.mul(terms, Node(k.astype(np.float64)))
-            extra_sums.append(sum_axis(terms, axis=1))
-        composed = loss_reference.info_nce(scores, mask, inv_tau, 0.02, extra_sums)
+        scores, log_tau = Node(h @ t.T), log_tau_node(0.07)
+        loss = ad.info_nce(scores, log_tau, 0.02, ~mask, dots)
+        composed = loss_reference.info_nce(scores, log_tau, 0.02, ~mask, dots)
         assert loss.value.tobytes() == composed.value.tobytes()
 
         def keys(arrays):
             return {(a.shape, a.tobytes()) for a in arrays.values()}
 
-        inputs = [scores, inv_tau] + [d for d, _ in dots]
+        inputs = [scores, log_tau] + [d for d, _ in dots]
         kept = keys(tape_arrays(loss)) - keys({id(x): x.value for x in inputs})
-        inv = 1 / 0.07
+        inv = np.exp(-log_tau.value[0, 0])
         shifted = np.diag(h @ t.T)[:, None] - 0.02
         e_batch = np.exp(h @ t.T * inv) * (~mask & ~np.eye(self.N, dtype=bool))
         e_mh, e_ir = (np.exp(d.value * inv) * (1.0 if k is None else k) for d, k in dots)
         e_pos = np.exp(shifted * inv)
         denom = e_pos + e_batch.sum(axis=1, keepdims=True) + e_mh.sum(
             axis=1, keepdims=True) + e_ir.sum(axis=1, keepdims=True)
-        expected = [loss.value, shifted, e_batch, e_mh, e_ir, e_pos, denom]
+        expected = [loss.value, shifted, e_batch, e_mh, e_ir, e_pos, denom, np.array([[inv]])]
         assert len(kept) == len(expected)
         for want in expected:
             assert any(np.allclose(want, np.frombuffer(b).reshape(s), rtol=0, atol=1e-12)
@@ -344,18 +339,18 @@ class TestOneNodeMatchesTheComposition:
         assert kept <= keys(tape_arrays(composed))
 
     def test_rejects_mismatched_shapes(self):
-        scores, inv_tau = Node(np.zeros((3, 3))), Node([[1.0]])
+        scores, log_tau = Node(np.zeros((3, 3))), Node([[0.0]])
         keep = np.ones((3, 3), dtype=bool)
         with pytest.raises(ValueError, match="info_nce needs"):
-            ad.info_nce(Node(np.zeros((3, 2))), inv_tau, 0.0, keep)
+            ad.info_nce(Node(np.zeros((3, 2))), log_tau, 0.0, keep)
         with pytest.raises(ValueError, match="info_nce needs"):
             ad.info_nce(scores, Node([[1.0, 2.0]]), 0.0, keep)
         with pytest.raises(ValueError, match="negatives"):
-            ad.info_nce(scores, inv_tau, 0.0, keep[:2])
+            ad.info_nce(scores, log_tau, 0.0, keep[:2])
         with pytest.raises(ValueError, match="negatives"):
-            ad.info_nce(scores, inv_tau, 0.0, keep, [(Node(np.zeros((2, 4))), None)])
+            ad.info_nce(scores, log_tau, 0.0, keep, [(Node(np.zeros((2, 4))), None)])
         with pytest.raises(ValueError, match="negatives"):
-            ad.info_nce(scores, inv_tau, 0.0, keep,
+            ad.info_nce(scores, log_tau, 0.0, keep,
                         [(Node(np.zeros((3, 4))), np.ones((3, 2), dtype=bool))])
 
 

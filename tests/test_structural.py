@@ -150,23 +150,39 @@ class TestStructScore:
                 )
 
 
+def blocks(prefix, d):
+    """The key and value arrays that an attention sublayer of width ``d``
+    reads from a projector's (node, start) prefix."""
+    node, start = prefix
+    return node.value[:, start:start + d], node.value[:, start + d:start + 2 * d]
+
+
 class TestPrefixProjector:
+    def test_every_layer_reads_one_projection_node(self):
+        proj = PrefixProjector(3, 3, 4, np.random.default_rng(0))
+        vecs = ad.Node(np.ones((2, 3)))
+        prefixes = proj.project(vecs)
+        (node,) = {id(node): node for node, _ in prefixes}.values()
+        assert node._parents == (vecs, proj.weight) and node.value.shape == (2, 24)
+        assert [start for _, start in prefixes] == [0, 8, 16]
+
     def test_zero_weight_gives_zero_prefixes(self):
         proj = PrefixProjector(3, 2, 4, np.random.default_rng(0))
         proj.weight.value = np.zeros_like(proj.weight.value)
         prefixes = proj.project(ad.Node([[1.0, -2.0, 3.0]]))
         assert len(prefixes) == 2
-        for k, v in prefixes:
-            np.testing.assert_array_equal(k.value, np.zeros((1, 4)))
-            np.testing.assert_array_equal(v.value, np.zeros((1, 4)))
+        for prefix in prefixes:
+            for block in blocks(prefix, 4):
+                np.testing.assert_array_equal(block, np.zeros((1, 4)))
 
     def test_hand_layout(self):
         # w=1, l=1, d=2, weight [[1,2,3,4]], input [2] -> key [2,4], value [6,8]
         proj = PrefixProjector(1, 1, 2, np.random.default_rng(0))
         proj.weight.value = np.array([[1.0, 2.0, 3.0, 4.0]])
-        ((key, value),) = proj.project(ad.Node([[2.0]]))
-        np.testing.assert_array_equal(key.value, [[2.0, 4.0]])
-        np.testing.assert_array_equal(value.value, [[6.0, 8.0]])
+        (prefix,) = proj.project(ad.Node([[2.0]]))
+        key, value = blocks(prefix, 2)
+        np.testing.assert_array_equal(key, [[2.0, 4.0]])
+        np.testing.assert_array_equal(value, [[6.0, 8.0]])
 
     def test_identity_slices_recover_input(self):
         # place coordinate i of the input at key position i of layer 0
@@ -178,9 +194,10 @@ class TestPrefixProjector:
         proj.weight.value = weight
         vec = np.array([[0.5, -1.5, 2.5]])
         prefixes = proj.project(ad.Node(vec))
-        np.testing.assert_allclose(prefixes[0][0].value, vec)
-        np.testing.assert_array_equal(prefixes[0][1].value, np.zeros((1, d)))
-        np.testing.assert_array_equal(prefixes[1][0].value, np.zeros((1, d)))
+        (key0, value0), (key1, _) = (blocks(prefix, d) for prefix in prefixes)
+        np.testing.assert_allclose(key0, vec)
+        np.testing.assert_array_equal(value0, np.zeros((1, d)))
+        np.testing.assert_array_equal(key1, np.zeros((1, d)))
 
     def test_dim_mismatch(self):
         proj = PrefixProjector(3, 1, 2, np.random.default_rng(0))
@@ -199,9 +216,9 @@ def test_hr_prefixes_project_the_tables_combine(kind):
     want = model.hr_projector.project(ase_apply_node(kind, e_h, e_r))
     got = model.hr_prefixes(heads, relations)
     assert len(got) == len(want) == 2
-    for (k, v), (k_want, v_want) in zip(got, want):
-        np.testing.assert_array_equal(k.value, k_want.value)
-        np.testing.assert_array_equal(v.value, v_want.value)
+    for (node, start), (node_want, start_want) in zip(got, want):
+        assert start == start_want
+        np.testing.assert_array_equal(node.value, node_want.value)
 
 
 def test_init_embedding_bounds():

@@ -120,11 +120,17 @@ def small_encoder(seed=0, layers=1, d=8, heads=2, vocab=16, max_len=12, name="en
     return TextEncoder(cfg, np.random.default_rng(seed), name=name)
 
 
+def layer_prefixes(blocks, layers):
+    """``TextEncoder.encode``'s prefixes over a (B, 2 * layers * d) array
+    laid out as a prefix projection is: that array as one node, paired
+    with each layer's key column."""
+    node = ad.Node(blocks)
+    width = blocks.shape[1] // layers
+    return [(node, layer * width) for layer in range(layers)]
+
+
 def random_prefixes(rng, layers, d, scale=1.0):
-    return [
-        (ad.Node(rng.normal(size=(1, d)) * scale), ad.Node(rng.normal(size=(1, d)) * scale))
-        for _ in range(layers)
-    ]
+    return layer_prefixes(rng.normal(size=(1, 2 * layers * d)) * scale, layers)
 
 
 class TestEncoder:
@@ -138,7 +144,7 @@ class TestEncoder:
     def test_zero_prefix_equals_plain(self):
         enc = small_encoder(layers=1)
         tokens = [2, 5, 7, 3]
-        zero = [(ad.Node(np.zeros((1, 8))), ad.Node(np.zeros((1, 8))))]
+        zero = layer_prefixes(np.zeros((1, 16)), 1)
         out_prefix = enc.encode([tokens], zero)
         out_plain = enc.encode([tokens])
         np.testing.assert_array_equal(out_prefix.value, out_plain.value)
@@ -222,13 +228,13 @@ class TestFusedMatchesReference:
     def _prefixes(self, rng, mode, layers=2, d=8):
         if mode == "off":
             return None
-        pairs = [(rng.normal(size=(5, d)), rng.normal(size=(5, d))) for _ in range(layers)]
+        blocks = [rng.normal(size=(5, d)) for _ in range(2 * layers)]  # key, value, ...
         if mode == "mixed":
             # sequence 1 has no prefix at all, sequence 3 only at layer 1
-            for _, value in pairs:
+            for value in blocks[1::2]:
                 value[1] = 0.0
-            pairs[1][1][3] = 0.0
-        return [(ad.Node(k), ad.Node(v)) for k, v in pairs]
+            blocks[3][3] = 0.0
+        return layer_prefixes(np.concatenate(blocks, axis=1), layers)
 
     @pytest.mark.parametrize("mode", ["off", "on", "mixed"])
     def test_embeddings_and_gradients_match(self, mode):
@@ -238,7 +244,7 @@ class TestFusedMatchesReference:
         weights = ad.Node(rng.normal(size=(len(self.SEQS), 8)))
         leaves = list(enc.parameters().values())
         if prefixes is not None:
-            leaves += [node for pair in prefixes for node in pair]
+            leaves.append(prefixes[0][0])
 
         fused = enc.encode(self.SEQS, prefixes)
         ad.backward(sum_all(ad.mul(fused, weights)))
@@ -249,7 +255,7 @@ class TestFusedMatchesReference:
         rows = []
         for b, tokens in enumerate(self.SEQS):
             row_prefixes = None if prefixes is None else [
-                (ad.gather_rows(k, [b]), ad.gather_rows(v, [b])) for k, v in prefixes
+                (ad.gather_rows(node, [b]), start) for node, start in prefixes
             ]
             rows.append(reference_encode(enc, tokens, row_prefixes))
         reference = concat_rows(rows)
@@ -294,7 +300,7 @@ class TestFusedMatchesReference:
                 prefixes = proj.project(leaves[-1])
             else:
                 prefixes = self._prefixes(rng, mode)
-                leaves += [node for pair in prefixes or () for node in pair]
+                leaves += [prefixes[0][0]] if prefixes else []
             with contextlib.nullcontext() if recording else ad.no_grad():
                 out = enc.encode(self.SEQS, prefixes)
             if recording:

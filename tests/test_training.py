@@ -1,3 +1,4 @@
+import collections
 import gc
 import tracemalloc
 import weakref
@@ -367,7 +368,31 @@ class TestTapeSize:
         batch = trainer.train_triples[:4]
         trainer._step(batch)  # fills the queue: no MH term yet
         trainer._step(batch)
-        assert sizes == [90, 91]
+        assert sizes == [80, 81]
+
+    def test_no_node_only_slices_or_rescales(self, monkeypatch):
+        # each attention sublayer reads its prefix blocks from the one
+        # projection node and each loss reads log tau, so the one smul left
+        # weights the structural loss
+        toy, tokenizer, model = tiny_text_setup(seed=1)
+        trainer = Trainer(toy.graph, model, tokenizer, small_train_cfg(ir_count=2))
+        steps = []
+        backward = ad.backward
+
+        def counting(root):
+            steps.append(collections.Counter(
+                n._vjp.__qualname__.split(".")[0] for n in ad._toposort(root) if n._parents))
+            backward(root)
+
+        monkeypatch.setattr(ad, "backward", counting)
+        batch = trainer.train_triples[:4]
+        trainer._step(batch)
+        trainer._step(batch)
+        assert len(steps) == 2
+        for ops in steps:
+            assert ops["smul"] == 1 and ops["info_nce"] == 2
+            assert ops["attention_sublayer"] == 3  # queries, tails, IR tails
+            assert "gather_cols" not in ops and "exp" not in ops
 
     def test_no_constant_leaf_takes_a_gradient(self, monkeypatch):
         # the masks, the identity and the MH features are arrays, not leaves
@@ -419,8 +444,9 @@ class TestTapeSize:
     def _dropped(nodes, tables):
         """The arrays of a one-node-per-op tape that no sublayer backward
         reads: the k and v projections, the out-projection and FFN-out
-        outputs, both residual sums, the GELU output and the two gathered
-        embedding lookups."""
+        outputs, both residual sums, the GELU output, the two gathered
+        embedding lookups, and the prefix key and value column gathers
+        with their column indices."""
         op = {id(n): n._vjp.__qualname__.split(".")[0] if n._vjp else None for n in nodes}
 
         def mixes(n):  # the out-projection or FFN-out linear map
@@ -436,6 +462,10 @@ class TestTapeSize:
                 dropped.append(n.value)
             elif op[id(n)] == "gather_rows" and id(n._parents[0]) in tables:
                 dropped.append(n.value)
+            elif op[id(n)] == "gather_cols":  # a view of a transposed copy
+                dropped.append(n.value.base)
+                dropped += [cell.cell_contents for cell in n._vjp.__closure__
+                            if isinstance(cell.cell_contents, np.ndarray)]
         return dropped
 
     def test_the_tape_keeps_only_what_backward_reads(self, monkeypatch):
@@ -445,16 +475,16 @@ class TestTapeSize:
         nodes, arrays, tables, checksum = self._second_step_tape(monkeypatch, composed=False)
         c_nodes, c_arrays, c_tables, c_checksum = self._second_step_tape(monkeypatch, composed=True)
         assert checksum == c_checksum
-        assert len(nodes) == 91
+        assert len(nodes) == 81
         # 3 encodes (query, tail, IR) of one layer: 10 nodes fewer per layer,
-        # 2 per embedding lookup
-        assert len(c_nodes) - len(nodes) == 3 * (10 + 2)
+        # 2 per embedding lookup and 2 per prefix key and value slice
+        assert len(c_nodes) - len(nodes) == 3 * (10 + 2 + 2)
 
         def keys(found):
             return {(a.shape, a.tobytes()) for a in found}
 
         dropped = self._dropped(c_nodes, c_tables)
-        assert len(dropped) == 3 * (7 + 2)
+        assert len(dropped) == 3 * (7 + 2 + 2 * 2)
         assert keys(arrays.values()) == keys(c_arrays.values()) - keys(dropped)
         assert keys(dropped) <= keys(c_arrays.values())
         kept = sum(a.nbytes for a in arrays.values())

@@ -3,21 +3,22 @@ the composite layer norm and dense-mask pooling it was built from, and
 the one-node-per-op sublayers that ``ad.attention_sublayer``,
 ``ad.ffn_sublayer`` and ``ad.gather_rows_sum`` replaced.
 
-The encoder encodes one sequence at a time, slicing every head out with
-``gather_cols`` and joining the heads with ``concat_rows``, and drops a
-layer's prefix when its value vector is exactly zero.  Its projections
-are a ``matmul`` node followed by a bias ``add``, its layer norm is the
-ten-node composition below and its pooling multiplies by a 0/1 mask
-matrix.  Tests pin the fused ``TextEncoder.encode``, ``linear``,
-``layer_norm_rows`` and ``ad.mean_pool`` to them, values and
-gradients.
+The encoder encodes one sequence at a time, slicing every head and
+every layer's prefix key and value out with ``gather_cols`` and joining
+the heads with ``concat_rows``, and drops a layer's prefix when its
+value vector is exactly zero.  Its projections are a ``matmul`` node
+followed by a bias ``add``, its layer norm is the ten-node composition
+below and its pooling multiplies by a 0/1 mask matrix.  Tests pin the
+fused ``TextEncoder.encode``, ``linear``, ``layer_norm_rows`` and
+``ad.mean_pool`` to them, values and gradients.
 
 ``attention_sublayer``, ``ffn_sublayer`` and ``gather_rows_sum`` take
 the arguments of their ``structkgc.autodiff`` namesakes and build one
 node per linear map, attention, GELU, residual sum, layer norm and
-gather from ``autodiff_reference``; ``use_compositions`` patches them
-in, so ``TextEncoder.encode`` runs the composition the sublayers
-replaced, which they must match byte for byte.
+gather from ``autodiff_reference``, the prefix key and value blocks one
+``gather_cols`` each; ``use_compositions`` patches them in, so
+``TextEncoder.encode`` runs the composition the sublayers replaced,
+which they must match byte for byte.
 """
 
 import numpy as np
@@ -25,7 +26,7 @@ import numpy as np
 from structkgc import autodiff as ad
 
 import autodiff_reference as ref
-from autodiff_reference import add_const, concat_rows, softmax_rows, sub, sum_axis
+from autodiff_reference import add_const, concat_rows, gather_cols, softmax_rows, sub, sum_axis
 
 
 def power(a, p):
@@ -71,11 +72,20 @@ def dense_mean_pool(x, weights):
     return masked_mean_rows(x, pool.reshape(b_count, b_count * seq_len))
 
 
+def prefix_blocks(prefix, d):
+    """The (key, value) nodes of an attention ``prefix`` pair (node,
+    start): two ``gather_cols`` of d columns each, the key's from
+    ``start``."""
+    node, start = prefix
+    return (gather_cols(node, range(start, start + d)),
+            gather_cols(node, range(start + d, start + 2 * d)))
+
+
 def reference_encode(enc, tokens, prefixes=None):
     """Encode one token sequence with ``enc``'s weights to a (1, d) node.
 
-    ``prefixes`` is an optional per-layer list of (key, value) nodes of
-    shape (1, d).
+    ``prefixes`` is an optional per-layer list of (node, start) pairs,
+    the node of one row, as ``TextEncoder.encode`` takes them.
     """
     cfg = enc.config
     tokens = list(tokens)
@@ -88,7 +98,7 @@ def reference_encode(enc, tokens, prefixes=None):
     for i, layer in enumerate(enc.layers):
         prefix = None
         if prefixes is not None:
-            k_pre, v_pre = prefixes[i]
+            k_pre, v_pre = prefix_blocks(prefixes[i], cfg.hidden_dim)
             if np.any(v_pre.value != 0.0):
                 prefix = (k_pre, v_pre)
         q = ad.add(ad.matmul(x, layer["wq"]), layer["bq"])
@@ -97,12 +107,12 @@ def reference_encode(enc, tokens, prefixes=None):
         head_outs = []
         for h in range(cfg.heads):
             cols = range(h * d_k, (h + 1) * d_k)
-            qh = ad.gather_cols(q, cols)
-            kh = ad.gather_cols(k, cols)
-            vh = ad.gather_cols(v, cols)
+            qh = gather_cols(q, cols)
+            kh = gather_cols(k, cols)
+            vh = gather_cols(v, cols)
             if prefix is not None:
-                kh = concat_rows([ad.gather_cols(prefix[0], cols), kh])
-                vh = concat_rows([ad.gather_cols(prefix[1], cols), vh])
+                kh = concat_rows([gather_cols(prefix[0], cols), kh])
+                vh = concat_rows([gather_cols(prefix[1], cols), vh])
             logits = ad.smul(ad.matmul(qh, ad.transpose(kh)), scale)
             head_outs.append(ad.transpose(ad.matmul(softmax_rows(logits), vh)))
         attn = ad.add(
@@ -123,6 +133,8 @@ def reference_encode(enc, tokens, prefixes=None):
 
 
 def attention_sublayer(x, query, key, value, output, norm, lengths, heads, prefix=None):
+    if prefix is not None:
+        prefix = prefix_blocks(prefix, x.value.shape[1])
     attended = ref.attention(ref.linear(x, *query), ref.linear(x, *key),
                              ref.linear(x, *value), lengths, heads, prefix)
     return ref.layer_norm_rows(ad.add(x, ref.linear(attended, *output)), *norm)
